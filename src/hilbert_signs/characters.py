@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .errors import EvenCharacteristic, FieldMismatch, ParseError, ValidationError
 from .field_arith import (
@@ -27,6 +26,7 @@ from .field_arith import (
     _prime_factors,
     as_element,
     factor_principal_ideal,
+    prime_ideal,
     quadratic_residue_symbol,
     split_rational_prime,
 )
@@ -100,11 +100,6 @@ def induced_value(chi: IdealCharacter, m: IdealFactorization) -> int:
     return out
 
 
-def chi_over_norm(chi: IdealCharacter, P: PrimeIdeal) -> Fraction:
-    """chi(P)/N(P) as an exact rational, the shift term in the sign relation."""
-    return Fraction(chi.value_at(P), P.norm)
-
-
 # ----------------------------------------------------------------------
 # psi tables as JSON documents
 # ----------------------------------------------------------------------
@@ -139,14 +134,10 @@ def load_psi_table(K: QuadField, source) -> dict[PrimeIdeal, int]:
             raise ParseError(f"psi entry {i}: missing or ill-typed field ({e})") from e
         if value not in (-1, 1):
             raise ValidationError(f"psi entry {i}: value must be +-1, got {value}")
-        matches = [
-            P
-            for P in split_rational_prime(K, p)
-            if P.norm == norm and P.root_label == label
-        ]
-        if not matches:
+        P = prime_ideal(K, p, label)
+        if P.norm != norm:
             raise ValidationError(
                 f"psi entry {i}: no prime of norm {norm}, label {label} above {p} in {K}"
             )
-        table[matches[0]] = value
+        table[P] = value
     return table

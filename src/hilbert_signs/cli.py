@@ -41,8 +41,11 @@ from .sign_pipeline import (
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise HilbertSignsError(f"cannot write {out}: {e}") from e
     else:
         sys.stdout.write(text)
 

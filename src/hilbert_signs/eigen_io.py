@@ -38,7 +38,7 @@ from pathlib import Path
 
 from .curves import CurveSpec, series_from_curve
 from .errors import HilbertSignsError, NetworkError, ParseError, ValidationError
-from .field_arith import make_field, split_rational_prime
+from .field_arith import make_field, prime_ideal
 from .sign_pipeline import EigenvalueSeries
 
 SCHEMA_TAG = "eigen-series/1"
@@ -96,16 +96,12 @@ def series_from_obj(obj) -> EigenvalueSeries:
             raise ParseError(f"entry {i}: missing or ill-typed field ({e})") from e
         except ZeroDivisionError as e:
             raise ValidationError(f"entry {i}: zero denominator") from e
-        matches = [
-            P
-            for P in split_rational_prime(K, p)
-            if P.norm == norm and P.root_label == label
-        ]
-        if not matches:
+        P = prime_ideal(K, p, label)
+        if P.norm != norm:
             raise ValidationError(
                 f"entry {i}: no prime of norm {norm}, label {label} above {p} in {K}"
             )
-        entries[matches[0]] = c
+        entries[P] = c
     return EigenvalueSeries(
         field=K,
         weight=obj["weight"],
@@ -126,6 +122,8 @@ def load_fixture(path) -> EigenvalueSeries:
             obj = json.load(fh)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: line {e.lineno} col {e.colno}: {e.msg}") from e
+    except OSError as e:
+        raise ParseError(f"cannot read fixture {path}: {e}") from e
     return series_from_obj(obj)
 
 
@@ -228,11 +226,7 @@ def _series_from_remote_payload(obj, label: str, normalization: str) -> Eigenval
             p, root_label, value = entry
         else:
             (p, value), root_label = entry, 0
-        above = split_rational_prime(K, int(p))
-        matches = [P for P in above if P.root_label == int(root_label)]
-        if not matches:
-            raise ValidationError(f"no prime above {p} with root label {root_label}")
-        P = matches[0]
+        P = prime_ideal(K, int(p), int(root_label))
         if normalization == "arithmetic":
             c = Fraction(int(value), P.norm ** (k0 // 2))
         else:

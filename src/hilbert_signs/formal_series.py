@@ -19,13 +19,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .characters import IdealCharacter, induced_value
-from .errors import CutoffMismatch, FieldMismatch, NotNormalized, ParseError, ValidationError
+from .errors import CutoffMismatch, FieldMismatch, NotNormalized
 from .field_arith import (
     IdealFactorization,
     PrimeIdeal,
     QuadField,
     enumerate_prime_ideals,
-    split_rational_prime,
 )
 
 _ZERO = Fraction(0)
@@ -208,48 +207,3 @@ def extract_prime_relation(
         raise ValueError(f"{P} lies in the character's bad set; the relation needs a good prime")
     idx = IdealFactorization.from_prime(P)
     return c.coefficient(idx) - Fraction(chi.value_at(P), P.norm) - lam.coefficient(idx)
-
-
-# ----------------------------------------------------------------------
-# serialization: exact rationals, canonical term order
-# ----------------------------------------------------------------------
-
-
-def ideal_series_to_obj(A: FormalSeries) -> dict:
-    terms = []
-    for _, m, v in A.sorted_items():
-        ideal = [[P.norm, P.rational_prime, P.root_label, e] for P, e in m.factors]
-        terms.append({"ideal": ideal, "value": f"{v.numerator}/{v.denominator}"})
-    return {"format": "ideal-series/1", "d": A.field.d, "cutoff": A.cutoff, "terms": terms}
-
-
-def ideal_series_from_obj(K: QuadField, obj) -> FormalSeries:
-    try:
-        if obj.get("format") != "ideal-series/1":
-            raise ParseError(f"unrecognized series format {obj.get('format')!r}")
-        if obj["d"] != K.d:
-            raise ValidationError(f"series is over d={obj['d']}, expected d={K.d}")
-        cutoff = int(obj["cutoff"])
-        raw_terms = obj["terms"]
-    except (KeyError, TypeError, AttributeError) as e:
-        raise ParseError(f"series document missing field: {e}") from e
-    coeffs: dict[IdealFactorization, Fraction] = {}
-    for i, term in enumerate(raw_terms):
-        try:
-            pairs = []
-            for norm, p, label, e in term["ideal"]:
-                matches = [
-                    P
-                    for P in split_rational_prime(K, int(p))
-                    if P.norm == int(norm) and P.root_label == int(label)
-                ]
-                if not matches:
-                    raise ValidationError(
-                        f"term {i}: no prime of norm {norm}, label {label} above {p}"
-                    )
-                pairs.append((matches[0], int(e)))
-            value = Fraction(term["value"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
-            raise ParseError(f"series term {i} malformed: {e}") from e
-        coeffs[IdealFactorization.from_pairs(K, pairs)] = value
-    return FormalSeries(K, cutoff, coeffs)

@@ -141,18 +141,18 @@ def synth_eigen_series(
     Primes are enumerated in canonical (norm, p, label) order and sample i
     is assigned to prime i, so the output is reproducible and extendable.
     Coefficients c(P) = 2 B(P) N(P)^{-1/2} are stored as exact rationals
-    rounded to the grid 1/QUANT_DEN, then nudged toward zero if rounding
-    pushed them over the Hasse bound.
+    rounded to the grid 1/QUANT_DEN, then nudged toward zero one grid step
+    at a time if rounding pushed them over the Hasse bound.
     """
     primes = enumerate_prime_ideals(K, X)
     coords = sample_semicircle(len(primes), seed)
     entries = {}
+    bound = 4 * QUANT_DEN * QUANT_DEN
     for P, b in zip(primes, coords):
-        c_float = 2.0 * float(b) / math.sqrt(P.norm)
-        c = Fraction(round(c_float * QUANT_DEN), QUANT_DEN)
-        while c * c * P.norm > 4:
-            c = Fraction(c.numerator - (1 if c > 0 else -1), QUANT_DEN)
-        entries[P] = c
+        q = round(2.0 * float(b) / math.sqrt(P.norm) * QUANT_DEN)
+        while q * q * P.norm > bound:  # c^2 N > 4 with c = q / QUANT_DEN
+            q -= 1 if q > 0 else -1
+        entries[P] = Fraction(q, QUANT_DEN)
     name = label or f"synthetic-d{K.d}-X{X}-k{k0}-s{seed}"
     return EigenvalueSeries(
         field=K, weight=(k0,), label=name, entries=entries, level_support=()

@@ -7,7 +7,7 @@ reconstructed eigenvalue at a good prime is
     lambda(P) = c(P) - chi(P)/N(P),
 
 and its sign is decided in exact rational arithmetic; floats appear only
-in the Sato-Tate coordinate B(P) = C(P) / (2 N(P)^{(k0-1)/2}) used for
+in the Sato-Tate coordinate B(P) = c(P) sqrt(N(P)) / 2 used for
 distribution statistics, never in sign decisions.
 
 Counting conventions.  The denominator of every reported density is the
@@ -49,7 +49,7 @@ class EigenvalueSeries:
 
     entries maps prime ideals to exact rationals.  Ingestion enforces the
     Hasse-type bound |c(P)| <= 2 N(P)^{-1/2} (checked exactly as
-    c^2 N <= 4), even weights >= 2, and omega = 0.
+    c^2 N <= 4) and even weights >= 2.
     """
 
     def __init__(
@@ -59,18 +59,14 @@ class EigenvalueSeries:
         label: str,
         entries: dict[PrimeIdeal, Fraction],
         level_support=(),
-        omega=Fraction(0),
     ):
         weight = tuple(int(k) for k in weight)
         if not weight or any(k < 2 or k % 2 for k in weight):
             raise ValidationError(f"weights must be even integers >= 2, got {weight}")
-        if Fraction(omega) != 0:
-            raise ValidationError(f"omega must be 0, got {omega}")
         self.field = field
         self.weight = weight
         self.label = str(label)
         self.level_support = frozenset(int(p) for p in level_support)
-        self.omega = Fraction(0)
         self.entries = {}
         for P, c in entries.items():
             if P.field != field:
@@ -98,28 +94,17 @@ class EigenvalueSeries:
 # ======================================================================
 
 
-def hecke_eigenvalue(c: Fraction, norm: int) -> Fraction:
-    """Hecke eigenvalue from the raw coefficient: lambda_P = c(P) N(P)."""
-    return Fraction(c) * norm
+def sato_tate_coordinate(c, norm: int) -> float:
+    """B(P) = c(P) sqrt(N(P)) / 2 in [-1, 1], for rational c.
 
-
-def renormalize_C(c: Fraction, norm: int, k0: int) -> Fraction:
-    """C(P) = c(P) N(P)^{k0/2}; exact because k0 is even."""
-    if k0 % 2:
-        raise ValidationError(f"k0 must be even, got {k0}")
-    return Fraction(c) * norm ** (k0 // 2)
-
-
-def sato_tate_coordinate(C, norm: int, k0: int) -> float:
-    """B(P) = C(P) / (2 N(P)^{(k0-1)/2}) in [-1, 1].
-
-    For k0 = 2 this is the classical a_p / (2 sqrt(p)).  The containment
-    check is exact when C is rational: C^2 <= 4 N^{k0-1}.
+    This equals C(P) / (2 N(P)^{(k0-1)/2}) with C(P) = c(P) N(P)^{k0/2}
+    for every weight k0, and for c = a_p/p it is the classical
+    a_p / (2 sqrt(p)).  The containment check is exact: (cN)^2 <= 4N.
     """
-    C = Fraction(C)
-    if C * C > 4 * norm ** (k0 - 1):
-        raise HasseBoundViolated(f"|C| = |{C}| exceeds 2 N^{{(k0-1)/2}} at N = {norm}")
-    return float(C) / (2.0 * math.sqrt(float(norm)) ** (k0 - 1))
+    cn = c * norm
+    if cn * cn > 4 * norm:
+        raise HasseBoundViolated(f"|c| = |{c}| exceeds 2/sqrt({norm})")
+    return float(cn) / (2.0 * math.sqrt(float(norm)))
 
 
 def lambda_sign(c: Fraction, chi_p: int, norm: int) -> int:
@@ -131,6 +116,10 @@ def lambda_sign(c: Fraction, chi_p: int, norm: int) -> int:
 # ======================================================================
 # surveys and tallies
 # ======================================================================
+
+# Half-width of the band around eps inside which cutoff_report decides
+# B(P) > eps from the exact coefficient instead of the float coordinate.
+_CUTOFF_BAND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -180,9 +169,8 @@ class SignSurvey:
     """Per-prime sign data for one (series, tau, psi) triple up to x.
 
     Built once, then queried at any cutoff <= x.  Signs are decided with
-    exact rationals at construction time; batch queries compare the float
-    Sato-Tate coordinates (the one-shot epsilon_cutoff_check stays fully
-    rational).
+    exact rationals at construction time, and the tail inequality is
+    decided exactly from the stored coefficients.
     """
 
     def __init__(self, E: EigenvalueSeries, tau, psi=None, x: int | None = None):
@@ -197,7 +185,6 @@ class SignSurvey:
         self.a_ideal = squarefree_decompose(
             factor_principal_ideal(E.field, self.tau)
         ).a
-        k0 = E.k0
         all_norms: list[int] = []
         good_norms: list[int] = []
         signs: list[int] = []
@@ -213,8 +200,7 @@ class SignSurvey:
                 raise MissingPrime(f"{E.label}: no coefficient at good prime {P}")
             good_norms.append(P.norm)
             signs.append(lambda_sign(c, v, P.norm))
-            C = renormalize_C(c, P.norm, k0)
-            coords.append(sato_tate_coordinate(C, P.norm, k0))
+            coords.append(sato_tate_coordinate(c, P.norm))
             self._good_coeffs.append(c)
         self.all_norms = np.asarray(all_norms, dtype=np.int64)
         self.good_norms = np.asarray(good_norms, dtype=np.int64)
@@ -248,17 +234,34 @@ class SignSurvey:
             return int(np.searchsorted(self.all_norms, bound, side="right"))
         return count_prime_ideals(self.series.field, bound)
 
-    def cutoff_report(self, x: int, epsilon: float) -> EpsilonCutoffReport:
-        if epsilon <= 0:
+    def cutoff_report(self, x: int, epsilon) -> EpsilonCutoffReport:
+        """The tail inequality at (x, epsilon), decided exactly.
+
+        epsilon may be a float or a Fraction; B(P) > eps is decided for the
+        exact value of epsilon, as c(P) > 0 and c(P)^2 N(P) > 4 eps^2.
+        """
+        if not epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         x = int(x)
         if x > self.x:
             raise ValueError(f"survey only extends to {self.x}, asked for {x}")
-        t = int(Fraction(1, 4) / (Fraction(epsilon) ** 2))
+        eps = Fraction(epsilon)
         ngood = int(np.searchsorted(self.good_norms, x, side="right"))
+        coords = self.coords[:ngood]
+        # Each coordinate takes three correctly rounded steps (float(cN),
+        # sqrt, division), so it is within ~4e-16 of the true B in [-1, 1],
+        # and float(eps) is within 1.2e-16 * eps of eps.  Outside the band
+        # the float comparison therefore agrees with the exact one.
+        e = float(eps)
+        near = np.abs(coords - e) <= _CUTOFF_BAND
+        rhs = int(np.count_nonzero((coords > e) & ~near))
+        four_eps2 = 4 * eps * eps
+        for i in np.flatnonzero(near).tolist():
+            c = self._good_coeffs[i]
+            if c > 0 and c * c * int(self.good_norms[i]) > four_eps2:
+                rhs += 1
         pos = int(np.count_nonzero(self.signs[:ngood] > 0))
-        rhs = int(np.count_nonzero(self.coords[:ngood] > epsilon))
-        lhs = pos + self.pi_ideals(t)
+        lhs = pos + self.pi_ideals(int(Fraction(1, 4) / (eps * eps)))
         return EpsilonCutoffReport(
             x=x, epsilon=float(epsilon), lhs=lhs, rhs=rhs, holds=lhs >= rhs
         )
@@ -270,28 +273,11 @@ def tally_signs(E: EigenvalueSeries, tau, psi=None, x: int | None = None) -> Sig
 
 
 def epsilon_cutoff_check(
-    E: EigenvalueSeries, tau, psi=None, x: int | None = None, epsilon: float = 0.5
+    E: EigenvalueSeries, tau, psi=None, x: int | None = None, epsilon=0.5
 ) -> EpsilonCutoffReport:
-    """Verify the tail inequality at one (x, epsilon), fully in rationals.
-
-    B(P) > eps is evaluated as c(P) > 0 and c(P)^2 N(P) > 4 eps^2 with eps
-    taken as an exact Fraction, so the report is free of float rounding.
-    """
-    if epsilon is None or not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    """Verify the tail inequality at one (x, epsilon); see SignSurvey.cutoff_report."""
     survey = SignSurvey(E, tau, psi=psi, x=x)
-    eps = Fraction(epsilon)
-    four_eps2 = 4 * eps * eps
-    rhs = 0
-    for norm, c in zip(survey.good_norms.tolist(), survey._good_coeffs):
-        if c > 0 and c * c * norm > four_eps2:
-            rhs += 1
-    pos = int(np.count_nonzero(survey.signs > 0))
-    t = int(Fraction(1, 4) / (eps * eps))
-    lhs = pos + survey.pi_ideals(t)
-    return EpsilonCutoffReport(
-        x=survey.x, epsilon=float(epsilon), lhs=lhs, rhs=rhs, holds=lhs >= rhs
-    )
+    return survey.cutoff_report(survey.x, epsilon)
 
 
 # ======================================================================

@@ -1,7 +1,6 @@
 """The twisted quadratic ideal character and its finite psi tables."""
 
 import json
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -12,7 +11,6 @@ from hilbert_signs import (
     IdealFactorization,
     ParseError,
     ValidationError,
-    chi_over_norm,
     element,
     enumerate_prime_ideals,
     epsilon_tau,
@@ -120,12 +118,6 @@ def test_psi_flips_values(field5):
     assert flipped.value_at(P3) == -base.value_at(P3)
     P19a = split_rational_prime(field5, 19)[0]
     assert flipped.value_at(P19a) == base.value_at(P19a)
-
-
-def test_chi_over_norm(field5):
-    chi = IdealCharacter.from_tau(field5, (4, 1))
-    P3 = split_rational_prime(field5, 3)[0]
-    assert chi_over_norm(chi, P3) == Fraction(-1, 9)
 
 
 @given(st.integers(min_value=1, max_value=400))

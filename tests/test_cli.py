@@ -14,6 +14,7 @@ from hilbert_signs import (
     tally_signs,
 )
 from hilbert_signs.cli import SIMULATE_CSV_HEADER, build_parser, main
+from hilbert_signs.eigen_io import cache_path
 from hilbert_signs.sign_pipeline import TALLY_CSV_HEADER
 
 
@@ -210,3 +211,58 @@ def test_parser_requires_subcommand():
 def test_unsupported_field_is_clean_error(capsys):
     code, _, err = run(capsys, "primes", "--d", "3", "--x", "10")
     assert code == 2 and "error:" in err
+
+
+def test_simulate_k0_does_not_change_csv(capsys):
+    argv = ["simulate", "--d", "5", "--x", "20000", "--seed", "42"]
+    code2, base, _ = run(capsys, *argv)
+    code240, high, _ = run(capsys, *argv, "--k0", "240")
+    assert code2 == code240 == 0
+    assert high == base
+
+
+def _write_json(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _fixture_over_prime(tmp_path, p):
+    entry = {"norm": p, "rational_prime": p, "root_label": 0, "c_num": 0, "c_den": 1}
+    doc = {"format": "eigen-series/1", "d": 1, "weight": [2], "label": "x", "entries": [entry]}
+    return ["signs", "--fixture", _write_json(tmp_path / "fx.json", doc), "--x", "10"]
+
+
+def _psi_over_prime(tmp_path, p):
+    doc = [{"prime_norm": p, "rational_prime": p, "root_label": 0, "value": 1}]
+    return ["char", "--d", "5", "--x", "10", "--psi-file", _write_json(tmp_path / "psi.json", doc)]
+
+
+def _lmfdb_over_prime(tmp_path, p):
+    payload = {"data": [{"label": "x", "weight": 2, "eigenvalues": [[p, 0]]}]}
+    _write_json(cache_path("lmfdb-x", tmp_path), payload)
+    return ["signs", "--lmfdb", "x", "--x", "10", "--offline", "--cache-dir", str(tmp_path)]
+
+
+def _stats_37a(*extra):
+    return ["stats", "--curve", "37a", "--x", "2000", *extra]
+
+
+INPUT_ERRORS = {
+    "fixture-prime-4": lambda t: _fixture_over_prime(t, 4),
+    "fixture-prime-9": lambda t: _fixture_over_prime(t, 9),
+    "psi-prime-4": lambda t: _psi_over_prime(t, 4),
+    "psi-prime-9": lambda t: _psi_over_prime(t, 9),
+    "lmfdb-prime-4": lambda t: _lmfdb_over_prime(t, 4),
+    "fixture-missing": lambda t: ["signs", "--fixture", str(t / "absent.json"), "--x", "10"],
+    "out-missing-dir": lambda t: ["primes", "--x", "30", "--out", str(t / "no" / "p.csv")],
+    "hist-out-missing-dir": lambda t: _stats_37a("--hist-out", str(t / "no" / "h.csv")),
+    "svg-missing-dir": lambda t: _stats_37a("--svg", str(t / "no" / "h.svg")),
+}
+
+
+@pytest.mark.parametrize("case", list(INPUT_ERRORS))
+def test_input_error_exits_2_with_one_line(capsys, tmp_path, case):
+    code, _, err = run(capsys, *INPUT_ERRORS[case](tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

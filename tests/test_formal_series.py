@@ -14,16 +14,12 @@ from hilbert_signs import (
     IdealCharacter,
     IdealFactorization,
     NotNormalized,
-    ParseError,
-    ValidationError,
     c_series_from_lambda,
     character_moebius_series,
     character_zeta_series,
     enumerate_prime_ideals,
     euler_factor_inverse,
     extract_prime_relation,
-    ideal_series_from_obj,
-    ideal_series_to_obj,
     make_field,
     series_mul,
     split_rational_prime,
@@ -316,56 +312,3 @@ def test_field_mismatch_in_lift(field5):
     with pytest.raises(FieldMismatch):
         c_series_from_lambda(FormalSeries.identity(field5, 10), chi)
 
-
-# ----------------------------------------------------------------------
-# serialization
-# ----------------------------------------------------------------------
-
-
-def test_series_roundtrip(field5):
-    A = random_series(field5, 100, random.Random(41), normalized=True)
-    obj = ideal_series_to_obj(A)
-    B = ideal_series_from_obj(field5, obj)
-    assert A == B
-
-
-def test_series_obj_is_plain_data(field5):
-    import json
-
-    A = random_series(field5, 60, random.Random(4))
-    text = json.dumps(ideal_series_to_obj(A))
-    assert ideal_series_from_obj(field5, json.loads(text)) == A
-
-
-def test_series_from_obj_wrong_field(field5):
-    obj = ideal_series_to_obj(FormalSeries.identity(Q, 10))
-    with pytest.raises(ValidationError):
-        ideal_series_from_obj(field5, obj)
-
-
-def test_series_from_obj_unknown_prime(field5):
-    obj = {
-        "format": "ideal-series/1",
-        "d": 5,
-        "cutoff": 10,
-        "terms": [{"ideal": [[7, 7, 0, 1]], "value": "1/1"}],
-    }
-    with pytest.raises(ValidationError):
-        ideal_series_from_obj(field5, obj)  # 7 is inert in Q(sqrt5): no norm-7 prime
-
-
-def test_series_from_obj_garbage(field5):
-    with pytest.raises(ParseError):
-        ideal_series_from_obj(field5, {"format": "other/9"})
-    with pytest.raises(ParseError):
-        ideal_series_from_obj(field5, {"format": "ideal-series/1", "d": 5})
-    with pytest.raises(ParseError):
-        ideal_series_from_obj(
-            field5,
-            {
-                "format": "ideal-series/1",
-                "d": 5,
-                "cutoff": 10,
-                "terms": [{"ideal": [], "value": "1/0"}],
-            },
-        )

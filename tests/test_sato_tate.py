@@ -11,6 +11,7 @@ from oracles import quadrature_mass
 
 from hilbert_signs import (
     EmptySample,
+    enumerate_prime_ideals,
     histogram_csv,
     histogram_rows,
     histogram_svg,
@@ -22,6 +23,7 @@ from hilbert_signs import (
     semicircle_ppf,
     synth_eigen_series,
 )
+from hilbert_signs import sato_tate
 from hilbert_signs.sato_tate import HIST_BINS, HIST_CSV_HEADER, QUANT_DEN
 
 # ----------------------------------------------------------------------
@@ -183,8 +185,6 @@ def test_synth_series_is_exact_and_on_grid(field5):
 
 def test_synth_series_recovers_sampled_coordinates(field5):
     E = synth_eigen_series(field5, 3000, 2, 11)
-    from hilbert_signs import enumerate_prime_ideals
-
     primes = enumerate_prime_ideals(field5, 3000)
     coords = sample_semicircle(len(primes), 11)
     for P, b in zip(primes, coords):
@@ -203,6 +203,18 @@ def test_synth_series_higher_weight():
     Q = make_field(1)
     E = synth_eigen_series(Q, 200, 6, 8)
     assert E.k0 == 6 and all(c * c * P.norm <= 4 for P, c in E.entries.items())
+
+
+def test_synth_series_nudge_steps_one_grid_point(monkeypatch):
+    # B = 1 puts every coefficient on the bound 2/sqrt(N); where rounding to
+    # the grid overshoots, the nudge must step back one grid point only
+    monkeypatch.setattr(sato_tate, "sample_semicircle", lambda n, seed: np.ones(n))
+    Q = make_field(1)
+    E = synth_eigen_series(Q, 2000, 2, 0)
+    assert len(E.entries) == 303
+    for P, c in E.entries.items():
+        assert c * c * P.norm <= 4
+        assert abs(float(c) - 2 / math.sqrt(P.norm)) <= 2e-12
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Normalizations, exact sign extraction, tallies, and the tail inequality."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,10 +19,8 @@ from hilbert_signs import (
     density_string,
     enumerate_prime_ideals,
     epsilon_cutoff_check,
-    hecke_eigenvalue,
     lambda_sign,
     make_field,
-    renormalize_C,
     sato_tate_coordinate,
     split_rational_prime,
     tally_csv_row,
@@ -53,41 +52,27 @@ def seeded_series_over_Q(X, seed, weight=(2,)):
 # ----------------------------------------------------------------------
 
 
-def test_hecke_eigenvalue_examples():
-    assert hecke_eigenvalue(Fraction(0), 7) == 0
-    assert hecke_eigenvalue(Fraction(-1, 5), 5) == -1
-    assert hecke_eigenvalue(Fraction(3, 11), 11) == 3
-    assert isinstance(hecke_eigenvalue(Fraction(1, 2), 4), Fraction)
-
-
-def test_renormalize_examples():
-    assert renormalize_C(Fraction(0), 11, 2) == 0
-    assert renormalize_C(Fraction(-2, 11), 11, 2) == -2
-    assert renormalize_C(Fraction(3, 2401), 7, 4) == Fraction(3, 49)
-    with pytest.raises(ValidationError):
-        renormalize_C(Fraction(1, 2), 11, 3)
-
-
 def test_sato_tate_coordinate_examples():
-    assert sato_tate_coordinate(Fraction(0), 11, 2) == 0.0
-    B = sato_tate_coordinate(Fraction(-2), 11, 2)
+    assert sato_tate_coordinate(Fraction(0), 11) == 0.0
+    B = sato_tate_coordinate(Fraction(-2, 11), 11)  # a_11 = -2
     assert B == pytest.approx(-1 / 11**0.5, abs=1e-15)
     assert abs(B + 0.30151) < 1e-5
 
 
 def test_sato_tate_bound_is_exact():
-    # (199/30)^2 * 900 = 39601 > 39600 = 44 * 900: barely over 2*sqrt(11)
+    # cN = 199/30 and (199/30)^2 * 900 = 39601 > 39600 = 44 * 900:
+    # barely over 2*sqrt(11)
     with pytest.raises(HasseBoundViolated):
-        sato_tate_coordinate(Fraction(199, 30), 11, 2)
-    assert sato_tate_coordinate(Fraction(6633, 1000), 11, 2) < 1
+        sato_tate_coordinate(Fraction(199, 330), 11)
+    assert sato_tate_coordinate(Fraction(6633, 11000), 11) < 1
 
 
 def test_sato_tate_boundary_allowed():
-    # norm 9 has rational 2 sqrt(N) = 6, so B = +-1 exactly
-    assert sato_tate_coordinate(Fraction(6), 9, 2) == 1.0
-    assert sato_tate_coordinate(Fraction(-6), 9, 2) == -1.0
+    # norm 9 has rational 2 sqrt(N) = 6, so cN = +-6 gives B = +-1 exactly
+    assert sato_tate_coordinate(Fraction(6, 9), 9) == 1.0
+    assert sato_tate_coordinate(Fraction(-6, 9), 9) == -1.0
     with pytest.raises(HasseBoundViolated):
-        sato_tate_coordinate(Fraction(6000000000001, 10**12), 9, 2)
+        sato_tate_coordinate(Fraction(6000000000001, 9 * 10**12), 9)
 
 
 def test_lambda_sign_examples():
@@ -133,11 +118,6 @@ def test_series_rejects_bad_weight():
         EigenvalueSeries(Q, (0,), "small", {})
     with pytest.raises(ValidationError):
         EigenvalueSeries(Q, (), "empty", {})
-
-
-def test_series_rejects_nonzero_omega():
-    with pytest.raises(ValidationError):
-        EigenvalueSeries(Q, (2,), "omega", {}, omega=Fraction(1, 2))
 
 
 def test_series_rejects_hasse_violation():
@@ -257,6 +237,29 @@ def test_cutoff_exact_and_batch_agree():
         survey.cutoff_report(2000, -0.5)
     with pytest.raises(ValueError):
         survey.cutoff_report(4000, 0.5)
+
+
+def test_cutoff_report_exact_below_float_resolution():
+    # c(P) sits one step of 1/D below or above 2 eps / sqrt(N(P)), so
+    # c^2 N - 4 eps^2 is a rational of size ~1/D, far below what a float B
+    # can resolve; only the exact comparison counts B > eps correctly
+    eps, D = Fraction(1, 3), 10**40
+    rng = random.Random(3)
+
+    def cfun(P):
+        q = math.isqrt(4 * D * D // (9 * P.norm))  # q^2 N < 4 D^2 / 9 < (q+1)^2 N
+        return Fraction(q + rng.randint(0, 1), D)
+
+    E = series_over_Q(1000, cfun)
+    survey = SignSurvey(E, 1, x=1000)
+    good = [(P, c) for P, c in E.entries.items() if P.norm != 2]
+    expected = sum(1 for P, c in good if c > 0 and c * c * P.norm > 4 * eps * eps)
+    assert 0 < expected < len(good)
+    r = survey.cutoff_report(1000, eps)
+    assert r.rhs == expected
+    assert epsilon_cutoff_check(E, 1, x=1000, epsilon=eps).rhs == expected
+    # the same count from the float coordinates alone is wrong
+    assert int((survey.coords > float(eps)).sum()) != expected
 
 
 @settings(max_examples=40)
