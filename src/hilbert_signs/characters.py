@@ -14,19 +14,16 @@ tau, and primes above any declared level support.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
-from .errors import EvenCharacteristic, FieldMismatch, ParseError, ValidationError
+from .errors import FieldMismatch, ValidationError
 from .field_arith import (
     FieldElement,
-    IdealFactorization,
     PrimeIdeal,
     QuadField,
     _prime_factors,
     as_element,
     factor_principal_ideal,
-    prime_ideal,
     quadratic_residue_symbol,
     split_rational_prime,
 )
@@ -84,60 +81,3 @@ class IdealCharacter:
                 v = self.psi_table.get(P, 1) * epsilon_tau(self.tau, P)
             self._cache[P] = v
         return v
-
-
-def induced_value(chi: IdealCharacter, m: IdealFactorization) -> int:
-    """chi extended to the ideal m by complete multiplicativity."""
-    if m.field != chi.field:
-        raise FieldMismatch("ideal and character live in different fields")
-    out = 1
-    for P, e in m.factors:
-        v = chi.value_at(P)
-        if v == 0:
-            return 0
-        if e % 2:  # v is +-1, so v^e depends only on e mod 2
-            out *= v
-    return out
-
-
-# ----------------------------------------------------------------------
-# psi tables as JSON documents
-# ----------------------------------------------------------------------
-
-
-def load_psi_table(K: QuadField, source) -> dict[PrimeIdeal, int]:
-    """Read a psi table: a JSON list of {prime_norm, rational_prime, root_label, value}.
-
-    source may be a path or an already-decoded list.  Entries must name
-    primes that exist in K; values must be +-1.
-    """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        try:
-            with open(source, "rb") as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{source}: line {e.lineno} col {e.colno}: {e.msg}") from e
-        except OSError as e:
-            raise ParseError(f"cannot read psi table {source}: {e}") from e
-    else:
-        doc = source
-    if not isinstance(doc, list):
-        raise ParseError("psi table must be a JSON list of entries")
-    table: dict[PrimeIdeal, int] = {}
-    for i, entry in enumerate(doc):
-        try:
-            norm = int(entry["prime_norm"])
-            p = int(entry["rational_prime"])
-            label = int(entry["root_label"])
-            value = int(entry["value"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"psi entry {i}: missing or ill-typed field ({e})") from e
-        if value not in (-1, 1):
-            raise ValidationError(f"psi entry {i}: value must be +-1, got {value}")
-        P = prime_ideal(K, p, label)
-        if P.norm != norm:
-            raise ValidationError(
-                f"psi entry {i}: no prime of norm {norm}, label {label} above {p} in {K}"
-            )
-        table[P] = value
-    return table

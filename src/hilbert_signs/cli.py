@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import eigen_io, sato_tate
-from .characters import IdealCharacter, load_psi_table
+from .characters import IdealCharacter
 from .curves import get_curve
 from .errors import HilbertSignsError, ValidationError
 from .field_arith import (
@@ -50,7 +50,7 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _tau_element(K, args):
+def _tau_element(args):
     return (Fraction(args.tau), Fraction(args.tau_b))
 
 
@@ -115,8 +115,8 @@ def cmd_primes(args) -> int:
 
 def cmd_char(args) -> int:
     K = make_field(args.d)
-    psi = load_psi_table(K, args.psi_file) if args.psi_file else None
-    chi = IdealCharacter.from_tau(K, _tau_element(K, args), psi_table=psi)
+    psi = eigen_io.load_psi_table(K, args.psi_file) if args.psi_file else None
+    chi = IdealCharacter.from_tau(K, _tau_element(args), psi_table=psi)
     rows = ["norm,rational_prime,root_label,chi"]
     items = []
     for P in enumerate_prime_ideals(K, args.x):
@@ -142,8 +142,8 @@ def cmd_signs(args) -> int:
     K = series.field
     if args.d is not None and K.d != args.d:
         raise ValidationError(f"series is over d={K.d}, but --d {args.d} was given")
-    psi = load_psi_table(K, args.psi_file) if args.psi_file else None
-    survey = SignSurvey(series, _tau_element(K, args), psi=psi, x=args.x)
+    psi = eigen_io.load_psi_table(K, args.psi_file) if args.psi_file else None
+    survey = SignSurvey(series, _tau_element(args), psi=psi, x=args.x)
     tally = survey.tally()
     if args.format == "json":
         _emit(json.dumps(tally_to_obj(tally), indent=1) + "\n", args.out)
@@ -155,8 +155,8 @@ def cmd_signs(args) -> int:
 def cmd_stats(args) -> int:
     series = _load_series(args)
     K = series.field
-    psi = load_psi_table(K, args.psi_file) if args.psi_file else None
-    survey = SignSurvey(series, _tau_element(K, args), psi=psi, x=args.x)
+    psi = eigen_io.load_psi_table(K, args.psi_file) if args.psi_file else None
+    survey = SignSurvey(series, _tau_element(args), psi=psi, x=args.x)
     report = sato_tate.ks_statistic(survey.coords, coefficient=args.threshold_coefficient)
     if args.hist_out:
         _emit(sato_tate.histogram_csv(survey.coords), args.hist_out)
@@ -182,7 +182,7 @@ SIMULATE_CSV_HEADER = (
 def cmd_simulate(args) -> int:
     K = make_field(args.d)
     series = sato_tate.synth_eigen_series(K, args.x, args.k0, args.seed)
-    survey = SignSurvey(series, _tau_element(K, args), x=args.x)
+    survey = SignSurvey(series, _tau_element(args), x=args.x)
     tally = survey.tally()
     report = sato_tate.ks_statistic(survey.coords, coefficient=args.threshold_coefficient)
     if args.format == "json":

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .characters import IdealCharacter, induced_value
+from .characters import IdealCharacter
 from .errors import CutoffMismatch, FieldMismatch, NotNormalized
 from .field_arith import (
     IdealFactorization,

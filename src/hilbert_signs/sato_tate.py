@@ -87,25 +87,6 @@ def ks_statistic(samples, coefficient: float = 1.63) -> KsReport:
 # ----------------------------------------------------------------------
 
 
-def _uniforms(n: int, seed: int, offset: int = 0) -> np.ndarray:
-    """Doubles u_offset..u_{offset+n-1} of the Philox stream keyed by seed.
-
-    Philox is counter-based: sample i depends only on (seed, i), so a
-    chunk can be regenerated independently by advancing the counter,
-    which is what makes per-index parallel splitting sound.
-    """
-    if offset < 0:
-        raise ValueError("offset must be nonnegative")
-    bg = np.random.Philox(key=seed)
-    # advance() steps the 4x64-bit counter, 4 doubles per step; align to
-    # the containing block and drop the leading remainder.
-    skip, rem = divmod(offset, 4)
-    if skip:
-        bg.advance(skip)
-    u = np.random.Generator(bg).random(n + rem)
-    return u[rem:] if rem else u
-
-
 def semicircle_ppf(u) -> np.ndarray:
     """Inverse CDF by bisection to below 1e-12 (64 halvings of [-1, 1])."""
     u = np.asarray(u, dtype=np.float64)
@@ -119,11 +100,16 @@ def semicircle_ppf(u) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def sample_semicircle(n: int, seed: int, offset: int = 0) -> np.ndarray:
-    """n deterministic semicircle draws for this seed (indices offset..)."""
+def sample_semicircle(n: int, seed: int) -> np.ndarray:
+    """n deterministic semicircle draws for this seed.
+
+    The uniforms come from the counter-based Philox stream keyed by seed,
+    so draw i depends only on (seed, i) and a longer run extends a
+    shorter one.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return semicircle_ppf(_uniforms(n, seed, offset))
+    return semicircle_ppf(np.random.Generator(np.random.Philox(key=seed)).random(n))
 
 
 # ----------------------------------------------------------------------

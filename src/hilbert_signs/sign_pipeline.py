@@ -60,13 +60,13 @@ class EigenvalueSeries:
         entries: dict[PrimeIdeal, Fraction],
         level_support=(),
     ):
-        weight = tuple(int(k) for k in weight)
+        weight = tuple(weight)
         if not weight or any(k < 2 or k % 2 for k in weight):
             raise ValidationError(f"weights must be even integers >= 2, got {weight}")
         self.field = field
         self.weight = weight
         self.label = str(label)
-        self.level_support = frozenset(int(p) for p in level_support)
+        self.level_support = frozenset(level_support)
         self.entries = {}
         for P, c in entries.items():
             if P.field != field:

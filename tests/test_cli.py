@@ -226,21 +226,34 @@ def _write_json(path, obj):
     return str(path)
 
 
+def _fixture(tmp_path, entry=(), **fields):
+    row = {"norm": 3, "rational_prime": 3, "root_label": 0, "c_num": 0, "c_den": 1, **dict(entry)}
+    doc = {"format": "eigen-series/1", "d": 1, "weight": [2], "label": "x", "entries": [row]}
+    doc.update(fields)
+    return ["signs", "--fixture", _write_json(tmp_path / "fx.json", doc), "--x", "3"]
+
+
 def _fixture_over_prime(tmp_path, p):
-    entry = {"norm": p, "rational_prime": p, "root_label": 0, "c_num": 0, "c_den": 1}
-    doc = {"format": "eigen-series/1", "d": 1, "weight": [2], "label": "x", "entries": [entry]}
-    return ["signs", "--fixture", _write_json(tmp_path / "fx.json", doc), "--x", "10"]
+    return _fixture(tmp_path, {"norm": p, "rational_prime": p})
 
 
-def _psi_over_prime(tmp_path, p):
-    doc = [{"prime_norm": p, "rational_prime": p, "root_label": 0, "value": 1}]
+def _psi(tmp_path, **fields):
+    doc = [{"prime_norm": 9, "rational_prime": 3, "root_label": 0, "value": 1, **fields}]
     return ["char", "--d", "5", "--x", "10", "--psi-file", _write_json(tmp_path / "psi.json", doc)]
 
 
-def _lmfdb_over_prime(tmp_path, p):
-    payload = {"data": [{"label": "x", "weight": 2, "eigenvalues": [[p, 0]]}]}
+def _psi_over_prime(tmp_path, p):
+    return _psi(tmp_path, prime_norm=p, rational_prime=p)
+
+
+def _lmfdb(tmp_path, *eigenvalues):
+    payload = {"data": [{"label": "x", "weight": 2, "eigenvalues": list(eigenvalues)}]}
     _write_json(cache_path("lmfdb-x", tmp_path), payload)
-    return ["signs", "--lmfdb", "x", "--x", "10", "--offline", "--cache-dir", str(tmp_path)]
+    return ["signs", "--lmfdb", "x", "--x", "3", "--offline", "--cache-dir", str(tmp_path)]
+
+
+def _lmfdb_over_prime(tmp_path, p):
+    return _lmfdb(tmp_path, [p, 0])
 
 
 def _stats_37a(*extra):
@@ -257,7 +270,21 @@ INPUT_ERRORS = {
     "out-missing-dir": lambda t: ["primes", "--x", "30", "--out", str(t / "no" / "p.csv")],
     "hist-out-missing-dir": lambda t: _stats_37a("--hist-out", str(t / "no" / "h.csv")),
     "svg-missing-dir": lambda t: _stats_37a("--svg", str(t / "no" / "h.svg")),
+    "fixture-weight-str": lambda t: _fixture(t, weight=["x"]),
+    "fixture-level-str": lambda t: _fixture(t, level_support=["x"]),
+    "fixture-level-4": lambda t: _fixture(t, level_support=[4]),
+    "fixture-c-num-float": lambda t: _fixture(t, {"c_num": 1.9, "c_den": 3}),
+    "fixture-c-num-bool": lambda t: _fixture(t, {"c_num": True, "c_den": 3}),
+    "psi-value-float": lambda t: _psi(t, value=1.5),
+    "lmfdb-prime-str": lambda t: _lmfdb(t, ["a", 1]),
 }
+
+
+def test_input_error_base_documents_are_valid(capsys, tmp_path):
+    # each document case above differs from one of these in a single field
+    for argv in (_fixture(tmp_path), _psi(tmp_path), _lmfdb(tmp_path, [3, 1])):
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == ""
 
 
 @pytest.mark.parametrize("case", list(INPUT_ERRORS))

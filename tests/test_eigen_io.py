@@ -1,6 +1,7 @@
 """Serialization, disk caching, and the injectable remote-fetch path."""
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from hilbert_signs import (
     fetch_lmfdb,
     get_curve,
     load_fixture,
+    load_psi_table,
     make_field,
     save_fixture,
     serialize_series,
@@ -23,7 +25,8 @@ from hilbert_signs import (
     split_rational_prime,
 )
 from hilbert_signs.curves import ap_oracle
-from hilbert_signs.eigen_io import cache_path, default_cache_dir
+from hilbert_signs import eigen_io
+from hilbert_signs.eigen_io import _series_from_remote_payload, cache_path, default_cache_dir
 
 Q = make_field(1)
 
@@ -119,9 +122,103 @@ def test_series_from_obj_errors():
         series_from_obj({**good, "entries": [{"norm": 3}]})
 
 
+def test_load_fixture_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b'{"label": "\xff"}')  # not UTF-8
+    with pytest.raises(ParseError):
+        load_fixture(path)
+    path.write_text('{"d": ' + "1" * 5000 + "}")  # past the int-string length limit
+    with pytest.raises(ParseError):
+        load_fixture(path)
+    path.write_text("[" * 100_000 + "]" * 100_000)  # nested past the recursion limit
+    with pytest.raises(ParseError):
+        load_fixture(path)
+
+
+def test_series_from_obj_integer_rule():
+    good = series_to_obj(series_from_curve(get_curve("37a"), 30))
+    entry = good["entries"][0]
+    for key in entry:
+        for bad in (True, float(entry[key]), str(entry[key]), None):
+            with pytest.raises(ParseError):
+                series_from_obj({**good, "entries": [{**entry, key: bad}]})
+    header = {
+        "d": [True, 1.0, "1"],
+        "weight": [2, [], [2.0], [True], ["2"]],
+        "label": [37, None],
+        "level_support": [2, [2.0], [False], ["37"]],
+        "entries": [{}, 5],
+    }
+    for key, values in header.items():
+        for bad in values:
+            with pytest.raises(ParseError):
+                series_from_obj({**good, key: bad})
+    with pytest.raises(ValidationError):
+        series_from_obj({**good, "level_support": [2, 4]})
+
+
+def test_psi_table_integer_rule(field5):
+    entry = {"prime_norm": 9, "rational_prime": 3, "root_label": 0, "value": 1}
+    for key in entry:
+        for bad in (True, float(entry[key]), str(entry[key])):
+            with pytest.raises(ParseError):
+                load_psi_table(field5, [{**entry, key: bad}])
+
+
+def test_remote_payload_integer_rule():
+    def decode(normalization="arithmetic", **fields):
+        record = {"label": "x", "weight": 2, "eigenvalues": [[3, 1]], **fields}
+        return _series_from_remote_payload({"data": [record]}, "x", normalization)
+
+    assert list(decode().entries.values()) == [Fraction(1, 3)]
+    for pairs in ([["3", 1]], [[3, 1.0]], [[3, True, 1]], [[3]], [3], [[3, 0, 1, 2]], {}):
+        with pytest.raises(ParseError):
+            decode(eigenvalues=pairs)
+    for pairs in ([[3, [1, 3.0]]], [[3, 1]], [[3, [1]]]):
+        with pytest.raises(ParseError):
+            decode("coefficient", eigenvalues=pairs)
+    for fields in ({"weight": "2"}, {"weight": [2.0]}, {"d": "5"}, {"level_support": [2.0]}):
+        with pytest.raises(ParseError):
+            decode(**fields)
+    with pytest.raises(ValidationError):
+        decode(level_support=[4])
+    with pytest.raises(ValidationError):
+        decode("coefficient", eigenvalues=[[3, [1, 0]]])
+    for payload in ({"data": 5}, [1, 2]):
+        with pytest.raises(ParseError):
+            _series_from_remote_payload(payload, "x", "arithmetic")
+
+
 # ----------------------------------------------------------------------
 # cache
 # ----------------------------------------------------------------------
+
+
+def test_atomic_write_reentered_for_same_path(tmp_path, monkeypatch):
+    target = tmp_path / "out.json"
+    real_replace = os.replace
+    inner = []
+
+    def replace(src, dst):
+        if not inner:  # a second write to the same path lands mid-write
+            inner.append(src)
+            eigen_io._atomic_write(target, b"inner")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    eigen_io._atomic_write(target, b"outer")
+    assert target.read_bytes() == b"outer"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_atomic_write_failure_leaves_no_temp(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        eigen_io._atomic_write(tmp_path / "out.json", b"data")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_path_sanitizes_labels(tmp_path):

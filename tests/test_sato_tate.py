@@ -136,22 +136,13 @@ def test_sampler_deterministic():
     b = sample_semicircle(5000, 42)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, sample_semicircle(5000, 43))
-
-
-def test_sampler_chunks_rejoin_exactly():
-    whole = sample_semicircle(1000, 5)
-    for cut in (4, 400, 600, 601, 999):
-        head = sample_semicircle(cut, 5)
-        tail = sample_semicircle(1000 - cut, 5, offset=cut)
-        assert np.array_equal(np.concatenate([head, tail]), whole)
+    assert np.array_equal(sample_semicircle(600, 42), a[:600])  # longer runs extend
 
 
 def test_sampler_edge_cases():
     assert sample_semicircle(0, 9).size == 0
     with pytest.raises(ValueError):
         sample_semicircle(-1, 9)
-    with pytest.raises(ValueError):
-        sample_semicircle(10, 9, offset=-2)
 
 
 def test_sampler_range_and_moments():
