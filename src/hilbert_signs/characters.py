@@ -14,39 +14,34 @@ tau, and primes above any declared level support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import FieldMismatch, ValidationError
 from .field_arith import (
     FieldElement,
     PrimeIdeal,
     QuadField,
+    _euler_symbol,
     _prime_factors,
     as_element,
     factor_principal_ideal,
-    quadratic_residue_symbol,
     split_rational_prime,
 )
 
 
-def epsilon_tau(tau, P: PrimeIdeal) -> int:
-    """Value at P of the quadratic character attached to K(sqrt(tau))/K.
-
-    Computed as the Euler-criterion residue symbol of tau mod P, so it is
-    0 when P divides tau and undefined (raises) in characteristic 2.
-    """
-    return quadratic_residue_symbol(tau, P)
-
-
 @dataclass
 class IdealCharacter:
-    """(psi * eps_tau) extended multiplicatively to integral ideals."""
+    """(psi * eps_tau) extended multiplicatively to integral ideals.
+
+    tau_omega holds the integers (x, y) with tau = x + y*w, so each value
+    is one Euler criterion in integers.
+    """
 
     field: QuadField
     tau: FieldElement
     psi_table: dict[PrimeIdeal, int]
     bad_set: frozenset[PrimeIdeal]
-    _cache: dict[PrimeIdeal, int] = dc_field(default_factory=dict, repr=False)
+    tau_omega: tuple[int, int]
 
     @classmethod
     def from_tau(
@@ -66,18 +61,15 @@ class IdealCharacter:
         bad: set[PrimeIdeal] = set()
         for p in sorted({2, *level_support, *_prime_factors(K.disc)}):
             bad.update(split_rational_prime(K, p))
+        # factoring proves tau integral, so its omega-coordinates are integers
         bad.update(factor_principal_ideal(K, el).support())
-        return cls(field=K, tau=el, psi_table=psi, bad_set=frozenset(bad))
+        x, y = el.omega_coords()
+        return cls(K, el, psi, frozenset(bad), (int(x), int(y)))
 
     def value_at(self, P: PrimeIdeal) -> int:
         """chi(P) in {-1, 0, +1}; zero exactly on the bad set."""
         if P.field != self.field:
             raise FieldMismatch(f"{P} is not a prime of {self.field}")
-        v = self._cache.get(P)
-        if v is None:
-            if P in self.bad_set:
-                v = 0
-            else:
-                v = self.psi_table.get(P, 1) * epsilon_tau(self.tau, P)
-            self._cache[P] = v
-        return v
+        if P in self.bad_set:
+            return 0
+        return self.psi_table.get(P, 1) * _euler_symbol(*self.tau_omega, P)

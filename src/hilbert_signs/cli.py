@@ -50,8 +50,15 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _rational(flag: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"{flag} must be a rational such as 3 or 7/2, got {text!r}") from None
+
+
 def _tau_element(args):
-    return (Fraction(args.tau), Fraction(args.tau_b))
+    return (_rational("--tau", args.tau), _rational("--tau-b", args.tau_b))
 
 
 def _load_series(args):
@@ -180,6 +187,8 @@ SIMULATE_CSV_HEADER = (
 
 
 def cmd_simulate(args) -> int:
+    if not 0 <= args.seed < 2**128:  # the key range of the Philox sampler
+        raise ValidationError(f"--seed must be in [0, 2^128), got {args.seed}")
     K = make_field(args.d)
     series = sato_tate.synth_eigen_series(K, args.x, args.k0, args.seed)
     survey = SignSurvey(series, _tau_element(args), x=args.x)

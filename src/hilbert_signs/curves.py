@@ -16,13 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadReduction, ValidationError
-from .field_arith import (
-    QuadField,
-    _prime_factors,
-    make_field,
-    primes_upto,
-    split_rational_prime,
-)
+from .field_arith import _prime_factors, enumerate_prime_ideals, make_field
 from .sign_pipeline import EigenvalueSeries
 
 
@@ -123,22 +117,19 @@ def ap_oracle(E: CurveSpec, p: int) -> int:
     return ap
 
 
-def series_from_curve(E: CurveSpec, X: int, field: QuadField | None = None) -> EigenvalueSeries:
+def series_from_curve(E: CurveSpec, X: int) -> EigenvalueSeries:
     """Weight-2 eigenvalue series c(p) = a_p / p over good primes p <= X.
 
     Bad-reduction primes get no coefficient and enter the level support,
     together with 2 (the level convention keeps 4 in the modulus).
     """
-    K = field or make_field(1)
-    if not K.is_rational:
-        raise ValidationError("curve point counts are over Q; field must be d=1")
-    entries = {}
+    K = make_field(1)
     bad = set(E.bad_primes())
-    for q in primes_upto(X):
-        p = int(q)
-        if p in bad:
-            continue
-        entries[split_rational_prime(K, p)[0]] = Fraction(ap_oracle(E, p), p)
+    entries = {
+        P: Fraction(ap_oracle(E, P.rational_prime), P.rational_prime)
+        for P in enumerate_prime_ideals(K, X)
+        if P.rational_prime not in bad
+    }
     return EigenvalueSeries(
         field=K,
         weight=(2,),

@@ -221,24 +221,28 @@ def cache_path(label: str, cache_dir=None) -> Path:
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
-    """Write through a temp file named for this call alone, then rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write through a temp file named for this call alone, then rename.
+
+    An OSError from any step (a parent that is a file, a full disk, a
+    refused rename) becomes a HilbertSignsError that names path.
+    """
     tmp = path.with_name(f"{path.name}.tmp-{os.urandom(8).hex()}")
     try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as e:
+        raise HilbertSignsError(f"cannot write {path}: {e}") from e
 
 
-def cached_curve_series(
-    E: CurveSpec, X: int, cache_dir=None, force: bool = False
-) -> EigenvalueSeries:
+def cached_curve_series(E: CurveSpec, X: int, cache_dir=None) -> EigenvalueSeries:
     """series_from_curve with a disk cache keyed by (label, X)."""
-    key = f"curve-{E.label}-X{X}"
-    path = cache_path(key, cache_dir)
-    if path.exists() and not force:
+    path = cache_path(f"curve-{E.label}-X{X}", cache_dir)
+    if path.exists():
         return load_fixture(path)
     series = series_from_curve(E, X)
     _atomic_write(path, serialize_series(series).encode())
@@ -250,9 +254,13 @@ def cached_curve_series(
 # ----------------------------------------------------------------------
 
 
-def _http_get(url: str, timeout: float = 30.0) -> bytes:
+HTTP_TIMEOUT_S = 30.0
+FETCH_ATTEMPTS = 3
+
+
+def _http_get(url: str) -> bytes:
     try:
-        with urllib.request.urlopen(url, timeout=timeout) as resp:
+        with urllib.request.urlopen(url, timeout=HTTP_TIMEOUT_S) as resp:
             return resp.read()
     except (urllib.error.URLError, OSError) as e:
         raise NetworkError(f"GET {url}: {e}") from e
@@ -324,7 +332,6 @@ def fetch_lmfdb(
     cache_dir=None,
     offline: bool = False,
     transport=None,
-    retries: int = 3,
     backoff: float = 0.25,
 ) -> EigenvalueSeries:
     """Fetch eigenvalue data for `label`, with verbatim local caching.
@@ -343,16 +350,16 @@ def fetch_lmfdb(
     get = transport or _http_get
     last: Exception | None = None
     raw = None
-    for attempt in range(max(1, retries)):
+    for attempt in range(FETCH_ATTEMPTS):
         try:
             raw = get(url)
             break
         except NetworkError as e:
             last = e
-            if attempt + 1 < retries:
+            if attempt + 1 < FETCH_ATTEMPTS:
                 time.sleep(backoff * (2**attempt))
     if raw is None:
-        raise NetworkError(f"fetch failed after {retries} attempts: {last}")
+        raise NetworkError(f"fetch failed after {FETCH_ATTEMPTS} attempts: {last}")
     payload = _parse_json(raw, f"remote payload for {label!r}")
     series = _series_from_remote_payload(payload, label, normalization)  # validate first
     _atomic_write(path, raw if isinstance(raw, bytes) else raw.encode())

@@ -12,12 +12,14 @@ ring of integers is Z[w] with
     w = (1 + sqrt(d)) / 2   and   w^2 = w + (d-1)/4     if d = 1 mod 4,
     w = sqrt(d)             and   w^2 = d               otherwise.
 
-A degree-one prime above p is identified by the root of the minimal
-polynomial of w mod p that generates its reduction map; the two primes
-above a split p are ordered by that root as an integer in [0, p), the
-smaller root getting label 0.  Inert primes carry root 0 (unused).  Over
-Q every prime is the unique degree-one prime above itself and is labeled
-as the first "split" prime so the (norm, p, label) sort key stays total.
+How p decomposes is decided in one place, _primes_above, from the class
+of p mod the discriminant.  A degree-one prime above p is identified by
+the root of the minimal polynomial of w mod p that generates its
+reduction map; the two primes above a split p are ordered by that root
+as an integer in [0, p), the smaller root getting label 0.  Inert primes
+carry root 0 (unused).  Over Q every prime is the unique degree-one
+prime above itself and is labeled as the first "split" prime so the
+(norm, p, label) sort key stays total.
 """
 
 from __future__ import annotations
@@ -72,22 +74,16 @@ class QuadField:
         return "Q" if self.is_rational else f"Q(sqrt({self.d}))"
 
 
-def _squarefree(n: int) -> bool:
-    if n % 4 == 0:
-        return False
-    p = 3
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        p += 2
-    return True
-
-
 def make_field(d: int) -> QuadField:
-    """Construct Q (d = 1) or Q(sqrt(d)) for squarefree allowlisted d."""
-    if d < 1 or not _squarefree(d):
-        raise NotSquarefree(f"d must be squarefree and positive, got {d}")
+    """Construct Q (d = 1) or Q(sqrt(d)) for allowlisted d.
+
+    A d off the list is refused at once, with no trial division up to
+    sqrt(d): NotSquarefree if d < 1 or the square of some m < 100 divides
+    it, UnsupportedField otherwise.
+    """
     if d not in NARROW_CLASS_NUMBER_ONE:
+        if d < 1 or any(d % (m * m) == 0 for m in range(2, 100)):
+            raise NotSquarefree(f"d must be squarefree and positive, got {d}")
         raise UnsupportedField(
             f"d={d} is outside the supported narrow-class-number-one list "
             f"{NARROW_CLASS_NUMBER_ONE}"
@@ -254,40 +250,44 @@ def _sqrt_mod(a: int, p: int) -> int:
 
 
 def _omega_roots_mod(K: QuadField, p: int) -> list[int]:
-    """Roots in [0, p) of the minimal polynomial of w mod p (may be empty)."""
+    """Roots in [0, p) of the minimal polynomial of w mod a split or ramified p."""
     s, c = K.omega_square()  # w^2 = s*w + c
-    if p < 30:
-        return [x for x in range(p) if (x * x - s * x - c) % p == 0]
-    # odd p >= 30: both shapes reduce to a square root of d mod p
-    dm = K.d % p
-    if pow(dm, (p - 1) // 2, p) == p - 1:
-        return []
-    sq = _sqrt_mod(dm, p)
+    if p == 2:
+        return [x for x in range(2) if (x * x - s * x - c) % 2 == 0]
+    # odd p: both shapes reduce to a square root of d mod p
+    sq = _sqrt_mod(K.d, p)
     if s == 0:
-        roots = {sq % p, (p - sq) % p}
+        roots = {sq, (p - sq) % p}
     else:
         inv2 = (p + 1) // 2
         roots = {(1 + sq) * inv2 % p, (1 - sq) * inv2 % p}
     return sorted(roots)
 
 
+def _primes_above(K: QuadField, p: int) -> list[PrimeIdeal]:
+    """Prime ideals of O_K above the prime p (not checked), by root label.
+
+    An unramified p splits iff p mod disc lies in _split_residue_set(disc).
+    """
+    if K.is_rational:
+        return [PrimeIdeal(K, p, 1, p, Splitting.SPLIT_FIRST, 0)]
+    if K.disc % p == 0:
+        # ramified: the minimal polynomial has a double root mod p
+        return [PrimeIdeal(K, p, 1, p, Splitting.RAMIFIED, _omega_roots_mod(K, p)[0])]
+    if p % K.disc not in _split_residue_set(K.disc):
+        return [PrimeIdeal(K, p, 2, p * p, Splitting.INERT, 0)]
+    r1, r2 = _omega_roots_mod(K, p)
+    return [
+        PrimeIdeal(K, p, 1, p, Splitting.SPLIT_FIRST, r1),
+        PrimeIdeal(K, p, 1, p, Splitting.SPLIT_SECOND, r2),
+    ]
+
+
 def split_rational_prime(K: QuadField, p: int) -> list[PrimeIdeal]:
     """Prime ideals of O_K above p, sorted by (norm, p, root_label)."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if K.is_rational:
-        return [PrimeIdeal(K, p, 1, p, Splitting.SPLIT_FIRST, 0)]
-    if K.disc % p == 0:
-        roots = _omega_roots_mod(K, p)
-        # ramified: the minimal polynomial has a double root mod p
-        return [PrimeIdeal(K, p, 1, p, Splitting.RAMIFIED, roots[0])]
-    roots = _omega_roots_mod(K, p)
-    if not roots:
-        return [PrimeIdeal(K, p, 2, p * p, Splitting.INERT, 0)]
-    return [
-        PrimeIdeal(K, p, 1, p, Splitting.SPLIT_FIRST, roots[0]),
-        PrimeIdeal(K, p, 1, p, Splitting.SPLIT_SECOND, roots[1]),
-    ]
+    return _primes_above(K, p)
 
 
 def prime_ideal(K: QuadField, p: int, root_label: int) -> PrimeIdeal:
@@ -371,22 +371,7 @@ def kronecker_symbol(a: int, n: int) -> int:
 
 def enumerate_prime_ideals(K: QuadField, X: int) -> list[PrimeIdeal]:
     """All prime ideals of norm <= X, sorted by (norm, p, root_label)."""
-    out: list[PrimeIdeal] = []
-    if K.is_rational:
-        for p in primes_upto(X):
-            out.append(PrimeIdeal(K, int(p), 1, int(p), Splitting.SPLIT_FIRST, 0))
-        return out
-    split_res = _split_residue_set(K.disc)
-    for q in primes_upto(X):
-        p = int(q)
-        if K.disc % p == 0:
-            out.append(PrimeIdeal(K, p, 1, p, Splitting.RAMIFIED, _omega_roots_mod(K, p)[0]))
-        elif p % K.disc in split_res:
-            r1, r2 = _omega_roots_mod(K, p)
-            out.append(PrimeIdeal(K, p, 1, p, Splitting.SPLIT_FIRST, r1))
-            out.append(PrimeIdeal(K, p, 1, p, Splitting.SPLIT_SECOND, r2))
-        elif p * p <= X:
-            out.append(PrimeIdeal(K, p, 2, p * p, Splitting.INERT, 0))
+    out = [P for q in primes_upto(X) for P in _primes_above(K, int(q)) if P.norm <= X]
     out.sort(key=lambda P: P.sort_key)
     return out
 
@@ -469,24 +454,15 @@ def _fp2_pow(u: tuple[int, int], e: int, p: int, sq: tuple[int, int]) -> tuple[i
     return rx, ry
 
 
-def quadratic_residue_symbol(a, P: PrimeIdeal) -> int:
-    """Euler-criterion symbol of a in the residue field O_K/P: -1, 0, or +1.
-
-    +1 iff a reduces to a nonzero square, 0 iff P divides a.  Only odd
-    residue characteristic is meaningful; characteristic 2 raises.
-    """
+def _euler_symbol(x: int, y: int, P: PrimeIdeal) -> int:
+    """Euler-criterion symbol of x + y*w in O_K/P, for integers x, y."""
     p = P.rational_prime
     if p == 2:
         raise EvenCharacteristic("no quadratic residue symbol in characteristic 2")
-    el = as_element(P.field, a)
-    x, y = el.omega_coords()
-    if x.denominator != 1 or y.denominator != 1:
-        raise NotIntegral(f"{el} is not integral, cannot reduce mod {P}")
-    x, y = int(x) % p, int(y) % p
     if P.residue_degree == 1:
-        r = (x + y * P.root) % p
-        t = pow(r, (p - 1) // 2, p)
+        t = pow((x + y * P.root) % p, (p - 1) // 2, p)
         return -1 if t == p - 1 else t
+    x, y = x % p, y % p
     if x == 0 and y == 0:
         return 0
     rx, ry = _fp2_pow((x, y), (p * p - 1) // 2, p, P.field.omega_square())
@@ -495,6 +471,19 @@ def quadratic_residue_symbol(a, P: PrimeIdeal) -> int:
     if (rx, ry) == (p - 1, 0):
         return -1
     raise ArithmeticError(f"Euler criterion did not land in {{-1,0,1}} at {P}")
+
+
+def quadratic_residue_symbol(a, P: PrimeIdeal) -> int:
+    """Euler-criterion symbol of a in the residue field O_K/P: -1, 0, or +1.
+
+    +1 iff a reduces to a nonzero square, 0 iff P divides a.  Only odd
+    residue characteristic is meaningful; characteristic 2 raises.
+    """
+    el = as_element(P.field, a)
+    x, y = el.omega_coords()
+    if x.denominator != 1 or y.denominator != 1:
+        raise NotIntegral(f"{el} is not integral, cannot reduce mod {P}")
+    return _euler_symbol(int(x), int(y), P)
 
 
 # ======================================================================

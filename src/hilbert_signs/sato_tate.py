@@ -119,9 +119,7 @@ def sample_semicircle(n: int, seed: int) -> np.ndarray:
 QUANT_DEN = 10**12
 
 
-def synth_eigen_series(
-    K: QuadField, X: int, k0: int, seed: int, label: str | None = None
-) -> EigenvalueSeries:
+def synth_eigen_series(K: QuadField, X: int, k0: int, seed: int) -> EigenvalueSeries:
     """Synthetic series with B(P) drawn iid from the semicircle measure.
 
     Primes are enumerated in canonical (norm, p, label) order and sample i
@@ -139,7 +137,7 @@ def synth_eigen_series(
         while q * q * P.norm > bound:  # c^2 N > 4 with c = q / QUANT_DEN
             q -= 1 if q > 0 else -1
         entries[P] = Fraction(q, QUANT_DEN)
-    name = label or f"synthetic-d{K.d}-X{X}-k{k0}-s{seed}"
+    name = f"synthetic-d{K.d}-X{X}-k{k0}-s{seed}"
     return EigenvalueSeries(
         field=K, weight=(k0,), label=name, entries=entries, level_support=()
     )
@@ -176,9 +174,10 @@ def histogram_csv(samples) -> str:
     return "\n".join(lines) + "\n"
 
 
-def histogram_svg(samples, width: int = 640, height: int = 360) -> str:
-    """Self-contained SVG: observed frequency bars with the density curve."""
+def histogram_svg(samples) -> str:
+    """Self-contained 640x360 SVG: observed frequency bars with the density curve."""
     rows = histogram_rows(samples)
+    width, height = 640, 360
     margin, plot_w, plot_h = 40, width - 80, height - 80
     peak = max(max(r[3] for r in rows), max(r[4] for r in rows)) or 1.0
     parts = [

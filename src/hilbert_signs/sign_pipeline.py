@@ -6,7 +6,7 @@ reconstructed eigenvalue at a good prime is
 
     lambda(P) = c(P) - chi(P)/N(P),
 
-and its sign is decided in exact rational arithmetic; floats appear only
+and its sign is decided exactly, in integers; floats appear only
 in the Sato-Tate coordinate B(P) = c(P) sqrt(N(P)) / 2 used for
 distribution statistics, never in sign decisions.
 
@@ -71,8 +71,9 @@ class EigenvalueSeries:
         for P, c in entries.items():
             if P.field != field:
                 raise ValidationError(f"entry at {P} does not belong to {field}")
-            c = Fraction(c)
-            if c * c * P.norm > 4:
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
+            if c.numerator * c.numerator * P.norm > 4 * c.denominator * c.denominator:
                 raise HasseBoundViolated(
                     f"{label}: |c({P})| = |{c}| exceeds 2/sqrt({P.norm})"
                 )
@@ -99,18 +100,20 @@ def sato_tate_coordinate(c, norm: int) -> float:
 
     This equals C(P) / (2 N(P)^{(k0-1)/2}) with C(P) = c(P) N(P)^{k0/2}
     for every weight k0, and for c = a_p/p it is the classical
-    a_p / (2 sqrt(p)).  The containment check is exact: (cN)^2 <= 4N.
+    a_p / (2 sqrt(p)).  The containment check is exact, in integers:
+    with cN = num/den, (cN)^2 <= 4N is num^2 <= 4N den^2.
     """
-    cn = c * norm
-    if cn * cn > 4 * norm:
+    num, den = c.numerator * norm, c.denominator
+    if num * num > 4 * norm * den * den:
         raise HasseBoundViolated(f"|c| = |{c}| exceeds 2/sqrt({norm})")
-    return float(cn) / (2.0 * math.sqrt(float(norm)))
+    # int true division is correctly rounded, like float() of the reduced Fraction
+    return (num / den) / (2.0 * math.sqrt(float(norm)))
 
 
 def lambda_sign(c: Fraction, chi_p: int, norm: int) -> int:
-    """sign(c(P) - chi(P)/N(P)) decided in exact rational arithmetic."""
-    lam = Fraction(c) - Fraction(chi_p, norm)
-    return (lam > 0) - (lam < 0)
+    """sign(c(P) - chi(P)/N(P)), decided exactly as sign(c_num N - chi c_den)."""
+    t = c.numerator * norm - chi_p * c.denominator
+    return (t > 0) - (t < 0)
 
 
 # ======================================================================
@@ -168,8 +171,8 @@ class EpsilonCutoffReport:
 class SignSurvey:
     """Per-prime sign data for one (series, tau, psi) triple up to x.
 
-    Built once, then queried at any cutoff <= x.  Signs are decided with
-    exact rationals at construction time, and the tail inequality is
+    Built once, then queried at any cutoff <= x.  Signs are decided
+    exactly at construction time, and the tail inequality is
     decided exactly from the stored coefficients.
     """
 
@@ -287,16 +290,15 @@ def epsilon_cutoff_check(
 TALLY_CSV_HEADER = "x,total,pos,neg,zero,pos_density"
 
 
-def density_string(num: int, den: int, digits: int = 12) -> str:
-    """num/den as a fixed-point decimal string, rounded half away from zero."""
+def density_string(num: int, den: int) -> str:
+    """num/den to 12 decimal places, rounded half away from zero."""
     if den == 0:
-        return "0." + "0" * digits
-    scale = 10**digits
-    q, r = divmod(num * scale, den)
+        return "0.000000000000"
+    q, r = divmod(num * 10**12, den)
     if 2 * r >= den:
         q += 1
-    whole, frac = divmod(q, scale)
-    return f"{whole}.{frac:0{digits}d}"
+    whole, frac = divmod(q, 10**12)
+    return f"{whole}.{frac:012d}"
 
 
 def tally_csv_row(t: SignTally) -> str:

@@ -10,24 +10,11 @@ from hilbert_signs import (
     IdealCharacter,
     ParseError,
     ValidationError,
-    element,
     enumerate_prime_ideals,
-    epsilon_tau,
     load_psi_table,
     make_field,
     split_rational_prime,
 )
-
-
-def test_epsilon_tau_examples():
-    Q = make_field(1)
-    (P11,) = split_rational_prime(Q, 11)
-    (P5,) = split_rational_prime(Q, 5)
-    (P7,) = split_rational_prime(Q, 7)
-    assert epsilon_tau(element(Q, 5), P11) == 1
-    assert epsilon_tau(element(Q, 2), P5) == -1
-    assert epsilon_tau(element(Q, 9), P7) == 1  # 9 = 3^2 is always a square
-    assert epsilon_tau(element(Q, 9), P11) == 1
 
 
 @pytest.mark.parametrize("tau", [1, 4, 9])

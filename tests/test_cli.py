@@ -256,6 +256,11 @@ def _lmfdb_over_prime(tmp_path, p):
     return _lmfdb(tmp_path, [p, 0])
 
 
+def _curve_cache_dir_file(tmp_path):
+    (tmp_path / "F").write_text("")
+    return ["signs", "--curve", "11a", "--x", "100", "--cache-dir", str(tmp_path / "F")]
+
+
 def _stats_37a(*extra):
     return ["stats", "--curve", "37a", "--x", "2000", *extra]
 
@@ -277,6 +282,13 @@ INPUT_ERRORS = {
     "fixture-c-num-bool": lambda t: _fixture(t, {"c_num": True, "c_den": 3}),
     "psi-value-float": lambda t: _psi(t, value=1.5),
     "lmfdb-prime-str": lambda t: _lmfdb(t, ["a", 1]),
+    "curve-cache-dir-file": _curve_cache_dir_file,
+    "fixture-d-huge": lambda t: _fixture(t, d=10**16 + 1),
+    "char-tau-zero-den": lambda t: ["char", "--d", "5", "--x", "10", "--tau", "1/0"],
+    "char-tau-str": lambda t: ["char", "--d", "5", "--x", "10", "--tau", "abc"],
+    "char-tau-b-str": lambda t: ["char", "--d", "5", "--x", "10", "--tau-b", "x"],
+    "simulate-seed-negative": lambda t: ["simulate", "--d", "5", "--x", "100", "--seed", "-1"],
+    "simulate-seed-2-128": lambda t: ["simulate", "--d", "5", "--x", "100", "--seed", str(2**128)],
 }
 
 

@@ -129,8 +129,3 @@ def test_series_from_curve():
 def test_series_from_curve_level_keeps_two():
     E = series_from_curve(get_curve("11a"), 50)
     assert E.level_support == {2, 11}
-
-
-def test_series_from_curve_rejects_quadratic_field(field5):
-    with pytest.raises(ValidationError):
-        series_from_curve(get_curve("37a"), 50, field=field5)

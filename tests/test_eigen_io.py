@@ -8,6 +8,7 @@ import pytest
 
 from hilbert_signs import (
     HasseBoundViolated,
+    HilbertSignsError,
     NetworkError,
     ParseError,
     ValidationError,
@@ -216,7 +217,7 @@ def test_atomic_write_failure_leaves_no_temp(tmp_path, monkeypatch):
         raise OSError("refused")
 
     monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises(OSError):
+    with pytest.raises(HilbertSignsError, match="out.json"):
         eigen_io._atomic_write(tmp_path / "out.json", b"data")
     assert list(tmp_path.iterdir()) == []
 
@@ -246,9 +247,6 @@ def test_cached_curve_series_hits_disk(tmp_path, monkeypatch):
     )
     again = cached_curve_series(E, 300, cache_dir=tmp_path)
     assert equal_series(first, again)
-    monkeypatch.undo()
-    forced = cached_curve_series(E, 300, cache_dir=tmp_path, force=True)
-    assert equal_series(first, forced)
 
 
 # ----------------------------------------------------------------------

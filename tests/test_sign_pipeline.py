@@ -106,6 +106,19 @@ def test_lambda_sign_matches_high_precision_float(num, den, chi, norm):
             assert lambda_sign(c, chi, norm) == 0
 
 
+@given(
+    chi=st.sampled_from([-1, 1]),
+    norm=st.integers(min_value=2, max_value=10**12),
+    den=st.integers(min_value=1, max_value=10**40),
+    offset=st.sampled_from([-1, 0, 1]),
+)
+def test_lambda_sign_matches_fraction_at_the_boundary(chi, norm, den, offset):
+    # c = chi/N exactly, or one step of 1/den to either side of it
+    c = Fraction(chi, norm) + Fraction(offset, den)
+    lam = c - Fraction(chi, norm)
+    assert lambda_sign(c, chi, norm) == (lam > 0) - (lam < 0) == offset
+
+
 # ----------------------------------------------------------------------
 # series container validation
 # ----------------------------------------------------------------------
@@ -120,12 +133,18 @@ def test_series_rejects_bad_weight():
         EigenvalueSeries(Q, (), "empty", {})
 
 
-def test_series_rejects_hasse_violation():
+def test_series_rejects_hasse_violation(field5):
     (P3,) = split_rational_prime(Q, 3)
     with pytest.raises(HasseBoundViolated):
         EigenvalueSeries(Q, (2,), "fat", {P3: Fraction(2)})
     ok = EigenvalueSeries(Q, (2,), "edge", {P3: Fraction(1)})  # 1*1*3 <= 4
     assert ok.entries[P3] == 1
+    # the inert prime above 3 in Q(sqrt5) has N = 9, where c = 2/3 sits on the bound
+    (P9,) = split_rational_prime(field5, 3)
+    on_bound = EigenvalueSeries(field5, (2,), "on", {P9: Fraction(2, 3)})  # c^2 N = 4
+    assert on_bound.entries[P9] == Fraction(2, 3)
+    with pytest.raises(HasseBoundViolated):
+        EigenvalueSeries(field5, (2,), "over", {P9: Fraction(2, 3) + Fraction(1, 10**30)})
 
 
 def test_series_rejects_foreign_primes(field5):
