@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -55,6 +56,13 @@ def _rational(flag: str, text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"{flag} must be a rational such as 3 or 7/2, got {text!r}") from None
+
+
+def _threshold_coefficient(args) -> float:
+    c = args.threshold_coefficient
+    if not 0 < c < math.inf:
+        raise ValidationError(f"--threshold-coefficient must be finite and > 0, got {c}")
+    return c
 
 
 def _tau_element(args):
@@ -160,11 +168,12 @@ def cmd_signs(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    coefficient = _threshold_coefficient(args)
     series = _load_series(args)
     K = series.field
     psi = eigen_io.load_psi_table(K, args.psi_file) if args.psi_file else None
     survey = SignSurvey(series, _tau_element(args), psi=psi, x=args.x)
-    report = sato_tate.ks_statistic(survey.coords, coefficient=args.threshold_coefficient)
+    report = sato_tate.ks_statistic(survey.coords, coefficient=coefficient)
     if args.hist_out:
         _emit(sato_tate.histogram_csv(survey.coords), args.hist_out)
     if args.svg:
@@ -189,11 +198,12 @@ SIMULATE_CSV_HEADER = (
 def cmd_simulate(args) -> int:
     if not 0 <= args.seed < 2**128:  # the key range of the Philox sampler
         raise ValidationError(f"--seed must be in [0, 2^128), got {args.seed}")
+    coefficient = _threshold_coefficient(args)
     K = make_field(args.d)
     series = sato_tate.synth_eigen_series(K, args.x, args.k0, args.seed)
     survey = SignSurvey(series, _tau_element(args), x=args.x)
     tally = survey.tally()
-    report = sato_tate.ks_statistic(survey.coords, coefficient=args.threshold_coefficient)
+    report = sato_tate.ks_statistic(survey.coords, coefficient=coefficient)
     if args.format == "json":
         obj = tally_to_obj(tally)
         obj.update(

@@ -44,7 +44,7 @@ from pathlib import Path
 
 from .curves import CurveSpec, series_from_curve
 from .errors import HilbertSignsError, NetworkError, ParseError, ValidationError
-from .field_arith import PrimeIdeal, QuadField, _is_prime, make_field, prime_ideal
+from .field_arith import PrimeIdeal, QuadField, _is_prime, make_field, split_rational_prime
 from .sign_pipeline import EigenvalueSeries
 
 SCHEMA_TAG = "eigen-series/1"
@@ -90,12 +90,27 @@ def _header(d, weight, label, level_support) -> QuadField:
         raise ValidationError(f"bad field parameter d={d}: {e}") from e
 
 
-def _resolve(K: QuadField, p: int, label: int, norm: int | None, where: str) -> PrimeIdeal:
-    """The prime above p with this root label, checked against norm if one is given."""
-    try:
-        P = prime_ideal(K, p, label)
-    except ValidationError as e:
-        raise ValidationError(f"{where}: {e}") from e
+def _resolve(
+    K: QuadField,
+    above: dict[int, dict[int, PrimeIdeal]],
+    p: int,
+    label: int,
+    norm: int | None,
+    where: str,
+) -> PrimeIdeal:
+    """The prime above p with this root label, checked against norm if one is given.
+
+    `above` belongs to one document and maps each p seen so far to its
+    primes by root label, so each distinct p is split once per decode.
+    """
+    if p not in above:
+        try:
+            above[p] = {P.root_label: P for P in split_rational_prime(K, p)}
+        except ValueError as e:
+            raise ValidationError(f"{where}: {e}") from e
+    P = above[p].get(label)
+    if P is None:
+        raise ValidationError(f"{where}: no prime above {p} with root label {label} in {K}")
     if norm is not None and P.norm != norm:
         raise ValidationError(f"{where}: no prime of norm {norm}, label {label} above {p} in {K}")
     return P
@@ -142,7 +157,7 @@ def series_from_obj(obj) -> EigenvalueSeries:
     rows = obj["entries"]
     if type(rows) is not list:
         raise ParseError("eigen-series entries must be a JSON list")
-    entries = {}
+    entries, above = {}, {}
     # 10^5-entry documents are common: the per-entry checks stay inline
     for i, row in enumerate(rows):
         try:
@@ -154,7 +169,7 @@ def series_from_obj(obj) -> EigenvalueSeries:
             raise ParseError(f"entry {i}: numeric fields must be JSON integers")
         if den == 0:
             raise ValidationError(f"entry {i}: zero denominator")
-        entries[_resolve(K, p, label, norm, f"entry {i}")] = Fraction(num, den)
+        entries[_resolve(K, above, p, label, norm, f"entry {i}")] = Fraction(num, den)
     return EigenvalueSeries(K, obj["weight"], obj["label"], entries, level_support)
 
 
@@ -187,6 +202,7 @@ def load_psi_table(K: QuadField, source) -> dict[PrimeIdeal, int]:
     if type(source) is not list:
         raise ParseError("psi table must be a JSON list of entries")
     table: dict[PrimeIdeal, int] = {}
+    above = {}
     for i, entry in enumerate(source):
         try:
             norm, p, label = entry["prime_norm"], entry["rational_prime"], entry["root_label"]
@@ -197,7 +213,7 @@ def load_psi_table(K: QuadField, source) -> dict[PrimeIdeal, int]:
             raise ParseError(f"psi entry {i}: numeric fields must be JSON integers")
         if value not in (-1, 1):
             raise ValidationError(f"psi entry {i}: value must be +-1, got {value}")
-        table[_resolve(K, p, label, norm, f"psi entry {i}")] = value
+        table[_resolve(K, above, p, label, norm, f"psi entry {i}")] = value
     return table
 
 
@@ -305,7 +321,7 @@ def _series_from_remote_payload(obj, label: str, normalization: str) -> Eigenval
         raise ParseError("remote record eigenvalues must be a JSON list")
     arithmetic = normalization == "arithmetic"
     k0 = max(weight)
-    entries = {}
+    entries, above = {}, {}
     for i, entry in enumerate(pairs):
         if type(entry) is not list or len(entry) not in (2, 3):
             raise ParseError(f"remote entry {i}: expected [p, value] or [p, root_label, value]")
@@ -320,7 +336,7 @@ def _series_from_remote_payload(obj, label: str, normalization: str) -> Eigenval
             raise ParseError(f"remote entry {i}: numeric fields must be JSON integers")
         if den == 0:
             raise ValidationError(f"remote entry {i}: zero denominator")
-        P = _resolve(K, p, root_label, None, f"remote entry {i}")
+        P = _resolve(K, above, p, root_label, None, f"remote entry {i}")
         entries[P] = Fraction(num, den * P.norm ** (k0 // 2) if arithmetic else den)
     return EigenvalueSeries(K, weight, label, entries, level_support)
 

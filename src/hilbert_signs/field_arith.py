@@ -39,7 +39,6 @@ from .errors import (
     NotSquarefree,
     NotTotallyPositive,
     UnsupportedField,
-    ValidationError,
 )
 
 # d values for which every ideal class is trivial in the narrow sense
@@ -288,22 +287,6 @@ def split_rational_prime(K: QuadField, p: int) -> list[PrimeIdeal]:
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     return _primes_above(K, p)
-
-
-def prime_ideal(K: QuadField, p: int, root_label: int) -> PrimeIdeal:
-    """The prime of O_K above p with this root label.
-
-    Raises ValidationError when p is not prime or no prime above p
-    carries root_label.
-    """
-    try:
-        above = split_rational_prime(K, p)
-    except ValueError as e:
-        raise ValidationError(str(e)) from e
-    for P in above:
-        if P.root_label == root_label:
-            return P
-    raise ValidationError(f"no prime above {p} with root label {root_label} in {K}")
 
 
 def primes_upto(n: int) -> np.ndarray:

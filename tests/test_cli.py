@@ -265,6 +265,10 @@ def _stats_37a(*extra):
     return ["stats", "--curve", "37a", "--x", "2000", *extra]
 
 
+def _simulate_threshold(value):
+    return ["simulate", "--d", "5", "--x", "100", "--seed", "0", "--threshold-coefficient", value]
+
+
 INPUT_ERRORS = {
     "fixture-prime-4": lambda t: _fixture_over_prime(t, 4),
     "fixture-prime-9": lambda t: _fixture_over_prime(t, 9),
@@ -289,6 +293,12 @@ INPUT_ERRORS = {
     "char-tau-b-str": lambda t: ["char", "--d", "5", "--x", "10", "--tau-b", "x"],
     "simulate-seed-negative": lambda t: ["simulate", "--d", "5", "--x", "100", "--seed", "-1"],
     "simulate-seed-2-128": lambda t: ["simulate", "--d", "5", "--x", "100", "--seed", str(2**128)],
+    "stats-threshold-nan": lambda t: _stats_37a("--threshold-coefficient", "nan"),
+    "stats-threshold-negative": lambda t: _stats_37a("--threshold-coefficient", "-1"),
+    "stats-threshold-inf": lambda t: _stats_37a("--threshold-coefficient", "inf"),
+    "simulate-threshold-nan": lambda t: _simulate_threshold("nan"),
+    "simulate-threshold-negative": lambda t: _simulate_threshold("-1"),
+    "simulate-threshold-inf": lambda t: _simulate_threshold("inf"),
 }
 
 

@@ -1,8 +1,11 @@
-"""Point-count oracles: the brute-force loop against the symbol sum."""
+"""Point counts: baby-step giant-step against the brute-force loop and the symbol sum."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from hilbert_signs import (
     CURVE_REGISTRY,
@@ -16,7 +19,8 @@ from hilbert_signs import (
     series_from_curve,
     split_rational_prime,
 )
-from hilbert_signs.curves import ap_naive, ap_symbol_sum
+from hilbert_signs import curves
+from hilbert_signs.curves import _hasse_traces, _mul, ap_bsgs, ap_naive, ap_symbol_sum
 
 # First trace values of the rank-0 and rank-1 workhorses, frozen after
 # computing them independently with both counting routes.
@@ -75,6 +79,64 @@ def test_naive_matches_symbol_sum_everywhere():
             if p in bad or p == 2:
                 continue
             assert ap_naive(E, p) == ap_symbol_sum(E, p), (E.label, p)
+
+
+def test_bsgs_matches_symbol_sum_to_3000():
+    # covers every prime where a registry curve's points leave more than one trace
+    for E in CURVE_REGISTRY.values():
+        bad = set(E.bad_primes())
+        for q in primes_upto(3000):
+            p = int(q)
+            if p >= 5 and p not in bad:
+                assert ap_bsgs(E, p) == ap_symbol_sum(E, p), (E.label, p)
+
+
+SMALL_PRIMES = [int(q) for q in primes_upto(100) if q >= 5]
+MESTRE_PRIMES = [int(q) for q in primes_upto(5000) if q >= 230]
+
+
+@given(
+    st.integers(-10**6, 10**6),
+    st.integers(-10**6, 10**6),
+    st.sampled_from(SMALL_PRIMES) | st.sampled_from(MESTRE_PRIMES),
+)
+def test_bsgs_on_random_short_curves(a, b, p):
+    assume((4 * a**3 + 27 * b**2) % p != 0)
+    E = CurveSpec(0, 0, 0, a, b, "short")
+    ap = ap_bsgs(E, p)
+    assert ap == ap_symbol_sum(E, p)
+    if p <= 100:
+        assert ap == ap_naive(E, p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101])
+def test_hasse_traces_at_every_point(p):
+    # every affine point, so points of order 2 (y = 0), 3, 4, ... and giant
+    # steps that land on O all occur; the oracle multiplies P out for each t
+    bound = math.isqrt(4 * p)
+    for a, b in ((1, 1), (-1, 0), (0, 1), (2, 3)):
+        if (4 * a**3 + 27 * b**2) % p == 0:
+            continue
+        for x in range(p):
+            for y in range(p):
+                if (y * y - x**3 - a * x - b) % p:
+                    continue
+                want = {
+                    t for t in range(-bound, bound + 1) if _mul(p + 1 - t, (x, y), a, p) is None
+                }
+                assert _hasse_traces((x, y), a, p) == want, (a, b, p, x, y)
+
+
+def test_32a_at_5_falls_back_to_the_symbol_sum(monkeypatch):
+    calls = []
+
+    def spy(E, p):
+        calls.append(p)
+        return ap_symbol_sum(E, p)
+
+    monkeypatch.setattr(curves, "ap_symbol_sum", spy)
+    assert ap_oracle(get_curve("32a"), 5) == -2
+    assert calls == [5]
 
 
 def test_frozen_traces():

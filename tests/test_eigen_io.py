@@ -190,6 +190,39 @@ def test_remote_payload_integer_rule():
             _series_from_remote_payload(payload, "x", "arithmetic")
 
 
+def test_prime_lookup_splits_each_p_once(field5, monkeypatch):
+    calls = []
+
+    def counted(K, p):
+        calls.append(p)
+        return split_rational_prime(K, p)
+
+    monkeypatch.setattr(eigen_io, "split_rational_prime", counted)
+    P11a, P11b = split_rational_prime(field5, 11)
+    (P2,) = split_rational_prime(field5, 2)
+
+    def psi(norm, p, label):
+        return {"prime_norm": norm, "rational_prime": p, "root_label": label, "value": 1}
+
+    table = load_psi_table(field5, [psi(11, 11, 0), psi(11, 11, 1), psi(4, 2, 0), psi(11, 11, 1)])
+    assert set(table) == {P11a, P11b, P2} and calls == [11, 2]
+    calls.clear()
+    rows = [
+        {"norm": 11, "rational_prime": 11, "root_label": label, "c_num": 0, "c_den": 1}
+        for label in (1, 0, 1)
+    ]
+    doc = {"format": "eigen-series/1", "d": 5, "weight": [2, 2], "label": "x", "entries": rows}
+    assert set(series_from_obj(doc).entries) == {P11a, P11b} and calls == [11]
+    calls.clear()
+    record = {"label": "x", "weight": 2, "d": 5, "eigenvalues": [[11, 0, 0], [11, 1, 0], [11, 0]]}
+    remote = _series_from_remote_payload({"data": [record]}, "x", "arithmetic")
+    assert set(remote.entries) == {P11a, P11b} and calls == [11]
+    # inert 7 has label 0 only; 4, 9 and 1 are not prime; the error names the entry
+    for p, label in ((7, 1), (4, 0), (9, 0), (1, 0)):
+        with pytest.raises(ValidationError, match="^psi entry 1: "):
+            load_psi_table(field5, [psi(11, 11, 0), psi(p, p, label)])
+
+
 # ----------------------------------------------------------------------
 # cache
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ from hilbert_signs import (
     squarefree_decompose,
 )
 from hilbert_signs.errors import EvenCharacteristic
-from hilbert_signs.field_arith import _is_prime, prime_ideal
+from hilbert_signs.field_arith import _is_prime
 
 
 # ----------------------------------------------------------------------
@@ -206,14 +206,6 @@ def test_splitting_examples(field5):
     assert [P.norm for P in two] == [11, 11]
     (i,) = split_rational_prime(field5, 2)
     assert i.splitting is Splitting.INERT and i.norm == 4
-
-
-def test_prime_ideal_lookup(field5):
-    P11a, P11b = split_rational_prime(field5, 11)
-    assert prime_ideal(field5, 11, 0) == P11a and prime_ideal(field5, 11, 1) == P11b
-    for p, label in ((7, 1), (4, 0), (9, 0), (1, 0)):  # inert 7 has label 0 only
-        with pytest.raises(ValidationError):
-            prime_ideal(field5, p, label)
 
 
 def test_rational_primes_split_first():
