@@ -70,34 +70,17 @@ def _tau_element(args):
 
 
 def _load_series(args):
-    """Resolve the --curve/--fixture/--lmfdb source flags into a series."""
+    """Resolve the --curve/--fixture source flags into a series."""
     if args.curve:
         return eigen_io.cached_curve_series(get_curve(args.curve), args.x, args.cache_dir)
-    if args.fixture:
-        return eigen_io.load_fixture(args.fixture)
-    return eigen_io.fetch_lmfdb(
-        args.base_url,
-        args.lmfdb,
-        normalization=args.normalization,
-        cache_dir=args.cache_dir,
-        offline=args.offline,
-    )
+    return eigen_io.load_fixture(args.fixture)
 
 
 def _add_source_flags(sp):
     src = sp.add_mutually_exclusive_group(required=True)
     src.add_argument("--curve", help="registry label of a built-in curve")
     src.add_argument("--fixture", help="path to an eigen-series JSON document")
-    src.add_argument("--lmfdb", help="remote label to fetch (cached locally)")
-    sp.add_argument("--base-url", default="https://www.lmfdb.org/api/eigenvalues")
-    sp.add_argument(
-        "--normalization",
-        choices=["arithmetic", "coefficient"],
-        default="arithmetic",
-        help="how remote eigenvalue numbers are scaled",
-    )
-    sp.add_argument("--offline", action="store_true", help="forbid network access")
-    sp.add_argument("--cache-dir", default=None)
+    sp.add_argument("--cache-dir", default=None, help="where --curve series are cached")
 
 
 def _add_tau_flags(sp):
@@ -334,9 +317,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Every command enumerates the prime ideals of norm <= --x, at ~260 bytes
+# each (d = 5, X = 10^7: 664,500 ideals, 173 MB), so 10^8 bounds a run at a
+# few GB.  A larger x would fail late, in an allocation.
+MAX_X = 10**8
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not 1 <= args.x <= MAX_X:
+            raise ValidationError(f"--x must be in [1, {MAX_X}], got {args.x}")
         return args.func(args)
     except HilbertSignsError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Input documents: eigen-series fixtures, psi tables, caches, remote payloads.
+"""Input documents: eigen-series fixtures, psi tables and the curve cache.
 
 This is the one module that decodes outside documents.  The eigen-series
 schema is JSON:
@@ -22,11 +22,13 @@ ParseError, never coerced) and one resolver from (p, root_label, norm) to
 a prime ideal.  Level-support entries must be primes.
 
 Entries are kept in canonical (norm, p, root_label) order so that
-load -> serialize -> load is bit-stable.  Remote eigenvalue data is
-fetched from a configurable base URL, cached verbatim in a local
-directory keyed by label (atomic write-then-rename), and mapped into the
-schema under an explicit normalization flag; nothing in this package
-requires the network.
+load -> serialize -> load is bit-stable.  Data from elsewhere enters as
+such a document; an eigenvalue a on the classical a_p scale at a prime of
+norm N is the coefficient c_num = a, c_den = N^(k0/2), k0 = max(weight).
+
+The package reads local files only.  Its one cache holds the series of
+built-in curves, keyed by (label, X, CURVE_CACHE_VERSION) and written by
+atomic rename.
 """
 
 from __future__ import annotations
@@ -35,15 +37,11 @@ import hashlib
 import json
 import os
 import re
-import time
-import urllib.error
-import urllib.parse
-import urllib.request
 from fractions import Fraction
 from pathlib import Path
 
 from .curves import CurveSpec, series_from_curve
-from .errors import HilbertSignsError, NetworkError, ParseError, ValidationError
+from .errors import HilbertSignsError, ParseError, ValidationError
 from .field_arith import PrimeIdeal, QuadField, _is_prime, make_field, split_rational_prime
 from .sign_pipeline import EigenvalueSeries
 
@@ -56,19 +54,15 @@ CACHE_ENV = "HILBERT_SIGNS_CACHE"
 # ----------------------------------------------------------------------
 
 
-def _parse_json(data: bytes | str, where) -> object:
-    try:
-        return json.loads(data)
-    except (ValueError, RecursionError) as e:  # also bad UTF-8, huge ints, deep nesting
-        raise ParseError(f"{where}: not valid JSON ({e})") from e
-
-
 def _read_json(path, what: str) -> object:
     try:
         data = Path(path).read_bytes()
     except OSError as e:
         raise ParseError(f"cannot read {what} {path}: {e}") from e
-    return _parse_json(data, path)
+    try:
+        return json.loads(data)
+    except (ValueError, RecursionError) as e:  # also bad UTF-8, huge ints, deep nesting
+        raise ParseError(f"{path}: not valid JSON ({e})") from e
 
 
 def _header(d, weight, label, level_support) -> QuadField:
@@ -95,10 +89,10 @@ def _resolve(
     above: dict[int, dict[int, PrimeIdeal]],
     p: int,
     label: int,
-    norm: int | None,
+    norm: int,
     where: str,
 ) -> PrimeIdeal:
-    """The prime above p with this root label, checked against norm if one is given.
+    """The prime above p with this root label, checked against norm.
 
     `above` belongs to one document and maps each p seen so far to its
     primes by root label, so each distinct p is split once per decode.
@@ -111,7 +105,7 @@ def _resolve(
     P = above[p].get(label)
     if P is None:
         raise ValidationError(f"{where}: no prime above {p} with root label {label} in {K}")
-    if norm is not None and P.norm != norm:
+    if P.norm != norm:
         raise ValidationError(f"{where}: no prime of norm {norm}, label {label} above {p} in {K}")
     return P
 
@@ -255,132 +249,18 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise HilbertSignsError(f"cannot write {path}: {e}") from e
 
 
+# Part of every curve cache key.  Bump it in any change after which
+# series_from_curve(E, X) may serialize to other bytes for the same (label,
+# X): new a_p values, a changed registry curve, a new entry encoding.  Files
+# written under an older version are then never read again.
+CURVE_CACHE_VERSION = 1
+
+
 def cached_curve_series(E: CurveSpec, X: int, cache_dir=None) -> EigenvalueSeries:
-    """series_from_curve with a disk cache keyed by (label, X)."""
-    path = cache_path(f"curve-{E.label}-X{X}", cache_dir)
+    """series_from_curve with a disk cache keyed by (label, X, CURVE_CACHE_VERSION)."""
+    path = cache_path(f"curve-{E.label}-X{X}-v{CURVE_CACHE_VERSION}", cache_dir)
     if path.exists():
         return load_fixture(path)
     series = series_from_curve(E, X)
     _atomic_write(path, serialize_series(series).encode())
-    return series
-
-
-# ----------------------------------------------------------------------
-# remote fetch
-# ----------------------------------------------------------------------
-
-
-HTTP_TIMEOUT_S = 30.0
-FETCH_ATTEMPTS = 3
-
-
-def _http_get(url: str) -> bytes:
-    try:
-        with urllib.request.urlopen(url, timeout=HTTP_TIMEOUT_S) as resp:
-            return resp.read()
-    except (urllib.error.URLError, OSError) as e:
-        raise NetworkError(f"GET {url}: {e}") from e
-
-
-def _series_from_remote_payload(obj, label: str, normalization: str) -> EigenvalueSeries:
-    """Map a remote JSON payload into the native schema.
-
-    Accepted shapes: the native eigen-series document itself, or a record
-    set {"data": [{"label", "weight", "d"?, "level_support"?,
-    "eigenvalues": [[p, value], ...]}]} whose values are read according to
-    `normalization`:
-
-      "arithmetic"   value is the integer C(p) (classical a_p scale);
-                     c(p) = value / p^{k0/2}
-      "coefficient"  value is [num, den], the coefficient c(p) itself
-
-    An eigenvalue entry may also be [p, root_label, value] to address one
-    of the two primes above a split p; the two-element form always means
-    the first (or only) prime.  A scalar weight means [weight].
-    """
-    if isinstance(obj, dict) and obj.get("format") == SCHEMA_TAG:
-        return series_from_obj(obj)
-    if normalization not in ("arithmetic", "coefficient"):
-        raise ValidationError(
-            f"normalization must be 'arithmetic' or 'coefficient', got {normalization!r}"
-        )
-    records = obj.get("data") if isinstance(obj, dict) else None
-    if type(records) is not list:
-        raise ParseError("remote payload has neither native format nor a 'data' list")
-    record = next((r for r in records if isinstance(r, dict) and r.get("label") == label), None)
-    if record is None:
-        raise ValidationError(f"no record labeled {label!r} in remote payload")
-    try:
-        weight, pairs = record["weight"], record["eigenvalues"]
-    except KeyError as e:
-        raise ParseError(f"remote record missing field {e}") from e
-    weight = weight if type(weight) is list else [weight]
-    level_support = record.get("level_support", [])
-    K = _header(record.get("d", 1), weight, label, level_support)
-    if type(pairs) is not list:
-        raise ParseError("remote record eigenvalues must be a JSON list")
-    arithmetic = normalization == "arithmetic"
-    k0 = max(weight)
-    entries, above = {}, {}
-    for i, entry in enumerate(pairs):
-        if type(entry) is not list or len(entry) not in (2, 3):
-            raise ParseError(f"remote entry {i}: expected [p, value] or [p, root_label, value]")
-        p, root_label, value = entry if len(entry) == 3 else (entry[0], 0, entry[1])
-        if arithmetic:
-            num, den = value, 1
-        elif type(value) is list and len(value) == 2:
-            num, den = value
-        else:
-            raise ParseError(f"remote entry {i}: coefficient value must be [num, den]")
-        if not (type(p) is type(root_label) is type(num) is type(den) is int):
-            raise ParseError(f"remote entry {i}: numeric fields must be JSON integers")
-        if den == 0:
-            raise ValidationError(f"remote entry {i}: zero denominator")
-        P = _resolve(K, above, p, root_label, None, f"remote entry {i}")
-        entries[P] = Fraction(num, den * P.norm ** (k0 // 2) if arithmetic else den)
-    return EigenvalueSeries(K, weight, label, entries, level_support)
-
-
-def fetch_lmfdb(
-    base_url: str,
-    label: str,
-    normalization: str = "arithmetic",
-    cache_dir=None,
-    offline: bool = False,
-    transport=None,
-    backoff: float = 0.25,
-) -> EigenvalueSeries:
-    """Fetch eigenvalue data for `label`, with verbatim local caching.
-
-    The cache is consulted first and hits never touch the network, so
-    repeated offline runs are fully deterministic.  offline=True forbids
-    any fetch and raises NetworkError on a cache miss.  `transport` is a
-    callable url -> bytes, injectable for tests.
-    """
-    path = cache_path(f"lmfdb-{label}", cache_dir)
-    if path.exists():
-        return _series_from_remote_payload(_read_json(path, "cache"), label, normalization)
-    if offline:
-        raise NetworkError(f"offline mode and no cached payload for {label!r}")
-    url = f"{base_url.rstrip('/')}/{urllib.parse.quote(label)}?_format=json"
-    get = transport or _http_get
-    last: Exception | None = None
-    raw = None
-    for attempt in range(FETCH_ATTEMPTS):
-        try:
-            raw = get(url)
-            break
-        except NetworkError as e:
-            last = e
-            if attempt + 1 < FETCH_ATTEMPTS:
-                time.sleep(backoff * (2**attempt))
-    if raw is None:
-        raise NetworkError(f"fetch failed after {FETCH_ATTEMPTS} attempts: {last}")
-    payload = _parse_json(raw, f"remote payload for {label!r}")
-    series = _series_from_remote_payload(payload, label, normalization)  # validate first
-    _atomic_write(path, raw if isinstance(raw, bytes) else raw.encode())
-    # the parsed form sits next to the verbatim response as a diffable artifact
-    _atomic_write(
-        cache_path(f"lmfdb-{label}-parsed", cache_dir), serialize_series(series).encode()
-    )
     return series

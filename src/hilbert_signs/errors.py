@@ -53,10 +53,6 @@ class ParseError(HilbertSignsError):
     """Input document is structurally malformed."""
 
 
-class NetworkError(HilbertSignsError):
-    """Remote fetch failed or was forbidden by offline mode."""
-
-
 class ValidationError(HilbertSignsError):
     """Input document parsed but violates a semantic constraint."""
 

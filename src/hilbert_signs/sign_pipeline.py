@@ -91,7 +91,7 @@ class EigenvalueSeries:
 
 
 # ======================================================================
-# pointwise normalizations
+# per-prime coordinate and sign
 # ======================================================================
 
 
@@ -268,19 +268,6 @@ class SignSurvey:
         return EpsilonCutoffReport(
             x=x, epsilon=float(epsilon), lhs=lhs, rhs=rhs, holds=lhs >= rhs
         )
-
-
-def tally_signs(E: EigenvalueSeries, tau, psi=None, x: int | None = None) -> SignTally:
-    """Count positive/negative/zero lambda signs over primes of norm <= x."""
-    return SignSurvey(E, tau, psi=psi, x=x).tally()
-
-
-def epsilon_cutoff_check(
-    E: EigenvalueSeries, tau, psi=None, x: int | None = None, epsilon=0.5
-) -> EpsilonCutoffReport:
-    """Verify the tail inequality at one (x, epsilon); see SignSurvey.cutoff_report."""
-    survey = SignSurvey(E, tau, psi=psi, x=x)
-    return survey.cutoff_report(survey.x, epsilon)
 
 
 # ======================================================================

@@ -26,7 +26,6 @@ from hilbert_signs import (
     c_series_from_lambda,
     character_moebius_series,
     enumerate_prime_ideals,
-    epsilon_cutoff_check,
     extract_prime_relation,
     good_primes,
     ks_statistic,
@@ -34,7 +33,6 @@ from hilbert_signs import (
     primes_upto,
     semicircle_mass,
     series_mul,
-    tally_signs,
 )
 from hilbert_signs.cli import SIMULATE_CSV_HEADER, main
 from hilbert_signs.curves import ap_bsgs, ap_naive, ap_symbol_sum
@@ -143,7 +141,7 @@ def test_05_twisted_signs(capsys, curve37_series_1e5):
     start = time.perf_counter()
     densities = {}
     for tau in (2, 5):
-        t = tally_signs(curve37_series_1e5, tau, x=100_000)
+        t = SignSurvey(curve37_series_1e5, tau, x=100_000).tally()
         densities[tau] = t.pos / t.total
     elapsed = time.perf_counter() - start
     ok = all(0.45 <= d <= 0.55 for d in densities.values()) and elapsed < 30.0
@@ -172,7 +170,7 @@ def test_06_cutoff_inequality_thousand_pairs(capsys, curve37_series_1e5, synth5_
         E = synth5_series_1e6 if name == "synthetic" else curve37_series_1e5
         for x, eps in pairs[:2]:
             assert min(abs(abs(b) - eps) for b in survey.coords.tolist()) > 1e-9
-            exact = epsilon_cutoff_check(E, 1, x=x, epsilon=eps)
+            exact = SignSurvey(E, 1, x=x).cutoff_report(x, eps)
             batch = survey.cutoff_report(x, eps)
             if (exact.lhs, exact.rhs, exact.holds) != (batch.lhs, batch.rhs, batch.holds):
                 exact_agree = False

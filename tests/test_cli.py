@@ -6,12 +6,13 @@ import pytest
 
 from hilbert_signs import (
     IdealCharacter,
+    SignSurvey,
     enumerate_prime_ideals,
     get_curve,
     make_field,
     save_fixture,
     series_from_curve,
-    tally_signs,
+    series_to_obj,
 )
 from hilbert_signs.cli import SIMULATE_CSV_HEADER, build_parser, main
 from hilbert_signs.eigen_io import cache_path
@@ -82,7 +83,7 @@ def test_signs_curve_csv(capsys):
     assert code == 0
     header, row = out.strip().split("\n")
     assert header == TALLY_CSV_HEADER
-    t = tally_signs(series_from_curve(get_curve("37a"), 2000), 1, x=2000)
+    t = SignSurvey(series_from_curve(get_curve("37a"), 2000), 1, x=2000).tally()
     x, total, pos, neg, zero, dens = row.split(",")
     assert (int(x), int(total), int(pos), int(neg), int(zero)) == (
         2000,
@@ -100,7 +101,7 @@ def test_signs_json_counts(capsys):
     )
     assert code == 0
     obj = json.loads(out)
-    t = tally_signs(series_from_curve(get_curve("37a"), 1000), 2, x=1000)
+    t = SignSurvey(series_from_curve(get_curve("37a"), 1000), 2, x=1000).tally()
     assert obj["counts"] == {
         "pos": t.pos, "neg": t.neg, "zero": t.zero, "bad": t.bad, "total": t.total,
     }
@@ -125,12 +126,20 @@ def test_signs_unknown_curve(capsys):
     assert code == 2 and "error:" in err
 
 
-def test_signs_offline_lmfdb_without_cache(capsys, tmp_path):
-    code, _, err = run(
-        capsys, "signs", "--lmfdb", "37.2.a.a", "--x", "100", "--offline",
-        "--cache-dir", str(tmp_path),
-    )
-    assert code == 2 and "offline" in err
+def test_stale_curve_cache_is_not_reused(capsys, tmp_path):
+    # a file under the unversioned key, as an older a_p route could have
+    # left it: a valid document, but every c = 0
+    stale = series_to_obj(series_from_curve(get_curve("37a"), 100))
+    for row in stale["entries"]:
+        row["c_num"], row["c_den"] = 0, 1
+    planted = cache_path("curve-37a-X100", tmp_path)
+    _write_json(planted, stale)
+    before = planted.read_bytes()
+    argv = ["signs", "--curve", "37a", "--x", "100", "--cache-dir"]
+    _, fresh, _ = run(capsys, *argv, str(tmp_path / "fresh"))
+    code, out, _ = run(capsys, *argv, str(tmp_path))
+    assert code == 0 and out == fresh
+    assert planted.read_bytes() == before
 
 
 def test_stats_artifacts(capsys, tmp_path):
@@ -246,16 +255,6 @@ def _psi_over_prime(tmp_path, p):
     return _psi(tmp_path, prime_norm=p, rational_prime=p)
 
 
-def _lmfdb(tmp_path, *eigenvalues):
-    payload = {"data": [{"label": "x", "weight": 2, "eigenvalues": list(eigenvalues)}]}
-    _write_json(cache_path("lmfdb-x", tmp_path), payload)
-    return ["signs", "--lmfdb", "x", "--x", "3", "--offline", "--cache-dir", str(tmp_path)]
-
-
-def _lmfdb_over_prime(tmp_path, p):
-    return _lmfdb(tmp_path, [p, 0])
-
-
 def _curve_cache_dir_file(tmp_path):
     (tmp_path / "F").write_text("")
     return ["signs", "--curve", "11a", "--x", "100", "--cache-dir", str(tmp_path / "F")]
@@ -274,7 +273,6 @@ INPUT_ERRORS = {
     "fixture-prime-9": lambda t: _fixture_over_prime(t, 9),
     "psi-prime-4": lambda t: _psi_over_prime(t, 4),
     "psi-prime-9": lambda t: _psi_over_prime(t, 9),
-    "lmfdb-prime-4": lambda t: _lmfdb_over_prime(t, 4),
     "fixture-missing": lambda t: ["signs", "--fixture", str(t / "absent.json"), "--x", "10"],
     "out-missing-dir": lambda t: ["primes", "--x", "30", "--out", str(t / "no" / "p.csv")],
     "hist-out-missing-dir": lambda t: _stats_37a("--hist-out", str(t / "no" / "h.csv")),
@@ -285,7 +283,6 @@ INPUT_ERRORS = {
     "fixture-c-num-float": lambda t: _fixture(t, {"c_num": 1.9, "c_den": 3}),
     "fixture-c-num-bool": lambda t: _fixture(t, {"c_num": True, "c_den": 3}),
     "psi-value-float": lambda t: _psi(t, value=1.5),
-    "lmfdb-prime-str": lambda t: _lmfdb(t, ["a", 1]),
     "curve-cache-dir-file": _curve_cache_dir_file,
     "fixture-d-huge": lambda t: _fixture(t, d=10**16 + 1),
     "char-tau-zero-den": lambda t: ["char", "--d", "5", "--x", "10", "--tau", "1/0"],
@@ -299,12 +296,14 @@ INPUT_ERRORS = {
     "simulate-threshold-nan": lambda t: _simulate_threshold("nan"),
     "simulate-threshold-negative": lambda t: _simulate_threshold("-1"),
     "simulate-threshold-inf": lambda t: _simulate_threshold("inf"),
+    "primes-x-1e14": lambda t: ["primes", "--x", str(10**14)],
+    "signs-x-negative": lambda t: ["signs", "--curve", "37a", "--x", "-5", "--cache-dir", str(t)],
 }
 
 
 def test_input_error_base_documents_are_valid(capsys, tmp_path):
     # each document case above differs from one of these in a single field
-    for argv in (_fixture(tmp_path), _psi(tmp_path), _lmfdb(tmp_path, [3, 1])):
+    for argv in (_fixture(tmp_path), _psi(tmp_path)):
         code, _, err = run(capsys, *argv)
         assert code == 0 and err == ""
 

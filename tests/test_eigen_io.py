@@ -1,19 +1,16 @@
-"""Serialization, disk caching, and the injectable remote-fetch path."""
+"""Serialization, the psi-table decoder and the curve cache."""
 
 import json
 import os
-from fractions import Fraction
 
 import pytest
 
 from hilbert_signs import (
     HasseBoundViolated,
     HilbertSignsError,
-    NetworkError,
     ParseError,
     ValidationError,
     cached_curve_series,
-    fetch_lmfdb,
     get_curve,
     load_fixture,
     load_psi_table,
@@ -25,39 +22,10 @@ from hilbert_signs import (
     series_to_obj,
     split_rational_prime,
 )
-from hilbert_signs.curves import ap_oracle
 from hilbert_signs import eigen_io
-from hilbert_signs.eigen_io import _series_from_remote_payload, cache_path, default_cache_dir
+from hilbert_signs.eigen_io import cache_path, default_cache_dir
 
 Q = make_field(1)
-
-
-def curve_payload(label, X, form="pairs"):
-    """Record-set payload in the remote shape, built from the count oracle."""
-    E = get_curve(label)
-    bad = set(E.bad_primes())
-    from hilbert_signs import primes_upto
-
-    eigenvalues = []
-    for q in primes_upto(X):
-        p = int(q)
-        if p in bad:
-            continue
-        ap = ap_oracle(E, p)
-        if form == "pairs":
-            eigenvalues.append([p, ap])
-        else:
-            eigenvalues.append([p, [ap, p]])
-    return {
-        "data": [
-            {
-                "label": label,
-                "weight": 2,
-                "level_support": sorted(bad | {2}),
-                "eigenvalues": eigenvalues,
-            }
-        ]
-    }
 
 
 def equal_series(A, B):
@@ -166,30 +134,6 @@ def test_psi_table_integer_rule(field5):
                 load_psi_table(field5, [{**entry, key: bad}])
 
 
-def test_remote_payload_integer_rule():
-    def decode(normalization="arithmetic", **fields):
-        record = {"label": "x", "weight": 2, "eigenvalues": [[3, 1]], **fields}
-        return _series_from_remote_payload({"data": [record]}, "x", normalization)
-
-    assert list(decode().entries.values()) == [Fraction(1, 3)]
-    for pairs in ([["3", 1]], [[3, 1.0]], [[3, True, 1]], [[3]], [3], [[3, 0, 1, 2]], {}):
-        with pytest.raises(ParseError):
-            decode(eigenvalues=pairs)
-    for pairs in ([[3, [1, 3.0]]], [[3, 1]], [[3, [1]]]):
-        with pytest.raises(ParseError):
-            decode("coefficient", eigenvalues=pairs)
-    for fields in ({"weight": "2"}, {"weight": [2.0]}, {"d": "5"}, {"level_support": [2.0]}):
-        with pytest.raises(ParseError):
-            decode(**fields)
-    with pytest.raises(ValidationError):
-        decode(level_support=[4])
-    with pytest.raises(ValidationError):
-        decode("coefficient", eigenvalues=[[3, [1, 0]]])
-    for payload in ({"data": 5}, [1, 2]):
-        with pytest.raises(ParseError):
-            _series_from_remote_payload(payload, "x", "arithmetic")
-
-
 def test_prime_lookup_splits_each_p_once(field5, monkeypatch):
     calls = []
 
@@ -213,10 +157,6 @@ def test_prime_lookup_splits_each_p_once(field5, monkeypatch):
     ]
     doc = {"format": "eigen-series/1", "d": 5, "weight": [2, 2], "label": "x", "entries": rows}
     assert set(series_from_obj(doc).entries) == {P11a, P11b} and calls == [11]
-    calls.clear()
-    record = {"label": "x", "weight": 2, "d": 5, "eigenvalues": [[11, 0, 0], [11, 1, 0], [11, 0]]}
-    remote = _series_from_remote_payload({"data": [record]}, "x", "arithmetic")
-    assert set(remote.entries) == {P11a, P11b} and calls == [11]
     # inert 7 has label 0 only; 4, 9 and 1 are not prime; the error names the entry
     for p, label in ((7, 1), (4, 0), (9, 0), (1, 0)):
         with pytest.raises(ValidationError, match="^psi entry 1: "):
@@ -280,171 +220,3 @@ def test_cached_curve_series_hits_disk(tmp_path, monkeypatch):
     )
     again = cached_curve_series(E, 300, cache_dir=tmp_path)
     assert equal_series(first, again)
-
-
-# ----------------------------------------------------------------------
-# remote fetch with injected transports
-# ----------------------------------------------------------------------
-
-
-def test_fetch_parses_arithmetic_payload(tmp_path):
-    payload = json.dumps(curve_payload("37a", 100)).encode()
-    calls = []
-
-    def transport(url):
-        calls.append(url)
-        return payload
-
-    E = fetch_lmfdb("https://example.test/api", "37a", cache_dir=tmp_path, transport=transport)
-    assert len(calls) == 1 and "37a" in calls[0]
-    assert equal_series(E, series_from_curve(get_curve("37a"), 100))
-    verbatim = cache_path("lmfdb-37a", tmp_path)
-    assert verbatim.read_bytes() == payload
-    assert cache_path("lmfdb-37a-parsed", tmp_path).exists()
-
-
-def test_fetch_prefers_cache(tmp_path):
-    payload = json.dumps(curve_payload("37a", 50)).encode()
-    fetch_lmfdb("https://example.test", "37a", cache_dir=tmp_path, transport=lambda u: payload)
-
-    def explode(url):
-        raise AssertionError("network touched despite cache")
-
-    E = fetch_lmfdb("https://example.test", "37a", cache_dir=tmp_path, transport=explode)
-    assert equal_series(E, series_from_curve(get_curve("37a"), 50))
-
-
-def test_fetch_offline_without_cache(tmp_path):
-    with pytest.raises(NetworkError):
-        fetch_lmfdb("https://example.test", "37a", cache_dir=tmp_path, offline=True)
-
-
-def test_fetch_offline_with_cache(tmp_path):
-    payload = json.dumps(curve_payload("11a", 50)).encode()
-    fetch_lmfdb("https://example.test", "11a", cache_dir=tmp_path, transport=lambda u: payload)
-    E = fetch_lmfdb("https://example.test", "11a", cache_dir=tmp_path, offline=True)
-    assert E.label == "11a"
-
-
-def test_fetch_retries_then_succeeds(tmp_path):
-    payload = json.dumps(curve_payload("37a", 30)).encode()
-    calls = []
-
-    def flaky(url):
-        calls.append(url)
-        if len(calls) < 3:
-            raise NetworkError("transient")
-        return payload
-
-    E = fetch_lmfdb(
-        "https://example.test", "37a", cache_dir=tmp_path, transport=flaky, backoff=0.0
-    )
-    assert len(calls) == 3 and E.label == "37a"
-
-
-def test_fetch_retries_exhausted(tmp_path):
-    calls = []
-
-    def dead(url):
-        calls.append(url)
-        raise NetworkError("down")
-
-    with pytest.raises(NetworkError):
-        fetch_lmfdb(
-            "https://example.test", "37a", cache_dir=tmp_path, transport=dead, backoff=0.0
-        )
-    assert len(calls) == 3
-
-
-def test_fetch_coefficient_normalization(tmp_path):
-    payload = json.dumps(curve_payload("37a", 50, form="coeff")).encode()
-    E = fetch_lmfdb(
-        "https://example.test",
-        "37a",
-        normalization="coefficient",
-        cache_dir=tmp_path,
-        transport=lambda u: payload,
-    )
-    assert equal_series(E, series_from_curve(get_curve("37a"), 50))
-
-
-def test_fetch_split_prime_addressing(tmp_path, field5):
-    payload = json.dumps(
-        {
-            "data": [
-                {
-                    "label": "toy",
-                    "weight": [2],
-                    "d": 5,
-                    "eigenvalues": [[11, 1, [1, 11]], [11, 0, [-1, 11]], [3, [0, 1]]],
-                }
-            ]
-        }
-    ).encode()
-    E = fetch_lmfdb(
-        "https://example.test",
-        "toy",
-        normalization="coefficient",
-        cache_dir=tmp_path,
-        transport=lambda u: payload,
-    )
-    P11a, P11b = split_rational_prime(field5, 11)
-    P3 = split_rational_prime(field5, 3)[0]
-    assert E.entries == {P11b: Fraction(1, 11), P11a: Fraction(-1, 11), P3: Fraction(0)}
-
-
-def test_fetch_rejects_unknown_root_label(tmp_path):
-    payload = json.dumps(
-        {"data": [{"label": "toy", "weight": [2], "d": 5, "eigenvalues": [[3, 7, [0, 1]]]}]}
-    ).encode()
-    with pytest.raises(ValidationError):
-        fetch_lmfdb(
-            "https://example.test",
-            "toy",
-            normalization="coefficient",
-            cache_dir=tmp_path,
-            transport=lambda u: payload,
-        )
-
-
-def test_fetch_native_document_passthrough(tmp_path):
-    native = serialize_series(series_from_curve(get_curve("11a"), 60)).encode()
-    E = fetch_lmfdb(
-        "https://example.test", "11a", cache_dir=tmp_path, transport=lambda u: native
-    )
-    assert equal_series(E, series_from_curve(get_curve("11a"), 60))
-
-
-def test_fetch_error_taxonomy(tmp_path):
-    with pytest.raises(ParseError):
-        fetch_lmfdb(
-            "https://example.test", "x", cache_dir=tmp_path, transport=lambda u: b"not json"
-        )
-    with pytest.raises(ParseError):
-        fetch_lmfdb(
-            "https://example.test", "x", cache_dir=tmp_path, transport=lambda u: b"{}"
-        )
-    good = json.dumps(curve_payload("37a", 30)).encode()
-    with pytest.raises(ValidationError):
-        fetch_lmfdb(
-            "https://example.test",
-            "other-label",
-            cache_dir=tmp_path,
-            transport=lambda u: good,
-        )
-    with pytest.raises(ValidationError):
-        fetch_lmfdb(
-            "https://example.test",
-            "37a",
-            normalization="weird",
-            cache_dir=tmp_path,
-            transport=lambda u: good,
-        )
-
-
-def test_fetch_does_not_cache_invalid_payload(tmp_path):
-    with pytest.raises(ParseError):
-        fetch_lmfdb(
-            "https://example.test", "bad", cache_dir=tmp_path, transport=lambda u: b"oops"
-        )
-    assert not cache_path("lmfdb-bad", tmp_path).exists()

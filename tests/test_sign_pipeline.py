@@ -18,13 +18,11 @@ from hilbert_signs import (
     ValidationError,
     density_string,
     enumerate_prime_ideals,
-    epsilon_cutoff_check,
     lambda_sign,
     make_field,
     sato_tate_coordinate,
     split_rational_prime,
     tally_csv_row,
-    tally_signs,
 )
 
 Q = make_field(1)
@@ -166,14 +164,14 @@ def test_k0_is_max_component():
 def test_forced_positive_tally():
     # c = 2/N makes lambda = (2 - chi)/N > 0 at every good prime
     E = series_over_Q(300, lambda P: Fraction(2, P.norm))
-    t = tally_signs(E, 1, x=300)
+    t = SignSurvey(E, 1, x=300).tally()
     assert t.pos == t.total - t.bad and t.neg == 0 and t.zero == 0
     assert t.bad == 1  # only the prime above 2
 
 
 def test_forced_zero_tally():
     E = series_over_Q(300, lambda P: Fraction(1, P.norm))
-    t = tally_signs(E, 1, x=300)  # chi = +1 off the bad set, so c = chi/N
+    t = SignSurvey(E, 1, x=300).tally()  # chi = +1 off the bad set, so c = chi/N
     assert t.zero == t.total - t.bad and t.pos == 0 and t.neg == 0
 
 
@@ -193,7 +191,7 @@ def test_tally_partition_and_monotonicity():
 def test_survey_matches_fresh_tally():
     E = seeded_series_over_Q(1000, 13)
     survey = SignSurvey(E, 5, x=1000)
-    assert survey.tally(400) == tally_signs(E, 5, x=400)
+    assert survey.tally(400) == SignSurvey(E, 5, x=400).tally()
     with pytest.raises(ValueError):
         survey.tally(1001)
     with pytest.raises(ValueError):
@@ -205,9 +203,9 @@ def test_missing_prime():
     del entries[split_rational_prime(Q, 97)[0]]
     E = EigenvalueSeries(Q, (2,), "gappy", entries)
     with pytest.raises(MissingPrime):
-        tally_signs(E, 1, x=100)
+        SignSurvey(E, 1, x=100).tally()
     # but a tighter cutoff never touches the gap
-    assert tally_signs(E, 1, x=90).total == 24
+    assert SignSurvey(E, 1, x=90).tally().total == 24
 
 
 def test_sign_flip_witnesses():
@@ -222,7 +220,7 @@ def test_sign_flip_witnesses():
 
 def test_tally_bad_set_excluded_from_numerators():
     E = seeded_series_over_Q(500, 3)
-    t = tally_signs(E, 5, x=500)
+    t = SignSurvey(E, 5, x=500).tally()
     assert t.bad == 2  # (2) and (5)
     assert t.total == 95  # pi(500)
     assert t.pos + t.neg + t.zero == 93
@@ -235,12 +233,12 @@ def test_tally_bad_set_excluded_from_numerators():
 
 def test_cutoff_trivial_regimes():
     E = seeded_series_over_Q(1000, 29)
-    r = epsilon_cutoff_check(E, 1, x=1000, epsilon=1.0)
+    r = SignSurvey(E, 1, x=1000).cutoff_report(1000, 1.0)
     assert r.rhs == 0 and r.holds
-    r = epsilon_cutoff_check(E, 1, x=1000, epsilon=Fraction(1, 100))
+    r = SignSurvey(E, 1, x=1000).cutoff_report(1000, Fraction(1, 100))
     assert r.holds  # 1/(4 eps^2) = 2500 >= x, so lhs dominates by counting
     with pytest.raises(ValueError):
-        epsilon_cutoff_check(E, 1, x=1000, epsilon=0.0)
+        SignSurvey(E, 1, x=1000).cutoff_report(1000, 0.0)
 
 
 def test_cutoff_exact_and_batch_agree():
@@ -249,7 +247,7 @@ def test_cutoff_exact_and_batch_agree():
     for eps in (0.03, 0.11, 0.37, 0.52, 0.9):
         # keep clear of the float comparison boundary, then demand equality
         assert min(abs(abs(b) - eps) for b in survey.coords.tolist()) > 1e-9
-        exact = epsilon_cutoff_check(E, 1, x=2000, epsilon=eps)
+        exact = SignSurvey(E, 1, x=2000).cutoff_report(2000, eps)
         batch = survey.cutoff_report(2000, eps)
         assert (exact.lhs, exact.rhs, exact.holds) == (batch.lhs, batch.rhs, batch.holds)
     with pytest.raises(ValueError):
@@ -276,7 +274,7 @@ def test_cutoff_report_exact_below_float_resolution():
     assert 0 < expected < len(good)
     r = survey.cutoff_report(1000, eps)
     assert r.rhs == expected
-    assert epsilon_cutoff_check(E, 1, x=1000, epsilon=eps).rhs == expected
+    assert SignSurvey(E, 1, x=1000).cutoff_report(1000, eps).rhs == expected
     # the same count from the float coordinates alone is wrong
     assert int((survey.coords > float(eps)).sum()) != expected
 
@@ -289,7 +287,7 @@ def test_cutoff_report_exact_below_float_resolution():
 )
 def test_cutoff_inequality_always_holds(seed, eps_thousandths, x):
     E = seeded_series_over_Q(1000, seed)
-    r = epsilon_cutoff_check(E, 1, x=x, epsilon=Fraction(eps_thousandths, 1000))
+    r = SignSurvey(E, 1, x=x).cutoff_report(x, Fraction(eps_thousandths, 1000))
     assert r.holds and r.lhs >= r.rhs
 
 
@@ -309,7 +307,7 @@ def test_density_string():
 def test_tally_csv():
     assert TALLY_CSV_HEADER == "x,total,pos,neg,zero,pos_density"
     E = series_over_Q(100, lambda P: Fraction(2, P.norm))
-    row = tally_csv_row(tally_signs(E, 1, x=100))
+    row = tally_csv_row(SignSurvey(E, 1, x=100).tally())
     x, total, pos, neg, zero, dens = row.split(",")
     assert (x, total) == ("100", "25")
     assert int(pos) + int(neg) + int(zero) == 24
