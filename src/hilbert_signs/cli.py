@@ -2,7 +2,9 @@
 
 Subcommands: primes, char, signs, stats, simulate, series-check.  Every
 command writes CSV or JSON to stdout (or --out) and exits 0 only if its
-declared checks pass; input errors exit 2.
+declared checks pass; input errors exit 2.  This is the one module that
+formats results: tables pass through _emit_table and JSON documents
+through _emit_json.
 """
 
 from __future__ import annotations
@@ -18,11 +20,7 @@ from . import eigen_io, sato_tate
 from .characters import IdealCharacter
 from .curves import get_curve
 from .errors import HilbertSignsError, ValidationError
-from .field_arith import (
-    IdealFactorization,
-    enumerate_prime_ideals,
-    make_field,
-)
+from .field_arith import IdealFactorization, enumerate_prime_ideals, make_field
 from .formal_series import (
     FormalSeries,
     c_series_from_lambda,
@@ -31,12 +29,15 @@ from .formal_series import (
     good_primes,
     series_mul,
 )
-from .sign_pipeline import (
-    TALLY_CSV_HEADER,
-    SignSurvey,
-    density_string,
-    tally_csv_row,
-    tally_to_obj,
+from .sign_pipeline import SignSurvey, SignTally
+
+# ----------------------------------------------------------------------
+# output formats
+# ----------------------------------------------------------------------
+
+TALLY_CSV_HEADER = "x,total,pos,neg,zero,pos_density"
+SIMULATE_CSV_HEADER = (
+    "x,total,pos,neg,zero,bad,pos_density,zero_density,ks_n,ks_statistic,ks_threshold,ks_pass"
 )
 
 
@@ -49,6 +50,49 @@ def _emit(text: str, out: str | None) -> None:
             raise HilbertSignsError(f"cannot write {out}: {e}") from e
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(obj, out: str | None) -> None:
+    _emit(json.dumps(obj, indent=1) + "\n", out)
+
+
+def _emit_table(args, header: str, rows: list[tuple], obj=None) -> None:
+    """Write rows as CSV under header or, with --format json, write obj.
+
+    obj defaults to the rows themselves, each as an object keyed by the
+    header's columns.
+    """
+    if args.format == "json":
+        if obj is None:
+            columns = header.split(",")
+            obj = [dict(zip(columns, row)) for row in rows]
+        _emit_json(obj, args.out)
+    else:
+        lines = [header, *(",".join(map(str, row)) for row in rows)]
+        _emit("\n".join(lines) + "\n", args.out)
+
+
+def density_string(num: int, den: int) -> str:
+    """num/den to 12 decimal places, rounded half away from zero."""
+    if den == 0:
+        return "0.000000000000"
+    q, r = divmod(num * 10**12, den)
+    if 2 * r >= den:
+        q += 1
+    whole, frac = divmod(q, 10**12)
+    return f"{whole}.{frac:012d}"
+
+
+def _tally_obj(t: SignTally) -> dict:
+    return {
+        "x": t.x,
+        "tau": repr(t.tau),
+        "a_ideal": repr(t.a_ideal),
+        "counts": {"pos": t.pos, "neg": t.neg, "zero": t.zero, "bad": t.bad, "total": t.total},
+        "pos_density": density_string(t.pos, t.total),
+        "neg_density": density_string(t.neg, t.total),
+        "zero_density": density_string(t.zero, t.total),
+    }
 
 
 def _rational(flag: str, text: str) -> Fraction:
@@ -89,25 +133,11 @@ def _add_tau_flags(sp):
 
 
 def cmd_primes(args) -> int:
-    K = make_field(args.d)
-    rows = ["norm,rational_prime,root_label,residue_degree,splitting"]
-    items = []
-    for P in enumerate_prime_ideals(K, args.x):
-        rec = {
-            "norm": P.norm,
-            "rational_prime": P.rational_prime,
-            "root_label": P.root_label,
-            "residue_degree": P.residue_degree,
-            "splitting": P.splitting.value,
-        }
-        items.append(rec)
-        rows.append(
-            f"{P.norm},{P.rational_prime},{P.root_label},{P.residue_degree},{P.splitting.value}"
-        )
-    if args.format == "json":
-        _emit(json.dumps(items, indent=1) + "\n", args.out)
-    else:
-        _emit("\n".join(rows) + "\n", args.out)
+    rows = [
+        (P.norm, P.rational_prime, P.root_label, P.residue_degree, P.splitting.value)
+        for P in enumerate_prime_ideals(make_field(args.d), args.x)
+    ]
+    _emit_table(args, "norm,rational_prime,root_label,residue_degree,splitting", rows)
     return 0
 
 
@@ -115,23 +145,11 @@ def cmd_char(args) -> int:
     K = make_field(args.d)
     psi = eigen_io.load_psi_table(K, args.psi_file) if args.psi_file else None
     chi = IdealCharacter.from_tau(K, _tau_element(args), psi_table=psi)
-    rows = ["norm,rational_prime,root_label,chi"]
-    items = []
-    for P in enumerate_prime_ideals(K, args.x):
-        v = chi.value_at(P)
-        items.append(
-            {
-                "norm": P.norm,
-                "rational_prime": P.rational_prime,
-                "root_label": P.root_label,
-                "chi": v,
-            }
-        )
-        rows.append(f"{P.norm},{P.rational_prime},{P.root_label},{v}")
-    if args.format == "json":
-        _emit(json.dumps(items, indent=1) + "\n", args.out)
-    else:
-        _emit("\n".join(rows) + "\n", args.out)
+    rows = [
+        (P.norm, P.rational_prime, P.root_label, chi.value_at(P))
+        for P in enumerate_prime_ideals(K, args.x)
+    ]
+    _emit_table(args, "norm,rational_prime,root_label,chi", rows)
     return 0
 
 
@@ -141,12 +159,9 @@ def cmd_signs(args) -> int:
     if args.d is not None and K.d != args.d:
         raise ValidationError(f"series is over d={K.d}, but --d {args.d} was given")
     psi = eigen_io.load_psi_table(K, args.psi_file) if args.psi_file else None
-    survey = SignSurvey(series, _tau_element(args), psi=psi, x=args.x)
-    tally = survey.tally()
-    if args.format == "json":
-        _emit(json.dumps(tally_to_obj(tally), indent=1) + "\n", args.out)
-    else:
-        _emit(f"{TALLY_CSV_HEADER}\n{tally_csv_row(tally)}\n", args.out)
+    t = SignSurvey(series, _tau_element(args), psi=psi, x=args.x).tally()
+    row = (t.x, t.total, t.pos, t.neg, t.zero, density_string(t.pos, t.total))
+    _emit_table(args, TALLY_CSV_HEADER, [row], _tally_obj(t))
     return 0
 
 
@@ -169,13 +184,8 @@ def cmd_stats(args) -> int:
         "ks_threshold": f"{report.threshold:.12f}",
         "ks_pass": report.passed,
     }
-    _emit(json.dumps(obj, indent=1) + "\n", args.out)
+    _emit_json(obj, args.out)
     return 0 if report.passed else 1
-
-
-SIMULATE_CSV_HEADER = (
-    "x,total,pos,neg,zero,bad,pos_density,zero_density,ks_n,ks_statistic,ks_threshold,ks_pass"
-)
 
 
 def cmd_simulate(args) -> int:
@@ -185,39 +195,20 @@ def cmd_simulate(args) -> int:
     K = make_field(args.d)
     series = sato_tate.synth_eigen_series(K, args.x, args.k0, args.seed)
     survey = SignSurvey(series, _tau_element(args), x=args.x)
-    tally = survey.tally()
+    t = survey.tally()
     report = sato_tate.ks_statistic(survey.coords, coefficient=coefficient)
-    if args.format == "json":
-        obj = tally_to_obj(tally)
-        obj.update(
-            {
-                "seed": args.seed,
-                "k0": args.k0,
-                "ks_n": report.n,
-                "ks_statistic": f"{report.statistic:.12f}",
-                "ks_threshold": f"{report.threshold:.12f}",
-                "ks_pass": report.passed,
-            }
-        )
-        _emit(json.dumps(obj, indent=1) + "\n", args.out)
-    else:
-        row = ",".join(
-            [
-                str(tally.x),
-                str(tally.total),
-                str(tally.pos),
-                str(tally.neg),
-                str(tally.zero),
-                str(tally.bad),
-                density_string(tally.pos, tally.total),
-                density_string(tally.zero, tally.total),
-                str(report.n),
-                f"{report.statistic:.12f}",
-                f"{report.threshold:.12f}",
-                str(int(report.passed)),
-            ]
-        )
-        _emit(f"{SIMULATE_CSV_HEADER}\n{row}\n", args.out)
+    ks = {
+        "ks_n": report.n,
+        "ks_statistic": f"{report.statistic:.12f}",
+        "ks_threshold": f"{report.threshold:.12f}",
+    }
+    row = (
+        t.x, t.total, t.pos, t.neg, t.zero, t.bad,
+        density_string(t.pos, t.total), density_string(t.zero, t.total),
+        *ks.values(), int(report.passed),
+    )
+    obj = {**_tally_obj(t), "seed": args.seed, "k0": args.k0, **ks, "ks_pass": report.passed}
+    _emit_table(args, SIMULATE_CSV_HEADER, [row], obj)
     return 0 if report.passed else 1
 
 
@@ -247,7 +238,7 @@ def cmd_series_check(args) -> int:
         checks.append({"series": i, "roundtrip": roundtrip_ok, "residuals_zero": residuals_zero})
         all_ok = all_ok and roundtrip_ok and residuals_zero
     obj = {"d": args.d, "x": args.x, "count": args.count, "ok": all_ok, "checks": checks}
-    _emit(json.dumps(obj, indent=1) + "\n", args.out)
+    _emit_json(obj, args.out)
     return 0 if all_ok else 1
 
 

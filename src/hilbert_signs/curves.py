@@ -35,7 +35,6 @@ class CurveSpec:
     a4: int
     a6: int
     label: str
-    cm: bool = False
 
     def b_invariants(self) -> tuple[int, int, int, int]:
         a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
@@ -65,7 +64,7 @@ CURVE_REGISTRY: dict[str, CurveSpec] = {
         CurveSpec(0, 0, 1, -1, 0, "37a"),
         CurveSpec(0, 1, 1, -2, 0, "389a"),
         CurveSpec(0, 0, 1, -7, 6, "5077a"),
-        CurveSpec(0, 0, 0, -1, 0, "32a", cm=True),
+        CurveSpec(0, 0, 0, -1, 0, "32a"),
     )
 }
 

@@ -19,7 +19,8 @@ schema is JSON:
 Every document passes one JSON reader, one integer rule (a numeric field
 must be a JSON integer: booleans, floats and numeric strings are
 ParseError, never coerced) and one resolver from (p, root_label, norm) to
-a prime ideal.  Level-support entries must be primes.
+a prime ideal.  Level-support entries and rational primes must be primes
+below 2^64, and a prime named twice must carry the same value both times.
 
 Entries are kept in canonical (norm, p, root_label) order so that
 load -> serialize -> load is bit-stable.  Data from elsewhere enters as
@@ -47,6 +48,10 @@ from .sign_pipeline import EigenvalueSeries
 
 SCHEMA_TAG = "eigen-series/1"
 CACHE_ENV = "HILBERT_SIGNS_CACHE"
+
+# Every rational prime a document names must lie below this: _is_prime is
+# exact only there, and no larger prime has a norm <= cli.MAX_X anyway.
+PRIME_LIMIT = 2**64
 
 
 # ----------------------------------------------------------------------
@@ -76,8 +81,8 @@ def _header(d, weight, label, level_support) -> QuadField:
     if type(level_support) is not list or any(type(p) is not int for p in level_support):
         raise ParseError(f"level_support must be a list of JSON integers, got {level_support!r}")
     for p in level_support:
-        if not _is_prime(p):
-            raise ValidationError(f"level_support entry {p} is not prime")
+        if not (p < PRIME_LIMIT and _is_prime(p)):
+            raise ValidationError(f"level_support entry {p} is not a prime below 2^64")
     try:
         return make_field(d)
     except HilbertSignsError as e:
@@ -98,6 +103,8 @@ def _resolve(
     primes by root label, so each distinct p is split once per decode.
     """
     if p not in above:
+        if p >= PRIME_LIMIT:
+            raise ValidationError(f"{where}: rational prime {p} is not below 2^64")
         try:
             above[p] = {P.root_label: P for P in split_rational_prime(K, p)}
         except ValueError as e:
@@ -163,7 +170,9 @@ def series_from_obj(obj) -> EigenvalueSeries:
             raise ParseError(f"entry {i}: numeric fields must be JSON integers")
         if den == 0:
             raise ValidationError(f"entry {i}: zero denominator")
-        entries[_resolve(K, above, p, label, norm, f"entry {i}")] = Fraction(num, den)
+        P, c = _resolve(K, above, p, label, norm, f"entry {i}"), Fraction(num, den)
+        if entries.setdefault(P, c) is not c and entries[P] != c:
+            raise ValidationError(f"entry {i}: {P} named again with another coefficient")
     return EigenvalueSeries(K, obj["weight"], obj["label"], entries, level_support)
 
 
@@ -207,7 +216,9 @@ def load_psi_table(K: QuadField, source) -> dict[PrimeIdeal, int]:
             raise ParseError(f"psi entry {i}: numeric fields must be JSON integers")
         if value not in (-1, 1):
             raise ValidationError(f"psi entry {i}: value must be +-1, got {value}")
-        table[_resolve(K, above, p, label, norm, f"psi entry {i}")] = value
+        P = _resolve(K, above, p, label, norm, f"psi entry {i}")
+        if table.setdefault(P, value) != value:
+            raise ValidationError(f"psi entry {i}: {P} named again with another value")
     return table
 
 

@@ -37,7 +37,7 @@ def _ideal_sort_key(m: IdealFactorization):
 class FormalSeries:
     """Finitely supported coefficients on ideals of norm <= cutoff."""
 
-    __slots__ = ("field", "cutoff", "coeffs", "_sorted")
+    __slots__ = ("field", "cutoff", "coeffs")
 
     def __init__(self, field: QuadField, cutoff: int, coeffs=None):
         self.field = field
@@ -52,7 +52,6 @@ class FormalSeries:
             if v:
                 clean[m] = v
         self.coeffs = clean
-        self._sorted = None
 
     @classmethod
     def identity(cls, K: QuadField, X: int) -> "FormalSeries":
@@ -62,13 +61,10 @@ class FormalSeries:
         return self.coeffs.get(m, _ZERO)
 
     def sorted_items(self) -> list[tuple[int, IdealFactorization, Fraction]]:
-        """(norm, ideal, coefficient) ascending by norm, memoized."""
-        if self._sorted is None:
-            self._sorted = sorted(
-                ((m.norm, m, v) for m, v in self.coeffs.items()),
-                key=lambda t: _ideal_sort_key(t[1]),
-            )
-        return self._sorted
+        """(norm, ideal, coefficient) ascending by norm."""
+        return sorted(
+            ((m.norm, m, v) for m, v in self.coeffs.items()), key=lambda t: _ideal_sort_key(t[1])
+        )
 
     def __eq__(self, other):
         return (
@@ -111,19 +107,6 @@ def series_mul(A: FormalSeries, B: FormalSeries) -> FormalSeries:
     return FormalSeries(A.field, X, out)
 
 
-def euler_factor_inverse(P: PrimeIdeal, u, X: int) -> FormalSeries:
-    """(1 - u M(P))^{-1} truncated at X: sum of u^k M(P^k) for N(P)^k <= X."""
-    u = Fraction(u)
-    coeffs = {IdealFactorization.unit(P.field): Fraction(1)}
-    norm_k, u_k, k = P.norm, u, 1
-    while norm_k <= X:
-        coeffs[IdealFactorization.from_prime(P, k)] = u_k
-        norm_k *= P.norm
-        u_k *= u
-        k += 1
-    return FormalSeries(P.field, X, coeffs)
-
-
 def good_primes(chi: IdealCharacter, X: int) -> list[PrimeIdeal]:
     """Primes of norm <= X where chi does not vanish, in norm order."""
     return [P for P in enumerate_prime_ideals(chi.field, X) if P not in chi.bad_set]
@@ -162,7 +145,7 @@ def character_zeta_series(chi: IdealCharacter, X: int) -> FormalSeries:
     """Expanded product over good primes of (1 - chi(P)/N(P) M(P))^{-1}.
 
     Coefficient at n is chi*(n)/N(n), zero (absent) off the good support.
-    Equals the iterated product of euler_factor_inverse factors, but is
+    Equals the iterated product of the geometric-series factors, but is
     built in one pass.
     """
     primes = good_primes(chi, X)

@@ -10,7 +10,7 @@ and its sign is decided exactly, in integers; floats appear only
 in the Sato-Tate coordinate B(P) = c(P) sqrt(N(P)) / 2 used for
 distribution statistics, never in sign decisions.
 
-Counting conventions.  The denominator of every reported density is the
+Counting conventions.  The denominator of every density cli reports is the
 number of ALL prime ideals of norm <= x; the numerator sets (positive,
 negative, zero) run over good primes only, i.e. primes off the
 character's bad set.  The tally therefore also reports the bad count, and
@@ -127,7 +127,7 @@ _CUTOFF_BAND = 1e-12
 
 @dataclass(frozen=True)
 class SignTally:
-    """Sign counts at cutoff x; densities use the all-primes denominator."""
+    """Sign counts at cutoff x over good primes; total counts all primes."""
 
     x: int
     tau: FieldElement
@@ -137,21 +137,6 @@ class SignTally:
     zero: int
     bad: int
     total: int
-
-    def density(self, count: int) -> Fraction:
-        return Fraction(count, self.total) if self.total else Fraction(0)
-
-    @property
-    def pos_density(self) -> Fraction:
-        return self.density(self.pos)
-
-    @property
-    def neg_density(self) -> Fraction:
-        return self.density(self.neg)
-
-    @property
-    def zero_density(self) -> Fraction:
-        return self.density(self.zero)
 
 
 @dataclass(frozen=True)
@@ -269,42 +254,3 @@ class SignSurvey:
             x=x, epsilon=float(epsilon), lhs=lhs, rhs=rhs, holds=lhs >= rhs
         )
 
-
-# ======================================================================
-# output formats
-# ======================================================================
-
-TALLY_CSV_HEADER = "x,total,pos,neg,zero,pos_density"
-
-
-def density_string(num: int, den: int) -> str:
-    """num/den to 12 decimal places, rounded half away from zero."""
-    if den == 0:
-        return "0.000000000000"
-    q, r = divmod(num * 10**12, den)
-    if 2 * r >= den:
-        q += 1
-    whole, frac = divmod(q, 10**12)
-    return f"{whole}.{frac:012d}"
-
-
-def tally_csv_row(t: SignTally) -> str:
-    return f"{t.x},{t.total},{t.pos},{t.neg},{t.zero},{density_string(t.pos, t.total)}"
-
-
-def tally_to_obj(t: SignTally) -> dict:
-    return {
-        "x": t.x,
-        "tau": repr(t.tau),
-        "a_ideal": repr(t.a_ideal),
-        "counts": {
-            "pos": t.pos,
-            "neg": t.neg,
-            "zero": t.zero,
-            "bad": t.bad,
-            "total": t.total,
-        },
-        "pos_density": density_string(t.pos, t.total),
-        "neg_density": density_string(t.neg, t.total),
-        "zero_density": density_string(t.zero, t.total),
-    }

@@ -14,9 +14,8 @@ from hilbert_signs import (
     series_from_curve,
     series_to_obj,
 )
-from hilbert_signs.cli import SIMULATE_CSV_HEADER, build_parser, main
+from hilbert_signs.cli import SIMULATE_CSV_HEADER, TALLY_CSV_HEADER, build_parser, main
 from hilbert_signs.eigen_io import cache_path
-from hilbert_signs.sign_pipeline import TALLY_CSV_HEADER
 
 
 def run(capsys, *argv):
@@ -235,19 +234,26 @@ def _write_json(path, obj):
     return str(path)
 
 
-def _fixture(tmp_path, entry=(), **fields):
-    row = {"norm": 3, "rational_prime": 3, "root_label": 0, "c_num": 0, "c_den": 1, **dict(entry)}
-    doc = {"format": "eigen-series/1", "d": 1, "weight": [2], "label": "x", "entries": [row]}
+_ROW = {"norm": 3, "rational_prime": 3, "root_label": 0, "c_num": 0, "c_den": 1}
+_PSI_ROW = {"prime_norm": 9, "rational_prime": 3, "root_label": 0, "value": 1}
+# above 2^64, and strong-probable-prime to each of the first twelve prime bases
+_COMPOSITE = 399165290221 * 798330580441
+
+
+def _fixture(tmp_path, entry=(), more=(), **fields):
+    rows = [{**_ROW, **dict(entry)}, *more]
+    doc = {"format": "eigen-series/1", "d": 1, "weight": [2], "label": "x", "entries": rows}
     doc.update(fields)
     return ["signs", "--fixture", _write_json(tmp_path / "fx.json", doc), "--x", "3"]
 
 
 def _fixture_over_prime(tmp_path, p):
-    return _fixture(tmp_path, {"norm": p, "rational_prime": p})
+    # keeps the base entry at 3, so that --x 3 can fail only on the entry over p
+    return _fixture(tmp_path, more=[{**_ROW, "norm": p, "rational_prime": p}])
 
 
-def _psi(tmp_path, **fields):
-    doc = [{"prime_norm": 9, "rational_prime": 3, "root_label": 0, "value": 1, **fields}]
+def _psi(tmp_path, more=(), **fields):
+    doc = [{**_PSI_ROW, **fields}, *more]
     return ["char", "--d", "5", "--x", "10", "--psi-file", _write_json(tmp_path / "psi.json", doc)]
 
 
@@ -298,6 +304,12 @@ INPUT_ERRORS = {
     "simulate-threshold-inf": lambda t: _simulate_threshold("inf"),
     "primes-x-1e14": lambda t: ["primes", "--x", str(10**14)],
     "signs-x-negative": lambda t: ["signs", "--curve", "37a", "--x", "-5", "--cache-dir", str(t)],
+    "char-tau-huge-norm": lambda t: ["char", "--d", "1", "--x", "10", "--tau", str(10**18 + 3)],
+    "fixture-prime-composite-2-64": lambda t: _fixture_over_prime(t, _COMPOSITE),
+    "fixture-level-composite-2-64": lambda t: _fixture(t, level_support=[_COMPOSITE]),
+    "psi-prime-composite-2-64": lambda t: _psi_over_prime(t, _COMPOSITE),
+    "fixture-prime-twice": lambda t: _fixture(t, more=[{**_ROW, "c_num": 1, "c_den": 3}]),
+    "psi-prime-twice": lambda t: _psi(t, more=[{**_PSI_ROW, "value": -1}]),
 }
 
 

@@ -38,7 +38,6 @@ def test_registry_contents():
     assert sorted(CURVE_REGISTRY) == ["11a", "32a", "37a", "389a", "5077a"]
     E = get_curve("37a")
     assert (E.a1, E.a2, E.a3, E.a4, E.a6) == (0, 0, 1, -1, 0)
-    assert get_curve("32a").cm and not get_curve("37a").cm
 
 
 def test_get_curve_unknown():

@@ -31,7 +31,7 @@ from hilbert_signs import (
     squarefree_decompose,
 )
 from hilbert_signs.errors import EvenCharacteristic
-from hilbert_signs.field_arith import _is_prime
+from hilbert_signs.field_arith import MAX_TAU_NORM, _is_prime
 
 
 # ----------------------------------------------------------------------
@@ -413,6 +413,14 @@ def test_factor_rejects_bad_tau(field5):
         factor_principal_ideal(field5, -3)
     with pytest.raises(NotTotallyPositive):
         factor_principal_ideal(field5, (1, 2))  # 1 - 2 sqrt5 < 0
+
+
+def test_factor_refuses_norm_above_bound(field5):
+    assert factor_principal_ideal(make_field(1), MAX_TAU_NORM).norm == MAX_TAU_NORM
+    with pytest.raises(ValidationError, match="too large to factor"):
+        factor_principal_ideal(make_field(1), MAX_TAU_NORM + 1)
+    with pytest.raises(ValidationError, match="too large to factor"):
+        factor_principal_ideal(field5, 10**6 + 1)  # norm 10^12 + 2 * 10^6 + 1
 
 
 def test_factor_splits_conjugates(field5):

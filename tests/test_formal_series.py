@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import euler_factor_inverse
 
 from hilbert_signs import (
     CutoffMismatch,
@@ -18,7 +19,6 @@ from hilbert_signs import (
     character_moebius_series,
     character_zeta_series,
     enumerate_prime_ideals,
-    euler_factor_inverse,
     extract_prime_relation,
     make_field,
     series_mul,

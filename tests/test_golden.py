@@ -31,6 +31,34 @@ GOLDEN = [
         ["char", "--d", "5", "--x", "300", "--tau", "4", "--tau-b", "1"],
         "f02b8b596cd41e01bec6a124395934844b408c445ac8836f7b41fe41dcec9aca",
     ),
+    (
+        ["primes", "--d", "5", "--x", "300"],
+        "82f22b57950e096785af0bb7a04b291118565e8caabc1c4b7e351f9ef6eba724",
+    ),
+    (
+        ["primes", "--d", "5", "--x", "300", "--format", "json"],
+        "7791042b446fbb0b3009e2e4c594e58ed0a69ec01a26d26e4d77e14aab86bfc8",
+    ),
+    (  # the header line alone
+        ["primes", "--d", "1", "--x", "1"],
+        "6e73b706a7fbe862432abc840cb0bd73a6b9ca5d07e3a2dd035c9fb15d5c28ac",
+    ),
+    (  # "[]"
+        ["primes", "--d", "1", "--x", "1", "--format", "json"],
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+    ),
+    (
+        ["char", "--d", "5", "--x", "300", "--tau", "4", "--tau-b", "1", "--format", "json"],
+        "7e9c533993258767cb4b4b9a30c324a15f59de85b3ae49fb014a9a40c7cde73d",
+    ),
+    (
+        ["signs", "--curve", "37a", "--x", "2000", "--tau", "2", "--format", "json"],
+        "cef7c68531b52f49b9305e6d4c74af6805133e28126d2211ff32bedd890b6ec6",
+    ),
+    (
+        ["series-check", "--d", "5", "--x", "300", "--count", "2", "--seed", "1"],
+        "80587bda50657270db168653f16e38856ecaa80429d37a7909c85a1f392f5d95",
+    ),
 ]
 
 

@@ -14,16 +14,15 @@ from hilbert_signs import (
     HasseBoundViolated,
     MissingPrime,
     SignSurvey,
-    TALLY_CSV_HEADER,
     ValidationError,
-    density_string,
     enumerate_prime_ideals,
     lambda_sign,
     make_field,
     sato_tate_coordinate,
+    save_fixture,
     split_rational_prime,
-    tally_csv_row,
 )
+from hilbert_signs.cli import TALLY_CSV_HEADER, density_string, main
 
 Q = make_field(1)
 
@@ -304,10 +303,13 @@ def test_density_string():
     assert density_string(9592, 9592) == "1.000000000000"
 
 
-def test_tally_csv():
+def test_tally_csv(tmp_path, capsys):
     assert TALLY_CSV_HEADER == "x,total,pos,neg,zero,pos_density"
     E = series_over_Q(100, lambda P: Fraction(2, P.norm))
-    row = tally_csv_row(SignSurvey(E, 1, x=100).tally())
+    save_fixture(E, tmp_path / "fx.json")
+    assert main(["signs", "--fixture", str(tmp_path / "fx.json"), "--x", "100"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == TALLY_CSV_HEADER
     x, total, pos, neg, zero, dens = row.split(",")
     assert (x, total) == ("100", "25")
     assert int(pos) + int(neg) + int(zero) == 24
