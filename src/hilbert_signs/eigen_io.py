@@ -124,7 +124,7 @@ def _resolve(
 
 def series_to_obj(E: EigenvalueSeries) -> dict:
     entries = []
-    for P in sorted(E.entries, key=lambda P: P.sort_key):
+    for P in sorted(E.entries):
         c = E.entries[P]
         entries.append(
             {

@@ -18,8 +18,12 @@ the root of the minimal polynomial of w mod p that generates its
 reduction map; the two primes above a split p are ordered by that root
 as an integer in [0, p), the smaller root getting label 0.  Inert primes
 carry root 0 (unused).  Over Q every prime is the unique degree-one
-prime above itself and is labeled as the first "split" prime so the
-(norm, p, label) sort key stays total.
+prime above itself and is labeled as the first "split" prime.
+
+QuadField, PrimeIdeal and IdealFactorization are named tuples whose
+leading fields are their canonical order: a prime ideal sorts by
+(norm, p, root_label), and an ideal by (norm, factors).  Plain sort(),
+==, and hash() are therefore the canonical ones.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +57,7 @@ NARROW_CLASS_NUMBER_ONE = (1, 2, 5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97)
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class QuadField:
+class QuadField(NamedTuple):
     """Q (d = 1) or the real quadratic field Q(sqrt(d)), d squarefree."""
 
     d: int
@@ -155,36 +159,29 @@ def as_element(K: QuadField, tau) -> FieldElement:
 # ======================================================================
 
 
-class Splitting(Enum):
+class Splitting(str, Enum):
     SPLIT_FIRST = "split_first"
     SPLIT_SECOND = "split_second"
     INERT = "inert"
     RAMIFIED = "ramified"
 
 
-@dataclass(frozen=True)
-class PrimeIdeal:
+class PrimeIdeal(NamedTuple):
     """A maximal ideal of O_K, identified by (p, residue degree, root).
 
     root is the distinguished root in [0, p) of the minimal polynomial of
     w mod p for degree-one primes (reduction sends w to root); it is 0 and
-    unused for inert primes.
+    unused for inert primes.  root_label is 1 for the second split prime
+    above p and 0 otherwise.
     """
 
-    field: QuadField
-    rational_prime: int
-    residue_degree: int
     norm: int
+    rational_prime: int
+    root_label: int
+    residue_degree: int
     splitting: Splitting
     root: int
-
-    @property
-    def root_label(self) -> int:
-        return 1 if self.splitting is Splitting.SPLIT_SECOND else 0
-
-    @property
-    def sort_key(self) -> tuple[int, int, int]:
-        return (self.norm, self.rational_prime, self.root_label)
+    field: QuadField
 
     def __repr__(self):
         if self.field.is_rational:
@@ -270,16 +267,16 @@ def _primes_above(K: QuadField, p: int) -> list[PrimeIdeal]:
     An unramified p splits iff p mod disc lies in _split_residue_set(disc).
     """
     if K.is_rational:
-        return [PrimeIdeal(K, p, 1, p, Splitting.SPLIT_FIRST, 0)]
+        return [PrimeIdeal(p, p, 0, 1, Splitting.SPLIT_FIRST, 0, K)]
     if K.disc % p == 0:
         # ramified: the minimal polynomial has a double root mod p
-        return [PrimeIdeal(K, p, 1, p, Splitting.RAMIFIED, _omega_roots_mod(K, p)[0])]
+        return [PrimeIdeal(p, p, 0, 1, Splitting.RAMIFIED, _omega_roots_mod(K, p)[0], K)]
     if p % K.disc not in _split_residue_set(K.disc):
-        return [PrimeIdeal(K, p, 2, p * p, Splitting.INERT, 0)]
+        return [PrimeIdeal(p * p, p, 0, 2, Splitting.INERT, 0, K)]
     r1, r2 = _omega_roots_mod(K, p)
     return [
-        PrimeIdeal(K, p, 1, p, Splitting.SPLIT_FIRST, r1),
-        PrimeIdeal(K, p, 1, p, Splitting.SPLIT_SECOND, r2),
+        PrimeIdeal(p, p, 0, 1, Splitting.SPLIT_FIRST, r1, K),
+        PrimeIdeal(p, p, 1, 1, Splitting.SPLIT_SECOND, r2, K),
     ]
 
 
@@ -356,7 +353,7 @@ def kronecker_symbol(a: int, n: int) -> int:
 def enumerate_prime_ideals(K: QuadField, X: int) -> list[PrimeIdeal]:
     """All prime ideals of norm <= X, sorted by (norm, p, root_label)."""
     out = [P for q in primes_upto(X) for P in _primes_above(K, int(q)) if P.norm <= X]
-    out.sort(key=lambda P: P.sort_key)
+    out.sort()
     return out
 
 
@@ -475,20 +472,20 @@ def quadratic_residue_symbol(a, P: PrimeIdeal) -> int:
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class IdealFactorization:
-    """An integral ideal as a sorted tuple of (PrimeIdeal, exponent > 0).
+class IdealFactorization(NamedTuple):
+    """An integral ideal: its norm and a sorted tuple of (PrimeIdeal, exponent > 0).
 
     The empty tuple is the unit ideal O_K.  Instances are canonical, so
-    equality and hashing are structural.
+    equality and hashing are structural.  Build them with from_pairs.
     """
 
-    field: QuadField
+    norm: int
     factors: tuple[tuple[PrimeIdeal, int], ...]
+    field: QuadField
 
     @classmethod
     def unit(cls, K: QuadField) -> "IdealFactorization":
-        return cls(K, ())
+        return cls(1, (), K)
 
     @classmethod
     def from_pairs(cls, K: QuadField, pairs) -> "IdealFactorization":
@@ -500,19 +497,12 @@ class IdealFactorization:
                 merged[P] = merged.get(P, 0) + e
         if any(e < 0 for e in merged.values()):
             raise ValueError("negative exponent: only integral ideals are supported")
-        items = tuple(sorted(((P, e) for P, e in merged.items() if e), key=lambda t: t[0].sort_key))
-        return cls(K, items)
+        items = sorted((P, e) for P, e in merged.items() if e)
+        return cls(math.prod(P.norm**e for P, e in items), tuple(items), K)
 
     @classmethod
     def from_prime(cls, P: PrimeIdeal, e: int = 1) -> "IdealFactorization":
         return cls.from_pairs(P.field, [(P, e)])
-
-    @property
-    def norm(self) -> int:
-        n = 1
-        for P, e in self.factors:
-            n *= P.norm**e
-        return n
 
     @property
     def is_unit(self) -> bool:
@@ -534,7 +524,10 @@ class IdealFactorization:
     def __mul__(self, other: "IdealFactorization") -> "IdealFactorization":
         if self.field != other.field:
             raise FieldMismatch("cannot multiply ideals of different fields")
-        return IdealFactorization.from_pairs(self.field, self.factors + other.factors)
+        merged = dict(self.factors)
+        for P, e in other.factors:
+            merged[P] = merged.get(P, 0) + e
+        return IdealFactorization(self.norm * other.norm, tuple(sorted(merged.items())), self.field)
 
     def __repr__(self):
         if self.is_unit:

@@ -30,10 +30,6 @@ from .field_arith import (
 _ZERO = Fraction(0)
 
 
-def _ideal_sort_key(m: IdealFactorization):
-    return (m.norm, tuple((P.norm, P.rational_prime, P.root_label, e) for P, e in m.factors))
-
-
 class FormalSeries:
     """Finitely supported coefficients on ideals of norm <= cutoff."""
 
@@ -61,10 +57,8 @@ class FormalSeries:
         return self.coeffs.get(m, _ZERO)
 
     def sorted_items(self) -> list[tuple[int, IdealFactorization, Fraction]]:
-        """(norm, ideal, coefficient) ascending by norm."""
-        return sorted(
-            ((m.norm, m, v) for m, v in self.coeffs.items()), key=lambda t: _ideal_sort_key(t[1])
-        )
+        """(norm, ideal, coefficient) in canonical ideal order, so ascending by norm."""
+        return [(m.norm, m, v) for m, v in sorted(self.coeffs.items())]
 
     def __eq__(self, other):
         return (

@@ -161,9 +161,7 @@ class SignSurvey:
     decided exactly from the stored coefficients.
     """
 
-    def __init__(self, E: EigenvalueSeries, tau, psi=None, x: int | None = None):
-        if x is None:
-            raise ValueError("survey needs an explicit norm cutoff x")
+    def __init__(self, E: EigenvalueSeries, tau, psi=None, *, x: int):
         self.series = E
         self.x = int(x)
         self.tau = as_element(E.field, tau)

@@ -274,6 +274,10 @@ def _simulate_threshold(value):
     return ["simulate", "--d", "5", "--x", "100", "--seed", "0", "--threshold-coefficient", value]
 
 
+def _series_check_count(value):
+    return ["series-check", "--d", "5", "--x", "100", "--count", value]
+
+
 INPUT_ERRORS = {
     "fixture-prime-4": lambda t: _fixture_over_prime(t, 4),
     "fixture-prime-9": lambda t: _fixture_over_prime(t, 9),
@@ -310,6 +314,8 @@ INPUT_ERRORS = {
     "psi-prime-composite-2-64": lambda t: _psi_over_prime(t, _COMPOSITE),
     "fixture-prime-twice": lambda t: _fixture(t, more=[{**_ROW, "c_num": 1, "c_den": 3}]),
     "psi-prime-twice": lambda t: _psi(t, more=[{**_PSI_ROW, "value": -1}]),
+    "series-check-count-negative": lambda t: _series_check_count("-5"),
+    "series-check-count-zero": lambda t: _series_check_count("0"),
 }
 
 

@@ -59,6 +59,14 @@ GOLDEN = [
         ["series-check", "--d", "5", "--x", "300", "--count", "2", "--seed", "1"],
         "80587bda50657270db168653f16e38856ecaa80429d37a7909c85a1f392f5d95",
     ),
+    (  # "a_ideal": "(2)^2*(3)"
+        ["signs", "--curve", "37a", "--x", "2000", "--tau", "144", "--format", "json"],
+        "dee363e4e696f52cd1acd3b1761267bb06a3ca51facd5a418a9e428a7b757334",
+    ),
+    (  # "a_ideal": "P2i*P11a*P11b"
+        ["simulate", "--d", "5", "--x", "2000", "--seed", "1", "--tau", "484", "--format", "json"],
+        "efbf0c59b0920a7133686fc4779a19a7ef4ae62f46d7ef7b7f3703572b2e3fac",
+    ),
 ]
 
 

@@ -193,7 +193,7 @@ def test_survey_matches_fresh_tally():
     assert survey.tally(400) == SignSurvey(E, 5, x=400).tally()
     with pytest.raises(ValueError):
         survey.tally(1001)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         SignSurvey(E, 5)  # cutoff is mandatory
 
 
