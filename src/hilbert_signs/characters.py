@@ -14,7 +14,10 @@ tau, and primes above any declared level support.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import FieldMismatch, ValidationError
 from .field_arith import (
@@ -22,7 +25,9 @@ from .field_arith import (
     PrimeIdeal,
     QuadField,
     _euler_symbol,
+    _euler_symbol_lanes,
     _prime_factors,
+    _prime_table,
     as_element,
     factor_principal_ideal,
     split_rational_prime,
@@ -73,3 +78,30 @@ class IdealCharacter:
         if P in self.bad_set:
             return 0
         return self.psi_table.get(P, 1) * _euler_symbol(*self.tau_omega, P)
+
+    def values_upto(self, X: int) -> np.ndarray:
+        """chi at every prime of norm <= X, as int8 in enumerate_prime_ideals order.
+
+        Degree-one primes take the Euler criterion in int64 lanes; the bad
+        set, the inert primes and psi are found by bisect into the
+        canonically sorted primes, and each inert value is value_at's.
+        """
+        T = _prime_table(self.field, X)
+        primes = T.primes
+        # every lane takes the degree-one criterion, where the norm is p;
+        # inert lanes are redone below
+        values = _euler_symbol_lanes(*self.tau_omega, T.norm, T.root)
+
+        def index(P):
+            i = bisect_left(primes, P)
+            return i if i < len(primes) and primes[i] == P else None
+
+        bad = {i for i in map(index, self.bad_set) if i is not None}
+        for i in np.flatnonzero(T.degree == 2).tolist():
+            if i not in bad:
+                values[i] = _euler_symbol(*self.tau_omega, primes[i])
+        for P, v in self.psi_table.items():
+            if (i := index(P)) is not None:
+                values[i] *= v
+        values[list(bad)] = 0
+        return values

@@ -146,8 +146,8 @@ def cmd_char(args) -> int:
     psi = eigen_io.load_psi_table(K, args.psi_file) if args.psi_file else None
     chi = IdealCharacter.from_tau(K, _tau_element(args), psi_table=psi)
     rows = [
-        (P.norm, P.rational_prime, P.root_label, chi.value_at(P))
-        for P in enumerate_prime_ideals(K, args.x)
+        (P.norm, P.rational_prime, P.root_label, v)
+        for P, v in zip(enumerate_prime_ideals(K, args.x), chi.values_upto(args.x).tolist())
     ]
     _emit_table(args, "norm,rational_prime,root_label,chi", rows)
     return 0
@@ -310,9 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# Every command enumerates the prime ideals of norm <= --x, at ~160 bytes
-# each retained (tracemalloc, d = 5, X = 10^7: 664,500 ideals, 107 MB), so
-# 10^8 bounds a run at a few GB.  A larger x would fail late, in an allocation.
+# Every command builds the prime table of norm <= --x once, at ~193 bytes
+# per ideal retained and ~203 at the peak of the build (tracemalloc, d = 5,
+# X = 10^7: 664,500 ideals, 128 MB), so 10^8 bounds a run at a few GB.  A
+# larger x would fail late, in an allocation.
 MAX_X = 10**8
 
 

@@ -91,7 +91,7 @@ def _header(d, weight, label, level_support) -> QuadField:
 
 def _resolve(
     K: QuadField,
-    above: dict[int, dict[int, PrimeIdeal]],
+    above: dict[int, list[PrimeIdeal]],
     p: int,
     label: int,
     norm: int,
@@ -100,18 +100,19 @@ def _resolve(
     """The prime above p with this root label, checked against norm.
 
     `above` belongs to one document and maps each p seen so far to its
-    primes by root label, so each distinct p is split once per decode.
+    primes, whose root labels are their indices, so each distinct p is
+    split once per decode.
     """
     if p not in above:
         if p >= PRIME_LIMIT:
             raise ValidationError(f"{where}: rational prime {p} is not below 2^64")
         try:
-            above[p] = {P.root_label: P for P in split_rational_prime(K, p)}
+            above[p] = split_rational_prime(K, p)
         except ValueError as e:
             raise ValidationError(f"{where}: {e}") from e
-    P = above[p].get(label)
-    if P is None:
+    if not 0 <= label < len(above[p]):
         raise ValidationError(f"{where}: no prime above {p} with root label {label} in {K}")
+    P = above[p][label]
     if P.norm != norm:
         raise ValidationError(f"{where}: no prime of norm {norm}, label {label} above {p} in {K}")
     return P

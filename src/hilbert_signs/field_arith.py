@@ -6,6 +6,13 @@ the Euler criterion.  Everything is integer or Fraction arithmetic; no
 floating point enters this module, so downstream sign decisions built on
 it stay exact.
 
+The prime ideals of norm <= X come from one table per (K, X), built
+once with numpy and shared by every caller: its lanes are int64, exact
+because X <= TABLE_MAX_X keeps every product of two residues mod p below
+2^63.  Python ints remain where a value is unbounded (tau's coordinates,
+reduced limb by limb) and on the few lanes that take the scalar route:
+the primes above 2, the ramified primes and the inert residue symbols.
+
 Conventions.  d = 1 encodes Q itself (degree 1).  For quadratic d the
 ring of integers is Z[w] with
 
@@ -33,6 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -296,7 +304,7 @@ def primes_upto(n: int) -> np.ndarray:
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0].astype(np.int64)
+    return np.nonzero(sieve)[0].astype(np.int64, copy=False)
 
 
 @lru_cache(maxsize=None)
@@ -350,11 +358,195 @@ def kronecker_symbol(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
+# ----------------------------------------------------------------------
+# the prime table: every prime ideal of norm <= X, in int64 lanes
+# ----------------------------------------------------------------------
+
+# Products of two residues mod p stay below p^2, which p <= X keeps < 2^63.
+TABLE_MAX_X = math.isqrt(2**63 - 1)  # 3,037,000,499
+
+# Lanes per numpy pass, so that each temporary array stays near 64 KiB
+# whatever X is.
+_LANES = 1 << 13
+
+# Splitting by code: a column of codes maps to members, labels and degrees.
+_KINDS = (Splitting.SPLIT_FIRST, Splitting.SPLIT_SECOND, Splitting.INERT, Splitting.RAMIFIED)
+_LABEL_OF = (0, 1, 0, 0)
+_DEGREE_OF = (1, 1, 2, 1)
+_SPLIT, _SECOND, _INERT, _RAMIFIED = range(4)
+
+
+class _PrimeTable(NamedTuple):
+    """The prime ideals of norm <= X in canonical order, with aligned columns.
+
+    The columns are read-only arrays of the PrimeIdeal fields of the same
+    name: int64 norm and root, int8 degree (residue_degree).  At a
+    degree-one prime the norm is p itself.
+    """
+
+    primes: tuple[PrimeIdeal, ...]
+    norm: np.ndarray
+    degree: np.ndarray
+    root: np.ndarray
+
+
+def _mod_lanes(n: int, p: np.ndarray) -> np.ndarray:
+    """n mod p lane by lane, for a Python int n of any size (Horner on 30-bit limbs)."""
+    m, limbs = abs(n), []
+    while m:
+        limbs.append(m & (2**30 - 1))
+        m >>= 30
+    r = np.zeros_like(p)
+    for limb in reversed(limbs):
+        r = ((r << 30) + limb) % p
+    return r if n >= 0 else -r % p
+
+
+def _pow_lanes(a: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a^e mod p lane by lane, for 0 <= a < p <= TABLE_MAX_X and e >= 0."""
+    r = np.ones_like(p)
+    while e.any():
+        r = np.where(e & 1 == 1, r * a % p, r)
+        a, e = a * a % p, e >> 1
+    return r
+
+
+def _sqrt_lanes(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """A square root of a mod p lane by lane; p an odd prime, a a nonzero square mod p.
+
+    Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 1.5.1) over all lanes at once.  Lanes with p = 3 mod 4
+    are done before the loop, and every other lane leaves it as soon as
+    its root is found.
+    """
+    q, s = p - 1, np.zeros_like(p)
+    while (even := q & 1 == 0).any():
+        q, s = np.where(even, q >> 1, q), s + even
+    x = _pow_lanes(a, q >> 1, p)
+    root = a * x % p  # a^((q+1)/2), whose square is a * t
+    t = root * x % p  # a^q
+    live = np.flatnonzero(t != 1)
+    pl, m, t, r = p[live], s[live], t[live], root[live]
+    # The least nonresidue z is a prime below 1 + sqrt(p).  Live lanes have
+    # p = 1 mod 4, so by reciprocity z = 2 is one iff p = 5 mod 8, and an odd
+    # prime z iff p mod z is a nonresidue mod z.
+    z, todo = np.full_like(pl, 2), np.flatnonzero(pl & 7 != 5)
+    for zc in primes_upto(math.isqrt(int(pl.max(initial=0))) + 1).tolist()[1:]:
+        if not todo.size:
+            break
+        square = np.zeros(zc, dtype=bool)
+        square[np.arange(zc) ** 2 % zc] = True
+        hit = ~square[pl[todo] % zc]
+        z[todo[hit]] = zc
+        todo = todo[~hit]
+    c = _pow_lanes(z, q[live], pl)
+    while live.size:
+        # the least i with t^(2^i) = 1, then b = c^(2^(m-i-1))
+        i, t2 = np.ones_like(m), t * t % pl
+        while (t2 != 1).any():
+            i, t2 = i + (t2 != 1), t2 * t2 % pl
+        if (i >= m).any():
+            raise ArithmeticError("Tonelli-Shanks lane given a nonresidue")
+        b, k = c, m - i - 1
+        for j in range(int(k.max())):
+            b = np.where(j < k, b * b % pl, b)
+        m, c = i, b * b % pl
+        t, r = t * c % pl, r * b % pl
+        done = t == 1
+        root[live[done]] = r[done]
+        live, pl, m, c, t, r = (v[~done] for v in (live, pl, m, c, t, r))
+    return root
+
+
+def _omega_roots_lanes(K: QuadField, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r1, r2): the roots r1 < r2 of the minimal polynomial of w mod each odd split p."""
+    sq = _sqrt_lanes(K.d % p, p)
+    if K.omega_square()[0]:  # w^2 = w + (d-1)/4: roots (1 +- sq)/2 mod p
+        ra, rb = (1 + sq) % p, (1 - sq) % p
+        ra, rb = (ra + (ra & 1) * p) >> 1, (rb + (rb & 1) * p) >> 1
+    else:  # w^2 = d: roots +-sq
+        ra, rb = sq, p - sq
+    return np.minimum(ra, rb), np.maximum(ra, rb)
+
+
+def _prime_rows(K: QuadField, X: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, kind, root) columns of the prime ideals of norm <= X, canonically ordered.
+
+    kind is the index of the splitting in _KINDS.  Few temporaries of the
+    columns' length live at once, since the columns themselves are kept.
+    """
+    ps = primes_upto(X)
+    if K.is_rational:
+        return ps, np.zeros(len(ps), dtype=np.int8), np.zeros_like(ps)
+    lut = np.full(K.disc, _INERT, dtype=np.int8)
+    lut[sorted(_split_residue_set(K.disc))] = _SPLIT
+    lut[[r for r in range(K.disc) if math.gcd(r, K.disc) > 1]] = _RAMIFIED
+    cls = lut[ps % K.disc]
+    inert = ps[(cls == _INERT) & (ps <= math.isqrt(X))]
+    # degree-one rows in p order: two rows for a split p, one for a ramified p
+    rows = (cls == _SPLIT).astype(np.int8) + (cls != _INERT)
+    p, kind = np.repeat(ps, rows), np.repeat(cls, rows)
+    del ps, cls, rows  # free before the root lanes run
+    # inert rows, of norm p^2, merged in by norm
+    at = np.searchsorted(p, inert * inert)
+    p, kind = np.insert(p, at, inert), np.insert(kind, at, _INERT)
+    second = np.flatnonzero(p[1:] == p[:-1]) + 1  # the label-1 row of each split p
+    kind[second] = _SECOND
+    root = np.zeros_like(p)
+    second = second[p[second] != 2]
+    for lo in range(0, len(second), _LANES):
+        i = second[lo : lo + _LANES]
+        root[i - 1], root[i] = _omega_roots_lanes(K, p[i])
+    # p = 2 when it splits, and the ramified primes: at most three, one at a time
+    for i in np.flatnonzero((kind == _SPLIT) & (p == 2) | (kind == _RAMIFIED)).tolist():
+        roots = _omega_roots_mod(K, int(p[i]))
+        root[i : i + len(roots)] = roots
+    return p, kind, root
+
+
+def _prime_objects(K: QuadField, p: np.ndarray, kind: np.ndarray, root: np.ndarray):
+    """The PrimeIdeal of each row, _LANES rows at a time."""
+    for lo in range(0, len(p), _LANES):
+        ps, kinds = p[lo : lo + _LANES].tolist(), kind[lo : lo + _LANES].tolist()
+        norms = [q * q if k == _INERT else q for q, k in zip(ps, kinds)]
+        rows = zip(
+            norms, ps, map(_LABEL_OF.__getitem__, kinds),
+            map(_DEGREE_OF.__getitem__, kinds), map(_KINDS.__getitem__, kinds),
+            root[lo : lo + _LANES].tolist(), repeat(K),
+        )
+        yield from map(PrimeIdeal._make, rows)
+
+
+@lru_cache(maxsize=1)
+def _prime_table(K: QuadField, X: int) -> _PrimeTable:
+    """The prime table of (K, X), built once with numpy; the last one is kept.
+
+    The sieve gives the rational primes, a lookup on p mod disc their
+    class, and one vectorized square root of d mod each odd split p both
+    roots of the minimal polynomial of w.  Every caller shares these
+    PrimeIdeal objects.  X is refused before anything is allocated if p^2
+    could pass int64.
+    """
+    if X > TABLE_MAX_X:
+        raise ValueError(f"the prime table needs X <= {TABLE_MAX_X} so that p^2 < 2^63, got {X}")
+    p, kind, root = _prime_rows(K, X)
+    primes = tuple(_prime_objects(K, p, kind, root))
+    inert = kind == _INERT
+    norm = p  # p becomes the norm in place, with no second column alive
+    norm[inert] **= 2
+    cols = (norm, (1 + inert).astype(np.int8), root)
+    for c in cols:
+        c.flags.writeable = False
+    return _PrimeTable(primes, *cols)
+
+
 def enumerate_prime_ideals(K: QuadField, X: int) -> list[PrimeIdeal]:
-    """All prime ideals of norm <= X, sorted by (norm, p, root_label)."""
-    out = [P for q in primes_upto(X) for P in _primes_above(K, int(q)) if P.norm <= X]
-    out.sort()
-    return out
+    """All prime ideals of norm <= X, sorted by (norm, p, root_label).
+
+    The list is new on every call; its PrimeIdeal objects are the ones in
+    the shared prime table of (K, X).
+    """
+    return list(_prime_table(K, X).primes)
 
 
 _SEGMENT = 1 << 24
@@ -452,6 +644,21 @@ def _euler_symbol(x: int, y: int, P: PrimeIdeal) -> int:
     if (rx, ry) == (p - 1, 0):
         return -1
     raise ArithmeticError(f"Euler criterion did not land in {{-1,0,1}} at {P}")
+
+
+def _euler_symbol_lanes(x: int, y: int, p: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """_euler_symbol of x + y*w at degree-one primes (p, root), as int8 lanes.
+
+    p may be any modulus up to TABLE_MAX_X, but only a lane with p an odd
+    prime reads a symbol; the others are the caller's to discard.
+    """
+    out = np.empty(len(p), dtype=np.int8)
+    for lo in range(0, len(p), _LANES):
+        pl = p[lo : lo + _LANES]
+        a = (_mod_lanes(x, pl) + _mod_lanes(y, pl) * root[lo : lo + _LANES]) % pl
+        t = _pow_lanes(a, pl >> 1, pl)
+        out[lo : lo + len(pl)] = np.where(t == pl - 1, -1, t)
+    return out
 
 
 def quadratic_residue_symbol(a, P: PrimeIdeal) -> int:

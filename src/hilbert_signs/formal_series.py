@@ -119,7 +119,9 @@ def _multiplicative_series(
     coeffs: dict[IdealFactorization, Fraction] = {}
 
     def extend(start, pairs, norm, val):
-        coeffs[IdealFactorization.from_pairs(K, pairs)] = val
+        # pairs are canonical (distinct primes of K in sorted order) with norm
+        # `norm`, so the validating from_pairs would rebuild the same key
+        coeffs[IdealFactorization(norm, pairs, K)] = val
         for i in range(start, len(primes)):
             q = norms[i]
             if norm * q > X:

@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
 from .errors import EmptySample
-from .field_arith import QuadField, enumerate_prime_ideals
+from .field_arith import QuadField, _prime_table
 from .sign_pipeline import EigenvalueSeries
 
 # ----------------------------------------------------------------------
@@ -128,15 +129,20 @@ def synth_eigen_series(K: QuadField, X: int, k0: int, seed: int) -> EigenvalueSe
     rounded to the grid 1/QUANT_DEN, then nudged toward zero one grid step
     at a time if rounding pushed them over the Hasse bound.
     """
-    primes = enumerate_prime_ideals(K, X)
-    coords = sample_semicircle(len(primes), seed)
-    entries = {}
+    T = _prime_table(K, X)
+    coords = sample_semicircle(len(T.primes), seed)
+    # round(2.0 * b / math.sqrt(N) * QUANT_DEN), step for step; rint is half-even
+    qf = np.rint(2.0 * coords / np.sqrt(T.norm.astype(np.float64)) * QUANT_DEN)
+    qs = qf.astype(np.int64).tolist()
     bound = 4 * QUANT_DEN * QUANT_DEN
-    for P, b in zip(primes, coords):
-        q = round(2.0 * float(b) / math.sqrt(P.norm) * QUANT_DEN)
-        while q * q * P.norm > bound:  # c^2 N > 4 with c = q / QUANT_DEN
+    # the float q^2 N is within a factor 1 +- 2^-52 of the exact one, so every
+    # lane over the bound is among these, where Python ints decide
+    for i in np.flatnonzero(qf * qf * T.norm > bound * (1 - 2.0**-40)).tolist():
+        q, N = qs[i], int(T.norm[i])
+        while q * q * N > bound:  # c^2 N > 4 with c = q / QUANT_DEN
             q -= 1 if q > 0 else -1
-        entries[P] = Fraction(q, QUANT_DEN)
+        qs[i] = q
+    entries = dict(zip(T.primes, map(Fraction, qs, repeat(QUANT_DEN))))
     name = f"synthetic-d{K.d}-X{X}-k{k0}-s{seed}"
     return EigenvalueSeries(
         field=K, weight=(k0,), label=name, entries=entries, level_support=()

@@ -10,6 +10,13 @@ and its sign is decided exactly, in integers; floats appear only
 in the Sato-Tate coordinate B(P) = c(P) sqrt(N(P)) / 2 used for
 distribution statistics, never in sign decisions.
 
+The survey decides its primes in numpy lanes.  A lane whose coefficient
+has |c_num| N <= 2^53 and c_den <= 2^53 takes sign(c_num N - chi c_den)
+in int64, and its B(P) from the exact floats c_num N and c_den, so it
+rounds as sato_tate_coordinate does.  Every other lane, and every lane
+whose float B(P) leaves the Hasse containment open, falls back to
+lambda_sign and sato_tate_coordinate in Python ints.
+
 Counting conventions.  The denominator of every density cli reports is the
 number of ALL prime ideals of norm <= x; the numerator sets (positive,
 negative, zero) run over good primes only, i.e. primes off the
@@ -22,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -32,9 +40,10 @@ from .field_arith import (
     IdealFactorization,
     PrimeIdeal,
     QuadField,
+    _LANES,
+    _prime_table,
     as_element,
     count_prime_ideals,
-    enumerate_prime_ideals,
     factor_principal_ideal,
     squarefree_decompose,
 )
@@ -116,6 +125,57 @@ def lambda_sign(c: Fraction, chi_p: int, norm: int) -> int:
     return (t > 0) - (t < 0)
 
 
+# A lane is int64 when |c_num| N <= 2^53 and c_den <= 2^53: then c_num N - chi
+# c_den is exact in int64, and both c_num N and c_den are exact floats.
+_LANE_LIMIT = 2**53
+# Past this |B| a lane's Hasse containment is decided in Python ints.
+_NEAR_ONE = 1.0 - 2.0**-40
+
+
+def _int64_lanes(values: list[int]) -> np.ndarray:
+    """values as int64; a value outside int64 becomes its minimum, -2^63."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        obj = np.array(values, dtype=object)
+        fits = (obj > -(2**63)) & (obj < 2**63)
+        out = np.full(len(values), -(2**63), dtype=np.int64)
+        out[fits] = obj[fits].astype(np.int64)
+        return out
+
+
+def _sign_lanes(coeffs: list[Fraction], chi: np.ndarray, norms: np.ndarray):
+    """lambda_sign and sato_tate_coordinate at every lane, as int8 and float64.
+
+    Lanes where |c_num| N <= 2^53 and c_den <= 2^53 run in int64, and their
+    coordinate takes the same correctly rounded float steps as
+    sato_tate_coordinate, so both agree bit for bit.  Every other lane, and
+    every lane with |B| > 1 - 2^-40 (the float bound leaves containment
+    open there), goes through lambda_sign and sato_tate_coordinate, in
+    canonical order, so the first Hasse violation is the one raised.
+    """
+    signs = np.empty(len(coeffs), dtype=np.int8)
+    coords = np.empty(len(coeffs), dtype=np.float64)
+    for lo in range(0, len(coeffs), _LANES):
+        part = coeffs[lo : lo + _LANES]
+        N, x = norms[lo : lo + _LANES], chi[lo : lo + _LANES]
+        num = _int64_lanes([c.numerator for c in part])
+        den = _int64_lanes([c.denominator for c in part])
+        lim = _LANE_LIMIT // N
+        fast = (num >= -lim) & (num <= lim) & (den <= _LANE_LIMIT) & (den > 0)
+        num_n = np.where(fast, num, 0) * N
+        den = np.where(fast, den, 1)
+        signs[lo : lo + len(part)] = np.sign(num_n - x * den)
+        # each float step is correctly rounded, so |B| <= 1 - 2^-40 proves |B| < 1
+        B = coords[lo : lo + len(part)]
+        B[:] = num_n / den / (2.0 * np.sqrt(N.astype(np.float64)))
+        for i in np.flatnonzero(~fast | (np.abs(B) > _NEAR_ONE)).tolist():
+            c, n = part[i], int(N[i])
+            signs[lo + i] = lambda_sign(c, int(x[i]), n)
+            B[i] = sato_tate_coordinate(c, n)
+    return signs, coords
+
+
 # ======================================================================
 # surveys and tallies
 # ======================================================================
@@ -171,27 +231,20 @@ class SignSurvey:
         self.a_ideal = squarefree_decompose(
             factor_principal_ideal(E.field, self.tau)
         ).a
-        all_norms: list[int] = []
-        good_norms: list[int] = []
-        signs: list[int] = []
-        coords: list[float] = []
-        self._good_coeffs: list[Fraction] = []
-        for P in enumerate_prime_ideals(E.field, self.x):
-            all_norms.append(P.norm)
-            v = self.chi.value_at(P)
-            if v == 0:
-                continue
-            c = E.entries.get(P)
-            if c is None:
-                raise MissingPrime(f"{E.label}: no coefficient at good prime {P}")
-            good_norms.append(P.norm)
-            signs.append(lambda_sign(c, v, P.norm))
-            coords.append(sato_tate_coordinate(c, P.norm))
-            self._good_coeffs.append(c)
-        self.all_norms = np.asarray(all_norms, dtype=np.int64)
-        self.good_norms = np.asarray(good_norms, dtype=np.int64)
-        self.signs = np.asarray(signs, dtype=np.int8)
-        self.coords = np.asarray(coords, dtype=np.float64)
+        T = _prime_table(E.field, self.x)
+        chi = self.chi.values_upto(self.x)
+        good = chi != 0
+        coeffs = list(map(E.entries.get, compress(T.primes, good)))
+        self.all_norms = T.norm
+        self.good_norms = T.norm[good]
+        n = next((i for i, c in enumerate(coeffs) if c is None), None)
+        if n is not None:
+            # a Hasse violation before the gap is raised first, as in canonical order
+            _sign_lanes(coeffs[:n], chi[good][:n], self.good_norms[:n])
+            P = T.primes[np.flatnonzero(good)[n]]
+            raise MissingPrime(f"{E.label}: no coefficient at good prime {P}")
+        self.signs, self.coords = _sign_lanes(coeffs, chi[good], self.good_norms)
+        self._good_coeffs = coeffs
 
     def tally(self, x: int | None = None) -> SignTally:
         x = self.x if x is None else int(x)

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hilbert_signs import (
+    NARROW_CLASS_NUMBER_ONE,
     IdealCharacter,
     ParseError,
     ValidationError,
@@ -130,3 +131,37 @@ def test_psi_table_rejects_garbage(tmp_path, field5):
         load_psi_table(field5, [{"prime_norm": 9}])
     with pytest.raises(ParseError):
         load_psi_table(field5, {"prime_norm": 9})
+
+
+def _totally_positive(K, a, b):
+    """a + b sqrt(d) moved up by the least integer that makes it totally positive."""
+    while not (a > 0 and a * a > K.d * b * b):
+        a += 1
+    return (a, b)
+
+
+@pytest.mark.parametrize("d", NARROW_CLASS_NUMBER_ONE)
+def test_values_upto_matches_value_at(d):
+    K = make_field(d)
+    X = 5000
+    primes = enumerate_prime_ideals(K, X)
+    beyond = [P for p in (5003, 5009, 5011) for P in split_rational_prime(K, p)]
+    psi = {P: -1 for P in primes[1::7]}
+    psi[beyond[0]] = -1  # norm above X: never reached
+    for tau in ((1, 0), (4, 1), (9, 2)):
+        for table in (None, psi):
+            chi = IdealCharacter.from_tau(K, _totally_positive(K, *tau), psi_table=table)
+            assert chi.values_upto(X).tolist() == [chi.value_at(P) for P in primes]
+
+
+def test_values_upto_reduces_huge_coordinates(field5):
+    # (9 + 4 sqrt5)^40 is a unit, so its norm is tiny but its coordinates
+    # run to ~166 bits, six 30-bit limbs to reduce
+    a, b = 1, 0
+    for _ in range(40):
+        a, b = 9 * a + 20 * b, 4 * a + 9 * b
+    chi = IdealCharacter.from_tau(field5, (a, b))
+    assert a.bit_length() > 150
+    primes = enumerate_prime_ideals(field5, 20000)
+    assert chi.values_upto(20000).tolist() == [chi.value_at(P) for P in primes]
+    assert chi.values_upto(1).tolist() == []

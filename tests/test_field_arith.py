@@ -2,8 +2,10 @@
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -30,8 +32,16 @@ from hilbert_signs import (
     split_rational_prime,
     squarefree_decompose,
 )
+from hilbert_signs import field_arith
 from hilbert_signs.errors import EvenCharacteristic
-from hilbert_signs.field_arith import MAX_TAU_NORM, _is_prime
+from hilbert_signs.field_arith import (
+    MAX_TAU_NORM,
+    TABLE_MAX_X,
+    _is_prime,
+    _prime_table,
+    _sqrt_lanes,
+    _sqrt_mod,
+)
 
 
 # ----------------------------------------------------------------------
@@ -270,6 +280,58 @@ def test_enumeration_matches_brute_force(d):
 def test_enumeration_strictly_sorted(d):
     primes = enumerate_prime_ideals(make_field(d), 2000)
     assert sorted(primes) == primes and len(set(primes)) == len(primes)
+
+
+@pytest.mark.parametrize("d", NARROW_CLASS_NUMBER_ONE)
+def test_prime_table_matches_split_rational_prime(d):
+    # split_rational_prime, one p at a time, is the reference for the table
+    K = make_field(d)
+    for X in (1, 2, 3, 4, 5, 10, 1000, 50000):
+        ref = sorted(
+            P for p in primes_upto(X).tolist() for P in split_rational_prime(K, p) if P.norm <= X
+        )
+        T = _prime_table(K, X)
+        assert list(T.primes) == ref
+        assert [type(v) for P in ref[:50] for v in P[:4]] == [int] * 4 * min(50, len(ref))
+        assert T.norm.tolist() == [P.norm for P in ref]
+        assert T.degree.tolist() == [P.residue_degree for P in ref]
+        assert T.root.tolist() == [P.root for P in ref]
+
+
+@pytest.mark.parametrize("p", [7340033, 23068673, 998244353, 2013265921, 3037000493])
+def test_sqrt_lanes_match_sqrt_mod(p):
+    # 7*2^20+1, 11*2^21+1, 119*2^23+1 and 15*2^27+1: long Tonelli-Shanks
+    # loops; 3037000493 is the largest prime below TABLE_MAX_X
+    assert _is_prime(p) and p <= TABLE_MAX_X
+    squares = [pow(k, 2, p) for k in range(1, 400)] + [pow(3, 2 * k + 1, p) ** 2 % p for k in range(200)]
+    roots = _sqrt_lanes(np.array(squares, dtype=np.int64), np.full(len(squares), p))
+    for a, r in zip(squares, roots.tolist()):
+        assert r * r % p == a and r in (_sqrt_mod(a, p), p - _sqrt_mod(a, p))
+
+
+def test_prime_table_refuses_x_past_int64_before_allocating(field5, monkeypatch):
+    def sieve(n):
+        raise AssertionError(f"the sieve ran to {n}")  # it would take 10 GB here
+
+    monkeypatch.setattr(field_arith, "primes_upto", sieve)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"X <= {TABLE_MAX_X}"):
+            _prime_table(field5, 10**10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_enumeration_shares_one_table(field5):
+    a, b = enumerate_prime_ideals(field5, 3000), enumerate_prime_ideals(field5, 3000)
+    assert a is not b and all(P is Q for P, Q in zip(a, b))
+    a.clear()  # a caller's list is its own
+    assert enumerate_prime_ideals(field5, 3000) == b
+    T = _prime_table(field5, 3000)
+    with pytest.raises(ValueError):
+        T.norm[0] = 1  # and the columns are read-only
 
 
 @pytest.mark.parametrize("d", [1, 2, 5, 29])

@@ -224,6 +224,18 @@ def test_zeta_equals_iterated_factors(field5):
     assert zeta == acc
 
 
+@pytest.mark.parametrize("d", [1, 5, 13])
+def test_euler_series_indices_equal_their_from_pairs_twins(d):
+    # _multiplicative_series makes its index ideals without from_pairs
+    K = make_field(d)
+    chi = IdealCharacter.from_tau(K, 1)
+    for series in (character_zeta_series(chi, 2000), character_moebius_series(chi, 2000)):
+        assert len(series.coeffs) > 100
+        for m in series.coeffs:
+            twin = IdealFactorization.from_pairs(K, m.factors)
+            assert type(m) is type(twin) and tuple(m) == tuple(twin)
+
+
 def test_zeta_times_moebius_is_identity(field5):
     chi = IdealCharacter.from_tau(field5, (4, 1))
     zeta = character_zeta_series(chi, 300)

@@ -182,6 +182,39 @@ def test_synth_series_recovers_sampled_coordinates(field5):
         assert abs(recovered - b) <= 3e-12 * math.sqrt(P.norm)
 
 
+def scalar_synth_entries(K, X, seed, coords=None):
+    """synth_eigen_series's coefficients computed one prime at a time."""
+    primes = enumerate_prime_ideals(K, X)
+    if coords is None:
+        coords = sample_semicircle(len(primes), seed)
+    entries = {}
+    for P, b in zip(primes, coords):
+        q = round(2.0 * float(b) / math.sqrt(P.norm) * QUANT_DEN)
+        while q * q * P.norm > 4 * QUANT_DEN * QUANT_DEN:
+            q -= 1 if q > 0 else -1
+        entries[P] = Fraction(q, QUANT_DEN)
+    return entries
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 13, 97])
+def test_synth_series_matches_scalar_rounding(d):
+    K = make_field(d)
+    for seed in (0, 7):
+        assert synth_eigen_series(K, 30000, 2, seed).entries == scalar_synth_entries(K, 30000, seed)
+
+
+def test_synth_series_rounds_half_to_even_and_nudges_in_ints(monkeypatch, field5):
+    # coordinates that land on q + 1/2 exactly, and on the Hasse bound itself
+    primes = enumerate_prime_ideals(field5, 5000)
+    coords = np.array([
+        (k + 0.5) / QUANT_DEN * math.sqrt(P.norm) / 2.0 if i % 3 else (-1.0) ** i
+        for i, (k, P) in enumerate(zip(range(-300, 10**9), primes))
+    ])
+    monkeypatch.setattr(sato_tate, "sample_semicircle", lambda n, seed: coords[:n])
+    E = synth_eigen_series(field5, 5000, 2, 0)
+    assert E.entries == scalar_synth_entries(field5, 5000, 0, coords)
+
+
 def test_synth_series_deterministic(field5):
     a = synth_eigen_series(field5, 500, 2, 3)
     b = synth_eigen_series(field5, 500, 2, 3)

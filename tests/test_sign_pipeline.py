@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hilbert_signs import (
     EigenvalueSeries,
     HasseBoundViolated,
+    IdealCharacter,
     MissingPrime,
     SignSurvey,
     ValidationError,
@@ -201,10 +202,55 @@ def test_missing_prime():
     entries = {P: Fraction(0) for P in enumerate_prime_ideals(Q, 100)}
     del entries[split_rational_prime(Q, 97)[0]]
     E = EigenvalueSeries(Q, (2,), "gappy", entries)
-    with pytest.raises(MissingPrime):
+    with pytest.raises(MissingPrime, match=r"gappy: no coefficient at good prime \(97\)$"):
         SignSurvey(E, 1, x=100).tally()
     # but a tighter cutoff never touches the gap
     assert SignSurvey(E, 1, x=90).tally().total == 24
+
+
+def test_first_fault_in_canonical_order_is_raised():
+    entries = {P: Fraction(0) for P in enumerate_prime_ideals(Q, 100)}
+    P7, P97 = split_rational_prime(Q, 7)[0], split_rational_prime(Q, 97)[0]
+    del entries[P97]
+    E = EigenvalueSeries(Q, (2,), "faulty", entries)
+    E.entries[P7] = Fraction(1)  # past the Hasse bound 2/sqrt(7), before the gap
+    with pytest.raises(HasseBoundViolated):
+        SignSurvey(E, 1, x=100)
+    E.entries[P7] = Fraction(0)
+    E.entries[P97] = Fraction(1)
+    del E.entries[split_rational_prime(Q, 53)[0]]
+    with pytest.raises(MissingPrime, match=r"\(53\)"):  # now the gap comes first
+        SignSurvey(E, 1, x=100)
+
+
+def test_survey_lanes_match_scalar_decisions():
+    # tau = 5 makes chi the Legendre symbol (5/p), so both signs occur
+    X, limit = 20000, 2**53
+    chi = {P: IdealCharacter.from_tau(Q, 5).value_at(P) for P in enumerate_prime_ideals(Q, X)}
+    entries = {P: c for P, c in seeded_series_over_Q(X, 77).entries.items()}
+    good = [P for P, v in chi.items() if v]
+    rng = random.Random(5)
+    for P in good[3::5]:  # c = chi/N, and one step of 10^-30 to either side
+        entries[P] = Fraction(chi[P], P.norm) + Fraction(rng.choice((-1, 0, 1)), 10**30)
+    for P in good[4::11]:  # denominators past 2^53
+        entries[P] = Fraction(rng.randint(-(2**54), 2**54), 2**54 + 1) / P.norm
+    (P3,), (P6361,) = split_rational_prime(Q, 3), split_rational_prime(Q, 6361)
+    num = (limit + 1) // 3  # |c_num| N = 2^53 + 1: one past the int64 lanes
+    entries[P3] = Fraction(-num, num + 1)
+    num = (limit - 1) // 6361  # |c_num| N = 2^53 - 1: the last int64 lane
+    entries[P6361] = Fraction(num, 40 * num + 1)
+    E = EigenvalueSeries(Q, (2,), "lanes", entries)
+    assert abs(E.entries[P3].numerator) * 3 == limit + 1
+    assert E.entries[P6361].numerator * 6361 == limit - 1
+    survey = SignSurvey(E, 5, x=X)
+    assert survey.good_norms.tolist() == [P.norm for P in good]
+    zero = 0
+    for P, s, b in zip(good, survey.signs.tolist(), survey.coords.tolist()):
+        c = E.entries[P]
+        assert s == lambda_sign(c, chi[P], P.norm)
+        assert b == sato_tate_coordinate(c, P.norm)  # bit for bit
+        zero += s == 0
+    assert zero > 100
 
 
 def test_sign_flip_witnesses():
