@@ -117,7 +117,7 @@ def _load_series(args):
     """Resolve the --curve/--fixture source flags into a series."""
     if args.curve:
         return eigen_io.cached_curve_series(get_curve(args.curve), args.x, args.cache_dir)
-    return eigen_io.load_fixture(args.fixture)
+    return eigen_io.load_fixture(args.fixture, args.x)
 
 
 def _add_source_flags(sp):
@@ -143,7 +143,7 @@ def cmd_primes(args) -> int:
 
 def cmd_char(args) -> int:
     K = make_field(args.d)
-    psi = eigen_io.load_psi_table(K, args.psi_file) if args.psi_file else None
+    psi = eigen_io.load_psi_table(K, args.psi_file, args.x) if args.psi_file else None
     chi = IdealCharacter.from_tau(K, _tau_element(args), psi_table=psi)
     rows = [
         (P.norm, P.rational_prime, P.root_label, v)
@@ -158,7 +158,7 @@ def cmd_signs(args) -> int:
     K = series.field
     if args.d is not None and K.d != args.d:
         raise ValidationError(f"series is over d={K.d}, but --d {args.d} was given")
-    psi = eigen_io.load_psi_table(K, args.psi_file) if args.psi_file else None
+    psi = eigen_io.load_psi_table(K, args.psi_file, args.x) if args.psi_file else None
     t = SignSurvey(series, _tau_element(args), psi=psi, x=args.x).tally()
     row = (t.x, t.total, t.pos, t.neg, t.zero, density_string(t.pos, t.total))
     _emit_table(args, TALLY_CSV_HEADER, [row], _tally_obj(t))
@@ -169,7 +169,7 @@ def cmd_stats(args) -> int:
     coefficient = _threshold_coefficient(args)
     series = _load_series(args)
     K = series.field
-    psi = eigen_io.load_psi_table(K, args.psi_file) if args.psi_file else None
+    psi = eigen_io.load_psi_table(K, args.psi_file, args.x) if args.psi_file else None
     survey = SignSurvey(series, _tau_element(args), psi=psi, x=args.x)
     report = sato_tate.ks_statistic(survey.coords, coefficient=coefficient)
     if args.hist_out:

@@ -18,9 +18,10 @@ schema is JSON:
 
 Every document passes one JSON reader, one integer rule (a numeric field
 must be a JSON integer: booleans, floats and numeric strings are
-ParseError, never coerced) and one resolver from (p, root_label, norm) to
-a prime ideal.  Level-support entries and rational primes must be primes
-below 2^64, and a prime named twice must carry the same value both times.
+ParseError, never coerced) and one resolver from (norm, p, root_label) to
+a prime ideal, the run's prime table first (see _resolve).  Level-support
+entries and rational primes must be primes below 2^64, and a prime named
+twice must carry the same value both times.
 
 Entries are kept in canonical (norm, p, root_label) order so that
 load -> serialize -> load is bit-stable.  Data from elsewhere enters as
@@ -43,7 +44,9 @@ from pathlib import Path
 
 from .curves import CurveSpec, series_from_curve
 from .errors import HilbertSignsError, ParseError, ValidationError
-from .field_arith import PrimeIdeal, QuadField, _is_prime, make_field, split_rational_prime
+from .field_arith import (
+    PrimeIdeal, QuadField, _PrimeTable, _is_prime, _prime_table, make_field, split_rational_prime
+)
 from .sign_pipeline import EigenvalueSeries
 
 SCHEMA_TAG = "eigen-series/1"
@@ -91,6 +94,7 @@ def _header(d, weight, label, level_support) -> QuadField:
 
 def _resolve(
     K: QuadField,
+    T: _PrimeTable,
     above: dict[int, list[PrimeIdeal]],
     p: int,
     label: int,
@@ -99,10 +103,13 @@ def _resolve(
 ) -> PrimeIdeal:
     """The prime above p with this root label, checked against norm.
 
-    `above` belongs to one document and maps each p seen so far to its
-    primes, whose root labels are their indices, so each distinct p is
-    split once per decode.
+    A name of norm <= x is the row of T, the prime table of (K, x).  Any
+    other takes the per-p route, which words every error: `above` belongs
+    to one document and maps each p seen so far to its primes, whose root
+    labels are their indices, so each distinct p is split once per decode.
     """
+    if (i := T.index(norm, p, label)) is not None:
+        return T.primes[i]
     if p not in above:
         if p >= PRIME_LIMIT:
             raise ValidationError(f"{where}: rational prime {p} is not below 2^64")
@@ -146,7 +153,7 @@ def series_to_obj(E: EigenvalueSeries) -> dict:
     }
 
 
-def series_from_obj(obj) -> EigenvalueSeries:
+def series_from_obj(obj, x: int) -> EigenvalueSeries:
     if not isinstance(obj, dict):
         raise ParseError("eigen-series document must be a JSON object")
     if obj.get("format") != SCHEMA_TAG:
@@ -159,7 +166,7 @@ def series_from_obj(obj) -> EigenvalueSeries:
     rows = obj["entries"]
     if type(rows) is not list:
         raise ParseError("eigen-series entries must be a JSON list")
-    entries, above = {}, {}
+    T, entries, above = _prime_table(K, x), {}, {}
     # 10^5-entry documents are common: the per-entry checks stay inline
     for i, row in enumerate(rows):
         try:
@@ -171,7 +178,7 @@ def series_from_obj(obj) -> EigenvalueSeries:
             raise ParseError(f"entry {i}: numeric fields must be JSON integers")
         if den == 0:
             raise ValidationError(f"entry {i}: zero denominator")
-        P, c = _resolve(K, above, p, label, norm, f"entry {i}"), Fraction(num, den)
+        P, c = _resolve(K, T, above, p, label, norm, f"entry {i}"), Fraction(num, den)
         if entries.setdefault(P, c) is not c and entries[P] != c:
             raise ValidationError(f"entry {i}: {P} named again with another coefficient")
     return EigenvalueSeries(K, obj["weight"], obj["label"], entries, level_support)
@@ -181,9 +188,9 @@ def serialize_series(E: EigenvalueSeries) -> str:
     return json.dumps(series_to_obj(E), indent=1, sort_keys=True) + "\n"
 
 
-def load_fixture(path) -> EigenvalueSeries:
-    """Read an eigen-series JSON document from disk."""
-    return series_from_obj(_read_json(path, "fixture"))
+def load_fixture(path, x: int) -> EigenvalueSeries:
+    """Read an eigen-series JSON document from disk, for a run with cutoff x."""
+    return series_from_obj(_read_json(path, "fixture"), x)
 
 
 def save_fixture(E: EigenvalueSeries, path) -> None:
@@ -195,18 +202,17 @@ def save_fixture(E: EigenvalueSeries, path) -> None:
 # ----------------------------------------------------------------------
 
 
-def load_psi_table(K: QuadField, source) -> dict[PrimeIdeal, int]:
+def load_psi_table(K: QuadField, source, x: int) -> dict[PrimeIdeal, int]:
     """Read a psi table: a JSON list of {prime_norm, rational_prime, root_label, value}.
 
-    source may be a path or an already-decoded list.  Entries must name
-    primes that exist in K; values must be +-1.
+    source may be a path or an already-decoded list, and x is the run's
+    cutoff.  Entries must name primes that exist in K; values must be +-1.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         source = _read_json(source, "psi table")
     if type(source) is not list:
         raise ParseError("psi table must be a JSON list of entries")
-    table: dict[PrimeIdeal, int] = {}
-    above = {}
+    T, table, above = _prime_table(K, x), {}, {}
     for i, entry in enumerate(source):
         try:
             norm, p, label = entry["prime_norm"], entry["rational_prime"], entry["root_label"]
@@ -217,7 +223,7 @@ def load_psi_table(K: QuadField, source) -> dict[PrimeIdeal, int]:
             raise ParseError(f"psi entry {i}: numeric fields must be JSON integers")
         if value not in (-1, 1):
             raise ValidationError(f"psi entry {i}: value must be +-1, got {value}")
-        P = _resolve(K, above, p, label, norm, f"psi entry {i}")
+        P = _resolve(K, T, above, p, label, norm, f"psi entry {i}")
         if table.setdefault(P, value) != value:
             raise ValidationError(f"psi entry {i}: {P} named again with another value")
     return table
@@ -272,7 +278,7 @@ def cached_curve_series(E: CurveSpec, X: int, cache_dir=None) -> EigenvalueSerie
     """series_from_curve with a disk cache keyed by (label, X, CURVE_CACHE_VERSION)."""
     path = cache_path(f"curve-{E.label}-X{X}-v{CURVE_CACHE_VERSION}", cache_dir)
     if path.exists():
-        return load_fixture(path)
+        return load_fixture(path, X)
     series = series_from_curve(E, X)
     _atomic_write(path, serialize_series(series).encode())
     return series

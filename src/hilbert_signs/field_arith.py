@@ -36,6 +36,7 @@ leading fields are their canonical order: a prime ideal sorts by
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -388,6 +389,11 @@ class _PrimeTable(NamedTuple):
     norm: np.ndarray
     degree: np.ndarray
     root: np.ndarray
+
+    def index(self, norm: int, p: int, label: int) -> int | None:
+        """The row of the prime named (norm, p, root_label), or None if no row is."""
+        i = bisect_left(self.primes, (norm, p, label))
+        return i if i < len(self.primes) and self.primes[i][:3] == (norm, p, label) else None
 
 
 def _mod_lanes(n: int, p: np.ndarray) -> np.ndarray:

@@ -10,12 +10,12 @@ and its sign is decided exactly, in integers; floats appear only
 in the Sato-Tate coordinate B(P) = c(P) sqrt(N(P)) / 2 used for
 distribution statistics, never in sign decisions.
 
-The survey decides its primes in numpy lanes.  A lane whose coefficient
-has |c_num| N <= 2^53 and c_den <= 2^53 takes sign(c_num N - chi c_den)
-in int64, and its B(P) from the exact floats c_num N and c_den, so it
-rounds as sato_tate_coordinate does.  Every other lane, and every lane
-whose float B(P) leaves the Hasse containment open, falls back to
-lambda_sign and sato_tate_coordinate in Python ints.
+The Hasse bound is checked once, at ingestion.  The survey decides its
+primes in numpy lanes.  A lane whose coefficient has |c_num| N <= 2^53
+and c_den <= 2^53 takes sign(c_num N - chi c_den) in int64, and its B(P)
+from the exact floats c_num N and c_den, so it rounds as
+sato_tate_coordinate does.  Every other lane falls back to lambda_sign
+and sato_tate_coordinate in Python ints.
 
 Counting conventions.  The denominator of every density cli reports is the
 number of ALL prime ideals of norm <= x; the numerator sets (positive,
@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from types import MappingProxyType
 
 import numpy as np
 
@@ -56,9 +57,9 @@ from .field_arith import (
 class EigenvalueSeries:
     """Coefficients c(P) of one form, with weight and level bookkeeping.
 
-    entries maps prime ideals to exact rationals.  Ingestion enforces the
-    Hasse-type bound |c(P)| <= 2 N(P)^{-1/2} (checked exactly as
-    c^2 N <= 4) and even weights >= 2.
+    entries is a read-only map from prime ideals to exact rationals.  Its
+    ingestion, the one Hasse gate, enforces |c(P)| <= 2 N(P)^{-1/2}
+    (checked exactly as c^2 N <= 4) and even weights >= 2.
     """
 
     def __init__(
@@ -76,7 +77,7 @@ class EigenvalueSeries:
         self.weight = weight
         self.label = str(label)
         self.level_support = frozenset(level_support)
-        self.entries = {}
+        checked = {}
         for P, c in entries.items():
             if P.field != field:
                 raise ValidationError(f"entry at {P} does not belong to {field}")
@@ -86,7 +87,8 @@ class EigenvalueSeries:
                 raise HasseBoundViolated(
                     f"{label}: |c({P})| = |{c}| exceeds 2/sqrt({P.norm})"
                 )
-            self.entries[P] = c
+            checked[P] = c
+        self.entries = MappingProxyType(checked)
 
     @property
     def k0(self) -> int:
@@ -128,8 +130,6 @@ def lambda_sign(c: Fraction, chi_p: int, norm: int) -> int:
 # A lane is int64 when |c_num| N <= 2^53 and c_den <= 2^53: then c_num N - chi
 # c_den is exact in int64, and both c_num N and c_den are exact floats.
 _LANE_LIMIT = 2**53
-# Past this |B| a lane's Hasse containment is decided in Python ints.
-_NEAR_ONE = 1.0 - 2.0**-40
 
 
 def _int64_lanes(values: list[int]) -> np.ndarray:
@@ -149,10 +149,8 @@ def _sign_lanes(coeffs: list[Fraction], chi: np.ndarray, norms: np.ndarray):
 
     Lanes where |c_num| N <= 2^53 and c_den <= 2^53 run in int64, and their
     coordinate takes the same correctly rounded float steps as
-    sato_tate_coordinate, so both agree bit for bit.  Every other lane, and
-    every lane with |B| > 1 - 2^-40 (the float bound leaves containment
-    open there), goes through lambda_sign and sato_tate_coordinate, in
-    canonical order, so the first Hasse violation is the one raised.
+    sato_tate_coordinate, so both agree bit for bit.  Every other lane goes
+    through lambda_sign and sato_tate_coordinate.
     """
     signs = np.empty(len(coeffs), dtype=np.int8)
     coords = np.empty(len(coeffs), dtype=np.float64)
@@ -166,13 +164,11 @@ def _sign_lanes(coeffs: list[Fraction], chi: np.ndarray, norms: np.ndarray):
         num_n = np.where(fast, num, 0) * N
         den = np.where(fast, den, 1)
         signs[lo : lo + len(part)] = np.sign(num_n - x * den)
-        # each float step is correctly rounded, so |B| <= 1 - 2^-40 proves |B| < 1
-        B = coords[lo : lo + len(part)]
-        B[:] = num_n / den / (2.0 * np.sqrt(N.astype(np.float64)))
-        for i in np.flatnonzero(~fast | (np.abs(B) > _NEAR_ONE)).tolist():
+        coords[lo : lo + len(part)] = num_n / den / (2.0 * np.sqrt(N.astype(np.float64)))
+        for i in np.flatnonzero(~fast).tolist():
             c, n = part[i], int(N[i])
             signs[lo + i] = lambda_sign(c, int(x[i]), n)
-            B[i] = sato_tate_coordinate(c, n)
+            coords[lo + i] = sato_tate_coordinate(c, n)
     return signs, coords
 
 
@@ -239,8 +235,6 @@ class SignSurvey:
         self.good_norms = T.norm[good]
         n = next((i for i, c in enumerate(coeffs) if c is None), None)
         if n is not None:
-            # a Hasse violation before the gap is raised first, as in canonical order
-            _sign_lanes(coeffs[:n], chi[good][:n], self.good_norms[:n])
             P = T.primes[np.flatnonzero(good)[n]]
             raise MissingPrime(f"{E.label}: no coefficient at good prime {P}")
         self.signs, self.coords = _sign_lanes(coeffs, chi[good], self.good_norms)

@@ -93,7 +93,7 @@ def test_load_psi_table(tmp_path, field5):
             ]
         )
     )
-    table = load_psi_table(field5, path)
+    table = load_psi_table(field5, path, 100)
     P3 = split_rational_prime(field5, 3)[0]
     _, P11b = split_rational_prime(field5, 11)
     assert table == {P3: -1, P11b: -1}
@@ -103,7 +103,7 @@ def test_load_psi_table(tmp_path, field5):
 
 def test_load_psi_table_from_decoded_list(field5):
     table = load_psi_table(
-        field5, [{"prime_norm": 9, "rational_prime": 3, "root_label": 0, "value": 1}]
+        field5, [{"prime_norm": 9, "rational_prime": 3, "root_label": 0, "value": 1}], 100
     )
     assert list(table.values()) == [1]
 
@@ -111,26 +111,26 @@ def test_load_psi_table_from_decoded_list(field5):
 def test_psi_table_rejects_bad_value(field5):
     doc = [{"prime_norm": 9, "rational_prime": 3, "root_label": 0, "value": 2}]
     with pytest.raises(ValidationError):
-        load_psi_table(field5, doc)
+        load_psi_table(field5, doc, 100)
 
 
 def test_psi_table_rejects_unknown_prime(field5):
     doc = [{"prime_norm": 7, "rational_prime": 7, "root_label": 0, "value": 1}]
     with pytest.raises(ValidationError):
-        load_psi_table(field5, doc)  # 7 is inert, norm 49: no prime of norm 7
+        load_psi_table(field5, doc, 100)  # 7 is inert, norm 49: no prime of norm 7
 
 
 def test_psi_table_rejects_garbage(tmp_path, field5):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ParseError):
-        load_psi_table(field5, path)
+        load_psi_table(field5, path, 100)
     with pytest.raises(ParseError):
-        load_psi_table(field5, tmp_path / "absent.json")
+        load_psi_table(field5, tmp_path / "absent.json", 100)
     with pytest.raises(ParseError):
-        load_psi_table(field5, [{"prime_norm": 9}])
+        load_psi_table(field5, [{"prime_norm": 9}], 100)
     with pytest.raises(ParseError):
-        load_psi_table(field5, {"prime_norm": 9})
+        load_psi_table(field5, {"prime_norm": 9}, 100)
 
 
 def _totally_positive(K, a, b):

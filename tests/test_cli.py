@@ -16,6 +16,7 @@ from hilbert_signs import (
 )
 from hilbert_signs.cli import SIMULATE_CSV_HEADER, TALLY_CSV_HEADER, build_parser, main
 from hilbert_signs.eigen_io import cache_path
+from hilbert_signs.field_arith import _prime_table
 
 
 def run(capsys, *argv):
@@ -227,6 +228,24 @@ def test_simulate_k0_does_not_change_csv(capsys):
     code240, high, _ = run(capsys, *argv, "--k0", "240")
     assert code2 == code240 == 0
     assert high == base
+
+
+def test_each_command_builds_one_prime_table(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    stats = ["stats", "--curve", "37a", "--x", "2000", "--cache-dir", str(cache)]
+    assert run(capsys, *stats)[0] in (0, 1)  # warms the curve cache
+    assert run(capsys, "signs", "--curve", "11a", "--x", "1000", "--cache-dir", str(cache))[0] == 0
+    (fixture,) = cache.glob("curve-11a-*.json")
+    psi = _write_json(tmp_path / "psi.json", [{**_PSI_ROW, "prime_norm": 3, "value": -1}])
+    for argv in (
+        ["signs", "--fixture", str(fixture), "--psi-file", psi, "--x", "1000"],
+        stats,
+        ["char", "--x", "1000", "--psi-file", psi],
+    ):
+        _prime_table.cache_clear()
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1) and err == ""
+        assert _prime_table.cache_info().misses == 1, argv[0]
 
 
 def _write_json(path, obj):

@@ -24,6 +24,7 @@ from hilbert_signs import (
 )
 from hilbert_signs import eigen_io
 from hilbert_signs.eigen_io import cache_path, default_cache_dir
+from hilbert_signs.field_arith import _prime_table
 
 Q = make_field(1)
 
@@ -46,7 +47,7 @@ def equal_series(A, B):
 def test_series_roundtrip_is_bit_stable():
     E = series_from_curve(get_curve("37a"), 200)
     text = serialize_series(E)
-    back = series_from_obj(json.loads(text))
+    back = series_from_obj(json.loads(text), 200)
     assert equal_series(E, back)
     assert serialize_series(back) == text
 
@@ -55,53 +56,53 @@ def test_fixture_roundtrip(tmp_path):
     E = series_from_curve(get_curve("11a"), 100)
     path = tmp_path / "11a.json"
     save_fixture(E, path)
-    assert equal_series(load_fixture(path), E)
+    assert equal_series(load_fixture(path, 100), E)
 
 
 def test_load_fixture_garbage(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{]")
     with pytest.raises(ParseError):
-        load_fixture(path)
+        load_fixture(path, 100)
 
 
 def test_series_from_obj_errors():
     good = series_to_obj(series_from_curve(get_curve("37a"), 30))
     with pytest.raises(ParseError):
-        series_from_obj([])
+        series_from_obj([], 30)
     with pytest.raises(ParseError):
-        series_from_obj({**good, "format": "nope/0"})
+        series_from_obj({**good, "format": "nope/0"}, 30)
     for key in ("d", "weight", "label", "entries"):
         broken = dict(good)
         del broken[key]
         with pytest.raises(ParseError):
-            series_from_obj(broken)
+            series_from_obj(broken, 30)
     with pytest.raises(ValidationError):
-        series_from_obj({**good, "d": 3})  # outside the field allowlist
+        series_from_obj({**good, "d": 3}, 30)  # outside the field allowlist
     with pytest.raises(ValidationError):
-        series_from_obj({**good, "weight": [3]})
+        series_from_obj({**good, "weight": [3]}, 30)
     entry = {"norm": 3, "rational_prime": 3, "root_label": 0, "c_num": 2, "c_den": 1}
     with pytest.raises(HasseBoundViolated):
-        series_from_obj({**good, "entries": [entry]})  # 4*3 > 4
+        series_from_obj({**good, "entries": [entry]}, 30)  # 4*3 > 4
     with pytest.raises(ValidationError):
-        series_from_obj({**good, "entries": [{**entry, "c_den": 0}]})
+        series_from_obj({**good, "entries": [{**entry, "c_den": 0}]}, 30)
     with pytest.raises(ValidationError):
-        series_from_obj({**good, "entries": [{**entry, "norm": 9}]})  # no such prime
+        series_from_obj({**good, "entries": [{**entry, "norm": 9}]}, 30)  # no such prime
     with pytest.raises(ParseError):
-        series_from_obj({**good, "entries": [{"norm": 3}]})
+        series_from_obj({**good, "entries": [{"norm": 3}]}, 30)
 
 
 def test_load_fixture_rejects_undecodable_bytes(tmp_path):
     path = tmp_path / "bytes.json"
     path.write_bytes(b'{"label": "\xff"}')  # not UTF-8
     with pytest.raises(ParseError):
-        load_fixture(path)
+        load_fixture(path, 100)
     path.write_text('{"d": ' + "1" * 5000 + "}")  # past the int-string length limit
     with pytest.raises(ParseError):
-        load_fixture(path)
+        load_fixture(path, 100)
     path.write_text("[" * 100_000 + "]" * 100_000)  # nested past the recursion limit
     with pytest.raises(ParseError):
-        load_fixture(path)
+        load_fixture(path, 100)
 
 
 def test_series_from_obj_integer_rule():
@@ -110,7 +111,7 @@ def test_series_from_obj_integer_rule():
     for key in entry:
         for bad in (True, float(entry[key]), str(entry[key]), None):
             with pytest.raises(ParseError):
-                series_from_obj({**good, "entries": [{**entry, key: bad}]})
+                series_from_obj({**good, "entries": [{**entry, key: bad}]}, 30)
     header = {
         "d": [True, 1.0, "1"],
         "weight": [2, [], [2.0], [True], ["2"]],
@@ -121,9 +122,9 @@ def test_series_from_obj_integer_rule():
     for key, values in header.items():
         for bad in values:
             with pytest.raises(ParseError):
-                series_from_obj({**good, key: bad})
+                series_from_obj({**good, key: bad}, 30)
     with pytest.raises(ValidationError):
-        series_from_obj({**good, "level_support": [2, 4]})
+        series_from_obj({**good, "level_support": [2, 4]}, 30)
 
 
 def test_psi_table_integer_rule(field5):
@@ -131,10 +132,12 @@ def test_psi_table_integer_rule(field5):
     for key in entry:
         for bad in (True, float(entry[key]), str(entry[key])):
             with pytest.raises(ParseError):
-                load_psi_table(field5, [{**entry, key: bad}])
+                load_psi_table(field5, [{**entry, key: bad}], 10)
 
 
 def test_prime_lookup_splits_each_p_once(field5, monkeypatch):
+    # names of norm <= x are the rows of the prime table; only the names past
+    # x are split, once per distinct p, in both decoders
     calls = []
 
     def counted(K, p):
@@ -142,25 +145,35 @@ def test_prime_lookup_splits_each_p_once(field5, monkeypatch):
         return split_rational_prime(K, p)
 
     monkeypatch.setattr(eigen_io, "split_rational_prime", counted)
+    x = 100
+    T = _prime_table(field5, x)
     P11a, P11b = split_rational_prime(field5, 11)
-    (P2,) = split_rational_prime(field5, 2)
+    (P2,) = split_rational_prime(field5, 2)  # inert, norm 4
+    P101a, P101b = split_rational_prime(field5, 101)
+    (P13,) = split_rational_prime(field5, 13)  # inert, norm 169
+    names = [(11, 11, 1), (11, 11, 0), (4, 2, 0), (101, 101, 1), (169, 13, 0), (101, 101, 0)]
+    expected = {P11a, P11b, P2, P101a, P101b, P13}
 
     def psi(norm, p, label):
         return {"prime_norm": norm, "rational_prime": p, "root_label": label, "value": 1}
 
-    table = load_psi_table(field5, [psi(11, 11, 0), psi(11, 11, 1), psi(4, 2, 0), psi(11, 11, 1)])
-    assert set(table) == {P11a, P11b, P2} and calls == [11, 2]
-    calls.clear()
-    rows = [
-        {"norm": 11, "rational_prime": 11, "root_label": label, "c_num": 0, "c_den": 1}
-        for label in (1, 0, 1)
-    ]
-    doc = {"format": "eigen-series/1", "d": 5, "weight": [2, 2], "label": "x", "entries": rows}
-    assert set(series_from_obj(doc).entries) == {P11a, P11b} and calls == [11]
+    def row(norm, p, label):
+        return {"norm": norm, "rational_prime": p, "root_label": label, "c_num": 0, "c_den": 1}
+
+    doc = {"format": "eigen-series/1", "d": 5, "weight": [2, 2], "label": "x"}
+    decoders = (
+        lambda: load_psi_table(field5, [psi(*n) for n in names + names[:2]], x),
+        lambda: series_from_obj({**doc, "entries": [row(*n) for n in names + names[:2]]}, x).entries,
+    )
+    for decode in decoders:
+        calls.clear()
+        keys = decode()
+        assert keys.keys() == expected and calls == [101, 13]
+        assert all(P is T.primes[T.index(*P[:3])] for P in keys if P.norm <= x)
     # inert 7 has label 0 only; 4, 9 and 1 are not prime; the error names the entry
     for p, label in ((7, 1), (4, 0), (9, 0), (1, 0)):
         with pytest.raises(ValidationError, match="^psi entry 1: "):
-            load_psi_table(field5, [psi(11, 11, 0), psi(p, p, label)])
+            load_psi_table(field5, [psi(11, 11, 0), psi(p, p, label)], 10)
 
 
 # ----------------------------------------------------------------------

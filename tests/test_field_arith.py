@@ -298,6 +298,30 @@ def test_prime_table_matches_split_rational_prime(d):
         assert T.root.tolist() == [P.root for P in ref]
 
 
+@pytest.mark.parametrize("d", NARROW_CLASS_NUMBER_ONE)
+def test_prime_table_index_matches_split_rational_prime(d):
+    K, X = make_field(d), 2000
+    T, rows = _prime_table(K, X), set()
+    for p in primes_upto(X).tolist():
+        above = split_rational_prime(K, p)
+        for P in above:
+            i = T.index(P.norm, p, P.root_label)
+            if P.norm <= X:
+                assert T.primes[i] == P
+                rows.add(i)
+            else:  # an inert p with p^2 > X
+                assert i is None
+        if len(above) == 1:  # inert or ramified (over Q: the one prime above p)
+            assert T.index(above[0].norm, p, 1) is None
+        if above[0].splitting is Splitting.INERT:
+            assert T.index(p, p, 0) is None
+        assert T.index(above[0].norm, p, -1) is None
+    assert rows == set(range(len(T.primes)))
+    for n in (1, 4, 9, 15, 1001, 1003):  # not prime
+        assert T.index(n, n, 0) is None and T.index(n * n, n, 0) is None
+    assert T.index(2003, 2003, 0) is None  # a prime past X
+
+
 @pytest.mark.parametrize("p", [7340033, 23068673, 998244353, 2013265921, 3037000493])
 def test_sqrt_lanes_match_sqrt_mod(p):
     # 7*2^20+1, 11*2^21+1, 119*2^23+1 and 15*2^27+1: long Tonelli-Shanks

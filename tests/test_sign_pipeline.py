@@ -210,16 +210,13 @@ def test_missing_prime():
 
 def test_first_fault_in_canonical_order_is_raised():
     entries = {P: Fraction(0) for P in enumerate_prime_ideals(Q, 100)}
-    P7, P97 = split_rational_prime(Q, 7)[0], split_rational_prime(Q, 97)[0]
-    del entries[P97]
+    P7, P53, P97 = (split_rational_prime(Q, p)[0] for p in (7, 53, 97))
+    del entries[P53], entries[P97]
     E = EigenvalueSeries(Q, (2,), "faulty", entries)
-    E.entries[P7] = Fraction(1)  # past the Hasse bound 2/sqrt(7), before the gap
-    with pytest.raises(HasseBoundViolated):
-        SignSurvey(E, 1, x=100)
-    E.entries[P7] = Fraction(0)
-    E.entries[P97] = Fraction(1)
-    del E.entries[split_rational_prime(Q, 53)[0]]
-    with pytest.raises(MissingPrime, match=r"\(53\)"):  # now the gap comes first
+    # ingestion is the one Hasse gate: no value can be put past it afterwards
+    with pytest.raises(TypeError):
+        E.entries[P7] = Fraction(1)
+    with pytest.raises(MissingPrime, match=r"\(53\)"):  # the first gap is named
         SignSurvey(E, 1, x=100)
 
 
