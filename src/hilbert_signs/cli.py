@@ -26,7 +26,6 @@ from .formal_series import (
     c_series_from_lambda,
     character_moebius_series,
     extract_prime_relation,
-    good_primes,
     series_mul,
 )
 from .sign_pipeline import SignSurvey, SignTally
@@ -212,8 +211,17 @@ def cmd_simulate(args) -> int:
     return 0 if report.passed else 1
 
 
+# series-check holds every integral ideal of norm <= --x (about 0.43 x of
+# them) with its divisor pairs.  On a 2-vCPU VM, `--d 5 --count 10` took
+# 2.4 s and 84 MB max RSS at 10^5, and 28 s and 548 MB at 10^6 (430,407
+# ideals, 2,894,881 pairs, about 8 s of it building that table).
+SERIES_CHECK_MAX_X = 10**6
+
+
 def cmd_series_check(args) -> int:
     """Round-trip the Euler-product identity on random series; exit 0 iff exact."""
+    if args.x > SERIES_CHECK_MAX_X:
+        raise ValidationError(f"series-check --x must be <= {SERIES_CHECK_MAX_X}, got {args.x}")
     if args.count < 1:
         raise ValidationError(f"--count must be >= 1, got {args.count}")
     K = make_field(args.d)
@@ -234,9 +242,7 @@ def cmd_series_check(args) -> int:
         c = c_series_from_lambda(lam, chi)
         back = series_mul(c, character_moebius_series(chi, args.x))
         roundtrip_ok = back == lam
-        residuals_zero = all(
-            extract_prime_relation(c, lam, chi, P) == 0 for P in good_primes(chi, args.x)
-        )
+        residuals_zero = not extract_prime_relation(c, lam, chi).any()
         checks.append({"series": i, "roundtrip": roundtrip_ok, "residuals_zero": residuals_zero})
         all_ok = all_ok and roundtrip_ok and residuals_zero
     obj = {"d": args.d, "x": args.x, "count": args.count, "ok": all_ok, "checks": checks}

@@ -36,12 +36,13 @@ leading fields are their canonical order: a prime ideal sorts by
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import count, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -715,6 +716,8 @@ class IdealFactorization(NamedTuple):
 
     @classmethod
     def from_prime(cls, P: PrimeIdeal, e: int = 1) -> "IdealFactorization":
+        if e > 0:  # one prime power is already canonical
+            return cls(P.norm**e, ((P, e),), P.field)
         return cls.from_pairs(P.field, [(P, e)])
 
     @property
@@ -746,6 +749,83 @@ class IdealFactorization(NamedTuple):
         if self.is_unit:
             return "(1)"
         return "*".join(f"{P}^{e}" if e > 1 else f"{P}" for P, e in self.factors)
+
+
+class _IdealTable(NamedTuple):
+    """The integral ideals of norm <= X, each by its id: its place in canonical order.
+
+    fac_id, fac_row and fac_exp list each P^e exactly dividing an ideal, P
+    by its prime-table row, and prime_id is the id of each prime row.  The
+    pairs (a, b) with N(a) N(b) <= X are sorted by the id of ab: those of
+    id m begin at start[m], and no id has more than `divisors` of them.
+    The arrays are read-only.
+    """
+
+    ideals: tuple[IdealFactorization, ...]
+    index: dict[IdealFactorization, int]
+    fac_id: np.ndarray
+    fac_row: np.ndarray
+    fac_exp: np.ndarray
+    prime_id: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    start: np.ndarray
+    divisors: int
+
+
+@lru_cache(maxsize=4)
+def _ideal_table(K: QuadField, X: int) -> _IdealTable:
+    """The ideal table of (K, X), built once; the last four are kept.
+
+    Each ideal is found once, by extending an ideal with a power of a
+    prime past its largest one.  The id of ab comes from an additive key,
+    sum e * w(P) mod 2^64 over P^e || m: key(ab) = key(a) + key(b) holds
+    exactly, so once the keys of the table are distinct (checked, and
+    redrawn if not) the key of ab names ab.
+    """
+    if X < 1:
+        raise ValueError(f"the cutoff must be >= 1, got {X}")
+    primes = _prime_table(K, X).primes
+    found = []
+
+    def extend(start, pairs, rows, norm):
+        found.append((IdealFactorization(norm, pairs, K), rows))
+        for i in range(start, len(primes)):
+            q = primes[i].norm
+            if norm * q > X:
+                break  # primes are norm-sorted, nothing further fits
+            nn, e = norm * q, 1
+            while nn <= X:
+                extend(i + 1, pairs + ((primes[i], e),), rows + ((i, e),), nn)
+                nn, e = nn * q, e + 1
+
+    extend(0, (), (), 1)
+    found.sort()  # the ideals are distinct, so this is their canonical order
+    ideals = tuple(m for m, _ in found)
+    index = {m: i for i, m in enumerate(ideals)}
+    fac = [(i, r, e) for i, (_, rows) in enumerate(found) for r, e in rows]
+    fac_id, fac_row, fac_exp = np.array(fac, dtype=np.int64).reshape(-1, 3).T
+    norm = np.fromiter((m.norm for m in ideals), np.int64, len(ideals))
+    per_a = np.searchsorted(norm, X // norm, side="right")  # the b are a prefix
+    a = np.repeat(np.arange(len(ideals)), per_a)
+    b = np.arange(len(a)) - np.repeat(np.cumsum(per_a) - per_a, per_a)
+    for seed in count():
+        rng = random.Random(seed)
+        w = np.array([rng.getrandbits(64) for _ in primes], dtype=np.uint64)
+        key = np.zeros(len(ideals), np.uint64)
+        np.add.at(key, fac_id, w[fac_row] * fac_exp.astype(np.uint64))
+        by_key = np.argsort(key)
+        if np.all(np.diff(key[by_key]) != 0):
+            break
+    ab = by_key[np.searchsorted(key[by_key], key[a] + key[b])]
+    order = np.argsort(ab, kind="stable")
+    start = np.searchsorted(ab[order], np.arange(len(ideals)))
+    divisors = int(np.diff(start, append=len(ab)).max())
+    prime_id = np.array([index[IdealFactorization.from_prime(P)] for P in primes], np.int64)
+    cols = (fac_id, fac_row, fac_exp, prime_id, a[order], b[order], start)
+    for c in cols:
+        c.flags.writeable = False
+    return _IdealTable(ideals, index, *cols, divisors)
 
 
 @dataclass(frozen=True)

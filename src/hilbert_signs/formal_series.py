@@ -1,22 +1,26 @@
 """Truncated ideal-indexed formal series with exact rational coefficients.
 
 A series is sum a_m M(m) over integral ideals m of norm <= X in a fixed
-field, where M is the formal multiplicative symbol: M(O_K) = 1 and
-M(mn) = M(m) M(n).  Multiplication is the Cauchy product with terms of
-norm > X discarded.  Because index norms only grow under multiplication,
-truncation is exact on every retained index: the coefficient of any
-surviving ideal equals the coefficient in the untruncated product, so
-ring identities among truncated series hold exactly, not approximately.
+field, where M(O_K) = 1 and M(mn) = M(m) M(n).  Multiplication is the
+Cauchy product with terms of norm > X discarded; index norms only grow
+under multiplication, so truncation is exact on every retained index.
 
-The Euler-product utilities expand (1 - u M(P))^{-1} as the geometric
-series sum u^k M(P^k), and build the full product over good primes of a
-quadratic character chi directly as the series with completely
-multiplicative coefficients chi*(n)/N(n).
+On the ideal table of (K, X) a series holds one denominator D > 0 and the
+N-twisted integer numerators num[m] = D N(m) a_m, with gcd(D, num) = 1.
+N is completely multiplicative, so the twist commutes with the Cauchy
+product, which becomes a gather over the table's divisor pairs, a multiply
+and a segmented sum: in int64 where a bound proves the sums fit, in Python
+ints otherwise, never in floats.  Twisted, the Euler products of a
+quadratic character chi are the integer series chi(n) and mu(n) chi(n).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from types import MappingProxyType
+
+import numpy as np
 
 from .characters import IdealCharacter
 from .errors import CutoffMismatch, FieldMismatch, NotNormalized
@@ -24,48 +28,79 @@ from .field_arith import (
     IdealFactorization,
     PrimeIdeal,
     QuadField,
+    _ideal_table,
     enumerate_prime_ideals,
 )
 
-_ZERO = Fraction(0)
+
+def _absmax(num: np.ndarray) -> int:
+    return int(np.abs(num).max())
+
+
+def _lanes(bound: int):
+    """int64 for values bounded by `bound` in size if it fits, else Python ints."""
+    return np.int64 if bound < 2**63 else object
 
 
 class FormalSeries:
-    """Finitely supported coefficients on ideals of norm <= cutoff."""
+    """The coefficients a_m = num[m] / (den N(m)) on the ideals m of norm <= cutoff."""
 
-    __slots__ = ("field", "cutoff", "coeffs")
+    __slots__ = ("field", "cutoff", "table", "den", "num")
 
     def __init__(self, field: QuadField, cutoff: int, coeffs=None):
-        self.field = field
-        self.cutoff = int(cutoff)
-        clean: dict[IdealFactorization, Fraction] = {}
+        self.field, self.cutoff = field, int(cutoff)
+        self.table = T = _ideal_table(field, self.cutoff)
+        terms: dict[int, Fraction] = {}
         for m, v in (coeffs or {}).items():
             if m.field != field:
                 raise FieldMismatch(f"index ideal {m} is not an ideal of {field}")
             if m.norm > self.cutoff:
                 raise ValueError(f"index {m} has norm {m.norm} beyond cutoff {cutoff}")
-            v = Fraction(v)
-            if v:
-                clean[m] = v
-        self.coeffs = clean
+            if m not in T.index:
+                raise ValueError(f"index {m} is not a canonical integral ideal of {field}")
+            terms[T.index[m]] = Fraction(v)
+        den = math.lcm(*(v.denominator for v in terms.values()))
+        num = np.zeros(len(T.ideals), dtype=object)
+        for i, v in terms.items():
+            num[i] = den // v.denominator * v.numerator * T.ideals[i].norm
+        self._reduce(den, num)
+
+    def _reduce(self, den: int, num: np.ndarray) -> None:
+        g = math.gcd(den, int(np.gcd.reduce(num)))
+        if g > 1 and num.any():
+            num = num // g
+        self.den, self.num = den // g, num.astype(_lanes(_absmax(num)), copy=False)
+
+    @classmethod
+    def _twisted(cls, K: QuadField, X: int, den: int, num: np.ndarray) -> "FormalSeries":
+        s = object.__new__(cls)
+        s.field, s.cutoff, s.table = K, X, _ideal_table(K, X)
+        s._reduce(den, num)
+        return s
 
     @classmethod
     def identity(cls, K: QuadField, X: int) -> "FormalSeries":
         return cls(K, X, {IdealFactorization.unit(K): Fraction(1)})
 
     def coefficient(self, m: IdealFactorization) -> Fraction:
-        return self.coeffs.get(m, _ZERO)
+        i = self.table.index.get(m)
+        return Fraction(0) if i is None else Fraction(int(self.num[i]), self.den * m.norm)
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """A read-only {ideal: coefficient} view of the nonzero terms, built on each read."""
+        return MappingProxyType({m: v for _, m, v in self.sorted_items()})
 
     def sorted_items(self) -> list[tuple[int, IdealFactorization, Fraction]]:
         """(norm, ideal, coefficient) in canonical ideal order, so ascending by norm."""
-        return [(m.norm, m, v) for m, v in sorted(self.coeffs.items())]
+        ideals = [self.table.ideals[i] for i in np.flatnonzero(self.num).tolist()]
+        return [(m.norm, m, self.coefficient(m)) for m in ideals]
 
     def __eq__(self, other):
         return (
             isinstance(other, FormalSeries)
-            and self.field == other.field
-            and self.cutoff == other.cutoff
-            and self.coeffs == other.coeffs
+            and (self.field, self.cutoff, self.den) == (other.field, other.cutoff, other.den)
+            and np.array_equal(self.num, other.num)
         )
 
     def __mul__(self, other):
@@ -73,32 +108,22 @@ class FormalSeries:
 
     def __repr__(self):
         head = ", ".join(f"{m}: {v}" for _, m, v in self.sorted_items()[:6])
-        more = "" if len(self.coeffs) <= 6 else f", ... ({len(self.coeffs)} terms)"
+        n = np.count_nonzero(self.num)
+        more = "" if n <= 6 else f", ... ({n} terms)"
         return f"FormalSeries[{self.field}, X={self.cutoff}]{{{head}{more}}}"
 
 
 def series_mul(A: FormalSeries, B: FormalSeries) -> FormalSeries:
-    """Cauchy product, truncated at the shared cutoff.
-
-    Both inputs are scanned in norm order so the inner loop stops as soon
-    as the index norm product exceeds the cutoff.
-    """
+    """Cauchy product, truncated at the shared cutoff."""
     if A.field != B.field:
         raise FieldMismatch("series over different fields")
     if A.cutoff != B.cutoff:
         raise CutoffMismatch(f"cutoffs differ: {A.cutoff} vs {B.cutoff}")
-    X = A.cutoff
-    out: dict[IdealFactorization, Fraction] = {}
-    bs = B.sorted_items()
-    for na, ma, ca in A.sorted_items():
-        limit = X // na
-        for nb, mb, cb in bs:
-            if nb > limit:
-                break
-            key = ma * mb
-            prev = out.get(key)
-            out[key] = ca * cb if prev is None else prev + ca * cb
-    return FormalSeries(A.field, X, out)
+    T = A.table
+    # a sum has at most T.divisors terms; the 1s keep a zero factor from hiding a big one
+    lanes = _lanes(max(_absmax(A.num), 1) * max(_absmax(B.num), 1) * T.divisors)
+    terms = A.num.astype(lanes, copy=False)[T.a] * B.num.astype(lanes, copy=False)[T.b]
+    return FormalSeries._twisted(A.field, A.cutoff, A.den * B.den, np.add.reduceat(terms, T.start))
 
 
 def good_primes(chi: IdealCharacter, X: int) -> list[PrimeIdeal]:
@@ -106,60 +131,24 @@ def good_primes(chi: IdealCharacter, X: int) -> list[PrimeIdeal]:
     return [P for P in enumerate_prime_ideals(chi.field, X) if P not in chi.bad_set]
 
 
-def _multiplicative_series(
-    K: QuadField, X: int, primes, prime_value, max_exponent=None
-) -> FormalSeries:
-    """Series whose coefficient at prod P_i^{e_i} is prod prime_value(P_i)^{e_i}.
-
-    Enumerates every ideal of norm <= X supported on `primes` exactly once
-    by recursive extension over the norm-sorted prime list.
-    """
-    norms = [P.norm for P in primes]
-    values = [prime_value(P) for P in primes]
-    coeffs: dict[IdealFactorization, Fraction] = {}
-
-    def extend(start, pairs, norm, val):
-        # pairs are canonical (distinct primes of K in sorted order) with norm
-        # `norm`, so the validating from_pairs would rebuild the same key
-        coeffs[IdealFactorization(norm, pairs, K)] = val
-        for i in range(start, len(primes)):
-            q = norms[i]
-            if norm * q > X:
-                break  # primes are norm-sorted, nothing further fits
-            nn, vv, e = norm, val, 0
-            while nn * q <= X:
-                nn, vv, e = nn * q, vv * values[i], e + 1
-                extend(i + 1, pairs + ((primes[i], e),), nn, vv)
-                if max_exponent is not None and e >= max_exponent:
-                    break
-
-    extend(0, (), 1, Fraction(1))
-    return FormalSeries(K, X, coeffs)
+def _euler_series(chi: IdealCharacter, X: int, factor) -> FormalSeries:
+    """The twisted series whose coefficient at m is prod factor(chi(P), e) over P^e || m."""
+    T = _ideal_table(chi.field, X)
+    num = np.ones(len(T.ideals), np.int64)
+    np.multiply.at(num, T.fac_id, factor(chi.values_upto(X).astype(np.int64)[T.fac_row], T.fac_exp))
+    return FormalSeries._twisted(chi.field, X, 1, num)
 
 
 def character_zeta_series(chi: IdealCharacter, X: int) -> FormalSeries:
-    """Expanded product over good primes of (1 - chi(P)/N(P) M(P))^{-1}.
-
-    Coefficient at n is chi*(n)/N(n), zero (absent) off the good support.
-    Equals the iterated product of the geometric-series factors, but is
-    built in one pass.
-    """
-    primes = good_primes(chi, X)
-    return _multiplicative_series(
-        chi.field, X, primes, lambda P: Fraction(chi.value_at(P), P.norm)
-    )
+    """Expanded product over good primes of (1 - chi(P)/N(P) M(P))^{-1}: chi*(n)/N(n) at n."""
+    return _euler_series(chi, X, lambda v, e: v**e)
 
 
 def character_moebius_series(chi: IdealCharacter, X: int) -> FormalSeries:
     """Expanded product over good primes of (1 - chi(P)/N(P) M(P)).
 
-    Supported on squarefree good ideals; the exact inverse of
-    character_zeta_series within the cutoff.
-    """
-    primes = good_primes(chi, X)
-    return _multiplicative_series(
-        chi.field, X, primes, lambda P: Fraction(-chi.value_at(P), P.norm), max_exponent=1
-    )
+    Supported on squarefree good ideals; the inverse of character_zeta_series."""
+    return _euler_series(chi, X, lambda v, e: np.where(e == 1, -v, 0))
 
 
 def c_series_from_lambda(lam: FormalSeries, chi: IdealCharacter) -> FormalSeries:
@@ -170,16 +159,27 @@ def c_series_from_lambda(lam: FormalSeries, chi: IdealCharacter) -> FormalSeries
 
 
 def extract_prime_relation(
-    c: FormalSeries, lam: FormalSeries, chi: IdealCharacter, P: PrimeIdeal
-) -> Fraction:
+    c: FormalSeries, lam: FormalSeries, chi: IdealCharacter, P: PrimeIdeal | None = None
+):
     """Residual c(P) - chi(P)/N(P) - lam(P); exactly zero when c is the lift of lam.
 
+    With P omitted, every good prime of norm <= X at once: an integer
+    array, in prime-table order, of the residuals times den(c) den(lam) N(P).
     Requires c normalized to c(O_K) = 1 so the convolution at a prime
     index has exactly two terms.
     """
     unit = IdealFactorization.unit(c.field)
     if c.coefficient(unit) != 1:
         raise NotNormalized(f"c(O_K) = {c.coefficient(unit)} != 1")
+    if P is None:
+        if (lam.field, lam.cutoff, chi.field) != (c.field, c.cutoff, c.field):
+            raise FieldMismatch("c, lam and chi must share one field and one cutoff")
+        chi_P = chi.values_upto(c.cutoff)
+        good = np.flatnonzero(chi_P)
+        ids, dc, dl = c.table.prime_id[good], c.den, lam.den
+        lanes = _lanes(_absmax(c.num) * dl + dc * dl + _absmax(lam.num) * dc)
+        cn, ln, v = (x.astype(lanes) for x in (c.num[ids], lam.num[ids], chi_P[good]))
+        return cn * dl - v * (dc * dl) - ln * dc
     if P.norm > c.cutoff:
         raise ValueError(f"prime norm {P.norm} beyond cutoff {c.cutoff}")
     if chi.value_at(P) == 0:

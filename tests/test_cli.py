@@ -5,6 +5,7 @@ import json
 import pytest
 
 from hilbert_signs import (
+    FormalSeries,
     IdealCharacter,
     SignSurvey,
     enumerate_prime_ideals,
@@ -14,6 +15,7 @@ from hilbert_signs import (
     series_from_curve,
     series_to_obj,
 )
+from hilbert_signs import cli
 from hilbert_signs.cli import SIMULATE_CSV_HEADER, TALLY_CSV_HEADER, build_parser, main
 from hilbert_signs.eigen_io import cache_path
 from hilbert_signs.field_arith import _prime_table
@@ -212,6 +214,32 @@ def test_series_check(capsys):
     assert all(c["roundtrip"] and c["residuals_zero"] for c in obj["checks"])
 
 
+def test_series_check_fails_when_a_moebius_term_is_dropped(capsys, monkeypatch):
+    # negative control: the round trip must notice one missing term
+    real = cli.character_moebius_series
+
+    def dropped(chi, X):
+        s = real(chi, X)
+        return FormalSeries(s.field, s.cutoff, {m: v for _, m, v in s.sorted_items()[:-1]})
+
+    monkeypatch.setattr(cli, "character_moebius_series", dropped)
+    code, out, _ = run(
+        capsys, "series-check", "--d", "5", "--x", "300", "--count", "2", "--seed", "1"
+    )
+    obj = json.loads(out)
+    assert code == 1 and obj["ok"] is False
+    assert [c["roundtrip"] for c in obj["checks"]] == [False, False]
+
+
+def test_series_check_cap_refuses_before_any_work(capsys, monkeypatch):
+    def no_work(d):
+        raise AssertionError("series-check did work past its cap")
+
+    monkeypatch.setattr(cli, "make_field", no_work)
+    code, _, err = run(capsys, "series-check", "--x", str(cli.SERIES_CHECK_MAX_X + 1))
+    assert code == 2 and err.startswith("error: series-check --x must be <=")
+
+
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
@@ -335,6 +363,7 @@ INPUT_ERRORS = {
     "psi-prime-twice": lambda t: _psi(t, more=[{**_PSI_ROW, "value": -1}]),
     "series-check-count-negative": lambda t: _series_check_count("-5"),
     "series-check-count-zero": lambda t: _series_check_count("0"),
+    "series-check-x-past-cap": lambda t: ["series-check", "--d", "5", "--x", str(10**6 + 1)],
 }
 
 

@@ -3,10 +3,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import euler_factor_inverse
+from oracles import (
+    DictSeries,
+    dict_moebius_series,
+    dict_series_mul,
+    dict_zeta_series,
+    euler_factor_inverse,
+)
 
 from hilbert_signs import (
     CutoffMismatch,
@@ -24,6 +31,8 @@ from hilbert_signs import (
     series_mul,
     split_rational_prime,
 )
+from hilbert_signs import field_arith
+from hilbert_signs.field_arith import _ideal_table
 from hilbert_signs.formal_series import good_primes
 
 Q = make_field(1)
@@ -189,6 +198,124 @@ def test_prime_index_has_two_term_support(field5):
 
 
 # ----------------------------------------------------------------------
+# the ideal table and the id representation against the dict oracle
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 5, 13])
+def test_ideal_table_pairs_are_the_truncated_products(d):
+    K, X = make_field(d), 600
+    T = _ideal_table(K, X)
+    assert list(T.ideals) == sorted(all_ideals(K, X))
+    assert all(T.index[m] == i for i, m in enumerate(T.ideals))
+    want = {(i, j) for i, m in enumerate(T.ideals) for j, n in enumerate(T.ideals)
+            if m.norm * n.norm <= X}
+    assert set(zip(T.a.tolist(), T.b.tolist())) == want and len(T.a) == len(want)
+    ab = np.repeat(np.arange(len(T.ideals)), np.diff(T.start, append=len(T.a)))
+    assert all(T.ideals[k] == T.ideals[i] * T.ideals[j] for i, j, k in zip(T.a, T.b, ab))
+    assert T.divisors == np.diff(T.start, append=len(T.a)).max()
+    primes = enumerate_prime_ideals(K, X)
+    assert [T.ideals[i] for i in T.prime_id] == [IdealFactorization.from_prime(P) for P in primes]
+    for i, m in enumerate(T.ideals):
+        facs = [(primes[r], e) for k, r, e in zip(T.fac_id, T.fac_row, T.fac_exp) if k == i]
+        assert tuple(facs) == m.factors
+
+
+def test_ideal_table_size_at_10_4(field5):
+    T = _ideal_table(field5, 10_000)
+    assert (len(T.ideals), len(T.a)) == (4304, 20456)
+
+
+def test_ideal_table_redraws_colliding_keys(monkeypatch):
+    # seed 0 draws every weight as 0, so every key collides; the table must
+    # notice and redraw rather than name every product by one id
+    real = field_arith.random.Random
+
+    class ZeroFirst(real):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.zero = seed == 0
+
+        def getrandbits(self, k):
+            return 0 if self.zero else super().getrandbits(k)
+
+    monkeypatch.setattr(field_arith.random, "Random", ZeroFirst)
+    _ideal_table.cache_clear()
+    try:
+        K, X = make_field(13), 300
+        T = _ideal_table(K, X)
+        ab = np.repeat(np.arange(len(T.ideals)), np.diff(T.start, append=len(T.a)))
+        assert all(T.ideals[k] == T.ideals[i] * T.ideals[j] for i, j, k in zip(T.a, T.b, ab))
+    finally:
+        _ideal_table.cache_clear()
+
+
+def assert_same(fast, ref, pool):
+    assert fast.sorted_items() == ref.sorted_items()
+    assert repr(fast) == repr(ref)
+    assert fast.coeffs == ref.coeffs
+    assert all(fast.coefficient(m) == ref.coefficient(m) for m in pool)
+    assert fast == FormalSeries(ref.field, ref.cutoff, ref.coeffs)
+
+
+# numerators near 2^62 and denominators whose lcm passes 2^63 take the
+# Python-int lanes once the N-twist multiplies them
+_NUMS = st.one_of(
+    st.integers(-9, 9), st.integers(2**62 - 9, 2**62 + 9), st.integers(-(2**62) - 9, -(2**62) + 9)
+)
+_DENS = st.one_of(st.integers(1, 9), st.integers(2**31, 2**33))
+_VALUES = st.builds(Fraction, _NUMS, _DENS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_products_and_euler_series_match_the_dict_oracle(data):
+    K = make_field(data.draw(st.sampled_from([1, 5]), label="d"))
+    X = data.draw(st.integers(1, 300), label="X")
+    pool = all_ideals(K, X)
+    picks = st.lists(st.tuples(st.integers(0, len(pool) - 1), _VALUES), max_size=10)
+    a = {pool[i]: v for i, v in data.draw(picks, label="A")}
+    b = {pool[i]: v for i, v in data.draw(picks, label="B")}
+    A, B = FormalSeries(K, X, a), FormalSeries(K, X, b)
+    OA, OB = DictSeries(K, X, a), DictSeries(K, X, b)
+    assert_same(A, OA, pool)
+    assert_same(A * B, dict_series_mul(OA, OB), pool)
+    assert (A == B) == (OA == OB)
+    tau = data.draw(st.sampled_from([1, 2, 5, 7] if K.is_rational else [(1, 0), (4, 1), (7, 2)]))
+    chi = IdealCharacter.from_tau(K, tau)
+    zeta, moebius = dict_zeta_series(chi, X), dict_moebius_series(chi, X)
+    assert_same(character_zeta_series(chi, X), zeta, pool)
+    assert_same(character_moebius_series(chi, X), moebius, pool)
+    assert_same(A * character_zeta_series(chi, X), dict_series_mul(OA, zeta), pool)
+
+
+def test_python_int_lanes_match_the_oracle(field5):
+    X = 100
+    pool = all_ideals(field5, X)
+    a = {pool[1]: Fraction(2**62 + 1, 3), pool[5]: Fraction(-1, 2**32 + 1)}
+    b = {pool[0]: Fraction(5, 2**32 + 3), pool[2]: Fraction(-(2**62), 7)}
+    A, B = FormalSeries(field5, X, a), FormalSeries(field5, X, b)
+    assert A.num.dtype == object and B.num.dtype == object and A.den * B.den > 2**63
+    assert_same(A * B, dict_series_mul(DictSeries(field5, X, a), DictSeries(field5, X, b)), pool)
+    # every factor fits in 2^31 and every pair product in 2^62, but the sums
+    # at ideals with several divisor pairs do not fit in int64
+    wide = {m: Fraction(2**31, m.norm) for m in pool}
+    W, OW = FormalSeries(field5, X, wide), DictSeries(field5, X, wide)
+    assert W.num.dtype == np.int64 and (W * W).num.dtype == object
+    assert_same(W * W, dict_series_mul(OW, OW), pool)
+    # a product that cancels back into int64 range is stored as int64 again
+    inv = FormalSeries(field5, X, {pool[0]: 1 / Fraction(2**62 + 1, 3)})
+    assert (inv * FormalSeries(field5, X, {pool[0]: Fraction(2**62 + 1, 3)})).num.dtype == np.int64
+
+
+def test_coeffs_is_a_read_only_view(field5):
+    A = FormalSeries.identity(field5, 10)
+    with pytest.raises(TypeError):
+        A.coeffs[IdealFactorization.unit(field5)] = Fraction(2)
+    assert A.coefficient(IdealFactorization.unit(field5)) == 1
+
+
+# ----------------------------------------------------------------------
 # Euler factors
 # ----------------------------------------------------------------------
 
@@ -285,6 +412,45 @@ def test_prime_square_relation(field5):
             IdealFactorization.from_prime(P)
         )
         assert lhs == lam.coefficient(sq)
+
+
+def test_all_prime_residuals_at_once_match_each_prime(field5):
+    chi = IdealCharacter.from_tau(field5, (4, 1))
+    X = 1000
+    lam = random_series(field5, X, random.Random(7), density=0.5, normalized=True)
+    c = c_series_from_lambda(lam, chi)
+    assert not extract_prime_relation(c, lam, chi).any()
+    # plant 1/N(P) at one good prime: exactly that residual becomes den(c) den(lam)
+    good = good_primes(chi, X)
+    P = good[17]
+    idx = IdealFactorization.from_prime(P)
+    bent = FormalSeries(field5, X, {**c.coeffs, idx: c.coefficient(idx) + Fraction(1, P.norm)})
+    r = extract_prime_relation(bent, lam, chi)
+    assert len(r) == len(good) and np.flatnonzero(r).tolist() == [17]
+    assert r[17] == extract_prime_relation(bent, lam, chi, P) * bent.den * lam.den * P.norm
+
+
+def test_all_prime_residuals_take_python_ints_past_int64(field5):
+    # every numerator fits in int64, but times the other denominator it does not
+    chi = IdealCharacter.from_tau(field5, (4, 1))
+    X = 200
+    big = {IdealFactorization.from_prime(P): Fraction(2**40 + i, 2**31 - 1)
+           for i, P in enumerate(good_primes(chi, X))}
+    lam = FormalSeries(field5, X, {IdealFactorization.unit(field5): 1, **big})
+    c = c_series_from_lambda(lam, chi)
+    assert c.num.dtype == lam.num.dtype == np.int64 and c.den * lam.den > 2**61
+    r = extract_prime_relation(c, lam, chi)
+    assert r.dtype == object and not r.any()
+
+
+def test_all_prime_residuals_need_one_field_and_cutoff(field5):
+    chi = IdealCharacter.from_tau(field5, (4, 1))
+    lam = FormalSeries.identity(field5, 50)
+    c = c_series_from_lambda(lam, chi)
+    with pytest.raises(FieldMismatch):
+        extract_prime_relation(c, FormalSeries.identity(field5, 40), chi)
+    with pytest.raises(FieldMismatch):
+        extract_prime_relation(c, lam, IdealCharacter.from_tau(Q, 5))
 
 
 def test_direct_substitution_example():
