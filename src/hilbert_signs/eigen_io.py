@@ -193,10 +193,6 @@ def load_fixture(path, x: int) -> EigenvalueSeries:
     return series_from_obj(_read_json(path, "fixture"), x)
 
 
-def save_fixture(E: EigenvalueSeries, path) -> None:
-    _atomic_write(Path(path), serialize_series(E).encode())
-
-
 # ----------------------------------------------------------------------
 # psi tables
 # ----------------------------------------------------------------------

@@ -556,50 +556,6 @@ def enumerate_prime_ideals(K: QuadField, X: int) -> list[PrimeIdeal]:
     return list(_prime_table(K, X).primes)
 
 
-_SEGMENT = 1 << 24
-
-
-def _prime_residue_counts(n: int, modulus: int) -> np.ndarray:
-    """counts[r] = #{prime p <= n : p = r mod modulus}, segmented sieve."""
-    counts = np.zeros(modulus, dtype=np.int64)
-    if n < 2:
-        return counts
-    base = primes_upto(math.isqrt(n))
-    for lo in range(2, n + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT - 1, n)
-        mask = np.ones(hi - lo + 1, dtype=bool)
-        for q in base:
-            p = int(q)
-            if p * p > hi:
-                break
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            mask[start - lo :: p] = False
-        ps = np.nonzero(mask)[0] + lo
-        counts += np.bincount(ps % modulus, minlength=modulus)
-    return counts
-
-
-def count_prime_ideals(K: QuadField, X: int) -> int:
-    """#{prime ideals of O_K with norm <= X}, without materializing them."""
-    if X < 2:
-        return 0
-    if K.is_rational:
-        return int(_prime_residue_counts(X, 1)[0])
-    disc = K.disc
-    counts = _prime_residue_counts(X, disc)
-    split_res = _split_residue_set(disc)
-    n_ram = sum(1 for p in _prime_factors(disc) if p <= X)
-    n_split = int(sum(counts[r] for r in split_res))
-    # inert primes contribute norm p^2, so only p <= sqrt(X) qualify
-    root = math.isqrt(X)
-    counts_small = _prime_residue_counts(root, disc)
-    n_small = int(counts_small.sum())
-    n_small_split = int(sum(counts_small[r] for r in split_res))
-    n_small_ram = sum(1 for p in _prime_factors(disc) if p <= root)
-    n_inert = n_small - n_small_split - n_small_ram
-    return 2 * n_split + n_inert + n_ram
-
-
 def _prime_factors(n: int) -> list[int]:
     out, p = [], 2
     while p * p <= n:
@@ -668,19 +624,6 @@ def _euler_symbol_lanes(x: int, y: int, p: np.ndarray, root: np.ndarray) -> np.n
     return out
 
 
-def quadratic_residue_symbol(a, P: PrimeIdeal) -> int:
-    """Euler-criterion symbol of a in the residue field O_K/P: -1, 0, or +1.
-
-    +1 iff a reduces to a nonzero square, 0 iff P divides a.  Only odd
-    residue characteristic is meaningful; characteristic 2 raises.
-    """
-    el = as_element(P.field, a)
-    x, y = el.omega_coords()
-    if x.denominator != 1 or y.denominator != 1:
-        raise NotIntegral(f"{el} is not integral, cannot reduce mod {P}")
-    return _euler_symbol(int(x), int(y), P)
-
-
 # ======================================================================
 # ideal factorizations
 # ======================================================================
@@ -723,12 +666,6 @@ class IdealFactorization(NamedTuple):
     @property
     def is_unit(self) -> bool:
         return not self.factors
-
-    def exponent_of(self, P: PrimeIdeal) -> int:
-        for Q, e in self.factors:
-            if Q == P:
-                return e
-        return 0
 
     def support(self) -> tuple[PrimeIdeal, ...]:
         return tuple(P for P, _ in self.factors)

@@ -24,13 +24,7 @@ import numpy as np
 
 from .characters import IdealCharacter
 from .errors import CutoffMismatch, FieldMismatch, NotNormalized
-from .field_arith import (
-    IdealFactorization,
-    PrimeIdeal,
-    QuadField,
-    _ideal_table,
-    enumerate_prime_ideals,
-)
+from .field_arith import IdealFactorization, QuadField, _ideal_table
 
 
 def _absmax(num: np.ndarray) -> int:
@@ -126,11 +120,6 @@ def series_mul(A: FormalSeries, B: FormalSeries) -> FormalSeries:
     return FormalSeries._twisted(A.field, A.cutoff, A.den * B.den, np.add.reduceat(terms, T.start))
 
 
-def good_primes(chi: IdealCharacter, X: int) -> list[PrimeIdeal]:
-    """Primes of norm <= X where chi does not vanish, in norm order."""
-    return [P for P in enumerate_prime_ideals(chi.field, X) if P not in chi.bad_set]
-
-
 def _euler_series(chi: IdealCharacter, X: int, factor) -> FormalSeries:
     """The twisted series whose coefficient at m is prod factor(chi(P), e) over P^e || m."""
     T = _ideal_table(chi.field, X)
@@ -158,31 +147,22 @@ def c_series_from_lambda(lam: FormalSeries, chi: IdealCharacter) -> FormalSeries
     return series_mul(lam, character_zeta_series(chi, lam.cutoff))
 
 
-def extract_prime_relation(
-    c: FormalSeries, lam: FormalSeries, chi: IdealCharacter, P: PrimeIdeal | None = None
-):
-    """Residual c(P) - chi(P)/N(P) - lam(P); exactly zero when c is the lift of lam.
+def extract_prime_relation(c: FormalSeries, lam: FormalSeries, chi: IdealCharacter) -> np.ndarray:
+    """Residuals c(P) - chi(P)/N(P) - lam(P) at every good prime of norm <= X.
 
-    With P omitted, every good prime of norm <= X at once: an integer
-    array, in prime-table order, of the residuals times den(c) den(lam) N(P).
-    Requires c normalized to c(O_K) = 1 so the convolution at a prime
-    index has exactly two terms.
+    An integer array, in prime-table order, of the residuals times
+    den(c) den(lam) N(P); all zero when c is the lift of lam.  Requires c
+    normalized to c(O_K) = 1 so the convolution at a prime index has
+    exactly two terms.
     """
     unit = IdealFactorization.unit(c.field)
     if c.coefficient(unit) != 1:
         raise NotNormalized(f"c(O_K) = {c.coefficient(unit)} != 1")
-    if P is None:
-        if (lam.field, lam.cutoff, chi.field) != (c.field, c.cutoff, c.field):
-            raise FieldMismatch("c, lam and chi must share one field and one cutoff")
-        chi_P = chi.values_upto(c.cutoff)
-        good = np.flatnonzero(chi_P)
-        ids, dc, dl = c.table.prime_id[good], c.den, lam.den
-        lanes = _lanes(_absmax(c.num) * dl + dc * dl + _absmax(lam.num) * dc)
-        cn, ln, v = (x.astype(lanes) for x in (c.num[ids], lam.num[ids], chi_P[good]))
-        return cn * dl - v * (dc * dl) - ln * dc
-    if P.norm > c.cutoff:
-        raise ValueError(f"prime norm {P.norm} beyond cutoff {c.cutoff}")
-    if chi.value_at(P) == 0:
-        raise ValueError(f"{P} lies in the character's bad set; the relation needs a good prime")
-    idx = IdealFactorization.from_prime(P)
-    return c.coefficient(idx) - Fraction(chi.value_at(P), P.norm) - lam.coefficient(idx)
+    if (lam.field, lam.cutoff, chi.field) != (c.field, c.cutoff, c.field):
+        raise FieldMismatch("c, lam and chi must share one field and one cutoff")
+    chi_P = chi.values_upto(c.cutoff)
+    good = np.flatnonzero(chi_P)
+    ids, dc, dl = c.table.prime_id[good], c.den, lam.den
+    lanes = _lanes(_absmax(c.num) * dl + dc * dl + _absmax(lam.num) * dc)
+    cn, ln, v = (x.astype(lanes) for x in (c.num[ids], lam.num[ids], chi_P[good]))
+    return cn * dl - v * (dc * dl) - ln * dc

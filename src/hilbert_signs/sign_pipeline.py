@@ -22,6 +22,12 @@ number of ALL prime ideals of norm <= x; the numerator sets (positive,
 negative, zero) run over good primes only, i.e. primes off the
 character's bad set.  The tally therefore also reports the bad count, and
 pos + neg + zero + bad = total.
+
+The tail inequality pi_{>0}(x) + pi(1/(4 eps^2)) >= #{good P : N(P) <= x,
+B(P) > eps} holds by construction: a good P with B(P) > eps either has
+N(P) <= 1/(4 eps^2), or c(P) > 2 eps / sqrt(N(P)) > 1/N(P) >= chi(P)/N(P),
+so lambda(P) > 0.  It therefore only checks that the signs agree with the
+coefficients, and it lives with the tests (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ from .field_arith import (
     _LANES,
     _prime_table,
     as_element,
-    count_prime_ideals,
     factor_principal_ideal,
     squarefree_decompose,
 )
@@ -176,10 +181,6 @@ def _sign_lanes(coeffs: list[Fraction], chi: np.ndarray, norms: np.ndarray):
 # surveys and tallies
 # ======================================================================
 
-# Half-width of the band around eps inside which cutoff_report decides
-# B(P) > eps from the exact coefficient instead of the float coordinate.
-_CUTOFF_BAND = 1e-12
-
 
 @dataclass(frozen=True)
 class SignTally:
@@ -195,30 +196,15 @@ class SignTally:
     total: int
 
 
-@dataclass(frozen=True)
-class EpsilonCutoffReport:
-    """One instance of the tail inequality
-
-    pi_{>0}(x) + pi(1/(4 eps^2)) >= #{good P : N(P) <= x, B(P) > eps}.
-    """
-
-    x: int
-    epsilon: float
-    lhs: int
-    rhs: int
-    holds: bool
-
-
 class SignSurvey:
     """Per-prime sign data for one (series, tau, psi) triple up to x.
 
     Built once, then queried at any cutoff <= x.  Signs are decided
-    exactly at construction time, and the tail inequality is
-    decided exactly from the stored coefficients.
+    exactly at construction time; the survey keeps the signs and the
+    coordinates of the good primes, not their coefficients.
     """
 
     def __init__(self, E: EigenvalueSeries, tau, psi=None, *, x: int):
-        self.series = E
         self.x = int(x)
         self.tau = as_element(E.field, tau)
         self.chi = IdealCharacter.from_tau(
@@ -238,7 +224,6 @@ class SignSurvey:
             P = T.primes[np.flatnonzero(good)[n]]
             raise MissingPrime(f"{E.label}: no coefficient at good prime {P}")
         self.signs, self.coords = _sign_lanes(coeffs, chi[good], self.good_norms)
-        self._good_coeffs = coeffs
 
     def tally(self, x: int | None = None) -> SignTally:
         x = self.x if x is None else int(x)
@@ -260,42 +245,3 @@ class SignSurvey:
             bad=total - ngood,
             total=total,
         )
-
-    def pi_ideals(self, bound: int) -> int:
-        """#{prime ideals with norm <= bound}, using the local table if it reaches."""
-        if bound <= self.x:
-            return int(np.searchsorted(self.all_norms, bound, side="right"))
-        return count_prime_ideals(self.series.field, bound)
-
-    def cutoff_report(self, x: int, epsilon) -> EpsilonCutoffReport:
-        """The tail inequality at (x, epsilon), decided exactly.
-
-        epsilon may be a float or a Fraction; B(P) > eps is decided for the
-        exact value of epsilon, as c(P) > 0 and c(P)^2 N(P) > 4 eps^2.
-        """
-        if not epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
-        x = int(x)
-        if x > self.x:
-            raise ValueError(f"survey only extends to {self.x}, asked for {x}")
-        eps = Fraction(epsilon)
-        ngood = int(np.searchsorted(self.good_norms, x, side="right"))
-        coords = self.coords[:ngood]
-        # Each coordinate takes three correctly rounded steps (float(cN),
-        # sqrt, division), so it is within ~4e-16 of the true B in [-1, 1],
-        # and float(eps) is within 1.2e-16 * eps of eps.  Outside the band
-        # the float comparison therefore agrees with the exact one.
-        e = float(eps)
-        near = np.abs(coords - e) <= _CUTOFF_BAND
-        rhs = int(np.count_nonzero((coords > e) & ~near))
-        four_eps2 = 4 * eps * eps
-        for i in np.flatnonzero(near).tolist():
-            c = self._good_coeffs[i]
-            if c > 0 and c * c * int(self.good_norms[i]) > four_eps2:
-                rhs += 1
-        pos = int(np.count_nonzero(self.signs[:ngood] > 0))
-        lhs = pos + self.pi_ideals(int(Fraction(1, 4) / (eps * eps)))
-        return EpsilonCutoffReport(
-            x=x, epsilon=float(epsilon), lhs=lhs, rhs=rhs, holds=lhs >= rhs
-        )
-

@@ -16,13 +16,27 @@ quadrature after the substitution t = sin(theta), which turns the
 integrand into cos^2(theta): analytic on the whole interval, so 64 nodes
 converge far below 1e-13.  No code path is shared with the library's
 closed-form expression.
+
+prime_residual is the one-prime Fraction reference for the library's
+all-primes residual array, and tail_inequality decides both sides of the
+tail inequality that the survey satisfies by construction (see the
+sign_pipeline docstring), so it checks the survey's signs against its
+coefficients.  quadratic_residue_symbol and save_fixture give the tests
+the symbol of one element and a fixture file on disk.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
-from hilbert_signs import FormalSeries, IdealFactorization, good_primes
+from hilbert_signs import FormalSeries, IdealFactorization, as_element, enumerate_prime_ideals
+from hilbert_signs.eigen_io import serialize_series
+from hilbert_signs.field_arith import _euler_symbol
+
+# Half-width of the band around eps inside which tail_inequality decides
+# B(P) > eps from the exact coefficient instead of the float coordinate.
+_CUTOFF_BAND = 1e-12
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -130,3 +144,55 @@ def dict_moebius_series(chi, X):
     """Product over good primes of (1 - chi(P)/N(P) M(P))."""
     value = lambda P: Fraction(-chi.value_at(P), P.norm)  # noqa: E731
     return multiplicative_series(chi.field, X, good_primes(chi, X), value, max_exponent=1)
+
+
+def good_primes(chi, X):
+    """Primes of norm <= X where chi does not vanish, in norm order."""
+    return [P for P in enumerate_prime_ideals(chi.field, X) if P not in chi.bad_set]
+
+
+def prime_residual(c, lam, chi, P):
+    """c(P) - chi(P)/N(P) - lam(P) at one good prime, in Fractions."""
+    idx = IdealFactorization.from_prime(P)
+    return c.coefficient(idx) - Fraction(chi.value_at(P), P.norm) - lam.coefficient(idx)
+
+
+def tail_inequality(E, survey, x, epsilon):
+    """(lhs, rhs) of the tail inequality at (x, eps) on a survey of E.
+
+    rhs = #{good P : N(P) <= x, B(P) > eps}, for the exact value of eps:
+    B(P) > eps is c(P) > 0 and c(P)^2 N(P) > 4 eps^2.  lhs = pi_{>0}(x) +
+    pi(min(x, 1/(4 eps^2))); capping the pi term at x only shrinks lhs, and
+    keeps every count inside the survey's table.
+    """
+    eps = Fraction(epsilon)
+    if not eps > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    t = survey.tally(x)
+    coords = survey.coords[: t.total - t.bad]
+    # Each coordinate takes three correctly rounded steps (float(cN), sqrt,
+    # division), so it is within ~4e-16 of the true B in [-1, 1], and
+    # float(eps) is within 1.2e-16 * eps of eps.  Outside the band the float
+    # comparison therefore agrees with the exact one.
+    e = float(eps)
+    near = np.abs(coords - e) <= _CUTOFF_BAND
+    rhs = int(np.count_nonzero((coords > e) & ~near))
+    if near.any():
+        good = good_primes(survey.chi, survey.x)
+        for i in np.flatnonzero(near).tolist():
+            c = E.entries[good[i]]
+            rhs += c > 0 and c * c * good[i].norm > 4 * eps * eps
+    lhs = t.pos + survey.tally(min(t.x, int(1 / (4 * eps * eps)))).total
+    return lhs, rhs
+
+
+def quadratic_residue_symbol(a, P):
+    """Euler-criterion symbol of the integral element a in O_K/P: -1, 0 or +1."""
+    x, y = as_element(P.field, a).omega_coords()
+    assert x.denominator == y.denominator == 1, f"{a} is not integral"
+    return _euler_symbol(int(x), int(y), P)
+
+
+def save_fixture(E, path):
+    """Write E as an eigen-series document, the file that --fixture reads."""
+    Path(path).write_text(serialize_series(E))

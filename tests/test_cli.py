@@ -1,8 +1,11 @@
 """End-to-end runs of every subcommand through main(), no subprocesses."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
+from oracles import save_fixture
 
 from hilbert_signs import (
     FormalSeries,
@@ -11,7 +14,6 @@ from hilbert_signs import (
     enumerate_prime_ideals,
     get_curve,
     make_field,
-    save_fixture,
     series_from_curve,
     series_to_obj,
 )
@@ -364,6 +366,9 @@ INPUT_ERRORS = {
     "series-check-count-negative": lambda t: _series_check_count("-5"),
     "series-check-count-zero": lambda t: _series_check_count("0"),
     "series-check-x-past-cap": lambda t: ["series-check", "--d", "5", "--x", str(10**6 + 1)],
+    # no good prime of norm <= x: over Q only (2), always bad; Q(sqrt5) has no prime below 4
+    "stats-no-good-prime": lambda t: ["stats", "--curve", "37a", "--x", "2", "--cache-dir", str(t)],
+    "simulate-no-good-prime": lambda t: ["simulate", "--d", "5", "--x", "3", "--seed", "0"],
 }
 
 
@@ -380,3 +385,32 @@ def test_input_error_exits_2_with_one_line(capsys, tmp_path, case):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# ----------------------------------------------------------------------
+# the package holds no code that only the tests use
+# ----------------------------------------------------------------------
+
+
+def _names(node):
+    """The ids of the Name nodes and the attrs of the Attribute nodes under node."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_module_level_definition_is_used_in_the_package():
+    # an import or an __all__ string is not a use: only a Name or an Attribute is
+    trees = {p.name: ast.parse(p.read_text()) for p in Path(cli.__file__).parent.glob("*.py")}
+    statements = [(stmt, _names(stmt)) for tree in trees.values() for stmt in tree.body]
+    unused = [
+        f"{module}:{node.name}"
+        for module, tree in sorted(trees.items())
+        if module != "__init__.py"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not any(node.name in names for stmt, names in statements if stmt is not node)
+    ]
+    assert unused == []

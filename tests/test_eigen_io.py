@@ -4,6 +4,7 @@ import json
 import os
 
 import pytest
+from oracles import save_fixture
 
 from hilbert_signs import (
     HasseBoundViolated,
@@ -15,7 +16,6 @@ from hilbert_signs import (
     load_fixture,
     load_psi_table,
     make_field,
-    save_fixture,
     serialize_series,
     series_from_curve,
     series_from_obj,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from oracles import quadratic_residue_symbol
 
 from hilbert_signs import (
     NARROW_CLASS_NUMBER_ONE,
@@ -21,14 +22,12 @@ from hilbert_signs import (
     UnsupportedField,
     ValidationError,
     as_element,
-    count_prime_ideals,
     element,
     enumerate_prime_ideals,
     factor_principal_ideal,
     kronecker_symbol,
     make_field,
     primes_upto,
-    quadratic_residue_symbol,
     split_rational_prime,
     squarefree_decompose,
 )
@@ -362,7 +361,7 @@ def test_enumeration_shares_one_table(field5):
 @pytest.mark.parametrize("X", [10, 100, 4999, 5000])
 def test_count_agrees_with_enumeration(d, X):
     K = make_field(d)
-    assert count_prime_ideals(K, X) == len(enumerate_prime_ideals(K, X))
+    assert len(brute_enumerate(K, X)) == len(enumerate_prime_ideals(K, X))
 
 
 def test_primes_upto_matches_naive():
@@ -558,7 +557,7 @@ def test_ideal_algebra(field5):
     P11a, P11b = split_rational_prime(field5, 11)
     m = IdealFactorization.from_prime(P11a, 2) * IdealFactorization.from_prime(P11b)
     assert m.norm == 11**3
-    assert m.exponent_of(P11a) == 2 and m.exponent_of(P11b) == 1
+    assert dict(m.factors) == {P11a: 2, P11b: 1}
     assert not m.is_squarefree
     with pytest.raises(FieldMismatch):
         m * IdealFactorization.unit(make_field(2))

