@@ -21,11 +21,12 @@ import numpy as np
 from .errors import FieldMismatch, ValidationError
 from .field_arith import (
     FieldElement,
+    IdealFactorization,
     PrimeIdeal,
     QuadField,
     _euler_symbol,
     _euler_symbol_lanes,
-    _prime_factors,
+    _factor_int,
     _prime_table,
     as_element,
     factor_principal_ideal,
@@ -37,14 +38,16 @@ from .field_arith import (
 class IdealCharacter:
     """(psi * eps_tau) extended multiplicatively to integral ideals.
 
-    tau_omega holds the integers (x, y) with tau = x + y*w, so each value
-    is one Euler criterion in integers.
+    tau_ideal is the factorization of tau*O_K, and tau_omega holds the
+    integers (x, y) with tau = x + y*w, so each value is one Euler
+    criterion in integers.
     """
 
     field: QuadField
     tau: FieldElement
     psi_table: dict[PrimeIdeal, int]
     bad_set: frozenset[PrimeIdeal]
+    tau_ideal: IdealFactorization
     tau_omega: tuple[int, int]
 
     @classmethod
@@ -63,12 +66,13 @@ class IdealCharacter:
             if v not in (-1, 1):
                 raise ValidationError(f"psi value at {P} must be +-1, got {v}")
         bad: set[PrimeIdeal] = set()
-        for p in sorted({2, *level_support, *_prime_factors(K.disc)}):
+        for p in sorted({2, *level_support, *_factor_int(K.disc)}):
             bad.update(split_rational_prime(K, p))
         # factoring proves tau integral, so its omega-coordinates are integers
-        bad.update(factor_principal_ideal(K, el).support())
+        tau_ideal = factor_principal_ideal(K, el)
+        bad.update(tau_ideal.support())
         x, y = el.omega_coords()
-        return cls(K, el, psi, frozenset(bad), (int(x), int(y)))
+        return cls(K, el, psi, frozenset(bad), tau_ideal, (int(x), int(y)))
 
     def value_at(self, P: PrimeIdeal) -> int:
         """chi(P) in {-1, 0, +1}; zero exactly on the bad set."""

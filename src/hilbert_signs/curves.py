@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BadReduction, ValidationError
-from .field_arith import _prime_factors, enumerate_prime_ideals, make_field
+from .field_arith import _factor_int, enumerate_prime_ideals, make_field
 from .sign_pipeline import EigenvalueSeries
 
 
@@ -49,7 +49,7 @@ class CurveSpec:
         return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
     def bad_primes(self) -> tuple[int, ...]:
-        return tuple(_prime_factors(abs(self.discriminant())))
+        return tuple(_factor_int(abs(self.discriminant())))
 
     def __post_init__(self):
         if self.discriminant() == 0:

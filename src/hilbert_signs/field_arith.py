@@ -371,6 +371,20 @@ TABLE_MAX_X = math.isqrt(2**63 - 1)  # 3,037,000,499
 # whatever X is.
 _LANES = 1 << 13
 
+
+def _absmax(values: np.ndarray) -> int:
+    return int(np.abs(values).max())
+
+
+def _lanes(bound: int, limit: int = 2**63 - 1):
+    """The dtype for values of size <= bound: int64 if bound <= limit, else Python ints.
+
+    The default limit is the int64 maximum; a caller that also needs the
+    values as exact floats passes 2^53.
+    """
+    return np.int64 if bound <= limit else object
+
+
 # Splitting by code: a column of codes maps to members, labels and degrees.
 _KINDS = (Splitting.SPLIT_FIRST, Splitting.SPLIT_SECOND, Splitting.INERT, Splitting.RAMIFIED)
 _LABEL_OF = (0, 1, 0, 0)
@@ -554,19 +568,6 @@ def enumerate_prime_ideals(K: QuadField, X: int) -> list[PrimeIdeal]:
     the shared prime table of (K, X).
     """
     return list(_prime_table(K, X).primes)
-
-
-def _prime_factors(n: int) -> list[int]:
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ======================================================================
@@ -774,13 +775,15 @@ class SquarefreeDecomposition:
 
 
 def _factor_int(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for p in _prime_factors(n):
-        e = 0
+    """{p: e} with n = prod p^e, ascending in p, by one trial division."""
+    out, p = {}, 2
+    while p * p <= n:
         while n % p == 0:
+            out[p] = out.get(p, 0) + 1
             n //= p
-            e += 1
-        out[p] = e
+        p += 1 if p == 2 else 2
+    if n > 1:  # no factor <= sqrt(n) is left, so n is a prime above every p found
+        out[n] = 1
     return out
 
 

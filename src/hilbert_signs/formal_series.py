@@ -24,16 +24,7 @@ import numpy as np
 
 from .characters import IdealCharacter
 from .errors import CutoffMismatch, FieldMismatch, NotNormalized
-from .field_arith import IdealFactorization, QuadField, _ideal_table
-
-
-def _absmax(num: np.ndarray) -> int:
-    return int(np.abs(num).max())
-
-
-def _lanes(bound: int):
-    """int64 for values bounded by `bound` in size if it fits, else Python ints."""
-    return np.int64 if bound < 2**63 else object
+from .field_arith import IdealFactorization, QuadField, _absmax, _ideal_table, _lanes
 
 
 class FormalSeries:

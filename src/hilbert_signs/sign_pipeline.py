@@ -11,11 +11,12 @@ in the Sato-Tate coordinate B(P) = c(P) sqrt(N(P)) / 2 used for
 distribution statistics, never in sign decisions.
 
 The Hasse bound is checked once, at ingestion.  The survey decides its
-primes in numpy lanes.  A lane whose coefficient has |c_num| N <= 2^53
-and c_den <= 2^53 takes sign(c_num N - chi c_den) in int64, and its B(P)
-from the exact floats c_num N and c_den, so it rounds as
-sato_tate_coordinate does.  Every other lane falls back to lambda_sign
-and sato_tate_coordinate in Python ints.
+primes a chunk of numpy lanes at a time, by one expression per chunk:
+the sign of c_num N - chi c_den, and B(P) = (c_num N / c_den) / (2 sqrt(N)).
+A chunk runs in int64 when every |c_num| N and c_den in it is at most
+2^53, where the difference is exact in int64 and both terms are exact
+floats; any other chunk runs in Python ints.  Signs are exact either way,
+and each coordinate is correctly rounded, the same bits on both dtypes.
 
 Counting conventions.  The denominator of every density cli reports is the
 number of ALL prime ideals of norm <= x; the numerator sets (positive,
@@ -32,7 +33,6 @@ coefficients, and it lives with the tests (tests/oracles.py).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -48,9 +48,10 @@ from .field_arith import (
     PrimeIdeal,
     QuadField,
     _LANES,
+    _absmax,
+    _lanes,
     _prime_table,
     as_element,
-    factor_principal_ideal,
     squarefree_decompose,
 )
 
@@ -107,73 +108,29 @@ class EigenvalueSeries:
 
 
 # ======================================================================
-# per-prime coordinate and sign
+# signs and coordinates, a chunk of lanes at a time
 # ======================================================================
 
 
-def sato_tate_coordinate(c, norm: int) -> float:
-    """B(P) = c(P) sqrt(N(P)) / 2 in [-1, 1], for rational c.
-
-    This equals C(P) / (2 N(P)^{(k0-1)/2}) with C(P) = c(P) N(P)^{k0/2}
-    for every weight k0, and for c = a_p/p it is the classical
-    a_p / (2 sqrt(p)).  The containment check is exact, in integers:
-    with cN = num/den, (cN)^2 <= 4N is num^2 <= 4N den^2.
-    """
-    num, den = c.numerator * norm, c.denominator
-    if num * num > 4 * norm * den * den:
-        raise HasseBoundViolated(f"|c| = |{c}| exceeds 2/sqrt({norm})")
-    # int true division is correctly rounded, like float() of the reduced Fraction
-    return (num / den) / (2.0 * math.sqrt(float(norm)))
-
-
-def lambda_sign(c: Fraction, chi_p: int, norm: int) -> int:
-    """sign(c(P) - chi(P)/N(P)), decided exactly as sign(c_num N - chi c_den)."""
-    t = c.numerator * norm - chi_p * c.denominator
-    return (t > 0) - (t < 0)
-
-
-# A lane is int64 when |c_num| N <= 2^53 and c_den <= 2^53: then c_num N - chi
-# c_den is exact in int64, and both c_num N and c_den are exact floats.
-_LANE_LIMIT = 2**53
-
-
-def _int64_lanes(values: list[int]) -> np.ndarray:
-    """values as int64; a value outside int64 becomes its minimum, -2^63."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        obj = np.array(values, dtype=object)
-        fits = (obj > -(2**63)) & (obj < 2**63)
-        out = np.full(len(values), -(2**63), dtype=np.int64)
-        out[fits] = obj[fits].astype(np.int64)
-        return out
-
-
 def _sign_lanes(coeffs: list[Fraction], chi: np.ndarray, norms: np.ndarray):
-    """lambda_sign and sato_tate_coordinate at every lane, as int8 and float64.
+    """sign(c - chi/N) and B = c sqrt(N) / 2 at every lane, as int8 and float64.
 
-    Lanes where |c_num| N <= 2^53 and c_den <= 2^53 run in int64, and their
-    coordinate takes the same correctly rounded float steps as
-    sato_tate_coordinate, so both agree bit for bit.  Every other lane goes
-    through lambda_sign and sato_tate_coordinate.
+    With t = c_num N, each chunk of _LANES lanes takes sign(t - chi c_den)
+    and (t / c_den) / (2 sqrt(N)) in one dtype: int64 if every |t| and
+    c_den in it is at most 2^53, else Python ints.  Float division of exact
+    floats and Python int true division are both correctly rounded, so B
+    is the same bits on either dtype.
     """
     signs = np.empty(len(coeffs), dtype=np.int8)
     coords = np.empty(len(coeffs), dtype=np.float64)
     for lo in range(0, len(coeffs), _LANES):
-        part = coeffs[lo : lo + _LANES]
-        N, x = norms[lo : lo + _LANES], chi[lo : lo + _LANES]
-        num = _int64_lanes([c.numerator for c in part])
-        den = _int64_lanes([c.denominator for c in part])
-        lim = _LANE_LIMIT // N
-        fast = (num >= -lim) & (num <= lim) & (den <= _LANE_LIMIT) & (den > 0)
-        num_n = np.where(fast, num, 0) * N
-        den = np.where(fast, den, 1)
-        signs[lo : lo + len(part)] = np.sign(num_n - x * den)
-        coords[lo : lo + len(part)] = num_n / den / (2.0 * np.sqrt(N.astype(np.float64)))
-        for i in np.flatnonzero(~fast).tolist():
-            c, n = part[i], int(N[i])
-            signs[lo + i] = lambda_sign(c, int(x[i]), n)
-            coords[lo + i] = sato_tate_coordinate(c, n)
+        part, N = coeffs[lo : lo + _LANES], norms[lo : lo + _LANES]
+        t = np.array([c.numerator for c in part], dtype=object) * N
+        den = np.array([c.denominator for c in part], dtype=object)
+        lanes = _lanes(max(_absmax(t), _absmax(den)), 2**53)
+        t, den = t.astype(lanes), den.astype(lanes)
+        signs[lo : lo + len(part)] = np.sign(t - chi[lo : lo + _LANES] * den)
+        coords[lo : lo + len(part)] = t / den / (2.0 * np.sqrt(N.astype(np.float64)))
     return signs, coords
 
 
@@ -210,9 +167,7 @@ class SignSurvey:
         self.chi = IdealCharacter.from_tau(
             E.field, self.tau, psi_table=psi, level_support=E.level_support
         )
-        self.a_ideal = squarefree_decompose(
-            factor_principal_ideal(E.field, self.tau)
-        ).a
+        self.a_ideal = squarefree_decompose(self.chi.tau_ideal).a
         T = _prime_table(E.field, self.x)
         chi = self.chi.values_upto(self.x)
         good = chi != 0

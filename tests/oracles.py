@@ -17,20 +17,29 @@ integrand into cos^2(theta): analytic on the whole interval, so 64 nodes
 converge far below 1e-13.  No code path is shared with the library's
 closed-form expression.
 
-prime_residual is the one-prime Fraction reference for the library's
-all-primes residual array, and tail_inequality decides both sides of the
-tail inequality that the survey satisfies by construction (see the
-sign_pipeline docstring), so it checks the survey's signs against its
-coefficients.  quadratic_residue_symbol and save_fixture give the tests
+lambda_sign and sato_tate_coordinate decide one prime's sign and
+coordinate in Python ints: the scalar references for the survey's
+chunked numpy kernel.  prime_residual is the one-prime Fraction reference
+for the library's all-primes residual array, and tail_inequality decides
+both sides of the tail inequality that the survey satisfies by
+construction (see the sign_pipeline docstring), so it checks the
+survey's signs against its coefficients.  quadratic_residue_symbol and save_fixture give the tests
 the symbol of one element and a fixture file on disk.
 """
 
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from hilbert_signs import FormalSeries, IdealFactorization, as_element, enumerate_prime_ideals
+from hilbert_signs import (
+    FormalSeries,
+    HasseBoundViolated,
+    IdealFactorization,
+    as_element,
+    enumerate_prime_ideals,
+)
 from hilbert_signs.eigen_io import serialize_series
 from hilbert_signs.field_arith import _euler_symbol
 
@@ -149,6 +158,25 @@ def dict_moebius_series(chi, X):
 def good_primes(chi, X):
     """Primes of norm <= X where chi does not vanish, in norm order."""
     return [P for P in enumerate_prime_ideals(chi.field, X) if P not in chi.bad_set]
+
+
+def sato_tate_coordinate(c, norm):
+    """B(P) = c(P) sqrt(N(P)) / 2 in [-1, 1], for rational c.
+
+    The containment check is exact, in integers: with cN = num/den, (cN)^2
+    <= 4N is num^2 <= 4N den^2.
+    """
+    num, den = c.numerator * norm, c.denominator
+    if num * num > 4 * norm * den * den:
+        raise HasseBoundViolated(f"|c| = |{c}| exceeds 2/sqrt({norm})")
+    # int true division is correctly rounded, like float() of the reduced Fraction
+    return (num / den) / (2.0 * math.sqrt(float(norm)))
+
+
+def lambda_sign(c, chi_p, norm):
+    """sign(c(P) - chi(P)/N(P)), decided exactly as sign(c_num N - chi c_den)."""
+    t = c.numerator * norm - chi_p * c.denominator
+    return (t > 0) - (t < 0)
 
 
 def prime_residual(c, lam, chi, P):

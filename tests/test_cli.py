@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from oracles import save_fixture
 
+import hilbert_signs
 from hilbert_signs import (
     FormalSeries,
     IdealCharacter,
@@ -276,6 +277,22 @@ def test_each_command_builds_one_prime_table(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code in (0, 1) and err == ""
         assert _prime_table.cache_info().misses == 1, argv[0]
+
+
+def test_signs_factors_tau_once(capsys, monkeypatch, tmp_path):
+    # a prime norm near 10^12: each factorization is a trial division to 10^6
+    factor, calls = hilbert_signs.factor_principal_ideal, []
+
+    def counting(*args):
+        calls.append(args)
+        return factor(*args)
+
+    for module in vars(hilbert_signs).values():
+        if getattr(module, "factor_principal_ideal", None) is factor:
+            monkeypatch.setattr(module, "factor_principal_ideal", counting)
+    argv = ["signs", "--curve", "11a", "--x", "100", "--cache-dir", str(tmp_path)]
+    assert run(capsys, *argv, "--tau", "999999999989")[0] == 0
+    assert len(calls) == 1
 
 
 def _write_json(path, obj):

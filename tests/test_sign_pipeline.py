@@ -2,18 +2,22 @@
 
 The tail inequality is decided by the tail_inequality oracle of
 tests/oracles.py, which checks a survey's signs against the
-coefficients it was built from.
+coefficients it was built from.  The survey's chunked kernel is checked
+lane by lane against the scalar lambda_sign and sato_tate_coordinate
+there.
 """
 
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import save_fixture, tail_inequality
+from oracles import lambda_sign, sato_tate_coordinate, save_fixture, tail_inequality
 
 from hilbert_signs import (
     EigenvalueSeries,
@@ -23,11 +27,11 @@ from hilbert_signs import (
     SignSurvey,
     ValidationError,
     enumerate_prime_ideals,
-    lambda_sign,
     make_field,
-    sato_tate_coordinate,
     split_rational_prime,
+    synth_eigen_series,
 )
+from hilbert_signs import sign_pipeline
 from hilbert_signs.cli import TALLY_CSV_HEADER, density_string, main
 
 Q = make_field(1)
@@ -225,34 +229,91 @@ def test_first_fault_in_canonical_order_is_raised():
         SignSurvey(E, 1, x=100)
 
 
-def test_survey_lanes_match_scalar_decisions():
-    # tau = 5 makes chi the Legendre symbol (5/p), so both signs occur
+# Mersenne primes, so that every nonzero numerator keeps the whole denominator
+PAST_2_53, PAST_2_63 = 2**61 - 1, 2**89 - 1
+CHUNK = 64  # lanes per chunk in the surveys of the mixed-lane series
+
+
+def mixed_lane_series():
+    """A series over Q to 20000 whose surveys with tau = 5, taken CHUNK lanes
+    at a time, mix chunks that fit int64 with chunks that need Python ints.
+
+    The synthetic coefficients (denominator 10^12) fit int64, and so does
+    c = chi/N, planted at every 37th good prime.  Chunk 0 holds (3), where
+    |c_num| N = 2^53 + 1, and chunk 12 holds (6361), where |c_num| N = 2^53 - 1
+    and no other plant sits.  Every third other chunk holds chi/N +- 10^-30
+    plants.  Chunk 7 needs Python ints for its last lane only (a denominator
+    past 2^63), chunk 13 for its first lane and a middle one (denominators
+    past 2^53), and the last, short chunk for its last lane.
+    """
     X, limit = 20000, 2**53
-    chi = {P: IdealCharacter.from_tau(Q, 5).value_at(P) for P in enumerate_prime_ideals(Q, X)}
-    entries = {P: c for P, c in seeded_series_over_Q(X, 77).entries.items()}
-    good = [P for P, v in chi.items() if v]
+    E = synth_eigen_series(Q, X, 2, 3)
+    chi = IdealCharacter.from_tau(Q, 5)
+    good = [P for P in enumerate_prime_ideals(Q, X) if chi.value_at(P)]
+    entries = dict(E.entries)
     rng = random.Random(5)
-    for P in good[3::5]:  # c = chi/N, and one step of 10^-30 to either side
-        entries[P] = Fraction(chi[P], P.norm) + Fraction(rng.choice((-1, 0, 1)), 10**30)
-    for P in good[4::11]:  # denominators past 2^53
-        entries[P] = Fraction(rng.randint(-(2**54), 2**54), 2**54 + 1) / P.norm
+
+    def on_grid(P, D):  # a coefficient with denominator D inside the Hasse bound
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, D // math.isqrt(P.norm)), D)
+
+    for P in good[3::37]:
+        entries[P] = Fraction(chi.value_at(P), P.norm)
+    for k in (k for k in range(3, len(good) // CHUNK, 3) if k != 12):
+        for P in good[k * CHUNK + 2 : (k + 1) * CHUNK : 7]:
+            tiny = Fraction(rng.choice((-1, 1)), 10**30)
+            entries[P] = Fraction(chi.value_at(P), P.norm) + tiny
+    for i, D in ((8 * CHUNK - 1, PAST_2_63), (13 * CHUNK, PAST_2_53), (13 * CHUNK + 30, PAST_2_53)):
+        entries[good[i]] = on_grid(good[i], D)
+    entries[good[-1]] = on_grid(good[-1], PAST_2_63)
     (P3,), (P6361,) = split_rational_prime(Q, 3), split_rational_prime(Q, 6361)
-    num = (limit + 1) // 3  # |c_num| N = 2^53 + 1: one past the int64 lanes
+    num = (limit + 1) // 3
     entries[P3] = Fraction(-num, num + 1)
-    num = (limit - 1) // 6361  # |c_num| N = 2^53 - 1: the last int64 lane
+    num = (limit - 1) // 6361
     entries[P6361] = Fraction(num, 40 * num + 1)
-    E = EigenvalueSeries(Q, (2,), "lanes", entries)
-    assert abs(E.entries[P3].numerator) * 3 == limit + 1
-    assert E.entries[P6361].numerator * 6361 == limit - 1
-    survey = SignSurvey(E, 5, x=X)
-    assert survey.good_norms.tolist() == [P.norm for P in good]
+    assert good.index(P3) // CHUNK == 0 and good.index(P6361) // CHUNK == 12
+    return EigenvalueSeries(Q, (2,), "mixed-lanes", entries), chi, good
+
+
+def test_survey_lanes_match_scalar_decisions(monkeypatch):
+    E, chi, good = mixed_lane_series()
+    lanes, pick = [], sign_pipeline._lanes
+
+    def spy(*args):
+        lanes.append(pick(*args))
+        return lanes[-1]
+
+    whole = SignSurvey(E, 5, x=20000)  # one chunk: Python ints
+    monkeypatch.setattr(sign_pipeline, "_LANES", CHUNK)
+    monkeypatch.setattr(sign_pipeline, "_lanes", spy)
+    survey = SignSurvey(E, 5, x=20000)
+    python_int_chunks = [k for k, t in enumerate(lanes) if t is object]
+    assert python_int_chunks == [0, 3, 6, 7, 9, 13, 15, 18, 21, 24, 27, 30, 33, 35]
+    assert len(lanes) == 36 and lanes.count(np.int64) == 22
+    assert np.array_equal(survey.signs, whole.signs)
+    assert survey.coords.tobytes() == whole.coords.tobytes()
     zero = 0
     for P, s, b in zip(good, survey.signs.tolist(), survey.coords.tolist()):
         c = E.entries[P]
-        assert s == lambda_sign(c, chi[P], P.norm)
+        assert s == lambda_sign(c, chi.value_at(P), P.norm)
         assert b == sato_tate_coordinate(c, P.norm)  # bit for bit
         zero += s == 0
-    assert zero > 100
+    assert zero > 50
+
+
+# Exit code and sha256 of stdout of each command on the mixed-lane fixture, run
+# CHUNK lanes at a time.  The plants near chi/N pile up at B = 0, so KS fails.
+MIXED_LANE_GOLDEN = [
+    (["signs", "--format", "json"], 0, "c86dc8cd0c6899cea7c11594916fcbb75545dc1f06988e9c17ece5116dcc52f1"),
+    (["stats"], 1, "5810deab30c746a8475a64b0f2658180b7fae00edeb3c4e03f5a70b09544c906"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", MIXED_LANE_GOLDEN, ids=[a[0] for a, *_ in MIXED_LANE_GOLDEN])
+def test_mixed_lane_fixture_stdout_is_pinned(tmp_path, capsys, monkeypatch, argv, code, digest):
+    save_fixture(mixed_lane_series()[0], tmp_path / "mixed.json")
+    monkeypatch.setattr(sign_pipeline, "_LANES", CHUNK)
+    assert main([*argv, "--fixture", str(tmp_path / "mixed.json"), "--x", "20000", "--tau", "5"]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_sign_flip_witnesses():
