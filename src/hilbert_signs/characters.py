@@ -74,20 +74,12 @@ class IdealCharacter:
         x, y = el.omega_coords()
         return cls(K, el, psi, frozenset(bad), tau_ideal, (int(x), int(y)))
 
-    def value_at(self, P: PrimeIdeal) -> int:
-        """chi(P) in {-1, 0, +1}; zero exactly on the bad set."""
-        if P.field != self.field:
-            raise FieldMismatch(f"{P} is not a prime of {self.field}")
-        if P in self.bad_set:
-            return 0
-        return self.psi_table.get(P, 1) * _euler_symbol(*self.tau_omega, P)
-
     def values_upto(self, X: int) -> np.ndarray:
         """chi at every prime of norm <= X, as int8 in enumerate_prime_ideals order.
 
         Degree-one primes take the Euler criterion in int64 lanes; the bad
         set and psi find their rows by the table's index, and each inert
-        value is value_at's.
+        value is the Euler criterion in F_{p^2}.
         """
         T = _prime_table(self.field, X)
         # every lane takes the degree-one criterion, where the norm is p;

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -231,17 +230,7 @@ def series_from_curve(E: CurveSpec, X: int) -> EigenvalueSeries:
     Bad-reduction primes get no coefficient and enter the level support,
     together with 2 (the level convention keeps 4 in the modulus).
     """
-    K = make_field(1)
-    bad = set(E.bad_primes())
-    entries = {
-        P: Fraction(ap_oracle(E, P.rational_prime), P.rational_prime)
-        for P in enumerate_prime_ideals(K, X)
-        if P.rational_prime not in bad
-    }
-    return EigenvalueSeries(
-        field=K,
-        weight=(2,),
-        label=E.label,
-        entries=entries,
-        level_support=bad | {2},
-    )
+    K, bad = make_field(1), set(E.bad_primes())
+    ps = [P.rational_prime for P in enumerate_prime_ideals(K, X)]
+    num = [0 if p in bad else ap_oracle(E, p) for p in ps]
+    return EigenvalueSeries(K, (2,), E.label, X, num, [0 if p in bad else p for p in ps], bad | {2})

@@ -23,10 +23,11 @@ a prime ideal, the run's prime table first (see _resolve).  Level-support
 entries and rational primes must be primes below 2^64, and a prime named
 twice must carry the same value both times.
 
-Entries are kept in canonical (norm, p, root_label) order so that
-load -> serialize -> load is bit-stable.  Data from elsewhere enters as
-such a document; an eigenvalue a on the classical a_p scale at a prime of
-norm N is the coefficient c_num = a, c_den = N^(k0/2), k0 = max(weight).
+A series keeps the names of norm <= x, as columns in canonical (norm, p,
+root_label) order, so load -> serialize -> load is bit-stable; names past
+x are validated, Hasse bound included, but not kept.  Data from elsewhere
+enters as such a document; an eigenvalue a on the classical a_p scale at a
+prime of norm N is c_num = a, c_den = N^(k0/2), k0 = max(weight).
 
 The package reads local files only.  Its one cache holds the series of
 built-in curves, keyed by (label, X, CURVE_CACHE_VERSION) and written by
@@ -39,7 +40,6 @@ import hashlib
 import json
 import os
 import re
-from fractions import Fraction
 from pathlib import Path
 
 from .curves import CurveSpec, series_from_curve
@@ -47,7 +47,7 @@ from .errors import HilbertSignsError, ParseError, ValidationError
 from .field_arith import (
     PrimeIdeal, QuadField, _PrimeTable, _is_prime, _prime_table, make_field, split_rational_prime
 )
-from .sign_pipeline import EigenvalueSeries
+from .sign_pipeline import EigenvalueSeries, _hasse_columns
 
 SCHEMA_TAG = "eigen-series/1"
 CACHE_ENV = "HILBERT_SIGNS_CACHE"
@@ -74,7 +74,7 @@ def _read_json(path, what: str) -> object:
 
 
 def _header(d, weight, label, level_support) -> QuadField:
-    """Check the fields EigenvalueSeries takes besides its entries; return the field."""
+    """Check the fields EigenvalueSeries takes besides its columns; return the field."""
     if type(d) is not int:
         raise ParseError(f"field parameter d must be a JSON integer, got {d!r}")
     if type(weight) is not list or not weight or any(type(k) is not int for k in weight):
@@ -100,16 +100,16 @@ def _resolve(
     label: int,
     norm: int,
     where: str,
-) -> PrimeIdeal:
-    """The prime above p with this root label, checked against norm.
+) -> tuple[int | None, PrimeIdeal]:
+    """The row of T (None past x) and the prime above p with this root label.
 
-    A name of norm <= x is the row of T, the prime table of (K, x).  Any
+    A name of norm <= x is a row of T, the prime table of (K, x).  Any
     other takes the per-p route, which words every error: `above` belongs
     to one document and maps each p seen so far to its primes, whose root
     labels are their indices, so each distinct p is split once per decode.
     """
     if (i := T.index(norm, p, label)) is not None:
-        return T.primes[i]
+        return i, T.primes[i]
     if p not in above:
         if p >= PRIME_LIMIT:
             raise ValidationError(f"{where}: rational prime {p} is not below 2^64")
@@ -122,7 +122,7 @@ def _resolve(
     P = above[p][label]
     if P.norm != norm:
         raise ValidationError(f"{where}: no prime of norm {norm}, label {label} above {p} in {K}")
-    return P
+    return None, P
 
 
 # ----------------------------------------------------------------------
@@ -131,18 +131,9 @@ def _resolve(
 
 
 def series_to_obj(E: EigenvalueSeries) -> dict:
-    entries = []
-    for P in sorted(E.entries):
-        c = E.entries[P]
-        entries.append(
-            {
-                "norm": P.norm,
-                "rational_prime": P.rational_prime,
-                "root_label": P.root_label,
-                "c_num": c.numerator,
-                "c_den": c.denominator,
-            }
-        )
+    keys = ("norm", "rational_prime", "root_label", "c_num", "c_den")
+    rows = zip(_prime_table(E.field, E.x).primes, E.num.tolist(), E.den.tolist())
+    entries = [dict(zip(keys, (*P[:3], num, den))) for P, num, den in rows if den]
     return {
         "format": SCHEMA_TAG,
         "d": E.field.d,
@@ -166,7 +157,8 @@ def series_from_obj(obj, x: int) -> EigenvalueSeries:
     rows = obj["entries"]
     if type(rows) is not list:
         raise ParseError("eigen-series entries must be a JSON list")
-    T, entries, above = _prime_table(K, x), {}, {}
+    T, above, past = _prime_table(K, x), {}, {}
+    nums, dens = [0] * len(T.primes), [0] * len(T.primes)
     # 10^5-entry documents are common: the per-entry checks stay inline
     for i, row in enumerate(rows):
         try:
@@ -178,10 +170,17 @@ def series_from_obj(obj, x: int) -> EigenvalueSeries:
             raise ParseError(f"entry {i}: numeric fields must be JSON integers")
         if den == 0:
             raise ValidationError(f"entry {i}: zero denominator")
-        P, c = _resolve(K, T, above, p, label, norm, f"entry {i}"), Fraction(num, den)
-        if entries.setdefault(P, c) is not c and entries[P] != c:
+        j, P = _resolve(K, T, above, p, label, norm, f"entry {i}")
+        if j is not None and not dens[j]:
+            nums[j], dens[j] = num, den
+        first = past.setdefault(P, (num, den)) if j is None else (nums[j], dens[j])
+        if first[0] * den != num * first[1]:
             raise ValidationError(f"entry {i}: {P} named again with another coefficient")
-    return EigenvalueSeries(K, obj["weight"], obj["label"], entries, level_support)
+    E = EigenvalueSeries(K, obj["weight"], obj["label"], x, nums, dens, level_support)
+    primes = sorted(past)  # past x: no part in the run, but the same gate after the table's
+    nums, dens = [past[P][0] for P in primes], [past[P][1] for P in primes]
+    _hasse_columns(E.label, primes, [P.norm for P in primes], nums, dens)
+    return E
 
 
 def serialize_series(E: EigenvalueSeries) -> str:
@@ -219,7 +218,7 @@ def load_psi_table(K: QuadField, source, x: int) -> dict[PrimeIdeal, int]:
             raise ParseError(f"psi entry {i}: numeric fields must be JSON integers")
         if value not in (-1, 1):
             raise ValidationError(f"psi entry {i}: value must be +-1, got {value}")
-        P = _resolve(K, T, above, p, label, norm, f"psi entry {i}")
+        P = _resolve(K, T, above, p, label, norm, f"psi entry {i}")[1]
         if table.setdefault(P, value) != value:
             raise ValidationError(f"psi entry {i}: {P} named again with another value")
     return table

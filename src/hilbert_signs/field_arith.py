@@ -373,7 +373,7 @@ _LANES = 1 << 13
 
 
 def _absmax(values: np.ndarray) -> int:
-    return int(np.abs(values).max())
+    return int(np.abs(values).max(initial=0))
 
 
 def _lanes(bound: int, limit: int = 2**63 - 1):

@@ -63,10 +63,6 @@ class FormalSeries:
         s._reduce(den, num)
         return s
 
-    @classmethod
-    def identity(cls, K: QuadField, X: int) -> "FormalSeries":
-        return cls(K, X, {IdealFactorization.unit(K): Fraction(1)})
-
     def coefficient(self, m: IdealFactorization) -> Fraction:
         i = self.table.index.get(m)
         return Fraction(0) if i is None else Fraction(int(self.num[i]), self.den * m.norm)

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import repeat
 
 import numpy as np
 
@@ -125,9 +123,10 @@ def synth_eigen_series(K: QuadField, X: int, k0: int, seed: int) -> EigenvalueSe
 
     Primes are enumerated in canonical (norm, p, label) order and sample i
     is assigned to prime i, so the output is reproducible and extendable.
-    Coefficients c(P) = 2 B(P) N(P)^{-1/2} are stored as exact rationals
-    rounded to the grid 1/QUANT_DEN, then nudged toward zero one grid step
-    at a time if rounding pushed them over the Hasse bound.
+    Coefficients c(P) = 2 B(P) N(P)^{-1/2} are rounded to the grid
+    1/QUANT_DEN, then nudged toward zero one grid step at a time if
+    rounding pushed them over the Hasse bound; the grid integers and
+    QUANT_DEN are the series' num and den columns.
     """
     T = _prime_table(K, X)
     coords = sample_semicircle(len(T.primes), seed)
@@ -142,11 +141,8 @@ def synth_eigen_series(K: QuadField, X: int, k0: int, seed: int) -> EigenvalueSe
         while q * q * N > bound:  # c^2 N > 4 with c = q / QUANT_DEN
             q -= 1 if q > 0 else -1
         qs[i] = q
-    entries = dict(zip(T.primes, map(Fraction, qs, repeat(QUANT_DEN))))
     name = f"synthetic-d{K.d}-X{X}-k{k0}-s{seed}"
-    return EigenvalueSeries(
-        field=K, weight=(k0,), label=name, entries=entries, level_support=()
-    )
+    return EigenvalueSeries(K, (k0,), name, X, qs, [QUANT_DEN] * len(qs))
 
 
 # ----------------------------------------------------------------------

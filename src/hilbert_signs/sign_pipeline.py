@@ -10,8 +10,9 @@ and its sign is decided exactly, in integers; floats appear only
 in the Sato-Tate coordinate B(P) = c(P) sqrt(N(P)) / 2 used for
 distribution statistics, never in sign decisions.
 
-The Hasse bound is checked once, at ingestion.  The survey decides its
-primes a chunk of numpy lanes at a time, by one expression per chunk:
+The Hasse bound is checked once, as a series' integer columns are built.
+The survey slices them and decides its primes a chunk of numpy lanes at a
+time, by one expression per chunk:
 the sign of c_num N - chi c_den, and B(P) = (c_num N / c_den) / (2 sqrt(N)).
 A chunk runs in int64 when every |c_num| N and c_den in it is at most
 2^53, where the difference is exact in int64 and both terms are exact
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from types import MappingProxyType
 
 import numpy as np
@@ -45,7 +45,6 @@ from .errors import HasseBoundViolated, MissingPrime, ValidationError
 from .field_arith import (
     FieldElement,
     IdealFactorization,
-    PrimeIdeal,
     QuadField,
     _LANES,
     _absmax,
@@ -60,50 +59,63 @@ from .field_arith import (
 # ======================================================================
 
 
+def _hasse_columns(label: str, primes, norm, num, den) -> tuple[np.ndarray, np.ndarray]:
+    """num/den at each prime (of norm N) in lowest terms with den > 0, or 0/0 where den is 0.
+
+    Each chunk of _LANES rows is checked exactly in Python ints, num^2 N <=
+    4 den^2, so the first row over the bound is the one named.  Each column
+    comes back read-only, int64 where _lanes allows and Python ints otherwise.
+    """
+    cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for lo in range(0, len(primes), _LANES):
+        a, b = (np.array(c[lo : lo + _LANES], dtype=object) for c in (num, den))
+        g = np.maximum(np.gcd(a, b), 1) * np.where(b < 0, -1, 1)
+        a, b = a // g, b // g
+        if (over := np.flatnonzero(a * a * norm[lo : lo + _LANES] > 4 * b * b)).size:
+            P, c = primes[lo + over[0]], Fraction(a[over[0]], b[over[0]])
+            raise HasseBoundViolated(f"{label}: |c({P})| = |{c}| exceeds 2/sqrt({P.norm})")
+        for col, c in zip(cols, (a, b)):
+            col.append(c.astype(_lanes(_absmax(c))))
+    cols = tuple(map(np.concatenate, cols))
+    for c in cols:
+        c.flags.writeable = False
+    return cols
+
+
 class EigenvalueSeries:
     """Coefficients c(P) of one form, with weight and level bookkeeping.
 
-    entries is a read-only map from prime ideals to exact rationals.  Its
-    ingestion, the one Hasse gate, enforces |c(P)| <= 2 N(P)^{-1/2}
-    (checked exactly as c^2 N <= 4) and even weights >= 2.
+    num and den are read-only integer columns aligned to the prime table of
+    (field, x): c(P) = num / den at the row of P, and den == 0 where P has
+    no coefficient.  The constructor, the one Hasse gate, reduces each
+    pair to lowest terms with den > 0, enforces |c(P)| <= 2 N(P)^{-1/2}
+    (checked exactly as num^2 N <= 4 den^2) and even weights >= 2.
     """
 
-    def __init__(
-        self,
-        field: QuadField,
-        weight,
-        label: str,
-        entries: dict[PrimeIdeal, Fraction],
-        level_support=(),
-    ):
+    def __init__(self, field: QuadField, weight, label: str, x: int, num, den, level_support=()):
         weight = tuple(weight)
         if not weight or any(k < 2 or k % 2 for k in weight):
             raise ValidationError(f"weights must be even integers >= 2, got {weight}")
         self.field = field
         self.weight = weight
         self.label = str(label)
+        self.x = int(x)
         self.level_support = frozenset(level_support)
-        checked = {}
-        for P, c in entries.items():
-            if P.field != field:
-                raise ValidationError(f"entry at {P} does not belong to {field}")
-            if not isinstance(c, Fraction):
-                c = Fraction(c)
-            if c.numerator * c.numerator * P.norm > 4 * c.denominator * c.denominator:
-                raise HasseBoundViolated(
-                    f"{label}: |c({P})| = |{c}| exceeds 2/sqrt({P.norm})"
-                )
-            checked[P] = c
-        self.entries = MappingProxyType(checked)
+        T = _prime_table(field, self.x)
+        if not len(num) == len(den) == len(T.primes):
+            raise ValueError(f"columns of {len(num)} and {len(den)} rows, for {len(T.primes)} primes")
+        self.num, self.den = _hasse_columns(self.label, T.primes, T.norm, num, den)
 
     @property
-    def k0(self) -> int:
-        return max(self.weight)
+    def entries(self) -> MappingProxyType:
+        """A read-only {prime: Fraction} view of the rows with a coefficient, built on each read."""
+        rows = zip(_prime_table(self.field, self.x).primes, self.num.tolist(), self.den.tolist())
+        return MappingProxyType({P: Fraction(n, d) for P, n, d in rows if d})
 
     def __repr__(self):
         return (
             f"EigenvalueSeries({self.label!r}, {self.field}, weight={self.weight}, "
-            f"{len(self.entries)} primes)"
+            f"{np.count_nonzero(self.den)} primes)"
         )
 
 
@@ -112,7 +124,7 @@ class EigenvalueSeries:
 # ======================================================================
 
 
-def _sign_lanes(coeffs: list[Fraction], chi: np.ndarray, norms: np.ndarray):
+def _sign_lanes(num: np.ndarray, den: np.ndarray, chi: np.ndarray, norms: np.ndarray):
     """sign(c - chi/N) and B = c sqrt(N) / 2 at every lane, as int8 and float64.
 
     With t = c_num N, each chunk of _LANES lanes takes sign(t - chi c_den)
@@ -121,16 +133,15 @@ def _sign_lanes(coeffs: list[Fraction], chi: np.ndarray, norms: np.ndarray):
     floats and Python int true division are both correctly rounded, so B
     is the same bits on either dtype.
     """
-    signs = np.empty(len(coeffs), dtype=np.int8)
-    coords = np.empty(len(coeffs), dtype=np.float64)
-    for lo in range(0, len(coeffs), _LANES):
-        part, N = coeffs[lo : lo + _LANES], norms[lo : lo + _LANES]
-        t = np.array([c.numerator for c in part], dtype=object) * N
-        den = np.array([c.denominator for c in part], dtype=object)
-        lanes = _lanes(max(_absmax(t), _absmax(den)), 2**53)
-        t, den = t.astype(lanes), den.astype(lanes)
-        signs[lo : lo + len(part)] = np.sign(t - chi[lo : lo + _LANES] * den)
-        coords[lo : lo + len(part)] = t / den / (2.0 * np.sqrt(N.astype(np.float64)))
+    signs = np.empty(len(num), dtype=np.int8)
+    coords = np.empty(len(num), dtype=np.float64)
+    for lo in range(0, len(num), _LANES):
+        N, d = norms[lo : lo + _LANES], den[lo : lo + _LANES]
+        t = num[lo : lo + _LANES].astype(object) * N
+        lanes = _lanes(max(_absmax(t), _absmax(d)), 2**53)
+        t, d = t.astype(lanes), d.astype(lanes)
+        signs[lo : lo + len(N)] = np.sign(t - chi[lo : lo + _LANES] * d)
+        coords[lo : lo + len(N)] = t / d / (2.0 * np.sqrt(N.astype(np.float64)))
     return signs, coords
 
 
@@ -171,14 +182,15 @@ class SignSurvey:
         T = _prime_table(E.field, self.x)
         chi = self.chi.values_upto(self.x)
         good = chi != 0
-        coeffs = list(map(E.entries.get, compress(T.primes, good)))
+        # a cutoff below E.x reads a prefix of the columns; past E.x no row is held
+        n = min(len(T.primes), len(E.den))
+        gaps = good & np.pad(E.den[:n] == 0, (0, len(good) - n), constant_values=True)
+        if gaps.any():
+            raise MissingPrime(f"{E.label}: no coefficient at good prime {T.primes[gaps.argmax()]}")
         self.all_norms = T.norm
         self.good_norms = T.norm[good]
-        n = next((i for i, c in enumerate(coeffs) if c is None), None)
-        if n is not None:
-            P = T.primes[np.flatnonzero(good)[n]]
-            raise MissingPrime(f"{E.label}: no coefficient at good prime {P}")
-        self.signs, self.coords = _sign_lanes(coeffs, chi[good], self.good_norms)
+        num, den = E.num[:n][good[:n]], E.den[:n][good[:n]]
+        self.signs, self.coords = _sign_lanes(num, den, chi[good], self.good_norms)
 
     def tally(self, x: int | None = None) -> SignTally:
         x = self.x if x is None else int(x)

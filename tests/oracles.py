@@ -19,7 +19,11 @@ closed-form expression.
 
 lambda_sign and sato_tate_coordinate decide one prime's sign and
 coordinate in Python ints: the scalar references for the survey's
-chunked numpy kernel.  prime_residual is the one-prime Fraction reference
+chunked numpy kernel.  value_at is the one-prime reference for the
+character's values over the prime table, identity the unit formal
+series, and series_from_entries builds an EigenvalueSeries from a
+{prime: rational} dict, for the tests that write coefficients prime by
+prime.  prime_residual is the one-prime Fraction reference
 for the library's all-primes residual array, and tail_inequality decides
 both sides of the tail inequality that the survey satisfies by
 construction (see the sign_pipeline docstring), so it checks the
@@ -34,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from hilbert_signs import (
+    EigenvalueSeries,
     FormalSeries,
     HasseBoundViolated,
     IdealFactorization,
@@ -41,7 +46,7 @@ from hilbert_signs import (
     enumerate_prime_ideals,
 )
 from hilbert_signs.eigen_io import serialize_series
-from hilbert_signs.field_arith import _euler_symbol
+from hilbert_signs.field_arith import _euler_symbol, _prime_table
 
 # Half-width of the band around eps inside which tail_inequality decides
 # B(P) > eps from the exact coefficient instead of the float coordinate.
@@ -59,6 +64,11 @@ def quadrature_mass(a, b):
     theta = mid[..., None] + half[..., None] * GL_NODES
     vals = np.cos(theta) ** 2 @ GL_WEIGHTS
     return (2.0 / np.pi) * half * vals
+
+
+def identity(K, X):
+    """The unit series: 1 at the unit ideal and 0 at every other ideal of norm <= X."""
+    return FormalSeries(K, X, {IdealFactorization.unit(K): Fraction(1)})
 
 
 def euler_factor_inverse(P, u, X):
@@ -145,19 +155,42 @@ def multiplicative_series(K, X, primes, prime_value, max_exponent=None):
 
 def dict_zeta_series(chi, X):
     """Product over good primes of (1 - chi(P)/N(P) M(P))^{-1}."""
-    value = lambda P: Fraction(chi.value_at(P), P.norm)  # noqa: E731
+    value = lambda P: Fraction(value_at(chi, P), P.norm)  # noqa: E731
     return multiplicative_series(chi.field, X, good_primes(chi, X), value)
 
 
 def dict_moebius_series(chi, X):
     """Product over good primes of (1 - chi(P)/N(P) M(P))."""
-    value = lambda P: Fraction(-chi.value_at(P), P.norm)  # noqa: E731
+    value = lambda P: Fraction(-value_at(chi, P), P.norm)  # noqa: E731
     return multiplicative_series(chi.field, X, good_primes(chi, X), value, max_exponent=1)
 
 
 def good_primes(chi, X):
     """Primes of norm <= X where chi does not vanish, in norm order."""
     return [P for P in enumerate_prime_ideals(chi.field, X) if P not in chi.bad_set]
+
+
+def value_at(chi, P):
+    """chi(P) in {-1, 0, +1} at one prime, zero exactly on the bad set: the
+    scalar reference for IdealCharacter.values_upto."""
+    assert P.field == chi.field, f"{P} is not a prime of {chi.field}"
+    if P in chi.bad_set:
+        return 0
+    return chi.psi_table.get(P, 1) * _euler_symbol(*chi.tau_omega, P)
+
+
+def series_from_entries(K, weight, label, entries, x, level_support=()):
+    """The EigenvalueSeries on the prime table of (K, x) holding a {prime: rational} dict.
+
+    Every key must be a row of that table; rows without a key get no
+    coefficient.
+    """
+    T = _prime_table(K, x)
+    assert all(T.index(*P[:3]) is not None for P in entries), "a key is not a row of the table"
+    cs = [Fraction(entries[P]) if P in entries else None for P in T.primes]
+    num = [0 if c is None else c.numerator for c in cs]
+    den = [0 if c is None else c.denominator for c in cs]
+    return EigenvalueSeries(K, weight, label, x, num, den, level_support)
 
 
 def sato_tate_coordinate(c, norm):
@@ -182,7 +215,7 @@ def lambda_sign(c, chi_p, norm):
 def prime_residual(c, lam, chi, P):
     """c(P) - chi(P)/N(P) - lam(P) at one good prime, in Fractions."""
     idx = IdealFactorization.from_prime(P)
-    return c.coefficient(idx) - Fraction(chi.value_at(P), P.norm) - lam.coefficient(idx)
+    return c.coefficient(idx) - Fraction(value_at(chi, P), P.norm) - lam.coefficient(idx)
 
 
 def tail_inequality(E, survey, x, epsilon):

@@ -5,7 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
-from oracles import save_fixture
+from oracles import save_fixture, value_at
 
 import hilbert_signs
 from hilbert_signs import (
@@ -64,7 +64,7 @@ def test_char_matches_library(capsys, field5):
     chi = IdealCharacter.from_tau(field5, (4, 1))
     lines = out.strip().split("\n")[1:]
     for line, P in zip(lines, enumerate_prime_ideals(field5, 100)):
-        assert int(line.split(",")[-1]) == chi.value_at(P)
+        assert int(line.split(",")[-1]) == value_at(chi, P)
 
 
 def test_char_psi_file_flips(capsys, tmp_path, field5):
@@ -379,6 +379,7 @@ INPUT_ERRORS = {
     "fixture-level-composite-2-64": lambda t: _fixture(t, level_support=[_COMPOSITE]),
     "psi-prime-composite-2-64": lambda t: _psi_over_prime(t, _COMPOSITE),
     "fixture-prime-twice": lambda t: _fixture(t, more=[{**_ROW, "c_num": 1, "c_den": 3}]),
+    "fixture-hasse-past-x": lambda t: _fixture(t, more=[{**_ROW, "norm": 5, "rational_prime": 5, "c_num": 1}]),
     "psi-prime-twice": lambda t: _psi(t, more=[{**_PSI_ROW, "value": -1}]),
     "series-check-count-negative": lambda t: _series_check_count("-5"),
     "series-check-count-zero": lambda t: _series_check_count("0"),

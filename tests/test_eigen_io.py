@@ -1,14 +1,19 @@
 """Serialization, the psi-table decoder and the curve cache."""
 
 import json
+import math
 import os
+import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
-from oracles import save_fixture
+from oracles import save_fixture, value_at
 
 from hilbert_signs import (
     HasseBoundViolated,
     HilbertSignsError,
+    IdealCharacter,
     ParseError,
     ValidationError,
     cached_curve_series,
@@ -92,6 +97,73 @@ def test_series_from_obj_errors():
         series_from_obj({**good, "entries": [{"norm": 3}]}, 30)
 
 
+def test_hasse_violation_past_x_is_an_input_error():
+    row = {"norm": 3, "rational_prime": 3, "root_label": 0, "c_num": 0, "c_den": 1}
+    doc = {"format": "eigen-series/1", "d": 1, "weight": [2], "label": "x", "entries": [row]}
+    past = {**row, "norm": 5, "rational_prime": 5, "c_num": 1}
+    with pytest.raises(HasseBoundViolated, match=r"^x: \|c\(\(5\)\)\| = \|1\| exceeds 2/sqrt\(5\)$"):
+        series_from_obj({**doc, "entries": [row, past]}, 3)
+    # of several violations the first in canonical order is named, past x or not
+    over = [{**row, "norm": p, "rational_prime": p, "c_num": 1} for p in (13, 11, 7)]
+    for x in (3, 10, 100):
+        with pytest.raises(HasseBoundViolated, match=r"^x: \|c\(\(7\)\)\|"):
+            series_from_obj({**doc, "entries": [row, *over]}, x)
+
+
+def fraction_decode(doc, x):
+    """{prime: Fraction} over the names of norm <= x: the reference decode.
+
+    Each name is split on its own and each value is a Fraction, so a name
+    given twice must carry equal Fractions.
+    """
+    K, out = make_field(doc["d"]), {}
+    for row in doc["entries"]:
+        P = split_rational_prime(K, row["rational_prime"])[row["root_label"]]
+        assert P.norm == row["norm"]
+        c = Fraction(row["c_num"], row["c_den"])
+        assert out.setdefault(P, c) == c
+    return {P: c for P, c in out.items() if P.norm <= x}
+
+
+def test_columns_match_a_fraction_decode(field5):
+    x, rng = 3000, random.Random(14)
+    chi = IdealCharacter.from_tau(field5, (4, 1))
+    names = _prime_table(field5, x + 200).primes  # the last few are past x
+
+    def row(P, num, den):
+        return {"norm": P.norm, "rational_prime": P.rational_prime, "root_label": P.root_label,
+                "c_num": num, "c_den": den}
+
+    rows = []
+    for i, P in enumerate(names):
+        if i % 11 == 5:
+            continue  # no coefficient
+        den = rng.randint(1, 10**6)
+        num = rng.randint(-1, 1) * math.isqrt(4 * den * den // P.norm)
+        v, k = value_at(chi, P), rng.choice((1, 2, -1, -3))
+        if i % 7 == 1 and v:  # chi/N +- 10^-30, past int64
+            num, den = v * 10**30 + rng.choice((-1, 1)) * P.norm, P.norm * 10**30
+        rows.append(row(P, k * num, k * den))  # unreduced, or over a negative denominator
+        if i % 13 == 2:  # named again, in another form of the same value
+            rows.append(row(P, -2 * k * num, -2 * k * den))
+    rows += [row(names[5], 2, 8), row(names[5], -1, -4)]  # row 5 has no other name
+    rng.shuffle(rows)
+    doc = {"format": "eigen-series/1", "d": 5, "weight": [2], "label": "diff", "entries": rows}
+    E, want = series_from_obj(doc, x), fraction_decode(doc, x)
+    assert E.entries == want and E.num.dtype == E.den.dtype == object
+    assert any(P.norm > x for P in fraction_decode(doc, 10**6))
+    primes = _prime_table(field5, x).primes
+    for P, num, den in zip(primes, E.num.tolist(), E.den.tolist()):
+        c = want.get(P)
+        assert (num, den) == ((0, 0) if c is None else (c.numerator, c.denominator))
+    assert [r["c_num"] for r in series_to_obj(E)["entries"]] == [want[P].numerator for P in sorted(want)]
+    # without the plants every value fits int64, and so do the columns
+    small = [r for r in rows if abs(r["c_den"]) < 2**63]
+    E = series_from_obj({**doc, "entries": small}, x)
+    assert E.num.dtype == E.den.dtype == np.int64
+    assert E.entries == fraction_decode({**doc, "entries": small}, x)
+
+
 def test_load_fixture_rejects_undecodable_bytes(tmp_path):
     path = tmp_path / "bytes.json"
     path.write_bytes(b'{"label": "\xff"}')  # not UTF-8
@@ -161,14 +233,18 @@ def test_prime_lookup_splits_each_p_once(field5, monkeypatch):
         return {"norm": norm, "rational_prime": p, "root_label": label, "c_num": 0, "c_den": 1}
 
     doc = {"format": "eigen-series/1", "d": 5, "weight": [2, 2], "label": "x"}
+    # the series keeps only the rows of the table: names past x are validated, not kept
     decoders = (
-        lambda: load_psi_table(field5, [psi(*n) for n in names + names[:2]], x),
-        lambda: series_from_obj({**doc, "entries": [row(*n) for n in names + names[:2]]}, x).entries,
+        (lambda: load_psi_table(field5, [psi(*n) for n in names + names[:2]], x), expected),
+        (
+            lambda: series_from_obj({**doc, "entries": [row(*n) for n in names + names[:2]]}, x).entries,
+            {P for P in expected if P.norm <= x},
+        ),
     )
-    for decode in decoders:
+    for decode, kept in decoders:
         calls.clear()
         keys = decode()
-        assert keys.keys() == expected and calls == [101, 13]
+        assert keys.keys() == kept and calls == [101, 13]
         assert all(P is T.primes[T.index(*P[:3])] for P in keys if P.norm <= x)
     # inert 7 has label 0 only; 4, 9 and 1 are not prime; the error names the entry
     for p, label in ((7, 1), (4, 0), (9, 0), (1, 0)):

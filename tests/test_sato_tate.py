@@ -166,7 +166,7 @@ def test_ppf_inverts_cdf():
 
 def test_synth_series_is_exact_and_on_grid(field5):
     E = synth_eigen_series(field5, 3000, 2, 11)
-    assert E.field is field5 and E.weight == (2,) and E.k0 == 2
+    assert E.field is field5 and E.weight == (2,) and max(E.weight) == 2
     for P, c in E.entries.items():
         assert QUANT_DEN % c.denominator == 0
         assert c * c * P.norm <= 4  # exact rational Hasse check
@@ -225,7 +225,7 @@ def test_synth_series_deterministic(field5):
 def test_synth_series_higher_weight():
     Q = make_field(1)
     E = synth_eigen_series(Q, 200, 6, 8)
-    assert E.k0 == 6 and all(c * c * P.norm <= 4 for P, c in E.entries.items())
+    assert max(E.weight) == 6 and all(c * c * P.norm <= 4 for P, c in E.entries.items())
 
 
 def test_synth_series_nudge_steps_one_grid_point(monkeypatch):

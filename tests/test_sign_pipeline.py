@@ -17,7 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import lambda_sign, sato_tate_coordinate, save_fixture, tail_inequality
+from oracles import (
+    lambda_sign,
+    sato_tate_coordinate,
+    save_fixture,
+    series_from_entries,
+    tail_inequality,
+    value_at,
+)
 
 from hilbert_signs import (
     EigenvalueSeries,
@@ -39,7 +46,7 @@ Q = make_field(1)
 
 def series_over_Q(X, cfun, weight=(2,), label="test"):
     entries = {P: cfun(P) for P in enumerate_prime_ideals(Q, X)}
-    return EigenvalueSeries(Q, weight, label, entries)
+    return series_from_entries(Q, weight, label, entries, X)
 
 
 def seeded_series_over_Q(X, seed, weight=(2,)):
@@ -133,36 +140,37 @@ def test_lambda_sign_matches_fraction_at_the_boundary(chi, norm, den, offset):
 
 def test_series_rejects_bad_weight():
     with pytest.raises(ValidationError):
-        EigenvalueSeries(Q, (3,), "odd", {})
+        EigenvalueSeries(Q, (3,), "odd", 1, [], [])
     with pytest.raises(ValidationError):
-        EigenvalueSeries(Q, (0,), "small", {})
+        EigenvalueSeries(Q, (0,), "small", 1, [], [])
     with pytest.raises(ValidationError):
-        EigenvalueSeries(Q, (), "empty", {})
+        EigenvalueSeries(Q, (), "empty", 1, [], [])
 
 
 def test_series_rejects_hasse_violation(field5):
     (P3,) = split_rational_prime(Q, 3)
     with pytest.raises(HasseBoundViolated):
-        EigenvalueSeries(Q, (2,), "fat", {P3: Fraction(2)})
-    ok = EigenvalueSeries(Q, (2,), "edge", {P3: Fraction(1)})  # 1*1*3 <= 4
+        series_from_entries(Q, (2,), "fat", {P3: Fraction(2)}, 3)
+    ok = series_from_entries(Q, (2,), "edge", {P3: Fraction(1)}, 3)  # 1*1*3 <= 4
     assert ok.entries[P3] == 1
     # the inert prime above 3 in Q(sqrt5) has N = 9, where c = 2/3 sits on the bound
     (P9,) = split_rational_prime(field5, 3)
-    on_bound = EigenvalueSeries(field5, (2,), "on", {P9: Fraction(2, 3)})  # c^2 N = 4
+    on_bound = series_from_entries(field5, (2,), "on", {P9: Fraction(2, 3)}, 9)  # c^2 N = 4
     assert on_bound.entries[P9] == Fraction(2, 3)
     with pytest.raises(HasseBoundViolated):
-        EigenvalueSeries(field5, (2,), "over", {P9: Fraction(2, 3) + Fraction(1, 10**30)})
+        series_from_entries(field5, (2,), "over", {P9: Fraction(2, 3) + Fraction(1, 10**30)}, 9)
 
 
-def test_series_rejects_foreign_primes(field5):
-    P3 = split_rational_prime(field5, 3)[0]
-    with pytest.raises(ValidationError):
-        EigenvalueSeries(Q, (2,), "foreign", {P3: Fraction(0)})
+def test_series_columns_must_cover_the_table():
+    with pytest.raises(ValueError, match="columns of 1 and 1 rows, for 2 primes"):
+        EigenvalueSeries(Q, (2,), "short", 3, [0], [1])  # (2) and (3)
+    E = EigenvalueSeries(Q, (2,), "two", 3, [0, 2], [0, -4])
+    assert (E.num.tolist(), E.den.tolist(), E.num.dtype) == ([0, -1], [0, 2], np.int64)
 
 
 def test_k0_is_max_component():
-    E = EigenvalueSeries(Q, (2, 4), "mixed", {})
-    assert E.k0 == 4
+    E = EigenvalueSeries(Q, (2, 4), "mixed", 1, [], [])
+    assert E.weight == (2, 4) and max(E.weight) == 4
 
 
 # ----------------------------------------------------------------------
@@ -207,10 +215,25 @@ def test_survey_matches_fresh_tally():
         SignSurvey(E, 5)  # cutoff is mandatory
 
 
+def test_survey_reads_a_prefix_of_the_columns():
+    E = seeded_series_over_Q(1000, 11)
+    whole, part = SignSurvey(E, 5, x=1000), SignSurvey(E, 5, x=400)
+    assert np.array_equal(part.signs, whole.signs[: len(part.signs)])
+    assert part.coords.tobytes() == whole.coords[: len(part.coords)].tobytes()
+    # past E.x no row has a coefficient: the first good prime there is the gap
+    with pytest.raises(MissingPrime, match=r"seeded-11: no coefficient at good prime \(1009\)$"):
+        SignSurvey(E, 5, x=1100)
+    # while a cutoff whose extra primes are all bad needs none of them
+    empty = EigenvalueSeries(Q, (2,), "empty", 1, [], [])
+    assert (empty.num.size, empty.den.size) == (0, 0)
+    t = SignSurvey(empty, 1, x=2).tally()
+    assert (t.total, t.bad, t.pos + t.neg + t.zero) == (1, 1, 0)
+
+
 def test_missing_prime():
     entries = {P: Fraction(0) for P in enumerate_prime_ideals(Q, 100)}
     del entries[split_rational_prime(Q, 97)[0]]
-    E = EigenvalueSeries(Q, (2,), "gappy", entries)
+    E = series_from_entries(Q, (2,), "gappy", entries, 100)
     with pytest.raises(MissingPrime, match=r"gappy: no coefficient at good prime \(97\)$"):
         SignSurvey(E, 1, x=100).tally()
     # but a tighter cutoff never touches the gap
@@ -221,10 +244,14 @@ def test_first_fault_in_canonical_order_is_raised():
     entries = {P: Fraction(0) for P in enumerate_prime_ideals(Q, 100)}
     P7, P53, P97 = (split_rational_prime(Q, p)[0] for p in (7, 53, 97))
     del entries[P53], entries[P97]
-    E = EigenvalueSeries(Q, (2,), "faulty", entries)
+    E = series_from_entries(Q, (2,), "faulty", entries, 100)
     # ingestion is the one Hasse gate: no value can be put past it afterwards
     with pytest.raises(TypeError):
         E.entries[P7] = Fraction(1)
+    with pytest.raises(ValueError, match="read-only"):
+        E.num[3] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        E.den[3] = 1
     with pytest.raises(MissingPrime, match=r"\(53\)"):  # the first gap is named
         SignSurvey(E, 1, x=100)
 
@@ -249,7 +276,7 @@ def mixed_lane_series():
     X, limit = 20000, 2**53
     E = synth_eigen_series(Q, X, 2, 3)
     chi = IdealCharacter.from_tau(Q, 5)
-    good = [P for P in enumerate_prime_ideals(Q, X) if chi.value_at(P)]
+    good = [P for P in enumerate_prime_ideals(Q, X) if value_at(chi, P)]
     entries = dict(E.entries)
     rng = random.Random(5)
 
@@ -257,11 +284,11 @@ def mixed_lane_series():
         return Fraction(rng.choice((-1, 1)) * rng.randint(1, D // math.isqrt(P.norm)), D)
 
     for P in good[3::37]:
-        entries[P] = Fraction(chi.value_at(P), P.norm)
+        entries[P] = Fraction(value_at(chi, P), P.norm)
     for k in (k for k in range(3, len(good) // CHUNK, 3) if k != 12):
         for P in good[k * CHUNK + 2 : (k + 1) * CHUNK : 7]:
             tiny = Fraction(rng.choice((-1, 1)), 10**30)
-            entries[P] = Fraction(chi.value_at(P), P.norm) + tiny
+            entries[P] = Fraction(value_at(chi, P), P.norm) + tiny
     for i, D in ((8 * CHUNK - 1, PAST_2_63), (13 * CHUNK, PAST_2_53), (13 * CHUNK + 30, PAST_2_53)):
         entries[good[i]] = on_grid(good[i], D)
     entries[good[-1]] = on_grid(good[-1], PAST_2_63)
@@ -271,7 +298,7 @@ def mixed_lane_series():
     num = (limit - 1) // 6361
     entries[P6361] = Fraction(num, 40 * num + 1)
     assert good.index(P3) // CHUNK == 0 and good.index(P6361) // CHUNK == 12
-    return EigenvalueSeries(Q, (2,), "mixed-lanes", entries), chi, good
+    return series_from_entries(Q, (2,), "mixed-lanes", entries, X), chi, good
 
 
 def test_survey_lanes_match_scalar_decisions(monkeypatch):
@@ -294,7 +321,7 @@ def test_survey_lanes_match_scalar_decisions(monkeypatch):
     zero = 0
     for P, s, b in zip(good, survey.signs.tolist(), survey.coords.tolist()):
         c = E.entries[P]
-        assert s == lambda_sign(c, chi.value_at(P), P.norm)
+        assert s == lambda_sign(c, value_at(chi, P), P.norm)
         assert b == sato_tate_coordinate(c, P.norm)  # bit for bit
         zero += s == 0
     assert zero > 50
