@@ -1,4 +1,4 @@
-"""Byte-exact stdout of representative commands, pinned by sha256.
+"""Byte-exact stdout of representative commands and curve cache files, pinned by sha256.
 
 A refactor must leave these bytes unchanged; a deliberate output change
 updates the digest here and says why.
@@ -8,7 +8,9 @@ import hashlib
 
 import pytest
 
+from hilbert_signs import get_curve, series_from_curve
 from hilbert_signs.cli import main
+from hilbert_signs.eigen_io import serialize_series
 
 GOLDEN = [
     (
@@ -76,3 +78,20 @@ def test_stdout_is_byte_identical(capsys, argv, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of serialize_series(series_from_curve(E, 20000)): the bytes of the
+# curve cache file, so a faster point count must reproduce every a_p.
+CURVE_SERIES_GOLDEN = {
+    "11a": "3e3a92ec7c28460cdbedbaba9e4294308b830eeb2142df18b96ddb9226d72fe9",
+    "37a": "fd5953be46300429ec9e1b39b422fd0fb02405fe0620e1a5bd7d643087c5d5f9",
+    "389a": "e29d14f4e61f28cde183f6184e353432a1821554e04ce83711d630aec9a6bfa0",
+    "5077a": "2a5ce5083eb784d1b31abd044c972e51a18950536c03421bbb7900be560f66b3",
+    "32a": "90e7e32a9dc82df5942e3b113349e9c71641cf7abf738bd5f3acca63684e0b4a",
+}
+
+
+@pytest.mark.parametrize("label", sorted(CURVE_SERIES_GOLDEN))
+def test_curve_series_bytes_are_pinned(label):
+    doc = serialize_series(series_from_curve(get_curve(label), 20000))
+    assert hashlib.sha256(doc.encode()).hexdigest() == CURVE_SERIES_GOLDEN[label]
