@@ -48,7 +48,7 @@ def field5():
 
 @pytest.fixture(scope="session")
 def curve37_series_1e5(session_cache_dir):
-    # ~13 s of point counting, shared by the pipeline and acceptance tests
+    # the 37a series to 10^5, shared by the pipeline and acceptance tests
     return cached_curve_series(get_curve("37a"), 100_000)
 
 

@@ -29,6 +29,11 @@ both sides of the tail inequality that the survey satisfies by
 construction (see the sign_pipeline docstring), so it checks the
 survey's signs against its coefficients.  quadratic_residue_symbol and save_fixture give the tests
 the symbol of one element and a fixture file on disk.
+
+point_add, point_mul, hasse_traces and scalar_ap_bsgs are the one-prime,
+Python-int baby-step giant-step that the library's int64 lane kernel
+replaced: affine points with a modular inverse per group operation, and a
+dict of baby steps.  The tests compare the lanes with them point by point.
 """
 
 import math
@@ -45,6 +50,7 @@ from hilbert_signs import (
     as_element,
     enumerate_prime_ideals,
 )
+from hilbert_signs.curves import ap_symbol_sum
 from hilbert_signs.eigen_io import serialize_series
 from hilbert_signs.field_arith import _euler_symbol, _prime_table
 
@@ -257,3 +263,90 @@ def quadratic_residue_symbol(a, P):
 def save_fixture(E, path):
     """Write E as an eigen-series document, the file that --fixture reads."""
     Path(path).write_text(serialize_series(E))
+
+
+def point_add(P, Q, a, p):
+    """P + Q on y^2 = x^3 + a x + b over F_p (b is not needed); None is O."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        slope = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (slope * slope - x1 - x2) % p
+    return x3, (slope * (x1 - x3) - y1) % p
+
+
+def point_mul(n, P, a, p):
+    """[n]P for n >= 0, by double-and-add."""
+    R = None
+    while n:
+        if n & 1:
+            R = point_add(R, P, a, p)
+        P = point_add(P, P, a, p)
+        n >>= 1
+    return R
+
+
+def hasse_traces(P, a, p):
+    """Every t with |t| <= 2 sqrt(p) and [p + 1 - t]P = O, by one-prime BSGS.
+
+    Baby steps store [j]P for 0 <= j <= m; giant steps visit [n]P for
+    n = lo + m, lo + 3m + 1, ..., each covering the group orders n - m..n + m.
+    A baby match [n]P = [j]P gives s = -j and [n]P = -[j]P gives s = j; at
+    y = 0 (O included) both hold.  A baby x-coordinate keeps every j that
+    reaches it, since P may have small order.
+    """
+    bound = math.isqrt(4 * p)
+    m = math.isqrt(bound) + 1
+    baby = {}
+    Q = None
+    for j in range(m + 1):
+        x, y = Q if Q is not None else (None, 0)
+        baby.setdefault(x, []).append((j, y))
+        Q = point_add(Q, P, a, p)
+    step = point_add(Q, point_mul(m, P, a, p), a, p)  # [2m + 1]P
+    lo, hi = p + 1 - bound, p + 1 + bound
+    traces = set()
+    n = lo + m
+    G = point_mul(n, P, a, p)
+    while n - m <= hi:
+        x, y = G if G is not None else (None, 0)
+        for j, yj in baby.get(x, ()):
+            if yj == y:
+                traces.add(p + 1 - (n - j))
+            if (yj + y) % p == 0:
+                traces.add(p + 1 - (n + j))
+        G = point_add(G, step, a, p)
+        n += 2 * m + 1
+    return {t for t in traces if t * t <= 4 * p}
+
+
+def scalar_ap_bsgs(E, p):
+    """a_p for good p >= 5 from E and its twists, one x at a time, in Python ints.
+
+    Each x with r = f(x) != 0 on the short model y^2 = x^3 + A x + B gives
+    (r x, r^2) on the twist by r; chi(r) times its traces are intersected
+    until one is left, and the symbol sum decides if the x run out.
+    """
+    b2, b4, b6, _ = E.b_invariants()
+    c4 = b2 * b2 - 24 * b4
+    c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
+    A, B = -27 * c4 % p, -54 * c6 % p
+    candidates = None
+    for x in range(p):
+        r = (x * x * x + A * x + B) % p
+        if r == 0:
+            continue
+        chi = 1 if pow(r, (p - 1) // 2, p) == 1 else -1
+        found = {chi * t for t in hasse_traces((r * x % p, r * r % p), A * r * r % p, p)}
+        candidates = found if candidates is None else candidates & found
+        if len(candidates) == 1:
+            return candidates.pop()
+    return ap_symbol_sum(E, p)

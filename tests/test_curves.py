@@ -1,8 +1,14 @@
-"""Point counts: baby-step giant-step against the brute-force loop and the symbol sum."""
+"""Point counts: baby-step giant-step against the brute-force loop and the symbol sum.
+
+The library's BSGS runs on int64 numpy lanes, one prime per lane; the
+one-prime Python-int BSGS it replaced lives in oracles.py, and the lanes
+are checked against it point by point.
+"""
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -20,7 +26,9 @@ from hilbert_signs import (
     split_rational_prime,
 )
 from hilbert_signs import curves
-from hilbert_signs.curves import _hasse_traces, _mul, ap_bsgs, ap_naive, ap_symbol_sum
+from hilbert_signs.curves import _ap_lanes, _traces_lanes, ap_bsgs, ap_naive, ap_symbol_sum
+from hilbert_signs.field_arith import TABLE_MAX_X, _is_prime
+from oracles import hasse_traces, point_mul, scalar_ap_bsgs
 
 # First trace values of the rank-0 and rank-1 workhorses, frozen after
 # computing them independently with both counting routes.
@@ -81,13 +89,13 @@ def test_naive_matches_symbol_sum_everywhere():
 
 
 def test_bsgs_matches_symbol_sum_to_3000():
-    # covers every prime where a registry curve's points leave more than one trace
+    # covers every prime where a registry curve's points leave more than one
+    # trace; all primes of a curve run as the lanes of one chunk
     for E in CURVE_REGISTRY.values():
-        bad = set(E.bad_primes())
-        for q in primes_upto(3000):
-            p = int(q)
-            if p >= 5 and p not in bad:
-                assert ap_bsgs(E, p) == ap_symbol_sum(E, p), (E.label, p)
+        p = primes_upto(3000)
+        p = p[(p >= 5) & ~np.isin(p, E.bad_primes())]
+        want = [ap_symbol_sum(E, q) for q in p.tolist()]
+        assert _ap_lanes(E, p).tolist() == want, E.label
 
 
 SMALL_PRIMES = [int(q) for q in primes_upto(100) if q >= 5]
@@ -108,22 +116,45 @@ def test_bsgs_on_random_short_curves(a, b, p):
         assert ap == ap_naive(E, p)
 
 
+SHORT_CURVES = ((1, 1), (-1, 0), (0, 1), (2, 3))
+
+
+def affine_points(a, b, p):
+    return [(x, y) for x in range(p) for y in range(p) if (y * y - x**3 - a * x - b) % p == 0]
+
+
+def lane_traces(points, a, p):
+    """The lane kernel's trace sets, one point per lane of a single call."""
+    x, y = (np.array(c, dtype=np.int64) for c in zip(*points))
+    lane, t = _traces_lanes(x, y, np.full_like(x, a % p), np.full_like(x, p))
+    found = [set() for _ in points]
+    for i, s in zip(lane.tolist(), t.tolist()):
+        found[i].add(s)
+    return found
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 101])
 def test_hasse_traces_at_every_point(p):
     # every affine point, so points of order 2 (y = 0), 3, 4, ... and giant
-    # steps that land on O all occur; the oracle multiplies P out for each t
+    # steps that land on O all occur; the oracle multiplies P out for each t,
+    # and the lane kernel runs each point as a lane of its own
     bound = math.isqrt(4 * p)
-    for a, b in ((1, 1), (-1, 0), (0, 1), (2, 3)):
+    for a, b in SHORT_CURVES:
         if (4 * a**3 + 27 * b**2) % p == 0:
             continue
-        for x in range(p):
-            for y in range(p):
-                if (y * y - x**3 - a * x - b) % p:
-                    continue
-                want = {
-                    t for t in range(-bound, bound + 1) if _mul(p + 1 - t, (x, y), a, p) is None
-                }
-                assert _hasse_traces((x, y), a, p) == want, (a, b, p, x, y)
+        for P in affine_points(a, b, p):
+            want = {t for t in range(-bound, bound + 1) if point_mul(p + 1 - t, P, a, p) is None}
+            assert hasse_traces(P, a, p) == want, (a, b, p, P)
+            assert lane_traces([P], a, p) == [want], (a, b, p, P)
+
+
+@pytest.mark.parametrize("p", [13, 101, 1009])
+def test_hasse_traces_of_every_point_in_one_chunk(p):
+    for a, b in SHORT_CURVES:
+        if (4 * a**3 + 27 * b**2) % p == 0:
+            continue
+        points = affine_points(a, b, p)
+        assert lane_traces(points, a, p) == [hasse_traces(P, a, p) for P in points], (a, b, p)
 
 
 def test_32a_at_5_falls_back_to_the_symbol_sum(monkeypatch):
@@ -136,6 +167,40 @@ def test_32a_at_5_falls_back_to_the_symbol_sum(monkeypatch):
     monkeypatch.setattr(curves, "ap_symbol_sum", spy)
     assert ap_oracle(get_curve("32a"), 5) == -2
     assert calls == [5]
+    # in a series the lanes fall back at the same primes, and p = 3 takes
+    # the symbol sum as its route
+    calls.clear()
+    series_from_curve(get_curve("32a"), 30)
+    assert sorted(calls) == [3, 5, 7, 11, 29]
+
+
+# A pass holds _LANES // 14 lanes at X = 5000 (tables of m + 2 = 14 rows):
+# one lane at 1 (and at 7), 4 at 64 and 71 at 1000.
+@pytest.mark.parametrize("lanes", [1, 64, 1000])
+def test_chunk_boundaries_leave_the_series_unchanged(monkeypatch, lanes):
+    want = {label: series_from_curve(E, 5000).num for label, E in CURVE_REGISTRY.items()}
+    monkeypatch.setattr(curves, "_LANES", lanes)
+    for label, E in CURVE_REGISTRY.items():
+        assert np.array_equal(series_from_curve(E, 5000).num, want[label]), label
+
+
+def test_lanes_at_primes_in_the_tens_of_thousands():
+    E = get_curve("37a")
+    p = np.array([10007, 30011, 65521, 99991], dtype=np.int64)
+    assert _ap_lanes(E, p).tolist() == [ap_symbol_sum(E, q) for q in p.tolist()]
+
+
+def test_lanes_at_the_largest_primes_the_table_allows():
+    # every residue product is then near 2^63, so a product left unreduced
+    # before its "% p" wraps around and the traces come out wrong
+    top, q = [], TABLE_MAX_X
+    while len(top) < 3:
+        top += [q] if _is_prime(q) else []
+        q -= 1
+    for E in (get_curve("37a"), get_curve("5077a")):
+        want = [scalar_ap_bsgs(E, q) for q in top]
+        assert _ap_lanes(E, np.array(top, dtype=np.int64)).tolist() == want, E.label
+        assert [ap_bsgs(E, q) for q in top] == want, E.label
 
 
 def test_frozen_traces():
@@ -147,13 +212,10 @@ def test_frozen_traces():
 
 def test_hasse_bound_holds():
     for E in CURVE_REGISTRY.values():
-        bad = set(E.bad_primes())
-        for q in primes_upto(2000):
-            p = int(q)
-            if p in bad:
-                continue
-            ap = ap_oracle(E, p)
-            assert ap * ap <= 4 * p
+        p = primes_upto(2000)
+        p = p[~np.isin(p, E.bad_primes())]
+        ap = np.array([ap_oracle(E, q) for q in p[p < 5].tolist()] + _ap_lanes(E, p[p >= 5]).tolist())
+        assert (ap * ap <= 4 * p).all(), E.label
 
 
 def test_bad_reduction_raises():
@@ -165,12 +227,20 @@ def test_bad_reduction_raises():
         ap_oracle(get_curve("32a"), 2)
     with pytest.raises(ValueError):
         ap_symbol_sum(get_curve("11a"), 2)  # even p needs the naive route
+    with pytest.raises(ValueError):
+        ap_bsgs(get_curve("37a"), TABLE_MAX_X + 1)  # p^2 would pass int64
 
 
 def test_oracle_rejects_impossible_trace(monkeypatch):
     monkeypatch.setattr("hilbert_signs.curves.ap_symbol_sum", lambda E, p: 7)
     with pytest.raises(ArithmeticError):
         ap_oracle(get_curve("37a"), 3)  # 49 > 12
+
+
+def test_series_rejects_impossible_lane_trace(monkeypatch):
+    monkeypatch.setattr(curves, "_ap_lanes", lambda E, p: np.where(p == 53, 15, 0))
+    with pytest.raises(ArithmeticError, match="a_53 = 15"):
+        series_from_curve(get_curve("37a"), 100)  # 225 > 212
 
 
 def test_series_from_curve():
