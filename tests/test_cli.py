@@ -318,6 +318,11 @@ def _fixture_over_prime(tmp_path, p):
     return _fixture(tmp_path, more=[{**_ROW, "norm": p, "rational_prime": p}])
 
 
+def _fixture_label_4_at_x_5(tmp_path):
+    argv = _fixture(tmp_path, more=[{**_ROW, "rational_prime": 5, "root_label": 4}])
+    return [*argv[:-1], "5"]
+
+
 def _psi(tmp_path, more=(), **fields):
     doc = [{**_PSI_ROW, **fields}, *more]
     return ["char", "--d", "5", "--x", "10", "--psi-file", _write_json(tmp_path / "psi.json", doc)]
@@ -381,6 +386,9 @@ INPUT_ERRORS = {
     "fixture-prime-twice": lambda t: _fixture(t, more=[{**_ROW, "c_num": 1, "c_den": 3}]),
     "fixture-hasse-past-x": lambda t: _fixture(t, more=[{**_ROW, "norm": 5, "rational_prime": 5, "c_num": 1}]),
     "psi-prime-twice": lambda t: _psi(t, more=[{**_PSI_ROW, "value": -1}]),
+    # 2*norm + label is the key of the row (5, 5, 0), but no prime has this name
+    "fixture-label-4-key-of-5": _fixture_label_4_at_x_5,
+    "psi-label-2-key-of-5": lambda t: _psi(t, prime_norm=4, rational_prime=5, root_label=2),
     "series-check-count-negative": lambda t: _series_check_count("-5"),
     "series-check-count-zero": lambda t: _series_check_count("0"),
     "series-check-x-past-cap": lambda t: ["series-check", "--d", "5", "--x", str(10**6 + 1)],
@@ -403,6 +411,17 @@ def test_input_error_exits_2_with_one_line(capsys, tmp_path, case):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "case,message",
+    [
+        ("fixture-label-4-key-of-5", "error: entry 1: no prime above 5 with root label 4 in Q\n"),
+        ("psi-label-2-key-of-5", "error: psi entry 0: no prime above 5 with root label 2 in Q(sqrt(5))\n"),
+    ],
+)
+def test_a_name_with_another_rows_key_is_refused_by_its_label(capsys, tmp_path, case, message):
+    assert run(capsys, *INPUT_ERRORS[case](tmp_path)) == (2, "", message)
 
 
 # ----------------------------------------------------------------------

@@ -69,6 +69,26 @@ GOLDEN = [
         ["simulate", "--d", "5", "--x", "2000", "--seed", "1", "--tau", "484", "--format", "json"],
         "efbf0c59b0920a7133686fc4779a19a7ef4ae62f46d7ef7b7f3703572b2e3fac",
     ),
+    (  # 2 splits
+        ["primes", "--d", "17", "--x", "3000"],
+        "7ef52d5177ac81b6c50a9e4995310f65b83b2a3a58197caeb92233cb184d7152",
+    ),
+    (  # 2 ramifies, disc 8
+        ["primes", "--d", "2", "--x", "3000", "--format", "json"],
+        "4874336eaed2d4b8c700bdf4a23d1ab5db2ce8ddbe8860f3d3a938919d72ef00",
+    ),
+    (
+        ["char", "--d", "17", "--x", "3000", "--tau", "5", "--tau-b", "1"],
+        "6f6f5e6753cb4e1761a649a4ff8b3234999040e9f3c65f3435307692661a8e2a",
+    ),
+    (
+        ["char", "--d", "2", "--x", "3000", "--tau", "3", "--tau-b", "1", "--format", "json"],
+        "68d78c4e5b60f753e673299ec9b0523b30c0f0499c53186ab0f6b78331decc96",
+    ),
+    (
+        ["char", "--d", "13", "--x", "3000", "--tau", "4", "--tau-b", "1"],
+        "b4d855b347e43e03a792d26f70b4809c13a4e9d9107071ae678d3acde7db9657",
+    ),
 ]
 
 
