@@ -24,9 +24,11 @@ from .field_arith import (
     IdealFactorization,
     PrimeIdeal,
     QuadField,
+    _INERT,
     _euler_symbol,
     _euler_symbol_lanes,
     _factor_int,
+    _prime_ideals,
     _prime_table,
     as_element,
     factor_principal_ideal,
@@ -75,22 +77,23 @@ class IdealCharacter:
         return cls(K, el, psi, frozenset(bad), tau_ideal, (int(x), int(y)))
 
     def values_upto(self, X: int) -> np.ndarray:
-        """chi at every prime of norm <= X, as int8 in enumerate_prime_ideals order.
+        """chi at every prime of norm <= X, as int8 on the rows of the prime table.
 
         Degree-one primes take the Euler criterion in int64 lanes; the bad
-        set and psi find their rows by the table's index, and each inert
-        value is the Euler criterion in F_{p^2}.
+        set and psi find their rows by one table lookup each, and each
+        inert value is the Euler criterion in F_{p^2}.
         """
         T = _prime_table(self.field, X)
         # every lane takes the degree-one criterion, where the norm is p;
         # inert lanes are redone below
         values = _euler_symbol_lanes(*self.tau_omega, T.norm, T.root)
-        bad = {i for P in self.bad_set if (i := T.index(*P[:3])) is not None}
-        for i in np.flatnonzero(T.degree == 2).tolist():
-            if i not in bad:
-                values[i] = _euler_symbol(*self.tau_omega, T.primes[i])
-        for P, v in self.psi_table.items():
-            if (i := T.index(*P[:3])) is not None:
-                values[i] *= v
-        values[list(bad)] = 0
+        bad = T.lookup(list(self.bad_set))
+        bad = bad[bad >= 0]
+        inert = np.flatnonzero(T.kind == _INERT)
+        inert = inert[~np.isin(inert, bad)]  # np.setdiff1d would import numpy.ma
+        for i, P in zip(inert.tolist(), _prime_ideals(self.field, T, inert)):
+            values[i] = _euler_symbol(*self.tau_omega, P)
+        psi, v = T.lookup(list(self.psi_table)), np.array(list(self.psi_table.values()), np.int8)
+        values[psi[psi >= 0]] *= v[psi >= 0]
+        values[bad] = 0
         return values

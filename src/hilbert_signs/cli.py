@@ -20,7 +20,7 @@ from . import eigen_io, sato_tate
 from .characters import IdealCharacter
 from .curves import get_curve
 from .errors import HilbertSignsError, ValidationError
-from .field_arith import IdealFactorization, enumerate_prime_ideals, make_field
+from .field_arith import IdealFactorization, _DEGREE_OF, _KINDS, _ideal_table, _prime_table, make_field
 from .formal_series import (
     FormalSeries,
     c_series_from_lambda,
@@ -132,9 +132,10 @@ def _add_tau_flags(sp):
 
 
 def cmd_primes(args) -> int:
+    T = _prime_table(make_field(args.d), args.x)
     rows = [
-        (P.norm, P.rational_prime, P.root_label, P.residue_degree, P.splitting.value)
-        for P in enumerate_prime_ideals(make_field(args.d), args.x)
+        (norm, p, label, _DEGREE_OF[k], _KINDS[k].value)
+        for norm, p, label, k in zip(*T.names(slice(None)), T.kind.tolist())
     ]
     _emit_table(args, "norm,rational_prime,root_label,residue_degree,splitting", rows)
     return 0
@@ -144,10 +145,8 @@ def cmd_char(args) -> int:
     K = make_field(args.d)
     psi = eigen_io.load_psi_table(K, args.psi_file, args.x) if args.psi_file else None
     chi = IdealCharacter.from_tau(K, _tau_element(args), psi_table=psi)
-    rows = [
-        (P.norm, P.rational_prime, P.root_label, v)
-        for P, v in zip(enumerate_prime_ideals(K, args.x), chi.values_upto(args.x).tolist())
-    ]
+    names = _prime_table(K, args.x).names(slice(None))
+    rows = list(zip(*names, chi.values_upto(args.x).tolist()))
     _emit_table(args, "norm,rational_prime,root_label,chi", rows)
     return 0
 
@@ -229,15 +228,14 @@ def cmd_series_check(args) -> int:
     tau_pool = [1, 4, 9, 2, 5] if K.is_rational else [(1, 0), (4, 0), (4, 1), (9, 0)]
     checks = []
     all_ok = True
+    table = _ideal_table(K, args.x)
+    primes = [table.ideals[m] for m in table.prime_id.tolist()]
     for i in range(args.count):
         chi = IdealCharacter.from_tau(K, tau_pool[rng.randrange(len(tau_pool))])
-        unit = IdealFactorization.unit(K)
-        coeffs = {unit: Fraction(1)}
-        for P in enumerate_prime_ideals(K, args.x):
+        coeffs = {IdealFactorization.unit(K): Fraction(1)}
+        for m in primes:
             if rng.random() < 0.5:
-                coeffs[IdealFactorization.from_prime(P)] = Fraction(
-                    rng.randint(-9, 9), rng.randint(1, 9)
-                )
+                coeffs[m] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         lam = FormalSeries(K, args.x, coeffs)
         c = c_series_from_lambda(lam, chi)
         back = series_mul(c, character_moebius_series(chi, args.x))
@@ -316,10 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# Every command builds the prime table of norm <= --x once, at ~193 bytes
-# per ideal retained and ~203 at the peak of the build (tracemalloc, d = 5,
-# X = 10^7: 664,500 ideals, 128 MB), so 10^8 bounds a run at a few GB.  A
-# larger x would fail late, in an allocation.
+# Every command builds the prime table of norm <= --x once, at 25 bytes per
+# ideal retained and ~30 at the peak of the build; all of `simulate` peaks
+# at ~123 (tracemalloc, d = 5, X = 10^7: 664,500 ideals, 16.6 MB and 81 MB),
+# so 10^8 (~5.8 million ideals) bounds a run near 1 GB.  A larger x would
+# fail late, in an allocation.
 MAX_X = 10**8
 
 

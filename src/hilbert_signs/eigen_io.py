@@ -18,10 +18,10 @@ schema is JSON:
 
 Every document passes one JSON reader, one integer rule (a numeric field
 must be a JSON integer: booleans, floats and numeric strings are
-ParseError, never coerced) and one resolver from (norm, p, root_label) to
-a prime ideal, the run's prime table first (see _resolve).  Level-support
-entries and rational primes must be primes below 2^64, and a prime named
-twice must carry the same value both times.
+ParseError, never coerced) and one lookup of its names (norm, p,
+root_label) in the run's prime table, then _resolve for any name no row
+has.  Level-support entries and rational primes must be primes below
+2^64, and a prime named twice must carry the same value both times.
 
 A series keeps the names of norm <= x, as columns in canonical (norm, p,
 root_label) order, so load -> serialize -> load is bit-stable; names past
@@ -45,7 +45,7 @@ from pathlib import Path
 from .curves import CurveSpec, series_from_curve
 from .errors import HilbertSignsError, ParseError, ValidationError
 from .field_arith import (
-    PrimeIdeal, QuadField, _PrimeTable, _is_prime, _prime_table, make_field, split_rational_prime
+    PrimeIdeal, QuadField, _is_prime, _prime_ideals, _prime_table, make_field, split_rational_prime
 )
 from .sign_pipeline import EigenvalueSeries, _hasse_columns
 
@@ -93,23 +93,14 @@ def _header(d, weight, label, level_support) -> QuadField:
 
 
 def _resolve(
-    K: QuadField,
-    T: _PrimeTable,
-    above: dict[int, list[PrimeIdeal]],
-    p: int,
-    label: int,
-    norm: int,
-    where: str,
-) -> tuple[int | None, PrimeIdeal]:
-    """The row of T (None past x) and the prime above p with this root label.
+    K: QuadField, above: dict[int, list[PrimeIdeal]], norm: int, p: int, label: int, where: str
+) -> PrimeIdeal:
+    """The prime above p with this root label and norm, by the per-p route, which words every error.
 
-    A name of norm <= x is a row of T, the prime table of (K, x).  Any
-    other takes the per-p route, which words every error: `above` belongs
-    to one document and maps each p seen so far to its primes, whose root
-    labels are their indices, so each distinct p is split once per decode.
+    It takes the names no row of the run's prime table has, past x or of
+    no prime.  `above` belongs to one document and maps each p seen so far
+    to its primes, by root label, so each distinct p is split once.
     """
-    if (i := T.index(norm, p, label)) is not None:
-        return i, T.primes[i]
     if p not in above:
         if p >= PRIME_LIMIT:
             raise ValidationError(f"{where}: rational prime {p} is not below 2^64")
@@ -122,7 +113,7 @@ def _resolve(
     P = above[p][label]
     if P.norm != norm:
         raise ValidationError(f"{where}: no prime of norm {norm}, label {label} above {p} in {K}")
-    return None, P
+    return P
 
 
 # ----------------------------------------------------------------------
@@ -132,8 +123,9 @@ def _resolve(
 
 def series_to_obj(E: EigenvalueSeries) -> dict:
     keys = ("norm", "rational_prime", "root_label", "c_num", "c_den")
-    rows = zip(_prime_table(E.field, E.x).primes, E.num.tolist(), E.den.tolist())
-    entries = [dict(zip(keys, (*P[:3], num, den))) for P, num, den in rows if den]
+    rows = E.den.nonzero()[0]
+    names = _prime_table(E.field, E.x).names(rows)
+    entries = [dict(zip(keys, v)) for v in zip(*names, E.num[rows].tolist(), E.den[rows].tolist())]
     return {
         "format": SCHEMA_TAG,
         "d": E.field.d,
@@ -157,8 +149,7 @@ def series_from_obj(obj, x: int) -> EigenvalueSeries:
     rows = obj["entries"]
     if type(rows) is not list:
         raise ParseError("eigen-series entries must be a JSON list")
-    T, above, past = _prime_table(K, x), {}, {}
-    nums, dens = [0] * len(T.primes), [0] * len(T.primes)
+    T, cells = _prime_table(K, x), []
     # 10^5-entry documents are common: the per-entry checks stay inline
     for i, row in enumerate(rows):
         try:
@@ -170,16 +161,23 @@ def series_from_obj(obj, x: int) -> EigenvalueSeries:
             raise ParseError(f"entry {i}: numeric fields must be JSON integers")
         if den == 0:
             raise ValidationError(f"entry {i}: zero denominator")
-        j, P = _resolve(K, T, above, p, label, norm, f"entry {i}")
-        if j is not None and not dens[j]:
-            nums[j], dens[j] = num, den
-        first = past.setdefault(P, (num, den)) if j is None else (nums[j], dens[j])
+        cells.append((norm, p, label, num, den))
+    nums, dens, above, past = [0] * len(T.key), [0] * len(T.key), {}, {}
+    for i, ((norm, p, label, num, den), j) in enumerate(zip(cells, T.lookup(cells).tolist())):
+        if j < 0:
+            P = _resolve(K, above, norm, p, label, f"entry {i}")
+            first = past.setdefault(P, (num, den))
+        elif dens[j]:
+            first = nums[j], dens[j]
+        else:
+            nums[j], dens[j] = first = num, den
         if first[0] * den != num * first[1]:
+            P = P if j < 0 else _prime_ideals(K, T, [j])[0]
             raise ValidationError(f"entry {i}: {P} named again with another coefficient")
     E = EigenvalueSeries(K, obj["weight"], obj["label"], x, nums, dens, level_support)
     primes = sorted(past)  # past x: no part in the run, but the same gate after the table's
     nums, dens = [past[P][0] for P in primes], [past[P][1] for P in primes]
-    _hasse_columns(E.label, primes, [P.norm for P in primes], nums, dens)
+    _hasse_columns(E.label, primes.__getitem__, [P.norm for P in primes], nums, dens)
     return E
 
 
@@ -207,7 +205,7 @@ def load_psi_table(K: QuadField, source, x: int) -> dict[PrimeIdeal, int]:
         source = _read_json(source, "psi table")
     if type(source) is not list:
         raise ParseError("psi table must be a JSON list of entries")
-    T, table, above = _prime_table(K, x), {}, {}
+    T, names = _prime_table(K, x), []
     for i, entry in enumerate(source):
         try:
             norm, p, label = entry["prime_norm"], entry["rational_prime"], entry["root_label"]
@@ -218,7 +216,11 @@ def load_psi_table(K: QuadField, source, x: int) -> dict[PrimeIdeal, int]:
             raise ParseError(f"psi entry {i}: numeric fields must be JSON integers")
         if value not in (-1, 1):
             raise ValidationError(f"psi entry {i}: value must be +-1, got {value}")
-        P = _resolve(K, T, above, p, label, norm, f"psi entry {i}")[1]
+        names.append((norm, p, label, value))
+    rows = T.lookup(names)
+    hits, table, above = iter(_prime_ideals(K, T, rows[rows >= 0])), {}, {}
+    for i, ((norm, p, label, value), j) in enumerate(zip(names, rows.tolist())):
+        P = next(hits) if j >= 0 else _resolve(K, above, norm, p, label, f"psi entry {i}")
         if table.setdefault(P, value) != value:
             raise ValidationError(f"psi entry {i}: {P} named again with another value")
     return table

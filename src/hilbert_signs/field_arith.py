@@ -6,10 +6,11 @@ the Euler criterion.  Everything is integer or Fraction arithmetic; no
 floating point enters this module, so downstream sign decisions built on
 it stay exact.
 
-The prime ideals of norm <= X come from one table per (K, X), built
-once with numpy and shared by every caller: its lanes are int64, exact
-because X <= TABLE_MAX_X keeps every product of two residues mod p below
-2^63.  Python ints remain where a value is unbounded (tau's coordinates,
+The prime ideals of norm <= X are the rows of one table per (K, X),
+built once with numpy, and a PrimeIdeal is made from a row only to be
+printed or to key a dict.  The int64 columns are exact because X <=
+TABLE_MAX_X keeps every product of two residues mod p below 2^63.
+Python ints remain where a value is unbounded (tau's coordinates,
 reduced limb by limb) and on the few lanes that take the scalar route:
 the primes above 2, the ramified primes and the inert residue symbols.
 
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -385,30 +385,54 @@ def _lanes(bound: int, limit: int = 2**63 - 1):
     return np.int64 if bound <= limit else object
 
 
-# Splitting by code: a column of codes maps to members, labels and degrees.
+# Splitting by code: a column of codes maps to members and residue degrees.
 _KINDS = (Splitting.SPLIT_FIRST, Splitting.SPLIT_SECOND, Splitting.INERT, Splitting.RAMIFIED)
-_LABEL_OF = (0, 1, 0, 0)
 _DEGREE_OF = (1, 1, 2, 1)
 _SPLIT, _SECOND, _INERT, _RAMIFIED = range(4)
 
 
 class _PrimeTable(NamedTuple):
-    """The prime ideals of norm <= X in canonical order, with aligned columns.
+    """The prime ideals of norm <= X in canonical order, one row each, as read-only columns.
 
-    The columns are read-only arrays of the PrimeIdeal fields of the same
-    name: int64 norm and root, int8 degree (residue_degree).  At a
-    degree-one prime the norm is p itself.
+    norm and root are the int64 PrimeIdeal fields of that name, and kind
+    is the int8 index of the splitting in _KINDS.  key = 2 norm +
+    root_label is strictly increasing: a norm names its p (p, or p^2,
+    which is never prime), so key orders the rows by (norm, p, label).
     """
 
-    primes: tuple[PrimeIdeal, ...]
     norm: np.ndarray
-    degree: np.ndarray
+    kind: np.ndarray
     root: np.ndarray
+    key: np.ndarray
 
-    def index(self, norm: int, p: int, label: int) -> int | None:
-        """The row of the prime named (norm, p, root_label), or None if no row is."""
-        i = bisect_left(self.primes, (norm, p, label))
-        return i if i < len(self.primes) and self.primes[i][:3] == (norm, p, label) else None
+    def names(self, rows) -> tuple[list[int], list[int], list[int]]:
+        """(norm, p, root_label) of the given rows, as lists of Python ints."""
+        norm, inert = self.norm[rows], self.kind[rows] == _INERT
+        p = np.where(inert, np.sqrt(norm).astype(np.int64), norm)  # exact: norm < 2^53
+        return norm.tolist(), p.tolist(), (self.key[rows] & 1).tolist()
+
+    def lookup(self, names) -> np.ndarray:
+        """The row of each name (norm, p, root_label, ...), or -1 where no row has that name.
+
+        A name is range-checked in Python ints first (1 < p <= norm <= the
+        last norm, label 0 or 1), so any integers may be given; the rest is
+        one searchsorted on key, then the p of each hit row checked.
+        """
+        if not len(self.key):
+            return np.full(len(names), -1)
+        last = int(self.norm[-1])
+        names = [n[:3] if 1 < n[1] <= n[0] <= last and n[2] in (0, 1) else (0, 0, 0) for n in names]
+        norm, p, label = np.array(names, dtype=np.int64).reshape(-1, 3).T
+        i = np.searchsorted(self.key, 2 * norm + label) % len(self.key)  # past the end: row 0
+        p = np.where(self.kind[i] == _INERT, p * p, p)
+        return np.where((self.key[i] == 2 * norm + label) & (p == norm), i, -1)
+
+
+def _prime_ideals(K: QuadField, T: _PrimeTable, rows) -> list[PrimeIdeal]:
+    """The PrimeIdeal of each of the given rows of T, for text and for dict keys."""
+    kinds = T.kind[rows].tolist()
+    degrees, splittings = [_DEGREE_OF[k] for k in kinds], [_KINDS[k] for k in kinds]
+    return list(map(PrimeIdeal, *T.names(rows), degrees, splittings, T.root[rows].tolist(), repeat(K)))
 
 
 def _mod_lanes(n: int, p: np.ndarray) -> np.ndarray:
@@ -490,84 +514,51 @@ def _omega_roots_lanes(K: QuadField, p: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.minimum(ra, rb), np.maximum(ra, rb)
 
 
-def _prime_rows(K: QuadField, X: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(p, kind, root) columns of the prime ideals of norm <= X, canonically ordered.
-
-    kind is the index of the splitting in _KINDS.  Few temporaries of the
-    columns' length live at once, since the columns themselves are kept.
-    """
-    ps = primes_upto(X)
-    if K.is_rational:
-        return ps, np.zeros(len(ps), dtype=np.int8), np.zeros_like(ps)
-    lut = np.full(K.disc, _INERT, dtype=np.int8)
-    lut[sorted(_split_residue_set(K.disc))] = _SPLIT
-    lut[[r for r in range(K.disc) if math.gcd(r, K.disc) > 1]] = _RAMIFIED
-    cls = lut[ps % K.disc]
-    inert = ps[(cls == _INERT) & (ps <= math.isqrt(X))]
-    # degree-one rows in p order: two rows for a split p, one for a ramified p
-    rows = (cls == _SPLIT).astype(np.int8) + (cls != _INERT)
-    p, kind = np.repeat(ps, rows), np.repeat(cls, rows)
-    del ps, cls, rows  # free before the root lanes run
-    # inert rows, of norm p^2, merged in by norm
-    at = np.searchsorted(p, inert * inert)
-    p, kind = np.insert(p, at, inert), np.insert(kind, at, _INERT)
-    second = np.flatnonzero(p[1:] == p[:-1]) + 1  # the label-1 row of each split p
-    kind[second] = _SECOND
-    root = np.zeros_like(p)
-    second = second[p[second] != 2]
-    for lo in range(0, len(second), _LANES):
-        i = second[lo : lo + _LANES]
-        root[i - 1], root[i] = _omega_roots_lanes(K, p[i])
-    # p = 2 when it splits, and the ramified primes: at most three, one at a time
-    for i in np.flatnonzero((kind == _SPLIT) & (p == 2) | (kind == _RAMIFIED)).tolist():
-        roots = _omega_roots_mod(K, int(p[i]))
-        root[i : i + len(roots)] = roots
-    return p, kind, root
-
-
-def _prime_objects(K: QuadField, p: np.ndarray, kind: np.ndarray, root: np.ndarray):
-    """The PrimeIdeal of each row, _LANES rows at a time."""
-    for lo in range(0, len(p), _LANES):
-        ps, kinds = p[lo : lo + _LANES].tolist(), kind[lo : lo + _LANES].tolist()
-        norms = [q * q if k == _INERT else q for q, k in zip(ps, kinds)]
-        rows = zip(
-            norms, ps, map(_LABEL_OF.__getitem__, kinds),
-            map(_DEGREE_OF.__getitem__, kinds), map(_KINDS.__getitem__, kinds),
-            root[lo : lo + _LANES].tolist(), repeat(K),
-        )
-        yield from map(PrimeIdeal._make, rows)
-
-
 @lru_cache(maxsize=1)
 def _prime_table(K: QuadField, X: int) -> _PrimeTable:
     """The prime table of (K, X), built once with numpy; the last one is kept.
 
     The sieve gives the rational primes, a lookup on p mod disc their
     class, and one vectorized square root of d mod each odd split p both
-    roots of the minimal polynomial of w.  Every caller shares these
-    PrimeIdeal objects.  X is refused before anything is allocated if p^2
-    could pass int64.
+    roots of the minimal polynomial of w.  The table holds no Python
+    object, and few temporaries of its length live at once.  X is refused
+    before anything is allocated if p^2 could pass int64.
     """
     if X > TABLE_MAX_X:
         raise ValueError(f"the prime table needs X <= {TABLE_MAX_X} so that p^2 < 2^63, got {X}")
-    p, kind, root = _prime_rows(K, X)
-    primes = tuple(_prime_objects(K, p, kind, root))
-    inert = kind == _INERT
-    norm = p  # p becomes the norm in place, with no second column alive
-    norm[inert] **= 2
-    cols = (norm, (1 + inert).astype(np.int8), root)
+    p = primes_upto(X)
+    if K.is_rational:  # (p) is the one prime above p
+        kind, root = np.zeros(len(p), dtype=np.int8), np.zeros_like(p)
+    else:
+        lut = np.full(K.disc, _INERT, dtype=np.int8)
+        lut[sorted(_split_residue_set(K.disc))] = _SPLIT
+        lut[[r for r in range(K.disc) if math.gcd(r, K.disc) > 1]] = _RAMIFIED
+        cls = lut[p % K.disc]
+        inert = p[(cls == _INERT) & (p <= math.isqrt(X))]
+        # degree-one rows in p order: two rows for a split p, one for a ramified p
+        rows = (cls == _SPLIT).astype(np.int8) + (cls != _INERT)
+        p, kind = np.repeat(p, rows), np.repeat(cls, rows)
+        del cls, rows  # free before the root lanes run
+        # inert rows, of norm p^2, merged in by norm
+        at = np.searchsorted(p, inert * inert)
+        p, kind = np.insert(p, at, inert), np.insert(kind, at, _INERT)
+        second = np.flatnonzero(p[1:] == p[:-1]) + 1  # the label-1 row of each split p
+        kind[second] = _SECOND
+        root = np.zeros_like(p)
+        second = second[p[second] != 2]
+        for lo in range(0, len(second), _LANES):
+            i = second[lo : lo + _LANES]
+            root[i - 1], root[i] = _omega_roots_lanes(K, p[i])
+        # p = 2 when it splits, and the ramified primes: at most three, one at a time
+        for i in np.flatnonzero((kind == _SPLIT) & (p == 2) | (kind == _RAMIFIED)).tolist():
+            roots = _omega_roots_mod(K, int(p[i]))
+            root[i : i + len(roots)] = roots
+    norm = p  # p becomes the norm in place
+    norm[kind == _INERT] **= 2
+    cols = (norm, kind, root, 2 * norm + (kind == _SECOND))
     for c in cols:
         c.flags.writeable = False
-    return _PrimeTable(primes, *cols)
-
-
-def enumerate_prime_ideals(K: QuadField, X: int) -> list[PrimeIdeal]:
-    """All prime ideals of norm <= X, sorted by (norm, p, root_label).
-
-    The list is new on every call; its PrimeIdeal objects are the ones in
-    the shared prime table of (K, X).
-    """
-    return list(_prime_table(K, X).primes)
+    return _PrimeTable(*cols)
 
 
 # ======================================================================
@@ -723,7 +714,7 @@ def _ideal_table(K: QuadField, X: int) -> _IdealTable:
     """
     if X < 1:
         raise ValueError(f"the cutoff must be >= 1, got {X}")
-    primes = _prime_table(K, X).primes
+    primes = _prime_ideals(K, _prime_table(K, X), slice(None))
     found = []
 
     def extend(start, pairs, rows, norm):

@@ -87,7 +87,7 @@ def ks_statistic(samples, coefficient: float = 1.63) -> KsReport:
 
 
 def semicircle_ppf(u) -> np.ndarray:
-    """Inverse CDF by bisection to below 1e-12 (64 halvings of [-1, 1])."""
+    """Inverse CDF by interval halving to below 1e-12 (64 halvings of [-1, 1])."""
     u = np.asarray(u, dtype=np.float64)
     lo = np.full_like(u, -1.0)
     hi = np.ones_like(u)
@@ -129,7 +129,7 @@ def synth_eigen_series(K: QuadField, X: int, k0: int, seed: int) -> EigenvalueSe
     QUANT_DEN are the series' num and den columns.
     """
     T = _prime_table(K, X)
-    coords = sample_semicircle(len(T.primes), seed)
+    coords = sample_semicircle(len(T.norm), seed)
     # round(2.0 * b / math.sqrt(N) * QUANT_DEN), step for step; rint is half-even
     qf = np.rint(2.0 * coords / np.sqrt(T.norm.astype(np.float64)) * QUANT_DEN)
     qs = qf.astype(np.int64).tolist()

@@ -49,6 +49,7 @@ from .field_arith import (
     _LANES,
     _absmax,
     _lanes,
+    _prime_ideals,
     _prime_table,
     as_element,
     squarefree_decompose,
@@ -59,20 +60,20 @@ from .field_arith import (
 # ======================================================================
 
 
-def _hasse_columns(label: str, primes, norm, num, den) -> tuple[np.ndarray, np.ndarray]:
+def _hasse_columns(label: str, name, norm, num, den) -> tuple[np.ndarray, np.ndarray]:
     """num/den at each prime (of norm N) in lowest terms with den > 0, or 0/0 where den is 0.
 
     Each chunk of _LANES rows is checked exactly in Python ints, num^2 N <=
-    4 den^2, so the first row over the bound is the one named.  Each column
-    comes back read-only, int64 where _lanes allows and Python ints otherwise.
+    4 den^2, so the first row over the bound is the one named, by name(i).
+    The columns come back read-only: int64 where _lanes allows, else Python ints.
     """
     cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for lo in range(0, len(primes), _LANES):
+    for lo in range(0, len(norm), _LANES):
         a, b = (np.array(c[lo : lo + _LANES], dtype=object) for c in (num, den))
         g = np.maximum(np.gcd(a, b), 1) * np.where(b < 0, -1, 1)
         a, b = a // g, b // g
         if (over := np.flatnonzero(a * a * norm[lo : lo + _LANES] > 4 * b * b)).size:
-            P, c = primes[lo + over[0]], Fraction(a[over[0]], b[over[0]])
+            P, c = name(lo + over[0]), Fraction(a[over[0]], b[over[0]])
             raise HasseBoundViolated(f"{label}: |c({P})| = |{c}| exceeds 2/sqrt({P.norm})")
         for col, c in zip(cols, (a, b)):
             col.append(c.astype(_lanes(_absmax(c))))
@@ -102,15 +103,19 @@ class EigenvalueSeries:
         self.x = int(x)
         self.level_support = frozenset(level_support)
         T = _prime_table(field, self.x)
-        if not len(num) == len(den) == len(T.primes):
-            raise ValueError(f"columns of {len(num)} and {len(den)} rows, for {len(T.primes)} primes")
-        self.num, self.den = _hasse_columns(self.label, T.primes, T.norm, num, den)
+        if not len(num) == len(den) == len(T.norm):
+            raise ValueError(f"columns of {len(num)} and {len(den)} rows, for {len(T.norm)} primes")
+        self.num, self.den = _hasse_columns(
+            self.label, lambda i: _prime_ideals(field, T, [i])[0], T.norm, num, den
+        )
 
     @property
     def entries(self) -> MappingProxyType:
         """A read-only {prime: Fraction} view of the rows with a coefficient, built on each read."""
-        rows = zip(_prime_table(self.field, self.x).primes, self.num.tolist(), self.den.tolist())
-        return MappingProxyType({P: Fraction(n, d) for P, n, d in rows if d})
+        rows = np.flatnonzero(self.den)
+        primes = _prime_ideals(self.field, _prime_table(self.field, self.x), rows)
+        fractions = map(Fraction, self.num[rows].tolist(), self.den[rows].tolist())
+        return MappingProxyType(dict(zip(primes, fractions)))
 
     def __repr__(self):
         return (
@@ -183,10 +188,11 @@ class SignSurvey:
         chi = self.chi.values_upto(self.x)
         good = chi != 0
         # a cutoff below E.x reads a prefix of the columns; past E.x no row is held
-        n = min(len(T.primes), len(E.den))
+        n = min(len(T.norm), len(E.den))
         gaps = good & np.pad(E.den[:n] == 0, (0, len(good) - n), constant_values=True)
         if gaps.any():
-            raise MissingPrime(f"{E.label}: no coefficient at good prime {T.primes[gaps.argmax()]}")
+            P = _prime_ideals(E.field, T, [gaps.argmax()])[0]
+            raise MissingPrime(f"{E.label}: no coefficient at good prime {P}")
         self.all_norms = T.norm
         self.good_norms = T.norm[good]
         num, den = E.num[:n][good[:n]], E.den[:n][good[:n]]

@@ -19,8 +19,10 @@ closed-form expression.
 
 lambda_sign and sato_tate_coordinate decide one prime's sign and
 coordinate in Python ints: the scalar references for the survey's
-chunked numpy kernel.  value_at is the one-prime reference for the
-character's values over the prime table, identity the unit formal
+chunked numpy kernel.  enumerate_prime_ideals splits one rational prime
+at a time, the reference for the library's prime table, and value_at is
+the one-prime reference for the character's values over that table,
+identity the unit formal
 series, and series_from_entries builds an EigenvalueSeries from a
 {prime: rational} dict, for the tests that write coefficients prime by
 prime.  prime_residual is the one-prime Fraction reference
@@ -48,7 +50,8 @@ from hilbert_signs import (
     HasseBoundViolated,
     IdealFactorization,
     as_element,
-    enumerate_prime_ideals,
+    primes_upto,
+    split_rational_prime,
 )
 from hilbert_signs.curves import ap_symbol_sum
 from hilbert_signs.eigen_io import serialize_series
@@ -171,6 +174,16 @@ def dict_moebius_series(chi, X):
     return multiplicative_series(chi.field, X, good_primes(chi, X), value, max_exponent=1)
 
 
+def enumerate_prime_ideals(K, X):
+    """All prime ideals of norm <= X, sorted by (norm, p, root_label), split one p at a time.
+
+    The reference for the prime table: it shares no code with the table's
+    numpy build beyond split_rational_prime.
+    """
+    above = (P for p in primes_upto(X).tolist() for P in split_rational_prime(K, p))
+    return sorted(P for P in above if P.norm <= X)
+
+
 def good_primes(chi, X):
     """Primes of norm <= X where chi does not vanish, in norm order."""
     return [P for P in enumerate_prime_ideals(chi.field, X) if P not in chi.bad_set]
@@ -192,10 +205,11 @@ def series_from_entries(K, weight, label, entries, x, level_support=()):
     coefficient.
     """
     T = _prime_table(K, x)
-    assert all(T.index(*P[:3]) is not None for P in entries), "a key is not a row of the table"
-    cs = [Fraction(entries[P]) if P in entries else None for P in T.primes]
-    num = [0 if c is None else c.numerator for c in cs]
-    den = [0 if c is None else c.denominator for c in cs]
+    rows = T.lookup(list(entries)).tolist()
+    assert min(rows, default=0) >= 0, "a key is not a row of the table"
+    num, den = [0] * len(T.key), [0] * len(T.key)
+    for j, c in zip(rows, map(Fraction, entries.values())):
+        num[j], den[j] = c.numerator, c.denominator
     return EigenvalueSeries(K, weight, label, x, num, den, level_support)
 
 

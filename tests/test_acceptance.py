@@ -15,7 +15,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import good_primes, prime_residual, quadrature_mass, tail_inequality
+from oracles import (
+    enumerate_prime_ideals,
+    good_primes,
+    prime_residual,
+    quadrature_mass,
+    tail_inequality,
+)
 
 from hilbert_signs import (
     CURVE_REGISTRY,
@@ -25,7 +31,6 @@ from hilbert_signs import (
     SignSurvey,
     c_series_from_lambda,
     character_moebius_series,
-    enumerate_prime_ideals,
     ks_statistic,
     kronecker_symbol,
     primes_upto,

@@ -5,14 +5,13 @@ import json
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import value_at
+from oracles import enumerate_prime_ideals, value_at
 
 from hilbert_signs import (
     NARROW_CLASS_NUMBER_ONE,
     IdealCharacter,
     ParseError,
     ValidationError,
-    enumerate_prime_ideals,
     load_psi_table,
     make_field,
     split_rational_prime,

@@ -5,14 +5,13 @@ import json
 from pathlib import Path
 
 import pytest
-from oracles import save_fixture, value_at
+from oracles import enumerate_prime_ideals, save_fixture, value_at
 
 import hilbert_signs
 from hilbert_signs import (
     FormalSeries,
     IdealCharacter,
     SignSurvey,
-    enumerate_prime_ideals,
     get_curve,
     make_field,
     series_from_curve,

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import save_fixture, value_at
+from oracles import enumerate_prime_ideals, save_fixture, value_at
 
 from hilbert_signs import (
     HasseBoundViolated,
@@ -29,7 +29,7 @@ from hilbert_signs import (
 )
 from hilbert_signs import eigen_io
 from hilbert_signs.eigen_io import cache_path, default_cache_dir
-from hilbert_signs.field_arith import _prime_table
+from hilbert_signs.field_arith import _prime_ideals, _prime_table
 
 Q = make_field(1)
 
@@ -128,7 +128,8 @@ def fraction_decode(doc, x):
 def test_columns_match_a_fraction_decode(field5):
     x, rng = 3000, random.Random(14)
     chi = IdealCharacter.from_tau(field5, (4, 1))
-    names = _prime_table(field5, x + 200).primes  # the last few are past x
+    names = enumerate_prime_ideals(field5, x + 200)  # the last few are past x
+    j = next(i for i, P in enumerate(names) if P.norm > x and i % 11 == 5)
 
     def row(P, num, den):
         return {"norm": P.norm, "rational_prime": P.rational_prime, "root_label": P.root_label,
@@ -146,13 +147,15 @@ def test_columns_match_a_fraction_decode(field5):
         rows.append(row(P, k * num, k * den))  # unreduced, or over a negative denominator
         if i % 13 == 2:  # named again, in another form of the same value
             rows.append(row(P, -2 * k * num, -2 * k * den))
-    rows += [row(names[5], 2, 8), row(names[5], -1, -4)]  # row 5 has no other name
+    # rows 5 and j have no other name: equal forms of one value, at a row and past x
+    rows += [row(names[5], 2, 8), row(names[5], -1, -4), row(names[5], 1, 4)]
+    rows += [row(names[j], 2, 200), row(names[j], 1, 100), row(names[j], -1, -100)]
     rng.shuffle(rows)
     doc = {"format": "eigen-series/1", "d": 5, "weight": [2], "label": "diff", "entries": rows}
     E, want = series_from_obj(doc, x), fraction_decode(doc, x)
     assert E.entries == want and E.num.dtype == E.den.dtype == object
     assert any(P.norm > x for P in fraction_decode(doc, 10**6))
-    primes = _prime_table(field5, x).primes
+    primes = enumerate_prime_ideals(field5, x)
     for P, num, den in zip(primes, E.num.tolist(), E.den.tolist()):
         c = want.get(P)
         assert (num, den) == ((0, 0) if c is None else (c.numerator, c.denominator))
@@ -162,6 +165,25 @@ def test_columns_match_a_fraction_decode(field5):
     E = series_from_obj({**doc, "entries": small}, x)
     assert E.num.dtype == E.den.dtype == np.int64
     assert E.entries == fraction_decode({**doc, "entries": small}, x)
+    # a repeat with another value is refused, by the entry that repeats
+    for P in (names[5], names[j]):
+        message = rf"^entry {len(rows)}: {P} named again with another coefficient$"
+        with pytest.raises(ValidationError, match=message):
+            series_from_obj({**doc, "entries": [*rows, row(P, 3, 400)]}, x)
+
+    def psi(P, value):
+        return {"prime_norm": P.norm, "rational_prime": P.rational_prime,
+                "root_label": P.root_label, "value": value}
+
+    # a psi table, shuffled, with names past x and some names twice with the same value
+    table = {P: rng.choice((-1, 1)) for P in names}
+    entries = [psi(P, v) for P, v in table.items()] + [psi(P, table[P]) for P in names[::7]]
+    rng.shuffle(entries)
+    assert load_psi_table(field5, entries, x) == table
+    for P in (names[5], names[j]):
+        message = rf"^psi entry {len(entries)}: {P} named again with another value$"
+        with pytest.raises(ValidationError, match=message):
+            load_psi_table(field5, [*entries, psi(P, -table[P])], x)
 
 
 def test_load_fixture_rejects_undecodable_bytes(tmp_path):
@@ -245,7 +267,8 @@ def test_prime_lookup_splits_each_p_once(field5, monkeypatch):
         calls.clear()
         keys = decode()
         assert keys.keys() == kept and calls == [101, 13]
-        assert all(P is T.primes[T.index(*P[:3])] for P in keys if P.norm <= x)
+        rows = T.lookup([P for P in keys if P.norm <= x])
+        assert _prime_ideals(field5, T, rows) == [P for P in keys if P.norm <= x]
     # inert 7 has label 0 only; 4, 9 and 1 are not prime; the error names the entry
     for p, label in ((7, 1), (4, 0), (9, 0), (1, 0)):
         with pytest.raises(ValidationError, match="^psi entry 1: "):

@@ -1,6 +1,7 @@
 """Exact quadratic-field arithmetic against brute-force oracles."""
 
 import math
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from oracles import quadratic_residue_symbol
+from oracles import enumerate_prime_ideals, quadratic_residue_symbol
 
 from hilbert_signs import (
     NARROW_CLASS_NUMBER_ONE,
@@ -23,7 +24,6 @@ from hilbert_signs import (
     ValidationError,
     as_element,
     element,
-    enumerate_prime_ideals,
     factor_principal_ideal,
     kronecker_symbol,
     make_field,
@@ -36,7 +36,9 @@ from hilbert_signs.errors import EvenCharacteristic
 from hilbert_signs.field_arith import (
     MAX_TAU_NORM,
     TABLE_MAX_X,
+    _KINDS,
     _is_prime,
+    _prime_ideals,
     _prime_table,
     _sqrt_lanes,
     _sqrt_mod,
@@ -263,21 +265,22 @@ def test_reduction_sends_omega_to_root(field5):
 
 
 def test_enumeration_examples(field5):
-    assert [P.norm for P in enumerate_prime_ideals(make_field(1), 10)] == [2, 3, 5, 7]
-    assert [P.norm for P in enumerate_prime_ideals(field5, 11)] == [4, 5, 9, 11, 11]
-    assert enumerate_prime_ideals(field5, 3) == []
+    assert _prime_table(make_field(1), 10).norm.tolist() == [2, 3, 5, 7]
+    assert _prime_table(field5, 11).norm.tolist() == [4, 5, 9, 11, 11]
+    assert _prime_ideals(field5, _prime_table(field5, 3), slice(None)) == []
 
 
 @pytest.mark.parametrize("d", NARROW_CLASS_NUMBER_ONE)
 def test_enumeration_matches_brute_force(d):
     K = make_field(d)
-    got = [(P.norm, P.rational_prime, P.root_label) for P in enumerate_prime_ideals(K, 500)]
+    got = list(zip(*_prime_table(K, 500).names(slice(None))))
     assert got == brute_enumerate(K, 500)
 
 
 @pytest.mark.parametrize("d", NARROW_CLASS_NUMBER_ONE)
 def test_enumeration_strictly_sorted(d):
-    primes = enumerate_prime_ideals(make_field(d), 2000)
+    K = make_field(d)
+    primes = _prime_ideals(K, _prime_table(K, 2000), slice(None))
     assert sorted(primes) == primes and len(set(primes)) == len(primes)
 
 
@@ -290,35 +293,53 @@ def test_prime_table_matches_split_rational_prime(d):
             P for p in primes_upto(X).tolist() for P in split_rational_prime(K, p) if P.norm <= X
         )
         T = _prime_table(K, X)
-        assert list(T.primes) == ref
-        assert [type(v) for P in ref[:50] for v in P[:4]] == [int] * 4 * min(50, len(ref))
+        got = _prime_ideals(K, T, slice(None))
+        assert got == ref
+        assert [type(v) for P in got[:50] for v in P[:4]] == [int] * 4 * min(50, len(ref))
         assert T.norm.tolist() == [P.norm for P in ref]
-        assert T.degree.tolist() == [P.residue_degree for P in ref]
+        assert [_KINDS[k] for k in T.kind.tolist()] == [P.splitting for P in ref]
         assert T.root.tolist() == [P.root for P in ref]
+        assert T.key.tolist() == [2 * P.norm + P.root_label for P in ref]
+        assert all(c.dtype != object and not c.flags.writeable for c in T)
 
 
 @pytest.mark.parametrize("d", NARROW_CLASS_NUMBER_ONE)
 def test_prime_table_index_matches_split_rational_prime(d):
+    # one vector lookup, names in any order, against split_rational_prime
     K, X = make_field(d), 2000
-    T, rows = _prime_table(K, X), set()
-    for p in primes_upto(X).tolist():
+    T = _prime_table(K, X)
+    names, want = [], []  # want: the row of each name, or -1
+
+    def name(norm, p, label, row=-1):
+        names.append((norm, p, label))
+        want.append(row)
+
+    row_of = {P: i for i, P in enumerate(enumerate_prime_ideals(K, X))}
+    for p in primes_upto(X + 100).tolist():
         above = split_rational_prime(K, p)
         for P in above:
-            i = T.index(P.norm, p, P.root_label)
-            if P.norm <= X:
-                assert T.primes[i] == P
-                rows.add(i)
-            else:  # an inert p with p^2 > X
-                assert i is None
+            name(P.norm, p, P.root_label, row_of.get(P, -1))  # past X: -1
+            name(P.norm, p, -1)
+            name(P.norm, p, 2)
         if len(above) == 1:  # inert or ramified (over Q: the one prime above p)
-            assert T.index(above[0].norm, p, 1) is None
+            name(above[0].norm, p, 1)
         if above[0].splitting is Splitting.INERT:
-            assert T.index(p, p, 0) is None
-        assert T.index(above[0].norm, p, -1) is None
-    assert rows == set(range(len(T.primes)))
+            name(p, p, 0)  # an inert p named with norm p
+        else:
+            name(p * p, p, 0)  # a degree-one p named with norm p^2
+            name(p * p, p, 1)
     for n in (1, 4, 9, 15, 1001, 1003):  # not prime
-        assert T.index(n, n, 0) is None and T.index(n * n, n, 0) is None
-    assert T.index(2003, 2003, 0) is None  # a prime past X
+        name(n, n, 0)
+        name(n * n, n, 0)
+    # 2 norm + label is the key of another row, or the name is out of int64
+    for norm, p, label in [(3, 5, 4), (4, 5, 2), (0, 0, 0), (-3, -3, 0), (3, 2**70, 0), (2**70, 3, 0), (5, 5, 2**64)]:
+        name(norm, p, label)
+    rows = list(range(len(names)))
+    random.Random(d).shuffle(rows)  # in any order, in one call
+    assert T.lookup([names[i] for i in rows]).tolist() == [want[i] for i in rows]
+    assert sorted(row_of.values()) == list(range(len(T.key)))
+    # each name past X is also -1 in the table of a smaller X, and an empty table has no rows
+    assert (_prime_table(K, 1).lookup(names) == -1).all()
 
 
 @pytest.mark.parametrize("p", [7340033, 23068673, 998244353, 2013265921, 3037000493])
@@ -347,21 +368,11 @@ def test_prime_table_refuses_x_past_int64_before_allocating(field5, monkeypatch)
     assert peak < 64 * 1024
 
 
-def test_enumeration_shares_one_table(field5):
-    a, b = enumerate_prime_ideals(field5, 3000), enumerate_prime_ideals(field5, 3000)
-    assert a is not b and all(P is Q for P, Q in zip(a, b))
-    a.clear()  # a caller's list is its own
-    assert enumerate_prime_ideals(field5, 3000) == b
-    T = _prime_table(field5, 3000)
-    with pytest.raises(ValueError):
-        T.norm[0] = 1  # and the columns are read-only
-
-
 @pytest.mark.parametrize("d", [1, 2, 5, 29])
 @pytest.mark.parametrize("X", [10, 100, 4999, 5000])
 def test_count_agrees_with_enumeration(d, X):
     K = make_field(d)
-    assert len(brute_enumerate(K, X)) == len(enumerate_prime_ideals(K, X))
+    assert len(brute_enumerate(K, X)) == len(_prime_table(K, X).key)
 
 
 def test_primes_upto_matches_naive():

@@ -12,6 +12,7 @@ from oracles import (
     dict_moebius_series,
     dict_series_mul,
     dict_zeta_series,
+    enumerate_prime_ideals,
     euler_factor_inverse,
     good_primes,
     identity,
@@ -29,7 +30,6 @@ from hilbert_signs import (
     c_series_from_lambda,
     character_moebius_series,
     character_zeta_series,
-    enumerate_prime_ideals,
     extract_prime_relation,
     make_field,
     series_mul,

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import quadrature_mass
+from oracles import enumerate_prime_ideals, quadrature_mass
 
 from hilbert_signs import (
     EmptySample,
-    enumerate_prime_ideals,
     histogram_csv,
     histogram_rows,
     histogram_svg,

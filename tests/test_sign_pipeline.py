@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    enumerate_prime_ideals,
     lambda_sign,
     sato_tate_coordinate,
     save_fixture,
@@ -33,7 +34,6 @@ from hilbert_signs import (
     MissingPrime,
     SignSurvey,
     ValidationError,
-    enumerate_prime_ideals,
     make_field,
     split_rational_prime,
     synth_eigen_series,
@@ -318,9 +318,9 @@ def test_survey_lanes_match_scalar_decisions(monkeypatch):
     assert len(lanes) == 36 and lanes.count(np.int64) == 22
     assert np.array_equal(survey.signs, whole.signs)
     assert survey.coords.tobytes() == whole.coords.tobytes()
-    zero = 0
+    zero, entries = 0, E.entries  # a view built on each read: read it once
     for P, s, b in zip(good, survey.signs.tolist(), survey.coords.tolist()):
-        c = E.entries[P]
+        c = entries[P]
         assert s == lambda_sign(c, value_at(chi, P), P.norm)
         assert b == sato_tate_coordinate(c, P.norm)  # bit for bit
         zero += s == 0
