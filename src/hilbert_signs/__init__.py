@@ -15,7 +15,6 @@ from .eigen_io import (
     load_psi_table,
     serialize_series,
     series_from_obj,
-    series_to_obj,
 )
 from .errors import (
     BadReduction,
@@ -133,7 +132,6 @@ __all__ = [
     "series_from_curve",
     "series_from_obj",
     "series_mul",
-    "series_to_obj",
     "split_rational_prime",
     "squarefree_decompose",
     "synth_eigen_series",

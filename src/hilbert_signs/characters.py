@@ -28,6 +28,7 @@ from .field_arith import (
     _euler_symbol,
     _euler_symbol_lanes,
     _factor_int,
+    _name_columns,
     _prime_ideals,
     _prime_table,
     as_element,
@@ -87,13 +88,13 @@ class IdealCharacter:
         # every lane takes the degree-one criterion, where the norm is p;
         # inert lanes are redone below
         values = _euler_symbol_lanes(*self.tau_omega, T.norm, T.root)
-        bad = T.lookup(list(self.bad_set))
+        bad = T.lookup(*_name_columns(self.bad_set))
         bad = bad[bad >= 0]
         inert = np.flatnonzero(T.kind == _INERT)
         inert = inert[~np.isin(inert, bad)]  # np.setdiff1d would import numpy.ma
         for i, P in zip(inert.tolist(), _prime_ideals(self.field, T, inert)):
             values[i] = _euler_symbol(*self.tau_omega, P)
-        psi, v = T.lookup(list(self.psi_table)), np.array(list(self.psi_table.values()), np.int8)
+        psi, v = T.lookup(*_name_columns(self.psi_table)), np.array(list(self.psi_table.values()), np.int8)
         values[psi[psi >= 0]] *= v[psi >= 0]
         values[bad] = 0
         return values

@@ -280,19 +280,21 @@ def _ap_lanes(E: CurveSpec, p: np.ndarray) -> np.ndarray:
     E or its twist leaves one (Cremona and Sutherland, 2010); a lane whose
     x run out with more left takes the symbol sum.
 
-    A pass takes the next _LANES // (m + 2) undecided lanes, and a lane
+    A pass takes the next 4 _LANES // (m + 2) undecided lanes, and a lane
     still undecided after it rejoins the queue, so each table of a pass
-    stays near 64 KiB like a row of _LANES lanes.  glibc serves a block
-    past 128 KiB from mmap and, once one is freed, raises its mmap and trim
-    thresholds to that size: 8,192-lane tables left ~5 MB more resident at
-    the cache write that follows a cold `signs --curve 37a --x 100000`.
+    stays near 256 KiB, four rows of _LANES lanes, at any X.  On a cold
+    `signs --curve 37a` (2-vCPU VM), passes of 1, 4 and 16 times that
+    width take 5.1, 2.7 and 2.3 s at X = 10^6, all at a 72-74 MB peak;
+    at X = 10^5 the peak is 38.5 MB up to 8 times and 41.8 MB at 16
+    times, 49.5 MB at 32 (one pass for nearly every prime), where the
+    tables of a pass outgrow everything else the run holds.
     """
     b2, b4, b6, _ = E.b_invariants()
     c4 = b2 * b2 - 24 * b4
     c6 = -(b2**3) + 36 * b2 * b4 - 216 * b6
     ap, x = p.copy(), np.zeros_like(p)  # p is no trace: a lane left without one fails every Hasse check
     rows = math.isqrt(math.isqrt(4 * int(p.max(initial=0)))) + 3  # m + 2, the most rows of a table
-    width = max(1, _LANES // rows)
+    width = max(1, 4 * _LANES // rows)
     todo, candidates = np.arange(len(p)), {}
     while todo.size:
         live, todo = todo[:width], todo[width:]

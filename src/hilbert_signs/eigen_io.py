@@ -16,12 +16,16 @@ schema is JSON:
       ]
     }
 
-Every document passes one JSON reader, one integer rule (a numeric field
-must be a JSON integer: booleans, floats and numeric strings are
-ParseError, never coerced) and one lookup of its names (norm, p,
-root_label) in the run's prime table, then _resolve for any name no row
-has.  Level-support entries and rational primes must be primes below
-2^64, and a prime named twice must carry the same value both times.
+Every document passes one JSON reader.  Its entries are read as columns,
+one per field, under one integer rule checked per column (a numeric
+field must be a JSON integer: booleans, floats and numeric strings are
+ParseError, never coerced), and its name columns (norm, p, root_label)
+go to rows of the run's prime table in one lookup, then _resolve for any
+name no row has.  Level-support entries and rational primes must be
+primes below 2^64, and a prime named twice must carry the same value
+both times.  An error names the first entry at fault, as an entry by
+entry reader would: a missing field, a field that is not an integer, a
+bad value, in entry order; then names and repeats; then the Hasse gate.
 
 A series keeps the names of norm <= x, as columns in canonical (norm, p,
 root_label) order, so load -> serialize -> load is bit-stable; names past
@@ -31,7 +35,9 @@ prime of norm N is c_num = a, c_den = N^(k0/2), k0 = max(weight).
 
 The package reads local files only.  Its one cache holds the series of
 built-in curves, keyed by (label, X, CURVE_CACHE_VERSION) and written by
-atomic rename.
+atomic rename.  The writer's bytes are those of json.dumps(...,
+indent=1, sort_keys=True): the encoder writes the header, and each entry
+is one template formatted over the columns.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ import json
 import os
 import re
 from pathlib import Path
+
+import numpy as np
 
 from .curves import CurveSpec, series_from_curve
 from .errors import HilbertSignsError, ParseError, ValidationError
@@ -117,23 +125,79 @@ def _resolve(
 
 
 # ----------------------------------------------------------------------
-# schema <-> EigenvalueSeries
+# entries as columns
 # ----------------------------------------------------------------------
 
 
-def series_to_obj(E: EigenvalueSeries) -> dict:
-    keys = ("norm", "rational_prime", "root_label", "c_num", "c_den")
-    rows = E.den.nonzero()[0]
-    names = _prime_table(E.field, E.x).names(rows)
-    entries = [dict(zip(keys, v)) for v in zip(*names, E.num[rows].tolist(), E.den[rows].tolist())]
-    return {
-        "format": SCHEMA_TAG,
-        "d": E.field.d,
-        "weight": list(E.weight),
-        "label": E.label,
-        "level_support": sorted(E.level_support),
-        "entries": entries,
-    }
+def _columns(rows: list, keys: tuple[str, ...], what: str, refuse) -> list[list[int]]:
+    """The fields keys of every entry, one column per key, under the one integer rule.
+
+    Each column is pulled by one comprehension and checked whole: every
+    value a JSON integer (a bool is not), and refuse(last column) empty,
+    refuse returning the error text of a value it refuses.  Only when a
+    check fails are the entries walked, to name the first at fault by the
+    per-entry precedence: a missing field, a field that is not a JSON
+    integer, a refused last field.
+    """
+    try:
+        cols = [[row[k] for row in rows] for k in keys]
+        if all(set(map(type, c)) <= {int} for c in cols) and not refuse(cols[-1]):
+            return cols
+    except (KeyError, TypeError):
+        pass
+    for i, row in enumerate(rows):
+        try:
+            values = [row[k] for k in keys]
+        except (KeyError, TypeError) as e:
+            raise ParseError(f"{what} {i}: missing field ({e!r})") from e
+        if not all(type(v) is int for v in values):
+            raise ParseError(f"{what} {i}: numeric fields must be JSON integers")
+        if error := refuse(values[-1:]):
+            raise ValidationError(f"{what} {i}: {error}")
+
+
+def _name_rows(K: QuadField, T, names, num: np.ndarray, den: np.ndarray, what: str, of: str):
+    """The row of T of each entry's name (or -1), and {P: (num, den)} for the names T lacks.
+
+    names are the (norm, p, root_label) columns and num / den the value
+    of each entry, as object arrays.  A name T lacks is split by
+    _resolve, in entry order.  An entry whose value differs from that of
+    the first entry naming its prime is refused; the repeats on T's rows
+    are found in one pass over the hits sorted by row.  The first entry at
+    fault, a bad name or a repeat, is the one named.
+    """
+    j = T.lookup(*names)
+    hit, clash = np.flatnonzero(j >= 0), len(j)
+    if hit.size and np.bincount(j[hit]).max() > 1:
+        order = hit[np.argsort(j[hit], kind="stable")]
+        start = np.diff(j[order], prepend=-1) != 0
+        first = order[np.maximum.accumulate(np.where(start, np.arange(len(order)), 0))]
+        clash = int(order[num[first] * den[order] != num[order] * den[first]].min(initial=clash))
+    above, past = {}, {}
+    for i in np.flatnonzero(j[:clash] < 0).tolist():
+        P = _resolve(K, above, names[0][i], names[1][i], names[2][i], f"{what} {i}")
+        a, b = past.setdefault(P, (num[i], den[i]))
+        if a * den[i] != num[i] * b:
+            raise ValidationError(f"{what} {i}: {P} named again with another {of}")
+    if clash < len(j):
+        P = _prime_ideals(K, T, [j[clash]])[0]
+        raise ValidationError(f"{what} {clash}: {P} named again with another {of}")
+    return j, past
+
+
+# ----------------------------------------------------------------------
+# schema <-> EigenvalueSeries
+# ----------------------------------------------------------------------
+
+# One entry as json.dumps(..., indent=1, sort_keys=True) lays it out in the list.
+_ENTRY = (
+    '  {\n   "c_den": %d,\n   "c_num": %d,\n   "norm": %d,\n'
+    '   "rational_prime": %d,\n   "root_label": %d\n  }'
+)
+
+
+def _zero_den(den: list[int]) -> str:
+    return "zero denominator" if 0 in den else ""
 
 
 def series_from_obj(obj, x: int) -> EigenvalueSeries:
@@ -149,31 +213,12 @@ def series_from_obj(obj, x: int) -> EigenvalueSeries:
     rows = obj["entries"]
     if type(rows) is not list:
         raise ParseError("eigen-series entries must be a JSON list")
-    T, cells = _prime_table(K, x), []
-    # 10^5-entry documents are common: the per-entry checks stay inline
-    for i, row in enumerate(rows):
-        try:
-            norm, p, label = row["norm"], row["rational_prime"], row["root_label"]
-            num, den = row["c_num"], row["c_den"]
-        except (KeyError, TypeError) as e:
-            raise ParseError(f"entry {i}: missing field ({e!r})") from e
-        if not (type(norm) is type(p) is type(label) is type(num) is type(den) is int):
-            raise ParseError(f"entry {i}: numeric fields must be JSON integers")
-        if den == 0:
-            raise ValidationError(f"entry {i}: zero denominator")
-        cells.append((norm, p, label, num, den))
-    nums, dens, above, past = [0] * len(T.key), [0] * len(T.key), {}, {}
-    for i, ((norm, p, label, num, den), j) in enumerate(zip(cells, T.lookup(cells).tolist())):
-        if j < 0:
-            P = _resolve(K, above, norm, p, label, f"entry {i}")
-            first = past.setdefault(P, (num, den))
-        elif dens[j]:
-            first = nums[j], dens[j]
-        else:
-            nums[j], dens[j] = first = num, den
-        if first[0] * den != num * first[1]:
-            P = P if j < 0 else _prime_ideals(K, T, [j])[0]
-            raise ValidationError(f"entry {i}: {P} named again with another coefficient")
+    T, keys = _prime_table(K, x), ("norm", "rational_prime", "root_label", "c_num", "c_den")
+    *names, num, den = _columns(rows, keys, "entry", _zero_den)
+    num, den = np.array(num, dtype=object), np.array(den, dtype=object)
+    j, past = _name_rows(K, T, names, num, den, "entry", "coefficient")
+    hit, nums, dens = j >= 0, np.zeros(len(T.key), dtype=object), np.zeros(len(T.key), dtype=object)
+    nums[j[hit]], dens[j[hit]] = num[hit], den[hit]  # a repeat carries an equal value
     E = EigenvalueSeries(K, obj["weight"], obj["label"], x, nums, dens, level_support)
     primes = sorted(past)  # past x: no part in the run, but the same gate after the table's
     nums, dens = [past[P][0] for P in primes], [past[P][1] for P in primes]
@@ -182,7 +227,21 @@ def series_from_obj(obj, x: int) -> EigenvalueSeries:
 
 
 def serialize_series(E: EigenvalueSeries) -> str:
-    return json.dumps(series_to_obj(E), indent=1, sort_keys=True) + "\n"
+    """The eigen-series document of E, as json.dumps(..., indent=1, sort_keys=True) writes it.
+
+    The encoder writes the header; the entries are spliced in, each one
+    _ENTRY formatted over the columns.
+    """
+    rows = np.flatnonzero(E.den)
+    head = {"format": SCHEMA_TAG, "d": E.field.d, "weight": list(E.weight), "label": E.label,
+            "level_support": sorted(E.level_support), "entries": []}
+    head = json.dumps(head, indent=1, sort_keys=True) + "\n"
+    if not rows.size:
+        return head
+    cols = E.den[rows].tolist(), E.num[rows].tolist(), *_prime_table(E.field, E.x).names(rows)
+    entries = ",\n".join(map(_ENTRY.__mod__, zip(*cols)))
+    before, after = head.split('"entries": []', 1)  # only "d", an int, sorts before it
+    return f'{before}"entries": [\n{entries}\n ]{after}'
 
 
 def load_fixture(path, x: int) -> EigenvalueSeries:
@@ -195,6 +254,10 @@ def load_fixture(path, x: int) -> EigenvalueSeries:
 # ----------------------------------------------------------------------
 
 
+def _not_unit(values: list[int]) -> str:
+    return next((f"value must be +-1, got {v}" for v in set(values) - {-1, 1}), "")
+
+
 def load_psi_table(K: QuadField, source, x: int) -> dict[PrimeIdeal, int]:
     """Read a psi table: a JSON list of {prime_norm, rational_prime, root_label, value}.
 
@@ -205,25 +268,13 @@ def load_psi_table(K: QuadField, source, x: int) -> dict[PrimeIdeal, int]:
         source = _read_json(source, "psi table")
     if type(source) is not list:
         raise ParseError("psi table must be a JSON list of entries")
-    T, names = _prime_table(K, x), []
-    for i, entry in enumerate(source):
-        try:
-            norm, p, label = entry["prime_norm"], entry["rational_prime"], entry["root_label"]
-            value = entry["value"]
-        except (KeyError, TypeError) as e:
-            raise ParseError(f"psi entry {i}: missing field ({e!r})") from e
-        if not (type(norm) is type(p) is type(label) is type(value) is int):
-            raise ParseError(f"psi entry {i}: numeric fields must be JSON integers")
-        if value not in (-1, 1):
-            raise ValidationError(f"psi entry {i}: value must be +-1, got {value}")
-        names.append((norm, p, label, value))
-    rows = T.lookup(names)
-    hits, table, above = iter(_prime_ideals(K, T, rows[rows >= 0])), {}, {}
-    for i, ((norm, p, label, value), j) in enumerate(zip(names, rows.tolist())):
-        P = next(hits) if j >= 0 else _resolve(K, above, norm, p, label, f"psi entry {i}")
-        if table.setdefault(P, value) != value:
-            raise ValidationError(f"psi entry {i}: {P} named again with another value")
-    return table
+    T, keys = _prime_table(K, x), ("prime_norm", "rational_prime", "root_label", "value")
+    *names, value = _columns(source, keys, "psi entry", _not_unit)
+    value = np.array(value, dtype=object)
+    j, past = _name_rows(K, T, names, value, np.ones(len(value), dtype=object), "psi entry", "value")
+    hit = np.flatnonzero(j >= 0)
+    table = dict(zip(_prime_ideals(K, T, j[hit]), value[hit].tolist()))
+    return {**table, **{P: v for P, (v, _) in past.items()}}
 
 
 # ----------------------------------------------------------------------

@@ -411,21 +411,34 @@ class _PrimeTable(NamedTuple):
         p = np.where(inert, np.sqrt(norm).astype(np.int64), norm)  # exact: norm < 2^53
         return norm.tolist(), p.tolist(), (self.key[rows] & 1).tolist()
 
-    def lookup(self, names) -> np.ndarray:
-        """The row of each name (norm, p, root_label, ...), or -1 where no row has that name.
+    def lookup(self, norm: list[int], p: list[int], label: list[int]) -> np.ndarray:
+        """The row of each name (norm[i], p[i], label[i]), or -1 where no row has that name.
 
-        A name is range-checked in Python ints first (1 < p <= norm <= the
-        last norm, label 0 or 1), so any integers may be given; the rest is
-        one searchsorted on key, then the p of each hit row checked.
+        The columns may hold any Python ints.  Each is range-checked whole
+        in Python ints (min and max) before its int64 cast, and in a column
+        that leaves the table's range (0..last norm, labels 0..1) the values
+        outside it become -1, which names no row.  The rest is one
+        searchsorted on key, then the p of each hit row checked.
         """
+        last = int(self.norm[-1]) if len(self.key) else 0
+        cols = []
+        for col, top in ((norm, last), (p, last), (label, 1)):
+            if len(col) and not (0 <= min(col) and max(col) <= top):
+                col = [v if 0 <= v <= top else -1 for v in col]
+            cols.append(np.array(col, dtype=np.int64))
+        norm, p, label = cols
         if not len(self.key):
-            return np.full(len(names), -1)
-        last = int(self.norm[-1])
-        names = [n[:3] if 1 < n[1] <= n[0] <= last and n[2] in (0, 1) else (0, 0, 0) for n in names]
-        norm, p, label = np.array(names, dtype=np.int64).reshape(-1, 3).T
-        i = np.searchsorted(self.key, 2 * norm + label) % len(self.key)  # past the end: row 0
-        p = np.where(self.kind[i] == _INERT, p * p, p)
-        return np.where((self.key[i] == 2 * norm + label) & (p == norm), i, -1)
+            return np.full(len(norm), -1)
+        key = 2 * norm + label
+        i = np.searchsorted(self.key, key) % len(self.key)  # past the end: row 0
+        named = np.where(self.kind[i] == _INERT, p * p, p) == norm
+        return np.where((self.key[i] == key) & named & (label >= 0), i, -1)
+
+
+def _name_columns(primes) -> tuple[list[int], list[int], list[int]]:
+    """The (norm, p, root_label) columns of some PrimeIdeals, as _PrimeTable.lookup takes them."""
+    primes = list(primes)
+    return [P.norm for P in primes], [P.rational_prime for P in primes], [P.root_label for P in primes]
 
 
 def _prime_ideals(K: QuadField, T: _PrimeTable, rows) -> list[PrimeIdeal]:
@@ -729,6 +742,7 @@ def _ideal_table(K: QuadField, X: int) -> _IdealTable:
                 nn, e = nn * q, e + 1
 
     extend(0, (), (), 1)
+    del extend  # it names itself through its closure: a cycle that would keep found past the call
     found.sort()  # the ideals are distinct, so this is their canonical order
     ideals = tuple(m for m, _ in found)
     index = {m: i for i, m in enumerate(ideals)}

@@ -32,6 +32,16 @@ construction (see the sign_pipeline docstring), so it checks the
 survey's signs against its coefficients.  quadratic_residue_symbol and save_fixture give the tests
 the symbol of one element and a fixture file on disk.
 
+series_to_obj, series_from_obj_by_entry and load_psi_table_by_entry are
+the document code that eigen_io's column reader and row-template writer
+replaced: a dict per entry, dumped by the JSON encoder, and an
+entry-by-entry decoder that checks each entry's fields, then its name
+and any repeat, in entry order.  Each name is split on its own by
+eigen_io._resolve, so the references share with the library only the
+header checks, the wording of a bad name and the Hasse gate.  The tests
+require the same bytes, and the same value or the same exception and
+message.
+
 point_add, point_mul, hasse_traces and scalar_ap_bsgs are the one-prime,
 Python-int baby-step giant-step that the library's int64 lane kernel
 replaced: affine points with a modular inverse per group operation, and a
@@ -54,8 +64,10 @@ from hilbert_signs import (
     split_rational_prime,
 )
 from hilbert_signs.curves import ap_symbol_sum
-from hilbert_signs.eigen_io import serialize_series
-from hilbert_signs.field_arith import _euler_symbol, _prime_table
+from hilbert_signs.eigen_io import SCHEMA_TAG, _header, _resolve, serialize_series
+from hilbert_signs.errors import ParseError, ValidationError
+from hilbert_signs.field_arith import _euler_symbol, _name_columns, _prime_ideals, _prime_table
+from hilbert_signs.sign_pipeline import _hasse_columns
 
 # Half-width of the band around eps inside which tail_inequality decides
 # B(P) > eps from the exact coefficient instead of the float coordinate.
@@ -205,7 +217,7 @@ def series_from_entries(K, weight, label, entries, x, level_support=()):
     coefficient.
     """
     T = _prime_table(K, x)
-    rows = T.lookup(list(entries)).tolist()
+    rows = T.lookup(*_name_columns(entries)).tolist()
     assert min(rows, default=0) >= 0, "a key is not a row of the table"
     num, den = [0] * len(T.key), [0] * len(T.key)
     for j, c in zip(rows, map(Fraction, entries.values())):
@@ -272,6 +284,88 @@ def quadratic_residue_symbol(a, P):
     x, y = as_element(P.field, a).omega_coords()
     assert x.denominator == y.denominator == 1, f"{a} is not integral"
     return _euler_symbol(int(x), int(y), P)
+
+
+def series_to_obj(E):
+    """E as an eigen-series document: the object serialize_series writes."""
+    keys = ("norm", "rational_prime", "root_label", "c_num", "c_den")
+    rows = E.den.nonzero()[0]
+    names = _prime_table(E.field, E.x).names(rows)
+    entries = [dict(zip(keys, v)) for v in zip(*names, E.num[rows].tolist(), E.den[rows].tolist())]
+    return {
+        "format": SCHEMA_TAG,
+        "d": E.field.d,
+        "weight": list(E.weight),
+        "label": E.label,
+        "level_support": sorted(E.level_support),
+        "entries": entries,
+    }
+
+
+def series_from_obj_by_entry(obj, x):
+    """series_from_obj, one entry at a time: the reference for its series and its errors."""
+    if not isinstance(obj, dict):
+        raise ParseError("eigen-series document must be a JSON object")
+    if obj.get("format") != SCHEMA_TAG:
+        raise ParseError(f"unrecognized format tag {obj.get('format')!r}")
+    for key in ("d", "weight", "label", "entries"):
+        if key not in obj:
+            raise ParseError(f"eigen-series document missing field {key!r}")
+    level_support = obj.get("level_support", [])
+    K = _header(obj["d"], obj["weight"], obj["label"], level_support)
+    rows = obj["entries"]
+    if type(rows) is not list:
+        raise ParseError("eigen-series entries must be a JSON list")
+    T, cells = _prime_table(K, x), []
+    for i, row in enumerate(rows):
+        try:
+            norm, p, label = row["norm"], row["rational_prime"], row["root_label"]
+            num, den = row["c_num"], row["c_den"]
+        except (KeyError, TypeError) as e:
+            raise ParseError(f"entry {i}: missing field ({e!r})") from e
+        if not (type(norm) is type(p) is type(label) is type(num) is type(den) is int):
+            raise ParseError(f"entry {i}: numeric fields must be JSON integers")
+        if den == 0:
+            raise ValidationError(f"entry {i}: zero denominator")
+        cells.append((norm, p, label, num, den))
+    row_of = {P: j for j, P in enumerate(_prime_ideals(K, T, slice(None)))}
+    nums, dens, above, seen = [0] * len(T.key), [0] * len(T.key), {}, {}
+    for i, (norm, p, label, num, den) in enumerate(cells):
+        P = _resolve(K, above, norm, p, label, f"entry {i}")
+        first = seen.setdefault(P, (num, den))
+        if first[0] * den != num * first[1]:
+            raise ValidationError(f"entry {i}: {P} named again with another coefficient")
+        if P in row_of:
+            nums[row_of[P]], dens[row_of[P]] = first
+    E = EigenvalueSeries(K, obj["weight"], obj["label"], x, nums, dens, level_support)
+    past = sorted(P for P in seen if P not in row_of)
+    nums, dens = [seen[P][0] for P in past], [seen[P][1] for P in past]
+    _hasse_columns(E.label, past.__getitem__, [P.norm for P in past], nums, dens)
+    return E
+
+
+def load_psi_table_by_entry(K, source, x):
+    """load_psi_table on a decoded list, one entry at a time: the reference for its table and errors."""
+    if type(source) is not list:
+        raise ParseError("psi table must be a JSON list of entries")
+    names = []
+    for i, entry in enumerate(source):
+        try:
+            norm, p, label = entry["prime_norm"], entry["rational_prime"], entry["root_label"]
+            value = entry["value"]
+        except (KeyError, TypeError) as e:
+            raise ParseError(f"psi entry {i}: missing field ({e!r})") from e
+        if not (type(norm) is type(p) is type(label) is type(value) is int):
+            raise ParseError(f"psi entry {i}: numeric fields must be JSON integers")
+        if value not in (-1, 1):
+            raise ValidationError(f"psi entry {i}: value must be +-1, got {value}")
+        names.append((norm, p, label, value))
+    table, above = {}, {}
+    for i, (norm, p, label, value) in enumerate(names):
+        P = _resolve(K, above, norm, p, label, f"psi entry {i}")
+        if table.setdefault(P, value) != value:
+            raise ValidationError(f"psi entry {i}: {P} named again with another value")
+    return table
 
 
 def save_fixture(E, path):

@@ -5,7 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
-from oracles import enumerate_prime_ideals, save_fixture, value_at
+from oracles import enumerate_prime_ideals, save_fixture, series_to_obj, value_at
 
 import hilbert_signs
 from hilbert_signs import (
@@ -15,7 +15,6 @@ from hilbert_signs import (
     get_curve,
     make_field,
     series_from_curve,
-    series_to_obj,
 )
 from hilbert_signs import cli
 from hilbert_signs.cli import SIMULATE_CSV_HEADER, TALLY_CSV_HEADER, build_parser, main

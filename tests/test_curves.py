@@ -174,8 +174,8 @@ def test_32a_at_5_falls_back_to_the_symbol_sum(monkeypatch):
     assert sorted(calls) == [3, 5, 7, 11, 29]
 
 
-# A pass holds _LANES // 14 lanes at X = 5000 (tables of m + 2 = 14 rows):
-# one lane at 1 (and at 7), 4 at 64 and 71 at 1000.
+# A pass holds 4 _LANES // 14 lanes at X = 5000 (tables of m + 2 = 14 rows):
+# one lane at 1 (and at 3), 18 at 64 and 285 at 1000.
 @pytest.mark.parametrize("lanes", [1, 64, 1000])
 def test_chunk_boundaries_leave_the_series_unchanged(monkeypatch, lanes):
     want = {label: series_from_curve(E, 5000).num for label, E in CURVE_REGISTRY.items()}

@@ -8,9 +8,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import enumerate_prime_ideals, save_fixture, value_at
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    enumerate_prime_ideals,
+    load_psi_table_by_entry,
+    save_fixture,
+    series_from_obj_by_entry,
+    series_to_obj,
+    value_at,
+)
 
 from hilbert_signs import (
+    EigenvalueSeries,
     HasseBoundViolated,
     HilbertSignsError,
     IdealCharacter,
@@ -24,12 +34,11 @@ from hilbert_signs import (
     serialize_series,
     series_from_curve,
     series_from_obj,
-    series_to_obj,
     split_rational_prime,
 )
 from hilbert_signs import eigen_io
 from hilbert_signs.eigen_io import cache_path, default_cache_dir
-from hilbert_signs.field_arith import _prime_ideals, _prime_table
+from hilbert_signs.field_arith import _name_columns, _prime_ideals, _prime_table
 
 Q = make_field(1)
 
@@ -55,6 +64,43 @@ def test_series_roundtrip_is_bit_stable():
     back = series_from_obj(json.loads(text), 200)
     assert equal_series(E, back)
     assert serialize_series(back) == text
+
+
+def encoder_text(E):
+    return json.dumps(series_to_obj(E), indent=1, sort_keys=True) + "\n"
+
+
+_LABELS = ['"entries": [', 'x"entries": []', 'a "quoted" \\ label', "\x00\x07\x1f\t\n", "caf\u00e9 \u2603 \U0001f600"]
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_serialize_series_matches_the_json_encoder(data):
+    # the row template against json.dumps of one dict per entry, over labels
+    # the encoder escapes and columns of Python ints past 2^63
+    d, x = data.draw(st.sampled_from((1, 5, 13))), data.draw(st.integers(2, 150))
+    K = make_field(d)
+    label = data.draw(st.one_of(st.sampled_from(_LABELS), st.text()))
+    weight = data.draw(st.lists(st.sampled_from((2, 4, 6)), min_size=1, max_size=2))
+    level = data.draw(st.lists(st.sampled_from((2, 3, 5, 7, 37, 2**61 - 1)), unique=True))
+    top = data.draw(st.sampled_from((10**6, 2**70)))
+    num, den = [], []
+    for N in _prime_table(K, x).norm.tolist():
+        b = data.draw(st.integers(0, top))  # 0: no coefficient
+        bound = math.isqrt(4 * b * b // N)
+        num.append(data.draw(st.integers(-bound, bound)))
+        den.append(b * data.draw(st.sampled_from((1, -1))))
+    E = EigenvalueSeries(K, weight, label, x, num, den, level)
+    assert serialize_series(E) == encoder_text(E)
+
+
+def test_serialize_series_with_no_coefficients():
+    for d in (1, 5, 13):
+        zeros = [0] * len(_prime_table(make_field(d), 50).key)
+        for label in _LABELS:
+            E = EigenvalueSeries(make_field(d), (2,), label, 50, zeros, zeros)
+            assert serialize_series(E) == encoder_text(E)
+            assert '"entries": []' in serialize_series(E)
 
 
 def test_fixture_roundtrip(tmp_path):
@@ -185,6 +231,68 @@ def test_columns_match_a_fraction_decode(field5):
         with pytest.raises(ValidationError, match=message):
             load_psi_table(field5, [*entries, psi(P, -table[P])], x)
 
+    # two faults planted at random entries of each document: the columns and
+    # the entry-by-entry reference give the same series or table, or the same
+    # exception with the same message
+    def outcome(decode, *args):
+        try:
+            got = decode(*args)
+        except HilbertSignsError as e:
+            return type(e), str(e)
+        if isinstance(got, EigenvalueSeries):
+            return got.num.tolist(), got.den.tolist(), got.num.dtype, got.den.dtype
+        return got
+
+    past = [P for P in names if P.norm > x]
+    bad_names = [(1001, 1001, 0), (121, 11, 0), (11, 11, 4), (25, 5, 1), (-3, -3, 0), (2**70, 2**70, 0)]
+    bad_names += [(9, 3, -1), (4, 2, 1), (3003, 3003, 0)]  # 3003 > x, and no prime
+
+    def plant(doc, name_key, value_key, kind):
+        doc = [dict(e) if isinstance(e, dict) else e for e in doc]
+        i = rng.choice([k for k, e in enumerate(doc) if isinstance(e, dict)])
+        e = doc[i]
+        if kind == "missing":
+            if rng.random() < 0.3:
+                doc[i] = rng.choice(([], 5, None, "norm"))
+            else:
+                del e[rng.choice(list(e))]
+        elif kind == "type":
+            key = rng.choice(list(e))
+            e[key] = rng.choice((True, False, float(e[key]), str(e[key])))
+        elif kind == "value":  # a zero denominator, or a psi value other than +-1
+            if value_key == "value":
+                e["value"] = rng.choice((0, 2, -3))
+            else:
+                e["c_den"] = 0
+        elif kind in ("unknown", "past"):
+            norm, p, label = rng.choice(bad_names) if kind == "unknown" else rng.choice(past)[:3]
+            e[name_key], e["rational_prime"], e["root_label"] = norm, p, label
+        elif kind == "repeat":
+            again = dict(rng.choice([e for e in doc if isinstance(e, dict)]))
+            if type(again.get(value_key)) is int:
+                again[value_key] = -again[value_key] if value_key == "value" else again[value_key] + 1
+            doc.insert(i, again)
+        elif value_key == "c_num":  # a Hasse violation: |c| = 3
+            e["c_num"] = 3 * e.get("c_den", 1)
+        return doc
+
+    kinds = ("missing", "type", "value", "unknown", "past", "repeat", "hasse")
+    seen = set()
+    for trial in range(80):
+        planted = (rng.choice(kinds), rng.choice(kinds))
+        doc_rows = plant(rows, "norm", "c_num", planted[0])
+        doc_rows = plant(doc_rows, "norm", "c_num", planted[1])
+        rng.shuffle(doc_rows)
+        got = outcome(series_from_obj, {**doc, "entries": doc_rows}, x)
+        assert got == outcome(series_from_obj_by_entry, {**doc, "entries": doc_rows}, x), planted
+        psi_rows = plant(entries, "prime_norm", "value", planted[0])
+        psi_rows = plant(psi_rows, "prime_norm", "value", planted[1])
+        rng.shuffle(psi_rows)
+        want = outcome(load_psi_table_by_entry, field5, psi_rows, x)
+        assert outcome(load_psi_table, field5, psi_rows, x) == want, planted
+        seen.update(w[0] for w in (got, want) if type(w) is tuple and len(w) == 2)
+    assert seen == {ParseError, ValidationError, HasseBoundViolated}
+
 
 def test_load_fixture_rejects_undecodable_bytes(tmp_path):
     path = tmp_path / "bytes.json"
@@ -267,7 +375,7 @@ def test_prime_lookup_splits_each_p_once(field5, monkeypatch):
         calls.clear()
         keys = decode()
         assert keys.keys() == kept and calls == [101, 13]
-        rows = T.lookup([P for P in keys if P.norm <= x])
+        rows = T.lookup(*_name_columns(P for P in keys if P.norm <= x))
         assert _prime_ideals(field5, T, rows) == [P for P in keys if P.norm <= x]
     # inert 7 has label 0 only; 4, 9 and 1 are not prime; the error names the entry
     for p, label in ((7, 1), (4, 0), (9, 0), (1, 0)):

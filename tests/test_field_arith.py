@@ -336,10 +336,10 @@ def test_prime_table_index_matches_split_rational_prime(d):
         name(norm, p, label)
     rows = list(range(len(names)))
     random.Random(d).shuffle(rows)  # in any order, in one call
-    assert T.lookup([names[i] for i in rows]).tolist() == [want[i] for i in rows]
+    assert T.lookup(*zip(*(names[i] for i in rows))).tolist() == [want[i] for i in rows]
     assert sorted(row_of.values()) == list(range(len(T.key)))
     # each name past X is also -1 in the table of a smaller X, and an empty table has no rows
-    assert (_prime_table(K, 1).lookup(names) == -1).all()
+    assert (_prime_table(K, 1).lookup(*zip(*names)) == -1).all()
 
 
 @pytest.mark.parametrize("p", [7340033, 23068673, 998244353, 2013265921, 3037000493])

@@ -1,5 +1,6 @@
 """Ideal-indexed series: Cauchy products, Euler factors, prime extraction."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -227,6 +228,19 @@ def test_ideal_table_pairs_are_the_truncated_products(d):
 def test_ideal_table_size_at_10_4(field5):
     T = _ideal_table(field5, 10_000)
     assert (len(T.ideals), len(T.a)) == (4304, 20456)
+
+
+def test_ideal_table_leaves_no_garbage_cycle(field5):
+    # the table is built by a recursion; were it a cycle (a nested function
+    # that names itself), every ideal found would outlive the call until the
+    # cyclic collector ran
+    gc.collect()
+    gc.disable()
+    try:
+        _ideal_table.__wrapped__(field5, 10_000)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_ideal_table_redraws_colliding_keys(monkeypatch):
