@@ -20,7 +20,6 @@ from .errors import (
     BadReduction,
     CutoffMismatch,
     EmptySample,
-    EvenCharacteristic,
     FieldMismatch,
     HasseBoundViolated,
     HilbertSignsError,
@@ -81,7 +80,6 @@ __all__ = [
     "CutoffMismatch",
     "EigenvalueSeries",
     "EmptySample",
-    "EvenCharacteristic",
     "FieldElement",
     "FieldMismatch",
     "FormalSeries",

@@ -25,11 +25,9 @@ from .field_arith import (
     PrimeIdeal,
     QuadField,
     _INERT,
-    _euler_symbol,
     _euler_symbol_lanes,
     _factor_int,
     _name_columns,
-    _prime_ideals,
     _prime_table,
     as_element,
     factor_principal_ideal,
@@ -80,21 +78,21 @@ class IdealCharacter:
     def values_upto(self, X: int) -> np.ndarray:
         """chi at every prime of norm <= X, as int8 on the rows of the prime table.
 
-        Degree-one primes take the Euler criterion in int64 lanes; the bad
-        set and psi find their rows by one table lookup each, and each
-        inert value is the Euler criterion in F_{p^2}.
+        Every value is an Euler criterion in int64 lanes.  At an inert
+        P = (p), tau^((p^2-1)/2) = N(tau)^((p-1)/2) mod P, so there it is
+        the Legendre symbol of N(tau) mod p.  The bad set and psi find their
+        rows by one table lookup each.
         """
         T = _prime_table(self.field, X)
         # every lane takes the degree-one criterion, where the norm is p;
         # inert lanes are redone below
         values = _euler_symbol_lanes(*self.tau_omega, T.norm, T.root)
-        bad = T.lookup(*_name_columns(self.bad_set))
-        bad = bad[bad >= 0]
         inert = np.flatnonzero(T.kind == _INERT)
-        inert = inert[~np.isin(inert, bad)]  # np.setdiff1d would import numpy.ma
-        for i, P in zip(inert.tolist(), _prime_ideals(self.field, T, inert)):
-            values[i] = _euler_symbol(*self.tau_omega, P)
+        (x, y), (s, c) = self.tau_omega, self.field.omega_square()  # N(x + y w) = x^2 + s x y - c y^2
+        p = np.array(T.names(inert)[1], np.int64)
+        values[inert] = _euler_symbol_lanes(x * x + s * x * y - c * y * y, 0, p, T.root[inert])
+        bad = T.lookup(*_name_columns(self.bad_set))
         psi, v = T.lookup(*_name_columns(self.psi_table)), np.array(list(self.psi_table.values()), np.int8)
         values[psi[psi >= 0]] *= v[psi >= 0]
-        values[bad] = 0
+        values[bad[bad >= 0]] = 0
         return values

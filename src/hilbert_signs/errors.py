@@ -13,10 +13,6 @@ class UnsupportedField(HilbertSignsError):
     """Requested d is outside the narrow-class-number-one allowlist."""
 
 
-class EvenCharacteristic(HilbertSignsError):
-    """Quadratic residue symbol requested in a residue field of characteristic 2."""
-
-
 class NotIntegral(HilbertSignsError):
     """Element is not an algebraic integer of the field."""
 

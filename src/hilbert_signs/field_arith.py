@@ -10,9 +10,11 @@ The prime ideals of norm <= X are the rows of one table per (K, X),
 built once with numpy, and a PrimeIdeal is made from a row only to be
 printed or to key a dict.  The int64 columns are exact because X <=
 TABLE_MAX_X keeps every product of two residues mod p below 2^63.
-Python ints remain where a value is unbounded (tau's coordinates,
-reduced limb by limb) and on the few lanes that take the scalar route:
-the primes above 2, the ramified primes and the inert residue symbols.
+Python ints remain where a value is unbounded (tau's coordinates and
+norm, reduced limb by limb) and on the few lanes that take the scalar
+route: the primes above 2 and the ramified primes.  Likewise the
+integral ideals of norm <= X are the ids of one ideal table per (K, X),
+and an IdealFactorization is made from an id only for text and dict keys.
 
 Conventions.  d = 1 encodes Q itself (degree 1).  For quadratic d the
 ring of integers is Z[w] with
@@ -37,18 +39,16 @@ leading fields are their canonical order: a prime ideal sorts by
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
-    EvenCharacteristic,
     FieldMismatch,
     NotIntegral,
     NotSquarefree,
@@ -579,43 +579,8 @@ def _prime_table(K: QuadField, X: int) -> _PrimeTable:
 # ======================================================================
 
 
-def _fp2_pow(u: tuple[int, int], e: int, p: int, sq: tuple[int, int]) -> tuple[int, int]:
-    """u^e in F_p[w]/(w^2 - s*w - c), elements as (x, y) = x + y*w."""
-    s, c = sq
-    rx, ry = 1, 0
-    bx, by = u
-    while e:
-        if e & 1:
-            # (rx + ry w)(bx + by w), reduced via w^2 = s w + c
-            t = ry * by % p
-            rx, ry = (rx * bx + c * t) % p, (rx * by + ry * bx + s * t) % p
-        t = by * by % p
-        bx, by = (bx * bx + c * t) % p, (2 * bx * by + s * t) % p
-        e >>= 1
-    return rx, ry
-
-
-def _euler_symbol(x: int, y: int, P: PrimeIdeal) -> int:
-    """Euler-criterion symbol of x + y*w in O_K/P, for integers x, y."""
-    p = P.rational_prime
-    if p == 2:
-        raise EvenCharacteristic("no quadratic residue symbol in characteristic 2")
-    if P.residue_degree == 1:
-        t = pow((x + y * P.root) % p, (p - 1) // 2, p)
-        return -1 if t == p - 1 else t
-    x, y = x % p, y % p
-    if x == 0 and y == 0:
-        return 0
-    rx, ry = _fp2_pow((x, y), (p * p - 1) // 2, p, P.field.omega_square())
-    if (rx, ry) == (1, 0):
-        return 1
-    if (rx, ry) == (p - 1, 0):
-        return -1
-    raise ArithmeticError(f"Euler criterion did not land in {{-1,0,1}} at {P}")
-
-
 def _euler_symbol_lanes(x: int, y: int, p: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """_euler_symbol of x + y*w at degree-one primes (p, root), as int8 lanes.
+    """The Euler criterion of x + y*w at degree-one primes (p, root), as int8 lanes.
 
     p may be any modulus up to TABLE_MAX_X, but only a lane with p an odd
     prime reads a symbol; the others are the caller's to discard.
@@ -696,15 +661,16 @@ class IdealFactorization(NamedTuple):
 class _IdealTable(NamedTuple):
     """The integral ideals of norm <= X, each by its id: its place in canonical order.
 
-    fac_id, fac_row and fac_exp list each P^e exactly dividing an ideal, P
-    by its prime-table row, and prime_id is the id of each prime row.  The
-    pairs (a, b) with N(a) N(b) <= X are sorted by the id of ab: those of
-    id m begin at start[m], and no id has more than `divisors` of them.
-    The arrays are read-only.
+    norm and key are each ideal's norm and exact name (see _ideal_table);
+    id 0 is O_K.  fac_id, fac_row and fac_exp list each P^e exactly
+    dividing an ideal, P by its prime-table row, and prime_id is the id of
+    each prime row.  The pairs (a, b) with N(a) N(b) <= X are sorted by the
+    id of ab: those of id m begin at start[m], and no id has more than
+    `divisors` of them.  The arrays are read-only.
     """
 
-    ideals: tuple[IdealFactorization, ...]
-    index: dict[IdealFactorization, int]
+    norm: np.ndarray
+    key: np.ndarray
     fac_id: np.ndarray
     fac_row: np.ndarray
     fac_exp: np.ndarray
@@ -717,58 +683,76 @@ class _IdealTable(NamedTuple):
 
 @lru_cache(maxsize=4)
 def _ideal_table(K: QuadField, X: int) -> _IdealTable:
-    """The ideal table of (K, X), built once; the last four are kept.
+    """The ideal table of (K, X), built once in numpy; the last four are kept.
 
-    Each ideal is found once, by extending an ideal with a power of a
-    prime past its largest one.  The id of ab comes from an additive key,
-    sum e * w(P) mod 2^64 over P^e || m: key(ab) = key(a) + key(b) holds
-    exactly, so once the keys of the table are distinct (checked, and
-    redrawn if not) the key of ab names ab.
+    The ideals are found level by level, as ascending lists of prime rows:
+    an ideal m whose last row is r has the children m P_i for the rows
+    i >= r with N(m) N(P_i) <= X, so each ideal is found once.  One
+    lexsort on (norm, then the row and exponent of each factor) puts them
+    in canonical order.  The key N(m) X + s(m), where s(m) is the product
+    of N(P)^e over the P^e || m with root_label 1, names m: N(m) fixes
+    every exponent but how e_0 + e_1 is shared at a split p, and s(m) fixes
+    e_1.  It is multiplicative, key(ab) = N(a) N(b) X + s(a) s(b), and as
+    1 <= s <= N <= X <= TABLE_MAX_X, it is below 2^63.
     """
     if X < 1:
         raise ValueError(f"the cutoff must be >= 1, got {X}")
-    primes = _prime_ideals(K, _prime_table(K, X), slice(None))
-    found = []
-
-    def extend(start, pairs, rows, norm):
-        found.append((IdealFactorization(norm, pairs, K), rows))
-        for i in range(start, len(primes)):
-            q = primes[i].norm
-            if norm * q > X:
-                break  # primes are norm-sorted, nothing further fits
-            nn, e = norm * q, 1
-            while nn <= X:
-                extend(i + 1, pairs + ((primes[i], e),), rows + ((i, e),), nn)
-                nn, e = nn * q, e + 1
-
-    extend(0, (), (), 1)
-    del extend  # it names itself through its closure: a cycle that would keep found past the call
-    found.sort()  # the ideals are distinct, so this is their canonical order
-    ideals = tuple(m for m, _ in found)
-    index = {m: i for i, m in enumerate(ideals)}
-    fac = [(i, r, e) for i, (_, rows) in enumerate(found) for r, e in rows]
-    fac_id, fac_row, fac_exp = np.array(fac, dtype=np.int64).reshape(-1, 3).T
-    norm = np.fromiter((m.norm for m in ideals), np.int64, len(ideals))
+    P = _prime_table(K, X)
+    s_of = np.where(P.key & 1 == 1, P.norm, 1)  # the s of each prime: N(P) at root_label 1
+    norm, s, last = np.ones(1, np.int64), np.ones(1, np.int64), np.zeros(1, np.int64)
+    rows = np.empty((1, 0), np.int64)  # level 0: O_K, with no rows
+    levels = []
+    while len(norm):
+        levels.append((norm, s, rows))
+        fits = np.maximum(np.searchsorted(P.norm, X // norm, side="right") - last, 0)
+        up = np.repeat(np.arange(len(norm)), fits)
+        last = last[up] + np.arange(len(up)) - np.repeat(np.cumsum(fits) - fits, fits)
+        norm, s, rows = norm[up] * P.norm[last], s[up] * s_of[last], np.column_stack((rows[up], last))
+    sizes = [len(n) for n, _, _ in levels]
+    norm, s, row = (np.concatenate([c.ravel() for c in col]) for col in zip(*levels))
+    # an ideal of level e has e rows
+    owner = np.repeat(np.arange(len(norm)), np.repeat(np.arange(len(sizes)), sizes))
+    # a factor P^e of an ideal is a run of e equal rows in its list
+    head = np.flatnonzero(np.diff(owner, prepend=-1) | np.diff(row, prepend=-1))
+    owner, row, exp = owner[head], row[head], np.diff(head, append=len(row))
+    at = np.arange(len(head)) - np.searchsorted(owner, owner)  # the place of the factor in its ideal
+    fac = np.full((2 * (at.max(initial=-1) + 1), len(norm)), -1)
+    fac[2 * at, owner], fac[2 * at + 1, owner] = row, exp
+    canon = np.lexsort((*fac[::-1], norm))  # by (norm, factors), a shorter factor list first
+    fac, norm, s = fac[:, canon], norm[canon], s[canon]
+    fac_id, at = np.nonzero(fac[::2].T >= 0)
+    fac_row, fac_exp = fac[2 * at, fac_id], fac[2 * at + 1, fac_id]
+    key = norm * X + s
     per_a = np.searchsorted(norm, X // norm, side="right")  # the b are a prefix
-    a = np.repeat(np.arange(len(ideals)), per_a)
+    a = np.repeat(np.arange(len(norm)), per_a)
     b = np.arange(len(a)) - np.repeat(np.cumsum(per_a) - per_a, per_a)
-    for seed in count():
-        rng = random.Random(seed)
-        w = np.array([rng.getrandbits(64) for _ in primes], dtype=np.uint64)
-        key = np.zeros(len(ideals), np.uint64)
-        np.add.at(key, fac_id, w[fac_row] * fac_exp.astype(np.uint64))
-        by_key = np.argsort(key)
-        if np.all(np.diff(key[by_key]) != 0):
-            break
-    ab = by_key[np.searchsorted(key[by_key], key[a] + key[b])]
+    by_key = np.argsort(key)
+    ab, prime_id = (
+        by_key[np.searchsorted(key[by_key], k)]
+        for k in (norm[a] * norm[b] * X + s[a] * s[b], P.norm * X + s_of)
+    )
     order = np.argsort(ab, kind="stable")
-    start = np.searchsorted(ab[order], np.arange(len(ideals)))
+    start = np.searchsorted(ab[order], np.arange(len(norm)))
     divisors = int(np.diff(start, append=len(ab)).max())
-    prime_id = np.array([index[IdealFactorization.from_prime(P)] for P in primes], np.int64)
-    cols = (fac_id, fac_row, fac_exp, prime_id, a[order], b[order], start)
+    cols = (norm, key, fac_id, fac_row, fac_exp, prime_id, a[order], b[order], start)
     for c in cols:
         c.flags.writeable = False
-    return _IdealTable(ideals, index, *cols, divisors)
+    return _IdealTable(*cols, divisors)
+
+
+@lru_cache(maxsize=4)
+def _ideal_objects(K: QuadField, X: int) -> tuple[tuple[IdealFactorization, ...], dict]:
+    """The IdealFactorization of each id of the ideal table of (K, X), and the id of each.
+
+    Built once, for the dict API of a formal series: text and ideal keys.
+    """
+    T = _ideal_table(K, X)
+    primes = _prime_ideals(K, _prime_table(K, X), slice(None))
+    factors = [[] for _ in range(len(T.norm))]
+    for i, r, e in zip(T.fac_id.tolist(), T.fac_row.tolist(), T.fac_exp.tolist()):
+        factors[i].append((primes[r], e))
+    ideals = tuple(map(IdealFactorization, T.norm.tolist(), map(tuple, factors), repeat(K)))
+    return ideals, {m: i for i, m in enumerate(ideals)}
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,11 @@ product, which becomes a gather over the table's divisor pairs, a multiply
 and a segmented sum: in int64 where a bound proves the sums fit, in Python
 ints otherwise, never in floats.  Twisted, the Euler products of a
 quadratic character chi are the integer series chi(n) and mu(n) chi(n).
+
+Products, Euler series and prime extraction run on ids alone.  The
+IdealFactorization of each id is built, once per (K, X), only for the
+dict API: the constructor from {ideal: rational}, coefficient, coeffs,
+sorted_items and repr.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from .characters import IdealCharacter
 from .errors import CutoffMismatch, FieldMismatch, NotNormalized
-from .field_arith import IdealFactorization, QuadField, _absmax, _ideal_table, _lanes
+from .field_arith import IdealFactorization, QuadField, _absmax, _ideal_objects, _ideal_table, _lanes
 
 
 class FormalSeries:
@@ -35,19 +40,20 @@ class FormalSeries:
     def __init__(self, field: QuadField, cutoff: int, coeffs=None):
         self.field, self.cutoff = field, int(cutoff)
         self.table = T = _ideal_table(field, self.cutoff)
+        index = _ideal_objects(field, self.cutoff)[1]
         terms: dict[int, Fraction] = {}
         for m, v in (coeffs or {}).items():
             if m.field != field:
                 raise FieldMismatch(f"index ideal {m} is not an ideal of {field}")
             if m.norm > self.cutoff:
                 raise ValueError(f"index {m} has norm {m.norm} beyond cutoff {cutoff}")
-            if m not in T.index:
+            if m not in index:
                 raise ValueError(f"index {m} is not a canonical integral ideal of {field}")
-            terms[T.index[m]] = Fraction(v)
+            terms[index[m]] = Fraction(v)
         den = math.lcm(*(v.denominator for v in terms.values()))
-        num = np.zeros(len(T.ideals), dtype=object)
+        num = np.zeros(len(T.norm), dtype=object)
         for i, v in terms.items():
-            num[i] = den // v.denominator * v.numerator * T.ideals[i].norm
+            num[i] = den // v.denominator * v.numerator * int(T.norm[i])
         self._reduce(den, num)
 
     def _reduce(self, den: int, num: np.ndarray) -> None:
@@ -64,7 +70,7 @@ class FormalSeries:
         return s
 
     def coefficient(self, m: IdealFactorization) -> Fraction:
-        i = self.table.index.get(m)
+        i = _ideal_objects(self.field, self.cutoff)[1].get(m)
         return Fraction(0) if i is None else Fraction(int(self.num[i]), self.den * m.norm)
 
     @property
@@ -74,8 +80,9 @@ class FormalSeries:
 
     def sorted_items(self) -> list[tuple[int, IdealFactorization, Fraction]]:
         """(norm, ideal, coefficient) in canonical ideal order, so ascending by norm."""
-        ideals = [self.table.ideals[i] for i in np.flatnonzero(self.num).tolist()]
-        return [(m.norm, m, self.coefficient(m)) for m in ideals]
+        ideals = _ideal_objects(self.field, self.cutoff)[0]
+        terms = ((ideals[i], int(self.num[i])) for i in np.flatnonzero(self.num).tolist())
+        return [(m.norm, m, Fraction(n, self.den * m.norm)) for m, n in terms]
 
     def __eq__(self, other):
         return (
@@ -110,7 +117,7 @@ def series_mul(A: FormalSeries, B: FormalSeries) -> FormalSeries:
 def _euler_series(chi: IdealCharacter, X: int, factor) -> FormalSeries:
     """The twisted series whose coefficient at m is prod factor(chi(P), e) over P^e || m."""
     T = _ideal_table(chi.field, X)
-    num = np.ones(len(T.ideals), np.int64)
+    num = np.ones(len(T.norm), np.int64)
     np.multiply.at(num, T.fac_id, factor(chi.values_upto(X).astype(np.int64)[T.fac_row], T.fac_exp))
     return FormalSeries._twisted(chi.field, X, 1, num)
 
@@ -142,9 +149,8 @@ def extract_prime_relation(c: FormalSeries, lam: FormalSeries, chi: IdealCharact
     normalized to c(O_K) = 1 so the convolution at a prime index has
     exactly two terms.
     """
-    unit = IdealFactorization.unit(c.field)
-    if c.coefficient(unit) != 1:
-        raise NotNormalized(f"c(O_K) = {c.coefficient(unit)} != 1")
+    if c.num[0] != c.den:  # id 0 is O_K, of norm 1
+        raise NotNormalized(f"c(O_K) = {Fraction(int(c.num[0]), c.den)} != 1")
     if (lam.field, lam.cutoff, chi.field) != (c.field, c.cutoff, c.field):
         raise FieldMismatch("c, lam and chi must share one field and one cutoff")
     chi_P = chi.values_upto(c.cutoff)

@@ -42,6 +42,11 @@ header checks, the wording of a bad name and the Hasse gate.  The tests
 require the same bytes, and the same value or the same exception and
 message.
 
+_euler_symbol is the one-prime Euler criterion that the character's
+int64 lanes replaced: in F_p at a degree-one prime, and by _fp2_pow in
+F_{p^2} at an inert one, where the lanes take the Legendre symbol of the
+norm instead.  It raises EvenCharacteristic in characteristic 2.
+
 point_add, point_mul, hasse_traces and scalar_ap_bsgs are the one-prime,
 Python-int baby-step giant-step that the library's int64 lane kernel
 replaced: affine points with a modular inverse per group operation, and a
@@ -59,14 +64,15 @@ from hilbert_signs import (
     FormalSeries,
     HasseBoundViolated,
     IdealFactorization,
+    PrimeIdeal,
     as_element,
     primes_upto,
     split_rational_prime,
 )
 from hilbert_signs.curves import ap_symbol_sum
 from hilbert_signs.eigen_io import SCHEMA_TAG, _header, _resolve, serialize_series
-from hilbert_signs.errors import ParseError, ValidationError
-from hilbert_signs.field_arith import _euler_symbol, _name_columns, _prime_ideals, _prime_table
+from hilbert_signs.errors import HilbertSignsError, ParseError, ValidationError
+from hilbert_signs.field_arith import _name_columns, _prime_ideals, _prime_table
 from hilbert_signs.sign_pipeline import _hasse_columns
 
 # Half-width of the band around eps inside which tail_inequality decides
@@ -199,6 +205,45 @@ def enumerate_prime_ideals(K, X):
 def good_primes(chi, X):
     """Primes of norm <= X where chi does not vanish, in norm order."""
     return [P for P in enumerate_prime_ideals(chi.field, X) if P not in chi.bad_set]
+
+
+class EvenCharacteristic(HilbertSignsError):
+    """Quadratic residue symbol requested in a residue field of characteristic 2."""
+
+
+def _fp2_pow(u: tuple[int, int], e: int, p: int, sq: tuple[int, int]) -> tuple[int, int]:
+    """u^e in F_p[w]/(w^2 - s*w - c), elements as (x, y) = x + y*w."""
+    s, c = sq
+    rx, ry = 1, 0
+    bx, by = u
+    while e:
+        if e & 1:
+            # (rx + ry w)(bx + by w), reduced via w^2 = s w + c
+            t = ry * by % p
+            rx, ry = (rx * bx + c * t) % p, (rx * by + ry * bx + s * t) % p
+        t = by * by % p
+        bx, by = (bx * bx + c * t) % p, (2 * bx * by + s * t) % p
+        e >>= 1
+    return rx, ry
+
+
+def _euler_symbol(x: int, y: int, P: PrimeIdeal) -> int:
+    """Euler-criterion symbol of x + y*w in O_K/P, for integers x, y."""
+    p = P.rational_prime
+    if p == 2:
+        raise EvenCharacteristic("no quadratic residue symbol in characteristic 2")
+    if P.residue_degree == 1:
+        t = pow((x + y * P.root) % p, (p - 1) // 2, p)
+        return -1 if t == p - 1 else t
+    x, y = x % p, y % p
+    if x == 0 and y == 0:
+        return 0
+    rx, ry = _fp2_pow((x, y), (p * p - 1) // 2, p, P.field.omega_square())
+    if (rx, ry) == (1, 0):
+        return 1
+    if (rx, ry) == (p - 1, 0):
+        return -1
+    raise ArithmeticError(f"Euler criterion did not land in {{-1,0,1}} at {P}")
 
 
 def value_at(chi, P):

@@ -2,6 +2,8 @@
 
 import ast
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import hilbert_signs
 from hilbert_signs import (
     FormalSeries,
     IdealCharacter,
+    IdealFactorization,
     SignSurvey,
     get_curve,
     make_field,
@@ -19,7 +22,7 @@ from hilbert_signs import (
 from hilbert_signs import cli
 from hilbert_signs.cli import SIMULATE_CSV_HEADER, TALLY_CSV_HEADER, build_parser, main
 from hilbert_signs.eigen_io import cache_path
-from hilbert_signs.field_arith import _prime_table
+from hilbert_signs.field_arith import _ideal_objects, _ideal_table, _prime_table
 
 
 def run(capsys, *argv):
@@ -206,6 +209,8 @@ def test_simulate_json(capsys):
 
 
 def test_series_check(capsys):
+    _ideal_table.cache_clear()
+    _ideal_objects.cache_clear()
     code, out, _ = run(
         capsys, "series-check", "--d", "5", "--x", "300", "--count", "2", "--seed", "1"
     )
@@ -213,6 +218,34 @@ def test_series_check(capsys):
     obj = json.loads(out)
     assert obj["ok"] is True and len(obj["checks"]) == 2
     assert all(c["roundtrip"] and c["residuals_zero"] for c in obj["checks"])
+    # one ideal table, and no IdealFactorization per ideal
+    assert _ideal_table.cache_info().misses == 1
+    assert _ideal_objects.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("d", [1, 5])
+def test_series_check_lambda_is_the_seeded_draw(capsys, monkeypatch, d):
+    # any lam round-trips, so the ok flags cannot catch a wrong one: replay the
+    # seed, drawing prime by prime into a dict of Fractions
+    seen, real = [], cli.c_series_from_lambda
+
+    def recording(lam, chi):
+        seen.append(lam)
+        return real(lam, chi)
+
+    monkeypatch.setattr(cli, "c_series_from_lambda", recording)
+    K, X = make_field(d), 300
+    argv = ["series-check", "--d", str(d), "--x", str(X), "--count", "3", "--seed", "7"]
+    assert run(capsys, *argv)[0] == 0
+    rng, want = random.Random(7), []
+    for _ in range(3):
+        rng.randrange(5 if K.is_rational else 4)  # the tau draw
+        coeffs = {IdealFactorization.unit(K): Fraction(1)}
+        for P in enumerate_prime_ideals(K, X):
+            if rng.random() < 0.5:
+                coeffs[IdealFactorization.from_prime(P)] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        want.append(FormalSeries(K, X, coeffs))
+    assert seen == want
 
 
 def test_series_check_fails_when_a_moebius_term_is_dropped(capsys, monkeypatch):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from oracles import enumerate_prime_ideals, quadratic_residue_symbol
+from oracles import EvenCharacteristic, enumerate_prime_ideals, quadratic_residue_symbol
 
 from hilbert_signs import (
     NARROW_CLASS_NUMBER_ONE,
@@ -32,7 +32,6 @@ from hilbert_signs import (
     squarefree_decompose,
 )
 from hilbert_signs import field_arith
-from hilbert_signs.errors import EvenCharacteristic
 from hilbert_signs.field_arith import (
     MAX_TAU_NORM,
     TABLE_MAX_X,

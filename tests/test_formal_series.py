@@ -1,6 +1,7 @@
 """Ideal-indexed series: Cauchy products, Euler factors, prime extraction."""
 
 import gc
+import math
 import random
 from fractions import Fraction
 
@@ -36,8 +37,7 @@ from hilbert_signs import (
     series_mul,
     split_rational_prime,
 )
-from hilbert_signs import field_arith
-from hilbert_signs.field_arith import _ideal_table
+from hilbert_signs.field_arith import _ideal_objects, _ideal_table
 
 Q = make_field(1)
 
@@ -206,34 +206,40 @@ def test_prime_index_has_two_term_support(field5):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("d", [1, 5, 13])
+@pytest.mark.parametrize("d", [1, 2, 5, 13, 17])
 def test_ideal_table_pairs_are_the_truncated_products(d):
+    # d = 2 ramifies 2 and d = 17 splits it, so s(m) below meets both labels above 2
     K, X = make_field(d), 600
     T = _ideal_table(K, X)
-    assert list(T.ideals) == sorted(all_ideals(K, X))
-    assert all(T.index[m] == i for i, m in enumerate(T.ideals))
-    want = {(i, j) for i, m in enumerate(T.ideals) for j, n in enumerate(T.ideals)
+    ideals, index = _ideal_objects(K, X)
+    assert list(ideals) == sorted(all_ideals(K, X))
+    assert all(index[m] == i for i, m in enumerate(ideals))
+    # the key is N(m) X + s(m), s(m) the product of N(P)^e over the P^e || m with root_label 1
+    s = [math.prod(P.norm**e for P, e in m.factors if P.root_label) for m in ideals]
+    assert T.key.tolist() == [m.norm * X + v for m, v in zip(ideals, s)]
+    assert len(np.unique(T.key)) == len(ideals)
+    want = {(i, j) for i, m in enumerate(ideals) for j, n in enumerate(ideals)
             if m.norm * n.norm <= X}
     assert set(zip(T.a.tolist(), T.b.tolist())) == want and len(T.a) == len(want)
-    ab = np.repeat(np.arange(len(T.ideals)), np.diff(T.start, append=len(T.a)))
-    assert all(T.ideals[k] == T.ideals[i] * T.ideals[j] for i, j, k in zip(T.a, T.b, ab))
+    ab = np.repeat(np.arange(len(ideals)), np.diff(T.start, append=len(T.a)))
+    assert all(ideals[k] == ideals[i] * ideals[j] for i, j, k in zip(T.a, T.b, ab))
     assert T.divisors == np.diff(T.start, append=len(T.a)).max()
     primes = enumerate_prime_ideals(K, X)
-    assert [T.ideals[i] for i in T.prime_id] == [IdealFactorization.from_prime(P) for P in primes]
-    for i, m in enumerate(T.ideals):
+    assert [ideals[i] for i in T.prime_id] == [IdealFactorization.from_prime(P) for P in primes]
+    for i, m in enumerate(ideals):
         facs = [(primes[r], e) for k, r, e in zip(T.fac_id, T.fac_row, T.fac_exp) if k == i]
         assert tuple(facs) == m.factors
 
 
 def test_ideal_table_size_at_10_4(field5):
     T = _ideal_table(field5, 10_000)
-    assert (len(T.ideals), len(T.a)) == (4304, 20456)
+    assert (len(T.norm), len(T.a)) == (4304, 20456)
 
 
 def test_ideal_table_leaves_no_garbage_cycle(field5):
-    # the table is built by a recursion; were it a cycle (a nested function
-    # that names itself), every ideal found would outlive the call until the
-    # cyclic collector ran
+    # the table is built level by level from numpy temporaries; a reference
+    # cycle among them (say, a nested function that names itself) would keep
+    # them past the call until the cyclic collector ran
     gc.collect()
     gc.disable()
     try:
@@ -241,30 +247,6 @@ def test_ideal_table_leaves_no_garbage_cycle(field5):
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def test_ideal_table_redraws_colliding_keys(monkeypatch):
-    # seed 0 draws every weight as 0, so every key collides; the table must
-    # notice and redraw rather than name every product by one id
-    real = field_arith.random.Random
-
-    class ZeroFirst(real):
-        def __init__(self, seed):
-            super().__init__(seed)
-            self.zero = seed == 0
-
-        def getrandbits(self, k):
-            return 0 if self.zero else super().getrandbits(k)
-
-    monkeypatch.setattr(field_arith.random, "Random", ZeroFirst)
-    _ideal_table.cache_clear()
-    try:
-        K, X = make_field(13), 300
-        T = _ideal_table(K, X)
-        ab = np.repeat(np.arange(len(T.ideals)), np.diff(T.start, append=len(T.a)))
-        assert all(T.ideals[k] == T.ideals[i] * T.ideals[j] for i, j, k in zip(T.a, T.b, ab))
-    finally:
-        _ideal_table.cache_clear()
 
 
 def assert_same(fast, ref, pool):
