@@ -15,6 +15,7 @@ tau, and primes above any declared level support.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,23 @@ from .field_arith import (
     factor_principal_ideal,
     split_rational_prime,
 )
+
+
+class CharacterValues(NamedTuple):
+    """A character's values on the prime table of (field, x), evaluated once.
+
+    It stands in for the character where only values_upto(x) is read: the
+    Euler series and the prime relation of one series-check check.
+    """
+
+    field: QuadField
+    x: int
+    values: np.ndarray
+
+    def values_upto(self, X: int) -> np.ndarray:
+        if X != self.x:
+            raise ValueError(f"values held up to {self.x}, asked for {X}")
+        return self.values
 
 
 @dataclass
@@ -74,6 +92,9 @@ class IdealCharacter:
         bad.update(tau_ideal.support())
         x, y = el.omega_coords()
         return cls(K, el, psi, frozenset(bad), tau_ideal, (int(x), int(y)))
+
+    def evaluated(self, X: int) -> CharacterValues:
+        return CharacterValues(self.field, X, self.values_upto(X))
 
     def values_upto(self, X: int) -> np.ndarray:
         """chi at every prime of norm <= X, as int8 on the rows of the prime table.

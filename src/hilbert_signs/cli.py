@@ -221,6 +221,14 @@ def cmd_simulate(args) -> int:
 SERIES_CHECK_MAX_X = 10**6
 
 
+def _randbelow(bits, n: int) -> int:
+    """random.Random.randrange(n) on the same stream: n.bit_length() bits until they are below n."""
+    k = n.bit_length()
+    while (r := bits(k)) >= n:
+        pass
+    return r
+
+
 def cmd_series_check(args) -> int:
     """Round-trip the Euler-product identity on random series; exit 0 iff exact."""
     if args.x > SERIES_CHECK_MAX_X:
@@ -229,15 +237,17 @@ def cmd_series_check(args) -> int:
         raise ValidationError(f"--count must be >= 1, got {args.count}")
     K = make_field(args.d)
     rng = random.Random(args.seed)
+    draw, bits = rng.random, rng.getrandbits
     tau_pool = [1, 4, 9, 2, 5] if K.is_rational else [(1, 0), (4, 0), (4, 1), (9, 0)]
     checks = []
     all_ok = True
     T = _ideal_table(K, args.x)
     prime_rows = range(len(T.prime_id))
     for i in range(args.count):
-        chi = IdealCharacter.from_tau(K, tau_pool[rng.randrange(len(tau_pool))])
-        # lam is 1 at O_K and, with probability 1/2 at each prime row j, a/q
-        draws = [(j, rng.randint(-9, 9), rng.randint(1, 9)) for j in prime_rows if rng.random() < 0.5]
+        chi = IdealCharacter.from_tau(K, tau_pool[rng.randrange(len(tau_pool))]).evaluated(args.x)
+        # lam is 1 at O_K and, with probability 1/2 at each prime row j, a/q with
+        # a = randint(-9, 9) and q = randint(1, 9), drawn as randint draws them
+        draws = [(j, _randbelow(bits, 19) - 9, _randbelow(bits, 9) + 1) for j in prime_rows if draw() < 0.5]
         rows, a, q = np.array(draws, np.int64).reshape(-1, 3).T
         den, ids = math.lcm(*q.tolist()), T.prime_id[rows]
         num = np.zeros(len(T.norm), np.int64)

@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .characters import IdealCharacter
+from .characters import CharacterValues, IdealCharacter
 from .errors import CutoffMismatch, FieldMismatch, NotNormalized
 from .field_arith import IdealFactorization, QuadField, _absmax, _ideal_objects, _ideal_table, _lanes
 
@@ -114,34 +114,38 @@ def series_mul(A: FormalSeries, B: FormalSeries) -> FormalSeries:
     return FormalSeries._twisted(A.field, A.cutoff, A.den * B.den, np.add.reduceat(terms, T.start))
 
 
-def _euler_series(chi: IdealCharacter, X: int, factor) -> FormalSeries:
-    """The twisted series whose coefficient at m is prod factor(chi(P), e) over P^e || m."""
-    T = _ideal_table(chi.field, X)
+def _euler_series(K: QuadField, X: int, chi_P: np.ndarray, factor) -> FormalSeries:
+    """The twisted series whose coefficient at m is prod factor(chi(P), e) over P^e || m.
+
+    chi_P is chi on the rows of the prime table of (K, X)."""
+    T = _ideal_table(K, X)
     num = np.ones(len(T.norm), np.int64)
-    np.multiply.at(num, T.fac_id, factor(chi.values_upto(X).astype(np.int64)[T.fac_row], T.fac_exp))
-    return FormalSeries._twisted(chi.field, X, 1, num)
+    np.multiply.at(num, T.fac_id, factor(chi_P.astype(np.int64)[T.fac_row], T.fac_exp))
+    return FormalSeries._twisted(K, X, 1, num)
 
 
-def character_zeta_series(chi: IdealCharacter, X: int) -> FormalSeries:
+def character_zeta_series(chi: IdealCharacter | CharacterValues, X: int) -> FormalSeries:
     """Expanded product over good primes of (1 - chi(P)/N(P) M(P))^{-1}: chi*(n)/N(n) at n."""
-    return _euler_series(chi, X, lambda v, e: v**e)
+    return _euler_series(chi.field, X, chi.values_upto(X), lambda v, e: v**e)
 
 
-def character_moebius_series(chi: IdealCharacter, X: int) -> FormalSeries:
+def character_moebius_series(chi: IdealCharacter | CharacterValues, X: int) -> FormalSeries:
     """Expanded product over good primes of (1 - chi(P)/N(P) M(P)).
 
     Supported on squarefree good ideals; the inverse of character_zeta_series."""
-    return _euler_series(chi, X, lambda v, e: np.where(e == 1, -v, 0))
+    return _euler_series(chi.field, X, chi.values_upto(X), lambda v, e: np.where(e == 1, -v, 0))
 
 
-def c_series_from_lambda(lam: FormalSeries, chi: IdealCharacter) -> FormalSeries:
+def c_series_from_lambda(lam: FormalSeries, chi: IdealCharacter | CharacterValues) -> FormalSeries:
     """Coefficient series of the lift: lam times the inverted Euler product."""
     if lam.field != chi.field:
         raise FieldMismatch("series and character over different fields")
     return series_mul(lam, character_zeta_series(chi, lam.cutoff))
 
 
-def extract_prime_relation(c: FormalSeries, lam: FormalSeries, chi: IdealCharacter) -> np.ndarray:
+def extract_prime_relation(
+    c: FormalSeries, lam: FormalSeries, chi: IdealCharacter | CharacterValues
+) -> np.ndarray:
     """Residuals c(P) - chi(P)/N(P) - lam(P) at every good prime of norm <= X.
 
     An integer array, in prime-table order, of the residuals times

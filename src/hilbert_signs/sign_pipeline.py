@@ -60,23 +60,63 @@ from .field_arith import (
 # ======================================================================
 
 
+def _reduce(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a/b in lowest terms with b > 0 (0/0 stays), in the dtype of a and b."""
+    g = np.maximum(np.gcd(a, b), 1) * (1 - 2 * (b < 0))
+    return a // g, b // g
+
+
+def _floats(c: np.ndarray) -> np.ndarray:
+    try:
+        return c.astype(np.float64)
+    except OverflowError:  # an integer past the float range; only its size is read
+        return np.clip(c, -(2**64), 2**64).astype(np.float64)
+
+
+def _merge(n: int, i: np.ndarray, x: np.ndarray, j: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x at rows i and y at rows j of one column, in int64 if _lanes allows."""
+    c = np.empty(n, dtype=_lanes(max(_absmax(x), _absmax(y))))
+    c[i], c[j] = x, y
+    return c
+
+
 def _hasse_columns(label: str, name, norm, num, den) -> tuple[np.ndarray, np.ndarray]:
     """num/den at each prime (of norm N) in lowest terms with den > 0, or 0/0 where den is 0.
 
-    Each chunk of _LANES rows is checked exactly in Python ints, num^2 N <=
-    4 den^2, so the first row over the bound is the one named, by name(i).
-    The columns come back read-only: int64 where _lanes allows, else Python ints.
+    A chunk of _LANES rows at a time, each row is reduced and checked
+    against num^2 N <= 4 den^2, so the first row over the bound is the one
+    named, by name(i).  Rows with |num| and |den| below 2^62 are reduced in
+    int64 and checked in floats, whose num^2 N and 4 den^2 are within a
+    factor 1 +- 2^-50 of the exact ones; Python ints decide the rows the
+    floats put within 2^-40 of the bound, and reduce and check the others.
+    The columns come back read-only: int64 where _lanes allows, else Python
+    ints.
     """
+    if not isinstance(norm, np.ndarray):
+        norm = np.array(norm, dtype=object)
     cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for lo in range(0, len(norm), _LANES):
-        a, b = (np.array(c[lo : lo + _LANES], dtype=object) for c in (num, den))
-        g = np.maximum(np.gcd(a, b), 1) * np.where(b < 0, -1, 1)
-        a, b = a // g, b // g
-        if (over := np.flatnonzero(a * a * norm[lo : lo + _LANES] > 4 * b * b)).size:
-            P, c = name(lo + over[0]), Fraction(a[over[0]], b[over[0]])
+        N, a, b = (c[lo : lo + _LANES] for c in (norm, num, den))
+        if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.dtype == b.dtype == np.int64):
+            a, b = np.array(a, dtype=object), np.array(b, dtype=object)
+        af, bf = _floats(a), _floats(b)
+        small = (np.abs(af) < 2.0**62) & (np.abs(bf) < 2.0**62)
+        fast, slow = np.flatnonzero(small), np.flatnonzero(~small)
+        af, bf, Nf = af[fast], bf[fast], _floats(N[fast])
+        check = np.concatenate([fast[af * af * Nf > 4.0 * bf * bf * (1 - 2.0**-40)], slow])
+        x, y = _reduce(a[fast].astype(np.int64, copy=False), b[fast].astype(np.int64, copy=False))
+        if slow.size:  # one dtype per chunk and column, by _lanes
+            x, y = (
+                _merge(len(N), fast, f, slow, s)
+                for f, s in zip((x, y), _reduce(a[slow].astype(object), b[slow].astype(object)))
+            )
+        A, B = x[check].astype(object), y[check].astype(object)
+        if (over := check[A * A * N[check].astype(object) > 4 * B * B]).size:
+            i = over.min()
+            P, c = name(lo + i), Fraction(int(x[i]), int(y[i]))
             raise HasseBoundViolated(f"{label}: |c({P})| = |{c}| exceeds 2/sqrt({P.norm})")
-        for col, c in zip(cols, (a, b)):
-            col.append(c.astype(_lanes(_absmax(c))))
+        for col, c in zip(cols, (x, y)):
+            col.append(c)
     cols = tuple(map(np.concatenate, cols))
     for c in cols:
         c.flags.writeable = False
@@ -134,15 +174,18 @@ def _sign_lanes(num: np.ndarray, den: np.ndarray, chi: np.ndarray, norms: np.nda
 
     With t = c_num N, each chunk of _LANES lanes takes sign(t - chi c_den)
     and (t / c_den) / (2 sqrt(N)) in one dtype: int64 if every |t| and
-    c_den in it is at most 2^53, else Python ints.  Float division of exact
-    floats and Python int true division are both correctly rounded, so B
-    is the same bits on either dtype.
+    c_den in it is at most 2^53, else Python ints.  An int64 column forms t
+    in int64 when the chunk's max |c_num| times its max N is below 2^63.
+    Float division of exact floats and Python int true division are both
+    correctly rounded, so B is the same bits on either dtype.
     """
     signs = np.empty(len(num), dtype=np.int8)
     coords = np.empty(len(num), dtype=np.float64)
     for lo in range(0, len(num), _LANES):
-        N, d = norms[lo : lo + _LANES], den[lo : lo + _LANES]
-        t = num[lo : lo + _LANES].astype(object) * N
+        N, d, c = norms[lo : lo + _LANES], den[lo : lo + _LANES], num[lo : lo + _LANES]
+        if c.dtype != object and _absmax(c) * _absmax(N) >= 2**63:
+            c = c.astype(object)  # some c_num N could pass int64
+        t = c * N
         lanes = _lanes(max(_absmax(t), _absmax(d)), 2**53)
         t, d = t.astype(lanes), d.astype(lanes)
         signs[lo : lo + len(N)] = np.sign(t - chi[lo : lo + _LANES] * d)

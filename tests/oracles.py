@@ -32,6 +32,12 @@ construction (see the sign_pipeline docstring), so it checks the
 survey's signs against its coefficients.  quadratic_residue_symbol and save_fixture give the tests
 the symbol of one element and a fixture file on disk.
 
+hasse_columns_by_row is the Hasse gate row by row in Fractions, the
+reference for the gate's int64 rows, float prefilter and Python-int rows.
+semicircle_ppf_halving is the sampler's definition, 64 halvings of
+[-1, 1] with every lane evaluated at every halving: the reference for the
+sampler, which skips the halvings a certified window decides.
+
 series_to_obj, series_from_obj_by_entry and load_psi_table_by_entry are
 the document code that eigen_io's column reader and row-template writer
 replaced: a dict per entry, dumped by the JSON encoder, and an
@@ -73,6 +79,7 @@ from hilbert_signs.curves import ap_symbol_sum
 from hilbert_signs.eigen_io import SCHEMA_TAG, _header, _resolve, serialize_series
 from hilbert_signs.errors import HilbertSignsError, ParseError, ValidationError
 from hilbert_signs.field_arith import _name_columns, _prime_ideals, _prime_table
+from hilbert_signs.sato_tate import _cdf_vec
 from hilbert_signs.sign_pipeline import _hasse_columns
 
 # Half-width of the band around eps inside which tail_inequality decides
@@ -91,6 +98,19 @@ def quadrature_mass(a, b):
     theta = mid[..., None] + half[..., None] * GL_NODES
     vals = np.cos(theta) ** 2 @ GL_WEIGHTS
     return (2.0 / np.pi) * half * vals
+
+
+def semicircle_ppf_halving(u):
+    """The sampler's definition: 64 halvings of [-1, 1], every lane evaluated every time."""
+    u = np.asarray(u, dtype=np.float64)
+    lo = np.full_like(u, -1.0)
+    hi = np.ones_like(u)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = _cdf_vec(mid) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def identity(K, X):
@@ -268,6 +288,23 @@ def series_from_entries(K, weight, label, entries, x, level_support=()):
     for j, c in zip(rows, map(Fraction, entries.values())):
         num[j], den[j] = c.numerator, c.denominator
     return EigenvalueSeries(K, weight, label, x, num, den, level_support)
+
+
+def hasse_columns_by_row(label, name, norm, num, den):
+    """The Hasse gate one row at a time in Fractions: the reference for _hasse_columns.
+
+    Returns the rows in lowest terms with den > 0 (0/0 where den is 0) as
+    two lists, or raises the gate's error at the first row over the bound.
+    """
+    nums, dens = [], []
+    for i, (N, a, b) in enumerate(zip(norm, num, den)):
+        c = Fraction(int(a), int(b)) if b else Fraction(0)
+        if c * c * int(N) > 4:
+            P = name(i)
+            raise HasseBoundViolated(f"{label}: |c({P})| = |{c}| exceeds 2/sqrt({P.norm})")
+        nums.append(c.numerator if b else 0)
+        dens.append(c.denominator if b else 0)
+    return nums, dens
 
 
 def sato_tate_coordinate(c, norm):

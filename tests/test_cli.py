@@ -248,6 +248,19 @@ def test_series_check_lambda_is_the_seeded_draw(capsys, monkeypatch, d):
     assert seen == want
 
 
+def test_series_check_evaluates_chi_once_per_check(capsys, monkeypatch):
+    # the zeta series, the Moebius series and the prime relation share one evaluation
+    calls, real = [], IdealCharacter.values_upto
+
+    def counting(chi, X):
+        calls.append(X)
+        return real(chi, X)
+
+    monkeypatch.setattr(IdealCharacter, "values_upto", counting)
+    assert run(capsys, "series-check", "--d", "5", "--x", "300", "--count", "3", "--seed", "2")[0] == 0
+    assert calls == [300, 300, 300]
+
+
 def test_series_check_fails_when_a_moebius_term_is_dropped(capsys, monkeypatch):
     # negative control: the round trip must notice one missing term
     real = cli.character_moebius_series

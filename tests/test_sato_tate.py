@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import enumerate_prime_ideals, quadrature_mass
+from oracles import enumerate_prime_ideals, quadrature_mass, semicircle_ppf_halving
 
 from hilbert_signs import (
     EmptySample,
@@ -23,6 +23,7 @@ from hilbert_signs import (
     synth_eigen_series,
 )
 from hilbert_signs import sato_tate
+from hilbert_signs.field_arith import _LANES
 from hilbert_signs.sato_tate import HIST_BINS, HIST_CSV_HEADER, QUANT_DEN
 
 # ----------------------------------------------------------------------
@@ -158,6 +159,58 @@ def test_ppf_inverts_cdf():
     assert max(errs) < 1e-12
 
 
+def philox(seed, n):
+    return np.random.Generator(np.random.Philox(key=seed)).random(n)
+
+
+def test_ppf_is_the_64_halvings_bit_for_bit():
+    u = philox(2024, 1_000_000)
+    assert semicircle_ppf(u).tobytes() == semicircle_ppf_halving(u).tobytes()
+
+
+def test_ppf_bits_at_the_edges():
+    # the ends and the middle, where no window is certified or 0 is a grid point
+    e = 2.0**-53
+    rng = np.random.Generator(np.random.Philox(key=8))
+    u = np.concatenate([
+        [0.0, e, 0.5 - e, 0.5, 0.5 + e, 1.0 - e, 1.0],
+        rng.random(50_000) * 1e-12,
+        0.5 + (rng.random(50_000) - 0.5) * 2e-12,
+        1.0 - rng.random(50_000) * 1e-12,
+    ])
+    assert semicircle_ppf(u).tobytes() == semicircle_ppf_halving(u).tobytes()
+
+
+def test_ppf_outside_the_unit_interval_is_the_halvings_too():
+    u = np.array([[-0.5, 1.5, -np.inf], [np.inf, np.nan, 0.25]])
+    with np.errstate(all="raise"):
+        t = semicircle_ppf(u)
+    assert t.shape == u.shape and t.tobytes() == semicircle_ppf_halving(u).tobytes()
+    assert semicircle_ppf(0.3).shape == () and semicircle_ppf([]).size == 0
+
+
+@pytest.mark.parametrize("n", [_LANES - 1, _LANES, _LANES + 1, sato_tate._PPF_LANES + 1])
+def test_sampler_chunks_and_prefixes(n):
+    full = sample_semicircle(n + 5, 3)
+    assert full.tobytes() == semicircle_ppf_halving(philox(3, n + 5)).tobytes()
+    assert sample_semicircle(n, 3).tobytes() == full[:n].tobytes()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="np.longdouble is float64 here")
+def test_eps_bounds_the_cdf_error():
+    rng = np.random.Generator(np.random.Philox(key=4))
+    n = 250_000
+    edge = 1.0 - 2.0 ** -rng.uniform(1.0, 40.0, n)  # toward +-1, past the 2^-27 of eps's range
+    t = np.concatenate([rng.uniform(-1.0, 1.0, n), edge, -edge, rng.uniform(-1e-3, 1e-3, n)])
+    tl = t.astype(np.longdouble)
+    F = 0.5 + (np.arcsin(tl) + tl * np.sqrt(1 - tl * tl)) / np.arccos(np.longdouble(-1))
+    err = np.abs(sato_tate._cdf_inside(t) - F).astype(np.float64)
+    inside = 1.0 - np.abs(t) >= 2.0**-27
+    assert inside.sum() > 3 * n and not inside.all()
+    assert np.all(err[inside] <= sato_tate._eps(t[inside]))
+    assert err.max() <= 2.0**-42
+
+
 # ----------------------------------------------------------------------
 # synthetic eigenvalue data
 # ----------------------------------------------------------------------
@@ -212,6 +265,14 @@ def test_synth_series_rounds_half_to_even_and_nudges_in_ints(monkeypatch, field5
     monkeypatch.setattr(sato_tate, "sample_semicircle", lambda n, seed: coords[:n])
     E = synth_eigen_series(field5, 5000, 2, 0)
     assert E.entries == scalar_synth_entries(field5, 5000, 0, coords)
+
+
+def test_synth_series_hands_int64_columns_to_the_gate(monkeypatch, field5):
+    seen = []
+    monkeypatch.setattr(sato_tate, "EigenvalueSeries", lambda *args: seen.append(args[4:6]))
+    synth_eigen_series(field5, 3000, 2, 11)
+    (num, den), = seen
+    assert num.dtype == den.dtype == np.int64 and np.all(den == QUANT_DEN)
 
 
 def test_synth_series_deterministic(field5):

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     enumerate_prime_ideals,
+    hasse_columns_by_row,
     lambda_sign,
     sato_tate_coordinate,
     save_fixture,
@@ -325,6 +326,126 @@ def test_survey_lanes_match_scalar_decisions(monkeypatch):
         assert b == sato_tate_coordinate(c, P.norm)  # bit for bit
         zero += s == 0
     assert zero > 50
+
+
+# ----------------------------------------------------------------------
+# the gate's and the survey's int64 routes, at their boundaries
+# ----------------------------------------------------------------------
+
+GATE_NORMS = (1, 2, 3, 4, 5, 9, 11, 49, 10007, 999983, 2**61 - 1)
+EDGE_INTS = (2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 + 13, 10**30 + 7)
+
+
+class Row(int):
+    """A row index named in the gate's error, with the norm the message prints."""
+
+    def __new__(cls, i, norm):
+        row = super().__new__(cls, i)
+        row.norm = norm
+        return row
+
+    def __str__(self):
+        return f"row {int(self)}"
+
+
+@st.composite
+def gate_rows(draw):
+    """(N, num, den): empty, inside the bound, on it, one past it, or a raw edge integer."""
+    N = draw(st.sampled_from(GATE_NORMS))
+    kind = draw(st.sampled_from(("empty", "inside", "edge", "over", "raw")))
+    if kind == "empty":
+        return N, 0, 0
+    den = draw(st.one_of(st.sampled_from((1, 10**12, *EDGE_INTS)), st.integers(1, 2**66)))
+    top = math.isqrt(4 * den * den // N)  # the largest |num| with num^2 N <= 4 den^2
+    num = {
+        "inside": lambda: draw(st.integers(-top, top)),
+        "edge": lambda: top,
+        "over": lambda: top + 1,
+        "raw": lambda: draw(st.sampled_from(EDGE_INTS)),
+    }[kind]()
+    scale = draw(st.sampled_from((1, 3, 2**20)))  # a common factor for the reduction
+    return N, draw(st.sampled_from((1, -1))) * num * scale, draw(st.sampled_from((1, -1))) * den * scale
+
+
+def gate_or_error(gate, norm, num, den):
+    try:
+        return gate("g", lambda i: Row(i, int(norm[i])), norm, num, den)
+    except HasseBoundViolated as e:
+        return str(e)
+
+
+@settings(max_examples=300)
+@given(st.lists(gate_rows(), min_size=1, max_size=30), st.sampled_from((2, 5, 64)), st.booleans())
+def test_gate_matches_the_row_by_row_reference(rows, lanes, as_int64):
+    # int64 rows, Python-int rows past 2^62, rows in the float's 2^-40 band and
+    # over the bound, in chunks of `lanes`: the same columns or the same first error
+    norm, num, den = (list(c) for c in zip(*rows))
+    if as_int64 and all(-(2**63) <= v < 2**63 for v in num + den):
+        num, den = np.array(num, dtype=np.int64), np.array(den, dtype=np.int64)
+    want = gate_or_error(hasse_columns_by_row, norm, num, den)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sign_pipeline, "_LANES", lanes)
+        got = gate_or_error(sign_pipeline._hasse_columns, np.array(norm, dtype=np.int64), num, den)
+    if isinstance(want, str):
+        assert got == want
+        return
+    for col, values in zip(got, want):
+        assert col.tolist() == values and not col.flags.writeable
+        assert col.dtype == (np.int64 if max(map(abs, values)) < 2**63 else object)
+
+
+def test_gate_rows_the_floats_cannot_tell_are_decided_exactly():
+    # den < 2^62, so the row takes the int64 route; on the bound it is within
+    # 2^-40 of it, where the float check says "over", and one past it is over
+    N, den = 5, 2**61 + 1
+    top = math.isqrt(4 * den * den // N)
+    assert float(top) ** 2 * N > 4.0 * float(den) ** 2 * (1 - 2.0**-40)
+    norm = np.full(6, N)
+    num, dens = np.array([0, top, 1, -top, 2, top]), np.full(6, den)
+    a, b = sign_pipeline._hasse_columns("g", lambda i: Row(i, N), norm, num, dens)
+    assert a.dtype == b.dtype == np.int64 and a.tolist() == num.tolist()
+    num[4] = top + 1  # the chunk of 3 that holds row 4 also holds an exact row on the bound
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sign_pipeline, "_LANES", 3)
+        with pytest.raises(HasseBoundViolated, match=f"c\\(row 4\\)\\| = \\|{top + 1}/{den}\\|"):
+            sign_pipeline._hasse_columns("g", lambda i: Row(i, N), norm, num, dens)
+
+
+def test_gate_takes_integers_past_the_float_range():
+    big = 10**400  # float(big) overflows; such rows go to Python ints by size
+    norm, num, den = [1, 4, 9], [big, -(2**70), 2 * big], [big, 2**70 + 2**69, 3 * big]
+    a, b = sign_pipeline._hasse_columns("g", lambda i: Row(i, norm[i]), norm, num, den)
+    assert (a.tolist(), b.tolist()) == hasse_columns_by_row("g", None, norm, num, den)
+    num[2] = 7 * big
+    with pytest.raises(HasseBoundViolated, match=r"c\(row 2\)\| = \|7/3\|"):
+        sign_pipeline._hasse_columns("g", lambda i: Row(i, norm[i]), norm, num, den)
+
+
+# |c_num| N at 2^53 - 1, 2^53, 2^53 + 1 and 2^63 - 1, 2^63, 2^63 + 1, as (c_num, N)
+SURVEY_EDGES = (
+    ((2**53 - 1) // 6361, 6361), (2**51, 4), ((2**53 + 1) // 3, 3),
+    ((2**63 - 1) // 7, 7), (2**61, 4), ((2**63 + 1) // 3, 3),
+)
+
+
+@st.composite
+def survey_lanes(draw):
+    """(c, chi, N) for a good prime, with |c_num| N at or next to 2^53 or 2^63, or small."""
+    num, N = draw(st.one_of(st.sampled_from(SURVEY_EDGES), st.tuples(st.integers(0, 10**6), st.sampled_from(GATE_NORMS[:9]))))
+    den = (math.isqrt(N) + 1) * num + draw(st.integers(1, 9))  # keeps c^2 N <= 4
+    return Fraction(draw(st.sampled_from((1, -1))) * num, den), draw(st.sampled_from((1, -1))), N
+
+
+@given(st.lists(survey_lanes(), min_size=1, max_size=20), st.sampled_from((1, 2, 7)))
+def test_survey_lanes_at_the_int64_boundaries(lanes, width):
+    c, chi, N = zip(*lanes)
+    num, den = ([getattr(x, part) for x in c] for part in ("numerator", "denominator"))
+    cols = [np.array(v, dtype=np.int64 if max(map(abs, v)) < 2**63 else object) for v in (num, den)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sign_pipeline, "_LANES", width)
+        signs, coords = sign_pipeline._sign_lanes(*cols, np.array(chi, np.int8), np.array(N, np.int64))
+    assert signs.tolist() == [lambda_sign(x, v, n) for x, v, n in zip(c, chi, N)]
+    assert coords.tolist() == [sato_tate_coordinate(x, n) for x, n in zip(c, N)]
 
 
 # Exit code and sha256 of stdout of each command on the mixed-lane fixture, run
