@@ -252,7 +252,7 @@ def cmd_series_check(args) -> int:
         den, ids = math.lcm(*q.tolist()), T.prime_id[rows]
         num = np.zeros(len(T.norm), np.int64)
         num[0], num[ids] = den, den // q * a * T.norm[ids]
-        lam = FormalSeries._twisted(K, args.x, den, num)
+        lam = FormalSeries(K, args.x, den, num)
         c = c_series_from_lambda(lam, chi)
         back = series_mul(c, character_moebius_series(chi, args.x))
         roundtrip_ok = back == lam

@@ -2,20 +2,19 @@
 
 For a long Weierstrass model with good reduction at p, the trace
 a_p = p + 1 - #E(F_p) satisfies |a_p| <= 2 sqrt(p), and c(p) = a_p / p is
-the normalized coefficient the sign pipeline consumes.  For p >= 5 the
-trace comes from baby-step giant-step (Mestre's method, Cohen §7.4.12):
-points of E and of its quadratic twist, taken in a fixed order, cut the
-Hasse interval down until one trace is left, in O(p^{1/4}) group
-operations per point.  The search runs for every prime at once on int64
-numpy lanes, one prime per lane and a few hundred lanes per pass, in the
-manner of Kedlaya and Sutherland's batched BSGS (ANTS VIII, 2008).  Its
-points are Jacobian, so each lane pays one Fermat inverse per table of
-baby or giant steps (Montgomery's trick along the lane) rather than one
-per group operation.  `ap_bsgs` is the same search on one lane.  Two
-exact counts stay as the small-p routes and the test oracles: a direct
-double loop over (x, y) (used at p = 2) and a quadratic-symbol sum over x
-after completing the square (used at p = 3, and wherever the points leave
-more than one trace).
+the normalized coefficient the sign pipeline consumes.
+
+series_from_curve finds a_p for every p >= 5 at once by baby-step
+giant-step (Mestre's method, Cohen §7.4.12).  Points of E and of its
+quadratic twist cut the Hasse interval down until one trace is left, in
+O(p^{1/4}) group operations per point.  The search runs on int64 numpy
+lanes, one prime per lane, as in Kedlaya and Sutherland's batched BSGS
+(ANTS VIII, 2008).  Its points are Jacobian, so a lane pays one Fermat
+inverse per table of steps (Montgomery's trick).
+
+ap_oracle counts points exactly at one prime: a double loop over (x, y)
+at p = 2, and a quadratic-symbol sum over x at odd p.  It serves p = 2
+and 3, and the symbol sum decides the rare lane left with several traces.
 """
 
 from __future__ import annotations
@@ -26,15 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadReduction, ValidationError
-from .field_arith import (
-    _LANES,
-    TABLE_MAX_X,
-    _factor_int,
-    _mod_lanes,
-    _pow_lanes,
-    _prime_table,
-    make_field,
-)
+from .field_arith import _LANES, _factor_int, _mod_lanes, _pow_lanes, _prime_table, make_field
 from .sign_pipeline import EigenvalueSeries
 
 
@@ -92,7 +83,7 @@ def get_curve(label: str) -> CurveSpec:
 
 
 def ap_naive(E: CurveSpec, p: int) -> int:
-    """Trace by direct enumeration of all (x, y) in F_p^2.  Verification only."""
+    """Trace by direct enumeration of all (x, y) in F_p^2: the route at p = 2."""
     if E.discriminant() % p == 0:
         raise BadReduction(f"{E.label} has bad reduction at {p}")
     count = 1  # point at infinity
@@ -334,28 +325,9 @@ def _ap_lanes(E: CurveSpec, p: np.ndarray) -> np.ndarray:
     return ap
 
 
-def ap_bsgs(E: CurveSpec, p: int) -> int:
-    """Trace for good 5 <= p <= TABLE_MAX_X by baby-step giant-step on E and its twists.
-
-    The lane search of _ap_lanes, on one lane.
-    """
-    if p < 5:
-        raise ValueError("baby-step giant-step needs p >= 5")
-    if p > TABLE_MAX_X:
-        raise ValueError(f"int64 lanes need p <= {TABLE_MAX_X}, got {p}")
-    if E.discriminant() % p == 0:
-        raise BadReduction(f"{E.label} has bad reduction at {p}")
-    return int(_ap_lanes(E, np.array([p], dtype=np.int64))[0])
-
-
 def ap_oracle(E: CurveSpec, p: int) -> int:
     """a_p via the route for p; checks the Hasse bound before returning."""
-    if p == 2:
-        ap = ap_naive(E, p)
-    elif p == 3:
-        ap = ap_symbol_sum(E, p)
-    else:
-        ap = ap_bsgs(E, p)
+    ap = ap_naive(E, p) if p == 2 else ap_symbol_sum(E, p)
     if ap * ap > 4 * p:
         raise ArithmeticError(f"{E.label}: a_{p} = {ap} violates the Hasse bound")
     return ap

@@ -611,10 +611,6 @@ class IdealFactorization(NamedTuple):
     field: QuadField
 
     @classmethod
-    def unit(cls, K: QuadField) -> "IdealFactorization":
-        return cls(1, (), K)
-
-    @classmethod
     def from_pairs(cls, K: QuadField, pairs) -> "IdealFactorization":
         merged: dict[PrimeIdeal, int] = {}
         for P, e in pairs:
@@ -626,12 +622,6 @@ class IdealFactorization(NamedTuple):
             raise ValueError("negative exponent: only integral ideals are supported")
         items = sorted((P, e) for P, e in merged.items() if e)
         return cls(math.prod(P.norm**e for P, e in items), tuple(items), K)
-
-    @classmethod
-    def from_prime(cls, P: PrimeIdeal, e: int = 1) -> "IdealFactorization":
-        if e > 0:  # one prime power is already canonical
-            return cls(P.norm**e, ((P, e),), P.field)
-        return cls.from_pairs(P.field, [(P, e)])
 
     @property
     def is_unit(self) -> bool:
@@ -722,6 +712,8 @@ def _ideal_table(K: QuadField, X: int) -> _IdealTable:
     fac, norm, s = fac[:, canon], norm[canon], s[canon]
     fac_id, at = np.nonzero(fac[::2].T >= 0)
     fac_row, fac_exp = fac[2 * at, fac_id], fac[2 * at + 1, fac_id]
+    # free the factor stage's temporaries before the pair stage, which peaks far higher
+    del fac, owner, row, exp, head, at, canon, levels
     key = norm * X + s
     per_a = np.searchsorted(norm, X // norm, side="right")  # the b are a prefix
     a = np.repeat(np.arange(len(norm)), per_a)
@@ -744,7 +736,7 @@ def _ideal_table(K: QuadField, X: int) -> _IdealTable:
 def _ideal_objects(K: QuadField, X: int) -> tuple[tuple[IdealFactorization, ...], dict]:
     """The IdealFactorization of each id of the ideal table of (K, X), and the id of each.
 
-    Built once, for the dict API of a formal series: text and ideal keys.
+    Built once, for the coeffs view of a formal series.
     """
     T = _ideal_table(K, X)
     primes = _prime_ideals(K, _prime_table(K, X), slice(None))

@@ -13,10 +13,10 @@ and a segmented sum: in int64 where a bound proves the sums fit, in Python
 ints otherwise, never in floats.  Twisted, the Euler products of a
 quadratic character chi are the integer series chi(n) and mu(n) chi(n).
 
-Products, Euler series and prime extraction run on ids alone.  The
-IdealFactorization of each id is built, once per (K, X), only for the
-dict API: the constructor from {ideal: rational}, coefficient, coeffs,
-sorted_items and repr.
+A series is built from its columns, and products, Euler series and
+prime extraction run on ids alone.  The IdealFactorization of each id is
+built, once per (K, X), only for the read-only view coeffs and its
+sorted_items.
 """
 
 from __future__ import annotations
@@ -37,41 +37,12 @@ class FormalSeries:
 
     __slots__ = ("field", "cutoff", "table", "den", "num")
 
-    def __init__(self, field: QuadField, cutoff: int, coeffs=None):
-        self.field, self.cutoff = field, int(cutoff)
-        self.table = T = _ideal_table(field, self.cutoff)
-        index = _ideal_objects(field, self.cutoff)[1]
-        terms: dict[int, Fraction] = {}
-        for m, v in (coeffs or {}).items():
-            if m.field != field:
-                raise FieldMismatch(f"index ideal {m} is not an ideal of {field}")
-            if m.norm > self.cutoff:
-                raise ValueError(f"index {m} has norm {m.norm} beyond cutoff {cutoff}")
-            if m not in index:
-                raise ValueError(f"index {m} is not a canonical integral ideal of {field}")
-            terms[index[m]] = Fraction(v)
-        den = math.lcm(*(v.denominator for v in terms.values()))
-        num = np.zeros(len(T.norm), dtype=object)
-        for i, v in terms.items():
-            num[i] = den // v.denominator * v.numerator * int(T.norm[i])
-        self._reduce(den, num)
-
-    def _reduce(self, den: int, num: np.ndarray) -> None:
+    def __init__(self, field: QuadField, cutoff: int, den: int, num: np.ndarray):
+        self.field, self.cutoff, self.table = field, cutoff, _ideal_table(field, cutoff)
         g = math.gcd(den, int(np.gcd.reduce(num)))
         if g > 1 and num.any():
             num = num // g
         self.den, self.num = den // g, num.astype(_lanes(_absmax(num)), copy=False)
-
-    @classmethod
-    def _twisted(cls, K: QuadField, X: int, den: int, num: np.ndarray) -> "FormalSeries":
-        s = object.__new__(cls)
-        s.field, s.cutoff, s.table = K, X, _ideal_table(K, X)
-        s._reduce(den, num)
-        return s
-
-    def coefficient(self, m: IdealFactorization) -> Fraction:
-        i = _ideal_objects(self.field, self.cutoff)[1].get(m)
-        return Fraction(0) if i is None else Fraction(int(self.num[i]), self.den * m.norm)
 
     @property
     def coeffs(self) -> MappingProxyType:
@@ -91,15 +62,6 @@ class FormalSeries:
             and np.array_equal(self.num, other.num)
         )
 
-    def __mul__(self, other):
-        return series_mul(self, other)
-
-    def __repr__(self):
-        head = ", ".join(f"{m}: {v}" for _, m, v in self.sorted_items()[:6])
-        n = np.count_nonzero(self.num)
-        more = "" if n <= 6 else f", ... ({n} terms)"
-        return f"FormalSeries[{self.field}, X={self.cutoff}]{{{head}{more}}}"
-
 
 def series_mul(A: FormalSeries, B: FormalSeries) -> FormalSeries:
     """Cauchy product, truncated at the shared cutoff."""
@@ -111,7 +73,7 @@ def series_mul(A: FormalSeries, B: FormalSeries) -> FormalSeries:
     # a sum has at most T.divisors terms; the 1s keep a zero factor from hiding a big one
     lanes = _lanes(max(_absmax(A.num), 1) * max(_absmax(B.num), 1) * T.divisors)
     terms = A.num.astype(lanes, copy=False)[T.a] * B.num.astype(lanes, copy=False)[T.b]
-    return FormalSeries._twisted(A.field, A.cutoff, A.den * B.den, np.add.reduceat(terms, T.start))
+    return FormalSeries(A.field, A.cutoff, A.den * B.den, np.add.reduceat(terms, T.start))
 
 
 def _euler_series(K: QuadField, X: int, chi_P: np.ndarray, factor) -> FormalSeries:
@@ -121,7 +83,7 @@ def _euler_series(K: QuadField, X: int, chi_P: np.ndarray, factor) -> FormalSeri
     T = _ideal_table(K, X)
     num = np.ones(len(T.norm), np.int64)
     np.multiply.at(num, T.fac_id, factor(chi_P.astype(np.int64)[T.fac_row], T.fac_exp))
-    return FormalSeries._twisted(K, X, 1, num)
+    return FormalSeries(K, X, 1, num)
 
 
 def character_zeta_series(chi: IdealCharacter | CharacterValues, X: int) -> FormalSeries:

@@ -157,12 +157,6 @@ class EigenvalueSeries:
         fractions = map(Fraction, self.num[rows].tolist(), self.den[rows].tolist())
         return MappingProxyType(dict(zip(primes, fractions)))
 
-    def __repr__(self):
-        return (
-            f"EigenvalueSeries({self.label!r}, {self.field}, weight={self.weight}, "
-            f"{np.count_nonzero(self.den)} primes)"
-        )
-
 
 # ======================================================================
 # signs and coordinates, a chunk of lanes at a time

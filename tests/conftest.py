@@ -6,7 +6,10 @@ import socket
 import pytest
 from hypothesis import HealthCheck, settings
 
-from hilbert_signs import cached_curve_series, get_curve, make_field, synth_eigen_series
+from hilbert_signs.curves import get_curve
+from hilbert_signs.eigen_io import cached_curve_series
+from hilbert_signs.field_arith import make_field
+from hilbert_signs.sato_tate import synth_eigen_series
 
 settings.register_profile(
     "suite",

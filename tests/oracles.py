@@ -9,7 +9,9 @@ library's id-table series replaced: Fraction coefficients keyed by
 IdealFactorization, a product that merges factor tuples pair by pair, and
 Euler series built by a recursion over norm-sorted primes.  It shares no
 code with formal_series beyond the ideal types, so the two are compared
-term by term.
+term by term.  series_from_dict builds a library series from the same
+kind of {ideal: rational} dict, by placing each N-twisted numerator at
+the ideal's id.
 
 The semicircle interval mass is recomputed here by Gauss-Legendre
 quadrature after the substitution t = sin(theta), which turns the
@@ -65,22 +67,24 @@ from pathlib import Path
 
 import numpy as np
 
-from hilbert_signs import (
-    EigenvalueSeries,
-    FormalSeries,
-    HasseBoundViolated,
+from hilbert_signs.curves import ap_symbol_sum
+from hilbert_signs.eigen_io import SCHEMA_TAG, _header, _resolve, serialize_series
+from hilbert_signs.errors import HasseBoundViolated, HilbertSignsError, ParseError, ValidationError
+from hilbert_signs.field_arith import (
     IdealFactorization,
     PrimeIdeal,
+    _ideal_objects,
+    _ideal_table,
+    _name_columns,
+    _prime_ideals,
+    _prime_table,
     as_element,
     primes_upto,
     split_rational_prime,
 )
-from hilbert_signs.curves import ap_symbol_sum
-from hilbert_signs.eigen_io import SCHEMA_TAG, _header, _resolve, serialize_series
-from hilbert_signs.errors import HilbertSignsError, ParseError, ValidationError
-from hilbert_signs.field_arith import _name_columns, _prime_ideals, _prime_table
+from hilbert_signs.formal_series import FormalSeries
 from hilbert_signs.sato_tate import _cdf_vec
-from hilbert_signs.sign_pipeline import _hasse_columns
+from hilbert_signs.sign_pipeline import EigenvalueSeries, _hasse_columns
 
 # Half-width of the band around eps inside which tail_inequality decides
 # B(P) > eps from the exact coefficient instead of the float coordinate.
@@ -115,20 +119,20 @@ def semicircle_ppf_halving(u):
 
 def identity(K, X):
     """The unit series: 1 at the unit ideal and 0 at every other ideal of norm <= X."""
-    return FormalSeries(K, X, {IdealFactorization.unit(K): Fraction(1)})
+    return series_from_dict(K, X, {IdealFactorization(1, (), K): Fraction(1)})
 
 
 def euler_factor_inverse(P, u, X):
     """(1 - u M(P))^{-1} truncated at X: sum of u^k M(P^k) for N(P)^k <= X."""
     u = Fraction(u)
-    coeffs = {IdealFactorization.unit(P.field): Fraction(1)}
+    coeffs = {IdealFactorization(1, (), P.field): Fraction(1)}
     norm_k, u_k, k = P.norm, u, 1
     while norm_k <= X:
-        coeffs[IdealFactorization.from_prime(P, k)] = u_k
+        coeffs[IdealFactorization.from_pairs(P.field, [(P, k)])] = u_k
         norm_k *= P.norm
         u_k *= u
         k += 1
-    return FormalSeries(P.field, X, coeffs)
+    return series_from_dict(P.field, X, coeffs)
 
 
 class DictSeries:
@@ -143,19 +147,22 @@ class DictSeries:
             if Fraction(v):
                 self.coeffs[m] = Fraction(v)
 
-    def coefficient(self, m):
-        return self.coeffs.get(m, Fraction(0))
-
     def sorted_items(self):
         return [(m.norm, m, v) for m, v in sorted(self.coeffs.items())]
 
     def __eq__(self, other):
         return (self.field, self.cutoff, self.coeffs) == (other.field, other.cutoff, other.coeffs)
 
-    def __repr__(self):
-        head = ", ".join(f"{m}: {v}" for _, m, v in self.sorted_items()[:6])
-        more = "" if len(self.coeffs) <= 6 else f", ... ({len(self.coeffs)} terms)"
-        return f"FormalSeries[{self.field}, X={self.cutoff}]{{{head}{more}}}"
+
+def series_from_dict(K, X, coeffs):
+    """The FormalSeries of K up to X with these {ideal: rational} coefficients, as columns."""
+    T, index = _ideal_table(K, X), _ideal_objects(K, X)[1]
+    terms = {index[m]: Fraction(v) for m, v in coeffs.items()}
+    den = math.lcm(*(v.denominator for v in terms.values()))
+    num = np.zeros(len(T.norm), dtype=object)
+    for i, v in terms.items():
+        num[i] = den // v.denominator * v.numerator * int(T.norm[i])
+    return FormalSeries(K, X, den, num)
 
 
 def dict_series_mul(A, B):
@@ -327,9 +334,12 @@ def lambda_sign(c, chi_p, norm):
 
 
 def prime_residual(c, lam, chi, P):
-    """c(P) - chi(P)/N(P) - lam(P) at one good prime, in Fractions."""
-    idx = IdealFactorization.from_prime(P)
-    return c.coefficient(idx) - Fraction(value_at(chi, P), P.norm) - lam.coefficient(idx)
+    """c(P) - chi(P)/N(P) - lam(P) at one good prime, in Fractions.
+
+    c and lam are {ideal: coefficient} maps, such as the coeffs of two series.
+    """
+    idx = IdealFactorization.from_pairs(P.field, [(P, 1)])
+    return c.get(idx, 0) - Fraction(value_at(chi, P), P.norm) - lam.get(idx, 0)
 
 
 def tail_inequality(E, survey, x, epsilon):

@@ -7,15 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracles import enumerate_prime_ideals, value_at
 
-from hilbert_signs import (
-    NARROW_CLASS_NUMBER_ONE,
-    IdealCharacter,
-    ParseError,
-    ValidationError,
-    load_psi_table,
-    make_field,
-    split_rational_prime,
-)
+from hilbert_signs.characters import IdealCharacter
+from hilbert_signs.eigen_io import load_psi_table
+from hilbert_signs.errors import ParseError, ValidationError
+from hilbert_signs.field_arith import NARROW_CLASS_NUMBER_ONE, make_field, split_rational_prime
 
 
 @pytest.mark.parametrize("tau", [1, 4, 9])

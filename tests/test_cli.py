@@ -1,28 +1,29 @@
 """End-to-end runs of every subcommand through main(), no subprocesses."""
 
 import ast
+import hashlib
 import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import enumerate_prime_ideals, save_fixture, series_to_obj, value_at
+from oracles import enumerate_prime_ideals, save_fixture, series_from_dict, series_to_obj, value_at
 
 import hilbert_signs
-from hilbert_signs import (
-    FormalSeries,
-    IdealCharacter,
-    IdealFactorization,
-    SignSurvey,
-    get_curve,
-    make_field,
-    series_from_curve,
-)
-from hilbert_signs import cli
+from hilbert_signs import cli, field_arith
+from hilbert_signs.characters import IdealCharacter
 from hilbert_signs.cli import SIMULATE_CSV_HEADER, TALLY_CSV_HEADER, build_parser, main
+from hilbert_signs.curves import get_curve, series_from_curve
 from hilbert_signs.eigen_io import cache_path
-from hilbert_signs.field_arith import _ideal_objects, _ideal_table, _prime_table
+from hilbert_signs.field_arith import (
+    IdealFactorization,
+    _ideal_objects,
+    _ideal_table,
+    _prime_table,
+    make_field,
+)
+from hilbert_signs.sign_pipeline import SignSurvey
 
 
 def run(capsys, *argv):
@@ -162,6 +163,13 @@ def test_stats_artifacts(capsys, tmp_path):
     assert report["n"] == int(report["n"])
     assert hist.read_text().startswith("bin_lo,bin_hi,count,frequency,expected_mass")
     assert svg.read_text().startswith("<svg")
+    # the exact bytes of both files, pinned like the golden stdout digests
+    assert hashlib.sha256(hist.read_bytes()).hexdigest() == (
+        "6c7f86330bfbb8c3973a7dc1d0b0078ace4063e576868c04dd8090c00a66a612"
+    )
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+        "ff13539f2d361fef21c87e3c41830b42bf9523cb260647167c63a0ad1a5aeff6"
+    )
 
 
 def test_stats_exit_code_tracks_ks(capsys):
@@ -240,11 +248,12 @@ def test_series_check_lambda_is_the_seeded_draw(capsys, monkeypatch, d):
     rng, want = random.Random(7), []
     for _ in range(3):
         rng.randrange(5 if K.is_rational else 4)  # the tau draw
-        coeffs = {IdealFactorization.unit(K): Fraction(1)}
+        coeffs = {IdealFactorization(1, (), K): Fraction(1)}
         for P in enumerate_prime_ideals(K, X):
             if rng.random() < 0.5:
-                coeffs[IdealFactorization.from_prime(P)] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        want.append(FormalSeries(K, X, coeffs))
+                m = IdealFactorization.from_pairs(K, [(P, 1)])
+                coeffs[m] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        want.append(series_from_dict(K, X, coeffs))
     assert seen == want
 
 
@@ -267,7 +276,7 @@ def test_series_check_fails_when_a_moebius_term_is_dropped(capsys, monkeypatch):
 
     def dropped(chi, X):
         s = real(chi, X)
-        return FormalSeries(s.field, s.cutoff, {m: v for _, m, v in s.sorted_items()[:-1]})
+        return series_from_dict(s.field, s.cutoff, {m: v for _, m, v in s.sorted_items()[:-1]})
 
     monkeypatch.setattr(cli, "character_moebius_series", dropped)
     code, out, _ = run(
@@ -325,7 +334,7 @@ def test_each_command_builds_one_prime_table(capsys, tmp_path):
 
 def test_signs_factors_tau_once(capsys, monkeypatch, tmp_path):
     # a prime norm near 10^12: each factorization is a trial division to 10^6
-    factor, calls = hilbert_signs.factor_principal_ideal, []
+    factor, calls = field_arith.factor_principal_ideal, []
 
     def counting(*args):
         calls.append(args)
@@ -482,16 +491,49 @@ def _names(node):
     }
 
 
+_TREES = {p.name: ast.parse(p.read_text()) for p in sorted(Path(cli.__file__).parent.glob("*.py"))}
+
+
 def test_every_module_level_definition_is_used_in_the_package():
     # an import or an __all__ string is not a use: only a Name or an Attribute is
-    trees = {p.name: ast.parse(p.read_text()) for p in Path(cli.__file__).parent.glob("*.py")}
-    statements = [(stmt, _names(stmt)) for tree in trees.values() for stmt in tree.body]
+    statements = [(stmt, _names(stmt)) for tree in _TREES.values() for stmt in tree.body]
     unused = [
         f"{module}:{node.name}"
-        for module, tree in sorted(trees.items())
+        for module, tree in _TREES.items()
         if module != "__init__.py"
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not any(node.name in names for stmt, names in statements if stmt is not node)
     ]
+    assert unused == []
+
+
+def test_every_method_is_named_in_the_package_or_the_harness():
+    # the bench harness wraps and reads package methods from outside, so it is a caller too
+    harness = Path(__file__).parent.parent / "perfbench"
+    trees = [*_TREES.values(), *(ast.parse(p.read_text()) for p in harness.glob("*.py"))]
+    attrs = {n.attr for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    unused = [
+        f"{module}:{cls.name}.{fn.name}"
+        for module, tree in _TREES.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and fn.name not in attrs
+    ]
+    assert unused == []
+
+
+def test_every_import_is_used_in_its_module():
+    unused = []
+    for module, tree in _TREES.items():
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+                unused += [f"{module}:{name}" for name in bound if name not in names]
     assert unused == []

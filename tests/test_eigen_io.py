@@ -19,26 +19,27 @@ from oracles import (
     value_at,
 )
 
-from hilbert_signs import (
-    EigenvalueSeries,
-    HasseBoundViolated,
-    HilbertSignsError,
-    IdealCharacter,
-    ParseError,
-    ValidationError,
+from hilbert_signs import eigen_io
+from hilbert_signs.characters import IdealCharacter
+from hilbert_signs.curves import get_curve, series_from_curve
+from hilbert_signs.eigen_io import (
+    cache_path,
     cached_curve_series,
-    get_curve,
+    default_cache_dir,
     load_fixture,
     load_psi_table,
-    make_field,
     serialize_series,
-    series_from_curve,
     series_from_obj,
+)
+from hilbert_signs.errors import HasseBoundViolated, HilbertSignsError, ParseError, ValidationError
+from hilbert_signs.field_arith import (
+    _name_columns,
+    _prime_ideals,
+    _prime_table,
+    make_field,
     split_rational_prime,
 )
-from hilbert_signs import eigen_io
-from hilbert_signs.eigen_io import cache_path, default_cache_dir
-from hilbert_signs.field_arith import _name_columns, _prime_ideals, _prime_table
+from hilbert_signs.sign_pipeline import EigenvalueSeries
 
 Q = make_field(1)
 

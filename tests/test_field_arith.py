@@ -12,16 +12,27 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from oracles import EvenCharacteristic, enumerate_prime_ideals, quadratic_residue_symbol
 
-from hilbert_signs import (
-    NARROW_CLASS_NUMBER_ONE,
+from hilbert_signs import field_arith
+from hilbert_signs.errors import (
     FieldMismatch,
-    IdealFactorization,
     NotIntegral,
     NotSquarefree,
     NotTotallyPositive,
-    Splitting,
     UnsupportedField,
     ValidationError,
+)
+from hilbert_signs.field_arith import (
+    MAX_TAU_NORM,
+    NARROW_CLASS_NUMBER_ONE,
+    TABLE_MAX_X,
+    _KINDS,
+    IdealFactorization,
+    Splitting,
+    _is_prime,
+    _prime_ideals,
+    _prime_table,
+    _sqrt_lanes,
+    _sqrt_mod,
     as_element,
     element,
     factor_principal_ideal,
@@ -30,17 +41,6 @@ from hilbert_signs import (
     primes_upto,
     split_rational_prime,
     squarefree_decompose,
-)
-from hilbert_signs import field_arith
-from hilbert_signs.field_arith import (
-    MAX_TAU_NORM,
-    TABLE_MAX_X,
-    _KINDS,
-    _is_prime,
-    _prime_ideals,
-    _prime_table,
-    _sqrt_lanes,
-    _sqrt_mod,
 )
 
 
@@ -530,7 +530,7 @@ def test_squarefree_decompose_examples(field5):
     Q = make_field(1)
     d = squarefree_decompose(factor_principal_ideal(Q, 12))
     assert d.a.norm == 2 and d.r.norm == 3
-    unit = IdealFactorization.unit(Q)
+    unit = IdealFactorization(1, (), Q)
     du = squarefree_decompose(unit)
     assert du.a == unit and du.r == unit
     d5 = squarefree_decompose(factor_principal_ideal(field5, 5))
@@ -565,11 +565,13 @@ def test_factorization_remultiplies(Kt):
 
 def test_ideal_algebra(field5):
     P11a, P11b = split_rational_prime(field5, 11)
-    m = IdealFactorization.from_prime(P11a, 2) * IdealFactorization.from_prime(P11b)
+    m = IdealFactorization.from_pairs(field5, [(P11a, 2)]) * IdealFactorization.from_pairs(
+        field5, [(P11b, 1)]
+    )
     assert m.norm == 11**3
     assert dict(m.factors) == {P11a: 2, P11b: 1}
     assert not m.is_squarefree
     with pytest.raises(FieldMismatch):
-        m * IdealFactorization.unit(make_field(2))
+        m * IdealFactorization(1, (), make_field(2))
     with pytest.raises(ValueError):
         IdealFactorization.from_pairs(field5, [(P11a, -1)])

@@ -8,8 +8,8 @@ import hashlib
 
 import pytest
 
-from hilbert_signs import get_curve, series_from_curve
 from hilbert_signs.cli import main
+from hilbert_signs.curves import get_curve, series_from_curve
 from hilbert_signs.eigen_io import serialize_series
 
 GOLDEN = [

@@ -9,22 +9,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracles import enumerate_prime_ideals, quadrature_mass, semicircle_ppf_halving
 
-from hilbert_signs import (
-    EmptySample,
+from hilbert_signs import sato_tate
+from hilbert_signs.errors import EmptySample
+from hilbert_signs.field_arith import _LANES, make_field
+from hilbert_signs.sato_tate import (
+    HIST_BINS,
+    HIST_CSV_HEADER,
+    QUANT_DEN,
     histogram_csv,
     histogram_rows,
     histogram_svg,
     ks_statistic,
-    make_field,
     sample_semicircle,
     semicircle_cdf,
     semicircle_mass,
     semicircle_ppf,
     synth_eigen_series,
 )
-from hilbert_signs import sato_tate
-from hilbert_signs.field_arith import _LANES
-from hilbert_signs.sato_tate import HIST_BINS, HIST_CSV_HEADER, QUANT_DEN
 
 # ----------------------------------------------------------------------
 # masses and the distribution function

@@ -28,19 +28,13 @@ from oracles import (
     value_at,
 )
 
-from hilbert_signs import (
-    EigenvalueSeries,
-    HasseBoundViolated,
-    IdealCharacter,
-    MissingPrime,
-    SignSurvey,
-    ValidationError,
-    make_field,
-    split_rational_prime,
-    synth_eigen_series,
-)
 from hilbert_signs import sign_pipeline
+from hilbert_signs.characters import IdealCharacter
 from hilbert_signs.cli import TALLY_CSV_HEADER, density_string, main
+from hilbert_signs.errors import HasseBoundViolated, MissingPrime, ValidationError
+from hilbert_signs.field_arith import make_field, split_rational_prime
+from hilbert_signs.sato_tate import synth_eigen_series
+from hilbert_signs.sign_pipeline import EigenvalueSeries, SignSurvey
 
 Q = make_field(1)
 
