@@ -37,7 +37,8 @@ The package reads local files only.  Its one cache holds the series of
 built-in curves, keyed by (label, X, CURVE_CACHE_VERSION) and written by
 atomic rename.  The writer's bytes are those of json.dumps(...,
 indent=1, sort_keys=True): the encoder writes the header, and each entry
-is one template formatted over the columns.
+is one template formatted over the columns, written a block of rows at a
+time.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import hashlib
 import json
 import os
 import re
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -226,22 +228,33 @@ def series_from_obj(obj, x: int) -> EigenvalueSeries:
     return E
 
 
-def serialize_series(E: EigenvalueSeries) -> str:
-    """The eigen-series document of E, as json.dumps(..., indent=1, sort_keys=True) writes it.
+# Rows formatted per chunk of serialize_series: a chunk of 37a's series is
+# ~0.45 MB, and the document is never held whole.
+_BLOCK = 4096
 
-    The encoder writes the header; the entries are spliced in, each one
-    _ENTRY formatted over the columns.
+
+def serialize_series(E: EigenvalueSeries) -> Iterator[str]:
+    """The eigen-series document of E in chunks, as json.dumps(..., indent=1, sort_keys=True) writes it.
+
+    The encoder writes the header; the entries follow in blocks of _BLOCK
+    rows, each row _ENTRY formatted over the columns; the tail closes the
+    document.  "".join of the chunks is the document.
     """
     rows = np.flatnonzero(E.den)
     head = {"format": SCHEMA_TAG, "d": E.field.d, "weight": list(E.weight), "label": E.label,
             "level_support": sorted(E.level_support), "entries": []}
     head = json.dumps(head, indent=1, sort_keys=True) + "\n"
     if not rows.size:
-        return head
-    cols = E.den[rows].tolist(), E.num[rows].tolist(), *_prime_table(E.field, E.x).names(rows)
-    entries = ",\n".join(map(_ENTRY.__mod__, zip(*cols)))
+        yield head
+        return
     before, after = head.split('"entries": []', 1)  # only "d", an int, sorts before it
-    return f'{before}"entries": [\n{entries}\n ]{after}'
+    T, sep = _prime_table(E.field, E.x), f'{before}"entries": [\n'
+    for i in range(0, rows.size, _BLOCK):
+        block = rows[i : i + _BLOCK]
+        cols = E.den[block].tolist(), E.num[block].tolist(), *T.names(block)
+        yield sep + ",\n".join(map(_ENTRY.__mod__, zip(*cols)))
+        sep = ",\n"
+    yield f"\n ]{after}"
 
 
 def load_fixture(path, x: int) -> EigenvalueSeries:
@@ -296,8 +309,28 @@ def cache_path(label: str, cache_dir=None) -> Path:
     return base / f"{safe}-{digest}.json"
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    """Write through a temp file named for this call alone, then rename.
+class _Encoded:
+    """str chunks as UTF-8 bytes, one chunk at a time; len() is the bytes given so far.
+
+    The len() lets a caller, or perfbench's eigen_io.bytes_written
+    counter, read what a write of these chunks wrote.
+    """
+
+    def __init__(self, chunks: Iterable[str]):
+        self.chunks, self.size = chunks, 0
+
+    def __iter__(self) -> Iterator[bytes]:
+        for chunk in self.chunks:
+            data = chunk.encode()
+            self.size += len(data)
+            yield data
+
+    def __len__(self) -> int:
+        return self.size
+
+
+def _atomic_write(path: Path, data: Iterable[bytes]) -> None:
+    """Write the chunks of data through a temp file named for this call alone, then rename.
 
     An OSError from any step (a parent that is a file, a full disk, a
     refused rename) becomes a HilbertSignsError that names path.
@@ -306,7 +339,8 @@ def _atomic_write(path: Path, data: bytes) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            tmp.write_bytes(data)
+            with open(tmp, "wb") as fh:
+                fh.writelines(data)
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -328,5 +362,5 @@ def cached_curve_series(E: CurveSpec, X: int, cache_dir=None) -> EigenvalueSerie
     if path.exists():
         return load_fixture(path, X)
     series = series_from_curve(E, X)
-    _atomic_write(path, serialize_series(series).encode())
+    _atomic_write(path, _Encoded(serialize_series(series)))
     return series

@@ -462,7 +462,7 @@ def load_psi_table_by_entry(K, source, x):
 
 def save_fixture(E, path):
     """Write E as an eigen-series document, the file that --fixture reads."""
-    Path(path).write_text(serialize_series(E))
+    Path(path).write_text("".join(serialize_series(E)))
 
 
 def point_add(P, Q, a, p):

@@ -8,10 +8,14 @@ not scheduler noise.
 """
 
 import json
+import os
 import random
 import socket
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from oracles import (
     tail_inequality,
 )
 
+import hilbert_signs
 from hilbert_signs.characters import IdealCharacter
 from hilbert_signs.cli import SIMULATE_CSV_HEADER, main
 from hilbert_signs.curves import CURVE_REGISTRY, _ap_lanes, ap_naive, ap_symbol_sum
@@ -240,4 +245,32 @@ def test_10_offline_determinism(capsys, tmp_path):
     verdict(
         capsys, 10, "socket guard active; seeded reruns bit-identical", ok,
         f"{len(outs[0])} bytes compared",
+    )
+
+
+_THREADS = (
+    "import os, hilbert_signs.cli; "
+    "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+)
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _import_cli(**more):
+    """Threads and OPENBLAS_NUM_THREADS of a fresh process right after `import hilbert_signs.cli`."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(hilbert_signs.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", _THREADS], env=env | more, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    threads, value = proc.stdout.split()
+    return int(threads), value
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                    reason="needs /proc and two CPUs, where OpenBLAS would start a worker thread")
+def test_11_cli_starts_without_a_blas_thread_pool(capsys):
+    alone, pinned = _import_cli(), _import_cli(OPENBLAS_NUM_THREADS="2")
+    ok = alone == (1, "1") and pinned[1] == "2"
+    verdict(
+        capsys, 11, "importing the CLI starts one thread and keeps a set OPENBLAS_NUM_THREADS", ok,
+        f"unset: {alone[0]} thread(s), OPENBLAS_NUM_THREADS={alone[1]}; set to 2: reads {pinned[1]}",
     )

@@ -296,6 +296,17 @@ def test_series_check_cap_refuses_before_any_work(capsys, monkeypatch):
     assert code == 2 and err.startswith("error: series-check --x must be <=")
 
 
+def test_series_check_count_cap_and_seed_floor(capsys, monkeypatch):
+    # the largest --count runs; one more, or a negative --seed, is refused before any work
+    code, out, _ = run(capsys, "series-check", "--x", "10", "--count", str(cli.SERIES_CHECK_MAX_COUNT))
+    assert code == 0 and len(json.loads(out)["checks"]) == cli.SERIES_CHECK_MAX_COUNT
+    monkeypatch.setattr(cli, "make_field", None)
+    code, _, err = run(capsys, "series-check", "--count", str(cli.SERIES_CHECK_MAX_COUNT + 1))
+    assert code == 2 and err == "error: --count must be in [1, 1000], got 1001\n"
+    code, _, err = run(capsys, "series-check", "--seed", "-7")
+    assert code == 2 and err == "error: series-check --seed must be >= 0, got -7\n"
+
+
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
@@ -444,6 +455,9 @@ INPUT_ERRORS = {
     "psi-label-2-key-of-5": lambda t: _psi(t, prime_norm=4, rational_prime=5, root_label=2),
     "series-check-count-negative": lambda t: _series_check_count("-5"),
     "series-check-count-zero": lambda t: _series_check_count("0"),
+    "series-check-count-past-cap": lambda t: _series_check_count(str(10**3 + 1)),
+    # random.Random seeds from abs(seed): -7 would print what 7 prints
+    "series-check-seed-negative": lambda t: ["series-check", "--d", "5", "--x", "10", "--seed", "-7"],
     "series-check-x-past-cap": lambda t: ["series-check", "--d", "5", "--x", str(10**6 + 1)],
     # no good prime of norm <= x: over Q only (2), always bad; Q(sqrt5) has no prime below 4
     "stats-no-good-prime": lambda t: ["stats", "--curve", "37a", "--x", "2", "--cache-dir", str(t)],

@@ -61,10 +61,10 @@ def equal_series(A, B):
 
 def test_series_roundtrip_is_bit_stable():
     E = series_from_curve(get_curve("37a"), 200)
-    text = serialize_series(E)
+    text = "".join(serialize_series(E))
     back = series_from_obj(json.loads(text), 200)
     assert equal_series(E, back)
-    assert serialize_series(back) == text
+    assert "".join(serialize_series(back)) == text
 
 
 def encoder_text(E):
@@ -92,7 +92,7 @@ def test_serialize_series_matches_the_json_encoder(data):
         num.append(data.draw(st.integers(-bound, bound)))
         den.append(b * data.draw(st.sampled_from((1, -1))))
     E = EigenvalueSeries(K, weight, label, x, num, den, level)
-    assert serialize_series(E) == encoder_text(E)
+    assert "".join(serialize_series(E)) == encoder_text(E)
 
 
 def test_serialize_series_with_no_coefficients():
@@ -100,8 +100,19 @@ def test_serialize_series_with_no_coefficients():
         zeros = [0] * len(_prime_table(make_field(d), 50).key)
         for label in _LABELS:
             E = EigenvalueSeries(make_field(d), (2,), label, 50, zeros, zeros)
-            assert serialize_series(E) == encoder_text(E)
-            assert '"entries": []' in serialize_series(E)
+            assert "".join(serialize_series(E)) == encoder_text(E)
+            assert '"entries": []' in "".join(serialize_series(E))
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 45, 46])
+def test_serialize_series_blocks_join_to_the_document(monkeypatch, block):
+    # 37a to 200 has 45 entries (none at 37): blocks of one row, an uneven
+    # last block, one full block and one with room to spare
+    E = series_from_curve(get_curve("37a"), 200)
+    monkeypatch.setattr(eigen_io, "_BLOCK", block)
+    chunks = list(serialize_series(E))
+    assert len(chunks) == -(-45 // block) + 1  # the head rides on the first block; then the tail
+    assert "".join(chunks) == encoder_text(E)
 
 
 def test_fixture_roundtrip(tmp_path):
@@ -397,11 +408,11 @@ def test_atomic_write_reentered_for_same_path(tmp_path, monkeypatch):
     def replace(src, dst):
         if not inner:  # a second write to the same path lands mid-write
             inner.append(src)
-            eigen_io._atomic_write(target, b"inner")
+            eigen_io._atomic_write(target, [b"inner"])
         real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", replace)
-    eigen_io._atomic_write(target, b"outer")
+    eigen_io._atomic_write(target, [b"outer"])
     assert target.read_bytes() == b"outer"
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
@@ -412,7 +423,7 @@ def test_atomic_write_failure_leaves_no_temp(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(HilbertSignsError, match="out.json"):
-        eigen_io._atomic_write(tmp_path / "out.json", b"data")
+        eigen_io._atomic_write(tmp_path / "out.json", [b"data"])
     assert list(tmp_path.iterdir()) == []
 
 
@@ -441,3 +452,17 @@ def test_cached_curve_series_hits_disk(tmp_path, monkeypatch):
     )
     again = cached_curve_series(E, 300, cache_dir=tmp_path)
     assert equal_series(first, again)
+
+
+def test_cache_write_reports_the_bytes_it_wrote(tmp_path, monkeypatch):
+    written = []
+    real_write = eigen_io._atomic_write
+
+    def write(path, data):
+        real_write(path, data)
+        written.append((path, len(data)))
+
+    monkeypatch.setattr(eigen_io, "_atomic_write", write)
+    cached_curve_series(get_curve("11a"), 300, cache_dir=tmp_path)
+    [(path, size)] = written
+    assert size == path.stat().st_size > 0

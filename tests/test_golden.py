@@ -113,5 +113,5 @@ CURVE_SERIES_GOLDEN = {
 
 @pytest.mark.parametrize("label", sorted(CURVE_SERIES_GOLDEN))
 def test_curve_series_bytes_are_pinned(label):
-    doc = serialize_series(series_from_curve(get_curve(label), 20000))
+    doc = "".join(serialize_series(series_from_curve(get_curve(label), 20000)))
     assert hashlib.sha256(doc.encode()).hexdigest() == CURVE_SERIES_GOLDEN[label]
