@@ -219,10 +219,10 @@ def cmd_simulate(args) -> int:
 
 # series-check holds every integral ideal of norm <= --x (about 0.43 x of
 # them) with its divisor pairs (about 2.9 x).  On a 2-vCPU VM, `--d 5
-# --count 10` took 0.6 s and 60 MB max RSS at 10^5, and 4.1 s and 316 MB
-# at 10^6 (430,407 ideals, 2,894,881 pairs, about 1.2 s of it building
-# that table).  Memory grows with x, so the cap keeps a run near a third
-# of a GB.
+# --count 10` took 0.45-0.51 s and 50 MB max RSS at 10^5, and 3.2-3.4 s
+# and 236 MB at 10^6 (430,407 ideals, 2,894,881 pairs, about 1.1 s of it
+# building that table).  Memory grows with x, so the cap keeps a run near
+# a quarter of a GB.
 SERIES_CHECK_MAX_X = 10**6
 
 # Each check costs ~0.16 s at the --x cap and keeps a ~0.8 KB record for

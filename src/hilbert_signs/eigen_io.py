@@ -43,7 +43,6 @@ time.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -303,6 +302,8 @@ def default_cache_dir() -> Path:
 
 
 def cache_path(label: str, cache_dir=None) -> Path:
+    import hashlib  # loads OpenSSL (~3.6 MB max RSS), so only --curve runs pay for it
+
     base = Path(cache_dir) if cache_dir else default_cache_dir()
     digest = hashlib.sha256(label.encode()).hexdigest()[:16]
     safe = re.sub(r"[^A-Za-z0-9._-]+", "_", label) or "item"

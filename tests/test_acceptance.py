@@ -274,3 +274,40 @@ def test_11_cli_starts_without_a_blas_thread_pool(capsys):
         capsys, 11, "importing the CLI starts one thread and keeps a set OPENBLAS_NUM_THREADS", ok,
         f"unset: {alone[0]} thread(s), OPENBLAS_NUM_THREADS={alone[1]}; set to 2: reads {pinned[1]}",
     )
+
+
+
+_HASHLIB = """
+import contextlib, io, json, sys
+from hilbert_signs import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:])
+print(json.dumps([rc, "_hashlib" in sys.modules]))
+"""
+
+
+def _loads_hashlib(tmp_path, *argv):
+    """Whether a fresh process has OpenSSL's _hashlib loaded after `cli.main(argv)` returned 0."""
+    env = os.environ | {"PYTHONPATH": str(Path(hilbert_signs.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _HASHLIB, *argv], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rc, loaded = json.loads(proc.stdout)
+    assert rc == 0, proc.stderr
+    return loaded
+
+
+def test_12_only_curve_runs_load_openssl(capsys, tmp_path):
+    curve = _loads_hashlib(tmp_path, "signs", "--curve", "11a", "--x", "100", "--cache-dir", ".")
+    (doc,) = tmp_path.glob("curve-11a-*.json")
+    others = (
+        ("primes", "--d", "5", "--x", "100"),
+        ("series-check", "--d", "5", "--x", "100", "--count", "1"),
+        ("signs", "--fixture", doc.name, "--x", "100"),
+    )
+    wrong = [argv[0] for argv in others if _loads_hashlib(tmp_path, *argv)]
+    ok = curve and not wrong
+    verdict(
+        capsys, 12, "only --curve runs load OpenSSL's _hashlib (to name the cache file)", ok,
+        f"--curve loads _hashlib: {curve}; loaded without --curve by: {wrong or 'none'}",
+    )

@@ -435,6 +435,12 @@ def test_cache_path_sanitizes_labels(tmp_path):
     assert cache_path("a/b", tmp_path) != cache_path("a_b", tmp_path)
 
 
+def test_cache_path_names_are_pinned(tmp_path):
+    # the first 16 hex digits of the label's sha256; a new digest would orphan every cache file
+    assert cache_path("curve-37a-X100000-v1", tmp_path).name == "curve-37a-X100000-v1-6e2e19639ea4c09d.json"
+    assert cache_path("curve-11a-X100-v1", tmp_path).name == "curve-11a-X100-v1-c8254a5191e3630e.json"
+
+
 def test_default_cache_dir_env(monkeypatch, tmp_path):
     monkeypatch.setenv("HILBERT_SIGNS_CACHE", str(tmp_path / "alt"))
     assert default_cache_dir() == tmp_path / "alt"
