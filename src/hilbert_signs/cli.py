@@ -219,8 +219,8 @@ def cmd_simulate(args) -> int:
 
 # series-check holds every integral ideal of norm <= --x (about 0.43 x of
 # them) with its divisor pairs (about 2.9 x).  On a 2-vCPU VM, `--d 5
-# --count 10` took 0.45-0.51 s and 50 MB max RSS at 10^5, and 3.2-3.4 s
-# and 236 MB at 10^6 (430,407 ideals, 2,894,881 pairs, about 1.1 s of it
+# --count 10` took 0.35-0.43 s and 47 MB max RSS at 10^5, and 2.0-2.4 s
+# and 212 MB at 10^6 (430,407 ideals, 2,894,881 pairs, about 0.55 s of it
 # building that table).  Memory grows with x, so the cap keeps a run near
 # a quarter of a GB.
 SERIES_CHECK_MAX_X = 10**6

@@ -649,14 +649,15 @@ class IdealFactorization(NamedTuple):
 
 
 class _IdealTable(NamedTuple):
-    """The integral ideals of norm <= X, each by its id: its place in canonical order.
+    """The integral ideals of norm <= X, each by its id: the rank of its key.
 
     norm and key are each ideal's norm and exact name (see _ideal_table);
     id 0 is O_K.  fac_id, fac_row and fac_exp list each P^e exactly
-    dividing an ideal, P by its prime-table row, and prime_id is the id of
-    each prime row.  The pairs (a, b) with N(a) N(b) <= X are sorted by the
-    id of ab: those of id m begin at start[m], and no id has more than
-    `divisors` of them.  The arrays are read-only.
+    dividing an ideal, P by its prime-table row, ascending in row within
+    each ideal, and prime_id is the id of each prime row.  The pairs (a, b)
+    with N(a) N(b) <= X are sorted by the id of ab: those of id m begin at
+    start[m], and no id has more than `divisors` of them.  The arrays are
+    read-only.
     """
 
     norm: np.ndarray
@@ -677,13 +678,12 @@ def _ideal_table(K: QuadField, X: int) -> _IdealTable:
 
     The ideals are found level by level, as ascending lists of prime rows:
     an ideal m whose last row is r has the children m P_i for the rows
-    i >= r with N(m) N(P_i) <= X, so each ideal is found once.  One
-    lexsort on (norm, then the row and exponent of each factor) puts them
-    in canonical order.  The key N(m) X + s(m), where s(m) is the product
-    of N(P)^e over the P^e || m with root_label 1, names m: N(m) fixes
-    every exponent but how e_0 + e_1 is shared at a split p, and s(m) fixes
-    e_1.  It is multiplicative, key(ab) = N(a) N(b) X + s(a) s(b), and as
-    1 <= s <= N <= X <= TABLE_MAX_X, it is below 2^63.
+    i >= r with N(m) N(P_i) <= X, so each ideal is found once.  The key
+    N(m) X + s(m), where s(m) is the product of N(P)^e over the P^e || m
+    with root_label 1, names m: N(m) fixes every exponent but how e_0 + e_1
+    is shared at a split p, and s(m) fixes e_1.  It is multiplicative,
+    key(ab) = N(a) N(b) X + s(a) s(b), and as 1 <= s <= N <= X <=
+    TABLE_MAX_X, it is below 2^63 and ascends with the norm.
     """
     if X < 1:
         raise ValueError(f"the cutoff must be >= 1, got {X}")
@@ -704,25 +704,19 @@ def _ideal_table(K: QuadField, X: int) -> _IdealTable:
     owner = np.repeat(np.arange(len(norm)), np.repeat(np.arange(len(sizes)), sizes))
     # a factor P^e of an ideal is a run of e equal rows in its list
     head = np.flatnonzero(np.diff(owner, prepend=-1) | np.diff(row, prepend=-1))
-    owner, row, exp = owner[head], row[head], np.diff(head, append=len(row))
-    at = np.arange(len(head)) - np.searchsorted(owner, owner)  # the place of the factor in its ideal
-    fac = np.full((2 * (at.max(initial=-1) + 1), len(norm)), -1)
-    fac[2 * at, owner], fac[2 * at + 1, owner] = row, exp
-    canon = np.lexsort((*fac[::-1], norm))  # by (norm, factors), a shorter factor list first
-    fac, norm, s = fac[:, canon], norm[canon], s[canon]
-    fac_id, at = np.nonzero(fac[::2].T >= 0)
-    fac_row, fac_exp = fac[2 * at, fac_id], fac[2 * at + 1, fac_id]
-    # free the factor stage's temporaries before the pair stage, which peaks far higher
-    del fac, owner, row, exp, head, at, canon, levels
     key = norm * X + s
+    canon = np.argsort(key)  # an ideal's id is the rank of its key
+    rank = np.empty_like(canon)
+    rank[canon] = np.arange(len(canon))
+    fac_id, fac_row, fac_exp = rank[owner[head]], row[head], np.diff(head, append=len(row))
+    key, norm, s = key[canon], norm[canon], s[canon]
+    # free the factor stage's temporaries before the pair stage, which peaks far higher
+    del owner, row, head, rank, canon, levels
     per_a = np.searchsorted(norm, X // norm, side="right")  # the b are a prefix
     a = np.repeat(np.arange(len(norm)), per_a)
     b = np.arange(len(a)) - np.repeat(np.cumsum(per_a) - per_a, per_a)
-    by_key = np.argsort(key)
-    ab, prime_id = (
-        by_key[np.searchsorted(key[by_key], k)]
-        for k in (norm[a] * norm[b] * X + s[a] * s[b], P.norm * X + s_of)
-    )
+    ab = np.searchsorted(key, norm[a] * norm[b] * X + s[a] * s[b])
+    prime_id = np.searchsorted(key, P.norm * X + s_of)
     order = np.argsort(ab, kind="stable")
     start = np.searchsorted(ab[order], np.arange(len(norm)))
     divisors = int(np.diff(start, append=len(ab)).max())

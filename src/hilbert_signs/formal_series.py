@@ -50,9 +50,9 @@ class FormalSeries:
         return MappingProxyType({m: v for _, m, v in self.sorted_items()})
 
     def sorted_items(self) -> list[tuple[int, IdealFactorization, Fraction]]:
-        """(norm, ideal, coefficient) in canonical ideal order, so ascending by norm."""
+        """(norm, ideal, coefficient) sorted into canonical ideal order; ids are in key order."""
         ideals = _ideal_objects(self.field, self.cutoff)[0]
-        terms = ((ideals[i], int(self.num[i])) for i in np.flatnonzero(self.num).tolist())
+        terms = sorted((ideals[i], int(self.num[i])) for i in np.flatnonzero(self.num).tolist())
         return [(m.norm, m, Fraction(n, self.den * m.norm)) for m, n in terms]
 
     def __eq__(self, other):

@@ -207,7 +207,12 @@ def test_ideal_table_pairs_are_the_truncated_products(d):
     K, X = make_field(d), 600
     T = _ideal_table(K, X)
     ideals, index = _ideal_objects(K, X)
-    assert list(ideals) == sorted(all_ideals(K, X))
+    assert sorted(ideals) == sorted(all_ideals(K, X))  # the same ideals, in key order
+    # an id is the rank of its key, so a key is found by searchsorted with no permutation
+    assert (np.diff(T.key) > 0).all()
+    primes = enumerate_prime_ideals(K, X)
+    prime_key = [P.norm * X + (P.norm if P.root_label else 1) for P in primes]
+    assert T.prime_id.tolist() == np.searchsorted(T.key, prime_key).tolist()
     assert all(index[m] == i for i, m in enumerate(ideals))
     # the key is N(m) X + s(m), s(m) the product of N(P)^e over the P^e || m with root_label 1
     s = [math.prod(P.norm**e for P, e in m.factors if P.root_label) for m in ideals]
@@ -219,7 +224,6 @@ def test_ideal_table_pairs_are_the_truncated_products(d):
     ab = np.repeat(np.arange(len(ideals)), np.diff(T.start, append=len(T.a)))
     assert all(ideals[k] == ideals[i] * ideals[j] for i, j, k in zip(T.a, T.b, ab))
     assert T.divisors == np.diff(T.start, append=len(T.a)).max()
-    primes = enumerate_prime_ideals(K, X)
     assert [ideals[i] for i in T.prime_id] == [power(P) for P in primes]
     for i, m in enumerate(ideals):
         facs = [(primes[r], e) for k, r, e in zip(T.fac_id, T.fac_row, T.fac_exp) if k == i]
@@ -277,7 +281,8 @@ _VALUES = st.builds(Fraction, _NUMS, _DENS)
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_products_and_euler_series_match_the_dict_oracle(data):
-    K = make_field(data.draw(st.sampled_from([1, 5]), label="d"))
+    # 2 ramifies in Q(sqrt 2) and splits in Q(sqrt 17), where keys depart most from norm order
+    K = make_field(data.draw(st.sampled_from([1, 2, 5, 17]), label="d"))
     X = data.draw(st.integers(1, 300), label="X")
     pool = all_ideals(K, X)
     picks = st.lists(st.tuples(st.integers(0, len(pool) - 1), _VALUES), max_size=10)
@@ -288,7 +293,9 @@ def test_products_and_euler_series_match_the_dict_oracle(data):
     assert_same(A, OA, pool)
     assert_same(series_mul(A, B), dict_series_mul(OA, OB), pool)
     assert (A == B) == (OA == OB)
-    tau = data.draw(st.sampled_from([1, 2, 5, 7] if K.is_rational else [(1, 0), (4, 1), (7, 2)]))
+    quadratic = [(1, 0), (4, 1), (7, 2)]  # totally positive in Q(sqrt 2) and in Q(sqrt 5)
+    taus = {1: [1, 2, 5, 7], 2: quadratic, 5: quadratic, 17: [(1, 0), (5, 1), (9, 2)]}
+    tau = data.draw(st.sampled_from(taus[K.d]))
     chi = IdealCharacter.from_tau(K, tau)
     zeta, moebius = dict_zeta_series(chi, X), dict_moebius_series(chi, X)
     assert_same(character_zeta_series(chi, X), zeta, pool)
