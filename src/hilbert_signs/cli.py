@@ -251,7 +251,11 @@ def cmd_series_check(args) -> int:
     K = make_field(args.d)
     rng = random.Random(args.seed)
     draw, bits = rng.random, rng.getrandbits
-    tau_pool = [1, 4, 9, 2, 5] if K.is_rational else [(1, 0), (4, 0), (4, 1), (9, 0)]
+    # m + sqrt(d) is totally positive, as m^2 > d.  Its norm m^2 - d is not a
+    # square for any d in NARROW_CLASS_NUMBER_ONE, so it is not a square and
+    # chi is nontrivial.  m = 4 for every d <= 13.
+    m = max(4, math.isqrt(K.d) + 1)
+    tau_pool = [1, 4, 9, 2, 5] if K.is_rational else [(1, 0), (4, 0), (m, 1), (9, 0)]
     checks = []
     all_ok = True
     T = _ideal_table(K, args.x)

@@ -22,13 +22,13 @@ ring of integers is Z[w] with
     w = (1 + sqrt(d)) / 2   and   w^2 = w + (d-1)/4     if d = 1 mod 4,
     w = sqrt(d)             and   w^2 = d               otherwise.
 
-How p decomposes is decided in one place, _primes_above, from the class
-of p mod the discriminant.  A degree-one prime above p is identified by
-the root of the minimal polynomial of w mod p that generates its
-reduction map; the two primes above a split p are ordered by that root
-as an integer in [0, p), the smaller root getting label 0.  Inert primes
-carry root 0 (unused).  Over Q every prime is the unique degree-one
-prime above itself and is labeled as the first "split" prime.
+How p decomposes is decided in one place, _class_of_residue, from the
+class of p mod the discriminant.  A degree-one prime above p is
+identified by the root of the minimal polynomial of w mod p that
+generates its reduction map; the two primes above a split p are ordered
+by that root as an integer in [0, p), the smaller root getting label 0.
+Inert primes carry root 0 (unused).  Over Q every prime is the unique
+degree-one prime above itself and is labeled as the first "split" prime.
 
 QuadField, PrimeIdeal and IdealFactorization are named tuples whose
 leading fields are their canonical order: a prime ideal sorts by
@@ -176,6 +176,12 @@ class Splitting(str, Enum):
     RAMIFIED = "ramified"
 
 
+# Splitting by code: a column of codes maps to members and residue degrees.
+_KINDS = (Splitting.SPLIT_FIRST, Splitting.SPLIT_SECOND, Splitting.INERT, Splitting.RAMIFIED)
+_DEGREE_OF = (1, 1, 2, 1)
+_SPLIT, _SECOND, _INERT, _RAMIFIED = range(4)
+
+
 class PrimeIdeal(NamedTuple):
     """A maximal ideal of O_K, identified by (p, residue degree, root).
 
@@ -271,17 +277,38 @@ def _omega_roots_mod(K: QuadField, p: int) -> list[int]:
     return sorted(roots)
 
 
-def _primes_above(K: QuadField, p: int) -> list[PrimeIdeal]:
-    """Prime ideals of O_K above the prime p (not checked), by root label.
+@lru_cache(maxsize=None)
+def _class_of_residue(K: QuadField) -> np.ndarray:
+    """How a prime p = r mod disc decomposes in the quadratic field K, at index r.
 
-    An unramified p splits iff p mod disc lies in _split_residue_set(disc).
+    The read-only int8 array holds _RAMIFIED where gcd(r, disc) > 1, and
+    otherwise _SPLIT where r is a value mod disc of the norm form N(x + y w)
+    = x^2 + s x y - c y^2, _INERT where it is none.  A split p is such a
+    value: every supported field has narrow class number one, so a prime
+    above p has a generator of norm > 0, and its norm is p.  An inert p is
+    not: a norm prime to disc holds each inert prime to an even power, so
+    the character of K (+1 at a split p, -1 at an inert p, and even, as K
+    is real) is +1 on it, and it never lands in an inert p's class.
     """
+    r = np.arange(K.disc)
+    s, c = K.omega_square()  # w^2 = s*w + c
+    x, y = r[:, None], r[None, :]
+    cls = np.full(K.disc, _INERT, dtype=np.int8)
+    cls[(x * x + s * x * y - c * y * y) % K.disc] = _SPLIT
+    cls[np.gcd(r, K.disc) > 1] = _RAMIFIED
+    cls.flags.writeable = False
+    return cls
+
+
+def _primes_above(K: QuadField, p: int) -> list[PrimeIdeal]:
+    """Prime ideals of O_K above the prime p (not checked), by root label."""
     if K.is_rational:
         return [PrimeIdeal(p, p, 0, 1, Splitting.SPLIT_FIRST, 0, K)]
-    if K.disc % p == 0:
-        # ramified: the minimal polynomial has a double root mod p
+    cls = _class_of_residue(K)[p % K.disc]
+    if cls == _RAMIFIED:
+        # the minimal polynomial has a double root mod p
         return [PrimeIdeal(p, p, 0, 1, Splitting.RAMIFIED, _omega_roots_mod(K, p)[0], K)]
-    if p % K.disc not in _split_residue_set(K.disc):
+    if cls == _INERT:
         return [PrimeIdeal(p * p, p, 0, 2, Splitting.INERT, 0, K)]
     r1, r2 = _omega_roots_mod(K, p)
     return [
@@ -309,57 +336,6 @@ def primes_upto(n: int) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64, copy=False)
 
 
-@lru_cache(maxsize=None)
-def _split_residue_set(disc: int) -> frozenset[int]:
-    """Residues r mod |disc| with Kronecker symbol (disc/r) = +1.
-
-    Splitting of an unramified p depends only on p mod disc; this set is
-    the +1 fiber of the quadratic character attached to disc.
-    """
-    return frozenset(
-        r
-        for r in range(1, abs(disc))
-        if math.gcd(r, disc) == 1 and kronecker_symbol(disc, r) == 1
-    )
-
-
-def kronecker_symbol(a: int, n: int) -> int:
-    """Kronecker symbol (a/n), the usual extension of Jacobi to all n."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    sign = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            sign = -sign
-    if a < 0:
-        # (-1/n) is determined by the odd part of n mod 4
-        a = -a
-        m = n
-        while m % 2 == 0:
-            m //= 2
-        if m % 4 == 3:
-            sign = -sign
-    # strip factors of 2 from n; (a/2) depends on a mod 8
-    while n % 2 == 0:
-        n //= 2
-        if a % 2 == 0:
-            return 0
-        if a % 8 in (3, 5):
-            sign = -sign
-    a %= n
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a  # quadratic reciprocity for odd positive arguments
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
-
-
 # ----------------------------------------------------------------------
 # the prime table: every prime ideal of norm <= X, in int64 lanes
 # ----------------------------------------------------------------------
@@ -383,12 +359,6 @@ def _lanes(bound: int, limit: int = 2**63 - 1):
     values as exact floats passes 2^53.
     """
     return np.int64 if bound <= limit else object
-
-
-# Splitting by code: a column of codes maps to members and residue degrees.
-_KINDS = (Splitting.SPLIT_FIRST, Splitting.SPLIT_SECOND, Splitting.INERT, Splitting.RAMIFIED)
-_DEGREE_OF = (1, 1, 2, 1)
-_SPLIT, _SECOND, _INERT, _RAMIFIED = range(4)
 
 
 class _PrimeTable(NamedTuple):
@@ -543,10 +513,7 @@ def _prime_table(K: QuadField, X: int) -> _PrimeTable:
     if K.is_rational:  # (p) is the one prime above p
         kind, root = np.zeros(len(p), dtype=np.int8), np.zeros_like(p)
     else:
-        lut = np.full(K.disc, _INERT, dtype=np.int8)
-        lut[sorted(_split_residue_set(K.disc))] = _SPLIT
-        lut[[r for r in range(K.disc) if math.gcd(r, K.disc) > 1]] = _RAMIFIED
-        cls = lut[p % K.disc]
+        cls = _class_of_residue(K)[p % K.disc]
         inert = p[(cls == _INERT) & (p <= math.isqrt(X))]
         # degree-one rows in p order: two rows for a split p, one for a ramified p
         rows = (cls == _SPLIT).astype(np.int8) + (cls != _INERT)

@@ -32,7 +32,7 @@ import hilbert_signs
 from hilbert_signs.characters import IdealCharacter
 from hilbert_signs.cli import SIMULATE_CSV_HEADER, main
 from hilbert_signs.curves import CURVE_REGISTRY, _ap_lanes, ap_naive, ap_symbol_sum
-from hilbert_signs.field_arith import IdealFactorization, kronecker_symbol, primes_upto
+from hilbert_signs.field_arith import _RAMIFIED, _SPLIT, IdealFactorization, _prime_table, primes_upto
 from hilbert_signs.formal_series import (
     c_series_from_lambda,
     character_moebius_series,
@@ -174,17 +174,12 @@ def test_06_cutoff_inequality_thousand_pairs(capsys, curve37_series_1e5, synth5_
     )
 
 
-def test_07_chebotarev_split_fraction(capsys):
+def test_07_chebotarev_split_fraction(capsys, field5):
+    # a split p has one _SPLIT row (and one _SECOND row); inert p past sqrt(X) have no row
     start = time.perf_counter()
-    split = 0
-    unramified = 0
-    for q in primes_upto(1_000_000):
-        p = int(q)
-        if p == 5:
-            continue
-        unramified += 1
-        if kronecker_symbol(5, p) == 1:
-            split += 1
+    kind = _prime_table.__wrapped__(field5, 1_000_000).kind
+    split = int(np.count_nonzero(kind == _SPLIT))
+    unramified = len(primes_upto(1_000_000)) - int(np.count_nonzero(kind == _RAMIFIED))
     fraction = split / unramified
     elapsed = time.perf_counter() - start
     ok = abs(fraction - 0.5) <= 0.01 and elapsed < 10.0

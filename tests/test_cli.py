@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +18,7 @@ from hilbert_signs.cli import SIMULATE_CSV_HEADER, TALLY_CSV_HEADER, build_parse
 from hilbert_signs.curves import get_curve, series_from_curve
 from hilbert_signs.eigen_io import cache_path
 from hilbert_signs.field_arith import (
+    NARROW_CLASS_NUMBER_ONE,
     IdealFactorization,
     _ideal_objects,
     _ideal_table,
@@ -305,6 +307,25 @@ def test_series_check_count_cap_and_seed_floor(capsys, monkeypatch):
     assert code == 2 and err == "error: --count must be in [1, 1000], got 1001\n"
     code, _, err = run(capsys, "series-check", "--seed", "-7")
     assert code == 2 and err == "error: series-check --seed must be >= 0, got -7\n"
+
+
+@pytest.mark.parametrize("d", NARROW_CLASS_NUMBER_ONE)
+def test_every_command_runs_on_every_supported_field(capsys, d):
+    # series-check draws m + sqrt(d) with m = max(4, isqrt(d) + 1): 4 + sqrt(d) is not
+    # totally positive past d = 16
+    K, X, m, field = make_field(d), 200, max(4, math.isqrt(d) + 1), ("--d", str(d))
+    primes = enumerate_prime_ideals(K, X)
+    code, out, _ = run(capsys, "primes", *field, "--x", str(X))
+    assert code == 0 and len(out.splitlines()) == len(primes) + 1
+    code, out, _ = run(capsys, "char", *field, "--x", str(X), "--tau", str(m), "--tau-b", "1")
+    chi = IdealCharacter.from_tau(K, (m, 1))
+    assert code == 0
+    assert [int(line.split(",")[-1]) for line in out.splitlines()[1:]] == [value_at(chi, P) for P in primes]
+    code, out, _ = run(capsys, "simulate", *field, "--x", "2000", "--seed", "0", "--format", "json")
+    assert code == 0 and json.loads(out)["ks_pass"] is True
+    for seed in range(8):
+        code, out, err = run(capsys, "series-check", *field, "--x", str(X), "--count", "3", "--seed", str(seed))
+        assert (code, err) == (0, "") and json.loads(out)["ok"] is True, seed
 
 
 def test_parser_requires_subcommand():

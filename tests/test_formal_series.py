@@ -282,7 +282,7 @@ _VALUES = st.builds(Fraction, _NUMS, _DENS)
 @given(data=st.data())
 def test_products_and_euler_series_match_the_dict_oracle(data):
     # 2 ramifies in Q(sqrt 2) and splits in Q(sqrt 17), where keys depart most from norm order
-    K = make_field(data.draw(st.sampled_from([1, 2, 5, 17]), label="d"))
+    K = make_field(data.draw(st.sampled_from([1, 2, 5, 17, 29, 97]), label="d"))
     X = data.draw(st.integers(1, 300), label="X")
     pool = all_ideals(K, X)
     picks = st.lists(st.tuples(st.integers(0, len(pool) - 1), _VALUES), max_size=10)
@@ -294,7 +294,14 @@ def test_products_and_euler_series_match_the_dict_oracle(data):
     assert_same(series_mul(A, B), dict_series_mul(OA, OB), pool)
     assert (A == B) == (OA == OB)
     quadratic = [(1, 0), (4, 1), (7, 2)]  # totally positive in Q(sqrt 2) and in Q(sqrt 5)
-    taus = {1: [1, 2, 5, 7], 2: quadratic, 5: quadratic, 17: [(1, 0), (5, 1), (9, 2)]}
+    taus = {
+        1: [1, 2, 5, 7],
+        2: quadratic,
+        5: quadratic,
+        17: [(1, 0), (5, 1), (9, 2)],
+        29: [(1, 0), (6, 1), (11, 2)],  # norms 7 and 5: totally positive, not squares
+        97: [(1, 0), (10, 1), (20, 2)],  # norms 3 and 12
+    }
     tau = data.draw(st.sampled_from(taus[K.d]))
     chi = IdealCharacter.from_tau(K, tau)
     zeta, moebius = dict_zeta_series(chi, X), dict_moebius_series(chi, X)
