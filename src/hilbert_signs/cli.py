@@ -35,7 +35,7 @@ from .formal_series import (
     extract_prime_relation,
     series_mul,
 )
-from .sign_pipeline import SignSurvey, SignTally
+from .sign_pipeline import SignSurvey, SignTally, _even_weights
 
 # ----------------------------------------------------------------------
 # output formats
@@ -149,9 +149,10 @@ def cmd_primes(args) -> int:
 
 
 def cmd_char(args) -> int:
+    tau = _tau_element(args)
     K = make_field(args.d)
     psi = eigen_io.load_psi_table(K, args.psi_file, args.x) if args.psi_file else None
-    chi = IdealCharacter.from_tau(K, _tau_element(args), psi_table=psi)
+    chi = IdealCharacter.from_tau(K, tau, psi_table=psi)
     names = _prime_table(K, args.x).names(slice(None))
     rows = list(zip(*names, chi.values_upto(args.x).tolist()))
     _emit_table(args, "norm,rational_prime,root_label,chi", rows)
@@ -159,12 +160,13 @@ def cmd_char(args) -> int:
 
 
 def cmd_signs(args) -> int:
+    tau = _tau_element(args)
     series = _load_series(args)
     K = series.field
     if args.d is not None and K.d != args.d:
         raise ValidationError(f"series is over d={K.d}, but --d {args.d} was given")
     psi = eigen_io.load_psi_table(K, args.psi_file, args.x) if args.psi_file else None
-    t = SignSurvey(series, _tau_element(args), psi=psi, x=args.x).tally()
+    t = SignSurvey(series, tau, psi=psi, x=args.x).tally()
     row = (t.x, t.total, t.pos, t.neg, t.zero, density_string(t.pos, t.total))
     _emit_table(args, TALLY_CSV_HEADER, [row], _tally_obj(t))
     return 0
@@ -172,10 +174,11 @@ def cmd_signs(args) -> int:
 
 def cmd_stats(args) -> int:
     coefficient = _threshold_coefficient(args)
+    tau = _tau_element(args)
     series = _load_series(args)
     K = series.field
     psi = eigen_io.load_psi_table(K, args.psi_file, args.x) if args.psi_file else None
-    survey = SignSurvey(series, _tau_element(args), psi=psi, x=args.x)
+    survey = SignSurvey(series, tau, psi=psi, x=args.x)
     report = sato_tate.ks_statistic(survey.coords, coefficient=coefficient)
     if args.hist_out:
         _emit(sato_tate.histogram_csv(survey.coords), args.hist_out)
@@ -198,8 +201,10 @@ def cmd_simulate(args) -> int:
         raise ValidationError(f"--seed must be in [0, 2^128), got {args.seed}")
     coefficient = _threshold_coefficient(args)
     K = make_field(args.d)
+    _even_weights((args.k0,))
+    tau = _tau_element(args)
     series = sato_tate.synth_eigen_series(K, args.x, args.k0, args.seed)
-    survey = SignSurvey(series, _tau_element(args), x=args.x)
+    survey = SignSurvey(series, tau, x=args.x)
     t = survey.tally()
     report = sato_tate.ks_statistic(survey.coords, coefficient=coefficient)
     ks = {

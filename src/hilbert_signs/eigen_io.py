@@ -43,6 +43,7 @@ time.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import re
@@ -301,11 +302,19 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "hilbert_signs"
 
 
-def cache_path(label: str, cache_dir=None) -> Path:
-    import hashlib  # loads OpenSSL (~3.6 MB max RSS), so only --curve runs pay for it
+def _sha256(data: bytes):
+    """SHA-256 from the interpreter's own module, the one hashlib falls back to without
+    OpenSSL: hashlib would load OpenSSL (~3.3 MB max RSS on a 2-vCPU VM), so it is the last resort."""
+    for name in ("_sha2", "_sha256", "hashlib"):  # Python 3.12+, 3.10-3.11, any
+        try:
+            return importlib.import_module(name).sha256(data)
+        except ImportError:
+            pass
 
+
+def cache_path(label: str, cache_dir=None) -> Path:
     base = Path(cache_dir) if cache_dir else default_cache_dir()
-    digest = hashlib.sha256(label.encode()).hexdigest()[:16]
+    digest = _sha256(label.encode()).hexdigest()[:16]
     safe = re.sub(r"[^A-Za-z0-9._-]+", "_", label) or "item"
     return base / f"{safe}-{digest}.json"
 

@@ -123,6 +123,14 @@ def _hasse_columns(label: str, name, norm, num, den) -> tuple[np.ndarray, np.nda
     return cols
 
 
+def _even_weights(weight) -> tuple:
+    """weight as a tuple, if it is nonempty and every weight is an even integer >= 2."""
+    weight = tuple(weight)
+    if not weight or any(k < 2 or k % 2 for k in weight):
+        raise ValidationError(f"weights must be even integers >= 2, got {weight}")
+    return weight
+
+
 class EigenvalueSeries:
     """Coefficients c(P) of one form, with weight and level bookkeeping.
 
@@ -134,11 +142,8 @@ class EigenvalueSeries:
     """
 
     def __init__(self, field: QuadField, weight, label: str, x: int, num, den, level_support=()):
-        weight = tuple(weight)
-        if not weight or any(k < 2 or k % 2 for k in weight):
-            raise ValidationError(f"weights must be even integers >= 2, got {weight}")
         self.field = field
-        self.weight = weight
+        self.weight = _even_weights(weight)
         self.label = str(label)
         self.x = int(x)
         self.level_support = frozenset(level_support)

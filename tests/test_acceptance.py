@@ -272,19 +272,21 @@ def test_11_cli_starts_without_a_blas_thread_pool(capsys):
 
 
 
-_HASHLIB = """
+_OPENSSL_AND_RANDOM = ("_hashlib", "numpy.random")
+
+_PROBE = """
 import contextlib, io, json, sys
 from hilbert_signs import cli
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(sys.argv[1:])
-print(json.dumps([rc, "_hashlib" in sys.modules]))
-"""
+print(json.dumps([rc, [m for m in %r if m in sys.modules]]))
+""" % (_OPENSSL_AND_RANDOM,)
 
 
-def _loads_hashlib(tmp_path, *argv):
-    """Whether a fresh process has OpenSSL's _hashlib loaded after `cli.main(argv)` returned 0."""
+def _loads(tmp_path, *argv, prelude=""):
+    """Which of _hashlib and numpy.random a fresh process has loaded after `cli.main(argv)` returned 0."""
     env = os.environ | {"PYTHONPATH": str(Path(hilbert_signs.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", _HASHLIB, *argv], env=env, cwd=tmp_path,
+    proc = subprocess.run([sys.executable, "-c", prelude + _PROBE, *argv], env=env, cwd=tmp_path,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     rc, loaded = json.loads(proc.stdout)
@@ -292,17 +294,25 @@ def _loads_hashlib(tmp_path, *argv):
     return loaded
 
 
-def test_12_only_curve_runs_load_openssl(capsys, tmp_path):
-    curve = _loads_hashlib(tmp_path, "signs", "--curve", "11a", "--x", "100", "--cache-dir", ".")
+def test_12_no_command_loads_openssl_or_numpy_random(capsys, tmp_path):
+    probe = f"import sys, numpy; print([m for m in {_OPENSSL_AND_RANDOM!r} if m in sys.modules])"
+    by_numpy = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout
+    if by_numpy.strip() != "[]":
+        pytest.skip(f"a bare `import numpy` loads {by_numpy.strip()} itself (numpy {np.__version__})")
+    primes = ("primes", "--d", "5", "--x", "100")
+    control = _loads(tmp_path, *primes, prelude="import hashlib\n")
+    commands = {
+        "signs --curve": ("signs", "--curve", "11a", "--x", "100", "--cache-dir", "."),
+        "primes": primes,
+        "series-check": ("series-check", "--d", "5", "--x", "100", "--count", "1"),
+        "simulate": ("simulate", "--d", "5", "--x", "1000", "--seed", "1"),
+    }
+    loaded = {name: _loads(tmp_path, *argv) for name, argv in commands.items()}
     (doc,) = tmp_path.glob("curve-11a-*.json")
-    others = (
-        ("primes", "--d", "5", "--x", "100"),
-        ("series-check", "--d", "5", "--x", "100", "--count", "1"),
-        ("signs", "--fixture", doc.name, "--x", "100"),
-    )
-    wrong = [argv[0] for argv in others if _loads_hashlib(tmp_path, *argv)]
-    ok = curve and not wrong
+    loaded["signs --fixture"] = _loads(tmp_path, "signs", "--fixture", doc.name, "--x", "100")
+    wrong = {name: mods for name, mods in loaded.items() if mods}
+    ok = control == ["_hashlib"] and not wrong
     verdict(
-        capsys, 12, "only --curve runs load OpenSSL's _hashlib (to name the cache file)", ok,
-        f"--curve loads _hashlib: {curve}; loaded without --curve by: {wrong or 'none'}",
+        capsys, 12, "no command loads OpenSSL's _hashlib or numpy.random", ok,
+        f"the probe sees {control} after `import hashlib`; loaded by a command: {wrong or 'none'}",
     )

@@ -572,3 +572,34 @@ def test_every_import_is_used_in_its_module():
                 bound = [a.asname or a.name.split(".")[0] for a in node.names]
                 unused += [f"{module}:{name}" for name in bound if name not in names]
     assert unused == []
+
+
+@pytest.mark.parametrize("command", ["signs", "stats"])
+def test_a_bad_tau_exits_2_before_the_curve_is_computed(capsys, tmp_path, command):
+    cache = tmp_path / "cache"
+    argv = [command, "--curve", "37a", "--x", "1000", "--cache-dir", str(cache), "--tau", "1/0"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err == "error: --tau must be a rational such as 3 or 7/2, got '1/0'\n"
+    assert not cache.exists() or not any(cache.iterdir())
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--k0", "3"], "weights must be even integers >= 2, got (3,)"),
+    (["--tau", "1/0"], "--tau must be a rational such as 3 or 7/2, got '1/0'"),
+    (["--tau-b", "x"], "--tau-b must be a rational such as 3 or 7/2, got 'x'"),
+])
+def test_simulate_checks_its_flags_before_building_a_prime_table(capsys, monkeypatch, flags, message):
+    def no_table(K, x):
+        raise AssertionError("simulate built a prime table before checking its flags")
+
+    for module in vars(hilbert_signs).values():
+        if getattr(module, "_prime_table", None) is _prime_table:
+            monkeypatch.setattr(module, "_prime_table", no_table)
+    code, out, err = run(capsys, "simulate", "--d", "5", "--x", "1000", "--seed", "0", *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_char_parses_tau_before_reading_the_psi_file(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    code, _, err = run(capsys, "char", "--d", "5", "--x", "10", "--tau", "1/0", "--psi-file", missing)
+    assert code == 2 and err == "error: --tau must be a rational such as 3 or 7/2, got '1/0'\n"

@@ -1,5 +1,7 @@
 """Serialization, the psi-table decoder and the curve cache."""
 
+import hashlib
+import importlib
 import json
 import math
 import os
@@ -21,8 +23,9 @@ from oracles import (
 
 from hilbert_signs import eigen_io
 from hilbert_signs.characters import IdealCharacter
-from hilbert_signs.curves import get_curve, series_from_curve
+from hilbert_signs.curves import CURVE_REGISTRY, get_curve, series_from_curve
 from hilbert_signs.eigen_io import (
+    CURVE_CACHE_VERSION,
     cache_path,
     cached_curve_series,
     default_cache_dir,
@@ -439,6 +442,24 @@ def test_cache_path_names_are_pinned(tmp_path):
     # the first 16 hex digits of the label's sha256; a new digest would orphan every cache file
     assert cache_path("curve-37a-X100000-v1", tmp_path).name == "curve-37a-X100000-v1-6e2e19639ea4c09d.json"
     assert cache_path("curve-11a-X100-v1", tmp_path).name == "curve-11a-X100-v1-c8254a5191e3630e.json"
+
+
+@pytest.mark.parametrize("label", [*sorted(CURVE_REGISTRY), "курва-37a/√5"])
+def test_cache_path_digest_is_hashlib_sha256(tmp_path, label):
+    key = f"curve-{label}-X100000-v{CURVE_CACHE_VERSION}"
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+    assert cache_path(key, tmp_path).name.endswith(f"-{digest}.json")
+
+
+def test_cache_path_falls_back_to_hashlib(tmp_path, monkeypatch):
+    # an interpreter without its own SHA-256 module names the file the same
+    def no_builtin_sha(name):
+        if name in ("_sha2", "_sha256"):
+            raise ImportError(name)
+        return importlib.__import__(name)
+
+    monkeypatch.setattr(importlib, "import_module", no_builtin_sha)
+    assert cache_path("curve-37a-X100000-v1", tmp_path).name == "curve-37a-X100000-v1-6e2e19639ea4c09d.json"
 
 
 def test_default_cache_dir_env(monkeypatch, tmp_path):

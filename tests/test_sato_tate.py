@@ -164,6 +164,18 @@ def philox(seed, n):
     return np.random.Generator(np.random.Philox(key=seed)).random(n)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 3, 39, 2**64 - 1, 2**64, 2**128 - 1, 0x5A_3C96_F00D_1E7B_24C6_81F3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 7, 78_510, 78_511])
+def test_philox_lanes_are_numpys_bits(seed, n):
+    assert sato_tate._philox_uniforms(n, seed).tobytes() == philox(seed, n).tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128, -(2**127)])
+def test_seed_outside_the_philox_key_range_raises(seed):
+    with pytest.raises(ValueError, match="seed must be in"):
+        sample_semicircle(3, seed)
+
+
 def test_ppf_is_the_64_halvings_bit_for_bit():
     u = philox(2024, 1_000_000)
     assert semicircle_ppf(u).tobytes() == semicircle_ppf_halving(u).tobytes()
