@@ -27,7 +27,7 @@ from . import eigen_io, sato_tate
 from .characters import IdealCharacter
 from .curves import get_curve
 from .errors import HilbertSignsError, ValidationError
-from .field_arith import _DEGREE_OF, _KINDS, _ideal_table, _prime_table, make_field
+from .field_arith import _DEGREE_OF, _KINDS, _ideal_table, _prime_table, factorable_tau, make_field
 from .formal_series import (
     FormalSeries,
     c_series_from_lambda,
@@ -119,10 +119,17 @@ def _tau_element(args):
     return (_rational("--tau", args.tau), _rational("--tau-b", args.tau_b))
 
 
-def _load_series(args):
-    """Resolve the --curve/--fixture source flags into a series."""
+def _load_series(args, tau):
+    """Resolve the --curve/--fixture source flags into a series.
+
+    A curve's series is over Q, so tau is checked there before the series
+    is computed or read; a fixture names its field, so its tau is checked
+    by the survey.
+    """
     if args.curve:
-        return eigen_io.cached_curve_series(get_curve(args.curve), args.x, args.cache_dir)
+        curve = get_curve(args.curve)
+        factorable_tau(make_field(1), tau)
+        return eigen_io.cached_curve_series(curve, args.x, args.cache_dir)
     return eigen_io.load_fixture(args.fixture, args.x)
 
 
@@ -161,7 +168,7 @@ def cmd_char(args) -> int:
 
 def cmd_signs(args) -> int:
     tau = _tau_element(args)
-    series = _load_series(args)
+    series = _load_series(args, tau)
     K = series.field
     if args.d is not None and K.d != args.d:
         raise ValidationError(f"series is over d={K.d}, but --d {args.d} was given")
@@ -175,7 +182,7 @@ def cmd_signs(args) -> int:
 def cmd_stats(args) -> int:
     coefficient = _threshold_coefficient(args)
     tau = _tau_element(args)
-    series = _load_series(args)
+    series = _load_series(args, tau)
     K = series.field
     psi = eigen_io.load_psi_table(K, args.psi_file, args.x) if args.psi_file else None
     survey = SignSurvey(series, tau, psi=psi, x=args.x)
@@ -202,7 +209,7 @@ def cmd_simulate(args) -> int:
     coefficient = _threshold_coefficient(args)
     K = make_field(args.d)
     _even_weights((args.k0,))
-    tau = _tau_element(args)
+    tau = factorable_tau(K, _tau_element(args))
     series = sato_tate.synth_eigen_series(K, args.x, args.k0, args.seed)
     survey = SignSurvey(series, tau, x=args.x)
     t = survey.tally()
@@ -353,10 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Every command builds the prime table of norm <= --x once, at 25 bytes per
-# ideal retained and ~30 at the peak of the build; all of `simulate` peaks
-# at ~123 (tracemalloc, d = 5, X = 10^7: 664,500 ideals, 16.6 MB and 81 MB),
-# so 10^8 (~5.8 million ideals) bounds a run near 1 GB.  A larger x would
-# fail late, in an allocation.
+# ideal retained and ~30 at the peak of the build; all of `simulate`, which
+# streams the rest in chunks, peaks at ~59 (tracemalloc, d = 5, X = 10^7:
+# 664,500 ideals, 16.6 MB and 39 MB), and at 10^8 (5,761,588 ideals) it
+# takes ~386 MB max RSS.  A larger x would fail late, in an allocation.
 MAX_X = 10**8
 
 

@@ -325,15 +325,22 @@ def split_rational_prime(K: QuadField, p: int) -> list[PrimeIdeal]:
 
 
 def primes_upto(n: int) -> np.ndarray:
-    """Rational primes <= n, ascending."""
+    """Rational primes <= n, ascending.
+
+    The sieve holds the odd numbers only: entry i stands for 2 i + 1, and
+    entry 0, for 1, stands for 2 instead.
+    """
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0].astype(np.int64, copy=False)
+    sieve = np.ones((n + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if sieve[i]:  # p = 2 i + 1 is prime; strike p^2, p^2 + 2p, ...
+            sieve[2 * i * (i + 1) :: 2 * i + 1] = False
+    p = np.flatnonzero(sieve).astype(np.int64, copy=False)
+    p *= 2
+    p += 1
+    p[0] = 2
+    return p
 
 
 # ----------------------------------------------------------------------
@@ -735,12 +742,11 @@ def _factor_int(n: int) -> dict[int, int]:
 MAX_TAU_NORM = 10**12
 
 
-def factor_principal_ideal(K: QuadField, tau) -> IdealFactorization:
-    """Factor the principal ideal tau*O_K into prime ideals.
+def factorable_tau(K: QuadField, tau) -> FieldElement:
+    """tau as an element of K, if factor_principal_ideal takes it: a totally
+    positive algebraic integer with |N(tau)| <= MAX_TAU_NORM.
 
-    tau must be a totally positive algebraic integer with |N(tau)| <=
-    MAX_TAU_NORM.  The result is verified against |N(tau)| before being
-    returned.
+    The commands call it before any work that does not need tau.
     """
     el = as_element(K, tau)
     if not el.is_integral():
@@ -750,6 +756,17 @@ def factor_principal_ideal(K: QuadField, tau) -> IdealFactorization:
     n = int(abs(el.norm()))
     if n > MAX_TAU_NORM:
         raise ValidationError(f"|N({el})| = {n} exceeds {MAX_TAU_NORM}, too large to factor")
+    return el
+
+
+def factor_principal_ideal(K: QuadField, tau) -> IdealFactorization:
+    """Factor the principal ideal tau*O_K into prime ideals.
+
+    tau must pass factorable_tau.  The result is verified against |N(tau)|
+    before being returned.
+    """
+    el = factorable_tau(K, tau)
+    n = int(abs(el.norm()))
     pairs: list[tuple[PrimeIdeal, int]] = []
     if K.is_rational:
         for p, e in _factor_int(n).items():

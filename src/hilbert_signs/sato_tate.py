@@ -11,6 +11,13 @@ an inverse-CDF sampler driven by the counter-based Philox generator
 (reproducible and splittable by sample index), and a synthetic
 eigenvalue-series builder that feeds the sign pipeline end to end.
 
+The pipeline runs _LANES draws at a time: the builder samples, rounds and
+nudges each chunk into its one int64 column, and the KS distance sorts
+once and takes D+ and D- per chunk.  So Philox, the inverse CDF, the
+rounding and the KS differences never hold an array as long as the prime
+table; the column and the sorted sample are the only ones.  Draw i is the
+same bits in any chunk, because Philox is counter-based.
+
 The Philox4x64-10 stream is computed here in uint64 numpy lanes.  Its
 uniforms are the bits numpy's Generator(Philox(key=seed)).random(n) gives,
 and numpy.random, whose import loads OpenSSL through secrets and hashlib
@@ -87,11 +94,12 @@ def ks_statistic(samples, coefficient: float = 1.63) -> KsReport:
     n = s.size
     if n == 0:
         raise EmptySample("KS statistic of an empty sample")
-    F = _cdf_vec(s)
-    i = np.arange(1, n + 1, dtype=np.float64)
-    d_plus = float(np.max(i / n - F))
-    d_minus = float(np.max(F - (i - 1.0) / n))
-    stat = max(d_plus, d_minus)
+    d = np.full(2, -np.inf)  # D+ and D-, taken _LANES sorted draws at a time
+    for lo in range(0, n, _LANES):
+        F = _cdf_vec(s[lo : lo + _LANES])
+        i = np.arange(lo + 1, lo + len(F) + 1, dtype=np.float64)
+        np.maximum(d, (np.max(i / n - F), np.max(F - (i - 1.0) / n)), out=d)
+    stat = float(d.max())
     threshold = coefficient / math.sqrt(n)
     return KsReport(n=n, statistic=stat, threshold=threshold, passed=stat <= threshold)
 
@@ -218,17 +226,19 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m * x, m1 * x1 + (t >> 32) + (u >> 32)
 
 
-def _philox_uniforms(n: int, seed: int) -> np.ndarray:
-    """numpy's Generator(Philox(key=seed)).random(n), bit for bit, without numpy.random.
+def _philox_uniforms(n: int, seed: int, start: int = 0) -> np.ndarray:
+    """numpy's Generator(Philox(key=seed)).random(start + n)[start:], bit for bit,
+    without numpy.random.
 
     Philox4x64-10 (Salmon et al., SC 2011) in uint64 lanes: the key is the
     low and high word of seed, block b encrypts the counter (b + 1, 0, 0, 0)
     and yields its four words in order, and each word x is the double
-    (x >> 11) 2^-53.
+    (x >> 11) 2^-53.  Only the blocks that hold draws start to start + n - 1
+    are encrypted, so a stream read in consecutive pieces is the same bits.
     """
     if not 0 <= seed < 2**128:
         raise ValueError(f"seed must be in [0, 2^128), got {seed}")
-    c0 = np.arange(1, -(-n // 4) + 1, dtype=np.uint64)
+    c0 = np.arange(start // 4 + 1, -(-(start + n) // 4) + 1, dtype=np.uint64)
     c1 = c2 = c3 = np.zeros_like(c0)
     for r in range(10):
         k0 = np.uint64((seed + r * _PHILOX_W[0]) % 2**64)
@@ -236,20 +246,20 @@ def _philox_uniforms(n: int, seed: int) -> np.ndarray:
         lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
         lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack([c0, c1, c2, c3], axis=1).ravel()[:n]
+    words = np.stack([c0, c1, c2, c3], axis=1).ravel()[start % 4 : start % 4 + n]
     return (words >> 11).astype(np.float64) * 2.0**-53
 
 
-def sample_semicircle(n: int, seed: int) -> np.ndarray:
-    """n deterministic semicircle draws for this seed.
+def sample_semicircle(n: int, seed: int, start: int = 0) -> np.ndarray:
+    """Draws start to start + n - 1 of the deterministic semicircle sequence for this seed.
 
     The uniforms come from the counter-based Philox stream keyed by seed,
-    so draw i depends only on (seed, i) and a longer run extends a
-    shorter one.
+    so draw i depends only on (seed, i): a longer run extends a shorter
+    one, and a run read in pieces is the same bits.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return semicircle_ppf(_philox_uniforms(n, seed))
+    return semicircle_ppf(_philox_uniforms(n, seed, start))
 
 
 # ----------------------------------------------------------------------
@@ -267,23 +277,29 @@ def synth_eigen_series(K: QuadField, X: int, k0: int, seed: int) -> EigenvalueSe
     Coefficients c(P) = 2 B(P) N(P)^{-1/2} are rounded to the grid
     1/QUANT_DEN, then nudged toward zero one grid step at a time if
     rounding pushed them over the Hasse bound; the grid integers and
-    QUANT_DEN are the series' num and den columns.
+    QUANT_DEN are the series' num and den columns.  The draws are sampled,
+    rounded and nudged _LANES primes at a time, straight into the num
+    column, and den is one QUANT_DEN read as a column.
     """
     T = _prime_table(K, X)
-    coords = sample_semicircle(len(T.norm), seed)
-    # round(2.0 * b / math.sqrt(N) * QUANT_DEN), step for step; rint is half-even
-    qf = np.rint(2.0 * coords / np.sqrt(T.norm.astype(np.float64)) * QUANT_DEN)
-    qs = qf.astype(np.int64)
+    qs = np.empty(len(T.norm), dtype=np.int64)
     bound = 4 * QUANT_DEN * QUANT_DEN
-    # the float q^2 N is within a factor 1 +- 2^-52 of the exact one, so every
-    # lane over the bound is among these, where Python ints decide
-    for i in np.flatnonzero(qf * qf * T.norm > bound * (1 - 2.0**-40)).tolist():
-        q, N = int(qs[i]), int(T.norm[i])
-        while q * q * N > bound:  # c^2 N > 4 with c = q / QUANT_DEN
-            q -= 1 if q > 0 else -1
-        qs[i] = q
+    for lo in range(0, len(qs), _LANES):
+        N = T.norm[lo : lo + _LANES]
+        coords = sample_semicircle(len(N), seed, lo)
+        # round(2.0 * b / math.sqrt(N) * QUANT_DEN), step for step; rint is half-even
+        qf = np.rint(2.0 * coords / np.sqrt(N.astype(np.float64)) * QUANT_DEN)
+        out = qs[lo : lo + len(N)]
+        out[:] = qf
+        # the float q^2 N is within a factor 1 +- 2^-52 of the exact one, so every
+        # lane over the bound is among these, where Python ints decide
+        for i in np.flatnonzero(qf * qf * N > bound * (1 - 2.0**-40)).tolist():
+            q, n = int(out[i]), int(N[i])
+            while q * q * n > bound:  # c^2 N > 4 with c = q / QUANT_DEN
+                q -= 1 if q > 0 else -1
+            out[i] = q
     name = f"synthetic-d{K.d}-X{X}-k{k0}-s{seed}"
-    return EigenvalueSeries(K, (k0,), name, X, qs, np.full(len(qs), QUANT_DEN))
+    return EigenvalueSeries(K, (k0,), name, X, qs, np.broadcast_to(np.int64(QUANT_DEN), len(qs)))
 
 
 # ----------------------------------------------------------------------

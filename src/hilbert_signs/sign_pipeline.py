@@ -10,9 +10,11 @@ and its sign is decided exactly, in integers; floats appear only
 in the Sato-Tate coordinate B(P) = c(P) sqrt(N(P)) / 2 used for
 distribution statistics, never in sign decisions.
 
-The Hasse bound is checked once, as a series' integer columns are built.
-The survey slices them and decides its primes a chunk of numpy lanes at a
-time, by one expression per chunk:
+The pipeline runs a chunk of _LANES numpy lanes at a time.  The Hasse
+bound is checked once, as a series' integer columns are built, each chunk
+written into preallocated columns.  The survey slices those columns, the
+character and the norms per chunk of good primes, never copying one
+whole, and decides a chunk by one expression:
 the sign of c_num N - chi c_den, and B(P) = (c_num N / c_den) / (2 sqrt(N)).
 A chunk runs in int64 when every |c_num| N and c_den in it is at most
 2^53, where the difference is exact in int64 and both terms are exact
@@ -89,12 +91,13 @@ def _hasse_columns(label: str, name, norm, num, den) -> tuple[np.ndarray, np.nda
     int64 and checked in floats, whose num^2 N and 4 den^2 are within a
     factor 1 +- 2^-50 of the exact ones; Python ints decide the rows the
     floats put within 2^-40 of the bound, and reduce and check the others.
-    The columns come back read-only: int64 where _lanes allows, else Python
-    ints.
+    Each chunk is written into its rows of two preallocated columns.  They
+    come back read-only: int64 where _lanes allows, else Python ints, to
+    which a column moves once, at the first chunk that needs them.
     """
     if not isinstance(norm, np.ndarray):
         norm = np.array(norm, dtype=object)
-    cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    cols = [np.empty(len(norm), dtype=np.int64) for _ in range(2)]
     for lo in range(0, len(norm), _LANES):
         N, a, b = (c[lo : lo + _LANES] for c in (norm, num, den))
         if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.dtype == b.dtype == np.int64):
@@ -115,12 +118,13 @@ def _hasse_columns(label: str, name, norm, num, den) -> tuple[np.ndarray, np.nda
             i = over.min()
             P, c = name(lo + i), Fraction(int(x[i]), int(y[i]))
             raise HasseBoundViolated(f"{label}: |c({P})| = |{c}| exceeds 2/sqrt({P.norm})")
-        for col, c in zip(cols, (x, y)):
-            col.append(c)
-    cols = tuple(map(np.concatenate, cols))
+        for k, c in enumerate((x, y)):
+            if c.dtype == object and cols[k].dtype != object:
+                cols[k] = cols[k].astype(object)
+            cols[k][lo : lo + len(N)] = c
     for c in cols:
         c.flags.writeable = False
-    return cols
+    return tuple(cols)
 
 
 def _even_weights(weight) -> tuple:
@@ -169,26 +173,34 @@ class EigenvalueSeries:
 
 
 def _sign_lanes(num: np.ndarray, den: np.ndarray, chi: np.ndarray, norms: np.ndarray):
-    """sign(c - chi/N) and B = c sqrt(N) / 2 at every lane, as int8 and float64.
+    """sign(c - chi/N) and B = c sqrt(N) / 2 at every good lane (chi != 0), as int8 and float64.
 
-    With t = c_num N, each chunk of _LANES lanes takes sign(t - chi c_den)
-    and (t / c_den) / (2 sqrt(N)) in one dtype: int64 if every |t| and
-    c_den in it is at most 2^53, else Python ints.  An int64 column forms t
-    in int64 when the chunk's max |c_num| times its max N is below 2^63.
-    Float division of exact floats and Python int true division are both
-    correctly rounded, so B is the same bits on either dtype.
+    The good lanes are taken _LANES at a time, each chunk sliced from the
+    rows that hold it less their bad rows, so no column is copied whole.
+    With t = c_num N, a chunk takes sign(t - chi c_den) and (t / c_den) /
+    (2 sqrt(N)) in one dtype: int64 if every |t| and c_den in it is at most
+    2^53, else Python ints.  An int64 column forms t in int64 when the
+    chunk's max |c_num| times its max N is below 2^63.  Float division of
+    exact floats and Python int true division are both correctly rounded,
+    so B is the same bits on either dtype.
     """
-    signs = np.empty(len(num), dtype=np.int8)
-    coords = np.empty(len(num), dtype=np.float64)
-    for lo in range(0, len(num), _LANES):
-        N, d, c = norms[lo : lo + _LANES], den[lo : lo + _LANES], num[lo : lo + _LANES]
+    bad = np.flatnonzero(chi == 0)
+    before = bad - np.arange(len(bad))  # the good lanes before each bad row
+    signs = np.empty(len(chi) - len(bad), dtype=np.int8)
+    coords = np.empty(len(signs), dtype=np.float64)
+    for lo in range(0, len(signs), _LANES):
+        hi = min(lo + _LANES, len(signs))
+        # good lane g sits at row g plus the bad rows before it, so rows r0:r1 hold lanes lo:hi
+        r0, r1 = np.searchsorted(before, [lo, hi], side="right") + [lo, hi]
+        good = chi[r0:r1] != 0
+        N, d, c, x = (col[r0:r1][good] for col in (norms, den, num, chi))
         if c.dtype != object and _absmax(c) * _absmax(N) >= 2**63:
             c = c.astype(object)  # some c_num N could pass int64
         t = c * N
         lanes = _lanes(max(_absmax(t), _absmax(d)), 2**53)
         t, d = t.astype(lanes), d.astype(lanes)
-        signs[lo : lo + len(N)] = np.sign(t - chi[lo : lo + _LANES] * d)
-        coords[lo : lo + len(N)] = t / d / (2.0 * np.sqrt(N.astype(np.float64)))
+        signs[lo:hi] = np.sign(t - x * d)
+        coords[lo:hi] = t / d / (2.0 * np.sqrt(N.astype(np.float64)))
     return signs, coords
 
 
@@ -216,7 +228,8 @@ class SignSurvey:
 
     Built once, then queried at any cutoff <= x.  Signs are decided
     exactly at construction time; the survey keeps the signs and the
-    coordinates of the good primes, not their coefficients.
+    coordinates of the good primes and the rows of the few bad ones, not
+    the coefficients.
     """
 
     def __init__(self, E: EigenvalueSeries, tau, psi=None, *, x: int):
@@ -228,24 +241,23 @@ class SignSurvey:
         self.a_ideal = squarefree_decompose(self.chi.tau_ideal).a
         T = _prime_table(E.field, self.x)
         chi = self.chi.values_upto(self.x)
-        good = chi != 0
         # a cutoff below E.x reads a prefix of the columns; past E.x no row is held
         n = min(len(T.norm), len(E.den))
-        gaps = good & np.pad(E.den[:n] == 0, (0, len(good) - n), constant_values=True)
-        if gaps.any():
-            P = _prime_ideals(E.field, T, [gaps.argmax()])[0]
+        empty = np.flatnonzero(E.den[:n] == 0)
+        gaps = np.concatenate([empty[chi[empty] != 0], n + np.flatnonzero(chi[n:])])
+        if gaps.size:
+            P = _prime_ideals(E.field, T, [gaps.min()])[0]
             raise MissingPrime(f"{E.label}: no coefficient at good prime {P}")
         self.all_norms = T.norm
-        self.good_norms = T.norm[good]
-        num, den = E.num[:n][good[:n]], E.den[:n][good[:n]]
-        self.signs, self.coords = _sign_lanes(num, den, chi[good], self.good_norms)
+        self.bad_rows = np.flatnonzero(chi == 0)
+        self.signs, self.coords = _sign_lanes(E.num[:n], E.den[:n], chi[:n], T.norm[:n])
 
     def tally(self, x: int | None = None) -> SignTally:
         x = self.x if x is None else int(x)
         if x > self.x:
             raise ValueError(f"survey only extends to {self.x}, asked for {x}")
         total = int(np.searchsorted(self.all_norms, x, side="right"))
-        ngood = int(np.searchsorted(self.good_norms, x, side="right"))
+        ngood = total - int(np.searchsorted(self.bad_rows, total))
         s = self.signs[:ngood]
         pos = int(np.count_nonzero(s > 0))
         neg = int(np.count_nonzero(s < 0))

@@ -39,6 +39,8 @@ reference for the gate's int64 rows, float prefilter and Python-int rows.
 semicircle_ppf_halving is the sampler's definition, 64 halvings of
 [-1, 1] with every lane evaluated at every halving: the reference for the
 sampler, which skips the halvings a certified window decides.
+ks_statistic_whole is the KS distance taken over the whole sorted sample
+at once, the reference for the library's per-chunk D+ and D-.
 
 series_to_obj, series_from_obj_by_entry and load_psi_table_by_entry are
 the document code that eigen_io's column reader and row-template writer
@@ -115,6 +117,15 @@ def semicircle_ppf_halving(u):
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def ks_statistic_whole(samples):
+    """max(D+, D-) of samples against the semicircle CDF, over the whole sorted array at once."""
+    s = np.sort(np.asarray(samples, dtype=np.float64))
+    n = s.size
+    F = _cdf_vec(s)
+    i = np.arange(1, n + 1, dtype=np.float64)
+    return max(float(np.max(i / n - F)), float(np.max(F - (i - 1.0) / n)))
 
 
 def identity(K, X):

@@ -25,6 +25,7 @@ from hilbert_signs.field_arith import (
     _prime_table,
     make_field,
 )
+from hilbert_signs.sato_tate import synth_eigen_series
 from hilbert_signs.sign_pipeline import SignSurvey
 
 
@@ -583,10 +584,41 @@ def test_a_bad_tau_exits_2_before_the_curve_is_computed(capsys, tmp_path, comman
     assert not cache.exists() or not any(cache.iterdir())
 
 
+@pytest.mark.parametrize("command", ["signs", "stats"])
+@pytest.mark.parametrize("tau, message", [
+    ("0", "0 is not totally positive"),  # curve series are over Q
+    ("-3", "-3 is not totally positive"),
+    ("5/2", "5/2 is not an algebraic integer of Q"),
+    (str(10**12 + 1), f"|N({10**12 + 1})| = {10**12 + 1} exceeds 1000000000000, too large to factor"),
+])
+def test_a_tau_that_parses_but_cannot_be_factored_exits_2_before_the_curve_is_computed(
+    capsys, tmp_path, command, tau, message
+):
+    cache = tmp_path / "cache"
+    argv = [command, "--curve", "37a", "--x", "1000", "--cache-dir", str(cache), f"--tau={tau}"]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert not cache.exists() or not any(cache.iterdir())
+
+
+def test_a_fixture_run_checks_tau_in_its_own_field_after_reading_it(capsys, tmp_path):
+    # 1 + sqrt(5) has norm -4 in the fixture's Q(sqrt(5)); over Q it would fold to 2
+    doc = tmp_path / "d5.json"
+    save_fixture(synth_eigen_series(make_field(5), 100, 2, 0), doc)
+    argv = ["signs", "--fixture", str(doc), "--x", "100", "--tau", "1", "--tau-b", "1"]
+    assert run(capsys, *argv) == (2, "", "error: 1+1*sqrt(5) is not totally positive\n")
+    # the document is read first, so its own error is the one reported
+    code, _, err = run(capsys, "signs", "--fixture", str(tmp_path / "absent.json"), "--x", "100", "--tau=0")
+    assert code == 2 and "totally positive" not in err
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--k0", "3"], "weights must be even integers >= 2, got (3,)"),
     (["--tau", "1/0"], "--tau must be a rational such as 3 or 7/2, got '1/0'"),
     (["--tau-b", "x"], "--tau-b must be a rational such as 3 or 7/2, got 'x'"),
+    (["--tau=-1"], "-1 is not totally positive"),
+    (["--tau", "4", "--tau-b", "2"], "4+2*sqrt(5) is not totally positive"),
+    (["--tau", "1/2"], "1/2 is not an algebraic integer of Q(sqrt(5))"),
+    (["--tau", str(10**6 + 1)], f"|N({10**6 + 1})| = {(10**6 + 1) ** 2} exceeds 1000000000000, too large to factor"),
 ])
 def test_simulate_checks_its_flags_before_building_a_prime_table(capsys, monkeypatch, flags, message):
     def no_table(K, x):

@@ -56,6 +56,16 @@ def naive_primes(n):
     return out
 
 
+def plain_sieve(n):
+    """Primes <= n from a sieve over every integer up to n."""
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)
+
+
 def naive_legendre(a, p):
     a %= p
     if a == 0:
@@ -382,6 +392,9 @@ def test_count_agrees_with_enumeration(d, X):
 def test_primes_upto_matches_naive():
     assert list(primes_upto(1000)) == naive_primes(1000)
     assert list(primes_upto(1)) == []
+    for n in [*range(2001), 10**6]:  # the odd-only sieve, at every end it can stop on
+        got = primes_upto(n)
+        assert got.dtype == np.int64 and got.tolist() == plain_sieve(n).tolist(), n
 
 
 def test_is_prime_matches_naive():

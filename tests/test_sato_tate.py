@@ -1,17 +1,18 @@
 """Semicircle law: masses, KS distance, the seeded sampler, synthetic data."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import enumerate_prime_ideals, quadrature_mass, semicircle_ppf_halving
+from oracles import enumerate_prime_ideals, ks_statistic_whole, quadrature_mass, semicircle_ppf_halving
 
 from hilbert_signs import sato_tate
 from hilbert_signs.errors import EmptySample
-from hilbert_signs.field_arith import _LANES, make_field
+from hilbert_signs.field_arith import _LANES, _prime_table, make_field
 from hilbert_signs.sato_tate import (
     HIST_BINS,
     HIST_CSV_HEADER,
@@ -26,6 +27,7 @@ from hilbert_signs.sato_tate import (
     semicircle_ppf,
     synth_eigen_series,
 )
+from hilbert_signs.sign_pipeline import SignSurvey
 
 # ----------------------------------------------------------------------
 # masses and the distribution function
@@ -121,6 +123,13 @@ def test_ks_seeded_semicircle_passes():
     assert r.passed and r.statistic < 0.004
 
 
+@pytest.mark.parametrize("n", [1, _LANES - 1, _LANES, _LANES + 1, 78_508])
+def test_ks_per_chunk_is_the_whole_array_formula(n):
+    # the semicircle draws, and a sample far from it whose D+ or D- peaks in a late chunk
+    for s in (sample_semicircle(n, n), 1.0 - 2.0 * philox(n, n) ** 3, 2.0 * philox(n + 1, n) ** 3 - 1.0):
+        assert ks_statistic(s).statistic.hex() == ks_statistic_whole(s).hex()
+
+
 def test_ks_uniform_fails():
     rng = np.random.Generator(np.random.Philox(key=99))
     r = ks_statistic(rng.uniform(-1.0, 1.0, 100_000))
@@ -170,6 +179,18 @@ def test_philox_lanes_are_numpys_bits(seed, n):
     assert sato_tate._philox_uniforms(n, seed).tobytes() == philox(seed, n).tobytes()
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 + 5])
+def test_philox_read_in_pieces_is_the_one_shot_stream(seed):
+    # pieces that start and end inside a block of four draws, and across chunks
+    cuts = [0, 1, 3, 4, 9, 14, _LANES - 2, _LANES + 3, 3 * _LANES + 1, 3 * _LANES + 7]
+    whole = sato_tate._philox_uniforms(cuts[-1], seed)
+    pieces = [sato_tate._philox_uniforms(b - a, seed, a) for a, b in zip(cuts, cuts[1:])]
+    assert np.concatenate(pieces).tobytes() == whole.tobytes() == philox(seed, cuts[-1]).tobytes()
+    for start in (1, 2, 3, 5, _LANES + 3):
+        assert sato_tate._philox_uniforms(0, seed, start).size == 0
+        assert sato_tate._philox_uniforms(2, seed, start).tobytes() == whole[start : start + 2].tobytes()
+
+
 @pytest.mark.parametrize("seed", [-1, 2**128, -(2**127)])
 def test_seed_outside_the_philox_key_range_raises(seed):
     with pytest.raises(ValueError, match="seed must be in"):
@@ -207,6 +228,7 @@ def test_sampler_chunks_and_prefixes(n):
     full = sample_semicircle(n + 5, 3)
     assert full.tobytes() == semicircle_ppf_halving(philox(3, n + 5)).tobytes()
     assert sample_semicircle(n, 3).tobytes() == full[:n].tobytes()
+    assert sample_semicircle(5, 3, n).tobytes() == full[n:].tobytes()
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="np.longdouble is float64 here")
@@ -275,7 +297,7 @@ def test_synth_series_rounds_half_to_even_and_nudges_in_ints(monkeypatch, field5
         (k + 0.5) / QUANT_DEN * math.sqrt(P.norm) / 2.0 if i % 3 else (-1.0) ** i
         for i, (k, P) in enumerate(zip(range(-300, 10**9), primes))
     ])
-    monkeypatch.setattr(sato_tate, "sample_semicircle", lambda n, seed: coords[:n])
+    monkeypatch.setattr(sato_tate, "sample_semicircle", lambda n, seed, start: coords[start : start + n])
     E = synth_eigen_series(field5, 5000, 2, 0)
     assert E.entries == scalar_synth_entries(field5, 5000, 0, coords)
 
@@ -286,6 +308,22 @@ def test_synth_series_hands_int64_columns_to_the_gate(monkeypatch, field5):
     synth_eigen_series(field5, 3000, 2, 11)
     (num, den), = seen
     assert num.dtype == den.dtype == np.int64 and np.all(den == QUANT_DEN)
+
+
+def test_simulate_stages_hold_little_past_the_columns_they_return(field5):
+    # what simulate runs at d = 5, X = 10^6 (78,510 primes), with the prime table
+    # built first: the stages stream in chunks, so their peak is their columns
+    T = _prime_table(field5, 10**6)
+    tracemalloc.start()
+    try:
+        E = synth_eigen_series(field5, 10**6, 2, 3)
+        survey = SignSurvey(E, 1, x=10**6)
+        assert ks_statistic(survey.coords).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = [v for obj in (E, survey) for v in vars(obj).values() if isinstance(v, np.ndarray)]
+    assert peak - sum(v.nbytes for v in held if v is not T.norm) <= 1.5e6
 
 
 def test_synth_series_deterministic(field5):
@@ -304,7 +342,7 @@ def test_synth_series_higher_weight():
 def test_synth_series_nudge_steps_one_grid_point(monkeypatch):
     # B = 1 puts every coefficient on the bound 2/sqrt(N); where rounding to
     # the grid overshoots, the nudge must step back one grid point only
-    monkeypatch.setattr(sato_tate, "sample_semicircle", lambda n, seed: np.ones(n))
+    monkeypatch.setattr(sato_tate, "sample_semicircle", lambda n, seed, start: np.ones(n))
     Q = make_field(1)
     E = synth_eigen_series(Q, 2000, 2, 0)
     assert len(E.entries) == 303
