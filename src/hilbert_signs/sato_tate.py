@@ -14,9 +14,9 @@ eigenvalue-series builder that feeds the sign pipeline end to end.
 The pipeline runs _LANES draws at a time: the builder samples, rounds and
 nudges each chunk into its one int64 column, and the KS distance sorts
 once and takes D+ and D- per chunk.  So Philox, the inverse CDF, the
-rounding and the KS differences never hold an array as long as the prime
-table; the column and the sorted sample are the only ones.  Draw i is the
-same bits in any chunk, because Philox is counter-based.
+rounding and the KS differences hold no array as long as the prime table:
+only the columns a stage returns and the KS sort are that long.  Draw i is
+the same bits in any chunk, because Philox is counter-based.
 
 The Philox4x64-10 stream is computed here in uint64 numpy lanes.  Its
 uniforms are the bits numpy's Generator(Philox(key=seed)).random(n) gives,
