@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FieldMismatch, ValidationError
+from .errors import HilbertSignsError
 from .field_arith import (
     FieldElement,
     IdealFactorization,
@@ -81,9 +81,9 @@ class IdealCharacter:
         psi = dict(psi_table or {})
         for P, v in psi.items():
             if P.field != K:
-                raise FieldMismatch(f"psi table prime {P} is not a prime of {K}")
+                raise ValueError(f"psi table prime {P} is not a prime of {K}")
             if v not in (-1, 1):
-                raise ValidationError(f"psi value at {P} must be +-1, got {v}")
+                raise HilbertSignsError(f"psi value at {P} must be +-1, got {v}")
         bad: set[PrimeIdeal] = set()
         for p in sorted({2, *level_support, *_factor_int(K.disc)}):
             bad.update(split_rational_prime(K, p))

@@ -26,7 +26,7 @@ import numpy as np
 from . import eigen_io, sato_tate
 from .characters import IdealCharacter
 from .curves import get_curve
-from .errors import HilbertSignsError, ValidationError
+from .errors import HilbertSignsError
 from .field_arith import _DEGREE_OF, _KINDS, _ideal_table, _prime_table, factorable_tau, make_field
 from .formal_series import (
     FormalSeries,
@@ -105,13 +105,13 @@ def _rational(flag: str, text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"{flag} must be a rational such as 3 or 7/2, got {text!r}") from None
+        raise HilbertSignsError(f"{flag} must be a rational such as 3 or 7/2, got {text!r}") from None
 
 
 def _threshold_coefficient(args) -> float:
     c = args.threshold_coefficient
     if not 0 < c < math.inf:
-        raise ValidationError(f"--threshold-coefficient must be finite and > 0, got {c}")
+        raise HilbertSignsError(f"--threshold-coefficient must be finite and > 0, got {c}")
     return c
 
 
@@ -120,17 +120,27 @@ def _tau_element(args):
 
 
 def _load_series(args, tau):
-    """Resolve the --curve/--fixture source flags into a series.
+    """Resolve the --curve/--fixture source flags into the series and its psi table.
 
-    A curve's series is over Q, so tau is checked there before the series
-    is computed or read; a fixture names its field, so its tau is checked
-    by the survey.
+    A curve's series is over Q, so tau, --d and --psi-file are checked
+    there before the series is computed or read.  A fixture names its
+    field, so they are checked after the document is read, tau by the
+    survey.
     """
     if args.curve:
         curve = get_curve(args.curve)
-        factorable_tau(make_field(1), tau)
-        return eigen_io.cached_curve_series(curve, args.x, args.cache_dir)
-    return eigen_io.load_fixture(args.fixture, args.x)
+        K = make_field(1)
+        factorable_tau(K, tau)
+    else:
+        series = eigen_io.load_fixture(args.fixture, args.x)
+        K = series.field
+    d = getattr(args, "d", None)  # stats has no --d
+    if d is not None and K.d != d:
+        raise HilbertSignsError(f"series is over d={K.d}, but --d {d} was given")
+    psi = eigen_io.load_psi_table(K, args.psi_file, args.x) if args.psi_file else None
+    if args.curve:
+        series = eigen_io.cached_curve_series(curve, args.x, args.cache_dir)
+    return series, psi
 
 
 def _add_source_flags(sp):
@@ -168,11 +178,7 @@ def cmd_char(args) -> int:
 
 def cmd_signs(args) -> int:
     tau = _tau_element(args)
-    series = _load_series(args, tau)
-    K = series.field
-    if args.d is not None and K.d != args.d:
-        raise ValidationError(f"series is over d={K.d}, but --d {args.d} was given")
-    psi = eigen_io.load_psi_table(K, args.psi_file, args.x) if args.psi_file else None
+    series, psi = _load_series(args, tau)
     t = SignSurvey(series, tau, psi=psi, x=args.x).tally()
     row = (t.x, t.total, t.pos, t.neg, t.zero, density_string(t.pos, t.total))
     _emit_table(args, TALLY_CSV_HEADER, [row], _tally_obj(t))
@@ -182,9 +188,7 @@ def cmd_signs(args) -> int:
 def cmd_stats(args) -> int:
     coefficient = _threshold_coefficient(args)
     tau = _tau_element(args)
-    series = _load_series(args, tau)
-    K = series.field
-    psi = eigen_io.load_psi_table(K, args.psi_file, args.x) if args.psi_file else None
+    series, psi = _load_series(args, tau)
     survey = SignSurvey(series, tau, psi=psi, x=args.x)
     report = sato_tate.ks_statistic(survey.coords, coefficient=coefficient)
     if args.hist_out:
@@ -205,7 +209,7 @@ def cmd_stats(args) -> int:
 
 def cmd_simulate(args) -> int:
     if not 0 <= args.seed < 2**128:  # the key range of the Philox sampler
-        raise ValidationError(f"--seed must be in [0, 2^128), got {args.seed}")
+        raise HilbertSignsError(f"--seed must be in [0, 2^128), got {args.seed}")
     coefficient = _threshold_coefficient(args)
     K = make_field(args.d)
     _even_weights((args.k0,))
@@ -255,11 +259,11 @@ def _randbelow(bits, n: int) -> int:
 def cmd_series_check(args) -> int:
     """Round-trip the Euler-product identity on random series; exit 0 iff exact."""
     if args.x > SERIES_CHECK_MAX_X:
-        raise ValidationError(f"series-check --x must be <= {SERIES_CHECK_MAX_X}, got {args.x}")
+        raise HilbertSignsError(f"series-check --x must be <= {SERIES_CHECK_MAX_X}, got {args.x}")
     if not 1 <= args.count <= SERIES_CHECK_MAX_COUNT:
-        raise ValidationError(f"--count must be in [1, {SERIES_CHECK_MAX_COUNT}], got {args.count}")
+        raise HilbertSignsError(f"--count must be in [1, {SERIES_CHECK_MAX_COUNT}], got {args.count}")
     if args.seed < 0:  # random.Random seeds from abs(seed), so -7 would rerun 7
-        raise ValidationError(f"series-check --seed must be >= 0, got {args.seed}")
+        raise HilbertSignsError(f"series-check --seed must be >= 0, got {args.seed}")
     K = make_field(args.d)
     rng = random.Random(args.seed)
     draw, bits = rng.random, rng.getrandbits
@@ -371,7 +375,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if not 1 <= args.x <= MAX_X:
-            raise ValidationError(f"--x must be in [1, {MAX_X}], got {args.x}")
+            raise HilbertSignsError(f"--x must be in [1, {MAX_X}], got {args.x}")
         return args.func(args)
     except HilbertSignsError as e:
         print(f"error: {e}", file=sys.stderr)

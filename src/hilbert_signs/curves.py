@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadReduction, ValidationError
+from .errors import HilbertSignsError
 from .field_arith import _LANES, _factor_int, _mod_lanes, _pow_lanes, _prime_table, make_field
 from .sign_pipeline import EigenvalueSeries
 
@@ -57,7 +57,7 @@ class CurveSpec:
 
     def __post_init__(self):
         if self.discriminant() == 0:
-            raise ValidationError(f"{self.label}: singular model (discriminant 0)")
+            raise HilbertSignsError(f"{self.label}: singular model (discriminant 0)")
 
 
 # Small registry of desk-scale test curves (Cremona labels).
@@ -77,15 +77,13 @@ def get_curve(label: str) -> CurveSpec:
     try:
         return CURVE_REGISTRY[label]
     except KeyError:
-        raise ValidationError(
-            f"unknown curve {label!r}; registry has {sorted(CURVE_REGISTRY)}"
-        ) from None
+        raise HilbertSignsError(f"unknown curve {label!r}; registry has {sorted(CURVE_REGISTRY)}") from None
 
 
 def ap_naive(E: CurveSpec, p: int) -> int:
     """Trace by direct enumeration of all (x, y) in F_p^2: the route at p = 2."""
     if E.discriminant() % p == 0:
-        raise BadReduction(f"{E.label} has bad reduction at {p}")
+        raise ValueError(f"{E.label} has bad reduction at {p}")
     count = 1  # point at infinity
     for x in range(p):
         rhs = (x * x * x + E.a2 * x * x + E.a4 * x + E.a6) % p
@@ -104,7 +102,7 @@ def ap_symbol_sum(E: CurveSpec, p: int) -> int:
     if p == 2:
         raise ValueError("symbol sum needs odd p; use ap_naive at 2")
     if E.discriminant() % p == 0:
-        raise BadReduction(f"{E.label} has bad reduction at {p}")
+        raise ValueError(f"{E.label} has bad reduction at {p}")
     b2, b4, b6, _ = E.b_invariants()
     x = np.arange(p, dtype=np.int64)
     g = (4 * x + b2 % p) % p

@@ -19,7 +19,7 @@ schema is JSON:
 Every document passes one JSON reader.  Its entries are read as columns,
 one per field, under one integer rule checked per column (a numeric
 field must be a JSON integer: booleans, floats and numeric strings are
-ParseError, never coerced), and its name columns (norm, p, root_label)
+refused, never coerced), and its name columns (norm, p, root_label)
 go to rows of the run's prime table in one lookup, then _resolve for any
 name no row has.  Level-support entries and rational primes must be
 primes below 2^64, and a prime named twice must carry the same value
@@ -53,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from .curves import CurveSpec, series_from_curve
-from .errors import HilbertSignsError, ParseError, ValidationError
+from .errors import HilbertSignsError
 from .field_arith import (
     PrimeIdeal, QuadField, _is_prime, _prime_ideals, _prime_table, make_field, split_rational_prime
 )
@@ -76,30 +76,30 @@ def _read_json(path, what: str) -> object:
     try:
         data = Path(path).read_bytes()
     except OSError as e:
-        raise ParseError(f"cannot read {what} {path}: {e}") from e
+        raise HilbertSignsError(f"cannot read {what} {path}: {e}") from e
     try:
         return json.loads(data)
     except (ValueError, RecursionError) as e:  # also bad UTF-8, huge ints, deep nesting
-        raise ParseError(f"{path}: not valid JSON ({e})") from e
+        raise HilbertSignsError(f"{path}: not valid JSON ({e})") from e
 
 
 def _header(d, weight, label, level_support) -> QuadField:
     """Check the fields EigenvalueSeries takes besides its columns; return the field."""
     if type(d) is not int:
-        raise ParseError(f"field parameter d must be a JSON integer, got {d!r}")
+        raise HilbertSignsError(f"field parameter d must be a JSON integer, got {d!r}")
     if type(weight) is not list or not weight or any(type(k) is not int for k in weight):
-        raise ParseError(f"weight must be a non-empty list of JSON integers, got {weight!r}")
+        raise HilbertSignsError(f"weight must be a non-empty list of JSON integers, got {weight!r}")
     if type(label) is not str:
-        raise ParseError(f"label must be a string, got {label!r}")
+        raise HilbertSignsError(f"label must be a string, got {label!r}")
     if type(level_support) is not list or any(type(p) is not int for p in level_support):
-        raise ParseError(f"level_support must be a list of JSON integers, got {level_support!r}")
+        raise HilbertSignsError(f"level_support must be a list of JSON integers, got {level_support!r}")
     for p in level_support:
         if not (p < PRIME_LIMIT and _is_prime(p)):
-            raise ValidationError(f"level_support entry {p} is not a prime below 2^64")
+            raise HilbertSignsError(f"level_support entry {p} is not a prime below 2^64")
     try:
         return make_field(d)
     except HilbertSignsError as e:
-        raise ValidationError(f"bad field parameter d={d}: {e}") from e
+        raise HilbertSignsError(f"bad field parameter d={d}: {e}") from e
 
 
 def _resolve(
@@ -113,16 +113,16 @@ def _resolve(
     """
     if p not in above:
         if p >= PRIME_LIMIT:
-            raise ValidationError(f"{where}: rational prime {p} is not below 2^64")
+            raise HilbertSignsError(f"{where}: rational prime {p} is not below 2^64")
         try:
             above[p] = split_rational_prime(K, p)
         except ValueError as e:
-            raise ValidationError(f"{where}: {e}") from e
+            raise HilbertSignsError(f"{where}: {e}") from e
     if not 0 <= label < len(above[p]):
-        raise ValidationError(f"{where}: no prime above {p} with root label {label} in {K}")
+        raise HilbertSignsError(f"{where}: no prime above {p} with root label {label} in {K}")
     P = above[p][label]
     if P.norm != norm:
-        raise ValidationError(f"{where}: no prime of norm {norm}, label {label} above {p} in {K}")
+        raise HilbertSignsError(f"{where}: no prime of norm {norm}, label {label} above {p} in {K}")
     return P
 
 
@@ -151,11 +151,11 @@ def _columns(rows: list, keys: tuple[str, ...], what: str, refuse) -> list[list[
         try:
             values = [row[k] for k in keys]
         except (KeyError, TypeError) as e:
-            raise ParseError(f"{what} {i}: missing field ({e!r})") from e
+            raise HilbertSignsError(f"{what} {i}: missing field ({e!r})") from e
         if not all(type(v) is int for v in values):
-            raise ParseError(f"{what} {i}: numeric fields must be JSON integers")
+            raise HilbertSignsError(f"{what} {i}: numeric fields must be JSON integers")
         if error := refuse(values[-1:]):
-            raise ValidationError(f"{what} {i}: {error}")
+            raise HilbertSignsError(f"{what} {i}: {error}")
 
 
 def _name_rows(K: QuadField, T, names, num: np.ndarray, den: np.ndarray, what: str, of: str):
@@ -180,10 +180,10 @@ def _name_rows(K: QuadField, T, names, num: np.ndarray, den: np.ndarray, what: s
         P = _resolve(K, above, names[0][i], names[1][i], names[2][i], f"{what} {i}")
         a, b = past.setdefault(P, (num[i], den[i]))
         if a * den[i] != num[i] * b:
-            raise ValidationError(f"{what} {i}: {P} named again with another {of}")
+            raise HilbertSignsError(f"{what} {i}: {P} named again with another {of}")
     if clash < len(j):
         P = _prime_ideals(K, T, [j[clash]])[0]
-        raise ValidationError(f"{what} {clash}: {P} named again with another {of}")
+        raise HilbertSignsError(f"{what} {clash}: {P} named again with another {of}")
     return j, past
 
 
@@ -204,17 +204,17 @@ def _zero_den(den: list[int]) -> str:
 
 def series_from_obj(obj, x: int) -> EigenvalueSeries:
     if not isinstance(obj, dict):
-        raise ParseError("eigen-series document must be a JSON object")
+        raise HilbertSignsError("eigen-series document must be a JSON object")
     if obj.get("format") != SCHEMA_TAG:
-        raise ParseError(f"unrecognized format tag {obj.get('format')!r}")
+        raise HilbertSignsError(f"unrecognized format tag {obj.get('format')!r}")
     for key in ("d", "weight", "label", "entries"):
         if key not in obj:
-            raise ParseError(f"eigen-series document missing field {key!r}")
+            raise HilbertSignsError(f"eigen-series document missing field {key!r}")
     level_support = obj.get("level_support", [])
     K = _header(obj["d"], obj["weight"], obj["label"], level_support)
     rows = obj["entries"]
     if type(rows) is not list:
-        raise ParseError("eigen-series entries must be a JSON list")
+        raise HilbertSignsError("eigen-series entries must be a JSON list")
     T, keys = _prime_table(K, x), ("norm", "rational_prime", "root_label", "c_num", "c_den")
     *names, num, den = _columns(rows, keys, "entry", _zero_den)
     num, den = np.array(num, dtype=object), np.array(den, dtype=object)
@@ -280,7 +280,7 @@ def load_psi_table(K: QuadField, source, x: int) -> dict[PrimeIdeal, int]:
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         source = _read_json(source, "psi table")
     if type(source) is not list:
-        raise ParseError("psi table must be a JSON list of entries")
+        raise HilbertSignsError("psi table must be a JSON list of entries")
     T, keys = _prime_table(K, x), ("prime_norm", "rational_prime", "root_label", "value")
     *names, value = _columns(source, keys, "psi entry", _not_unit)
     value = np.array(value, dtype=object)
@@ -369,7 +369,11 @@ CURVE_CACHE_VERSION = 1
 def cached_curve_series(E: CurveSpec, X: int, cache_dir=None) -> EigenvalueSeries:
     """series_from_curve with a disk cache keyed by (label, X, CURVE_CACHE_VERSION)."""
     path = cache_path(f"curve-{E.label}-X{X}-v{CURVE_CACHE_VERSION}", cache_dir)
-    if path.exists():
+    try:
+        cached = path.exists()  # raises, not False, on a stat error such as EACCES
+    except OSError as e:
+        raise HilbertSignsError(f"cannot read curve cache {path}: {e}") from e
+    if cached:
         return load_fixture(path, X)
     series = series_from_curve(E, X)
     _atomic_write(path, _Encoded(serialize_series(series)))

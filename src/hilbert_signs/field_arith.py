@@ -48,14 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    FieldMismatch,
-    NotIntegral,
-    NotSquarefree,
-    NotTotallyPositive,
-    UnsupportedField,
-    ValidationError,
-)
+from .errors import HilbertSignsError
 
 # d values for which every ideal class is trivial in the narrow sense
 # (class number one and a fundamental unit of norm -1), so square roots
@@ -92,13 +85,13 @@ def make_field(d: int) -> QuadField:
     """Construct Q (d = 1) or Q(sqrt(d)) for allowlisted d.
 
     A d off the list is refused at once, with no trial division up to
-    sqrt(d): NotSquarefree if d < 1 or the square of some m < 100 divides
-    it, UnsupportedField otherwise.
+    sqrt(d): "d must be squarefree and positive" if d < 1 or the square
+    of some m < 100 divides it, "outside the supported ... list" otherwise.
     """
     if d not in NARROW_CLASS_NUMBER_ONE:
         if d < 1 or any(d % (m * m) == 0 for m in range(2, 100)):
-            raise NotSquarefree(f"d must be squarefree and positive, got {d}")
-        raise UnsupportedField(
+            raise HilbertSignsError(f"d must be squarefree and positive, got {d}")
+        raise HilbertSignsError(
             f"d={d} is outside the supported narrow-class-number-one list "
             f"{NARROW_CLASS_NUMBER_ONE}"
         )
@@ -157,7 +150,7 @@ def as_element(K: QuadField, tau) -> FieldElement:
     """Coerce an int, Fraction, (a, b) pair, or FieldElement into K."""
     if isinstance(tau, FieldElement):
         if tau.field != K:
-            raise FieldMismatch(f"element of {tau.field} used in {K}")
+            raise ValueError(f"element of {tau.field} used in {K}")
         return tau
     if isinstance(tau, tuple):
         return element(K, *tau)
@@ -589,7 +582,7 @@ class IdealFactorization(NamedTuple):
         merged: dict[PrimeIdeal, int] = {}
         for P, e in pairs:
             if P.field != K:
-                raise FieldMismatch(f"prime of {P.field} in ideal of {K}")
+                raise ValueError(f"prime of {P.field} in ideal of {K}")
             if e:
                 merged[P] = merged.get(P, 0) + e
         if any(e < 0 for e in merged.values()):
@@ -610,7 +603,7 @@ class IdealFactorization(NamedTuple):
 
     def __mul__(self, other: "IdealFactorization") -> "IdealFactorization":
         if self.field != other.field:
-            raise FieldMismatch("cannot multiply ideals of different fields")
+            raise ValueError("cannot multiply ideals of different fields")
         merged = dict(self.factors)
         for P, e in other.factors:
             merged[P] = merged.get(P, 0) + e
@@ -750,12 +743,12 @@ def factorable_tau(K: QuadField, tau) -> FieldElement:
     """
     el = as_element(K, tau)
     if not el.is_integral():
-        raise NotIntegral(f"{el} is not an algebraic integer of {K}")
+        raise HilbertSignsError(f"{el} is not an algebraic integer of {K}")
     if not el.is_totally_positive():
-        raise NotTotallyPositive(f"{el} is not totally positive")
+        raise HilbertSignsError(f"{el} is not totally positive")
     n = int(abs(el.norm()))
     if n > MAX_TAU_NORM:
-        raise ValidationError(f"|N({el})| = {n} exceeds {MAX_TAU_NORM}, too large to factor")
+        raise HilbertSignsError(f"|N({el})| = {n} exceeds {MAX_TAU_NORM}, too large to factor")
     return el
 
 

@@ -28,7 +28,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .characters import CharacterValues, IdealCharacter
-from .errors import CutoffMismatch, FieldMismatch, NotNormalized
 from .field_arith import IdealFactorization, QuadField, _absmax, _ideal_objects, _ideal_table, _lanes
 
 
@@ -66,9 +65,9 @@ class FormalSeries:
 def series_mul(A: FormalSeries, B: FormalSeries) -> FormalSeries:
     """Cauchy product, truncated at the shared cutoff."""
     if A.field != B.field:
-        raise FieldMismatch("series over different fields")
+        raise ValueError("series over different fields")
     if A.cutoff != B.cutoff:
-        raise CutoffMismatch(f"cutoffs differ: {A.cutoff} vs {B.cutoff}")
+        raise ValueError(f"cutoffs differ: {A.cutoff} vs {B.cutoff}")
     T = A.table
     # a sum has at most T.divisors terms; the 1s keep a zero factor from hiding a big one
     lanes = _lanes(max(_absmax(A.num), 1) * max(_absmax(B.num), 1) * T.divisors)
@@ -101,7 +100,7 @@ def character_moebius_series(chi: IdealCharacter | CharacterValues, X: int) -> F
 def c_series_from_lambda(lam: FormalSeries, chi: IdealCharacter | CharacterValues) -> FormalSeries:
     """Coefficient series of the lift: lam times the inverted Euler product."""
     if lam.field != chi.field:
-        raise FieldMismatch("series and character over different fields")
+        raise ValueError("series and character over different fields")
     return series_mul(lam, character_zeta_series(chi, lam.cutoff))
 
 
@@ -116,9 +115,9 @@ def extract_prime_relation(
     exactly two terms.
     """
     if c.num[0] != c.den:  # id 0 is O_K, of norm 1
-        raise NotNormalized(f"c(O_K) = {Fraction(int(c.num[0]), c.den)} != 1")
+        raise ValueError(f"c(O_K) = {Fraction(int(c.num[0]), c.den)} != 1")
     if (lam.field, lam.cutoff, chi.field) != (c.field, c.cutoff, c.field):
-        raise FieldMismatch("c, lam and chi must share one field and one cutoff")
+        raise ValueError("c, lam and chi must share one field and one cutoff")
     chi_P = chi.values_upto(c.cutoff)
     good = np.flatnonzero(chi_P)
     ids, dc, dl = c.table.prime_id[good], c.den, lam.den

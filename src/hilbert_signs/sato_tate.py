@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySample
+from .errors import HilbertSignsError
 from .field_arith import QuadField, _LANES, _prime_table
 from .sign_pipeline import EigenvalueSeries
 
@@ -93,7 +93,7 @@ def ks_statistic(samples, coefficient: float = 1.63) -> KsReport:
     s = np.sort(np.asarray(samples, dtype=np.float64))
     n = s.size
     if n == 0:
-        raise EmptySample("KS statistic of an empty sample")
+        raise HilbertSignsError("KS statistic of an empty sample")
     d = np.full(2, -np.inf)  # D+ and D-, taken _LANES sorted draws at a time
     for lo in range(0, n, _LANES):
         F = _cdf_vec(s[lo : lo + _LANES])
@@ -314,7 +314,7 @@ def histogram_rows(samples) -> list[tuple[float, float, int, float, float]]:
     """64 equal-width bins on [-1, 1] with observed and predicted weight."""
     s = np.asarray(samples, dtype=np.float64)
     if s.size == 0:
-        raise EmptySample("histogram of an empty sample")
+        raise HilbertSignsError("histogram of an empty sample")
     edges = np.linspace(-1.0, 1.0, HIST_BINS + 1)
     counts, _ = np.histogram(s, bins=edges)
     rows = []

@@ -43,7 +43,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .characters import IdealCharacter
-from .errors import HasseBoundViolated, MissingPrime, ValidationError
+from .errors import HilbertSignsError
 from .field_arith import (
     FieldElement,
     IdealFactorization,
@@ -117,7 +117,7 @@ def _hasse_columns(label: str, name, norm, num, den) -> tuple[np.ndarray, np.nda
         if (over := check[A * A * N[check].astype(object) > 4 * B * B]).size:
             i = over.min()
             P, c = name(lo + i), Fraction(int(x[i]), int(y[i]))
-            raise HasseBoundViolated(f"{label}: |c({P})| = |{c}| exceeds 2/sqrt({P.norm})")
+            raise HilbertSignsError(f"{label}: |c({P})| = |{c}| exceeds 2/sqrt({P.norm})")
         for k, c in enumerate((x, y)):
             if c.dtype == object and cols[k].dtype != object:
                 cols[k] = cols[k].astype(object)
@@ -131,7 +131,7 @@ def _even_weights(weight) -> tuple:
     """weight as a tuple, if it is nonempty and every weight is an even integer >= 2."""
     weight = tuple(weight)
     if not weight or any(k < 2 or k % 2 for k in weight):
-        raise ValidationError(f"weights must be even integers >= 2, got {weight}")
+        raise HilbertSignsError(f"weights must be even integers >= 2, got {weight}")
     return weight
 
 
@@ -247,7 +247,7 @@ class SignSurvey:
         gaps = np.concatenate([empty[chi[empty] != 0], n + np.flatnonzero(chi[n:])])
         if gaps.size:
             P = _prime_ideals(E.field, T, [gaps.min()])[0]
-            raise MissingPrime(f"{E.label}: no coefficient at good prime {P}")
+            raise HilbertSignsError(f"{E.label}: no coefficient at good prime {P}")
         self.all_norms = T.norm
         self.bad_rows = np.flatnonzero(chi == 0)
         self.signs, self.coords = _sign_lanes(E.num[:n], E.den[:n], chi[:n], T.norm[:n])

@@ -71,7 +71,7 @@ import numpy as np
 
 from hilbert_signs.curves import ap_symbol_sum
 from hilbert_signs.eigen_io import SCHEMA_TAG, _header, _resolve, serialize_series
-from hilbert_signs.errors import HasseBoundViolated, HilbertSignsError, ParseError, ValidationError
+from hilbert_signs.errors import HilbertSignsError
 from hilbert_signs.field_arith import (
     IdealFactorization,
     PrimeIdeal,
@@ -319,7 +319,7 @@ def hasse_columns_by_row(label, name, norm, num, den):
         c = Fraction(int(a), int(b)) if b else Fraction(0)
         if c * c * int(N) > 4:
             P = name(i)
-            raise HasseBoundViolated(f"{label}: |c({P})| = |{c}| exceeds 2/sqrt({P.norm})")
+            raise HilbertSignsError(f"{label}: |c({P})| = |{c}| exceeds 2/sqrt({P.norm})")
         nums.append(c.numerator if b else 0)
         dens.append(c.denominator if b else 0)
     return nums, dens
@@ -333,7 +333,7 @@ def sato_tate_coordinate(c, norm):
     """
     num, den = c.numerator * norm, c.denominator
     if num * num > 4 * norm * den * den:
-        raise HasseBoundViolated(f"|c| = |{c}| exceeds 2/sqrt({norm})")
+        raise HilbertSignsError(f"|c| = |{c}| exceeds 2/sqrt({norm})")
     # int true division is correctly rounded, like float() of the reduced Fraction
     return (num / den) / (2.0 * math.sqrt(float(norm)))
 
@@ -408,28 +408,28 @@ def series_to_obj(E):
 def series_from_obj_by_entry(obj, x):
     """series_from_obj, one entry at a time: the reference for its series and its errors."""
     if not isinstance(obj, dict):
-        raise ParseError("eigen-series document must be a JSON object")
+        raise HilbertSignsError("eigen-series document must be a JSON object")
     if obj.get("format") != SCHEMA_TAG:
-        raise ParseError(f"unrecognized format tag {obj.get('format')!r}")
+        raise HilbertSignsError(f"unrecognized format tag {obj.get('format')!r}")
     for key in ("d", "weight", "label", "entries"):
         if key not in obj:
-            raise ParseError(f"eigen-series document missing field {key!r}")
+            raise HilbertSignsError(f"eigen-series document missing field {key!r}")
     level_support = obj.get("level_support", [])
     K = _header(obj["d"], obj["weight"], obj["label"], level_support)
     rows = obj["entries"]
     if type(rows) is not list:
-        raise ParseError("eigen-series entries must be a JSON list")
+        raise HilbertSignsError("eigen-series entries must be a JSON list")
     T, cells = _prime_table(K, x), []
     for i, row in enumerate(rows):
         try:
             norm, p, label = row["norm"], row["rational_prime"], row["root_label"]
             num, den = row["c_num"], row["c_den"]
         except (KeyError, TypeError) as e:
-            raise ParseError(f"entry {i}: missing field ({e!r})") from e
+            raise HilbertSignsError(f"entry {i}: missing field ({e!r})") from e
         if not (type(norm) is type(p) is type(label) is type(num) is type(den) is int):
-            raise ParseError(f"entry {i}: numeric fields must be JSON integers")
+            raise HilbertSignsError(f"entry {i}: numeric fields must be JSON integers")
         if den == 0:
-            raise ValidationError(f"entry {i}: zero denominator")
+            raise HilbertSignsError(f"entry {i}: zero denominator")
         cells.append((norm, p, label, num, den))
     row_of = {P: j for j, P in enumerate(_prime_ideals(K, T, slice(None)))}
     nums, dens, above, seen = [0] * len(T.key), [0] * len(T.key), {}, {}
@@ -437,7 +437,7 @@ def series_from_obj_by_entry(obj, x):
         P = _resolve(K, above, norm, p, label, f"entry {i}")
         first = seen.setdefault(P, (num, den))
         if first[0] * den != num * first[1]:
-            raise ValidationError(f"entry {i}: {P} named again with another coefficient")
+            raise HilbertSignsError(f"entry {i}: {P} named again with another coefficient")
         if P in row_of:
             nums[row_of[P]], dens[row_of[P]] = first
     E = EigenvalueSeries(K, obj["weight"], obj["label"], x, nums, dens, level_support)
@@ -450,24 +450,24 @@ def series_from_obj_by_entry(obj, x):
 def load_psi_table_by_entry(K, source, x):
     """load_psi_table on a decoded list, one entry at a time: the reference for its table and errors."""
     if type(source) is not list:
-        raise ParseError("psi table must be a JSON list of entries")
+        raise HilbertSignsError("psi table must be a JSON list of entries")
     names = []
     for i, entry in enumerate(source):
         try:
             norm, p, label = entry["prime_norm"], entry["rational_prime"], entry["root_label"]
             value = entry["value"]
         except (KeyError, TypeError) as e:
-            raise ParseError(f"psi entry {i}: missing field ({e!r})") from e
+            raise HilbertSignsError(f"psi entry {i}: missing field ({e!r})") from e
         if not (type(norm) is type(p) is type(label) is type(value) is int):
-            raise ParseError(f"psi entry {i}: numeric fields must be JSON integers")
+            raise HilbertSignsError(f"psi entry {i}: numeric fields must be JSON integers")
         if value not in (-1, 1):
-            raise ValidationError(f"psi entry {i}: value must be +-1, got {value}")
+            raise HilbertSignsError(f"psi entry {i}: value must be +-1, got {value}")
         names.append((norm, p, label, value))
     table, above = {}, {}
     for i, (norm, p, label, value) in enumerate(names):
         P = _resolve(K, above, norm, p, label, f"psi entry {i}")
         if table.setdefault(P, value) != value:
-            raise ValidationError(f"psi entry {i}: {P} named again with another value")
+            raise HilbertSignsError(f"psi entry {i}: {P} named again with another value")
     return table
 
 

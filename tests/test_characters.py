@@ -9,7 +9,7 @@ from oracles import enumerate_prime_ideals, value_at
 
 from hilbert_signs.characters import IdealCharacter
 from hilbert_signs.eigen_io import load_psi_table
-from hilbert_signs.errors import ParseError, ValidationError
+from hilbert_signs.errors import HilbertSignsError
 from hilbert_signs.field_arith import NARROW_CLASS_NUMBER_ONE, make_field, split_rational_prime
 
 
@@ -105,26 +105,26 @@ def test_load_psi_table_from_decoded_list(field5):
 
 def test_psi_table_rejects_bad_value(field5):
     doc = [{"prime_norm": 9, "rational_prime": 3, "root_label": 0, "value": 2}]
-    with pytest.raises(ValidationError):
+    with pytest.raises(HilbertSignsError, match=r"value must be \+-1, got 2"):
         load_psi_table(field5, doc, 100)
 
 
 def test_psi_table_rejects_unknown_prime(field5):
     doc = [{"prime_norm": 7, "rational_prime": 7, "root_label": 0, "value": 1}]
-    with pytest.raises(ValidationError):
+    with pytest.raises(HilbertSignsError, match="no prime of norm 7"):
         load_psi_table(field5, doc, 100)  # 7 is inert, norm 49: no prime of norm 7
 
 
 def test_psi_table_rejects_garbage(tmp_path, field5):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    with pytest.raises(ParseError):
+    with pytest.raises(HilbertSignsError, match="not valid JSON"):
         load_psi_table(field5, path, 100)
-    with pytest.raises(ParseError):
+    with pytest.raises(HilbertSignsError, match="^cannot read psi table "):
         load_psi_table(field5, tmp_path / "absent.json", 100)
-    with pytest.raises(ParseError):
+    with pytest.raises(HilbertSignsError, match="^psi entry 0: missing field"):
         load_psi_table(field5, [{"prime_norm": 9}], 100)
-    with pytest.raises(ParseError):
+    with pytest.raises(HilbertSignsError, match="^psi table must be a JSON list of entries$"):
         load_psi_table(field5, {"prime_norm": 9}, 100)
 
 

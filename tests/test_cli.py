@@ -1,6 +1,8 @@
 """End-to-end runs of every subcommand through main(), no subprocesses."""
 
 import ast
+import builtins
+import errno
 import hashlib
 import json
 import math
@@ -12,7 +14,7 @@ import pytest
 from oracles import enumerate_prime_ideals, save_fixture, series_from_dict, series_to_obj, value_at
 
 import hilbert_signs
-from hilbert_signs import cli, field_arith
+from hilbert_signs import cli, eigen_io, field_arith
 from hilbert_signs.characters import IdealCharacter
 from hilbert_signs.cli import SIMULATE_CSV_HEADER, TALLY_CSV_HEADER, build_parser, main
 from hilbert_signs.curves import get_curve, series_from_curve
@@ -575,6 +577,22 @@ def test_every_import_is_used_in_its_module():
     assert unused == []
 
 
+def test_every_input_error_is_a_hilbert_signs_error_and_every_other_raise_a_builtin():
+    # a HilbertSignsError is an input error (exit 2, one line); any other exception is a bug
+    builtin = {n for n, v in vars(builtins).items() if isinstance(v, type) and issubclass(v, BaseException)}
+    allowed = builtin | {"HilbertSignsError"}
+    # a second exception class would derive from a builtin exception or from HilbertSignsError
+    classes = [n for tree in _TREES.values() for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    assert {c.name for c in classes if set().union(*map(_names, c.bases)) & allowed} == {"HilbertSignsError"}
+
+    def named(node):  # the class that `raise E` or `raise E(...)` names
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return exc.id if isinstance(exc, ast.Name) else ast.unparse(exc)
+
+    raised = {named(n) for tree in _TREES.values() for n in ast.walk(tree) if isinstance(n, ast.Raise) and n.exc}
+    assert raised <= allowed and "HilbertSignsError" in raised
+
+
 @pytest.mark.parametrize("command", ["signs", "stats"])
 def test_a_bad_tau_exits_2_before_the_curve_is_computed(capsys, tmp_path, command):
     cache = tmp_path / "cache"
@@ -598,6 +616,43 @@ def test_a_tau_that_parses_but_cannot_be_factored_exits_2_before_the_curve_is_co
     argv = [command, "--curve", "37a", "--x", "1000", "--cache-dir", str(cache), f"--tau={tau}"]
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
     assert not cache.exists() or not any(cache.iterdir())
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("signs", ["--d", "5"], "series is over d=1, but --d 5 was given"),
+    ("signs", ["--psi-file", "{missing}"], "cannot read psi table {missing}: [Errno 2] No such file or directory: '{missing}'"),
+    ("stats", ["--psi-file", "{missing}"], "cannot read psi table {missing}: [Errno 2] No such file or directory: '{missing}'"),
+], ids=["signs-d", "signs-psi-file", "stats-psi-file"])
+def test_a_bad_d_or_psi_file_exits_2_before_the_curve_is_computed(
+    capsys, monkeypatch, tmp_path, command, flags, message
+):
+    def no_series(*args):
+        raise AssertionError("the curve series was read or computed before --d and --psi-file")
+
+    monkeypatch.setattr(eigen_io, "cached_curve_series", no_series)
+    cache, missing = tmp_path / "cache", tmp_path / "missing.json"
+    flags = [flag.format(missing=missing) for flag in flags]
+    argv = [command, "--curve", "37a", "--x", "100000", "--cache-dir", str(cache), *flags]
+    assert run(capsys, *argv) == (2, "", f"error: {message.format(missing=missing)}\n")
+    assert not cache.exists() or not any(cache.iterdir())
+
+
+def test_a_cache_path_that_cannot_be_examined_exits_2(capsys, monkeypatch, tmp_path):
+    # as below a directory without search permission: stat fails with EACCES,
+    # which Path.exists raises (it answers False only for a missing path)
+    stat = Path.stat
+
+    def refused(self, **kwargs):
+        if self.name.startswith("curve-"):
+            raise PermissionError(errno.EACCES, "Permission denied", str(self))
+        return stat(self, **kwargs)
+
+    monkeypatch.setattr(Path, "stat", refused)
+    code, out, err = run(capsys, "signs", "--curve", "11a", "--x", "100", "--cache-dir", str(tmp_path))
+    path = cache_path("curve-11a-X100-v1", tmp_path)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read curve cache {path}: [Errno 13] Permission denied: '{path}'\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_fixture_run_checks_tau_in_its_own_field_after_reading_it(capsys, tmp_path):

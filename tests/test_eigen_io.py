@@ -34,7 +34,7 @@ from hilbert_signs.eigen_io import (
     serialize_series,
     series_from_obj,
 )
-from hilbert_signs.errors import HasseBoundViolated, HilbertSignsError, ParseError, ValidationError
+from hilbert_signs.errors import HilbertSignsError
 from hilbert_signs.field_arith import (
     _name_columns,
     _prime_ideals,
@@ -128,33 +128,33 @@ def test_fixture_roundtrip(tmp_path):
 def test_load_fixture_garbage(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{]")
-    with pytest.raises(ParseError):
+    with pytest.raises(HilbertSignsError, match="not valid JSON"):
         load_fixture(path, 100)
 
 
 def test_series_from_obj_errors():
     good = series_to_obj(series_from_curve(get_curve("37a"), 30))
-    with pytest.raises(ParseError):
+    with pytest.raises(HilbertSignsError, match="^eigen-series document must be a JSON object$"):
         series_from_obj([], 30)
-    with pytest.raises(ParseError):
+    with pytest.raises(HilbertSignsError, match="^unrecognized format tag 'nope/0'$"):
         series_from_obj({**good, "format": "nope/0"}, 30)
     for key in ("d", "weight", "label", "entries"):
         broken = dict(good)
         del broken[key]
-        with pytest.raises(ParseError):
+        with pytest.raises(HilbertSignsError, match=f"^eigen-series document missing field '{key}'$"):
             series_from_obj(broken, 30)
-    with pytest.raises(ValidationError):
+    with pytest.raises(HilbertSignsError, match="^bad field parameter d=3: .* outside the supported"):
         series_from_obj({**good, "d": 3}, 30)  # outside the field allowlist
-    with pytest.raises(ValidationError):
+    with pytest.raises(HilbertSignsError, match=r"^weights must be even integers >= 2, got \(3,\)$"):
         series_from_obj({**good, "weight": [3]}, 30)
     entry = {"norm": 3, "rational_prime": 3, "root_label": 0, "c_num": 2, "c_den": 1}
-    with pytest.raises(HasseBoundViolated):
+    with pytest.raises(HilbertSignsError, match=r"exceeds 2/sqrt\(3\)$"):
         series_from_obj({**good, "entries": [entry]}, 30)  # 4*3 > 4
-    with pytest.raises(ValidationError):
+    with pytest.raises(HilbertSignsError, match="^entry 0: zero denominator$"):
         series_from_obj({**good, "entries": [{**entry, "c_den": 0}]}, 30)
-    with pytest.raises(ValidationError):
+    with pytest.raises(HilbertSignsError, match="^entry 0: no prime of norm 9"):
         series_from_obj({**good, "entries": [{**entry, "norm": 9}]}, 30)  # no such prime
-    with pytest.raises(ParseError):
+    with pytest.raises(HilbertSignsError, match="^entry 0: missing field"):
         series_from_obj({**good, "entries": [{"norm": 3}]}, 30)
 
 
@@ -162,12 +162,12 @@ def test_hasse_violation_past_x_is_an_input_error():
     row = {"norm": 3, "rational_prime": 3, "root_label": 0, "c_num": 0, "c_den": 1}
     doc = {"format": "eigen-series/1", "d": 1, "weight": [2], "label": "x", "entries": [row]}
     past = {**row, "norm": 5, "rational_prime": 5, "c_num": 1}
-    with pytest.raises(HasseBoundViolated, match=r"^x: \|c\(\(5\)\)\| = \|1\| exceeds 2/sqrt\(5\)$"):
+    with pytest.raises(HilbertSignsError, match=r"^x: \|c\(\(5\)\)\| = \|1\| exceeds 2/sqrt\(5\)$"):
         series_from_obj({**doc, "entries": [row, past]}, 3)
     # of several violations the first in canonical order is named, past x or not
     over = [{**row, "norm": p, "rational_prime": p, "c_num": 1} for p in (13, 11, 7)]
     for x in (3, 10, 100):
-        with pytest.raises(HasseBoundViolated, match=r"^x: \|c\(\(7\)\)\|"):
+        with pytest.raises(HilbertSignsError, match=r"^x: \|c\(\(7\)\)\|"):
             series_from_obj({**doc, "entries": [row, *over]}, x)
 
 
@@ -229,7 +229,7 @@ def test_columns_match_a_fraction_decode(field5):
     # a repeat with another value is refused, by the entry that repeats
     for P in (names[5], names[j]):
         message = rf"^entry {len(rows)}: {P} named again with another coefficient$"
-        with pytest.raises(ValidationError, match=message):
+        with pytest.raises(HilbertSignsError, match=message):
             series_from_obj({**doc, "entries": [*rows, row(P, 3, 400)]}, x)
 
     def psi(P, value):
@@ -243,12 +243,17 @@ def test_columns_match_a_fraction_decode(field5):
     assert load_psi_table(field5, entries, x) == table
     for P in (names[5], names[j]):
         message = rf"^psi entry {len(entries)}: {P} named again with another value$"
-        with pytest.raises(ValidationError, match=message):
+        with pytest.raises(HilbertSignsError, match=message):
             load_psi_table(field5, [*entries, psi(P, -table[P])], x)
 
     # two faults planted at random entries of each document: the columns and
     # the entry-by-entry reference give the same series or table, or the same
     # exception with the same message
+    def rule(message):  # the kind of fault an error names
+        if "missing field" in message or "must be JSON integers" in message:
+            return "shape"
+        return "hasse" if "exceeds 2/sqrt" in message else "value"
+
     def outcome(decode, *args):
         try:
             got = decode(*args)
@@ -305,20 +310,20 @@ def test_columns_match_a_fraction_decode(field5):
         rng.shuffle(psi_rows)
         want = outcome(load_psi_table_by_entry, field5, psi_rows, x)
         assert outcome(load_psi_table, field5, psi_rows, x) == want, planted
-        seen.update(w[0] for w in (got, want) if type(w) is tuple and len(w) == 2)
-    assert seen == {ParseError, ValidationError, HasseBoundViolated}
+        seen.update(rule(w[1]) for w in (got, want) if type(w) is tuple and len(w) == 2)
+    assert seen == {"shape", "value", "hasse"}
 
 
 def test_load_fixture_rejects_undecodable_bytes(tmp_path):
     path = tmp_path / "bytes.json"
     path.write_bytes(b'{"label": "\xff"}')  # not UTF-8
-    with pytest.raises(ParseError):
+    with pytest.raises(HilbertSignsError, match="not valid JSON .*'utf-8' codec"):
         load_fixture(path, 100)
     path.write_text('{"d": ' + "1" * 5000 + "}")  # past the int-string length limit
-    with pytest.raises(ParseError):
+    with pytest.raises(HilbertSignsError, match="not valid JSON .*integer string conversion"):
         load_fixture(path, 100)
     path.write_text("[" * 100_000 + "]" * 100_000)  # nested past the recursion limit
-    with pytest.raises(ParseError):
+    with pytest.raises(HilbertSignsError, match="not valid JSON .*recursion"):
         load_fixture(path, 100)
 
 
@@ -327,7 +332,7 @@ def test_series_from_obj_integer_rule():
     entry = good["entries"][0]
     for key in entry:
         for bad in (True, float(entry[key]), str(entry[key]), None):
-            with pytest.raises(ParseError):
+            with pytest.raises(HilbertSignsError, match="^entry 0: numeric fields must be JSON integers$"):
                 series_from_obj({**good, "entries": [{**entry, key: bad}]}, 30)
     header = {
         "d": [True, 1.0, "1"],
@@ -336,11 +341,18 @@ def test_series_from_obj_integer_rule():
         "level_support": [2, [2.0], [False], ["37"]],
         "entries": [{}, 5],
     }
+    rule = {
+        "d": "field parameter d must be a JSON integer",
+        "weight": "weight must be a non-empty list of JSON integers",
+        "label": "label must be a string",
+        "level_support": "level_support must be a list of JSON integers",
+        "entries": "eigen-series entries must be a JSON list",
+    }
     for key, values in header.items():
         for bad in values:
-            with pytest.raises(ParseError):
+            with pytest.raises(HilbertSignsError, match=f"^{rule[key]}"):
                 series_from_obj({**good, key: bad}, 30)
-    with pytest.raises(ValidationError):
+    with pytest.raises(HilbertSignsError, match="^level_support entry 4 is not a prime below 2"):
         series_from_obj({**good, "level_support": [2, 4]}, 30)
 
 
@@ -348,7 +360,7 @@ def test_psi_table_integer_rule(field5):
     entry = {"prime_norm": 9, "rational_prime": 3, "root_label": 0, "value": 1}
     for key in entry:
         for bad in (True, float(entry[key]), str(entry[key])):
-            with pytest.raises(ParseError):
+            with pytest.raises(HilbertSignsError, match="^psi entry 0: numeric fields must be JSON integers$"):
                 load_psi_table(field5, [{**entry, key: bad}], 10)
 
 
@@ -394,7 +406,7 @@ def test_prime_lookup_splits_each_p_once(field5, monkeypatch):
         assert _prime_ideals(field5, T, rows) == [P for P in keys if P.norm <= x]
     # inert 7 has label 0 only; 4, 9 and 1 are not prime; the error names the entry
     for p, label in ((7, 1), (4, 0), (9, 0), (1, 0)):
-        with pytest.raises(ValidationError, match="^psi entry 1: "):
+        with pytest.raises(HilbertSignsError, match="^psi entry 1: "):
             load_psi_table(field5, [psi(11, 11, 0), psi(p, p, label)], 10)
 
 

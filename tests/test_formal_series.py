@@ -25,7 +25,6 @@ from oracles import (
 )
 
 from hilbert_signs.characters import IdealCharacter
-from hilbert_signs.errors import CutoffMismatch, FieldMismatch, NotNormalized
 from hilbert_signs.field_arith import (
     IdealFactorization,
     _ideal_objects,
@@ -138,9 +137,9 @@ def test_truncation_is_exact_on_survivors(field5):
 
 def test_mismatch_errors(field5):
     A = identity(field5, 100)
-    with pytest.raises(CutoffMismatch):
+    with pytest.raises(ValueError, match="^cutoffs differ: 100 vs 50$"):
         series_mul(A, identity(field5, 50))
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(ValueError, match="^series over different fields$"):
         series_mul(A, identity(Q, 100))
 
 
@@ -469,9 +468,9 @@ def test_all_prime_residuals_need_one_field_and_cutoff(field5):
     chi = IdealCharacter.from_tau(field5, (4, 1))
     lam = identity(field5, 50)
     c = c_series_from_lambda(lam, chi)
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(ValueError, match="^c, lam and chi must share one field and one cutoff$"):
         extract_prime_relation(c, identity(field5, 40), chi)
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(ValueError, match="^c, lam and chi must share one field and one cutoff$"):
         extract_prime_relation(c, lam, IdealCharacter.from_tau(Q, 5))
 
 
@@ -490,12 +489,12 @@ def test_extract_requires_normalized(field5):
     chi = IdealCharacter.from_tau(field5, (4, 1))
     lam = identity(field5, 20)
     c = series_from_dict(field5, 20, {IdealFactorization(1, (), field5): 2})
-    with pytest.raises(NotNormalized):
+    with pytest.raises(ValueError, match=r"^c\(O_K\) = 2 != 1$"):
         extract_prime_relation(c, lam, chi)
 
 
 def test_field_mismatch_in_lift(field5):
     chi = IdealCharacter.from_tau(Q, 5)
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(ValueError, match="^series and character over different fields$"):
         c_series_from_lambda(identity(field5, 10), chi)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import enumerate_prime_ideals, ks_statistic_whole, quadrature_mass, semicircle_ppf_halving
 
 from hilbert_signs import sato_tate
-from hilbert_signs.errors import EmptySample
+from hilbert_signs.errors import HilbertSignsError
 from hilbert_signs.field_arith import _LANES, _prime_table, make_field
 from hilbert_signs.sato_tate import (
     HIST_BINS,
@@ -108,7 +108,7 @@ def test_ks_at_quantiles_is_half_over_n():
 
 
 def test_ks_empty_sample():
-    with pytest.raises(EmptySample):
+    with pytest.raises(HilbertSignsError, match="^KS statistic of an empty sample$"):
         ks_statistic([])
 
 
@@ -384,5 +384,5 @@ def test_histogram_svg_markup():
 
 
 def test_histogram_empty():
-    with pytest.raises(EmptySample):
+    with pytest.raises(HilbertSignsError, match="^histogram of an empty sample$"):
         histogram_rows([])

@@ -31,7 +31,7 @@ from oracles import (
 from hilbert_signs import sign_pipeline
 from hilbert_signs.characters import IdealCharacter
 from hilbert_signs.cli import TALLY_CSV_HEADER, density_string, main
-from hilbert_signs.errors import HasseBoundViolated, MissingPrime, ValidationError
+from hilbert_signs.errors import HilbertSignsError
 from hilbert_signs.field_arith import make_field, split_rational_prime
 from hilbert_signs.sato_tate import synth_eigen_series
 from hilbert_signs.sign_pipeline import EigenvalueSeries, SignSurvey
@@ -71,7 +71,7 @@ def test_sato_tate_coordinate_examples():
 def test_sato_tate_bound_is_exact():
     # cN = 199/30 and (199/30)^2 * 900 = 39601 > 39600 = 44 * 900:
     # barely over 2*sqrt(11)
-    with pytest.raises(HasseBoundViolated):
+    with pytest.raises(HilbertSignsError, match=r"^\|c\| = \|199/330\| exceeds 2/sqrt\(11\)$"):
         sato_tate_coordinate(Fraction(199, 330), 11)
     assert sato_tate_coordinate(Fraction(6633, 11000), 11) < 1
 
@@ -80,7 +80,7 @@ def test_sato_tate_boundary_allowed():
     # norm 9 has rational 2 sqrt(N) = 6, so cN = +-6 gives B = +-1 exactly
     assert sato_tate_coordinate(Fraction(6, 9), 9) == 1.0
     assert sato_tate_coordinate(Fraction(-6, 9), 9) == -1.0
-    with pytest.raises(HasseBoundViolated):
+    with pytest.raises(HilbertSignsError, match=r"exceeds 2/sqrt\(9\)$"):
         sato_tate_coordinate(Fraction(6000000000001, 9 * 10**12), 9)
 
 
@@ -134,17 +134,17 @@ def test_lambda_sign_matches_fraction_at_the_boundary(chi, norm, den, offset):
 
 
 def test_series_rejects_bad_weight():
-    with pytest.raises(ValidationError):
+    with pytest.raises(HilbertSignsError, match="^weights must be even integers >= 2, got \\(3,\\)$"):
         EigenvalueSeries(Q, (3,), "odd", 1, [], [])
-    with pytest.raises(ValidationError):
+    with pytest.raises(HilbertSignsError, match="^weights must be even integers >= 2, got \\(0,\\)$"):
         EigenvalueSeries(Q, (0,), "small", 1, [], [])
-    with pytest.raises(ValidationError):
+    with pytest.raises(HilbertSignsError, match="^weights must be even integers >= 2, got \\(\\)$"):
         EigenvalueSeries(Q, (), "empty", 1, [], [])
 
 
 def test_series_rejects_hasse_violation(field5):
     (P3,) = split_rational_prime(Q, 3)
-    with pytest.raises(HasseBoundViolated):
+    with pytest.raises(HilbertSignsError, match=r"^fat: \|c\(\(3\)\)\| = \|2\| exceeds 2/sqrt\(3\)$"):
         series_from_entries(Q, (2,), "fat", {P3: Fraction(2)}, 3)
     ok = series_from_entries(Q, (2,), "edge", {P3: Fraction(1)}, 3)  # 1*1*3 <= 4
     assert ok.entries[P3] == 1
@@ -152,7 +152,7 @@ def test_series_rejects_hasse_violation(field5):
     (P9,) = split_rational_prime(field5, 3)
     on_bound = series_from_entries(field5, (2,), "on", {P9: Fraction(2, 3)}, 9)  # c^2 N = 4
     assert on_bound.entries[P9] == Fraction(2, 3)
-    with pytest.raises(HasseBoundViolated):
+    with pytest.raises(HilbertSignsError, match=r"^over: .* exceeds 2/sqrt\(9\)$"):
         series_from_entries(field5, (2,), "over", {P9: Fraction(2, 3) + Fraction(1, 10**30)}, 9)
 
 
@@ -216,7 +216,7 @@ def test_survey_reads_a_prefix_of_the_columns():
     assert np.array_equal(part.signs, whole.signs[: len(part.signs)])
     assert part.coords.tobytes() == whole.coords[: len(part.coords)].tobytes()
     # past E.x no row has a coefficient: the first good prime there is the gap
-    with pytest.raises(MissingPrime, match=r"seeded-11: no coefficient at good prime \(1009\)$"):
+    with pytest.raises(HilbertSignsError, match=r"seeded-11: no coefficient at good prime \(1009\)$"):
         SignSurvey(E, 5, x=1100)
     # while a cutoff whose extra primes are all bad needs none of them
     empty = EigenvalueSeries(Q, (2,), "empty", 1, [], [])
@@ -229,7 +229,7 @@ def test_missing_prime():
     entries = {P: Fraction(0) for P in enumerate_prime_ideals(Q, 100)}
     del entries[split_rational_prime(Q, 97)[0]]
     E = series_from_entries(Q, (2,), "gappy", entries, 100)
-    with pytest.raises(MissingPrime, match=r"gappy: no coefficient at good prime \(97\)$"):
+    with pytest.raises(HilbertSignsError, match=r"gappy: no coefficient at good prime \(97\)$"):
         SignSurvey(E, 1, x=100).tally()
     # but a tighter cutoff never touches the gap
     assert SignSurvey(E, 1, x=90).tally().total == 24
@@ -247,7 +247,7 @@ def test_first_fault_in_canonical_order_is_raised():
         E.num[3] = 1
     with pytest.raises(ValueError, match="read-only"):
         E.den[3] = 1
-    with pytest.raises(MissingPrime, match=r"\(53\)"):  # the first gap is named
+    with pytest.raises(HilbertSignsError, match=r"\(53\)"):  # the first gap is named
         SignSurvey(E, 1, x=100)
 
 
@@ -364,7 +364,7 @@ def gate_rows(draw):
 def gate_or_error(gate, norm, num, den):
     try:
         return gate("g", lambda i: Row(i, int(norm[i])), norm, num, den)
-    except HasseBoundViolated as e:
+    except HilbertSignsError as e:
         return str(e)
 
 
@@ -401,7 +401,7 @@ def test_gate_rows_the_floats_cannot_tell_are_decided_exactly():
     num[4] = top + 1  # the chunk of 3 that holds row 4 also holds an exact row on the bound
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sign_pipeline, "_LANES", 3)
-        with pytest.raises(HasseBoundViolated, match=f"c\\(row 4\\)\\| = \\|{top + 1}/{den}\\|"):
+        with pytest.raises(HilbertSignsError, match=f"c\\(row 4\\)\\| = \\|{top + 1}/{den}\\|"):
             sign_pipeline._hasse_columns("g", lambda i: Row(i, N), norm, num, dens)
 
 
@@ -411,7 +411,7 @@ def test_gate_takes_integers_past_the_float_range():
     a, b = sign_pipeline._hasse_columns("g", lambda i: Row(i, norm[i]), norm, num, den)
     assert (a.tolist(), b.tolist()) == hasse_columns_by_row("g", None, norm, num, den)
     num[2] = 7 * big
-    with pytest.raises(HasseBoundViolated, match=r"c\(row 2\)\| = \|7/3\|"):
+    with pytest.raises(HilbertSignsError, match=r"c\(row 2\)\| = \|7/3\|"):
         sign_pipeline._hasse_columns("g", lambda i: Row(i, norm[i]), norm, num, den)
 
 
