@@ -39,6 +39,13 @@ atomic rename.  The writer's bytes are those of json.dumps(...,
 indent=1, sort_keys=True): the encoder writes the header, and each entry
 is one template formatted over the columns, written a block of rows at a
 time.
+
+load_fixture reads a file in that layout at the cost of its columns: a
+block of rows at a time, the integers of each block are split out and
+accepted only if the writer's renderer gives back the block's bytes,
+and the header only if the encoder gives back the head and tail.  Every
+other file, and any block that fails, goes to the JSON reader whole, so
+each error is worded as that reader words it.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ import json
 import os
 import re
 from collections.abc import Iterable, Iterator
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -161,12 +169,13 @@ def _columns(rows: list, keys: tuple[str, ...], what: str, refuse) -> list[list[
 def _name_rows(K: QuadField, T, names, num: np.ndarray, den: np.ndarray, what: str, of: str):
     """The row of T of each entry's name (or -1), and {P: (num, den)} for the names T lacks.
 
-    names are the (norm, p, root_label) columns and num / den the value
-    of each entry, as object arrays.  A name T lacks is split by
-    _resolve, in entry order.  An entry whose value differs from that of
-    the first entry naming its prime is refused; the repeats on T's rows
-    are found in one pass over the hits sorted by row.  The first entry at
-    fault, a bad name or a repeat, is the one named.
+    names are the (norm, p, root_label) columns, as lists of Python ints
+    or int64 arrays, and num / den the value of each entry, as object or
+    int64 arrays.  A name T lacks is split by _resolve, in entry order,
+    and its value kept as Python ints.  An entry whose value differs from
+    that of the first entry naming its prime is refused; the repeats on
+    T's rows are found in one pass over the hits sorted by row.  The first
+    entry at fault, a bad name or a repeat, is the one named.
     """
     j = T.lookup(*names)
     hit, clash = np.flatnonzero(j >= 0), len(j)
@@ -174,12 +183,14 @@ def _name_rows(K: QuadField, T, names, num: np.ndarray, den: np.ndarray, what: s
         order = hit[np.argsort(j[hit], kind="stable")]
         start = np.diff(j[order], prepend=-1) != 0
         first = order[np.maximum.accumulate(np.where(start, np.arange(len(order)), 0))]
-        clash = int(order[num[first] * den[order] != num[order] * den[first]].min(initial=clash))
+        a, b = num.astype(object, copy=False), den.astype(object, copy=False)  # no int64 wrap
+        clash = int(order[a[first] * b[order] != a[order] * b[first]].min(initial=clash))
     above, past = {}, {}
     for i in np.flatnonzero(j[:clash] < 0).tolist():
-        P = _resolve(K, above, names[0][i], names[1][i], names[2][i], f"{what} {i}")
-        a, b = past.setdefault(P, (num[i], den[i]))
-        if a * den[i] != num[i] * b:
+        norm, p, label, n, d = (int(c[i]) for c in (*names, num, den))
+        P = _resolve(K, above, norm, p, label, f"{what} {i}")
+        a, b = past.setdefault(P, (n, d))
+        if a * d != n * b:
             raise HilbertSignsError(f"{what} {i}: {P} named again with another {of}")
     if clash < len(j):
         P = _prime_ideals(K, T, [j[clash]])[0]
@@ -197,12 +208,24 @@ _ENTRY = (
     '   "rational_prime": %d,\n   "root_label": %d\n  }'
 )
 
+# Rows per block, written or read.  A row of int64 values is at most 191
+# bytes with its separator, so a block's text stays below glibc's 128 KiB
+# mmap threshold, past which a freed block raises the threshold and the
+# process's high-water mark with it.  A block of 37a's rows is ~56 KB.
+_BLOCK = 512
+
+
+def _entries(values: tuple) -> str:
+    """The rows of _ENTRY over values, five to a row in _ENTRY's order, as the list lays them out."""
+    return ",\n".join([_ENTRY] * (len(values) // 5)) % values
+
 
 def _zero_den(den: list[int]) -> str:
     return "zero denominator" if 0 in den else ""
 
 
-def series_from_obj(obj, x: int) -> EigenvalueSeries:
+def _document(obj) -> QuadField:
+    """The field of an eigen-series document, once its header and the type of its entries are checked."""
     if not isinstance(obj, dict):
         raise HilbertSignsError("eigen-series document must be a JSON object")
     if obj.get("format") != SCHEMA_TAG:
@@ -210,35 +233,41 @@ def series_from_obj(obj, x: int) -> EigenvalueSeries:
     for key in ("d", "weight", "label", "entries"):
         if key not in obj:
             raise HilbertSignsError(f"eigen-series document missing field {key!r}")
-    level_support = obj.get("level_support", [])
-    K = _header(obj["d"], obj["weight"], obj["label"], level_support)
-    rows = obj["entries"]
-    if type(rows) is not list:
+    K = _header(obj["d"], obj["weight"], obj["label"], obj.get("level_support", []))
+    if type(obj["entries"]) is not list:
         raise HilbertSignsError("eigen-series entries must be a JSON list")
-    T, keys = _prime_table(K, x), ("norm", "rational_prime", "root_label", "c_num", "c_den")
-    *names, num, den = _columns(rows, keys, "entry", _zero_den)
-    num, den = np.array(num, dtype=object), np.array(den, dtype=object)
+    return K
+
+
+def _series(obj: dict, K: QuadField, x: int, names, num: np.ndarray, den: np.ndarray) -> EigenvalueSeries:
+    """The series of a checked document from its entry columns, as _name_rows takes them.
+
+    The names go to rows of the prime table, the table's rows pass the
+    Hasse gate in EigenvalueSeries, and then the names past x pass it too.
+    """
+    T = _prime_table(K, x)
     j, past = _name_rows(K, T, names, num, den, "entry", "coefficient")
-    hit, nums, dens = j >= 0, np.zeros(len(T.key), dtype=object), np.zeros(len(T.key), dtype=object)
+    hit, nums, dens = j >= 0, np.zeros(len(T.key), dtype=num.dtype), np.zeros(len(T.key), dtype=den.dtype)
     nums[j[hit]], dens[j[hit]] = num[hit], den[hit]  # a repeat carries an equal value
-    E = EigenvalueSeries(K, obj["weight"], obj["label"], x, nums, dens, level_support)
+    E = EigenvalueSeries(K, obj["weight"], obj["label"], x, nums, dens, obj.get("level_support", []))
     primes = sorted(past)  # past x: no part in the run, but the same gate after the table's
     nums, dens = [past[P][0] for P in primes], [past[P][1] for P in primes]
     _hasse_columns(E.label, primes.__getitem__, [P.norm for P in primes], nums, dens)
     return E
 
 
-# Rows formatted per chunk of serialize_series: a chunk of 37a's series is
-# ~0.45 MB, and the document is never held whole.
-_BLOCK = 4096
+def series_from_obj(obj, x: int) -> EigenvalueSeries:
+    K, keys = _document(obj), ("norm", "rational_prime", "root_label", "c_num", "c_den")
+    *names, num, den = _columns(obj["entries"], keys, "entry", _zero_den)
+    return _series(obj, K, x, names, np.array(num, dtype=object), np.array(den, dtype=object))
 
 
 def serialize_series(E: EigenvalueSeries) -> Iterator[str]:
     """The eigen-series document of E in chunks, as json.dumps(..., indent=1, sort_keys=True) writes it.
 
     The encoder writes the header; the entries follow in blocks of _BLOCK
-    rows, each row _ENTRY formatted over the columns; the tail closes the
-    document.  "".join of the chunks is the document.
+    rows, rendered by _entries; the tail closes the document.  "".join of
+    the chunks is the document, and it is never held whole.
     """
     rows = np.flatnonzero(E.den)
     head = {"format": SCHEMA_TAG, "d": E.field.d, "weight": list(E.weight), "label": E.label,
@@ -252,14 +281,85 @@ def serialize_series(E: EigenvalueSeries) -> Iterator[str]:
     for i in range(0, rows.size, _BLOCK):
         block = rows[i : i + _BLOCK]
         cols = E.den[block].tolist(), E.num[block].tolist(), *T.names(block)
-        yield sep + ",\n".join(map(_ENTRY.__mod__, zip(*cols)))
+        yield sep + _entries(tuple(chain.from_iterable(zip(*cols))))
         sep = ",\n"
     yield f"\n ]{after}"
 
 
+# The head of a document in the writer's layout, to its first entry: "d" is
+# the one key that sorts before "entries".
+_HEAD = re.compile(rb'\{\n "d": (-?[0-9]+),\n "entries": \[\n')
+# Every byte but -0-9 becomes a space, so a block of rows splits into its integers.
+_ONLY_INTEGERS = bytes(c if c in b"-0123456789" else 32 for c in range(256))
+
+
+def _writer_columns(path) -> tuple[dict, np.ndarray] | None:
+    """The header and the int64 rows of a file in the writer's layout, or None for any other file.
+
+    The file is read _BLOCK shortest rows' worth of bytes at a time, so a
+    block holds no more rows than a write block, and each block is cut
+    after its last whole row.  The integers of a block are accepted only
+    if _entries renders them back to the block's bytes, and the header
+    only if the encoder renders it back to the head and tail.  The rows
+    must also name primes in ascending (norm, p, root_label) order, with
+    no value past +-(2^63 - 1) and no c_den of 0.  Then the file is what
+    the writer writes for those columns, and the JSON reader would find
+    the same document in it; None sends every other file to that reader.
+    """
+    try:
+        fh = open(path, "rb")
+    except OSError:
+        return None  # the JSON reader words the error
+    shortest = len(_ENTRY % ((0,) * 5))
+    with fh:
+        if not (head := _HEAD.match(data := fh.read(size := _BLOCK * shortest))):
+            return None
+        # room for every row the file could hold, zeroed by calloc: only the pages written are resident
+        values, n = np.zeros(os.fstat(fh.fileno()).st_size // shortest * 5, dtype=np.int64), 0
+        data, sep = data[head.end() :], ""
+        try:
+            while True:
+                if (cut := data.rfind(b"\n  }") + 4) > 3:  # after the last whole row
+                    block, data = data[:cut], data[cut:]
+                    ints = tuple(map(int, block.translate(_ONLY_INTEGERS).split()))
+                    if block != (sep + _entries(ints)).encode():
+                        return None
+                    values[n : n + len(ints)] = ints
+                    n, sep = n + len(ints), ",\n"
+                if not (chunk := fh.read(size)):
+                    break
+                data += chunk
+        except (ValueError, TypeError, OverflowError):  # no integer, a row short, past int64
+            return None
+    if not n or not data.startswith(b"\n ]"):  # data is the tail
+        return None
+    try:
+        header = json.loads(b'{"d": ' + head[1] + b', "entries": []' + data[3:])
+        before, _, after = (json.dumps(header, indent=1, sort_keys=True) + "\n").partition('"entries": []')
+    except (ValueError, RecursionError):
+        return None
+    if head[0] != f'{before}"entries": [\n'.encode() or data != f"\n ]{after}".encode():
+        return None
+    rows = values[:n].reshape(-1, 5)
+    a, b = rows[:-1, 2:], rows[1:, 2:]  # (norm, p, root_label) of each row and the next
+    up, same = b > a, b == a
+    ascending = up[:, 0] | same[:, 0] & (up[:, 1] | same[:, 1] & up[:, 2])
+    if rows.min() == -(2**63) or not rows[:, 0].all() or not ascending.all():
+        return None
+    return header, rows
+
+
 def load_fixture(path, x: int) -> EigenvalueSeries:
-    """Read an eigen-series JSON document from disk, for a run with cutoff x."""
-    return series_from_obj(_read_json(path, "fixture"), x)
+    """Read an eigen-series JSON document from disk, for a run with cutoff x.
+
+    A file in the writer's layout is read as its columns, any other as JSON:
+    both give the same series, or the same error.
+    """
+    if (read := _writer_columns(path)) is None:
+        return series_from_obj(_read_json(path, "fixture"), x)
+    doc, rows = read
+    den, num, *names = rows.T
+    return _series(doc, _document(doc), x, names, num, den)
 
 
 # ----------------------------------------------------------------------

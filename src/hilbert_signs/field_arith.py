@@ -381,21 +381,25 @@ class _PrimeTable(NamedTuple):
         p = np.where(inert, np.sqrt(norm).astype(np.int64), norm)  # exact: norm < 2^53
         return norm.tolist(), p.tolist(), (self.key[rows] & 1).tolist()
 
-    def lookup(self, norm: list[int], p: list[int], label: list[int]) -> np.ndarray:
+    def lookup(self, norm, p, label) -> np.ndarray:
         """The row of each name (norm[i], p[i], label[i]), or -1 where no row has that name.
 
-        The columns may hold any Python ints.  Each is range-checked whole
-        in Python ints (min and max) before its int64 cast, and in a column
-        that leaves the table's range (0..last norm, labels 0..1) the values
-        outside it become -1, which names no row.  The rest is one
-        searchsorted on key, then the p of each hit row checked.
+        The columns are lists of any Python ints, or int64 arrays, taken as
+        they are.  Each is range-checked whole (min and max) before its
+        int64 cast, and in a column that leaves the table's range (0..last
+        norm, labels 0..1) the values outside it become -1, which names no
+        row.  The rest is one searchsorted on key, then the p of each hit
+        row checked.
         """
         last = int(self.norm[-1]) if len(self.key) else 0
         cols = []
         for col, top in ((norm, last), (p, last), (label, 1)):
-            if len(col) and not (0 <= min(col) and max(col) <= top):
+            if isinstance(col, np.ndarray):
+                if col.size and not (0 <= col.min() and col.max() <= top):
+                    col = np.where((0 <= col) & (col <= top), col, -1)
+            elif len(col) and not (0 <= min(col) and max(col) <= top):
                 col = [v if 0 <= v <= top else -1 for v in col]
-            cols.append(np.array(col, dtype=np.int64))
+            cols.append(np.asarray(col, dtype=np.int64))
         norm, p, label = cols
         if not len(self.key):
             return np.full(len(norm), -1)

@@ -26,6 +26,7 @@ from hilbert_signs.characters import IdealCharacter
 from hilbert_signs.curves import CURVE_REGISTRY, get_curve, series_from_curve
 from hilbert_signs.eigen_io import (
     CURVE_CACHE_VERSION,
+    SCHEMA_TAG,
     cache_path,
     cached_curve_series,
     default_cache_dir,
@@ -408,6 +409,193 @@ def test_prime_lookup_splits_each_p_once(field5, monkeypatch):
     for p, label in ((7, 1), (4, 0), (9, 0), (1, 0)):
         with pytest.raises(HilbertSignsError, match="^psi entry 1: "):
             load_psi_table(field5, [psi(11, 11, 0), psi(p, p, label)], 10)
+
+
+# ----------------------------------------------------------------------
+# the column reader of files in the writer's layout, against the JSON reader
+# ----------------------------------------------------------------------
+
+
+def writer_text(doc):
+    """doc in the writer's layout: the bytes serialize_series writes for a series."""
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def series_outcome(decode, *args):
+    """The series decode gives, as its fields and columns, or the text of its input error."""
+    try:
+        E = decode(*args)
+    except HilbertSignsError as e:
+        return str(e)
+    columns = E.num.tolist(), E.den.tolist(), E.num.dtype, E.den.dtype
+    return E.field.d, E.weight, E.label, E.level_support, E.x, *columns
+
+
+def reference_outcome(path, x):
+    """The entry-by-entry decoder on json.loads of the file, worded as load_fixture words a bad file."""
+    try:
+        doc = json.loads(path.read_bytes())
+    except (ValueError, RecursionError) as e:
+        return f"{path}: not valid JSON ({e})"
+    return series_outcome(series_from_obj_by_entry, doc, x)
+
+
+class ReadPaths:
+    """Counts the reads of load_fixture that went to the JSON reader."""
+
+    def __init__(self, monkeypatch):
+        self.json = 0
+        real = eigen_io._read_json
+
+        def read_json(path, what):
+            self.json += 1
+            return real(path, what)
+
+        monkeypatch.setattr(eigen_io, "_read_json", read_json)
+
+    def load(self, path, x):
+        """load_fixture's outcome, and whether it read the file as JSON."""
+        before = self.json
+        got = series_outcome(load_fixture, path, x)
+        assert got == reference_outcome(path, x)
+        return got, self.json > before
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 512])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_column_reader_matches_the_json_reader_on_writer_documents(tmp_path_factory, block, data):
+    # random series in the writer's layout, read at their own x and at
+    # another, with reader blocks cut at every row (block 1) and wider
+    d, x = data.draw(st.sampled_from((1, 5, 13))), data.draw(st.integers(2, 150))
+    K = make_field(d)
+    label = data.draw(st.one_of(st.sampled_from(_LABELS), st.text(max_size=20)))
+    weight = data.draw(st.lists(st.sampled_from((2, 4, 6)), min_size=1, max_size=2))
+    level = data.draw(st.lists(st.sampled_from((2, 3, 5, 7, 37, 2**61 - 1)), unique=True))
+    top = data.draw(st.sampled_from((10**6, 2**62, 2**70)))
+    num, den = [], []
+    for N in _prime_table(K, x).norm.tolist():
+        b = data.draw(st.integers(0, top))  # 0: no coefficient
+        bound = math.isqrt(4 * b * b // N)
+        num.append(data.draw(st.integers(-bound, bound)))
+        den.append(b * data.draw(st.sampled_from((1, -1))))
+    E = EigenvalueSeries(K, weight, label, x, num, den, level)
+    path = tmp_path_factory.mktemp("writer") / "doc.json"
+    save_fixture(E, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigen_io, "_BLOCK", block)
+        reads = ReadPaths(mp)
+        for at in (x, data.draw(st.integers(1, 200))):
+            got, as_json = reads.load(path, at)
+            small = all(abs(v) < 2**63 for v in E.num.tolist() + E.den.tolist())
+            assert as_json == (not small or not E.den.any())  # past int64, or no entry: "entries": []
+            if at == x:
+                assert got == series_outcome(lambda: E)
+
+
+@pytest.mark.parametrize("block", [2, 512])
+def test_column_reader_matches_the_json_reader_on_every_one_byte_edit(tmp_path, monkeypatch, block):
+    # each byte of a small cache file replaced by a digit, a minus, a space
+    # or a newline, or deleted: the same series or the same error either way
+    monkeypatch.setattr(eigen_io, "_BLOCK", block)
+    text = "".join(serialize_series(series_from_curve(get_curve("11a"), 40))).encode()
+    reads, path, kinds = ReadPaths(monkeypatch), tmp_path / "edit.json", set()
+    for i in range(len(text)):
+        for edit in (b"7", b"-", b" ", b"\n", b""):
+            if text[i : i + 1] == edit:
+                continue
+            path.write_bytes(text[:i] + edit + text[i + 1 :])
+            got, as_json = reads.load(path, 30)  # names past 30 are checked, not kept
+            kinds.add((type(got) is str, as_json))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_column_reader_sends_what_the_writer_never_writes_to_the_json_reader(tmp_path, monkeypatch):
+    doc = series_to_obj(series_from_curve(get_curve("37a"), 60))
+    entries = doc["entries"]
+    reads, path = ReadPaths(monkeypatch), tmp_path / "doc.json"
+
+    def read(text):
+        path.write_text(text)
+        return reads.load(path, 60)
+
+    good = writer_text(doc)
+    assert read(good)[1] is False
+    first = '"c_num": %d,' % entries[0]["c_num"]
+    for value in (2**63, -(2**63), 2**63 - 1, -(2**63) + 1):
+        got, as_json = read(good.replace(first, '"c_num": %d,' % value, 1))
+        assert as_json == (abs(value) >= 2**63) and "exceeds 2/sqrt(2)" in got
+    tag, label = f' "format": "{SCHEMA_TAG}",\n', ' "label": "37a",\n'
+    assert tag + label in good
+    for text in (
+        good.replace(tag + label, label + tag),  # "label" before "format"
+        good.replace(' "label": "37a",\n', ' "label": "37a",\n "label": "37a",\n'),  # a key twice
+        good.replace(first, first + "\n   " + first, 1),  # a key twice in an entry
+        writer_text({**doc, "entries": [entries[0], *entries]}),  # a name twice, same value
+        writer_text({**doc, "entries": [*entries[1:], entries[0]]}),  # names out of order
+    ):
+        got, as_json = read(text)
+        assert as_json and type(got) is tuple
+    for i, key in ((0, "c_den"), (5, "c_den"), (5, "norm")):
+        got, as_json = read(writer_text({**doc, "entries": [*entries[:i], {**entries[i], key: 0}, *entries[i + 1 :]]}))
+        assert as_json and type(got) is str  # a zero denominator, a name out of order
+    got, as_json = read(writer_text({**doc, "entries": [*entries, {**entries[-1], "c_num": 3}]}))
+    assert as_json and got == f"entry {len(entries)}: (59) named again with another coefficient"
+
+
+def test_column_reader_checks_the_names_past_x(tmp_path, monkeypatch):
+    # a cache file read at a smaller x: its names past x are split, a
+    # composite p refused and the Hasse bound checked, as the JSON reader does
+    doc = series_to_obj(series_from_curve(get_curve("11a"), 1000))
+    entries, reads, path = doc["entries"], ReadPaths(monkeypatch), tmp_path / "doc.json"
+    assert entries[-1]["norm"] == 997
+    composite = {"norm": 999, "rational_prime": 999, "root_label": 0, "c_num": 0, "c_den": 1}
+    cases = {
+        "none": entries,
+        "composite": [*entries[:-1], composite],
+        "composite appended": [*entries, {**composite, "norm": 1003, "rational_prime": 1003}],
+        "hasse": [*entries[:-1], {**entries[-1], "c_num": entries[-1]["c_den"]}],
+        "label": [*entries[:-1], {**entries[-1], "root_label": 1}],
+    }
+    want = {
+        "none": None,
+        "composite": f"entry {len(entries) - 1}: 999 is not prime",
+        "composite appended": f"entry {len(entries)}: 1003 is not prime",
+        "hasse": "11a: |c((997))| = |1| exceeds 2/sqrt(997)",
+        "label": f"entry {len(entries) - 1}: no prime above 997 with root label 1 in Q",
+    }
+    for case, rows in cases.items():
+        path.write_text(writer_text({**doc, "entries": rows}))
+        for x in (100, 1000):
+            got, as_json = reads.load(path, x)
+            assert not as_json
+            assert got == want[case] if want[case] else type(got) is tuple
+
+
+def test_name_rows_compares_int64_repeats_exactly():
+    # 2^32/1 and 0/2^32 name one prime: their cross products, 0 and 2^64,
+    # are equal once wrapped to int64, but the values are not
+    T = _prime_table(Q, 10)
+    names = [np.array([3, 3]), np.array([3, 3]), np.array([0, 0])]
+    num, den = np.array([2**32, 0]), np.array([1, 2**32])
+    with pytest.raises(HilbertSignsError, match=r"^entry 1: \(3\) named again with another coefficient$"):
+        eigen_io._name_rows(Q, T, names, num, den, "entry", "coefficient")
+
+
+def test_every_cache_file_loads_without_the_json_reader(tmp_path, monkeypatch):
+    # a later change must not send the cache reads down the JSON path unseen
+    written = {label: cached_curve_series(E, 20_000, tmp_path) for label, E in sorted(CURVE_REGISTRY.items())}
+    assert len(list(tmp_path.glob("*.json"))) == len(written) == 5
+
+    def refuse(*args):
+        raise AssertionError("a cache file went to the JSON reader")
+
+    monkeypatch.setattr(eigen_io, "series_from_obj", refuse)
+    monkeypatch.setattr(eigen_io, "series_from_curve", refuse)
+    for label, E in written.items():
+        again = cached_curve_series(CURVE_REGISTRY[label], 20_000, tmp_path)
+        assert equal_series(again, E)
+        assert again.num.dtype == again.den.dtype == np.int64
 
 
 # ----------------------------------------------------------------------

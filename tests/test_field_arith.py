@@ -344,6 +344,10 @@ def test_prime_table_index_matches_split_rational_prime(d):
     rows = list(range(len(names)))
     random.Random(d).shuffle(rows)  # in any order, in one call
     assert T.lookup(*zip(*(names[i] for i in rows))).tolist() == [want[i] for i in rows]
+    # the names within int64 as int64 columns, as the curve cache reader passes them
+    rows = [i for i in rows if all(abs(v) < 2**63 for v in names[i])]
+    columns = [np.array(c, dtype=np.int64) for c in zip(*(names[i] for i in rows))]
+    assert T.lookup(*columns).tolist() == [want[i] for i in rows]
     assert sorted(row_of.values()) == list(range(len(T.key)))
     # each name past X is also -1 in the table of a smaller X, and an empty table has no rows
     assert (_prime_table(K, 1).lookup(*zip(*names)) == -1).all()
