@@ -271,12 +271,14 @@ def _ap_lanes(E: CurveSpec, p: np.ndarray) -> np.ndarray:
 
     A pass takes the next 4 _LANES // (m + 2) undecided lanes, and a lane
     still undecided after it rejoins the queue, so each table of a pass
-    stays near 256 KiB, four rows of _LANES lanes, at any X.  On a cold
-    `signs --curve 37a` (2-vCPU VM), passes of 1, 4 and 16 times that
-    width take 5.1, 2.7 and 2.3 s at X = 10^6, all at a 72-74 MB peak;
-    at X = 10^5 the peak is 38.5 MB up to 8 times and 41.8 MB at 16
-    times, 49.5 MB at 32 (one pass for nearly every prime), where the
-    tables of a pass outgrow everything else the run holds.
+    stays near 256 KiB, four rows of _LANES lanes, at any X.  Timed
+    in-process, series_from_curve on curve 37a (2-vCPU VM, from a process
+    at 30.6 MB max RSS after import) at X = 10^6 takes 2.1-2.8, 1.8-2.1
+    and 1.8 s with passes of 1, 4 and 16 times that width, and peaks at
+    37.0, 42.6 and 65.2 MB.  At X = 10^5, 1, 2, 4 and 8 times take 0.20,
+    0.18, 0.18 and 0.19 s (medians of 9) and peak at 32.6, 34.5, 38.4
+    and 46.2 MB.  A wider pass saves little time, and its tables soon
+    outgrow everything else the run holds.
     """
     b2, b4, b6, _ = E.b_invariants()
     c4 = b2 * b2 - 24 * b4

@@ -166,8 +166,9 @@ def _columns(rows: list, keys: tuple[str, ...], what: str, refuse) -> list[list[
             raise HilbertSignsError(f"{what} {i}: {error}")
 
 
-def _name_rows(K: QuadField, T, names, num: np.ndarray, den: np.ndarray, what: str, of: str):
-    """The row of T of each entry's name (or -1), and {P: (num, den)} for the names T lacks.
+def _name_rows(K: QuadField, x: int, names, num: np.ndarray, den: np.ndarray, what: str, of: str):
+    """The row of each entry's name in T, the prime table of (K, x), or -1, and {P: (num, den)}
+    for the names T lacks.
 
     names are the (norm, p, root_label) columns, as lists of Python ints
     or int64 arrays, and num / den the value of each entry, as object or
@@ -177,7 +178,7 @@ def _name_rows(K: QuadField, T, names, num: np.ndarray, den: np.ndarray, what: s
     T's rows are found in one pass over the hits sorted by row.  The first
     entry at fault, a bad name or a repeat, is the one named.
     """
-    j = T.lookup(*names)
+    j = _prime_table(K, x).lookup(*names)
     hit, clash = np.flatnonzero(j >= 0), len(j)
     if hit.size and np.bincount(j[hit]).max() > 1:
         order = hit[np.argsort(j[hit], kind="stable")]
@@ -193,7 +194,7 @@ def _name_rows(K: QuadField, T, names, num: np.ndarray, den: np.ndarray, what: s
         if a * d != n * b:
             raise HilbertSignsError(f"{what} {i}: {P} named again with another {of}")
     if clash < len(j):
-        P = _prime_ideals(K, T, [j[clash]])[0]
+        P = _prime_ideals(K, x, [j[clash]])[0]
         raise HilbertSignsError(f"{what} {clash}: {P} named again with another {of}")
     return j, past
 
@@ -246,7 +247,7 @@ def _series(obj: dict, K: QuadField, x: int, names, num: np.ndarray, den: np.nda
     Hasse gate in EigenvalueSeries, and then the names past x pass it too.
     """
     T = _prime_table(K, x)
-    j, past = _name_rows(K, T, names, num, den, "entry", "coefficient")
+    j, past = _name_rows(K, x, names, num, den, "entry", "coefficient")
     hit, nums, dens = j >= 0, np.zeros(len(T.key), dtype=num.dtype), np.zeros(len(T.key), dtype=den.dtype)
     nums[j[hit]], dens[j[hit]] = num[hit], den[hit]  # a repeat carries an equal value
     E = EigenvalueSeries(K, obj["weight"], obj["label"], x, nums, dens, obj.get("level_support", []))
@@ -381,12 +382,12 @@ def load_psi_table(K: QuadField, source, x: int) -> dict[PrimeIdeal, int]:
         source = _read_json(source, "psi table")
     if type(source) is not list:
         raise HilbertSignsError("psi table must be a JSON list of entries")
-    T, keys = _prime_table(K, x), ("prime_norm", "rational_prime", "root_label", "value")
+    keys = ("prime_norm", "rational_prime", "root_label", "value")
     *names, value = _columns(source, keys, "psi entry", _not_unit)
     value = np.array(value, dtype=object)
-    j, past = _name_rows(K, T, names, value, np.ones(len(value), dtype=object), "psi entry", "value")
+    j, past = _name_rows(K, x, names, value, np.ones(len(value), dtype=object), "psi entry", "value")
     hit = np.flatnonzero(j >= 0)
-    table = dict(zip(_prime_ideals(K, T, j[hit]), value[hit].tolist()))
+    table = dict(zip(_prime_ideals(K, x, j[hit]), value[hit].tolist()))
     return {**table, **{P: v for P, (v, _) in past.items()}}
 
 

@@ -8,7 +8,8 @@ it stay exact.
 
 The prime ideals of norm <= X are the rows of one table per (K, X),
 built once with numpy, and a PrimeIdeal is made from a row only to be
-printed or to key a dict.  The int64 columns are exact because X <=
+printed or to key a dict.  Their roots (below) are built apart, only for
+a reader that needs them.  The int64 columns are exact because X <=
 TABLE_MAX_X keeps every product of two residues mod p below 2^63.
 Python ints remain where a value is unbounded (tau's coordinates and
 norm, reduced limb by limb) and on the few lanes that take the scalar
@@ -364,15 +365,16 @@ def _lanes(bound: int, limit: int = 2**63 - 1):
 class _PrimeTable(NamedTuple):
     """The prime ideals of norm <= X in canonical order, one row each, as read-only columns.
 
-    norm and root are the int64 PrimeIdeal fields of that name, and kind
-    is the int8 index of the splitting in _KINDS.  key = 2 norm +
-    root_label is strictly increasing: a norm names its p (p, or p^2,
-    which is never prime), so key orders the rows by (norm, p, label).
+    norm is the int64 PrimeIdeal field of that name, and kind is the int8
+    index of the splitting in _KINDS.  key = 2 norm + root_label is
+    strictly increasing: a norm names its p (p, or p^2, which is never
+    prime), so key orders the rows by (norm, p, label).  The roots are
+    not a column here: _prime_roots builds them for the few readers that
+    need them.
     """
 
     norm: np.ndarray
     kind: np.ndarray
-    root: np.ndarray
     key: np.ndarray
 
     def names(self, rows) -> tuple[list[int], list[int], list[int]]:
@@ -415,11 +417,13 @@ def _name_columns(primes) -> tuple[list[int], list[int], list[int]]:
     return [P.norm for P in primes], [P.rational_prime for P in primes], [P.root_label for P in primes]
 
 
-def _prime_ideals(K: QuadField, T: _PrimeTable, rows) -> list[PrimeIdeal]:
-    """The PrimeIdeal of each of the given rows of T, for text and for dict keys."""
+def _prime_ideals(K: QuadField, X: int, rows) -> list[PrimeIdeal]:
+    """The PrimeIdeal of each of the given rows of the prime table of (K, X), for text and for dict keys."""
+    T = _prime_table(K, X)
     kinds = T.kind[rows].tolist()
     degrees, splittings = [_DEGREE_OF[k] for k in kinds], [_KINDS[k] for k in kinds]
-    return list(map(PrimeIdeal, *T.names(rows), degrees, splittings, T.root[rows].tolist(), repeat(K)))
+    roots = _prime_roots(K, X)[rows].tolist()
+    return list(map(PrimeIdeal, *T.names(rows), degrees, splittings, roots, repeat(K)))
 
 
 def _mod_lanes(n: int, p: np.ndarray) -> np.ndarray:
@@ -505,44 +509,58 @@ def _omega_roots_lanes(K: QuadField, p: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _prime_table(K: QuadField, X: int) -> _PrimeTable:
     """The prime table of (K, X), built once with numpy; the last one is kept.
 
-    The sieve gives the rational primes, a lookup on p mod disc their
-    class, and one vectorized square root of d mod each odd split p both
-    roots of the minimal polynomial of w.  The table holds no Python
-    object, and few temporaries of its length live at once.  X is refused
-    before anything is allocated if p^2 could pass int64.
+    The sieve gives the rational primes, and a lookup on p mod disc their
+    class.  The table holds no Python object, and few temporaries of its
+    length live at once.  X is refused before anything is allocated if
+    p^2 could pass int64.
     """
     if X > TABLE_MAX_X:
         raise ValueError(f"the prime table needs X <= {TABLE_MAX_X} so that p^2 < 2^63, got {X}")
     p = primes_upto(X)
     if K.is_rational:  # (p) is the one prime above p
-        kind, root = np.zeros(len(p), dtype=np.int8), np.zeros_like(p)
+        kind = np.zeros(len(p), dtype=np.int8)
     else:
         cls = _class_of_residue(K)[p % K.disc]
         inert = p[(cls == _INERT) & (p <= math.isqrt(X))]
         # degree-one rows in p order: two rows for a split p, one for a ramified p
         rows = (cls == _SPLIT).astype(np.int8) + (cls != _INERT)
         p, kind = np.repeat(p, rows), np.repeat(cls, rows)
-        del cls, rows  # free before the root lanes run
+        del cls, rows  # free before the inert rows are merged in
         # inert rows, of norm p^2, merged in by norm
         at = np.searchsorted(p, inert * inert)
         p, kind = np.insert(p, at, inert), np.insert(kind, at, _INERT)
-        second = np.flatnonzero(p[1:] == p[:-1]) + 1  # the label-1 row of each split p
-        kind[second] = _SECOND
-        root = np.zeros_like(p)
-        second = second[p[second] != 2]
-        for lo in range(0, len(second), _LANES):
-            i = second[lo : lo + _LANES]
-            root[i - 1], root[i] = _omega_roots_lanes(K, p[i])
-        # p = 2 when it splits, and the ramified primes: at most three, one at a time
-        for i in np.flatnonzero((kind == _SPLIT) & (p == 2) | (kind == _RAMIFIED)).tolist():
-            roots = _omega_roots_mod(K, int(p[i]))
-            root[i : i + len(roots)] = roots
+        kind[np.flatnonzero(p[1:] == p[:-1]) + 1] = _SECOND  # the label-1 row of each split p
     norm = p  # p becomes the norm in place
     norm[kind == _INERT] **= 2
-    cols = (norm, kind, root, 2 * norm + (kind == _SECOND))
+    cols = (norm, kind, 2 * norm + (kind == _SECOND))
     for c in cols:
         c.flags.writeable = False
     return _PrimeTable(*cols)
+
+
+@lru_cache(maxsize=1)
+def _prime_roots(K: QuadField, X: int) -> np.ndarray:
+    """The PrimeIdeal root of each row of the prime table of (K, X), read-only int64; the last one is kept.
+
+    One vectorized square root of d mod each odd split p gives both roots
+    of the minimal polynomial of w; p = 2 when it splits and the ramified
+    primes, at most three rows, take the scalar route.  Inert rows, and
+    every row over Q, hold 0.  Only a character of a tau that is not a
+    square and _prime_ideals read the roots, so a run that reads neither
+    never builds them.
+    """
+    T = _prime_table(K, X)
+    root = np.zeros(len(T.norm), dtype=np.int64)
+    if not K.is_rational:
+        second = np.flatnonzero((T.kind == _SECOND) & (T.norm != 2))
+        for lo in range(0, len(second), _LANES):
+            i = second[lo : lo + _LANES]
+            root[i - 1], root[i] = _omega_roots_lanes(K, T.norm[i])
+        for i in np.flatnonzero((T.kind == _SPLIT) & (T.norm == 2) | (T.kind == _RAMIFIED)).tolist():
+            roots = _omega_roots_mod(K, int(T.norm[i]))
+            root[i : i + len(roots)] = roots
+    root.flags.writeable = False
+    return root
 
 
 # ======================================================================
@@ -704,7 +722,7 @@ def _ideal_objects(K: QuadField, X: int) -> tuple[tuple[IdealFactorization, ...]
     Built once, for the coeffs view of a formal series.
     """
     T = _ideal_table(K, X)
-    primes = _prime_ideals(K, _prime_table(K, X), slice(None))
+    primes = _prime_ideals(K, X, slice(None))
     factors = [[] for _ in range(len(T.norm))]
     for i, r, e in zip(T.fac_id.tolist(), T.fac_row.tolist(), T.fac_exp.tolist()):
         factors[i].append((primes[r], e))

@@ -155,14 +155,14 @@ class EigenvalueSeries:
         if not len(num) == len(den) == len(T.norm):
             raise ValueError(f"columns of {len(num)} and {len(den)} rows, for {len(T.norm)} primes")
         self.num, self.den = _hasse_columns(
-            self.label, lambda i: _prime_ideals(field, T, [i])[0], T.norm, num, den
+            self.label, lambda i: _prime_ideals(field, self.x, [i])[0], T.norm, num, den
         )
 
     @property
     def entries(self) -> MappingProxyType:
         """A read-only {prime: Fraction} view of the rows with a coefficient, built on each read."""
         rows = np.flatnonzero(self.den)
-        primes = _prime_ideals(self.field, _prime_table(self.field, self.x), rows)
+        primes = _prime_ideals(self.field, self.x, rows)
         fractions = map(Fraction, self.num[rows].tolist(), self.den[rows].tolist())
         return MappingProxyType(dict(zip(primes, fractions)))
 
@@ -246,7 +246,7 @@ class SignSurvey:
         empty = np.flatnonzero(E.den[:n] == 0)
         gaps = np.concatenate([empty[chi[empty] != 0], n + np.flatnonzero(chi[n:])])
         if gaps.size:
-            P = _prime_ideals(E.field, T, [gaps.min()])[0]
+            P = _prime_ideals(E.field, self.x, [gaps.min()])[0]
             raise HilbertSignsError(f"{E.label}: no coefficient at good prime {P}")
         self.all_norms = T.norm
         self.bad_rows = np.flatnonzero(chi == 0)

@@ -431,7 +431,7 @@ def series_from_obj_by_entry(obj, x):
         if den == 0:
             raise HilbertSignsError(f"entry {i}: zero denominator")
         cells.append((norm, p, label, num, den))
-    row_of = {P: j for j, P in enumerate(_prime_ideals(K, T, slice(None)))}
+    row_of = {P: j for j, P in enumerate(_prime_ideals(K, x, slice(None)))}
     nums, dens, above, seen = [0] * len(T.key), [0] * len(T.key), {}, {}
     for i, (norm, p, label, num, den) in enumerate(cells):
         P = _resolve(K, above, norm, p, label, f"entry {i}")

@@ -1,6 +1,9 @@
 """The twisted quadratic ideal character and its finite psi tables."""
 
+import itertools
 import json
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -160,3 +163,42 @@ def test_values_upto_reduces_huge_coordinates(field5):
     primes = enumerate_prime_ideals(field5, 20000)
     assert chi.values_upto(20000).tolist() == [value_at(chi, P) for P in primes]
     assert chi.values_upto(1).tolist() == []
+
+
+def _fundamental_unit(d):
+    """(a, b) with a + b sqrt(d) the least unit > 1 of O_K: the least b > 0 of a^2 - d b^2 = +-1
+    (or +-4 for halves when d = 1 mod 4)."""
+    k = 4 if d % 4 == 1 else 1
+    for b in itertools.count(1):
+        for n in (d * b * b - k, d * b * b + k):
+            if math.isqrt(n) ** 2 == n:
+                return Fraction(math.isqrt(n), 2 if k == 4 else 1), Fraction(b, 2 if k == 4 else 1)
+
+
+def _times(d, u, v):
+    return u[0] * v[0] + d * u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+@pytest.mark.parametrize("d", NARROW_CLASS_NUMBER_ONE)
+def test_values_upto_matches_the_euler_oracle_at_square_and_nonsquare_tau(d):
+    # a square tau takes the trivial-character path and runs no residue symbol,
+    # the rest take the Euler lanes; the scalar oracle runs the criterion at every
+    # prime either way.  Roots are built a + b sqrt(d), as Fractions.
+    K, X = make_field(d), 3000
+    two, six = (Fraction(2), Fraction(0)), (Fraction(6), Fraction(0))
+    roots = [(Fraction(1), Fraction(0)), two, six]
+    nonsquares = [(Fraction(3), Fraction(0)), (Fraction(7), Fraction(0))]  # d is never 3 or 7
+    if not K.is_rational:
+        eps, m = _fundamental_unit(d), max(4, math.isqrt(d) + 1)
+        nonsquare = (Fraction(m), Fraction(1))  # its norm m^2 - d is not a square
+        # the unit squares eps^2 and 4 eps^2, d = (sqrt d)^2, and squares with both parts
+        roots += [eps, _times(d, two, eps), (Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)),
+                  _times(d, eps, (Fraction(3), Fraction(1)))]
+        nonsquares += [nonsquare, _times(d, _times(d, eps, eps), nonsquare), _times(d, six, nonsquare)]
+    primes = enumerate_prime_ideals(K, X)
+    psi = {P: -1 for P in primes[1::7]}
+    for tau, square in [*((_times(d, r, r), True) for r in roots), *((t, False) for t in nonsquares)]:
+        for table in (None, psi):
+            chi = IdealCharacter.from_tau(K, tau, psi_table=table)
+            assert chi.square is square, tau
+            assert chi.values_upto(X).tolist() == [value_at(chi, P) for P in primes], tau

@@ -14,7 +14,7 @@ import pytest
 from oracles import enumerate_prime_ideals, save_fixture, series_from_dict, series_to_obj, value_at
 
 import hilbert_signs
-from hilbert_signs import cli, eigen_io, field_arith
+from hilbert_signs import characters, cli, eigen_io, field_arith
 from hilbert_signs.characters import IdealCharacter
 from hilbert_signs.cli import SIMULATE_CSV_HEADER, TALLY_CSV_HEADER, build_parser, main
 from hilbert_signs.curves import get_curve, series_from_curve
@@ -365,6 +365,37 @@ def test_each_command_builds_one_prime_table(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code in (0, 1) and err == ""
         assert _prime_table.cache_info().misses == 1, argv[0]
+
+
+class _RootsRead(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv, square", [
+    (["simulate", "--d", "5", "--x", "20000", "--seed", "1"], True),  # the default tau = 1
+    (["simulate", "--d", "13", "--x", "20000", "--seed", "1", "--tau", "4"], True),
+    (["simulate", "--x", "20000", "--seed", "1", "--tau", "9"], True),
+    (["char", "--d", "29", "--x", "20000"], True),
+    (["primes", "--d", "5", "--x", "20000"], True),
+    (["signs", "--curve", "11a", "--x", "2000", "--cache-dir", "{cache}"], True),
+    (["simulate", "--d", "5", "--x", "20000", "--seed", "1", "--tau", "4", "--tau-b", "1"], False),
+    (["char", "--d", "29", "--x", "20000", "--tau", "7"], False),
+])
+def test_only_a_nonsquare_tau_builds_roots_or_runs_the_euler_lanes(capsys, monkeypatch, tmp_path, argv, square):
+    # a square tau is the trivial character, and no output reads a root
+    def refuse(*args):
+        raise _RootsRead(args[:1])
+
+    for module, name in ((field_arith, "_omega_roots_lanes"), (field_arith, "_prime_roots"),
+                         (characters, "_prime_roots"), (characters, "_euler_symbol_lanes")):
+        monkeypatch.setattr(module, name, refuse)
+    argv = [a.format(cache=tmp_path) for a in argv]
+    if square:
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out and err == ""
+    else:
+        with pytest.raises(_RootsRead):
+            main(argv)
 
 
 def test_signs_factors_tau_once(capsys, monkeypatch, tmp_path):

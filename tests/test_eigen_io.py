@@ -404,7 +404,7 @@ def test_prime_lookup_splits_each_p_once(field5, monkeypatch):
         keys = decode()
         assert keys.keys() == kept and calls == [101, 13]
         rows = T.lookup(*_name_columns(P for P in keys if P.norm <= x))
-        assert _prime_ideals(field5, T, rows) == [P for P in keys if P.norm <= x]
+        assert _prime_ideals(field5, x, rows) == [P for P in keys if P.norm <= x]
     # inert 7 has label 0 only; 4, 9 and 1 are not prime; the error names the entry
     for p, label in ((7, 1), (4, 0), (9, 0), (1, 0)):
         with pytest.raises(HilbertSignsError, match="^psi entry 1: "):
@@ -575,11 +575,10 @@ def test_column_reader_checks_the_names_past_x(tmp_path, monkeypatch):
 def test_name_rows_compares_int64_repeats_exactly():
     # 2^32/1 and 0/2^32 name one prime: their cross products, 0 and 2^64,
     # are equal once wrapped to int64, but the values are not
-    T = _prime_table(Q, 10)
     names = [np.array([3, 3]), np.array([3, 3]), np.array([0, 0])]
     num, den = np.array([2**32, 0]), np.array([1, 2**32])
     with pytest.raises(HilbertSignsError, match=r"^entry 1: \(3\) named again with another coefficient$"):
-        eigen_io._name_rows(Q, T, names, num, den, "entry", "coefficient")
+        eigen_io._name_rows(Q, 10, names, num, den, "entry", "coefficient")
 
 
 def test_every_cache_file_loads_without_the_json_reader(tmp_path, monkeypatch):

@@ -23,6 +23,7 @@ from hilbert_signs.field_arith import (
     Splitting,
     _is_prime,
     _prime_ideals,
+    _prime_roots,
     _prime_table,
     _sqrt_lanes,
     _sqrt_mod,
@@ -274,7 +275,7 @@ def test_reduction_sends_omega_to_root(field5):
 def test_enumeration_examples(field5):
     assert _prime_table(make_field(1), 10).norm.tolist() == [2, 3, 5, 7]
     assert _prime_table(field5, 11).norm.tolist() == [4, 5, 9, 11, 11]
-    assert _prime_ideals(field5, _prime_table(field5, 3), slice(None)) == []
+    assert _prime_ideals(field5, 3, slice(None)) == []
 
 
 @pytest.mark.parametrize("d", NARROW_CLASS_NUMBER_ONE)
@@ -287,7 +288,7 @@ def test_enumeration_matches_brute_force(d):
 @pytest.mark.parametrize("d", NARROW_CLASS_NUMBER_ONE)
 def test_enumeration_strictly_sorted(d):
     K = make_field(d)
-    primes = _prime_ideals(K, _prime_table(K, 2000), slice(None))
+    primes = _prime_ideals(K, 2000, slice(None))
     assert sorted(primes) == primes and len(set(primes)) == len(primes)
 
 
@@ -300,14 +301,15 @@ def test_prime_table_matches_split_rational_prime(d):
             P for p in primes_upto(X).tolist() for P in split_rational_prime(K, p) if P.norm <= X
         )
         T = _prime_table(K, X)
-        got = _prime_ideals(K, T, slice(None))
+        got = _prime_ideals(K, X, slice(None))
         assert got == ref
         assert [type(v) for P in got[:50] for v in P[:4]] == [int] * 4 * min(50, len(ref))
         assert T.norm.tolist() == [P.norm for P in ref]
         assert [_KINDS[k] for k in T.kind.tolist()] == [P.splitting for P in ref]
-        assert T.root.tolist() == [P.root for P in ref]
+        roots = _prime_roots(K, X)
+        assert roots.tolist() == [P.root for P in ref]
         assert T.key.tolist() == [2 * P.norm + P.root_label for P in ref]
-        assert all(c.dtype != object and not c.flags.writeable for c in T)
+        assert all(c.dtype != object and not c.flags.writeable for c in (*T, roots))
 
 
 @pytest.mark.parametrize("d", NARROW_CLASS_NUMBER_ONE)
