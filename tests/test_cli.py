@@ -499,6 +499,8 @@ INPUT_ERRORS = {
     "primes-x-1e14": lambda t: ["primes", "--x", str(10**14)],
     "signs-x-negative": lambda t: ["signs", "--curve", "37a", "--x", "-5", "--cache-dir", str(t)],
     "char-tau-huge-norm": lambda t: ["char", "--d", "1", "--x", "10", "--tau", str(10**18 + 3)],
+    "char-tau-not-totally-positive": lambda t: ["char", "--d", "5", "--x", "10", "--tau", "1/2", "--tau-b", "1/2"],
+    "char-tau-not-integral": lambda t: ["char", "--d", "2", "--x", "10", "--tau", "1/2", "--tau-b", "1/2"],
     "fixture-prime-composite-2-64": lambda t: _fixture_over_prime(t, _COMPOSITE),
     "fixture-level-composite-2-64": lambda t: _fixture(t, level_support=[_COMPOSITE]),
     "psi-prime-composite-2-64": lambda t: _psi_over_prime(t, _COMPOSITE),
@@ -543,6 +545,17 @@ def test_input_error_exits_2_with_one_line(capsys, tmp_path, case):
     ],
 )
 def test_a_name_with_another_rows_key_is_refused_by_its_label(capsys, tmp_path, case, message):
+    assert run(capsys, *INPUT_ERRORS[case](tmp_path)) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "case,message",
+    [
+        ("char-tau-not-totally-positive", "error: 1/2+1/2*sqrt(5) is not totally positive\n"),
+        ("char-tau-not-integral", "error: 1/2+1/2*sqrt(2) is not an algebraic integer of Q(sqrt(2))\n"),
+    ],
+)
+def test_a_refused_tau_is_named_by_its_text(capsys, tmp_path, case, message):
     assert run(capsys, *INPUT_ERRORS[case](tmp_path)) == (2, "", message)
 
 

@@ -89,6 +89,22 @@ GOLDEN = [
         ["char", "--d", "13", "--x", "3000", "--tau", "4", "--tau-b", "1"],
         "b4d855b347e43e03a792d26f70b4809c13a4e9d9107071ae678d3acde7db9657",
     ),
+    (  # "tau": "3/2+1/2*sqrt(5)"
+        ["simulate", "--d", "5", "--x", "2000", "--seed", "1", "--tau", "3/2", "--tau-b", "1/2", "--format", "json"],
+        "ba3168ab35c5cb2cfcdeaa7714939f6e64ab17f38383075ce15f9edd3647bb34",
+    ),
+    (  # "tau": "4+-1*sqrt(5)"
+        ["simulate", "--d", "5", "--x", "2000", "--seed", "1", "--tau", "4", "--tau-b", "-1", "--format", "json"],
+        "ba4cf7b8b90e9fd067c2d3607015afa1d97cec48fdf9496bf04d53313b1c4825",
+    ),
+    (  # "a_ideal": "P3a"
+        ["simulate", "--d", "13", "--x", "2000", "--seed", "1", "--tau", "7/2", "--tau-b", "1/2", "--format", "json"],
+        "5b09819ace9b145cea926ffebee9af2d817ba572323f1b529e68ef7fed616e44",
+    ),
+    (  # over Q the sqrt(1) part folds in: "tau": "4", "a_ideal": "(2)"
+        ["signs", "--curve", "11a", "--x", "200", "--tau", "3", "--tau-b", "1", "--format", "json"],
+        "e761c3530c315325f0020a3eb23e9065d2da1d3ce0f05cd552a1e8b18abe5702",
+    ),
 ]
 
 
