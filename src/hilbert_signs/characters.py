@@ -20,7 +20,10 @@ evaluates no residue symbol for it.
 
 The extended character is zero exactly on a finite conservative bad set:
 primes above 2, primes dividing the field discriminant, primes dividing
-tau, and primes above any declared level support.
+tau, and primes above any declared level support.  The bad set, the keys
+of psi and the factors of tau*O_K are prime names (norm, p, root_label),
+so a prime past the prime table needs no root, and values_upto finds the
+rows of the bad set and of psi by one table lookup each.
 """
 
 from __future__ import annotations
@@ -32,20 +35,20 @@ import numpy as np
 
 from .errors import HilbertSignsError
 from .field_arith import (
-    FieldElement,
-    IdealFactorization,
-    PrimeIdeal,
     QuadField,
     _INERT,
     _euler_symbol_lanes,
     _factor_int,
-    _name_columns,
+    _names_above,
+    _norm,
     _prime_roots,
     _prime_table,
-    as_element,
     factor_principal_ideal,
-    split_rational_prime,
+    factorable_tau,
+    ideal_text,
 )
+
+Name = tuple[int, int, int]  # a prime ideal's (norm, p, root_label)
 
 
 class CharacterValues(NamedTuple):
@@ -69,17 +72,18 @@ class CharacterValues(NamedTuple):
 class IdealCharacter:
     """(psi * eps_tau) extended multiplicatively to integral ideals.
 
-    tau_ideal is the factorization of tau*O_K, and tau_omega holds the
-    integers (x, y) with tau = x + y*w, so each value is one Euler
-    criterion in integers.  square records whether tau is a square in K,
-    by the square rule of the module docstring.
+    tau is tau's text, tau_ideal the (name, exponent) factorization of
+    tau*O_K, and tau_omega holds the integers (x, y) with tau = x + y*w,
+    so each value is one Euler criterion in integers.  square records
+    whether tau is a square in K, by the square rule of the module
+    docstring.
     """
 
     field: QuadField
-    tau: FieldElement
-    psi_table: dict[PrimeIdeal, int]
-    bad_set: frozenset[PrimeIdeal]
-    tau_ideal: IdealFactorization
+    tau: str
+    psi_table: dict[Name, int]
+    bad_set: frozenset[Name]
+    tau_ideal: tuple[tuple[Name, int], ...]
     tau_omega: tuple[int, int]
     square: bool
 
@@ -88,25 +92,19 @@ class IdealCharacter:
         cls,
         K: QuadField,
         tau,
-        psi_table: dict[PrimeIdeal, int] | None = None,
+        psi_table: dict[Name, int] | None = None,
         level_support=(),
     ) -> "IdealCharacter":
-        el = as_element(K, tau)
         psi = dict(psi_table or {})
         for P, v in psi.items():
-            if P.field != K:
-                raise ValueError(f"psi table prime {P} is not a prime of {K}")
             if v not in (-1, 1):
-                raise HilbertSignsError(f"psi value at {P} must be +-1, got {v}")
-        bad: set[PrimeIdeal] = set()
-        for p in sorted({2, *level_support, *_factor_int(K.disc)}):
-            bad.update(split_rational_prime(K, p))
-        # factoring proves tau integral, so its omega-coordinates are integers
-        tau_ideal = factor_principal_ideal(K, el)
-        bad.update(tau_ideal.support())
-        x, y = el.omega_coords()
-        square = all(e % 2 == 0 for _, e in tau_ideal.factors)
-        return cls(K, el, psi, frozenset(bad), tau_ideal, (int(x), int(y)), square)
+                raise HilbertSignsError(f"psi value at {ideal_text(K, [(P, 1)])} must be +-1, got {v}")
+        omega, text = factorable_tau(K, tau)
+        tau_ideal = factor_principal_ideal(K, tau)
+        bad = {P for p in {2, *level_support, *_factor_int(K.disc)} for P in _names_above(K, p)}
+        bad.update(P for P, _ in tau_ideal)
+        square = all(e % 2 == 0 for _, e in tau_ideal)
+        return cls(K, text, psi, frozenset(bad), tau_ideal, omega, square)
 
     def evaluated(self, X: int) -> CharacterValues:
         return CharacterValues(self.field, X, self.values_upto(X))
@@ -132,11 +130,11 @@ class IdealCharacter:
             root = _prime_roots(self.field, X)
             values = _euler_symbol_lanes(*self.tau_omega, T.norm, root)
             inert = np.flatnonzero(T.kind == _INERT)
-            (x, y), (s, c) = self.tau_omega, self.field.omega_square()  # N(x + y w) = x^2 + s x y - c y^2
             p = np.array(T.names(inert)[1], np.int64)
-            values[inert] = _euler_symbol_lanes(x * x + s * x * y - c * y * y, 0, p, root[inert])
-        bad = T.lookup(*_name_columns(self.bad_set))
-        psi, v = T.lookup(*_name_columns(self.psi_table)), np.array(list(self.psi_table.values()), np.int8)
-        values[psi[psi >= 0]] *= v[psi >= 0]
+            values[inert] = _euler_symbol_lanes(_norm(self.field, *self.tau_omega), 0, p, root[inert])
+        if self.psi_table:
+            psi, v = T.lookup(*zip(*self.psi_table)), np.array(list(self.psi_table.values()), np.int8)
+            values[psi[psi >= 0]] *= v[psi >= 0]
+        bad = T.lookup(*zip(*self.bad_set))  # never empty: it holds the primes above 2
         values[bad[bad >= 0]] = 0
         return values

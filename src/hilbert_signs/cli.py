@@ -92,8 +92,8 @@ def density_string(num: int, den: int) -> str:
 def _tally_obj(t: SignTally) -> dict:
     return {
         "x": t.x,
-        "tau": repr(t.tau),
-        "a_ideal": repr(t.a_ideal),
+        "tau": t.tau,
+        "a_ideal": t.a_ideal,
         "counts": {"pos": t.pos, "neg": t.neg, "zero": t.zero, "bad": t.bad, "total": t.total},
         "pos_density": density_string(t.pos, t.total),
         "neg_density": density_string(t.neg, t.total),
@@ -213,7 +213,8 @@ def cmd_simulate(args) -> int:
     coefficient = _threshold_coefficient(args)
     K = make_field(args.d)
     _even_weights((args.k0,))
-    tau = factorable_tau(K, _tau_element(args))
+    tau = _tau_element(args)
+    factorable_tau(K, tau)  # refused before the series is drawn
     series = sato_tate.synth_eigen_series(K, args.x, args.k0, args.seed)
     survey = SignSurvey(series, tau, x=args.x)
     t = survey.tally()

@@ -62,9 +62,7 @@ import numpy as np
 
 from .curves import CurveSpec, series_from_curve
 from .errors import HilbertSignsError
-from .field_arith import (
-    PrimeIdeal, QuadField, _is_prime, _prime_ideals, _prime_table, make_field, split_rational_prime
-)
+from .field_arith import QuadField, _is_prime, _names_above, _prime_table, _row_text, ideal_text, make_field
 from .sign_pipeline import EigenvalueSeries, _hasse_columns
 
 SCHEMA_TAG = "eigen-series/1"
@@ -110,28 +108,22 @@ def _header(d, weight, label, level_support) -> QuadField:
         raise HilbertSignsError(f"bad field parameter d={d}: {e}") from e
 
 
-def _resolve(
-    K: QuadField, above: dict[int, list[PrimeIdeal]], norm: int, p: int, label: int, where: str
-) -> PrimeIdeal:
-    """The prime above p with this root label and norm, by the per-p route, which words every error.
+def _resolve(K: QuadField, norm: int, p: int, label: int, where: str) -> tuple[int, int, int]:
+    """The name (norm, p, label) if it names a prime of K, checked one prime at a time, which words every error.
 
     It takes the names no row of the run's prime table has, past x or of
-    no prime.  `above` belongs to one document and maps each p seen so far
-    to its primes, by root label, so each distinct p is split once.
+    no prime.
     """
-    if p not in above:
-        if p >= PRIME_LIMIT:
-            raise HilbertSignsError(f"{where}: rational prime {p} is not below 2^64")
-        try:
-            above[p] = split_rational_prime(K, p)
-        except ValueError as e:
-            raise HilbertSignsError(f"{where}: {e}") from e
-    if not 0 <= label < len(above[p]):
+    if p >= PRIME_LIMIT:
+        raise HilbertSignsError(f"{where}: rational prime {p} is not below 2^64")
+    if not _is_prime(p):
+        raise HilbertSignsError(f"{where}: {p} is not prime")
+    above = _names_above(K, p)
+    if not 0 <= label < len(above):
         raise HilbertSignsError(f"{where}: no prime above {p} with root label {label} in {K}")
-    P = above[p][label]
-    if P.norm != norm:
+    if above[label][0] != norm:
         raise HilbertSignsError(f"{where}: no prime of norm {norm}, label {label} above {p} in {K}")
-    return P
+    return above[label]
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +159,7 @@ def _columns(rows: list, keys: tuple[str, ...], what: str, refuse) -> list[list[
 
 
 def _name_rows(K: QuadField, x: int, names, num: np.ndarray, den: np.ndarray, what: str, of: str):
-    """The row of each entry's name in T, the prime table of (K, x), or -1, and {P: (num, den)}
+    """The row of each entry's name in T, the prime table of (K, x), or -1, and {name: (num, den)}
     for the names T lacks.
 
     names are the (norm, p, root_label) columns, as lists of Python ints
@@ -186,16 +178,15 @@ def _name_rows(K: QuadField, x: int, names, num: np.ndarray, den: np.ndarray, wh
         first = order[np.maximum.accumulate(np.where(start, np.arange(len(order)), 0))]
         a, b = num.astype(object, copy=False), den.astype(object, copy=False)  # no int64 wrap
         clash = int(order[a[first] * b[order] != a[order] * b[first]].min(initial=clash))
-    above, past = {}, {}
+    past = {}
     for i in np.flatnonzero(j[:clash] < 0).tolist():
         norm, p, label, n, d = (int(c[i]) for c in (*names, num, den))
-        P = _resolve(K, above, norm, p, label, f"{what} {i}")
+        P = _resolve(K, norm, p, label, f"{what} {i}")
         a, b = past.setdefault(P, (n, d))
         if a * d != n * b:
-            raise HilbertSignsError(f"{what} {i}: {P} named again with another {of}")
+            raise HilbertSignsError(f"{what} {i}: {ideal_text(K, [(P, 1)])} named again with another {of}")
     if clash < len(j):
-        P = _prime_ideals(K, x, [j[clash]])[0]
-        raise HilbertSignsError(f"{what} {clash}: {P} named again with another {of}")
+        raise HilbertSignsError(f"{what} {clash}: {_row_text(K, x, j[clash])} named again with another {of}")
     return j, past
 
 
@@ -253,7 +244,7 @@ def _series(obj: dict, K: QuadField, x: int, names, num: np.ndarray, den: np.nda
     E = EigenvalueSeries(K, obj["weight"], obj["label"], x, nums, dens, obj.get("level_support", []))
     primes = sorted(past)  # past x: no part in the run, but the same gate after the table's
     nums, dens = [past[P][0] for P in primes], [past[P][1] for P in primes]
-    _hasse_columns(E.label, primes.__getitem__, [P.norm for P in primes], nums, dens)
+    _hasse_columns(E.label, lambda i: ideal_text(K, [(primes[i], 1)]), [P[0] for P in primes], nums, dens)
     return E
 
 
@@ -372,11 +363,12 @@ def _not_unit(values: list[int]) -> str:
     return next((f"value must be +-1, got {v}" for v in set(values) - {-1, 1}), "")
 
 
-def load_psi_table(K: QuadField, source, x: int) -> dict[PrimeIdeal, int]:
+def load_psi_table(K: QuadField, source, x: int) -> dict[tuple[int, int, int], int]:
     """Read a psi table: a JSON list of {prime_norm, rational_prime, root_label, value}.
 
     source may be a path or an already-decoded list, and x is the run's
     cutoff.  Entries must name primes that exist in K; values must be +-1.
+    The table maps each prime's name (norm, p, root_label) to its value.
     """
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         source = _read_json(source, "psi table")
@@ -387,7 +379,7 @@ def load_psi_table(K: QuadField, source, x: int) -> dict[PrimeIdeal, int]:
     value = np.array(value, dtype=object)
     j, past = _name_rows(K, x, names, value, np.ones(len(value), dtype=object), "psi entry", "value")
     hit = np.flatnonzero(j >= 0)
-    table = dict(zip(_prime_ideals(K, x, j[hit]), value[hit].tolist()))
+    table = dict(zip(zip(*_prime_table(K, x).names(j[hit])), value[hit].tolist()))
     return {**table, **{P: v for P, (v, _) in past.items()}}
 
 

@@ -2,20 +2,19 @@
 
 Prime splitting, principal-ideal factorization, enumeration of prime
 ideals by norm, and quadratic residue symbols in the residue fields via
-the Euler criterion.  Everything is integer or Fraction arithmetic; no
-floating point enters this module, so downstream sign decisions built on
-it stay exact.
+the Euler criterion.  Everything is integer arithmetic; no floating point
+enters this module, so downstream sign decisions built on it stay exact.
 
-The prime ideals of norm <= X are the rows of one table per (K, X),
-built once with numpy, and a PrimeIdeal is made from a row only to be
-printed or to key a dict.  Their roots (below) are built apart, only for
-a reader that needs them.  The int64 columns are exact because X <=
-TABLE_MAX_X keeps every product of two residues mod p below 2^63.
-Python ints remain where a value is unbounded (tau's coordinates and
-norm, reduced limb by limb) and on the few lanes that take the scalar
-route: the primes above 2 and the ramified primes.  Likewise the
-integral ideals of norm <= X are the ids of one ideal table per (K, X),
-and an IdealFactorization is made from an id only for text and dict keys.
+A prime ideal is named by (norm, p, root_label), and ideal_text renders a
+name or a product of names.  The prime ideals of norm <= X are the rows
+of one table per (K, X), built once with numpy; their roots (below) are
+built apart, only for a reader that needs them.  The int64 columns are
+exact because X <= TABLE_MAX_X keeps every product of two residues mod p
+below 2^63.  Python ints remain where a value is unbounded: tau's
+coordinates and norm, reduced limb by limb.  Likewise the integral ideals
+of norm <= X are the ids of one ideal table per (K, X).  PrimeIdeal and
+IdealFactorization objects are made from rows and ids only for the
+read-only views of a series.
 
 Conventions.  d = 1 encodes Q itself (degree 1).  For quadratic d the
 ring of integers is Z[w] with
@@ -31,6 +30,14 @@ by that root as an integer in [0, p), the smaller root getting label 0.
 Inert primes carry root 0 (unused).  Over Q every prime is the unique
 degree-one prime above itself and is labeled as the first "split" prime.
 
+tau*O_K is factored with no root.  At a split p, let x1 + y1 w be tau
+divided by the largest power of p that divides it.  If p divides its
+norm, x1^2 + s x1 y1 - c y1^2, then p does not divide y1, or p would
+divide x1 too; so x1 + y1 w lies in the prime above p whose root is r =
+-x1/y1 mod p, as reduction sends it to x1 + y1 r = 0.  The other root is
+s - r, the roots summing to s, so that prime has label 0 iff r < (s - r)
+mod p.
+
 QuadField, PrimeIdeal and IdealFactorization are named tuples whose
 leading fields are their canonical order: a prime ideal sorts by
 (norm, p, root_label), and an ideal by (norm, factors).  Plain sort(),
@@ -40,9 +47,7 @@ leading fields are their canonical order: a prime ideal sorts by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple
@@ -57,7 +62,7 @@ from .errors import HilbertSignsError
 NARROW_CLASS_NUMBER_ONE = (1, 2, 5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97)
 
 # ======================================================================
-# fields and elements
+# fields
 # ======================================================================
 
 
@@ -102,62 +107,6 @@ def make_field(d: int) -> QuadField:
     return QuadField(d=d, disc=disc, degree=2)
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """a + b*sqrt(d) with rational a, b.  Over Q, b is folded into a."""
-
-    field: QuadField
-    a: Fraction
-    b: Fraction
-
-    def norm(self) -> Fraction:
-        if self.field.is_rational:
-            return self.a
-        return self.a * self.a - self.field.d * self.b * self.b
-
-    def omega_coords(self) -> tuple[Fraction, Fraction]:
-        """(x, y) with self = x + y*w in the integral basis {1, w}."""
-        if self.field.is_rational:
-            return self.a, Fraction(0)
-        if self.field.d % 4 == 1:
-            return self.a - self.b, 2 * self.b
-        return self.a, self.b
-
-    def is_integral(self) -> bool:
-        x, y = self.omega_coords()
-        return x.denominator == 1 and y.denominator == 1
-
-    def is_totally_positive(self) -> bool:
-        # a + b*sqrt(d) > 0 under both embeddings  <=>  a > 0 and a^2 > d*b^2.
-        if self.b == 0:
-            return self.a > 0
-        return self.a > 0 and self.a * self.a > self.field.d * self.b * self.b
-
-    def __repr__(self):
-        if self.field.is_rational or self.b == 0:
-            return str(self.a)
-        return f"{self.a}+{self.b}*sqrt({self.field.d})"
-
-
-def element(K: QuadField, a, b=0) -> FieldElement:
-    """Build a + b*sqrt(d) in K; over Q the sqrt(1) part folds into a."""
-    a, b = Fraction(a), Fraction(b)
-    if K.is_rational:
-        return FieldElement(K, a + b, Fraction(0))
-    return FieldElement(K, a, b)
-
-
-def as_element(K: QuadField, tau) -> FieldElement:
-    """Coerce an int, Fraction, (a, b) pair, or FieldElement into K."""
-    if isinstance(tau, FieldElement):
-        if tau.field != K:
-            raise ValueError(f"element of {tau.field} used in {K}")
-        return tau
-    if isinstance(tau, tuple):
-        return element(K, *tau)
-    return element(K, tau)
-
-
 # ======================================================================
 # prime ideals
 # ======================================================================
@@ -194,15 +143,7 @@ class PrimeIdeal(NamedTuple):
     field: QuadField
 
     def __repr__(self):
-        if self.field.is_rational:
-            return f"({self.rational_prime})"
-        tag = {
-            Splitting.SPLIT_FIRST: "a",
-            Splitting.SPLIT_SECOND: "b",
-            Splitting.INERT: "i",
-            Splitting.RAMIFIED: "r",
-        }[self.splitting]
-        return f"P{self.rational_prime}{tag}"
+        return ideal_text(self.field, [(self[:3], 1)])
 
 
 def _is_prime(n: int) -> bool:
@@ -229,48 +170,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _sqrt_mod(a: int, p: int) -> int:
-    """Tonelli-Shanks.  Requires odd prime p and a an actual square mod p."""
-    a %= p
-    if a == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # p = 1 mod 4: full Tonelli-Shanks with the smallest nonresidue as base
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t * t % p, 1
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-def _omega_roots_mod(K: QuadField, p: int) -> list[int]:
-    """Roots in [0, p) of the minimal polynomial of w mod a split or ramified p."""
-    s, c = K.omega_square()  # w^2 = s*w + c
-    if p == 2:
-        return [x for x in range(2) if (x * x - s * x - c) % 2 == 0]
-    # odd p: both shapes reduce to a square root of d mod p
-    sq = _sqrt_mod(K.d, p)
-    if s == 0:
-        roots = {sq, (p - sq) % p}
-    else:
-        inv2 = (p + 1) // 2
-        roots = {(1 + sq) * inv2 % p, (1 - sq) * inv2 % p}
-    return sorted(roots)
-
-
 @lru_cache(maxsize=None)
 def _class_of_residue(K: QuadField) -> np.ndarray:
     """How a prime p = r mod disc decomposes in the quadratic field K, at index r.
@@ -294,28 +193,31 @@ def _class_of_residue(K: QuadField) -> np.ndarray:
     return cls
 
 
-def _primes_above(K: QuadField, p: int) -> list[PrimeIdeal]:
-    """Prime ideals of O_K above the prime p (not checked), by root label."""
-    if K.is_rational:
-        return [PrimeIdeal(p, p, 0, 1, Splitting.SPLIT_FIRST, 0, K)]
-    cls = _class_of_residue(K)[p % K.disc]
-    if cls == _RAMIFIED:
-        # the minimal polynomial has a double root mod p
-        return [PrimeIdeal(p, p, 0, 1, Splitting.RAMIFIED, _omega_roots_mod(K, p)[0], K)]
+def _names_above(K: QuadField, p: int) -> list[tuple[int, int, int]]:
+    """The names (norm, p, root_label) of the prime ideals of O_K above the prime p (not checked), by label."""
+    cls = _RAMIFIED if K.is_rational else _class_of_residue(K)[p % K.disc]  # over Q, (p) is alone above p
     if cls == _INERT:
-        return [PrimeIdeal(p * p, p, 0, 2, Splitting.INERT, 0, K)]
-    r1, r2 = _omega_roots_mod(K, p)
-    return [
-        PrimeIdeal(p, p, 0, 1, Splitting.SPLIT_FIRST, r1, K),
-        PrimeIdeal(p, p, 1, 1, Splitting.SPLIT_SECOND, r2, K),
-    ]
+        return [(p * p, p, 0)]
+    return [(p, p, label) for label in range(1 + (cls == _SPLIT))]
 
 
-def split_rational_prime(K: QuadField, p: int) -> list[PrimeIdeal]:
-    """Prime ideals of O_K above p, sorted by (norm, p, root_label)."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return _primes_above(K, p)
+def ideal_text(K: QuadField, factors) -> str:
+    """The text of the ideal prod P^e over the pairs (name of P, e > 0) of factors, in their order.
+
+    A prime is (p) over Q, and otherwise P<p> and a tag: a or b for the
+    split primes above p by root label, i for an inert p, r for a ramified
+    one.  So P11a, (37), P2i*P11a*P11b and (2)^2*(3); the unit ideal is (1).
+    """
+    out = []
+    for (_, p, label), e in factors:  # the tags by the code of _KINDS: the class of p, plus the label
+        P = f"({p})" if K.is_rational else f"P{p}{'abir'[_class_of_residue(K)[p % K.disc] + label]}"
+        out.append(f"{P}^{e}" if e > 1 else P)
+    return "*".join(out) or "(1)"
+
+
+def _row_text(K: QuadField, X: int, row: int) -> str:
+    """The text of the prime at one row of the prime table of (K, X)."""
+    return ideal_text(K, [(next(zip(*_prime_table(K, X).names([row]))), 1)])
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -409,12 +311,6 @@ class _PrimeTable(NamedTuple):
         i = np.searchsorted(self.key, key) % len(self.key)  # past the end: row 0
         named = np.where(self.kind[i] == _INERT, p * p, p) == norm
         return np.where((self.key[i] == key) & named & (label >= 0), i, -1)
-
-
-def _name_columns(primes) -> tuple[list[int], list[int], list[int]]:
-    """The (norm, p, root_label) columns of some PrimeIdeals, as _PrimeTable.lookup takes them."""
-    primes = list(primes)
-    return [P.norm for P in primes], [P.rational_prime for P in primes], [P.root_label for P in primes]
 
 
 def _prime_ideals(K: QuadField, X: int, rows) -> list[PrimeIdeal]:
@@ -544,8 +440,8 @@ def _prime_roots(K: QuadField, X: int) -> np.ndarray:
 
     One vectorized square root of d mod each odd split p gives both roots
     of the minimal polynomial of w; p = 2 when it splits and the ramified
-    primes, at most three rows, take the scalar route.  Inert rows, and
-    every row over Q, hold 0.  Only a character of a tau that is not a
+    primes, at most three rows with p <= 97, are found by trying every
+    residue.  Inert rows, and every row over Q, hold 0.  Only a character of a tau that is not a
     square and _prime_ideals read the roots, so a run that reads neither
     never builds them.
     """
@@ -556,8 +452,10 @@ def _prime_roots(K: QuadField, X: int) -> np.ndarray:
         for lo in range(0, len(second), _LANES):
             i = second[lo : lo + _LANES]
             root[i - 1], root[i] = _omega_roots_lanes(K, T.norm[i])
+        s, c = K.omega_square()  # w^2 = s*w + c
         for i in np.flatnonzero((T.kind == _SPLIT) & (T.norm == 2) | (T.kind == _RAMIFIED)).tolist():
-            roots = _omega_roots_mod(K, int(T.norm[i]))
+            p = int(T.norm[i])
+            roots = [r for r in range(p) if (r * r - s * r - c) % p == 0]
             root[i : i + len(roots)] = roots
     root.flags.writeable = False
     return root
@@ -592,49 +490,15 @@ class IdealFactorization(NamedTuple):
     """An integral ideal: its norm and a sorted tuple of (PrimeIdeal, exponent > 0).
 
     The empty tuple is the unit ideal O_K.  Instances are canonical, so
-    equality and hashing are structural.  Build them with from_pairs.
+    equality and hashing are structural.
     """
 
     norm: int
     factors: tuple[tuple[PrimeIdeal, int], ...]
     field: QuadField
 
-    @classmethod
-    def from_pairs(cls, K: QuadField, pairs) -> "IdealFactorization":
-        merged: dict[PrimeIdeal, int] = {}
-        for P, e in pairs:
-            if P.field != K:
-                raise ValueError(f"prime of {P.field} in ideal of {K}")
-            if e:
-                merged[P] = merged.get(P, 0) + e
-        if any(e < 0 for e in merged.values()):
-            raise ValueError("negative exponent: only integral ideals are supported")
-        items = sorted((P, e) for P, e in merged.items() if e)
-        return cls(math.prod(P.norm**e for P, e in items), tuple(items), K)
-
-    @property
-    def is_unit(self) -> bool:
-        return not self.factors
-
-    def support(self) -> tuple[PrimeIdeal, ...]:
-        return tuple(P for P, _ in self.factors)
-
-    @property
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.factors)
-
-    def __mul__(self, other: "IdealFactorization") -> "IdealFactorization":
-        if self.field != other.field:
-            raise ValueError("cannot multiply ideals of different fields")
-        merged = dict(self.factors)
-        for P, e in other.factors:
-            merged[P] = merged.get(P, 0) + e
-        return IdealFactorization(self.norm * other.norm, tuple(sorted(merged.items())), self.field)
-
     def __repr__(self):
-        if self.is_unit:
-            return "(1)"
-        return "*".join(f"{P}^{e}" if e > 1 else f"{P}" for P, e in self.factors)
+        return ideal_text(self.field, [(P[:3], e) for P, e in self.factors])
 
 
 class _IdealTable(NamedTuple):
@@ -730,14 +594,6 @@ def _ideal_objects(K: QuadField, X: int) -> tuple[tuple[IdealFactorization, ...]
     return ideals, {m: i for i, m in enumerate(ideals)}
 
 
-@dataclass(frozen=True)
-class SquarefreeDecomposition:
-    """f = a^2 * r with r squarefree; both parts share f's field."""
-
-    a: IdealFactorization
-    r: IdealFactorization
-
-
 def _factor_int(n: int) -> dict[int, int]:
     """{p: e} with n = prod p^e, ascending in p, by one trial division."""
     out, p = {}, 2
@@ -757,75 +613,59 @@ def _factor_int(n: int) -> dict[int, int]:
 MAX_TAU_NORM = 10**12
 
 
-def factorable_tau(K: QuadField, tau) -> FieldElement:
-    """tau as an element of K, if factor_principal_ideal takes it: a totally
-    positive algebraic integer with |N(tau)| <= MAX_TAU_NORM.
-
-    The commands call it before any work that does not need tau.
-    """
-    el = as_element(K, tau)
-    if not el.is_integral():
-        raise HilbertSignsError(f"{el} is not an algebraic integer of {K}")
-    if not el.is_totally_positive():
-        raise HilbertSignsError(f"{el} is not totally positive")
-    n = int(abs(el.norm()))
-    if n > MAX_TAU_NORM:
-        raise HilbertSignsError(f"|N({el})| = {n} exceeds {MAX_TAU_NORM}, too large to factor")
-    return el
-
-
-def factor_principal_ideal(K: QuadField, tau) -> IdealFactorization:
-    """Factor the principal ideal tau*O_K into prime ideals.
-
-    tau must pass factorable_tau.  The result is verified against |N(tau)|
-    before being returned.
-    """
-    el = factorable_tau(K, tau)
-    n = int(abs(el.norm()))
-    pairs: list[tuple[PrimeIdeal, int]] = []
+def _norm(K: QuadField, x: int, y: int) -> int:
+    """N(x + y*w): x over Q, and x^2 + s x y - c y^2 where w^2 = s*w + c."""
     if K.is_rational:
-        for p, e in _factor_int(n).items():
-            pairs.append((split_rational_prime(K, p)[0], e))
-    else:
-        x, y = (int(c) for c in el.omega_coords())
-        for p, e_total in _factor_int(n).items():
-            above = split_rational_prime(K, p)
-            if above[0].splitting is Splitting.RAMIFIED:
-                # N(P) = p and P is alone above p, so v_P = v_p(norm)
-                pairs.append((above[0], e_total))
-            elif above[0].splitting is Splitting.INERT:
-                if e_total % 2:
-                    raise ArithmeticError(f"odd valuation {e_total} at inert {p}")
-                pairs.append((above[0], e_total // 2))
-            else:
-                P1, P2 = above
-                vg = 0  # valuation of the rational content at p
-                x1, y1 = x, y
-                while x1 % p == 0 and y1 % p == 0:
-                    x1, y1, vg = x1 // p, y1 // p, vg + 1
-                rest = e_total - 2 * vg
-                e1, e2 = vg, vg
-                if rest:
-                    # primitive part is divisible by exactly one of P1, P2
-                    if (x1 + y1 * P1.root) % p == 0:
-                        e1 += rest
-                    elif (x1 + y1 * P2.root) % p == 0:
-                        e2 += rest
-                    else:
-                        raise ArithmeticError(f"split prime {p} divides neither root branch")
-                if e1:
-                    pairs.append((P1, e1))
-                if e2:
-                    pairs.append((P2, e2))
-    result = IdealFactorization.from_pairs(K, pairs)
-    if result.norm != n:
-        raise ArithmeticError(f"factorization norm {result.norm} != |N(tau)| = {n}")
-    return result
+        return x
+    s, c = K.omega_square()
+    return x * x + s * x * y - c * y * y
 
 
-def squarefree_decompose(f: IdealFactorization) -> SquarefreeDecomposition:
-    """Split f = a^2 * r with squarefree r."""
-    a = IdealFactorization.from_pairs(f.field, ((P, e // 2) for P, e in f.factors))
-    r = IdealFactorization.from_pairs(f.field, ((P, e % 2) for P, e in f.factors))
-    assert (a * a * r) == f and r.is_squarefree
-    return SquarefreeDecomposition(a=a, r=r)
+def factorable_tau(K: QuadField, tau) -> tuple[tuple[int, int], str]:
+    """tau's omega-coordinates (x, y), tau = x + y*w, and its text, if
+    factor_principal_ideal takes it: a totally positive algebraic integer
+    with |N(tau)| <= MAX_TAU_NORM.
+
+    tau is a rational a or a pair (a, b) for a + b*sqrt(d), each an int or a
+    Fraction; over Q, b folds into a.  The text is a, or a+b*sqrt(d) where
+    b is not 0, each part as str writes it.  The commands call this before
+    any work that does not need tau.
+    """
+    a, b = tau if isinstance(tau, tuple) else (tau, 0)
+    if K.is_rational:
+        a, b = a + b, 0
+    text = f"{a}+{b}*sqrt({K.d})" if b else str(a)
+    x, y = (a - b, 2 * b) if K.d % 4 == 1 else (a, b)
+    if x.denominator != 1 or y.denominator != 1:
+        raise HilbertSignsError(f"{text} is not an algebraic integer of {K}")
+    # a + b*sqrt(d) > 0 under both embeddings  <=>  a > 0 and a^2 > d*b^2
+    if not (a > 0 and a * a > K.d * b * b):
+        raise HilbertSignsError(f"{text} is not totally positive")
+    x, y = int(x), int(y)
+    if (n := abs(_norm(K, x, y))) > MAX_TAU_NORM:
+        raise HilbertSignsError(f"|N({text})| = {n} exceeds {MAX_TAU_NORM}, too large to factor")
+    return (x, y), text
+
+
+def factor_principal_ideal(K: QuadField, tau) -> tuple[tuple[tuple[int, int, int], int], ...]:
+    """The prime factorization of tau*O_K, as (name, exponent) pairs ascending in name.
+
+    tau must pass factorable_tau.  A prime above a split p is told by the
+    root-free rule of the module docstring.
+    """
+    (x, y), _ = factorable_tau(K, tau)
+    pairs = []
+    for p, e in _factor_int(abs(_norm(K, x, y))).items():
+        above = _names_above(K, p)
+        if len(above) == 1:  # alone above p: of norm p, or p^2 at an inert p
+            pairs.append((above[0], e if above[0][0] == p else e // 2))
+            continue
+        x1, y1, v = x, y, 0  # tau = p^v (x1 + y1 w), where p does not divide both x1 and y1
+        while x1 % p == 0 and y1 % p == 0:
+            x1, y1, v = x1 // p, y1 // p, v + 1
+        exps = [v, v]
+        if e > 2 * v:  # x1 + y1 w lies in the prime with root r, label 1 iff r is the larger root
+            r = -x1 * pow(y1, -1, p) % p
+            exps[r > (K.omega_square()[0] - r) % p] += e - 2 * v
+        pairs += [(P, k) for P, k in zip(above, exps) if k]
+    return tuple(sorted(pairs))

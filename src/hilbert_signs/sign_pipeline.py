@@ -44,18 +44,7 @@ import numpy as np
 
 from .characters import IdealCharacter
 from .errors import HilbertSignsError
-from .field_arith import (
-    FieldElement,
-    IdealFactorization,
-    QuadField,
-    _LANES,
-    _absmax,
-    _lanes,
-    _prime_ideals,
-    _prime_table,
-    as_element,
-    squarefree_decompose,
-)
+from .field_arith import QuadField, _LANES, _absmax, _lanes, _prime_ideals, _prime_table, _row_text, ideal_text
 
 # ======================================================================
 # eigenvalue containers
@@ -87,10 +76,11 @@ def _hasse_columns(label: str, name, norm, num, den) -> tuple[np.ndarray, np.nda
 
     A chunk of _LANES rows at a time, each row is reduced and checked
     against num^2 N <= 4 den^2, so the first row over the bound is the one
-    named, by name(i).  Rows with |num| and |den| below 2^62 are reduced in
-    int64 and checked in floats, whose num^2 N and 4 den^2 are within a
-    factor 1 +- 2^-50 of the exact ones; Python ints decide the rows the
-    floats put within 2^-40 of the bound, and reduce and check the others.
+    named, by the text name(i).  Rows with |num| and |den| below 2^62 are
+    reduced in int64 and checked in floats, whose num^2 N and 4 den^2 are
+    within a factor 1 +- 2^-50 of the exact ones; Python ints decide the
+    rows the floats put within 2^-40 of the bound, and reduce and check the
+    others.
     Each chunk is written into its rows of two preallocated columns.  They
     come back read-only: int64 where _lanes allows, else Python ints, to
     which a column moves once, at the first chunk that needs them.
@@ -116,8 +106,8 @@ def _hasse_columns(label: str, name, norm, num, den) -> tuple[np.ndarray, np.nda
         A, B = x[check].astype(object), y[check].astype(object)
         if (over := check[A * A * N[check].astype(object) > 4 * B * B]).size:
             i = over.min()
-            P, c = name(lo + i), Fraction(int(x[i]), int(y[i]))
-            raise HilbertSignsError(f"{label}: |c({P})| = |{c}| exceeds 2/sqrt({P.norm})")
+            c = Fraction(int(x[i]), int(y[i]))
+            raise HilbertSignsError(f"{label}: |c({name(lo + i)})| = |{c}| exceeds 2/sqrt({N[i]})")
         for k, c in enumerate((x, y)):
             if c.dtype == object and cols[k].dtype != object:
                 cols[k] = cols[k].astype(object)
@@ -154,9 +144,7 @@ class EigenvalueSeries:
         T = _prime_table(field, self.x)
         if not len(num) == len(den) == len(T.norm):
             raise ValueError(f"columns of {len(num)} and {len(den)} rows, for {len(T.norm)} primes")
-        self.num, self.den = _hasse_columns(
-            self.label, lambda i: _prime_ideals(field, self.x, [i])[0], T.norm, num, den
-        )
+        self.num, self.den = _hasse_columns(self.label, lambda i: _row_text(field, self.x, i), T.norm, num, den)
 
     @property
     def entries(self) -> MappingProxyType:
@@ -211,11 +199,15 @@ def _sign_lanes(num: np.ndarray, den: np.ndarray, chi: np.ndarray, norms: np.nda
 
 @dataclass(frozen=True)
 class SignTally:
-    """Sign counts at cutoff x over good primes; total counts all primes."""
+    """Sign counts at cutoff x over good primes; total counts all primes.
+
+    tau is tau's text, and a_ideal the text of the ideal a with tau*O_K =
+    a^2 r, r squarefree.
+    """
 
     x: int
-    tau: FieldElement
-    a_ideal: IdealFactorization
+    tau: str
+    a_ideal: str
     pos: int
     neg: int
     zero: int
@@ -234,11 +226,8 @@ class SignSurvey:
 
     def __init__(self, E: EigenvalueSeries, tau, psi=None, *, x: int):
         self.x = int(x)
-        self.tau = as_element(E.field, tau)
-        self.chi = IdealCharacter.from_tau(
-            E.field, self.tau, psi_table=psi, level_support=E.level_support
-        )
-        self.a_ideal = squarefree_decompose(self.chi.tau_ideal).a
+        self.chi = IdealCharacter.from_tau(E.field, tau, psi_table=psi, level_support=E.level_support)
+        self.a_ideal = ideal_text(E.field, [(P, e // 2) for P, e in self.chi.tau_ideal if e > 1])
         T = _prime_table(E.field, self.x)
         chi = self.chi.values_upto(self.x)
         # a cutoff below E.x reads a prefix of the columns; past E.x no row is held
@@ -246,8 +235,7 @@ class SignSurvey:
         empty = np.flatnonzero(E.den[:n] == 0)
         gaps = np.concatenate([empty[chi[empty] != 0], n + np.flatnonzero(chi[n:])])
         if gaps.size:
-            P = _prime_ideals(E.field, self.x, [gaps.min()])[0]
-            raise HilbertSignsError(f"{E.label}: no coefficient at good prime {P}")
+            raise HilbertSignsError(f"{E.label}: no coefficient at good prime {_row_text(E.field, self.x, gaps.min())}")
         self.all_norms = T.norm
         self.bad_rows = np.flatnonzero(chi == 0)
         self.signs, self.coords = _sign_lanes(E.num[:n], E.den[:n], chi[:n], T.norm[:n])
@@ -264,7 +252,7 @@ class SignSurvey:
         zero = ngood - pos - neg
         return SignTally(
             x=x,
-            tau=self.tau,
+            tau=self.chi.tau,
             a_ideal=self.a_ideal,
             pos=pos,
             neg=neg,

@@ -46,11 +46,10 @@ series_to_obj, series_from_obj_by_entry and load_psi_table_by_entry are
 the document code that eigen_io's column reader and row-template writer
 replaced: a dict per entry, dumped by the JSON encoder, and an
 entry-by-entry decoder that checks each entry's fields, then its name
-and any repeat, in entry order.  Each name is split on its own by
-eigen_io._resolve, so the references share with the library only the
-header checks, the wording of a bad name and the Hasse gate.  The tests
-require the same bytes, and the same value or the same exception and
-message.
+and any repeat, in entry order.  Each name is checked on its own by
+resolve_by_split, so the references share with the library only the
+header checks, the text of a name and the Hasse gate.  The tests require
+the same bytes, and the same value or the same exception and message.
 
 _euler_symbol is the one-prime Euler criterion that the character's
 int64 lanes replaced: in F_p at a degree-one prime, and by _fp2_pow in
@@ -61,28 +60,47 @@ point_add, point_mul, hasse_traces and scalar_ap_bsgs are the one-prime,
 Python-int baby-step giant-step that the library's int64 lane kernel
 replaced: affine points with a modular inverse per group operation, and a
 dict of baby steps.  The tests compare the lanes with them point by point.
+
+FieldElement, split_rational_prime and factor_principal_ideal are the
+scalar route and the object model that the library's prime names
+replaced.  tau is a FieldElement of Fractions; split_rational_prime finds
+the roots of the minimal polynomial of w mod p by Tonelli-Shanks (the
+reference for the prime table's root lanes), and factor_principal_ideal
+tells the two primes above a split p by those roots, the reference for
+the library's root-free rule.  IdealFactorization here is the library's,
+with the algebra (from_pairs, a product, support, is_squarefree, is_unit)
+that only the tests use and its text from prime_text, which names a
+prime from its splitting: the reference for field_arith.ideal_text.
+squarefree_decompose splits f = a^2 r, and resolve_by_split is
+eigen_io._resolve by splitting p, the reference for its names and errors.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
+from hilbert_signs import field_arith
 from hilbert_signs.curves import ap_symbol_sum
-from hilbert_signs.eigen_io import SCHEMA_TAG, _header, _resolve, serialize_series
+from hilbert_signs.eigen_io import SCHEMA_TAG, _header, serialize_series
 from hilbert_signs.errors import HilbertSignsError
 from hilbert_signs.field_arith import (
-    IdealFactorization,
+    _INERT,
+    _RAMIFIED,
     PrimeIdeal,
+    QuadField,
+    Splitting,
+    _class_of_residue,
+    _factor_int,
     _ideal_objects,
     _ideal_table,
-    _name_columns,
-    _prime_ideals,
+    _is_prime,
     _prime_table,
-    as_element,
+    factorable_tau,
+    ideal_text,
     primes_upto,
-    split_rational_prime,
 )
 from hilbert_signs.formal_series import FormalSeries
 from hilbert_signs.sato_tate import _cdf_vec
@@ -156,7 +174,7 @@ class DictSeries:
         for m, v in (coeffs or {}).items():
             assert m.field == field and m.norm <= self.cutoff
             if Fraction(v):
-                self.coeffs[m] = Fraction(v)
+                self.coeffs[IdealFactorization(*m)] = Fraction(v)
 
     def sorted_items(self):
         return [(m.norm, m, v) for m, v in sorted(self.coeffs.items())]
@@ -242,7 +260,7 @@ def enumerate_prime_ideals(K, X):
 
 def good_primes(chi, X):
     """Primes of norm <= X where chi does not vanish, in norm order."""
-    return [P for P in enumerate_prime_ideals(chi.field, X) if P not in chi.bad_set]
+    return [P for P in enumerate_prime_ideals(chi.field, X) if P[:3] not in chi.bad_set]
 
 
 class EvenCharacteristic(HilbertSignsError):
@@ -288,9 +306,9 @@ def value_at(chi, P):
     """chi(P) in {-1, 0, +1} at one prime, zero exactly on the bad set: the
     scalar reference for IdealCharacter.values_upto."""
     assert P.field == chi.field, f"{P} is not a prime of {chi.field}"
-    if P in chi.bad_set:
+    if P[:3] in chi.bad_set:
         return 0
-    return chi.psi_table.get(P, 1) * _euler_symbol(*chi.tau_omega, P)
+    return chi.psi_table.get(P[:3], 1) * _euler_symbol(*chi.tau_omega, P)
 
 
 def series_from_entries(K, weight, label, entries, x, level_support=()):
@@ -300,7 +318,7 @@ def series_from_entries(K, weight, label, entries, x, level_support=()):
     coefficient.
     """
     T = _prime_table(K, x)
-    rows = T.lookup(*_name_columns(entries)).tolist()
+    rows = T.lookup(*([P[i] for P in entries] for i in range(3))).tolist()
     assert min(rows, default=0) >= 0, "a key is not a row of the table"
     num, den = [0] * len(T.key), [0] * len(T.key)
     for j, c in zip(rows, map(Fraction, entries.values())):
@@ -318,8 +336,7 @@ def hasse_columns_by_row(label, name, norm, num, den):
     for i, (N, a, b) in enumerate(zip(norm, num, den)):
         c = Fraction(int(a), int(b)) if b else Fraction(0)
         if c * c * int(N) > 4:
-            P = name(i)
-            raise HilbertSignsError(f"{label}: |c({P})| = |{c}| exceeds 2/sqrt({P.norm})")
+            raise HilbertSignsError(f"{label}: |c({name(i)})| = |{c}| exceeds 2/sqrt({N})")
         nums.append(c.numerator if b else 0)
         dens.append(c.denominator if b else 0)
     return nums, dens
@@ -431,19 +448,19 @@ def series_from_obj_by_entry(obj, x):
         if den == 0:
             raise HilbertSignsError(f"entry {i}: zero denominator")
         cells.append((norm, p, label, num, den))
-    row_of = {P: j for j, P in enumerate(_prime_ideals(K, x, slice(None)))}
-    nums, dens, above, seen = [0] * len(T.key), [0] * len(T.key), {}, {}
+    row_of = {P: j for j, P in enumerate(zip(*T.names(slice(None))))}
+    nums, dens, seen = [0] * len(T.key), [0] * len(T.key), {}
     for i, (norm, p, label, num, den) in enumerate(cells):
-        P = _resolve(K, above, norm, p, label, f"entry {i}")
+        P = resolve_by_split(K, norm, p, label, f"entry {i}")
         first = seen.setdefault(P, (num, den))
         if first[0] * den != num * first[1]:
-            raise HilbertSignsError(f"entry {i}: {P} named again with another coefficient")
+            raise HilbertSignsError(f"entry {i}: {ideal_text(K, [(P, 1)])} named again with another coefficient")
         if P in row_of:
             nums[row_of[P]], dens[row_of[P]] = first
     E = EigenvalueSeries(K, obj["weight"], obj["label"], x, nums, dens, level_support)
     past = sorted(P for P in seen if P not in row_of)
     nums, dens = [seen[P][0] for P in past], [seen[P][1] for P in past]
-    _hasse_columns(E.label, past.__getitem__, [P.norm for P in past], nums, dens)
+    _hasse_columns(E.label, lambda i: ideal_text(K, [(past[i], 1)]), [P[0] for P in past], nums, dens)
     return E
 
 
@@ -463,11 +480,11 @@ def load_psi_table_by_entry(K, source, x):
         if value not in (-1, 1):
             raise HilbertSignsError(f"psi entry {i}: value must be +-1, got {value}")
         names.append((norm, p, label, value))
-    table, above = {}, {}
+    table = {}
     for i, (norm, p, label, value) in enumerate(names):
-        P = _resolve(K, above, norm, p, label, f"psi entry {i}")
+        P = resolve_by_split(K, norm, p, label, f"psi entry {i}")
         if table.setdefault(P, value) != value:
-            raise HilbertSignsError(f"psi entry {i}: {P} named again with another value")
+            raise HilbertSignsError(f"psi entry {i}: {ideal_text(K, [(P, 1)])} named again with another value")
     return table
 
 
@@ -561,3 +578,271 @@ def scalar_ap_bsgs(E, p):
         if len(candidates) == 1:
             return candidates.pop()
     return ap_symbol_sum(E, p)
+
+
+# ----------------------------------------------------------------------
+# the scalar route and the object model
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FieldElement:
+    """a + b*sqrt(d) with rational a, b.  Over Q, b is folded into a."""
+
+    field: QuadField
+    a: Fraction
+    b: Fraction
+
+    def norm(self) -> Fraction:
+        if self.field.is_rational:
+            return self.a
+        return self.a * self.a - self.field.d * self.b * self.b
+
+    def omega_coords(self) -> tuple[Fraction, Fraction]:
+        """(x, y) with self = x + y*w in the integral basis {1, w}."""
+        if self.field.is_rational:
+            return self.a, Fraction(0)
+        if self.field.d % 4 == 1:
+            return self.a - self.b, 2 * self.b
+        return self.a, self.b
+
+    def is_integral(self) -> bool:
+        x, y = self.omega_coords()
+        return x.denominator == 1 and y.denominator == 1
+
+    def is_totally_positive(self) -> bool:
+        # a + b*sqrt(d) > 0 under both embeddings  <=>  a > 0 and a^2 > d*b^2.
+        if self.b == 0:
+            return self.a > 0
+        return self.a > 0 and self.a * self.a > self.field.d * self.b * self.b
+
+    def __repr__(self):
+        if self.field.is_rational or self.b == 0:
+            return str(self.a)
+        return f"{self.a}+{self.b}*sqrt({self.field.d})"
+
+
+def element(K: QuadField, a, b=0) -> FieldElement:
+    """Build a + b*sqrt(d) in K; over Q the sqrt(1) part folds into a."""
+    a, b = Fraction(a), Fraction(b)
+    if K.is_rational:
+        return FieldElement(K, a + b, Fraction(0))
+    return FieldElement(K, a, b)
+
+
+def as_element(K: QuadField, tau) -> FieldElement:
+    """Coerce an int, Fraction, (a, b) pair, or FieldElement into K."""
+    if isinstance(tau, FieldElement):
+        if tau.field != K:
+            raise ValueError(f"element of {tau.field} used in {K}")
+        return tau
+    if isinstance(tau, tuple):
+        return element(K, *tau)
+    return element(K, tau)
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """Tonelli-Shanks.  Requires odd prime p and a an actual square mod p."""
+    a %= p
+    if a == 0:
+        return 0
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    # p = 1 mod 4: full Tonelli-Shanks with the smallest nonresidue as base
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        t2, i = t * t % p, 1
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
+def _omega_roots_mod(K: QuadField, p: int) -> list[int]:
+    """Roots in [0, p) of the minimal polynomial of w mod a split or ramified p."""
+    s, c = K.omega_square()  # w^2 = s*w + c
+    if p == 2:
+        return [x for x in range(2) if (x * x - s * x - c) % 2 == 0]
+    # odd p: both shapes reduce to a square root of d mod p
+    sq = _sqrt_mod(K.d, p)
+    if s == 0:
+        roots = {sq, (p - sq) % p}
+    else:
+        inv2 = (p + 1) // 2
+        roots = {(1 + sq) * inv2 % p, (1 - sq) * inv2 % p}
+    return sorted(roots)
+
+
+def _primes_above(K: QuadField, p: int) -> list[PrimeIdeal]:
+    """Prime ideals of O_K above the prime p (not checked), by root label."""
+    if K.is_rational:
+        return [PrimeIdeal(p, p, 0, 1, Splitting.SPLIT_FIRST, 0, K)]
+    cls = _class_of_residue(K)[p % K.disc]
+    if cls == _RAMIFIED:
+        # the minimal polynomial has a double root mod p
+        return [PrimeIdeal(p, p, 0, 1, Splitting.RAMIFIED, _omega_roots_mod(K, p)[0], K)]
+    if cls == _INERT:
+        return [PrimeIdeal(p * p, p, 0, 2, Splitting.INERT, 0, K)]
+    r1, r2 = _omega_roots_mod(K, p)
+    return [
+        PrimeIdeal(p, p, 0, 1, Splitting.SPLIT_FIRST, r1, K),
+        PrimeIdeal(p, p, 1, 1, Splitting.SPLIT_SECOND, r2, K),
+    ]
+
+
+def split_rational_prime(K: QuadField, p: int) -> list[PrimeIdeal]:
+    """Prime ideals of O_K above p, sorted by (norm, p, root_label)."""
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return _primes_above(K, p)
+
+
+class IdealFactorization(field_arith.IdealFactorization):
+    """The library's IdealFactorization with the algebra only the tests use.
+
+    It equals and hashes as the library's ideal of the same fields, so
+    either keys the same dict entry.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def from_pairs(cls, K: QuadField, pairs) -> "IdealFactorization":
+        merged: dict[PrimeIdeal, int] = {}
+        for P, e in pairs:
+            if P.field != K:
+                raise ValueError(f"prime of {P.field} in ideal of {K}")
+            if e:
+                merged[P] = merged.get(P, 0) + e
+        if any(e < 0 for e in merged.values()):
+            raise ValueError("negative exponent: only integral ideals are supported")
+        items = sorted((P, e) for P, e in merged.items() if e)
+        return cls(math.prod(P.norm**e for P, e in items), tuple(items), K)
+
+    @property
+    def is_unit(self) -> bool:
+        return not self.factors
+
+    def support(self) -> tuple[PrimeIdeal, ...]:
+        return tuple(P for P, _ in self.factors)
+
+    @property
+    def is_squarefree(self) -> bool:
+        return all(e == 1 for _, e in self.factors)
+
+    def __mul__(self, other: "IdealFactorization") -> "IdealFactorization":
+        if self.field != other.field:
+            raise ValueError("cannot multiply ideals of different fields")
+        merged = dict(self.factors)
+        for P, e in other.factors:
+            merged[P] = merged.get(P, 0) + e
+        return IdealFactorization(self.norm * other.norm, tuple(sorted(merged.items())), self.field)
+
+    def __repr__(self):
+        if self.is_unit:
+            return "(1)"
+        return "*".join(f"{prime_text(P)}^{e}" if e > 1 else prime_text(P) for P, e in self.factors)
+
+
+def prime_text(P: PrimeIdeal) -> str:
+    """The text of a prime ideal from its splitting: the reference for field_arith.ideal_text."""
+    if P.field.is_rational:
+        return f"({P.rational_prime})"
+    tag = {
+        Splitting.SPLIT_FIRST: "a",
+        Splitting.SPLIT_SECOND: "b",
+        Splitting.INERT: "i",
+        Splitting.RAMIFIED: "r",
+    }[P.splitting]
+    return f"P{P.rational_prime}{tag}"
+
+
+def resolve_by_split(K: QuadField, norm: int, p: int, label: int, where: str) -> tuple[int, int, int]:
+    """eigen_io._resolve by splitting p into its PrimeIdeals: the reference for its names and its errors."""
+    if p >= 2**64:
+        raise HilbertSignsError(f"{where}: rational prime {p} is not below 2^64")
+    try:
+        above = split_rational_prime(K, p)
+    except ValueError as e:
+        raise HilbertSignsError(f"{where}: {e}") from e
+    if not 0 <= label < len(above):
+        raise HilbertSignsError(f"{where}: no prime above {p} with root label {label} in {K}")
+    if above[label].norm != norm:
+        raise HilbertSignsError(f"{where}: no prime of norm {norm}, label {label} above {p} in {K}")
+    return above[label][:3]
+
+
+@dataclass(frozen=True)
+class SquarefreeDecomposition:
+    """f = a^2 * r with r squarefree; both parts share f's field."""
+
+    a: IdealFactorization
+    r: IdealFactorization
+
+
+def squarefree_decompose(f: IdealFactorization) -> SquarefreeDecomposition:
+    """Split f = a^2 * r with squarefree r."""
+    a = IdealFactorization.from_pairs(f.field, ((P, e // 2) for P, e in f.factors))
+    r = IdealFactorization.from_pairs(f.field, ((P, e % 2) for P, e in f.factors))
+    assert (a * a * r) == f and r.is_squarefree
+    return SquarefreeDecomposition(a=a, r=r)
+
+
+def factor_principal_ideal(K: QuadField, tau) -> IdealFactorization:
+    """Factor the principal ideal tau*O_K into prime ideals, telling the primes above a split p by their roots.
+
+    tau is refused as the library's factorable_tau refuses it.  The result
+    is verified against |N(tau)| before being returned.
+    """
+    el = as_element(K, tau)
+    factorable_tau(K, (el.a, el.b))
+    n = int(abs(el.norm()))
+    pairs: list[tuple[PrimeIdeal, int]] = []
+    if K.is_rational:
+        for p, e in _factor_int(n).items():
+            pairs.append((split_rational_prime(K, p)[0], e))
+    else:
+        x, y = (int(c) for c in el.omega_coords())
+        for p, e_total in _factor_int(n).items():
+            above = split_rational_prime(K, p)
+            if above[0].splitting is Splitting.RAMIFIED:
+                # N(P) = p and P is alone above p, so v_P = v_p(norm)
+                pairs.append((above[0], e_total))
+            elif above[0].splitting is Splitting.INERT:
+                if e_total % 2:
+                    raise ArithmeticError(f"odd valuation {e_total} at inert {p}")
+                pairs.append((above[0], e_total // 2))
+            else:
+                P1, P2 = above
+                vg = 0  # valuation of the rational content at p
+                x1, y1 = x, y
+                while x1 % p == 0 and y1 % p == 0:
+                    x1, y1, vg = x1 // p, y1 // p, vg + 1
+                rest = e_total - 2 * vg
+                e1, e2 = vg, vg
+                if rest:
+                    # primitive part is divisible by exactly one of P1, P2
+                    if (x1 + y1 * P1.root) % p == 0:
+                        e1 += rest
+                    elif (x1 + y1 * P2.root) % p == 0:
+                        e2 += rest
+                    else:
+                        raise ArithmeticError(f"split prime {p} divides neither root branch")
+                if e1:
+                    pairs.append((P1, e1))
+                if e2:
+                    pairs.append((P2, e2))
+    result = IdealFactorization.from_pairs(K, pairs)
+    if result.norm != n:
+        raise ArithmeticError(f"factorization norm {result.norm} != |N(tau)| = {n}")
+    return result

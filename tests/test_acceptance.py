@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracles import (
+    IdealFactorization,
     enumerate_prime_ideals,
     good_primes,
     prime_residual,
@@ -32,7 +33,7 @@ import hilbert_signs
 from hilbert_signs.characters import IdealCharacter
 from hilbert_signs.cli import SIMULATE_CSV_HEADER, main
 from hilbert_signs.curves import CURVE_REGISTRY, _ap_lanes, ap_naive, ap_symbol_sum
-from hilbert_signs.field_arith import _RAMIFIED, _SPLIT, IdealFactorization, _prime_table, primes_upto
+from hilbert_signs.field_arith import _RAMIFIED, _SPLIT, _prime_table, primes_upto
 from hilbert_signs.formal_series import (
     c_series_from_lambda,
     character_moebius_series,

@@ -8,12 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import enumerate_prime_ideals, value_at
+from oracles import enumerate_prime_ideals, factor_principal_ideal, split_rational_prime, value_at
 
 from hilbert_signs.characters import IdealCharacter
 from hilbert_signs.eigen_io import load_psi_table
 from hilbert_signs.errors import HilbertSignsError
-from hilbert_signs.field_arith import NARROW_CLASS_NUMBER_ONE, make_field, split_rational_prime
+from hilbert_signs.field_arith import NARROW_CLASS_NUMBER_ONE, make_field
 
 
 @pytest.mark.parametrize("tau", [1, 4, 9])
@@ -22,24 +22,24 @@ def test_square_tau_trivial_over_Q(tau):
     chi = IdealCharacter.from_tau(Q, tau)
     for P in enumerate_prime_ideals(Q, 300):
         v = value_at(chi, P)
-        assert v == (0 if P in chi.bad_set else 1)
+        assert v == (0 if P[:3] in chi.bad_set else 1)
 
 
 def test_square_tau_trivial_over_quadratic(field5):
     chi = IdealCharacter.from_tau(field5, 4)
     for P in enumerate_prime_ideals(field5, 300):
         assert value_at(chi, P) in (0, 1)
-        if P not in chi.bad_set:
+        if P[:3] not in chi.bad_set:
             assert value_at(chi, P) == 1
 
 
 def test_bad_set_is_conservative(field5):
     chi = IdealCharacter.from_tau(field5, (4, 1))  # norm 11, splits at P11a
-    bad_norms = sorted(P.norm for P in chi.bad_set)
+    bad_norms = sorted(P[0] for P in chi.bad_set)
     assert bad_norms == [4, 5, 11]  # above 2, the ramified 5, the tau prime
     for P in enumerate_prime_ideals(field5, 200):
         v = value_at(chi, P)
-        assert (v == 0) == (P in chi.bad_set)
+        assert (v == 0) == (P[:3] in chi.bad_set)
         assert v in (-1, 0, 1)
 
 
@@ -47,7 +47,7 @@ def test_level_support_joins_bad_set():
     Q = make_field(1)
     chi = IdealCharacter.from_tau(Q, 1, level_support=(37,))
     (P37,) = split_rational_prime(Q, 37)
-    assert P37 in chi.bad_set and value_at(chi, P37) == 0
+    assert P37[:3] in chi.bad_set and value_at(chi, P37) == 0
 
 
 def test_value_at_examples(field5):
@@ -61,7 +61,7 @@ def test_value_at_examples(field5):
 def test_psi_flips_values(field5):
     base = IdealCharacter.from_tau(field5, (4, 1))
     P3 = split_rational_prime(field5, 3)[0]
-    psi = {P3: -1}
+    psi = {P3[:3]: -1}
     flipped = IdealCharacter.from_tau(field5, (4, 1), psi_table=psi)
     assert value_at(flipped, P3) == -value_at(base, P3)
     P19a = split_rational_prime(field5, 19)[0]
@@ -94,7 +94,7 @@ def test_load_psi_table(tmp_path, field5):
     table = load_psi_table(field5, path, 100)
     P3 = split_rational_prime(field5, 3)[0]
     _, P11b = split_rational_prime(field5, 11)
-    assert table == {P3: -1, P11b: -1}
+    assert table == {P3[:3]: -1, P11b[:3]: -1}
     chi = IdealCharacter.from_tau(field5, 4, psi_table=table)
     assert value_at(chi, P11b) == -1  # epsilon_4 is +1 there, psi flips it
 
@@ -144,8 +144,8 @@ def test_values_upto_matches_value_at(d):
     X = 5000
     primes = enumerate_prime_ideals(K, X)
     beyond = [P for p in (5003, 5009, 5011) for P in split_rational_prime(K, p)]
-    psi = {P: -1 for P in primes[1::7]}
-    psi[beyond[0]] = -1  # norm above X: never reached
+    psi = {P[:3]: -1 for P in primes[1::7]}
+    psi[beyond[0][:3]] = -1  # norm above X: never reached
     for tau in ((1, 0), (4, 1), (9, 2)):
         for table in (None, psi):
             chi = IdealCharacter.from_tau(K, _totally_positive(K, *tau), psi_table=table)
@@ -196,9 +196,22 @@ def test_values_upto_matches_the_euler_oracle_at_square_and_nonsquare_tau(d):
                   _times(d, eps, (Fraction(3), Fraction(1)))]
         nonsquares += [nonsquare, _times(d, _times(d, eps, eps), nonsquare), _times(d, six, nonsquare)]
     primes = enumerate_prime_ideals(K, X)
-    psi = {P: -1 for P in primes[1::7]}
+    psi = {P[:3]: -1 for P in primes[1::7]}
     for tau, square in [*((_times(d, r, r), True) for r in roots), *((t, False) for t in nonsquares)]:
         for table in (None, psi):
             chi = IdealCharacter.from_tau(K, tau, psi_table=table)
             assert chi.square is square, tau
             assert chi.values_upto(X).tolist() == [value_at(chi, P) for P in primes], tau
+
+
+@pytest.mark.parametrize("d", NARROW_CLASS_NUMBER_ONE)
+def test_bad_set_matches_splitting_each_p(d):
+    # the primes above 2, the disc, the level support and the support of tau*O_K
+    K = make_field(d)
+    m = max(4, math.isqrt(d) + 1)
+    for tau in (1, 30, (m, 1), (3 * m, 3)):
+        chi = IdealCharacter.from_tau(K, tau, level_support=(3, 101))
+        above = {2, 3, 101, d} - {1}  # each listed d > 1 is a prime, the one odd prime dividing disc
+        want = {P for p in above for P in split_rational_prime(K, p)}
+        want.update(factor_principal_ideal(K, tau).support())
+        assert chi.bad_set == {P[:3] for P in want}, tau

@@ -11,7 +11,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import enumerate_prime_ideals, save_fixture, series_from_dict, series_to_obj, value_at
+from oracles import (
+    IdealFactorization,
+    enumerate_prime_ideals,
+    save_fixture,
+    series_from_dict,
+    series_to_obj,
+    value_at,
+)
+from oracles import factor_principal_ideal as factor_by_roots
 
 import hilbert_signs
 from hilbert_signs import characters, cli, eigen_io, field_arith
@@ -21,7 +29,6 @@ from hilbert_signs.curves import get_curve, series_from_curve
 from hilbert_signs.eigen_io import cache_path
 from hilbert_signs.field_arith import (
     NARROW_CLASS_NUMBER_ONE,
-    IdealFactorization,
     _ideal_objects,
     _ideal_table,
     _prime_table,
@@ -380,16 +387,23 @@ class _RootsRead(Exception):
     (["signs", "--curve", "11a", "--x", "2000", "--cache-dir", "{cache}"], True),
     (["simulate", "--d", "5", "--x", "20000", "--seed", "1", "--tau", "4", "--tau-b", "1"], False),
     (["char", "--d", "29", "--x", "20000", "--tau", "7"], False),
+    # a psi table is read by its names, with no root
+    (["char", "--d", "5", "--x", "1000", "--psi-file", "{psi}"], True),
+    (["signs", "--fixture", "{fixture}", "--x", "1000", "--psi-file", "{psi}"], True),
 ])
 def test_only_a_nonsquare_tau_builds_roots_or_runs_the_euler_lanes(capsys, monkeypatch, tmp_path, argv, square):
     # a square tau is the trivial character, and no output reads a root
     def refuse(*args):
         raise _RootsRead(args[:1])
 
+    # a Q(sqrt5) series and a psi table naming a row and a prime past --x
+    save_fixture(synth_eigen_series(make_field(5), 1000, 2, 1), tmp_path / "fx.json")
+    rows = [{**_PSI_ROW, "value": -1}, {**_PSI_ROW, "prime_norm": 1009, "rational_prime": 1009, "root_label": 1}]
+    psi = _write_json(tmp_path / "psi.json", rows)
     for module, name in ((field_arith, "_omega_roots_lanes"), (field_arith, "_prime_roots"),
                          (characters, "_prime_roots"), (characters, "_euler_symbol_lanes")):
         monkeypatch.setattr(module, name, refuse)
-    argv = [a.format(cache=tmp_path) for a in argv]
+    argv = [a.format(cache=tmp_path, psi=psi, fixture=tmp_path / "fx.json") for a in argv]
     if square:
         code, out, err = run(capsys, *argv)
         assert code == 0 and out and err == ""
@@ -412,6 +426,18 @@ def test_signs_factors_tau_once(capsys, monkeypatch, tmp_path):
     argv = ["signs", "--curve", "11a", "--x", "100", "--cache-dir", str(tmp_path)]
     assert run(capsys, *argv, "--tau", "999999999989")[0] == 0
     assert len(calls) == 1
+
+
+def test_a_tau_whose_split_prime_lies_past_the_table_factors_and_runs(capsys):
+    # N(1999979/2 + sqrt(5)/2) = 999,979,000,109 is a prime past the prime table's reach
+    K, tau, p = make_field(5), (Fraction(1999979, 2), Fraction(1, 2)), 999_979_000_109
+    assert field_arith._is_prime(p) and p > field_arith.TABLE_MAX_X
+    (P,) = factor_by_roots(K, tau).support()
+    assert P.rational_prime == p and field_arith.factor_principal_ideal(K, tau) == ((P[:3], 1),)
+    assert P[:3] in IdealCharacter.from_tau(K, tau).bad_set
+    argv = ["simulate", "--d", "5", "--x", "1000", "--seed", "1", "--tau", "1999979/2", "--tau-b", "1/2"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out and err == ""
 
 
 def _write_json(path, obj):

@@ -1,11 +1,13 @@
-"""The pinned `simulate` runs, each a fresh process through the console script.
+"""The pinned console-script runs, each a fresh process through the console script.
 
-Each test keeps the argv, the expected last line, the timeout and (at
-10^8) the max-RSS bound of a pinned run.  The child is the installed
-`hilbert-signs` when it is on PATH, else `python -m hilbert_signs.cli`
-on this checkout's package, and its max RSS is read with os.wait4.
+Each test keeps the argv, the expected output or exit code, the timeout
+and (at 10^8) the max-RSS bound of a pinned run.  The child is the
+installed `hilbert-signs` when it is on PATH, else `python -m
+hilbert_signs.cli` on this checkout's package, and its max RSS is read
+with os.wait4.
 """
 
+import json
 import os
 import shutil
 import subprocess
@@ -20,8 +22,8 @@ import hilbert_signs
 _SCRIPT = shutil.which("hilbert-signs")
 
 
-def _console(*argv, timeout: float) -> tuple[str, float]:
-    """(stdout, max RSS in MB) of one run, which must exit 0 inside timeout seconds."""
+def _console(*argv, timeout: float | None = None, code: int = 0) -> tuple[str, float]:
+    """(stdout, max RSS in MB) of one run, which must exit with code, inside timeout seconds if given."""
     if _SCRIPT:
         cmd, env = [_SCRIPT, *argv], None
     else:
@@ -29,16 +31,18 @@ def _console(*argv, timeout: float) -> tuple[str, float]:
         cmd = [sys.executable, "-m", "hilbert_signs.cli", *argv]
         env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, text=True)
-    timer = threading.Timer(timeout, proc.kill)
-    timer.start()
+    timer = threading.Timer(timeout, proc.kill) if timeout else None
+    if timer:
+        timer.start()
     try:
         out = proc.stdout.read()
         _, status, usage = os.wait4(proc.pid, 0)
     finally:
-        timer.cancel()
+        if timer:
+            timer.cancel()
         proc.stdout.close()
-    proc.returncode = code = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
-    assert code == 0, f"{argv} exited {code} (killed after {timeout} s if -9): {out!r}"
+    proc.returncode = exit_code = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    assert exit_code == code, f"{argv} exited {exit_code}, not {code} (killed after {timeout} s if -9): {out!r}"
     return out, usage.ru_maxrss / 1024  # KiB on Linux
 
 
@@ -69,3 +73,51 @@ def test_simulate_at_1e8_inside_a_minute_under_480_mb():
     want = "100000000,5761588,2879059,2882527,0,2,0.499698867743,0.000000000000,5761586,0.000481222756,0.000679073183,1"
     assert _last_line(out) == want
     assert rss < 480, f"simulate at 10^8 peaked at {rss:.1f} MB max RSS"
+
+
+def _with_entry(doc: Path, dest: Path, entry: dict) -> str:
+    """dest, written as the eigen-series document doc with one more entry."""
+    obj = json.loads(doc.read_text())
+    obj["entries"].append(entry)
+    dest.write_text(json.dumps(obj))
+    return str(dest)
+
+
+def test_the_character_and_a_psi_twisted_fixture(tmp_path):
+    out, _ = _console("char", "--d", "13", "--x", "1000", "--tau", "7")
+    assert out.splitlines()[0] == "norm,rational_prime,root_label,chi"
+    assert out.count("\n") > 100
+    _console("signs", "--curve", "11a", "--x", "1000", "--cache-dir", str(tmp_path))
+    psi = tmp_path / "psi.json"
+    psi.write_text('[{"prime_norm": 3, "rational_prime": 3, "root_label": 0, "value": -1}]\n')
+    (doc,) = tmp_path.glob("curve-11a-*.json")
+    _console("signs", "--fixture", str(doc), "--x", "1000", "--psi-file", str(psi), "--format", "json")
+
+
+def test_a_cache_file_read_at_a_smaller_x_and_a_composite_named_past_it(tmp_path):
+    _console("signs", "--curve", "11a", "--x", "1000", "--cache-dir", str(tmp_path))
+    (doc,) = tmp_path.glob("curve-11a-X1000-*.json")
+    want = _last_line(_console("signs", "--curve", "11a", "--x", "100", "--cache-dir", str(tmp_path))[0])
+    assert want == "100,25,8,14,1,0.320000000000"
+    assert _last_line(_console("signs", "--fixture", str(doc), "--x", "100")[0]) == want
+    entry = {"norm": 1003, "rational_prime": 1003, "root_label": 0, "c_num": 0, "c_den": 1}
+    _console("signs", "--fixture", _with_entry(doc, tmp_path / "composite.json", entry), "--x", "100", code=2)
+
+
+def test_a_hasse_violation_named_past_x_exits_2(tmp_path):
+    _console("signs", "--curve", "11a", "--x", "100", "--cache-dir", str(tmp_path))
+    (doc,) = tmp_path.glob("curve-11a-X100-*.json")
+    _console("signs", "--fixture", str(doc), "--x", "100")
+    # c = 1 at norm 1009 is far past 2/sqrt(1009)
+    entry = {"norm": 1009, "rational_prime": 1009, "root_label": 0, "c_num": 1, "c_den": 1}
+    _console("signs", "--fixture", _with_entry(doc, tmp_path / "past.json", entry), "--x", "100", code=2)
+
+
+def test_an_input_error_exits_2(tmp_path):
+    _console("char", "--d", "5", "--x", "10", "--tau", "1/0", code=2)
+    _console("signs", "--curve", "37a", "--x", "100000", "--d", "5", "--cache-dir", str(tmp_path), code=2)
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_tau_with_a_huge_prime_norm_exits_2_instead_of_stalling():
+    _console("char", "--d", "5", "--x", "10", "--tau", "1000000000000000003", timeout=20, code=2)

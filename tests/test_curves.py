@@ -31,9 +31,8 @@ from hilbert_signs.field_arith import (
     _is_prime,
     make_field,
     primes_upto,
-    split_rational_prime,
 )
-from oracles import hasse_traces, point_mul, scalar_ap_bsgs
+from oracles import hasse_traces, point_mul, scalar_ap_bsgs, split_rational_prime
 
 # First trace values of the rank-0 and rank-1 workhorses, frozen after
 # computing them independently with both counting routes.

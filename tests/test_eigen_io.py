@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,9 +16,11 @@ from hypothesis import strategies as st
 from oracles import (
     enumerate_prime_ideals,
     load_psi_table_by_entry,
+    resolve_by_split,
     save_fixture,
     series_from_obj_by_entry,
     series_to_obj,
+    split_rational_prime,
     value_at,
 )
 
@@ -36,13 +39,7 @@ from hilbert_signs.eigen_io import (
     series_from_obj,
 )
 from hilbert_signs.errors import HilbertSignsError
-from hilbert_signs.field_arith import (
-    _name_columns,
-    _prime_ideals,
-    _prime_table,
-    make_field,
-    split_rational_prime,
-)
+from hilbert_signs.field_arith import NARROW_CLASS_NUMBER_ONE, _prime_ideals, _prime_table, make_field
 from hilbert_signs.sign_pipeline import EigenvalueSeries
 
 Q = make_field(1)
@@ -241,7 +238,7 @@ def test_columns_match_a_fraction_decode(field5):
     table = {P: rng.choice((-1, 1)) for P in names}
     entries = [psi(P, v) for P, v in table.items()] + [psi(P, table[P]) for P in names[::7]]
     rng.shuffle(entries)
-    assert load_psi_table(field5, entries, x) == table
+    assert load_psi_table(field5, entries, x) == {P[:3]: v for P, v in table.items()}
     for P in (names[5], names[j]):
         message = rf"^psi entry {len(entries)}: {P} named again with another value$"
         with pytest.raises(HilbertSignsError, match=message):
@@ -365,16 +362,16 @@ def test_psi_table_integer_rule(field5):
                 load_psi_table(field5, [{**entry, key: bad}], 10)
 
 
-def test_prime_lookup_splits_each_p_once(field5, monkeypatch):
+def test_prime_lookup_resolves_only_the_names_past_x(field5, monkeypatch):
     # names of norm <= x are the rows of the prime table; only the names past
-    # x are split, once per distinct p, in both decoders
-    calls = []
+    # x are checked one by one, with no root, in both decoders
+    calls, resolve = [], eigen_io._resolve
 
-    def counted(K, p):
+    def counted(K, norm, p, label, where):
         calls.append(p)
-        return split_rational_prime(K, p)
+        return resolve(K, norm, p, label, where)
 
-    monkeypatch.setattr(eigen_io, "split_rational_prime", counted)
+    monkeypatch.setattr(eigen_io, "_resolve", counted)
     x = 100
     T = _prime_table(field5, x)
     P11a, P11b = split_rational_prime(field5, 11)
@@ -393,7 +390,7 @@ def test_prime_lookup_splits_each_p_once(field5, monkeypatch):
     doc = {"format": "eigen-series/1", "d": 5, "weight": [2, 2], "label": "x"}
     # the series keeps only the rows of the table: names past x are validated, not kept
     decoders = (
-        (lambda: load_psi_table(field5, [psi(*n) for n in names + names[:2]], x), expected),
+        (lambda: load_psi_table(field5, [psi(*n) for n in names + names[:2]], x), {P[:3] for P in expected}),
         (
             lambda: series_from_obj({**doc, "entries": [row(*n) for n in names + names[:2]]}, x).entries,
             {P for P in expected if P.norm <= x},
@@ -402,9 +399,9 @@ def test_prime_lookup_splits_each_p_once(field5, monkeypatch):
     for decode, kept in decoders:
         calls.clear()
         keys = decode()
-        assert keys.keys() == kept and calls == [101, 13]
-        rows = T.lookup(*_name_columns(P for P in keys if P.norm <= x))
-        assert _prime_ideals(field5, x, rows) == [P for P in keys if P.norm <= x]
+        assert keys.keys() == kept and calls == [101, 13, 101]
+        rows = T.lookup(*zip(*(P[:3] for P in keys if P[0] <= x)))
+        assert [P[:3] for P in _prime_ideals(field5, x, rows)] == [P[:3] for P in keys if P[0] <= x]
     # inert 7 has label 0 only; 4, 9 and 1 are not prime; the error names the entry
     for p, label in ((7, 1), (4, 0), (9, 0), (1, 0)):
         with pytest.raises(HilbertSignsError, match="^psi entry 1: "):
@@ -692,3 +689,32 @@ def test_cache_write_reports_the_bytes_it_wrote(tmp_path, monkeypatch):
     cached_curve_series(get_curve("11a"), 300, cache_dir=tmp_path)
     [(path, size)] = written
     assert size == path.stat().st_size > 0
+
+
+@pytest.mark.parametrize("d", NARROW_CLASS_NUMBER_ONE)
+def test_resolve_names_and_errors_match_splitting_each_p(d):
+    # every name around the integers below 200, and around primes and
+    # composites up to 2^64: the same name, or the same error text
+    K = make_field(d)
+
+    def outcome(resolve, norm, p, label):
+        try:
+            return resolve(K, norm, p, label, "entry 3")
+        except HilbertSignsError as e:
+            return str(e)
+
+    big = [2**61 - 1, 3215031751, 399165290221 * 798330580441, 2**64 - 59, 2**64 - 1, 2**64, 2**70]
+    for p in [*range(-3, 200), *big]:
+        for norm in (p, p * p, p + 1):
+            for label in (-1, 0, 1, 2):
+                assert outcome(eigen_io._resolve, norm, p, label) == outcome(resolve_by_split, norm, p, label)
+
+
+def test_resolve_words_each_refusal(field5):
+    for name, message in (
+        ((15, 15, 0), "entry 3: 15 is not prime"),
+        ((11, 11, 2), "entry 3: no prime above 11 with root label 2 in Q(sqrt(5))"),
+        ((7, 7, 0), "entry 3: no prime of norm 7, label 0 above 7 in Q(sqrt(5))"),
+    ):
+        with pytest.raises(HilbertSignsError, match=f"^{re.escape(message)}$"):
+            eigen_io._resolve(field5, *name, "entry 3")

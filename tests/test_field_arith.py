@@ -10,7 +10,19 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from oracles import EvenCharacteristic, enumerate_prime_ideals, quadratic_residue_symbol
+from oracles import (
+    EvenCharacteristic,
+    IdealFactorization,
+    _sqrt_mod,
+    as_element,
+    element,
+    enumerate_prime_ideals,
+    factor_principal_ideal,
+    prime_text,
+    quadratic_residue_symbol,
+    split_rational_prime,
+    squarefree_decompose,
+)
 
 from hilbert_signs import field_arith
 from hilbert_signs.errors import HilbertSignsError
@@ -19,21 +31,15 @@ from hilbert_signs.field_arith import (
     NARROW_CLASS_NUMBER_ONE,
     TABLE_MAX_X,
     _KINDS,
-    IdealFactorization,
     Splitting,
     _is_prime,
     _prime_ideals,
     _prime_roots,
     _prime_table,
     _sqrt_lanes,
-    _sqrt_mod,
-    as_element,
-    element,
-    factor_principal_ideal,
+    ideal_text,
     make_field,
     primes_upto,
-    split_rational_prime,
-    squarefree_decompose,
 )
 
 
@@ -565,3 +571,41 @@ def test_ideal_algebra(field5):
         m * IdealFactorization(1, (), make_field(2))
     with pytest.raises(ValueError):
         IdealFactorization.from_pairs(field5, [(P11a, -1)])
+
+
+# ----------------------------------------------------------------------
+# the root-free factorization and the names, against the scalar oracles
+# ----------------------------------------------------------------------
+
+
+def _rationals(K, x, y):
+    """(a, b) with a + b*sqrt(d) = x + y*w."""
+    return (Fraction(2 * x + y, 2), Fraction(y, 2)) if K.d % 4 == 1 else (Fraction(x), Fraction(y))
+
+
+@pytest.mark.parametrize("d", NARROW_CLASS_NUMBER_ONE)
+def test_root_free_factorization_matches_the_root_oracle(d):
+    # every totally positive integral x + y w with |x| <= 60 and |y| <= 20 (y = 0 over Q)
+    K, count = make_field(d), 0
+    for x in range(-60, 61):
+        for y in range(-20, 21) if not K.is_rational else (0,):
+            tau = _rationals(K, x, y)
+            if not element(K, *tau).is_totally_positive():
+                continue
+            ref = factor_principal_ideal(K, tau)
+            got = field_arith.factor_principal_ideal(K, tau)
+            assert field_arith.factorable_tau(K, tau) == ((x, y), repr(element(K, *tau)))
+            assert got == tuple((P[:3], e) for P, e in ref.factors), tau
+            assert ideal_text(K, got) == repr(ref)
+            halves = [(P, e // 2) for P, e in got if e > 1]
+            assert ideal_text(K, halves) == repr(squarefree_decompose(ref).a)
+            count += 1
+    assert count >= (60 if K.is_rational else 700)
+
+
+@pytest.mark.parametrize("d", NARROW_CLASS_NUMBER_ONE)
+def test_ideal_text_matches_the_splitting_text(d):
+    K = make_field(d)
+    for P in enumerate_prime_ideals(K, 10**4):
+        assert ideal_text(K, [(P[:3], 1)]) == prime_text(P) == repr(P)
+    assert ideal_text(K, []) == "(1)"

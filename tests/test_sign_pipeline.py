@@ -24,6 +24,7 @@ from oracles import (
     sato_tate_coordinate,
     save_fixture,
     series_from_entries,
+    split_rational_prime,
     tail_inequality,
     value_at,
 )
@@ -32,7 +33,7 @@ from hilbert_signs import sign_pipeline
 from hilbert_signs.characters import IdealCharacter
 from hilbert_signs.cli import TALLY_CSV_HEADER, density_string, main
 from hilbert_signs.errors import HilbertSignsError
-from hilbert_signs.field_arith import make_field, split_rational_prime
+from hilbert_signs.field_arith import make_field
 from hilbert_signs.sato_tate import synth_eigen_series
 from hilbert_signs.sign_pipeline import EigenvalueSeries, SignSurvey
 
