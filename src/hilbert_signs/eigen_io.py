@@ -131,7 +131,15 @@ def _resolve(K: QuadField, norm: int, p: int, label: int, where: str) -> tuple[i
 # ----------------------------------------------------------------------
 
 
-def _columns(rows: list, keys: tuple[str, ...], what: str, refuse) -> list[list[int]]:
+def _int_column(values: list[int]) -> np.ndarray:
+    """A column of Python ints as int64 if every value fits, else as Python ints."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _columns(rows: list, keys: tuple[str, ...], what: str, refuse) -> list[np.ndarray]:
     """The fields keys of every entry, one column per key, under the one integer rule.
 
     Each column is pulled by one comprehension and checked whole: every
@@ -139,12 +147,13 @@ def _columns(rows: list, keys: tuple[str, ...], what: str, refuse) -> list[list[
     refuse returning the error text of a value it refuses.  Only when a
     check fails are the entries walked, to name the first at fault by the
     per-entry precedence: a missing field, a field that is not a JSON
-    integer, a refused last field.
+    integer, a refused last field.  A column comes back int64 if every
+    value in it fits, else as Python ints.
     """
     try:
         cols = [[row[k] for row in rows] for k in keys]
         if all(set(map(type, c)) <= {int} for c in cols) and not refuse(cols[-1]):
-            return cols
+            return list(map(_int_column, cols))
     except (KeyError, TypeError):
         pass
     for i, row in enumerate(rows):
@@ -162,9 +171,9 @@ def _name_rows(K: QuadField, x: int, names, num: np.ndarray, den: np.ndarray, wh
     """The row of each entry's name in T, the prime table of (K, x), or -1, and {name: (num, den)}
     for the names T lacks.
 
-    names are the (norm, p, root_label) columns, as lists of Python ints
-    or int64 arrays, and num / den the value of each entry, as object or
-    int64 arrays.  A name T lacks is split by _resolve, in entry order,
+    names are the (norm, p, root_label) columns and num / den the value of
+    each entry, each an int64 array, or a Python-int array where a value
+    is past int64.  A name T lacks is split by _resolve, in entry order,
     and its value kept as Python ints.  An entry whose value differs from
     that of the first entry naming its prime is refused; the repeats on
     T's rows are found in one pass over the hits sorted by row.  The first
@@ -251,15 +260,16 @@ def _series(obj: dict, K: QuadField, x: int, names, num: np.ndarray, den: np.nda
 def series_from_obj(obj, x: int) -> EigenvalueSeries:
     K, keys = _document(obj), ("norm", "rational_prime", "root_label", "c_num", "c_den")
     *names, num, den = _columns(obj["entries"], keys, "entry", _zero_den)
-    return _series(obj, K, x, names, np.array(num, dtype=object), np.array(den, dtype=object))
+    return _series(obj, K, x, names, num, den)
 
 
 def serialize_series(E: EigenvalueSeries) -> Iterator[str]:
     """The eigen-series document of E in chunks, as json.dumps(..., indent=1, sort_keys=True) writes it.
 
     The encoder writes the header; the entries follow in blocks of _BLOCK
-    rows, rendered by _entries; the tail closes the document.  "".join of
-    the chunks is the document, and it is never held whole.
+    rows, each value in lowest terms, rendered by _entries; the tail closes
+    the document.  "".join of the chunks is the document, and it is never
+    held whole.
     """
     rows = np.flatnonzero(E.den)
     head = {"format": SCHEMA_TAG, "d": E.field.d, "weight": list(E.weight), "label": E.label,
@@ -272,7 +282,9 @@ def serialize_series(E: EigenvalueSeries) -> Iterator[str]:
     T, sep = _prime_table(E.field, E.x), f'{before}"entries": [\n'
     for i in range(0, rows.size, _BLOCK):
         block = rows[i : i + _BLOCK]
-        cols = E.den[block].tolist(), E.num[block].tolist(), *T.names(block)
+        num, den = E.num[block], E.den[block]
+        g = np.gcd(num, den)  # den > 0 here, so g > 0
+        cols = (den // g).tolist(), (num // g).tolist(), *T.names(block)
         yield sep + _entries(tuple(chain.from_iterable(zip(*cols))))
         sep = ",\n"
     yield f"\n ]{after}"
@@ -376,8 +388,7 @@ def load_psi_table(K: QuadField, source, x: int) -> dict[tuple[int, int, int], i
         raise HilbertSignsError("psi table must be a JSON list of entries")
     keys = ("prime_norm", "rational_prime", "root_label", "value")
     *names, value = _columns(source, keys, "psi entry", _not_unit)
-    value = np.array(value, dtype=object)
-    j, past = _name_rows(K, x, names, value, np.ones(len(value), dtype=object), "psi entry", "value")
+    j, past = _name_rows(K, x, names, value, np.ones(len(value), dtype=np.int64), "psi entry", "value")
     hit = np.flatnonzero(j >= 0)
     table = dict(zip(zip(*_prime_table(K, x).names(j[hit])), value[hit].tolist()))
     return {**table, **{P: v for P, (v, _) in past.items()}}

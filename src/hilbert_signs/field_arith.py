@@ -288,9 +288,9 @@ class _PrimeTable(NamedTuple):
     def lookup(self, norm, p, label) -> np.ndarray:
         """The row of each name (norm[i], p[i], label[i]), or -1 where no row has that name.
 
-        The columns are lists of any Python ints, or int64 arrays, taken as
-        they are.  Each is range-checked whole (min and max) before its
-        int64 cast, and in a column that leaves the table's range (0..last
+        The columns are lists of any Python ints, or arrays (int64, or
+        Python ints where a value is past int64), taken as they are.  Each
+        is range-checked whole (min and max) before its int64 cast, and in a column that leaves the table's range (0..last
         norm, labels 0..1) the values outside it become -1, which names no
         row.  The rest is one searchsorted on key, then the p of each hit
         row checked.

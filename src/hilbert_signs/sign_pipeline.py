@@ -14,12 +14,15 @@ The pipeline runs a chunk of _LANES numpy lanes at a time.  The Hasse
 bound is checked once, as a series' integer columns are built, each chunk
 written into preallocated columns.  The survey slices those columns, the
 character and the norms per chunk of good primes, never copying one
-whole, and decides a chunk by one expression:
+whole, and decides a lane by one expression:
 the sign of c_num N - chi c_den, and B(P) = (c_num N / c_den) / (2 sqrt(N)).
-A chunk runs in int64 when every |c_num| N and c_den in it is at most
-2^53, where the difference is exact in int64 and both terms are exact
-floats; any other chunk runs in Python ints.  Signs are exact either way,
-and each coordinate is correctly rounded, the same bits on both dtypes.
+A lane runs in int64 when its |c_num| N and c_den are at most 2^53, where
+the difference is exact in int64 and both terms are exact floats; any
+other lane runs in Python ints, on its own, while the rest of its chunk
+stays in int64.  The gate likewise takes to Python ints only the rows
+past int64 and the few its float filter cannot decide.  Signs are exact
+either way, and each coordinate is correctly rounded, the same bits on
+both routes.
 
 Counting conventions.  The denominator of every density cli reports is the
 number of ALL prime ideals of norm <= x; the numerator sets (positive,
@@ -51,12 +54,6 @@ from .field_arith import QuadField, _LANES, _absmax, _lanes, _prime_ideals, _pri
 # ======================================================================
 
 
-def _reduce(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a/b in lowest terms with b > 0 (0/0 stays), in the dtype of a and b."""
-    g = np.maximum(np.gcd(a, b), 1) * (1 - 2 * (b < 0))
-    return a // g, b // g
-
-
 def _floats(c: np.ndarray) -> np.ndarray:
     try:
         return c.astype(np.float64)
@@ -64,54 +61,71 @@ def _floats(c: np.ndarray) -> np.ndarray:
         return np.clip(c, -(2**64), 2**64).astype(np.float64)
 
 
-def _merge(n: int, i: np.ndarray, x: np.ndarray, j: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x at rows i and y at rows j of one column, in int64 if _lanes allows."""
-    c = np.empty(n, dtype=_lanes(max(_absmax(x), _absmax(y))))
-    c[i], c[j] = x, y
-    return c
+def _int64_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c in int64 lanes, 0 at the rows whose value is not within +-(2^63 - 1), and the mask of the other rows.
+
+    An int64 c is read as it is.  An object c is read through its floats:
+    a row fits when its float is below 2^63 in size (so a value within
+    2^10 of the limit is counted out), a float below 2^53 in size is its
+    value exactly, and only the rows between are cast from Python ints.
+    """
+    if c.dtype == np.int64:
+        return c, c != -(2**63)
+    f = _floats(c)
+    size = np.abs(f)
+    lanes = np.where(size < 2.0**53, f, 0).astype(np.int64)
+    mid = np.flatnonzero((size >= 2.0**53) & (size < 2.0**63))
+    lanes[mid] = c[mid]
+    return lanes, size < 2.0**63
+
+
+def _python_ints(*cols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The given rows of each column as Python ints: the one step by which a row leaves int64 lanes."""
+    return tuple(c.astype(object) for c in cols)
 
 
 def _hasse_columns(label: str, name, norm, num, den) -> tuple[np.ndarray, np.ndarray]:
-    """num/den at each prime (of norm N) in lowest terms with den > 0, or 0/0 where den is 0.
+    """num/den at each prime (of norm N), both negated where den < 0, or 0/0 where den is 0.
 
-    A chunk of _LANES rows at a time, each row is reduced and checked
-    against num^2 N <= 4 den^2, so the first row over the bound is the one
-    named, by the text name(i).  Rows with |num| and |den| below 2^62 are
-    reduced in int64 and checked in floats, whose num^2 N and 4 den^2 are
-    within a factor 1 +- 2^-50 of the exact ones; Python ints decide the
-    rows the floats put within 2^-40 of the bound, and reduce and check the
-    others.
-    Each chunk is written into its rows of two preallocated columns.  They
-    come back read-only: int64 where _lanes allows, else Python ints, to
-    which a column moves once, at the first chunk that needs them.
+    The gate does not reduce: a row keeps its rational with den > 0.  A
+    chunk of _LANES rows at a time, each row is checked against num^2 N <=
+    4 den^2, so the first row over the bound is the one named, by the text
+    name(i).  A row whose num and den fit int64 is signed in int64 lanes
+    and checked in floats, whose num^2 N and 4 den^2 are within a factor
+    1 +- 2^-50 of the exact ones; Python ints decide the rows the floats
+    put within 2^-40 of the bound, and sign and check the rows past int64,
+    those rows alone.
+    Each chunk is written into its rows of two preallocated int64 columns,
+    and the rows past int64 after the last chunk.  The columns come back
+    read-only: int64 where _lanes allows, else Python ints.
     """
-    if not isinstance(norm, np.ndarray):
-        norm = np.array(norm, dtype=object)
+    norm, num, den = (c if isinstance(c, np.ndarray) else np.array(c, dtype=object) for c in (norm, num, den))
     cols = [np.empty(len(norm), dtype=np.int64) for _ in range(2)]
+    wide = []  # (rows, num, den) of the rows past int64, in Python ints
     for lo in range(0, len(norm), _LANES):
         N, a, b = (c[lo : lo + _LANES] for c in (norm, num, den))
-        if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.dtype == b.dtype == np.int64):
-            a, b = np.array(a, dtype=object), np.array(b, dtype=object)
-        af, bf = _floats(a), _floats(b)
-        small = (np.abs(af) < 2.0**62) & (np.abs(bf) < 2.0**62)
-        fast, slow = np.flatnonzero(small), np.flatnonzero(~small)
-        af, bf, Nf = af[fast], bf[fast], _floats(N[fast])
-        check = np.concatenate([fast[af * af * Nf > 4.0 * bf * bf * (1 - 2.0**-40)], slow])
-        x, y = _reduce(a[fast].astype(np.int64, copy=False), b[fast].astype(np.int64, copy=False))
-        if slow.size:  # one dtype per chunk and column, by _lanes
-            x, y = (
-                _merge(len(N), fast, f, slow, s)
-                for f, s in zip((x, y), _reduce(a[slow].astype(object), b[slow].astype(object)))
-            )
-        A, B = x[check].astype(object), y[check].astype(object)
-        if (over := check[A * A * N[check].astype(object) > 4 * B * B]).size:
+        (x, fa), (y, fb) = _int64_rows(a), _int64_rows(b)
+        s = np.sign(y)
+        x, y = x * s, y * s  # exact: |x| and |y| <= 2^63 - 1 where they fit
+        past = ~(fa & fb)
+        xf, yf = x.astype(np.float64), y.astype(np.float64)
+        check = np.flatnonzero(past | (xf * xf * _floats(N) > 4.0 * yf * yf * (1 - 2.0**-40)))
+        A, B, M = _python_ints(a[check], b[check], N[check])
+        s = np.sign(B)
+        A, B = A * s, B * s
+        if (over := check[A * A * M > 4 * B * B]).size:
             i = over.min()
-            c = Fraction(int(x[i]), int(y[i]))
+            j = np.searchsorted(check, i)
+            c = Fraction(int(A[j]), int(B[j]))
             raise HilbertSignsError(f"{label}: |c({name(lo + i)})| = |{c}| exceeds 2/sqrt({N[i]})")
-        for k, c in enumerate((x, y)):
-            if c.dtype == object and cols[k].dtype != object:
-                cols[k] = cols[k].astype(object)
-            cols[k][lo : lo + len(N)] = c
+        cols[0][lo : lo + len(N)], cols[1][lo : lo + len(N)] = x, y
+        if (w := past[check]).any():
+            wide.append((lo + check[w], A[w], B[w]))
+    if wide:
+        rows, *values = (np.concatenate(c) for c in zip(*wide))
+        for k, v in enumerate(values):
+            cols[k] = cols[k].astype(_lanes(_absmax(v)), copy=False)
+            cols[k][rows] = v
     for c in cols:
         c.flags.writeable = False
     return tuple(cols)
@@ -129,10 +143,12 @@ class EigenvalueSeries:
     """Coefficients c(P) of one form, with weight and level bookkeeping.
 
     num and den are read-only integer columns aligned to the prime table of
-    (field, x): c(P) = num / den at the row of P, and den == 0 where P has
-    no coefficient.  The constructor, the one Hasse gate, reduces each
-    pair to lowest terms with den > 0, enforces |c(P)| <= 2 N(P)^{-1/2}
-    (checked exactly as num^2 N <= 4 den^2) and even weights >= 2.
+    (field, x): c(P) = num / den at the row of P, with den > 0, and num ==
+    den == 0 where P has no coefficient.  A column is int64 if every value
+    in it fits, else Python ints.  The constructor, the one Hasse gate,
+    keeps each pair as given, not reduced, with both negated where den < 0;
+    it enforces |c(P)| <= 2 N(P)^{-1/2} (checked exactly as num^2 N <= 4
+    den^2) and even weights >= 2.
     """
 
     def __init__(self, field: QuadField, weight, label: str, x: int, num, den, level_support=()):
@@ -165,12 +181,11 @@ def _sign_lanes(num: np.ndarray, den: np.ndarray, chi: np.ndarray, norms: np.nda
 
     The good lanes are taken _LANES at a time, each chunk sliced from the
     rows that hold it less their bad rows, so no column is copied whole.
-    With t = c_num N, a chunk takes sign(t - chi c_den) and (t / c_den) /
-    (2 sqrt(N)) in one dtype: int64 if every |t| and c_den in it is at most
-    2^53, else Python ints.  An int64 column forms t in int64 when the
-    chunk's max |c_num| times its max N is below 2^63.  Float division of
-    exact floats and Python int true division are both correctly rounded,
-    so B is the same bits on either dtype.
+    With t = c_num N, a lane takes sign(t - chi c_den) and (t / c_den) /
+    (2 sqrt(N)) in int64 if |t| and c_den are at most 2^53, and in Python
+    ints otherwise, that lane alone.  Float division of exact floats and
+    Python int true division are both correctly rounded, so B is the same
+    bits on either route.
     """
     bad = np.flatnonzero(chi == 0)
     before = bad - np.arange(len(bad))  # the good lanes before each bad row
@@ -182,13 +197,17 @@ def _sign_lanes(num: np.ndarray, den: np.ndarray, chi: np.ndarray, norms: np.nda
         r0, r1 = np.searchsorted(before, [lo, hi], side="right") + [lo, hi]
         good = chi[r0:r1] != 0
         N, d, c, x = (col[r0:r1][good] for col in (norms, den, num, chi))
-        if c.dtype != object and _absmax(c) * _absmax(N) >= 2**63:
-            c = c.astype(object)  # some c_num N could pass int64
-        t = c * N
-        lanes = _lanes(max(_absmax(t), _absmax(d)), 2**53)
-        t, d = t.astype(lanes), d.astype(lanes)
-        signs[lo:hi] = np.sign(t - x * d)
-        coords[lo:hi] = t / d / (2.0 * np.sqrt(N.astype(np.float64)))
+        (a, fa), (b, fb) = _int64_rows(c), _int64_rows(d)
+        top = 2**53 // N  # |c_num| N <= 2^53 iff |c_num| <= top
+        exact = fa & fb & (-top <= a) & (a <= top) & (b <= 2**53)
+        t, b = np.where(exact, a, 0) * N, np.where(exact, b, 1)
+        signs[lo:hi] = np.sign(t - x * b)
+        coords[lo:hi] = t / b / (2.0 * np.sqrt(N.astype(np.float64)))
+        if (wide := np.flatnonzero(~exact)).size:
+            a, b, M = _python_ints(c[wide], d[wide], N[wide])
+            t = a * M
+            signs[lo + wide] = np.sign(t - x[wide] * b)
+            coords[lo + wide] = t / b / (2.0 * np.sqrt(N[wide].astype(np.float64)))
     return signs, coords
 
 

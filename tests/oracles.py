@@ -329,16 +329,19 @@ def series_from_entries(K, weight, label, entries, x, level_support=()):
 def hasse_columns_by_row(label, name, norm, num, den):
     """The Hasse gate one row at a time in Fractions: the reference for _hasse_columns.
 
-    Returns the rows in lowest terms with den > 0 (0/0 where den is 0) as
-    two lists, or raises the gate's error at the first row over the bound.
+    Returns the rows as two lists, each row unreduced with num and den both
+    negated where den < 0, and 0/0 where den is 0, or raises the gate's
+    error at the first row over the bound.
     """
     nums, dens = [], []
     for i, (N, a, b) in enumerate(zip(norm, num, den)):
-        c = Fraction(int(a), int(b)) if b else Fraction(0)
+        a, b = int(a), int(b)
+        c = Fraction(a, b) if b else Fraction(0)
         if c * c * int(N) > 4:
             raise HilbertSignsError(f"{label}: |c({name(i)})| = |{c}| exceeds 2/sqrt({N})")
-        nums.append(c.numerator if b else 0)
-        dens.append(c.denominator if b else 0)
+        sign = (b > 0) - (b < 0)
+        nums.append(sign * a)
+        dens.append(sign * b)
     return nums, dens
 
 
@@ -407,11 +410,12 @@ def quadratic_residue_symbol(a, P):
 
 
 def series_to_obj(E):
-    """E as an eigen-series document: the object serialize_series writes."""
+    """E as an eigen-series document, each value in lowest terms: the object serialize_series writes."""
     keys = ("norm", "rational_prime", "root_label", "c_num", "c_den")
     rows = E.den.nonzero()[0]
     names = _prime_table(E.field, E.x).names(rows)
-    entries = [dict(zip(keys, v)) for v in zip(*names, E.num[rows].tolist(), E.den[rows].tolist())]
+    c = list(map(Fraction, E.num[rows].tolist(), E.den[rows].tolist()))
+    entries = [dict(zip(keys, v)) for v in zip(*names, (q.numerator for q in c), (q.denominator for q in c))]
     return {
         "format": SCHEMA_TAG,
         "d": E.field.d,

@@ -575,6 +575,20 @@ def test_a_name_with_another_rows_key_is_refused_by_its_label(capsys, tmp_path, 
 
 
 @pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("norm", 2**63, "no prime of norm 9223372036854775808, label 0 above 3 in Q"),
+        ("rational_prime", 2**64 + 13, "rational prime 18446744073709551629 is not below 2^64"),
+        ("root_label", 2**63, "no prime above 3 with root label 9223372036854775808 in Q"),
+    ],
+)
+def test_a_name_past_int64_is_refused_with_its_entry(capsys, tmp_path, field, value, message):
+    # the other name columns fit int64; this one is held in Python ints
+    argv = _fixture(tmp_path, more=[{**_ROW, field: value}])
+    assert run(capsys, *argv) == (2, "", f"error: entry 1: {message}\n")
+
+
+@pytest.mark.parametrize(
     "case,message",
     [
         ("char-tau-not-totally-positive", "error: 1/2+1/2*sqrt(5) is not totally positive\n"),

@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -121,3 +122,46 @@ def test_an_input_error_exits_2(tmp_path):
 
 def test_a_tau_with_a_huge_prime_norm_exits_2_instead_of_stalling():
     _console("char", "--d", "5", "--x", "10", "--tau", "1000000000000000003", timeout=20, code=2)
+
+
+def _shifted(doc: Path, dest: Path, every: int) -> str:
+    """dest, written as the eigen-series document doc with c + 10^-30 / c_den at every `every`-th entry.
+
+    A shifted entry's denominator is past 2^63, so its row runs in Python ints.
+    """
+    obj = json.loads(doc.read_text())
+    for e in obj["entries"][::every]:
+        e["c_num"], e["c_den"] = e["c_num"] * 10**30 + 1, e["c_den"] * 10**30
+    dest.write_text(json.dumps(obj))
+    return str(dest)
+
+
+def _tally(out: str) -> tuple[int, int, int]:
+    """(pos, neg, zero) of a signs CSV."""
+    return tuple(map(int, _last_line(out).split(",")[2:5]))
+
+
+def test_a_cache_document_shifted_by_10_30_runs_in_python_ints(tmp_path):
+    _console("signs", "--curve", "11a", "--x", "1000", "--cache-dir", str(tmp_path))
+    (doc,) = tmp_path.glob("curve-11a-X1000-*.json")
+    shifted = _shifted(doc, tmp_path / "shifted.json", 1)
+    pos, neg, zero = _tally(_console("signs", "--fixture", str(doc), "--x", "1000")[0])
+    assert _tally(_console("signs", "--fixture", shifted, "--x", "1000")[0]) == (pos + zero, neg, 0)
+    ks = [json.loads(_console("stats", "--fixture", f, "--x", "1000")[0])["ks_statistic"] for f in (str(doc), shifted)]
+    assert ks[0] == ks[1]
+
+
+def test_a_cache_document_with_every_50th_entry_shifted_matches_an_exact_recount(tmp_path):
+    # the benchmark fixture's mix: 2% of the rows past int64, the rest in int64 lanes
+    _console("signs", "--curve", "11a", "--x", "1000", "--cache-dir", str(tmp_path))
+    (doc,) = tmp_path.glob("curve-11a-X1000-*.json")
+    shifted = _shifted(doc, tmp_path / "mix.json", 50)
+    obj = json.loads(Path(shifted).read_text())
+    bad = {2, *obj["level_support"]}  # tau = 1: chi is 1 at every other prime
+    counts = [0, 0, 0]  # pos, neg, zero
+    for e in obj["entries"]:
+        if e["rational_prime"] not in bad:
+            s = Fraction(e["c_num"], e["c_den"]) - Fraction(1, e["norm"])
+            counts[0 if s > 0 else 1 if s < 0 else 2] += 1
+    assert counts[2] > 0
+    assert _tally(_console("signs", "--fixture", shifted, "--x", "1000")[0]) == tuple(counts)

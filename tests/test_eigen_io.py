@@ -24,7 +24,7 @@ from oracles import (
     value_at,
 )
 
-from hilbert_signs import eigen_io
+from hilbert_signs import eigen_io, sign_pipeline
 from hilbert_signs.characters import IdealCharacter
 from hilbert_signs.curves import CURVE_REGISTRY, get_curve, series_from_curve
 from hilbert_signs.eigen_io import (
@@ -217,7 +217,7 @@ def test_columns_match_a_fraction_decode(field5):
     primes = enumerate_prime_ideals(field5, x)
     for P, num, den in zip(primes, E.num.tolist(), E.den.tolist()):
         c = want.get(P)
-        assert (num, den) == ((0, 0) if c is None else (c.numerator, c.denominator))
+        assert (num, den) == (0, 0) if c is None else den > 0 and Fraction(num, den) == c
     assert [r["c_num"] for r in series_to_obj(E)["entries"]] == [want[P].numerator for P in sorted(want)]
     # without the plants every value fits int64, and so do the columns
     small = [r for r in rows if abs(r["c_den"]) < 2**63]
@@ -428,6 +428,13 @@ def series_outcome(decode, *args):
     return E.field.d, E.weight, E.label, E.level_support, E.x, *columns
 
 
+def in_lowest_terms(E):
+    """E with each row in lowest terms, 0/0 where it has no coefficient."""
+    g = [math.gcd(a, b) or 1 for a, b in zip(E.num.tolist(), E.den.tolist())]
+    num, den = ([v // k for v, k in zip(c.tolist(), g)] for c in (E.num, E.den))
+    return EigenvalueSeries(E.field, E.weight, E.label, E.x, num, den, E.level_support)
+
+
 def reference_outcome(path, x):
     """The entry-by-entry decoder on json.loads of the file, worded as load_fixture words a bad file."""
     try:
@@ -479,6 +486,7 @@ def test_column_reader_matches_the_json_reader_on_writer_documents(tmp_path_fact
     E = EigenvalueSeries(K, weight, label, x, num, den, level)
     path = tmp_path_factory.mktemp("writer") / "doc.json"
     save_fixture(E, path)
+    E = in_lowest_terms(E)  # as the writer writes it
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(eigen_io, "_BLOCK", block)
         reads = ReadPaths(mp)
@@ -567,6 +575,23 @@ def test_column_reader_checks_the_names_past_x(tmp_path, monkeypatch):
             got, as_json = reads.load(path, x)
             assert not as_json
             assert got == want[case] if want[case] else type(got) is tuple
+
+
+@pytest.mark.parametrize("wide,narrow", [(1, 2), (2, 1), (1, 5), (5, 1)])
+def test_load_fixture_names_the_first_entry_over_the_bound(tmp_path, monkeypatch, wide, narrow):
+    # one value past int64 and one in int64 lanes, both over the bound, in one chunk of 4 rows or across two
+    monkeypatch.setattr(sign_pipeline, "_LANES", 4)
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    rows = [{"norm": p, "rational_prime": p, "root_label": 0, "c_num": 0, "c_den": 1} for p in primes]
+    rows[wide].update(c_num=10**30, c_den=10**29)  # c = 10
+    rows[narrow].update(c_num=3)  # c = 3
+    path = tmp_path / "over.json"
+    path.write_text(json.dumps({"format": SCHEMA_TAG, "d": 1, "weight": [2], "label": "x", "entries": rows}))
+    first = min(wide, narrow)
+    p, c = primes[first], 10 if first == wide else 3
+    with pytest.raises(HilbertSignsError) as e:
+        load_fixture(path, 30)
+    assert str(e.value) == f"x: |c(({p}))| = |{c}| exceeds 2/sqrt({p})"
 
 
 def test_name_rows_compares_int64_repeats_exactly():

@@ -33,7 +33,7 @@ from hilbert_signs import sign_pipeline
 from hilbert_signs.characters import IdealCharacter
 from hilbert_signs.cli import TALLY_CSV_HEADER, density_string, main
 from hilbert_signs.errors import HilbertSignsError
-from hilbert_signs.field_arith import make_field
+from hilbert_signs.field_arith import _prime_table, make_field
 from hilbert_signs.sato_tate import synth_eigen_series
 from hilbert_signs.sign_pipeline import EigenvalueSeries, SignSurvey
 
@@ -161,7 +161,7 @@ def test_series_columns_must_cover_the_table():
     with pytest.raises(ValueError, match="columns of 1 and 1 rows, for 2 primes"):
         EigenvalueSeries(Q, (2,), "short", 3, [0], [1])  # (2) and (3)
     E = EigenvalueSeries(Q, (2,), "two", 3, [0, 2], [0, -4])
-    assert (E.num.tolist(), E.den.tolist(), E.num.dtype) == ([0, -1], [0, 2], np.int64)
+    assert (E.num.tolist(), E.den.tolist(), E.num.dtype) == ([0, -2], [0, 4], np.int64)
 
 
 def test_k0_is_max_component():
@@ -299,22 +299,23 @@ def mixed_lane_series():
 
 def test_survey_lanes_match_scalar_decisions(monkeypatch):
     E, chi, good = mixed_lane_series()
-    lanes, pick = [], sign_pipeline._lanes
+    sent, to_ints = [], sign_pipeline._python_ints
 
-    def spy(*args):
-        lanes.append(pick(*args))
-        return lanes[-1]
+    def spy(c, d, N):
+        sent.append(N.tolist())
+        return to_ints(c, d, N)
 
-    whole = SignSurvey(E, 5, x=20000)  # one chunk: Python ints
+    whole = SignSurvey(E, 5, x=20000)  # one chunk
     monkeypatch.setattr(sign_pipeline, "_LANES", CHUNK)
-    monkeypatch.setattr(sign_pipeline, "_lanes", spy)
+    monkeypatch.setattr(sign_pipeline, "_python_ints", spy)
     survey = SignSurvey(E, 5, x=20000)
-    python_int_chunks = [k for k, t in enumerate(lanes) if t is object]
-    assert python_int_chunks == [0, 3, 6, 7, 9, 13, 15, 18, 21, 24, 27, 30, 33, 35]
-    assert len(lanes) == 36 and lanes.count(np.int64) == 22
+    zero, entries = 0, E.entries  # a view built on each read: read it once
+    # the lanes past 2^53, and they alone, go to Python ints, one call per chunk that holds any
+    wide = [i for i, P in enumerate(good) if max(abs(entries[P].numerator) * P.norm, entries[P].denominator) > 2**53]
+    assert sorted({i // CHUNK for i in wide}) == [0, 3, 6, 7, 9, 13, 15, 18, 21, 24, 27, 30, 33, 35]
+    assert len(sent) == 14 and sum(sent, []) == [good[i].norm for i in wide]
     assert np.array_equal(survey.signs, whole.signs)
     assert survey.coords.tobytes() == whole.coords.tobytes()
-    zero, entries = 0, E.entries  # a view built on each read: read it once
     for P, s, b in zip(good, survey.signs.tolist(), survey.coords.tolist()):
         c = entries[P]
         assert s == lambda_sign(c, value_at(chi, P), P.norm)
@@ -441,6 +442,112 @@ def test_survey_lanes_at_the_int64_boundaries(lanes, width):
         signs, coords = sign_pipeline._sign_lanes(*cols, np.array(chi, np.int8), np.array(N, np.int64))
     assert signs.tolist() == [lambda_sign(x, v, n) for x, v, n in zip(c, chi, N)]
     assert coords.tolist() == [sato_tate_coordinate(x, n) for x, n in zip(c, N)]
+
+
+# |c_num| N at 2^53 - 1, 2^53 + 1, 2^63 - 1 and 2^63 + 1 over Q, as (c_num, N):
+# each N divides its edge, and c_num and c_den = (isqrt(N) + 1) c_num + 1 fit int64
+ROW_EDGES = (((2**53 - 1) // 6361, 6361), ((2**53 + 1) // 3, 3), ((2**63 - 1) // 7, 7), ((2**63 + 1) // 19, 19))
+
+
+def edge_columns(X, lanes, rng):
+    """(num, den, level support, chi) over Q to X, for surveys at tau = 5 taken `lanes` lanes at a time.
+
+    Values past 2^53 sit at rows 0, lanes - 1, lanes and the last row, at
+    the good lanes of those numbers, and next to every bad row: half past
+    int64 (chi/N +- 10^-30), half inside it (chi/N + k/(N m) with N m near
+    2^62, k in -1, 0, 1).  ROW_EDGES set their rows.  Every other row is a
+    small value, unreduced, over a denominator of either sign.  The bad
+    rows are (2), which holds a value past int64, and (5) and the level
+    support, which hold 0/0.
+    """
+    norms = _prime_table(Q, X).norm.tolist()
+    n = len(norms)
+    level = [norms[i] for i in {lanes + 1, 2 * lanes + 3, n - 2} if 2 < i < n]
+    chi = IdealCharacter.from_tau(Q, 5, level_support=level).values_upto(X).tolist()
+    good = [i for i, v in enumerate(chi) if v]
+    bad = [i for i, v in enumerate(chi) if not v]
+    wide = {0, lanes - 1, lanes, n - 1, *(b + e for b in bad for e in (-1, 1))}
+    wide = {i for i in wide if 0 <= i < n} | {good[i] for i in (0, lanes - 1, lanes, len(good) - 1)}
+    num, den = [], []
+    for N in norms:
+        k, s = rng.choice((1, 3)), rng.choice((1, -1))
+        b = rng.randint(1, 10**6)
+        top = math.isqrt(4 * b * b // N) // 2  # far inside the bound
+        num.append(s * k * rng.randint(-top, top))
+        den.append(s * k * b)
+    for j, i in enumerate(sorted(wide - {norms.index(N) for _, N in ROW_EDGES} - set(bad))):
+        N = norms[i]
+        if j % 2 == 0:
+            num[i], den[i] = chi[i] * 10**30 + rng.choice((-1, 1)) * N, N * 10**30
+        else:
+            m = 2**62 // N
+            num[i], den[i] = chi[i] * m + (0, 1, -1)[j // 2 % 3], N * m
+    for a, N in ROW_EDGES:
+        i = norms.index(N)
+        num[i], den[i] = rng.choice((1, -1)) * a, (math.isqrt(N) + 1) * a + 1
+    for i in bad[1:]:
+        num[i], den[i] = 0, 0
+    num[0], den[0] = 10**30 + 1, 2 * 10**30  # (2): bad, and past int64
+    return num, den, level, chi
+
+
+def all_rows_in_python_ints(c):
+    return np.zeros(len(c), dtype=np.int64), np.zeros(len(c), dtype=bool)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 7, sign_pipeline._LANES])
+def test_rows_past_int64_or_2_53_run_alone_in_python_ints(monkeypatch, lanes):
+    X = 100_000 if lanes == sign_pipeline._LANES else 10_000
+    num, den, level, chi = edge_columns(X, lanes, random.Random(lanes))
+    norms = _prime_table(Q, X).norm.tolist()
+    sent, to_ints = [], sign_pipeline._python_ints
+
+    def spy(*cols):
+        sent.append(len(cols[0]))
+        return to_ints(*cols)
+
+    monkeypatch.setattr(sign_pipeline, "_LANES", lanes)
+    monkeypatch.setattr(sign_pipeline, "_python_ints", spy)
+    E = EigenvalueSeries(Q, (2,), "edges", X, num, den, level)
+    # the gate: the rows with a value past int64, and only they (no row is near the bound)
+    want = hasse_columns_by_row("edges", None, norms, num, den)
+    assert (E.num.tolist(), E.den.tolist()) == want and E.num.dtype == E.den.dtype == object
+    assert sum(sent) == sum(max(abs(a), b) >= 2**63 for a, b in zip(*want)) > 0
+    sent.clear()
+    survey = SignSurvey(E, 5, x=X)
+    # the survey: the good lanes with |c_num| N or c_den past 2^53, and only they
+    lanes_past = [i for i, v in enumerate(chi) if v and max(abs(want[0][i]) * norms[i], want[1][i]) > 2**53]
+    assert sum(sent) == len(lanes_past) < len(norms) // 10
+    good = [i for i, v in enumerate(chi) if v]
+    c = [Fraction(want[0][i], want[1][i]) for i in good]
+    assert survey.signs.tolist() == [lambda_sign(q, chi[i], norms[i]) for q, i in zip(c, good)]
+    assert survey.coords.tolist() == [sato_tate_coordinate(q, norms[i]) for q, i in zip(c, good)]
+    assert {0, -1, 1} <= set(survey.signs[[good.index(i) for i in lanes_past]].tolist())
+    # every row in Python ints: the same columns, signs and coordinate bits
+    monkeypatch.setattr(sign_pipeline, "_int64_rows", all_rows_in_python_ints)
+    F = EigenvalueSeries(Q, (2,), "edges", X, num, den, level)
+    assert (F.num.tolist(), F.den.tolist(), F.num.dtype, F.den.dtype) == (*want, object, object)
+    every = SignSurvey(F, 5, x=X)
+    assert np.array_equal(every.signs, survey.signs) and every.coords.tobytes() == survey.coords.tobytes()
+
+
+# (wide row, int64 row), both over the bound: in one chunk of 4 rows, or across two
+FIRST_FAULTS = [(1, 2), (2, 1), (1, 5), (5, 1)]
+
+
+@pytest.mark.parametrize("wide,narrow", FIRST_FAULTS)
+def test_the_gate_names_the_first_row_over_the_bound(wide, narrow):
+    norm = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    num, den = [0] * 10, [1] * 10
+    num[wide], den[wide] = 10**30, 10**29  # c = 10, past int64
+    num[narrow] = 3  # c = 3, in int64
+    first = min(wide, narrow)
+    want = f"g: |c(row {first})| = |{num[first] // den[first]}| exceeds 2/sqrt({norm[first]})"
+    assert gate_or_error(hasse_columns_by_row, norm, num, den) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sign_pipeline, "_LANES", 4)
+        for column in (num, np.array(num, dtype=object)):
+            assert gate_or_error(sign_pipeline._hasse_columns, np.array(norm), column, den) == want
 
 
 # Exit code and sha256 of stdout of each command on the mixed-lane fixture, run
