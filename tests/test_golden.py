@@ -5,12 +5,17 @@ updates the digest here and says why.
 """
 
 import hashlib
+import json
 
 import pytest
+from oracles import save_fixture
 
 from hilbert_signs.cli import main
 from hilbert_signs.curves import get_curve, series_from_curve
 from hilbert_signs.eigen_io import serialize_series
+from hilbert_signs.field_arith import _prime_table, make_field
+from hilbert_signs.sato_tate import synth_eigen_series
+from hilbert_signs.sign_pipeline import EigenvalueSeries
 
 GOLDEN = [
     (
@@ -111,6 +116,60 @@ GOLDEN = [
 @pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
 def test_stdout_is_byte_identical(capsys, argv, digest):
     code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# A psi table over Q(sqrt(5)): both primes above 11 (one divides tau = 4 +
+# sqrt(5), of norm 11, so it is bad), label-1 rows, two inert rows (P2i is
+# above 2, so bad), a value of +1 and a name past x = 2000.
+PSI = [
+    {"prime_norm": n, "rational_prime": p, "root_label": label, "value": v}
+    for n, p, label, v in [
+        (11, 11, 0, -1), (11, 11, 1, -1), (29, 29, 1, -1), (31, 31, 1, -1), (4, 2, 0, -1),
+        (49, 7, 0, -1), (1151, 1151, 0, 1), (1151, 1151, 1, -1), (2011, 2011, 0, -1),
+    ]
+]
+
+# The psi-twisted fixture path at a nonsquare tau: F is written by
+# _twisted_fixture, and PSI is the table above.
+TWISTED = "--x 2000 --tau 4 --tau-b 1 --psi-file PSI".split()
+TWISTED_GOLDEN = [
+    (
+        ["signs", "--fixture", "F", *TWISTED, "--format", "json"],
+        "885c49e94b6d4b0397dbe788662e6bbda2f635efb500deb0e37ca01c69a850d9",
+    ),
+    (
+        ["stats", "--fixture", "F", *TWISTED],
+        "009d81a5657235ee2d48c1d2468d0d8d2e2331af79e6389575f88a37907863f0",
+    ),
+    (
+        ["char", "--d", "5", *TWISTED, "--format", "json"],
+        "0ff9efcfe990fafa2827ba6b84b6b0489a060f79f904af0fee02c31f4fada9d8",
+    ),
+]
+
+
+def _twisted_fixture(path):
+    """A synthetic Q(sqrt(5)) series to 2000, with c = 0 at the rows PSI names, as a document.
+
+    At c = 0 the sign of c - chi/N is -chi, so psi shows in the tally.
+    """
+    K = make_field(5)
+    E = synth_eigen_series(K, 2000, 2, 7)
+    rows = _prime_table(K, 2000).lookup(*zip(*[(e["prime_norm"], e["rational_prime"], e["root_label"]) for e in PSI]))
+    num = E.num.copy()
+    num[rows[rows >= 0]] = 0
+    save_fixture(EigenvalueSeries(K, E.weight, E.label, E.x, num, E.den), path)
+
+
+@pytest.mark.parametrize("argv,digest", TWISTED_GOLDEN, ids=[" ".join(a) for a, _ in TWISTED_GOLDEN])
+def test_psi_twisted_fixture_stdout_is_byte_identical(capsys, tmp_path, argv, digest):
+    files = {"F": tmp_path / "fixture.json", "PSI": tmp_path / "psi.json"}
+    _twisted_fixture(files["F"])
+    files["PSI"].write_text(json.dumps(PSI))
+    code = main([str(files.get(a, a)) for a in argv])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
