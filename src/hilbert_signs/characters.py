@@ -23,13 +23,14 @@ primes above 2, primes dividing the field discriminant, primes dividing
 tau, and primes above any declared level support.  The bad set, the keys
 of psi and the factors of tau*O_K are prime names (norm, p, root_label),
 so a prime past the prime table needs no root, and values_upto finds the
-rows of the bad set and of psi by one table lookup each.
+rows of the bad set and of psi by one table lookup each.  A run reads the
+character only as those values: values_upto(X), int8 on the rows of the
+prime table of (K, X), is what the survey and the formal series take.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -49,23 +50,6 @@ from .field_arith import (
 )
 
 Name = tuple[int, int, int]  # a prime ideal's (norm, p, root_label)
-
-
-class CharacterValues(NamedTuple):
-    """A character's values on the prime table of (field, x), evaluated once.
-
-    It stands in for the character where only values_upto(x) is read: the
-    Euler series and the prime relation of one series-check check.
-    """
-
-    field: QuadField
-    x: int
-    values: np.ndarray
-
-    def values_upto(self, X: int) -> np.ndarray:
-        if X != self.x:
-            raise ValueError(f"values held up to {self.x}, asked for {X}")
-        return self.values
 
 
 @dataclass
@@ -105,9 +89,6 @@ class IdealCharacter:
         bad.update(P for P, _ in tau_ideal)
         square = all(e % 2 == 0 for _, e in tau_ideal)
         return cls(K, text, psi, frozenset(bad), tau_ideal, omega, square)
-
-    def evaluated(self, X: int) -> CharacterValues:
-        return CharacterValues(self.field, X, self.values_upto(X))
 
     def values_upto(self, X: int) -> np.ndarray:
         """chi at every prime of norm <= X, as int8 on the rows of the prime table.

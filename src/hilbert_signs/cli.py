@@ -158,7 +158,7 @@ def _add_tau_flags(sp):
 def cmd_primes(args) -> int:
     T = _prime_table(make_field(args.d), args.x)
     rows = [
-        (norm, p, label, _DEGREE_OF[k], _KINDS[k].value)
+        (norm, p, label, _DEGREE_OF[k], _KINDS[k])
         for norm, p, label, k in zip(*T.names(slice(None)), T.kind.tolist())
     ]
     _emit_table(args, "norm,rational_prime,root_label,residue_degree,splitting", rows)
@@ -179,7 +179,7 @@ def cmd_char(args) -> int:
 def cmd_signs(args) -> int:
     tau = _tau_element(args)
     series, psi = _load_series(args, tau)
-    t = SignSurvey(series, tau, psi=psi, x=args.x).tally()
+    t = SignSurvey(series, tau, psi=psi).tally()
     row = (t.x, t.total, t.pos, t.neg, t.zero, density_string(t.pos, t.total))
     _emit_table(args, TALLY_CSV_HEADER, [row], _tally_obj(t))
     return 0
@@ -189,7 +189,7 @@ def cmd_stats(args) -> int:
     coefficient = _threshold_coefficient(args)
     tau = _tau_element(args)
     series, psi = _load_series(args, tau)
-    survey = SignSurvey(series, tau, psi=psi, x=args.x)
+    survey = SignSurvey(series, tau, psi=psi)
     report = sato_tate.ks_statistic(survey.coords, coefficient=coefficient)
     if args.hist_out:
         _emit(sato_tate.histogram_csv(survey.coords), args.hist_out)
@@ -216,7 +216,7 @@ def cmd_simulate(args) -> int:
     tau = _tau_element(args)
     factorable_tau(K, tau)  # refused before the series is drawn
     series = sato_tate.synth_eigen_series(K, args.x, args.k0, args.seed)
-    survey = SignSurvey(series, tau, x=args.x)
+    survey = SignSurvey(series, tau)
     t = survey.tally()
     report = sato_tate.ks_statistic(survey.coords, coefficient=coefficient)
     ks = {
@@ -278,7 +278,7 @@ def cmd_series_check(args) -> int:
     T = _ideal_table(K, args.x)
     prime_rows = range(len(T.prime_id))
     for i in range(args.count):
-        chi = IdealCharacter.from_tau(K, tau_pool[rng.randrange(len(tau_pool))]).evaluated(args.x)
+        chi_P = IdealCharacter.from_tau(K, tau_pool[rng.randrange(len(tau_pool))]).values_upto(args.x)
         # lam is 1 at O_K and, with probability 1/2 at each prime row j, a/q with
         # a = randint(-9, 9) and q = randint(1, 9), drawn as randint draws them
         draws = [(j, _randbelow(bits, 19) - 9, _randbelow(bits, 9) + 1) for j in prime_rows if draw() < 0.5]
@@ -287,10 +287,10 @@ def cmd_series_check(args) -> int:
         num = np.zeros(len(T.norm), np.int64)
         num[0], num[ids] = den, den // q * a * T.norm[ids]
         lam = FormalSeries(K, args.x, den, num)
-        c = c_series_from_lambda(lam, chi)
-        back = series_mul(c, character_moebius_series(chi, args.x))
+        c = c_series_from_lambda(lam, chi_P)
+        back = series_mul(c, character_moebius_series(K, args.x, chi_P))
         roundtrip_ok = back == lam
-        residuals_zero = not extract_prime_relation(c, lam, chi).any()
+        residuals_zero = not extract_prime_relation(c, lam, chi_P).any()
         checks.append({"series": i, "roundtrip": roundtrip_ok, "residuals_zero": residuals_zero})
         all_ok = all_ok and roundtrip_ok and residuals_zero
     obj = {"d": args.d, "x": args.x, "count": args.count, "ok": all_ok, "checks": checks}

@@ -5,16 +5,16 @@ ideals by norm, and quadratic residue symbols in the residue fields via
 the Euler criterion.  Everything is integer arithmetic; no floating point
 enters this module, so downstream sign decisions built on it stay exact.
 
-A prime ideal is named by (norm, p, root_label), and ideal_text renders a
-name or a product of names.  The prime ideals of norm <= X are the rows
-of one table per (K, X), built once with numpy; their roots (below) are
-built apart, only for a reader that needs them.  The int64 columns are
-exact because X <= TABLE_MAX_X keeps every product of two residues mod p
-below 2^63.  Python ints remain where a value is unbounded: tau's
-coordinates and norm, reduced limb by limb.  Likewise the integral ideals
-of norm <= X are the ids of one ideal table per (K, X).  PrimeIdeal and
-IdealFactorization objects are made from rows and ids only for the
-read-only views of a series.
+A prime ideal is its name (norm, p, root_label) everywhere, and
+ideal_text renders a name or a product of names.  The prime ideals of
+norm <= X are the rows of one table per (K, X), built once with numpy;
+their roots (below) are built apart, only for the character of a tau that
+is not a square.  The int64 columns are exact because X <= TABLE_MAX_X
+keeps every product of two residues mod p below 2^63.  Python ints remain
+where a value is unbounded: tau's coordinates and norm, reduced limb by
+limb.  Likewise the integral ideals of norm <= X are the ids of one ideal
+table per (K, X).  IdealFactorization objects are made from ids only for
+the read-only view of a formal series.
 
 Conventions.  d = 1 encodes Q itself (degree 1).  For quadratic d the
 ring of integers is Z[w] with
@@ -38,16 +38,15 @@ divide x1 too; so x1 + y1 w lies in the prime above p whose root is r =
 s - r, the roots summing to s, so that prime has label 0 iff r < (s - r)
 mod p.
 
-QuadField, PrimeIdeal and IdealFactorization are named tuples whose
-leading fields are their canonical order: a prime ideal sorts by
-(norm, p, root_label), and an ideal by (norm, factors).  Plain sort(),
-==, and hash() are therefore the canonical ones.
+A name sorts by (norm, p, root_label), and QuadField and
+IdealFactorization are named tuples whose leading fields are their
+canonical order: an ideal sorts by (norm, factors).  Plain sort(), ==,
+and hash() are therefore the canonical ones.
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple
@@ -112,38 +111,11 @@ def make_field(d: int) -> QuadField:
 # ======================================================================
 
 
-class Splitting(str, Enum):
-    SPLIT_FIRST = "split_first"
-    SPLIT_SECOND = "split_second"
-    INERT = "inert"
-    RAMIFIED = "ramified"
-
-
-# Splitting by code: a column of codes maps to members and residue degrees.
-_KINDS = (Splitting.SPLIT_FIRST, Splitting.SPLIT_SECOND, Splitting.INERT, Splitting.RAMIFIED)
+# How p splits, by code: a column of codes maps to these texts and residue degrees.
+# root_label is 1 for the second split prime above p and 0 otherwise.
+_KINDS = ("split_first", "split_second", "inert", "ramified")
 _DEGREE_OF = (1, 1, 2, 1)
 _SPLIT, _SECOND, _INERT, _RAMIFIED = range(4)
-
-
-class PrimeIdeal(NamedTuple):
-    """A maximal ideal of O_K, identified by (p, residue degree, root).
-
-    root is the distinguished root in [0, p) of the minimal polynomial of
-    w mod p for degree-one primes (reduction sends w to root); it is 0 and
-    unused for inert primes.  root_label is 1 for the second split prime
-    above p and 0 otherwise.
-    """
-
-    norm: int
-    rational_prime: int
-    root_label: int
-    residue_degree: int
-    splitting: Splitting
-    root: int
-    field: QuadField
-
-    def __repr__(self):
-        return ideal_text(self.field, [(self[:3], 1)])
 
 
 def _is_prime(n: int) -> bool:
@@ -255,24 +227,20 @@ def _absmax(values: np.ndarray) -> int:
     return int(np.abs(values).max(initial=0))
 
 
-def _lanes(bound: int, limit: int = 2**63 - 1):
-    """The dtype for values of size <= bound: int64 if bound <= limit, else Python ints.
-
-    The default limit is the int64 maximum; a caller that also needs the
-    values as exact floats passes 2^53.
-    """
-    return np.int64 if bound <= limit else object
+def _lanes(bound: int):
+    """The dtype for values of size <= bound: int64 if bound fits int64, else Python ints."""
+    return np.int64 if bound <= 2**63 - 1 else object
 
 
 class _PrimeTable(NamedTuple):
     """The prime ideals of norm <= X in canonical order, one row each, as read-only columns.
 
-    norm is the int64 PrimeIdeal field of that name, and kind is the int8
-    index of the splitting in _KINDS.  key = 2 norm + root_label is
+    norm is the int64 norm of each prime, and kind the int8 code of how
+    its p splits, an index into _KINDS.  key = 2 norm + root_label is
     strictly increasing: a norm names its p (p, or p^2, which is never
     prime), so key orders the rows by (norm, p, label).  The roots are
-    not a column here: _prime_roots builds them for the few readers that
-    need them.
+    not a column here: _prime_roots builds them for the one reader that
+    needs them.
     """
 
     norm: np.ndarray
@@ -311,15 +279,6 @@ class _PrimeTable(NamedTuple):
         i = np.searchsorted(self.key, key) % len(self.key)  # past the end: row 0
         named = np.where(self.kind[i] == _INERT, p * p, p) == norm
         return np.where((self.key[i] == key) & named & (label >= 0), i, -1)
-
-
-def _prime_ideals(K: QuadField, X: int, rows) -> list[PrimeIdeal]:
-    """The PrimeIdeal of each of the given rows of the prime table of (K, X), for text and for dict keys."""
-    T = _prime_table(K, X)
-    kinds = T.kind[rows].tolist()
-    degrees, splittings = [_DEGREE_OF[k] for k in kinds], [_KINDS[k] for k in kinds]
-    roots = _prime_roots(K, X)[rows].tolist()
-    return list(map(PrimeIdeal, *T.names(rows), degrees, splittings, roots, repeat(K)))
 
 
 def _mod_lanes(n: int, p: np.ndarray) -> np.ndarray:
@@ -436,14 +395,15 @@ def _prime_table(K: QuadField, X: int) -> _PrimeTable:
 
 @lru_cache(maxsize=1)
 def _prime_roots(K: QuadField, X: int) -> np.ndarray:
-    """The PrimeIdeal root of each row of the prime table of (K, X), read-only int64; the last one is kept.
+    """The root of each row of the prime table of (K, X), read-only int64; the last one is kept.
 
-    One vectorized square root of d mod each odd split p gives both roots
-    of the minimal polynomial of w; p = 2 when it splits and the ramified
-    primes, at most three rows with p <= 97, are found by trying every
-    residue.  Inert rows, and every row over Q, hold 0.  Only a character of a tau that is not a
-    square and _prime_ideals read the roots, so a run that reads neither
-    never builds them.
+    The root of a degree-one prime is the root in [0, p) of the minimal
+    polynomial of w mod p that reduction sends w to.  One vectorized square
+    root of d mod each odd split p gives both roots; p = 2 when it splits
+    and the ramified primes, at most three rows with p <= 97, are found by
+    trying every residue.  Inert rows, and every row over Q, hold 0.  Only
+    the character of a tau that is not a square reads the roots, so no
+    other run builds them.
     """
     T = _prime_table(K, X)
     root = np.zeros(len(T.norm), dtype=np.int64)
@@ -487,18 +447,18 @@ def _euler_symbol_lanes(x: int, y: int, p: np.ndarray, root: np.ndarray) -> np.n
 
 
 class IdealFactorization(NamedTuple):
-    """An integral ideal: its norm and a sorted tuple of (PrimeIdeal, exponent > 0).
+    """An integral ideal: its norm and a sorted tuple of (name of P, exponent > 0).
 
     The empty tuple is the unit ideal O_K.  Instances are canonical, so
     equality and hashing are structural.
     """
 
     norm: int
-    factors: tuple[tuple[PrimeIdeal, int], ...]
+    factors: tuple[tuple[tuple[int, int, int], int], ...]
     field: QuadField
 
     def __repr__(self):
-        return ideal_text(self.field, [(P[:3], e) for P, e in self.factors])
+        return ideal_text(self.field, self.factors)
 
 
 class _IdealTable(NamedTuple):
@@ -586,7 +546,7 @@ def _ideal_objects(K: QuadField, X: int) -> tuple[tuple[IdealFactorization, ...]
     Built once, for the coeffs view of a formal series.
     """
     T = _ideal_table(K, X)
-    primes = _prime_ideals(K, X, slice(None))
+    primes = list(zip(*_prime_table(K, X).names(slice(None))))
     factors = [[] for _ in range(len(T.norm))]
     for i, r, e in zip(T.fac_id.tolist(), T.fac_row.tolist(), T.fac_exp.tolist()):
         factors[i].append((primes[r], e))

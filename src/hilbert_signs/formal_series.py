@@ -14,9 +14,11 @@ ints otherwise, never in floats.  Twisted, the Euler products of a
 quadratic character chi are the integer series chi(n) and mu(n) chi(n).
 
 A series is built from its columns, and products, Euler series and
-prime extraction run on ids alone.  The IdealFactorization of each id is
-built, once per (K, X), only for the read-only view coeffs and its
-sorted_items.
+prime extraction run on ids alone.  A character enters as chi_P, its int8
+values on the rows of the prime table of (K, X), which are the prime ids
+of the ideal table in row order.  The IdealFactorization of each id, its
+factors by prime name, is built once per (K, X), only for the read-only
+view coeffs and its sorted_items.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .characters import CharacterValues, IdealCharacter
 from .field_arith import IdealFactorization, QuadField, _absmax, _ideal_objects, _ideal_table, _lanes
 
 
@@ -75,38 +76,39 @@ def series_mul(A: FormalSeries, B: FormalSeries) -> FormalSeries:
     return FormalSeries(A.field, A.cutoff, A.den * B.den, np.add.reduceat(terms, T.start))
 
 
-def _euler_series(K: QuadField, X: int, chi_P: np.ndarray, factor) -> FormalSeries:
-    """The twisted series whose coefficient at m is prod factor(chi(P), e) over P^e || m.
+def _on_rows(T, chi_P: np.ndarray) -> np.ndarray:
+    """chi_P, if it holds one value per prime of the ideal table T."""
+    if len(chi_P) != len(T.prime_id):
+        raise ValueError(f"{len(chi_P)} character values for {len(T.prime_id)} primes")
+    return chi_P
 
-    chi_P is chi on the rows of the prime table of (K, X)."""
+
+def _euler_series(K: QuadField, X: int, chi_P: np.ndarray, factor) -> FormalSeries:
+    """The twisted series whose coefficient at m is prod factor(chi(P), e) over P^e || m."""
     T = _ideal_table(K, X)
     num = np.ones(len(T.norm), np.int64)
-    np.multiply.at(num, T.fac_id, factor(chi_P.astype(np.int64)[T.fac_row], T.fac_exp))
+    np.multiply.at(num, T.fac_id, factor(_on_rows(T, chi_P).astype(np.int64)[T.fac_row], T.fac_exp))
     return FormalSeries(K, X, 1, num)
 
 
-def character_zeta_series(chi: IdealCharacter | CharacterValues, X: int) -> FormalSeries:
+def character_zeta_series(K: QuadField, X: int, chi_P: np.ndarray) -> FormalSeries:
     """Expanded product over good primes of (1 - chi(P)/N(P) M(P))^{-1}: chi*(n)/N(n) at n."""
-    return _euler_series(chi.field, X, chi.values_upto(X), lambda v, e: v**e)
+    return _euler_series(K, X, chi_P, lambda v, e: v**e)
 
 
-def character_moebius_series(chi: IdealCharacter | CharacterValues, X: int) -> FormalSeries:
+def character_moebius_series(K: QuadField, X: int, chi_P: np.ndarray) -> FormalSeries:
     """Expanded product over good primes of (1 - chi(P)/N(P) M(P)).
 
     Supported on squarefree good ideals; the inverse of character_zeta_series."""
-    return _euler_series(chi.field, X, chi.values_upto(X), lambda v, e: np.where(e == 1, -v, 0))
+    return _euler_series(K, X, chi_P, lambda v, e: np.where(e == 1, -v, 0))
 
 
-def c_series_from_lambda(lam: FormalSeries, chi: IdealCharacter | CharacterValues) -> FormalSeries:
+def c_series_from_lambda(lam: FormalSeries, chi_P: np.ndarray) -> FormalSeries:
     """Coefficient series of the lift: lam times the inverted Euler product."""
-    if lam.field != chi.field:
-        raise ValueError("series and character over different fields")
-    return series_mul(lam, character_zeta_series(chi, lam.cutoff))
+    return series_mul(lam, character_zeta_series(lam.field, lam.cutoff, chi_P))
 
 
-def extract_prime_relation(
-    c: FormalSeries, lam: FormalSeries, chi: IdealCharacter | CharacterValues
-) -> np.ndarray:
+def extract_prime_relation(c: FormalSeries, lam: FormalSeries, chi_P: np.ndarray) -> np.ndarray:
     """Residuals c(P) - chi(P)/N(P) - lam(P) at every good prime of norm <= X.
 
     An integer array, in prime-table order, of the residuals times
@@ -116,10 +118,9 @@ def extract_prime_relation(
     """
     if c.num[0] != c.den:  # id 0 is O_K, of norm 1
         raise ValueError(f"c(O_K) = {Fraction(int(c.num[0]), c.den)} != 1")
-    if (lam.field, lam.cutoff, chi.field) != (c.field, c.cutoff, c.field):
-        raise ValueError("c, lam and chi must share one field and one cutoff")
-    chi_P = chi.values_upto(c.cutoff)
-    good = np.flatnonzero(chi_P)
+    if (lam.field, lam.cutoff) != (c.field, c.cutoff):
+        raise ValueError("c and lam must share one field and one cutoff")
+    good = np.flatnonzero(_on_rows(c.table, chi_P))
     ids, dc, dl = c.table.prime_id[good], c.den, lam.den
     lanes = _lanes(_absmax(c.num) * dl + dc * dl + _absmax(lam.num) * dc)
     cn, ln, v = (x.astype(lanes) for x in (c.num[ids], lam.num[ids], chi_P[good]))

@@ -47,7 +47,7 @@ import numpy as np
 
 from .characters import IdealCharacter
 from .errors import HilbertSignsError
-from .field_arith import QuadField, _LANES, _absmax, _lanes, _prime_ideals, _prime_table, _row_text, ideal_text
+from .field_arith import QuadField, _LANES, _absmax, _lanes, _prime_table, _row_text, ideal_text
 
 # ======================================================================
 # eigenvalue containers
@@ -164,11 +164,11 @@ class EigenvalueSeries:
 
     @property
     def entries(self) -> MappingProxyType:
-        """A read-only {prime: Fraction} view of the rows with a coefficient, built on each read."""
+        """A read-only {name of P: Fraction} view of the rows with a coefficient, built on each read."""
         rows = np.flatnonzero(self.den)
-        primes = _prime_ideals(self.field, self.x, rows)
+        names = zip(*_prime_table(self.field, self.x).names(rows))
         fractions = map(Fraction, self.num[rows].tolist(), self.den[rows].tolist())
-        return MappingProxyType(dict(zip(primes, fractions)))
+        return MappingProxyType(dict(zip(names, fractions)))
 
 
 # ======================================================================
@@ -235,47 +235,36 @@ class SignTally:
 
 
 class SignSurvey:
-    """Per-prime sign data for one (series, tau, psi) triple up to x.
+    """Per-prime sign data for one (series, tau, psi) triple at the series' cutoff x = E.x.
 
-    Built once, then queried at any cutoff <= x.  Signs are decided
-    exactly at construction time; the survey keeps the signs and the
-    coordinates of the good primes and the rows of the few bad ones, not
-    the coefficients.
+    Signs are decided exactly at construction time; the survey keeps the
+    character, and the signs and coordinates of the good primes in row
+    order, not the coefficients.
     """
 
-    def __init__(self, E: EigenvalueSeries, tau, psi=None, *, x: int):
-        self.x = int(x)
+    def __init__(self, E: EigenvalueSeries, tau, psi=None):
+        self.x = E.x
         self.chi = IdealCharacter.from_tau(E.field, tau, psi_table=psi, level_support=E.level_support)
         self.a_ideal = ideal_text(E.field, [(P, e // 2) for P, e in self.chi.tau_ideal if e > 1])
-        T = _prime_table(E.field, self.x)
         chi = self.chi.values_upto(self.x)
-        # a cutoff below E.x reads a prefix of the columns; past E.x no row is held
-        n = min(len(T.norm), len(E.den))
-        empty = np.flatnonzero(E.den[:n] == 0)
-        gaps = np.concatenate([empty[chi[empty] != 0], n + np.flatnonzero(chi[n:])])
-        if gaps.size:
-            raise HilbertSignsError(f"{E.label}: no coefficient at good prime {_row_text(E.field, self.x, gaps.min())}")
-        self.all_norms = T.norm
-        self.bad_rows = np.flatnonzero(chi == 0)
-        self.signs, self.coords = _sign_lanes(E.num[:n], E.den[:n], chi[:n], T.norm[:n])
+        empty = np.flatnonzero(E.den == 0)
+        if (gaps := empty[chi[empty] != 0]).size:
+            raise HilbertSignsError(f"{E.label}: no coefficient at good prime {_row_text(E.field, self.x, gaps[0])}")
+        self.total = len(chi)
+        self.signs, self.coords = _sign_lanes(E.num, E.den, chi, _prime_table(E.field, self.x).norm)
 
-    def tally(self, x: int | None = None) -> SignTally:
-        x = self.x if x is None else int(x)
-        if x > self.x:
-            raise ValueError(f"survey only extends to {self.x}, asked for {x}")
-        total = int(np.searchsorted(self.all_norms, x, side="right"))
-        ngood = total - int(np.searchsorted(self.bad_rows, total))
-        s = self.signs[:ngood]
+    def tally(self) -> SignTally:
+        s = self.signs
         pos = int(np.count_nonzero(s > 0))
         neg = int(np.count_nonzero(s < 0))
-        zero = ngood - pos - neg
+        zero = len(s) - pos - neg
         return SignTally(
-            x=x,
+            x=self.x,
             tau=self.chi.tau,
             a_ideal=self.a_ideal,
             pos=pos,
             neg=neg,
             zero=zero,
-            bad=total - ngood,
-            total=total,
+            bad=self.total - len(s),
+            total=self.total,
         )

@@ -56,5 +56,6 @@ def curve37_series_1e5(session_cache_dir):
 
 
 @pytest.fixture(scope="session")
-def synth5_series_1e6(field5):
-    return synth_eigen_series(field5, 1_000_000, 2, 42)
+def synth5_series_1e5(field5):
+    # the prefix to 10^5 of the synthetic series that simulate --seed 42 draws at 10^6
+    return synth_eigen_series(field5, 100_000, 2, 42)

@@ -30,9 +30,10 @@ series, and series_from_entries builds an EigenvalueSeries from a
 prime.  prime_residual is the one-prime Fraction reference
 for the library's all-primes residual array, and tail_inequality decides
 both sides of the tail inequality that the survey satisfies by
-construction (see the sign_pipeline docstring), so it checks the
-survey's signs against its coefficients.  quadratic_residue_symbol and save_fixture give the tests
-the symbol of one element and a fixture file on disk.
+construction (see the sign_pipeline docstring), at any cutoff up to the
+survey's, so it checks the survey's signs against its coefficients.
+quadratic_residue_symbol and save_fixture give the tests the symbol of
+one element and a fixture file on disk.
 
 hasse_columns_by_row is the Hasse gate row by row in Fractions, the
 reference for the gate's int64 rows, float prefilter and Python-int rows.
@@ -61,24 +62,30 @@ Python-int baby-step giant-step that the library's int64 lane kernel
 replaced: affine points with a modular inverse per group operation, and a
 dict of baby steps.  The tests compare the lanes with them point by point.
 
-FieldElement, split_rational_prime and factor_principal_ideal are the
-scalar route and the object model that the library's prime names
-replaced.  tau is a FieldElement of Fractions; split_rational_prime finds
-the roots of the minimal polynomial of w mod p by Tonelli-Shanks (the
-reference for the prime table's root lanes), and factor_principal_ideal
-tells the two primes above a split p by those roots, the reference for
-the library's root-free rule.  IdealFactorization here is the library's,
-with the algebra (from_pairs, a product, support, is_squarefree, is_unit)
-that only the tests use and its text from prime_text, which names a
-prime from its splitting: the reference for field_arith.ideal_text.
-squarefree_decompose splits f = a^2 r, and resolve_by_split is
-eigen_io._resolve by splitting p, the reference for its names and errors.
+FieldElement, PrimeIdeal, Splitting, split_rational_prime and
+factor_principal_ideal are the scalar route and the object model that the
+library's prime names replaced.  tau is a FieldElement of Fractions; a
+PrimeIdeal holds its name (norm, p, root_label) as its first three
+fields, then its residue degree, Splitting, root and field.
+split_rational_prime finds the roots of the minimal polynomial of w mod p
+by Tonelli-Shanks (the reference for the prime table's kinds and root
+lanes), and factor_principal_ideal tells the two primes above a split p
+by those roots, the reference for the library's root-free rule.
+IdealFactorization here is the library's, its factors keyed by prime
+name, with the algebra (from_pairs, a product, support, is_squarefree,
+is_unit) that only the tests use and its text from prime_text, which
+names a prime from its splitting: the reference for
+field_arith.ideal_text.  squarefree_decompose splits f = a^2 r, and
+resolve_by_split is eigen_io._resolve by splitting p, the reference for
+its names and errors.
 """
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,9 +96,7 @@ from hilbert_signs.errors import HilbertSignsError
 from hilbert_signs.field_arith import (
     _INERT,
     _RAMIFIED,
-    PrimeIdeal,
     QuadField,
-    Splitting,
     _class_of_residue,
     _factor_int,
     _ideal_objects,
@@ -111,6 +116,34 @@ from hilbert_signs.sign_pipeline import EigenvalueSeries, _hasse_columns
 _CUTOFF_BAND = 1e-12
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+class Splitting(str, Enum):
+    SPLIT_FIRST = "split_first"
+    SPLIT_SECOND = "split_second"
+    INERT = "inert"
+    RAMIFIED = "ramified"
+
+
+class PrimeIdeal(NamedTuple):
+    """A maximal ideal of O_K, identified by (p, residue degree, root).
+
+    root is the distinguished root in [0, p) of the minimal polynomial of
+    w mod p for degree-one primes (reduction sends w to root); it is 0 and
+    unused for inert primes.  root_label is 1 for the second split prime
+    above p and 0 otherwise.
+    """
+
+    norm: int
+    rational_prime: int
+    root_label: int
+    residue_degree: int
+    splitting: Splitting
+    root: int
+    field: QuadField
+
+    def __repr__(self):
+        return ideal_text(self.field, [(self[:3], 1)])
 
 
 def quadrature_mass(a, b):
@@ -374,18 +407,25 @@ def prime_residual(c, lam, chi, P):
 
 
 def tail_inequality(E, survey, x, epsilon):
-    """(lhs, rhs) of the tail inequality at (x, eps) on a survey of E.
+    """(lhs, rhs) of the tail inequality at (x <= survey.x, eps) on a survey of E.
 
     rhs = #{good P : N(P) <= x, B(P) > eps}, for the exact value of eps:
     B(P) > eps is c(P) > 0 and c(P)^2 N(P) > 4 eps^2.  lhs = pi_{>0}(x) +
     pi(min(x, 1/(4 eps^2))); capping the pi term at x only shrinks lhs, and
-    keeps every count inside the survey's table.
+    keeps every count inside the survey's table.  The primes of norm <= y
+    are a prefix of the table's rows, and the good ones a prefix of the
+    survey's signs and coordinates, short by the character's zero rows.
     """
     eps = Fraction(epsilon)
     if not eps > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    t = survey.tally(x)
-    coords = survey.coords[: t.total - t.bad]
+    if x > survey.x:
+        raise ValueError(f"survey only extends to {survey.x}, asked for {x}")
+    norms = _prime_table(E.field, survey.x).norm
+    bad = np.flatnonzero(survey.chi.values_upto(survey.x) == 0)
+    total = lambda y: int(np.searchsorted(norms, y, side="right"))  # noqa: E731
+    good = total(x) - int(np.searchsorted(bad, total(x)))
+    coords = survey.coords[:good]
     # Each coordinate takes three correctly rounded steps (float(cN), sqrt,
     # division), so it is within ~4e-16 of the true B in [-1, 1], and
     # float(eps) is within 1.2e-16 * eps of eps.  Outside the band the float
@@ -394,11 +434,11 @@ def tail_inequality(E, survey, x, epsilon):
     near = np.abs(coords - e) <= _CUTOFF_BAND
     rhs = int(np.count_nonzero((coords > e) & ~near))
     if near.any():
-        good = good_primes(survey.chi, survey.x)
+        primes, entries = good_primes(survey.chi, survey.x), E.entries
         for i in np.flatnonzero(near).tolist():
-            c = E.entries[good[i]]
-            rhs += c > 0 and c * c * good[i].norm > 4 * eps * eps
-    lhs = t.pos + survey.tally(min(t.x, int(1 / (4 * eps * eps)))).total
+            c = entries[primes[i][:3]]
+            rhs += c > 0 and c * c * primes[i].norm > 4 * eps * eps
+    lhs = int(np.count_nonzero(survey.signs[:good] > 0)) + total(min(x, int(1 / (4 * eps * eps))))
     return lhs, rhs
 
 
@@ -722,22 +762,23 @@ class IdealFactorization(field_arith.IdealFactorization):
 
     @classmethod
     def from_pairs(cls, K: QuadField, pairs) -> "IdealFactorization":
-        merged: dict[PrimeIdeal, int] = {}
+        """The ideal prod P^e over pairs of (PrimeIdeal or name of P, e), keyed by name."""
+        merged: dict[tuple[int, int, int], int] = {}
         for P, e in pairs:
-            if P.field != K:
+            if isinstance(P, PrimeIdeal) and P.field != K:
                 raise ValueError(f"prime of {P.field} in ideal of {K}")
             if e:
-                merged[P] = merged.get(P, 0) + e
+                merged[tuple(P[:3])] = merged.get(tuple(P[:3]), 0) + e
         if any(e < 0 for e in merged.values()):
             raise ValueError("negative exponent: only integral ideals are supported")
         items = sorted((P, e) for P, e in merged.items() if e)
-        return cls(math.prod(P.norm**e for P, e in items), tuple(items), K)
+        return cls(math.prod(P[0] ** e for P, e in items), tuple(items), K)
 
     @property
     def is_unit(self) -> bool:
         return not self.factors
 
-    def support(self) -> tuple[PrimeIdeal, ...]:
+    def support(self) -> tuple[tuple[int, int, int], ...]:
         return tuple(P for P, _ in self.factors)
 
     @property
@@ -755,7 +796,8 @@ class IdealFactorization(field_arith.IdealFactorization):
     def __repr__(self):
         if self.is_unit:
             return "(1)"
-        return "*".join(f"{prime_text(P)}^{e}" if e > 1 else prime_text(P) for P, e in self.factors)
+        primes = [(split_rational_prime(self.field, p)[label], e) for (_, p, label), e in self.factors]
+        return "*".join(f"{prime_text(P)}^{e}" if e > 1 else prime_text(P) for P, e in primes)
 
 
 def prime_text(P: PrimeIdeal) -> str:

@@ -102,7 +102,7 @@ def test_signs_curve_csv(capsys):
     assert code == 0
     header, row = out.strip().split("\n")
     assert header == TALLY_CSV_HEADER
-    t = SignSurvey(series_from_curve(get_curve("37a"), 2000), 1, x=2000).tally()
+    t = SignSurvey(series_from_curve(get_curve("37a"), 2000), 1).tally()
     x, total, pos, neg, zero, dens = row.split(",")
     assert (int(x), int(total), int(pos), int(neg), int(zero)) == (
         2000,
@@ -120,7 +120,7 @@ def test_signs_json_counts(capsys):
     )
     assert code == 0
     obj = json.loads(out)
-    t = SignSurvey(series_from_curve(get_curve("37a"), 1000), 2, x=1000).tally()
+    t = SignSurvey(series_from_curve(get_curve("37a"), 1000), 2).tally()
     assert obj["counts"] == {
         "pos": t.pos, "neg": t.neg, "zero": t.zero, "bad": t.bad, "total": t.total,
     }
@@ -249,9 +249,9 @@ def test_series_check_lambda_is_the_seeded_draw(capsys, monkeypatch, d):
     # seed, drawing prime by prime into a dict of Fractions
     seen, real = [], cli.c_series_from_lambda
 
-    def recording(lam, chi):
+    def recording(lam, chi_P):
         seen.append(lam)
-        return real(lam, chi)
+        return real(lam, chi_P)
 
     monkeypatch.setattr(cli, "c_series_from_lambda", recording)
     K, X = make_field(d), 300
@@ -286,8 +286,8 @@ def test_series_check_fails_when_a_moebius_term_is_dropped(capsys, monkeypatch):
     # negative control: the round trip must notice one missing term
     real = cli.character_moebius_series
 
-    def dropped(chi, X):
-        s = real(chi, X)
+    def dropped(K, X, chi_P):
+        s = real(K, X, chi_P)
         return series_from_dict(s.field, s.cutoff, {m: v for _, m, v in s.sorted_items()[:-1]})
 
     monkeypatch.setattr(cli, "character_moebius_series", dropped)
@@ -433,8 +433,8 @@ def test_a_tau_whose_split_prime_lies_past_the_table_factors_and_runs(capsys):
     K, tau, p = make_field(5), (Fraction(1999979, 2), Fraction(1, 2)), 999_979_000_109
     assert field_arith._is_prime(p) and p > field_arith.TABLE_MAX_X
     (P,) = factor_by_roots(K, tau).support()
-    assert P.rational_prime == p and field_arith.factor_principal_ideal(K, tau) == ((P[:3], 1),)
-    assert P[:3] in IdealCharacter.from_tau(K, tau).bad_set
+    assert P[1] == p and field_arith.factor_principal_ideal(K, tau) == ((P, 1),)
+    assert P in IdealCharacter.from_tau(K, tau).bad_set
     argv = ["simulate", "--d", "5", "--x", "1000", "--seed", "1", "--tau", "1999979/2", "--tau-b", "1/2"]
     code, out, err = run(capsys, *argv)
     assert code == 0 and out and err == ""

@@ -7,6 +7,7 @@ hilbert_signs.cli` on this checkout's package, and its max RSS is read
 with os.wait4.
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -74,6 +75,37 @@ def test_simulate_at_1e8_inside_a_minute_under_480_mb():
     want = "100000000,5761588,2879059,2882527,0,2,0.499698867743,0.000000000000,5761586,0.000481222756,0.000679073183,1"
     assert _last_line(out) == want
     assert rss < 480, f"simulate at 10^8 peaked at {rss:.1f} MB max RSS"
+
+
+_37A_AT_1E5 = "100000,9592,4755,4821,14,0.495725604671"
+
+
+def test_signs_on_37a_to_1e5_cold_then_cached(tmp_path):
+    for _ in ("cold", "cached"):
+        out, _ = _console("signs", "--curve", "37a", "--x", "100000", "--cache-dir", str(tmp_path))
+        assert _last_line(out) == _37A_AT_1E5
+    assert len(list(tmp_path.iterdir())) == 1
+
+
+def _cache_sha256(cache: Path) -> str:
+    """sha256 of the cache's documents, one after another."""
+    return hashlib.sha256(b"".join(f.read_bytes() for f in sorted(cache.glob("*.json")))).hexdigest()
+
+
+def test_signs_on_37a_to_1e6_cold_inside_30_s_then_cached(tmp_path):
+    argv = ("signs", "--curve", "37a", "--x", "1000000", "--cache-dir", str(tmp_path))
+    want, digest = "1000000,78498,39098,39370,28,0.498076384112", "6763615212760b3b6999faebe956ed75640f81f9e5066c8127b54f0bb5b8fc21"
+    assert _last_line(_console(*argv, timeout=30)[0]) == want
+    assert _cache_sha256(tmp_path) == digest
+    assert _last_line(_console(*argv)[0]) == want
+    assert _cache_sha256(tmp_path) == digest
+
+
+def test_signs_on_5077a_and_32a_to_1e5(tmp_path):
+    # 5077a has rank 3; 32a has CM, and f(0) = 0 at every p
+    for label, want in (("5077a", "100000,9592,4716,4865,9,0.491659716430"), ("32a", "100000,9592,2410,7181,0,0.251251042535")):
+        out, _ = _console("signs", "--curve", label, "--x", "100000", "--cache-dir", str(tmp_path))
+        assert _last_line(out) == want
 
 
 def _with_entry(doc: Path, dest: Path, entry: dict) -> str:

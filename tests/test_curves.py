@@ -251,11 +251,11 @@ def test_series_from_curve():
     assert E.level_support == {2, 37}
     Q = make_field(1)
     (P5,) = split_rational_prime(Q, 5)
-    assert E.entries[P5] == Fraction(-2, 5)
+    assert E.entries[P5[:3]] == Fraction(-2, 5)
     (P2,) = split_rational_prime(Q, 2)
-    assert E.entries[P2] == Fraction(-2, 2)  # 2 is a good prime for 37a
+    assert E.entries[P2[:3]] == Fraction(-2, 2)  # 2 is a good prime for 37a
     (P37,) = split_rational_prime(Q, 37)
-    assert P37 not in E.entries
+    assert P37[:3] not in E.entries
     assert len(E.entries) == 24  # pi(100) minus the one bad prime
 
 

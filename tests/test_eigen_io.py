@@ -39,7 +39,7 @@ from hilbert_signs.eigen_io import (
     series_from_obj,
 )
 from hilbert_signs.errors import HilbertSignsError
-from hilbert_signs.field_arith import NARROW_CLASS_NUMBER_ONE, _prime_ideals, _prime_table, make_field
+from hilbert_signs.field_arith import NARROW_CLASS_NUMBER_ONE, _prime_table, make_field
 from hilbert_signs.sign_pipeline import EigenvalueSeries
 
 Q = make_field(1)
@@ -170,7 +170,7 @@ def test_hasse_violation_past_x_is_an_input_error():
 
 
 def fraction_decode(doc, x):
-    """{prime: Fraction} over the names of norm <= x: the reference decode.
+    """{name of P: Fraction} over the names of norm <= x: the reference decode.
 
     Each name is split on its own and each value is a Fraction, so a name
     given twice must carry equal Fractions.
@@ -181,7 +181,7 @@ def fraction_decode(doc, x):
         assert P.norm == row["norm"]
         c = Fraction(row["c_num"], row["c_den"])
         assert out.setdefault(P, c) == c
-    return {P: c for P, c in out.items() if P.norm <= x}
+    return {P[:3]: c for P, c in out.items() if P.norm <= x}
 
 
 def test_columns_match_a_fraction_decode(field5):
@@ -213,10 +213,10 @@ def test_columns_match_a_fraction_decode(field5):
     doc = {"format": "eigen-series/1", "d": 5, "weight": [2], "label": "diff", "entries": rows}
     E, want = series_from_obj(doc, x), fraction_decode(doc, x)
     assert E.entries == want and E.num.dtype == E.den.dtype == object
-    assert any(P.norm > x for P in fraction_decode(doc, 10**6))
+    assert any(norm > x for norm, _, _ in fraction_decode(doc, 10**6))
     primes = enumerate_prime_ideals(field5, x)
     for P, num, den in zip(primes, E.num.tolist(), E.den.tolist()):
-        c = want.get(P)
+        c = want.get(P[:3])
         assert (num, den) == (0, 0) if c is None else den > 0 and Fraction(num, den) == c
     assert [r["c_num"] for r in series_to_obj(E)["entries"]] == [want[P].numerator for P in sorted(want)]
     # without the plants every value fits int64, and so do the columns
@@ -393,7 +393,7 @@ def test_prime_lookup_resolves_only_the_names_past_x(field5, monkeypatch):
         (lambda: load_psi_table(field5, [psi(*n) for n in names + names[:2]], x), {P[:3] for P in expected}),
         (
             lambda: series_from_obj({**doc, "entries": [row(*n) for n in names + names[:2]]}, x).entries,
-            {P for P in expected if P.norm <= x},
+            {P[:3] for P in expected if P.norm <= x},
         ),
     )
     for decode, kept in decoders:
@@ -401,7 +401,7 @@ def test_prime_lookup_resolves_only_the_names_past_x(field5, monkeypatch):
         keys = decode()
         assert keys.keys() == kept and calls == [101, 13, 101]
         rows = T.lookup(*zip(*(P[:3] for P in keys if P[0] <= x)))
-        assert [P[:3] for P in _prime_ideals(field5, x, rows)] == [P[:3] for P in keys if P[0] <= x]
+        assert list(zip(*T.names(rows))) == [P for P in keys if P[0] <= x]
     # inert 7 has label 0 only; 4, 9 and 1 are not prime; the error names the entry
     for p, label in ((7, 1), (4, 0), (9, 0), (1, 0)):
         with pytest.raises(HilbertSignsError, match="^psi entry 1: "):

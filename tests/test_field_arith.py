@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import (
     EvenCharacteristic,
     IdealFactorization,
+    Splitting,
     _sqrt_mod,
     as_element,
     element,
@@ -30,10 +31,9 @@ from hilbert_signs.field_arith import (
     MAX_TAU_NORM,
     NARROW_CLASS_NUMBER_ONE,
     TABLE_MAX_X,
+    _DEGREE_OF,
     _KINDS,
-    Splitting,
     _is_prime,
-    _prime_ideals,
     _prime_roots,
     _prime_table,
     _sqrt_lanes,
@@ -281,7 +281,7 @@ def test_reduction_sends_omega_to_root(field5):
 def test_enumeration_examples(field5):
     assert _prime_table(make_field(1), 10).norm.tolist() == [2, 3, 5, 7]
     assert _prime_table(field5, 11).norm.tolist() == [4, 5, 9, 11, 11]
-    assert _prime_ideals(field5, 3, slice(None)) == []
+    assert _prime_table(field5, 3).names(slice(None)) == ([], [], [])
 
 
 @pytest.mark.parametrize("d", NARROW_CLASS_NUMBER_ONE)
@@ -294,7 +294,7 @@ def test_enumeration_matches_brute_force(d):
 @pytest.mark.parametrize("d", NARROW_CLASS_NUMBER_ONE)
 def test_enumeration_strictly_sorted(d):
     K = make_field(d)
-    primes = _prime_ideals(K, 2000, slice(None))
+    primes = list(zip(*_prime_table(K, 2000).names(slice(None))))
     assert sorted(primes) == primes and len(set(primes)) == len(primes)
 
 
@@ -307,11 +307,12 @@ def test_prime_table_matches_split_rational_prime(d):
             P for p in primes_upto(X).tolist() for P in split_rational_prime(K, p) if P.norm <= X
         )
         T = _prime_table(K, X)
-        got = _prime_ideals(K, X, slice(None))
-        assert got == ref
-        assert [type(v) for P in got[:50] for v in P[:4]] == [int] * 4 * min(50, len(ref))
+        got = list(zip(*T.names(slice(None))))
+        assert got == [P[:3] for P in ref]
+        assert [type(v) for P in got[:50] for v in P] == [int] * 3 * min(50, len(ref))
         assert T.norm.tolist() == [P.norm for P in ref]
-        assert [_KINDS[k] for k in T.kind.tolist()] == [P.splitting for P in ref]
+        assert [_KINDS[k] for k in T.kind.tolist()] == [P.splitting.value for P in ref]
+        assert [_DEGREE_OF[k] for k in T.kind.tolist()] == [P.residue_degree for P in ref]
         roots = _prime_roots(K, X)
         assert roots.tolist() == [P.root for P in ref]
         assert T.key.tolist() == [2 * P.norm + P.root_label for P in ref]
@@ -487,15 +488,16 @@ def test_symbol_inert_matches_square_enumeration(field5):
 def test_factor_examples(field5):
     Q = make_field(1)
     f = factor_principal_ideal(Q, 12)
-    assert sorted((P.norm, e) for P, e in f.factors) == [(2, 2), (3, 1)]
+    assert f.factors == (((2, 2, 0), 2), ((3, 3, 0), 1))
 
     f5 = factor_principal_ideal(field5, 5)
     ((P, e),) = f5.factors
-    assert P.splitting is Splitting.RAMIFIED and e == 2
+    assert split_rational_prime(field5, P[1])[P[2]].splitting is Splitting.RAMIFIED and e == 2
 
     ft = factor_principal_ideal(field5, (4, 1))
     ((P, e),) = ft.factors
-    assert P.norm == 11 and e == 1 and P.root == 4  # 3 + 2*4 = 11 = 0 mod 11
+    assert P[0] == 11 and e == 1
+    assert split_rational_prime(field5, 11)[P[2]].root == 4  # 3 + 2*4 = 11 = 0 mod 11
 
 
 def test_factor_rejects_bad_tau(field5):
@@ -565,7 +567,7 @@ def test_ideal_algebra(field5):
         field5, [(P11b, 1)]
     )
     assert m.norm == 11**3
-    assert dict(m.factors) == {P11a: 2, P11b: 1}
+    assert dict(m.factors) == {P11a[:3]: 2, P11b[:3]: 1}
     assert not m.is_squarefree
     with pytest.raises(ValueError, match="^cannot multiply ideals of different fields$"):
         m * IdealFactorization(1, (), make_field(2))
@@ -595,7 +597,7 @@ def test_root_free_factorization_matches_the_root_oracle(d):
             ref = factor_principal_ideal(K, tau)
             got = field_arith.factor_principal_ideal(K, tau)
             assert field_arith.factorable_tau(K, tau) == ((x, y), repr(element(K, *tau)))
-            assert got == tuple((P[:3], e) for P, e in ref.factors), tau
+            assert got == ref.factors, tau
             assert ideal_text(K, got) == repr(ref)
             halves = [(P, e // 2) for P, e in got if e > 1]
             assert ideal_text(K, halves) == repr(squarefree_decompose(ref).a)

@@ -27,8 +27,10 @@ from oracles import (
 )
 
 from hilbert_signs.characters import IdealCharacter
-from hilbert_signs.field_arith import _ideal_objects, _ideal_table, _prime_table, make_field
+from hilbert_signs.sato_tate import synth_eigen_series
+from hilbert_signs.field_arith import _ideal_objects, _ideal_table, _prime_roots, _prime_table, make_field
 from hilbert_signs.formal_series import (
+    FormalSeries,
     c_series_from_lambda,
     character_moebius_series,
     character_zeta_series,
@@ -210,7 +212,7 @@ def test_ideal_table_pairs_are_the_truncated_products(d):
     assert T.prime_id.tolist() == np.searchsorted(T.key, prime_key).tolist()
     assert all(index[m] == i for i, m in enumerate(ideals))
     # the key is N(m) X + s(m), s(m) the product of N(P)^e over the P^e || m with root_label 1
-    s = [math.prod(P.norm**e for P, e in m.factors if P.root_label) for m in ideals]
+    s = [math.prod(norm**e for (norm, _, label), e in m.factors if label) for m in ideals]
     assert T.key.tolist() == [m.norm * X + v for m, v in zip(ideals, s)]
     assert len(np.unique(T.key)) == len(ideals)
     want = {(i, j) for i, m in enumerate(ideals) for j, n in enumerate(ideals)
@@ -221,7 +223,7 @@ def test_ideal_table_pairs_are_the_truncated_products(d):
     assert T.divisors == np.diff(T.start, append=len(T.a)).max()
     assert [ideals[i] for i in T.prime_id] == [power(P) for P in primes]
     for i, m in enumerate(ideals):
-        facs = [(primes[r], e) for k, r, e in zip(T.fac_id, T.fac_row, T.fac_exp) if k == i]
+        facs = [(primes[r][:3], e) for k, r, e in zip(T.fac_id, T.fac_row, T.fac_exp) if k == i]
         assert tuple(facs) == m.factors
 
 
@@ -299,10 +301,11 @@ def test_products_and_euler_series_match_the_dict_oracle(data):
     }
     tau = data.draw(st.sampled_from(taus[K.d]))
     chi = IdealCharacter.from_tau(K, tau)
+    chi_P = chi.values_upto(X)
     zeta, moebius = dict_zeta_series(chi, X), dict_moebius_series(chi, X)
-    assert_same(character_zeta_series(chi, X), zeta, pool)
-    assert_same(character_moebius_series(chi, X), moebius, pool)
-    assert_same(series_mul(A, character_zeta_series(chi, X)), dict_series_mul(OA, zeta), pool)
+    assert_same(character_zeta_series(K, X, chi_P), zeta, pool)
+    assert_same(character_moebius_series(K, X, chi_P), moebius, pool)
+    assert_same(series_mul(A, character_zeta_series(K, X, chi_P)), dict_series_mul(OA, zeta), pool)
 
 
 def test_python_int_lanes_match_the_oracle(field5):
@@ -331,6 +334,16 @@ def test_coeffs_is_a_read_only_view(field5):
     with pytest.raises(TypeError):
         A.coeffs[IdealFactorization(1, (), field5)] = Fraction(2)
     assert A.coeffs.get(IdealFactorization(1, (), field5), 0) == 1
+
+
+def test_the_entries_and_coeffs_views_build_no_roots(field5):
+    # both views name each prime by its row of the prime table, which needs no root
+    _prime_roots.cache_clear()
+    _ideal_objects.cache_clear()
+    assert len(synth_eigen_series(field5, 10**6, 2, 3).entries) == 78_510
+    n = len(_ideal_table(field5, 1000).norm)
+    assert len(FormalSeries(field5, 1000, 1, np.ones(n, np.int64)).coeffs) == n
+    assert _prime_roots.cache_info().misses == 0
 
 
 # ----------------------------------------------------------------------
@@ -362,7 +375,7 @@ def test_euler_factor_beyond_cutoff():
 def test_zeta_equals_iterated_factors(field5):
     chi = IdealCharacter.from_tau(field5, (4, 1))
     X = 300
-    zeta = character_zeta_series(chi, X)
+    zeta = character_zeta_series(field5, X, chi.values_upto(X))
     acc = identity(field5, X)
     for P in good_primes(chi, X):
         acc = series_mul(acc, euler_factor_inverse(P, Fraction(value_at(chi, P), P.norm), X))
@@ -373,8 +386,8 @@ def test_zeta_equals_iterated_factors(field5):
 def test_euler_series_indices_equal_their_from_pairs_twins(d):
     # _multiplicative_series makes its index ideals without from_pairs
     K = make_field(d)
-    chi = IdealCharacter.from_tau(K, 1)
-    for series in (character_zeta_series(chi, 2000), character_moebius_series(chi, 2000)):
+    chi_P = IdealCharacter.from_tau(K, 1).values_upto(2000)
+    for series in (character_zeta_series(K, 2000, chi_P), character_moebius_series(K, 2000, chi_P)):
         assert len(series.coeffs) > 100
         for m in series.coeffs:
             twin = IdealFactorization.from_pairs(K, m.factors)
@@ -382,9 +395,9 @@ def test_euler_series_indices_equal_their_from_pairs_twins(d):
 
 
 def test_zeta_times_moebius_is_identity(field5):
-    chi = IdealCharacter.from_tau(field5, (4, 1))
-    zeta = character_zeta_series(chi, 300)
-    moebius = character_moebius_series(chi, 300)
+    chi_P = IdealCharacter.from_tau(field5, (4, 1)).values_upto(300)
+    zeta = character_zeta_series(field5, 300, chi_P)
+    moebius = character_moebius_series(field5, 300, chi_P)
     assert series_mul(zeta, moebius) == identity(field5, 300)
 
 
@@ -396,8 +409,8 @@ def test_zeta_times_moebius_is_identity(field5):
 def test_identity_lambda_gives_zeta(field5):
     chi = IdealCharacter.from_tau(field5, (4, 1))
     lam = identity(field5, 200)
-    c = c_series_from_lambda(lam, chi)
-    assert c == character_zeta_series(chi, 200)
+    c = c_series_from_lambda(lam, chi.values_upto(200))
+    assert c == character_zeta_series(field5, 200, chi.values_upto(200))
     for P in good_primes(chi, 200):
         assert c.coeffs.get(power(P), 0) == Fraction(value_at(chi, P), P.norm)
 
@@ -406,14 +419,15 @@ def test_all_bad_character_is_empty_product(field5):
     chi = IdealCharacter.from_tau(field5, 30)  # kills 2, 3, 5: every prime of norm <= 10
     assert good_primes(chi, 10) == []
     lam = random_series(field5, 10, random.Random(3), normalized=True)
-    assert c_series_from_lambda(lam, chi) == lam
+    assert c_series_from_lambda(lam, chi.values_upto(10)) == lam
 
 
 def test_roundtrip_and_residuals_at_1000(field5):
     chi = IdealCharacter.from_tau(field5, (4, 1))
     lam = random_series(field5, 1000, random.Random(91), density=0.35, normalized=True)
-    c = c_series_from_lambda(lam, chi)
-    assert series_mul(c, character_moebius_series(chi, 1000)) == lam
+    chi_P = chi.values_upto(1000)
+    c = c_series_from_lambda(lam, chi_P)
+    assert series_mul(c, character_moebius_series(field5, 1000, chi_P)) == lam
     cc, ll = c.coeffs, lam.coeffs
     for P in good_primes(chi, 1000):
         assert prime_residual(cc, ll, chi, P) == 0
@@ -422,7 +436,7 @@ def test_roundtrip_and_residuals_at_1000(field5):
 def test_prime_square_relation(field5):
     chi = IdealCharacter.from_tau(field5, (4, 1))
     lam = random_series(field5, 1000, random.Random(17), density=0.4, normalized=True)
-    c = c_series_from_lambda(lam, chi)
+    c = c_series_from_lambda(lam, chi.values_upto(1000))
     cc, ll = c.coeffs, lam.coeffs
     for P in good_primes(chi, 31):  # norm^2 <= 1000 needs norm <= 31
         sq = power(P, 2)
@@ -434,15 +448,16 @@ def test_all_prime_residuals_at_once_match_each_prime(field5):
     chi = IdealCharacter.from_tau(field5, (4, 1))
     X = 1000
     lam = random_series(field5, X, random.Random(7), density=0.5, normalized=True)
-    c = c_series_from_lambda(lam, chi)
-    assert not extract_prime_relation(c, lam, chi).any()
+    chi_P = chi.values_upto(X)
+    c = c_series_from_lambda(lam, chi_P)
+    assert not extract_prime_relation(c, lam, chi_P).any()
     # plant 1/N(P) at one good prime: exactly that residual becomes den(c) den(lam)
     good = good_primes(chi, X)
     P = good[17]
     idx = power(P)
     cc = c.coeffs
     bent = series_from_dict(field5, X, {**cc, idx: cc.get(idx, 0) + Fraction(1, P.norm)})
-    r = extract_prime_relation(bent, lam, chi)
+    r = extract_prime_relation(bent, lam, chi_P)
     assert len(r) == len(good) and np.flatnonzero(r).tolist() == [17]
     assert r[17] == prime_residual(bent.coeffs, lam.coeffs, chi, P) * bent.den * lam.den * P.norm
 
@@ -454,20 +469,22 @@ def test_all_prime_residuals_take_python_ints_past_int64(field5):
     big = {power(P): Fraction(2**40 + i, 2**31 - 1)
            for i, P in enumerate(good_primes(chi, X))}
     lam = series_from_dict(field5, X, {IdealFactorization(1, (), field5): 1, **big})
-    c = c_series_from_lambda(lam, chi)
+    chi_P = chi.values_upto(X)
+    c = c_series_from_lambda(lam, chi_P)
     assert c.num.dtype == lam.num.dtype == np.int64 and c.den * lam.den > 2**61
-    r = extract_prime_relation(c, lam, chi)
+    r = extract_prime_relation(c, lam, chi_P)
     assert r.dtype == object and not r.any()
 
 
 def test_all_prime_residuals_need_one_field_and_cutoff(field5):
-    chi = IdealCharacter.from_tau(field5, (4, 1))
+    chi_P = IdealCharacter.from_tau(field5, (4, 1)).values_upto(50)
     lam = identity(field5, 50)
-    c = c_series_from_lambda(lam, chi)
-    with pytest.raises(ValueError, match="^c, lam and chi must share one field and one cutoff$"):
-        extract_prime_relation(c, identity(field5, 40), chi)
-    with pytest.raises(ValueError, match="^c, lam and chi must share one field and one cutoff$"):
-        extract_prime_relation(c, lam, IdealCharacter.from_tau(Q, 5))
+    c = c_series_from_lambda(lam, chi_P)
+    with pytest.raises(ValueError, match="^c and lam must share one field and one cutoff$"):
+        extract_prime_relation(c, identity(field5, 40), chi_P)
+    # values on another table: Q has 15 primes of norm <= 50, Q(sqrt 5) 14
+    with pytest.raises(ValueError, match="^15 character values for 14 primes$"):
+        extract_prime_relation(c, lam, IdealCharacter.from_tau(Q, 5).values_upto(50))
 
 
 def test_direct_substitution_example():
@@ -486,11 +503,12 @@ def test_extract_requires_normalized(field5):
     lam = identity(field5, 20)
     c = series_from_dict(field5, 20, {IdealFactorization(1, (), field5): 2})
     with pytest.raises(ValueError, match=r"^c\(O_K\) = 2 != 1$"):
-        extract_prime_relation(c, lam, chi)
+        extract_prime_relation(c, lam, chi.values_upto(20))
 
 
 def test_field_mismatch_in_lift(field5):
-    chi = IdealCharacter.from_tau(Q, 5)
-    with pytest.raises(ValueError, match="^series and character over different fields$"):
-        c_series_from_lambda(identity(field5, 10), chi)
+    # chi on the 4 primes of Q of norm <= 10, for the 3 of Q(sqrt 5)
+    chi_P = IdealCharacter.from_tau(Q, 5).values_upto(10)
+    with pytest.raises(ValueError, match="^4 character values for 3 primes$"):
+        c_series_from_lambda(identity(field5, 10), chi_P)
 

@@ -254,9 +254,9 @@ def test_eps_bounds_the_cdf_error():
 def test_synth_series_is_exact_and_on_grid(field5):
     E = synth_eigen_series(field5, 3000, 2, 11)
     assert E.field is field5 and E.weight == (2,) and max(E.weight) == 2
-    for P, c in E.entries.items():
+    for (norm, _, _), c in E.entries.items():
         assert QUANT_DEN % c.denominator == 0
-        assert c * c * P.norm <= 4  # exact rational Hasse check
+        assert c * c * norm <= 4  # exact rational Hasse check
     assert E.label == "synthetic-d5-X3000-k2-s11"
 
 
@@ -265,7 +265,7 @@ def test_synth_series_recovers_sampled_coordinates(field5):
     primes = enumerate_prime_ideals(field5, 3000)
     coords = sample_semicircle(len(primes), 11)
     for P, b in zip(primes, coords):
-        recovered = float(E.entries[P]) * math.sqrt(P.norm) / 2.0
+        recovered = float(E.entries[P[:3]]) * math.sqrt(P.norm) / 2.0
         assert abs(recovered - b) <= 3e-12 * math.sqrt(P.norm)
 
 
@@ -279,7 +279,7 @@ def scalar_synth_entries(K, X, seed, coords=None):
         q = round(2.0 * float(b) / math.sqrt(P.norm) * QUANT_DEN)
         while q * q * P.norm > 4 * QUANT_DEN * QUANT_DEN:
             q -= 1 if q > 0 else -1
-        entries[P] = Fraction(q, QUANT_DEN)
+        entries[P[:3]] = Fraction(q, QUANT_DEN)
     return entries
 
 
@@ -317,7 +317,7 @@ def test_simulate_stages_hold_little_past_the_columns_they_return(field5):
     tracemalloc.start()
     try:
         E = synth_eigen_series(field5, 10**6, 2, 3)
-        survey = SignSurvey(E, 1, x=10**6)
+        survey = SignSurvey(E, 1)
         assert ks_statistic(survey.coords).passed
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -336,7 +336,7 @@ def test_synth_series_deterministic(field5):
 def test_synth_series_higher_weight():
     Q = make_field(1)
     E = synth_eigen_series(Q, 200, 6, 8)
-    assert max(E.weight) == 6 and all(c * c * P.norm <= 4 for P, c in E.entries.items())
+    assert max(E.weight) == 6 and all(c * c * norm <= 4 for (norm, _, _), c in E.entries.items())
 
 
 def test_synth_series_nudge_steps_one_grid_point(monkeypatch):
@@ -346,9 +346,9 @@ def test_synth_series_nudge_steps_one_grid_point(monkeypatch):
     Q = make_field(1)
     E = synth_eigen_series(Q, 2000, 2, 0)
     assert len(E.entries) == 303
-    for P, c in E.entries.items():
-        assert c * c * P.norm <= 4
-        assert abs(float(c) - 2 / math.sqrt(P.norm)) <= 2e-12
+    for (norm, _, _), c in E.entries.items():
+        assert c * c * norm <= 4
+        assert abs(float(c) - 2 / math.sqrt(norm)) <= 2e-12
 
 
 # ----------------------------------------------------------------------

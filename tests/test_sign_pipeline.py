@@ -148,11 +148,11 @@ def test_series_rejects_hasse_violation(field5):
     with pytest.raises(HilbertSignsError, match=r"^fat: \|c\(\(3\)\)\| = \|2\| exceeds 2/sqrt\(3\)$"):
         series_from_entries(Q, (2,), "fat", {P3: Fraction(2)}, 3)
     ok = series_from_entries(Q, (2,), "edge", {P3: Fraction(1)}, 3)  # 1*1*3 <= 4
-    assert ok.entries[P3] == 1
+    assert ok.entries[P3[:3]] == 1
     # the inert prime above 3 in Q(sqrt5) has N = 9, where c = 2/3 sits on the bound
     (P9,) = split_rational_prime(field5, 3)
     on_bound = series_from_entries(field5, (2,), "on", {P9: Fraction(2, 3)}, 9)  # c^2 N = 4
-    assert on_bound.entries[P9] == Fraction(2, 3)
+    assert on_bound.entries[P9[:3]] == Fraction(2, 3)
     with pytest.raises(HilbertSignsError, match=r"^over: .* exceeds 2/sqrt\(9\)$"):
         series_from_entries(field5, (2,), "over", {P9: Fraction(2, 3) + Fraction(1, 10**30)}, 9)
 
@@ -177,23 +177,22 @@ def test_k0_is_max_component():
 def test_forced_positive_tally():
     # c = 2/N makes lambda = (2 - chi)/N > 0 at every good prime
     E = series_over_Q(300, lambda P: Fraction(2, P.norm))
-    t = SignSurvey(E, 1, x=300).tally()
+    t = SignSurvey(E, 1).tally()
     assert t.pos == t.total - t.bad and t.neg == 0 and t.zero == 0
     assert t.bad == 1  # only the prime above 2
 
 
 def test_forced_zero_tally():
     E = series_over_Q(300, lambda P: Fraction(1, P.norm))
-    t = SignSurvey(E, 1, x=300).tally()  # chi = +1 off the bad set, so c = chi/N
+    t = SignSurvey(E, 1).tally()  # chi = +1 off the bad set, so c = chi/N
     assert t.zero == t.total - t.bad and t.pos == 0 and t.neg == 0
 
 
 def test_tally_partition_and_monotonicity():
-    E = seeded_series_over_Q(2000, 7)
-    survey = SignSurvey(E, 5, x=2000)
+    # the seeded series at x is the prefix of the one at 2000
     prev = None
     for x in (50, 100, 400, 900, 1600, 2000):
-        t = survey.tally(x)
+        t = SignSurvey(seeded_series_over_Q(x, 7), 5).tally()
         assert t.pos + t.neg + t.zero + t.bad == t.total
         if prev is not None:
             assert t.pos >= prev.pos and t.neg >= prev.neg
@@ -202,27 +201,17 @@ def test_tally_partition_and_monotonicity():
 
 
 def test_survey_matches_fresh_tally():
-    E = seeded_series_over_Q(1000, 13)
-    survey = SignSurvey(E, 5, x=1000)
-    assert survey.tally(400) == SignSurvey(E, 5, x=400).tally()
-    with pytest.raises(ValueError):
-        survey.tally(1001)
-    with pytest.raises(TypeError):
-        SignSurvey(E, 5)  # cutoff is mandatory
-
-
-def test_survey_reads_a_prefix_of_the_columns():
-    E = seeded_series_over_Q(1000, 11)
-    whole, part = SignSurvey(E, 5, x=1000), SignSurvey(E, 5, x=400)
-    assert np.array_equal(part.signs, whole.signs[: len(part.signs)])
+    # the seeded series at 400 is the prefix of the one at 1000, and so is its survey
+    whole, part = SignSurvey(seeded_series_over_Q(1000, 13), 5), SignSurvey(seeded_series_over_Q(400, 13), 5)
+    assert (whole.x, part.x) == (1000, 400)
+    s = whole.signs[: len(part.signs)]
+    assert np.array_equal(part.signs, s)
     assert part.coords.tobytes() == whole.coords[: len(part.coords)].tobytes()
-    # past E.x no row has a coefficient: the first good prime there is the gap
-    with pytest.raises(HilbertSignsError, match=r"seeded-11: no coefficient at good prime \(1009\)$"):
-        SignSurvey(E, 5, x=1100)
-    # while a cutoff whose extra primes are all bad needs none of them
-    empty = EigenvalueSeries(Q, (2,), "empty", 1, [], [])
-    assert (empty.num.size, empty.den.size) == (0, 0)
-    t = SignSurvey(empty, 1, x=2).tally()
+    t = part.tally()
+    assert (t.pos, t.neg, t.zero, t.bad, t.total) == (sum(s > 0), sum(s < 0), sum(s == 0), 2, 78)  # (2), (5); pi(400)
+    # a series whose primes are all bad needs no coefficient
+    empty = EigenvalueSeries(Q, (2,), "empty", 2, [0], [0])
+    t = SignSurvey(empty, 1).tally()
     assert (t.total, t.bad, t.pos + t.neg + t.zero) == (1, 1, 0)
 
 
@@ -231,9 +220,10 @@ def test_missing_prime():
     del entries[split_rational_prime(Q, 97)[0]]
     E = series_from_entries(Q, (2,), "gappy", entries, 100)
     with pytest.raises(HilbertSignsError, match=r"gappy: no coefficient at good prime \(97\)$"):
-        SignSurvey(E, 1, x=100).tally()
-    # but a tighter cutoff never touches the gap
-    assert SignSurvey(E, 1, x=90).tally().total == 24
+        SignSurvey(E, 1).tally()
+    # but a series to a tighter cutoff never touches the gap
+    below = series_from_entries(Q, (2,), "gappy", {P: c for P, c in entries.items() if P.norm <= 90}, 90)
+    assert SignSurvey(below, 1).tally().total == 24
 
 
 def test_first_fault_in_canonical_order_is_raised():
@@ -243,13 +233,13 @@ def test_first_fault_in_canonical_order_is_raised():
     E = series_from_entries(Q, (2,), "faulty", entries, 100)
     # ingestion is the one Hasse gate: no value can be put past it afterwards
     with pytest.raises(TypeError):
-        E.entries[P7] = Fraction(1)
+        E.entries[P7[:3]] = Fraction(1)
     with pytest.raises(ValueError, match="read-only"):
         E.num[3] = 1
     with pytest.raises(ValueError, match="read-only"):
         E.den[3] = 1
     with pytest.raises(HilbertSignsError, match=r"\(53\)"):  # the first gap is named
-        SignSurvey(E, 1, x=100)
+        SignSurvey(E, 1)
 
 
 # Mersenne primes, so that every nonzero numerator keeps the whole denominator
@@ -280,19 +270,19 @@ def mixed_lane_series():
         return Fraction(rng.choice((-1, 1)) * rng.randint(1, D // math.isqrt(P.norm)), D)
 
     for P in good[3::37]:
-        entries[P] = Fraction(value_at(chi, P), P.norm)
+        entries[P[:3]] = Fraction(value_at(chi, P), P.norm)
     for k in (k for k in range(3, len(good) // CHUNK, 3) if k != 12):
         for P in good[k * CHUNK + 2 : (k + 1) * CHUNK : 7]:
             tiny = Fraction(rng.choice((-1, 1)), 10**30)
-            entries[P] = Fraction(value_at(chi, P), P.norm) + tiny
+            entries[P[:3]] = Fraction(value_at(chi, P), P.norm) + tiny
     for i, D in ((8 * CHUNK - 1, PAST_2_63), (13 * CHUNK, PAST_2_53), (13 * CHUNK + 30, PAST_2_53)):
-        entries[good[i]] = on_grid(good[i], D)
-    entries[good[-1]] = on_grid(good[-1], PAST_2_63)
+        entries[good[i][:3]] = on_grid(good[i], D)
+    entries[good[-1][:3]] = on_grid(good[-1], PAST_2_63)
     (P3,), (P6361,) = split_rational_prime(Q, 3), split_rational_prime(Q, 6361)
     num = (limit + 1) // 3
-    entries[P3] = Fraction(-num, num + 1)
+    entries[P3[:3]] = Fraction(-num, num + 1)
     num = (limit - 1) // 6361
-    entries[P6361] = Fraction(num, 40 * num + 1)
+    entries[P6361[:3]] = Fraction(num, 40 * num + 1)
     assert good.index(P3) // CHUNK == 0 and good.index(P6361) // CHUNK == 12
     return series_from_entries(Q, (2,), "mixed-lanes", entries, X), chi, good
 
@@ -305,19 +295,19 @@ def test_survey_lanes_match_scalar_decisions(monkeypatch):
         sent.append(N.tolist())
         return to_ints(c, d, N)
 
-    whole = SignSurvey(E, 5, x=20000)  # one chunk
+    whole = SignSurvey(E, 5)  # one chunk
     monkeypatch.setattr(sign_pipeline, "_LANES", CHUNK)
     monkeypatch.setattr(sign_pipeline, "_python_ints", spy)
-    survey = SignSurvey(E, 5, x=20000)
+    survey = SignSurvey(E, 5)
     zero, entries = 0, E.entries  # a view built on each read: read it once
     # the lanes past 2^53, and they alone, go to Python ints, one call per chunk that holds any
-    wide = [i for i, P in enumerate(good) if max(abs(entries[P].numerator) * P.norm, entries[P].denominator) > 2**53]
+    wide = [i for i, P in enumerate(good) if max(abs(entries[P[:3]].numerator) * P.norm, entries[P[:3]].denominator) > 2**53]
     assert sorted({i // CHUNK for i in wide}) == [0, 3, 6, 7, 9, 13, 15, 18, 21, 24, 27, 30, 33, 35]
     assert len(sent) == 14 and sum(sent, []) == [good[i].norm for i in wide]
     assert np.array_equal(survey.signs, whole.signs)
     assert survey.coords.tobytes() == whole.coords.tobytes()
     for P, s, b in zip(good, survey.signs.tolist(), survey.coords.tolist()):
-        c = entries[P]
+        c = entries[P[:3]]
         assert s == lambda_sign(c, value_at(chi, P), P.norm)
         assert b == sato_tate_coordinate(c, P.norm)  # bit for bit
         zero += s == 0
@@ -514,7 +504,7 @@ def test_rows_past_int64_or_2_53_run_alone_in_python_ints(monkeypatch, lanes):
     assert (E.num.tolist(), E.den.tolist()) == want and E.num.dtype == E.den.dtype == object
     assert sum(sent) == sum(max(abs(a), b) >= 2**63 for a, b in zip(*want)) > 0
     sent.clear()
-    survey = SignSurvey(E, 5, x=X)
+    survey = SignSurvey(E, 5)
     # the survey: the good lanes with |c_num| N or c_den past 2^53, and only they
     lanes_past = [i for i, v in enumerate(chi) if v and max(abs(want[0][i]) * norms[i], want[1][i]) > 2**53]
     assert sum(sent) == len(lanes_past) < len(norms) // 10
@@ -527,7 +517,7 @@ def test_rows_past_int64_or_2_53_run_alone_in_python_ints(monkeypatch, lanes):
     monkeypatch.setattr(sign_pipeline, "_int64_rows", all_rows_in_python_ints)
     F = EigenvalueSeries(Q, (2,), "edges", X, num, den, level)
     assert (F.num.tolist(), F.den.tolist(), F.num.dtype, F.den.dtype) == (*want, object, object)
-    every = SignSurvey(F, 5, x=X)
+    every = SignSurvey(F, 5)
     assert np.array_equal(every.signs, survey.signs) and every.coords.tobytes() == survey.coords.tobytes()
 
 
@@ -578,7 +568,7 @@ def test_sign_flip_witnesses():
 
 def test_tally_bad_set_excluded_from_numerators():
     E = seeded_series_over_Q(500, 3)
-    t = SignSurvey(E, 5, x=500).tally()
+    t = SignSurvey(E, 5).tally()
     assert t.bad == 2  # (2) and (5)
     assert t.total == 95  # pi(500)
     assert t.pos + t.neg + t.zero == 93
@@ -591,7 +581,7 @@ def test_tally_bad_set_excluded_from_numerators():
 
 def test_cutoff_trivial_regimes():
     E = seeded_series_over_Q(1000, 29)
-    survey = SignSurvey(E, 1, x=1000)
+    survey = SignSurvey(E, 1)
     assert tail_inequality(E, survey, 1000, 1.0)[1] == 0
     lhs, rhs = tail_inequality(E, survey, 1000, Fraction(1, 100))
     assert lhs >= rhs  # 1/(4 eps^2) = 2500 >= x, so lhs dominates by counting
@@ -613,9 +603,9 @@ def test_tail_inequality_exact_below_float_resolution():
         return Fraction(q + rng.randint(0, 1), D)
 
     E = series_over_Q(1000, cfun)
-    survey = SignSurvey(E, 1, x=1000)
-    good = [(P, c) for P, c in E.entries.items() if P.norm != 2]
-    expected = sum(1 for P, c in good if c > 0 and c * c * P.norm > 4 * eps * eps)
+    survey = SignSurvey(E, 1)
+    good = [(norm, c) for (norm, _, _), c in E.entries.items() if norm != 2]
+    expected = sum(1 for norm, c in good if c > 0 and c * c * norm > 4 * eps * eps)
     assert 0 < expected < len(good)
     assert tail_inequality(E, survey, 1000, eps)[1] == expected
     # the same count from the float coordinates alone is wrong
@@ -630,7 +620,7 @@ def test_tail_inequality_exact_below_float_resolution():
 )
 def test_cutoff_inequality_always_holds(seed, eps_thousandths, x):
     E = seeded_series_over_Q(1000, seed)
-    lhs, rhs = tail_inequality(E, SignSurvey(E, 1, x=x), x, Fraction(eps_thousandths, 1000))
+    lhs, rhs = tail_inequality(E, SignSurvey(E, 1), x, Fraction(eps_thousandths, 1000))
     assert lhs >= rhs
 
 
