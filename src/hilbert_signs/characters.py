@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HilbertSignsError
 from .field_arith import (
     QuadField,
     _INERT,
@@ -82,7 +81,7 @@ class IdealCharacter:
         psi = dict(psi_table or {})
         for P, v in psi.items():
             if v not in (-1, 1):
-                raise HilbertSignsError(f"psi value at {ideal_text(K, [(P, 1)])} must be +-1, got {v}")
+                raise ValueError(f"psi value at {ideal_text(K, [(P, 1)])} must be +-1, got {v}")
         omega, text = factorable_tau(K, tau)
         tau_ideal = factor_principal_ideal(K, tau)
         bad = {P for p in {2, *level_support, *_factor_int(K.disc)} for P in _names_above(K, p)}

@@ -364,13 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# Every command builds the prime table of norm <= --x once, at 17 bytes per
+# Every command builds the prime table of norm <= --x once, at 9 bytes per
 # ideal retained and ~27 at the peak of the build, and the character of a
 # tau that is not a square adds 8 for the roots.  All of `simulate`, which
-# streams the rest in chunks, peaks at ~51 at the default tau and ~59 at a
+# streams the rest in chunks, peaks at ~43 at the default tau and ~51 at a
 # tau that is not a square (tracemalloc, d = 5, X = 10^7: 664,500 ideals,
-# 11.3 MB and 33.9 MB).  At 10^8 (5,761,588 ideals) it takes ~320 MB max
-# RSS at the default tau and ~386 MB at tau = 4 + sqrt(5) (2-vCPU VM).  A
+# 6.0 MB and 28.5 MB).  At 10^8 (5,761,588 ideals) it takes ~275 MB max
+# RSS at the default tau and ~341 MB at tau = 4 + sqrt(5) (2-vCPU VM).  A
 # larger x would fail late, in an allocation.
 MAX_X = 10**8
 

@@ -248,7 +248,7 @@ def _series(obj: dict, K: QuadField, x: int, names, num: np.ndarray, den: np.nda
     """
     T = _prime_table(K, x)
     j, past = _name_rows(K, x, names, num, den, "entry", "coefficient")
-    hit, nums, dens = j >= 0, np.zeros(len(T.key), dtype=num.dtype), np.zeros(len(T.key), dtype=den.dtype)
+    hit, nums, dens = j >= 0, np.zeros(len(T.norm), dtype=num.dtype), np.zeros(len(T.norm), dtype=den.dtype)
     nums[j[hit]], dens[j[hit]] = num[hit], den[hit]  # a repeat carries an equal value
     E = EigenvalueSeries(K, obj["weight"], obj["label"], x, nums, dens, obj.get("level_support", []))
     primes = sorted(past)  # past x: no part in the run, but the same gate after the table's

@@ -38,10 +38,12 @@ divide x1 too; so x1 + y1 w lies in the prime above p whose root is r =
 s - r, the roots summing to s, so that prime has label 0 iff r < (s - r)
 mod p.
 
-A name sorts by (norm, p, root_label), and QuadField and
-IdealFactorization are named tuples whose leading fields are their
-canonical order: an ideal sorts by (norm, factors).  Plain sort(), ==,
-and hash() are therefore the canonical ones.
+A name sorts by (norm, p, root_label).  A norm fixes its p, so that is
+by norm and then label, the order of the prime table's rows, and a name
+is found there by its norm alone.  QuadField and IdealFactorization are
+named tuples whose leading fields are their canonical order: an ideal
+sorts by (norm, factors).  Plain sort(), ==, and hash() are therefore
+the canonical ones.
 """
 
 from __future__ import annotations
@@ -236,49 +238,47 @@ class _PrimeTable(NamedTuple):
     """The prime ideals of norm <= X in canonical order, one row each, as read-only columns.
 
     norm is the int64 norm of each prime, and kind the int8 code of how
-    its p splits, an index into _KINDS.  key = 2 norm + root_label is
-    strictly increasing: a norm names its p (p, or p^2, which is never
-    prime), so key orders the rows by (norm, p, label).  The roots are
-    not a column here: _prime_roots builds them for the one reader that
-    needs them.
+    its p splits, an index into _KINDS.  A norm names its p (p, or p^2,
+    which is never prime), so the rows of one norm are the primes above
+    one p, and root_label is kind == _SECOND: the norm orders the rows, and
+    the label orders the two of a split p.  The roots are not a column
+    here: _prime_roots builds them for the one reader that needs them.
     """
 
     norm: np.ndarray
     kind: np.ndarray
-    key: np.ndarray
 
     def names(self, rows) -> tuple[list[int], list[int], list[int]]:
         """(norm, p, root_label) of the given rows, as lists of Python ints."""
-        norm, inert = self.norm[rows], self.kind[rows] == _INERT
-        p = np.where(inert, np.sqrt(norm).astype(np.int64), norm)  # exact: norm < 2^53
-        return norm.tolist(), p.tolist(), (self.key[rows] & 1).tolist()
+        norm, kind = self.norm[rows], self.kind[rows]
+        p = np.where(kind == _INERT, np.sqrt(norm).astype(np.int64), norm)  # exact: norm < 2^53
+        return norm.tolist(), p.tolist(), (kind == _SECOND).astype(np.int8).tolist()
 
     def lookup(self, norm, p, label) -> np.ndarray:
         """The row of each name (norm[i], p[i], label[i]), or -1 where no row has that name.
 
-        The columns are lists of any Python ints, or arrays (int64, or
-        Python ints where a value is past int64), taken as they are.  Each
-        is range-checked whole (min and max) before its int64 cast, and in a column that leaves the table's range (0..last
-        norm, labels 0..1) the values outside it become -1, which names no
-        row.  The rest is one searchsorted on key, then the p of each hit
-        row checked.
+        The columns are sequences or arrays of any ints, each taken through
+        np.asarray and range-checked whole (min and max) before its int64
+        cast: in a column that leaves the table's range (0..last norm,
+        labels 0..1) the values outside it become -1, which names no row.
+        The row of a name is the first row of its norm plus its label, and
+        there the norm, the label (against kind == _SECOND) and p are
+        checked.
         """
-        last = int(self.norm[-1]) if len(self.key) else 0
+        last = int(self.norm[-1]) if len(self.norm) else 0
         cols = []
         for col, top in ((norm, last), (p, last), (label, 1)):
-            if isinstance(col, np.ndarray):
-                if col.size and not (0 <= col.min() and col.max() <= top):
-                    col = np.where((0 <= col) & (col <= top), col, -1)
-            elif len(col) and not (0 <= min(col) and max(col) <= top):
-                col = [v if 0 <= v <= top else -1 for v in col]
-            cols.append(np.asarray(col, dtype=np.int64))
+            col = np.asarray(col)
+            if col.size and not (0 <= col.min() and col.max() <= top):
+                col = np.where((0 <= col) & (col <= top), col, -1)
+            cols.append(col.astype(np.int64))
         norm, p, label = cols
-        if not len(self.key):
+        if not len(self.norm):
             return np.full(len(norm), -1)
-        key = 2 * norm + label
-        i = np.searchsorted(self.key, key) % len(self.key)  # past the end: row 0
-        named = np.where(self.kind[i] == _INERT, p * p, p) == norm
-        return np.where((self.key[i] == key) & named & (label >= 0), i, -1)
+        i = (np.searchsorted(self.norm, norm) + label) % len(self.norm)  # past the end: row 0
+        kind = self.kind[i]
+        norm_of_p = np.where(kind == _INERT, p * p, p)
+        return np.where((self.norm[i] == norm) & (label == (kind == _SECOND)) & (norm_of_p == norm), i, -1)
 
 
 def _mod_lanes(n: int, p: np.ndarray) -> np.ndarray:
@@ -387,10 +387,8 @@ def _prime_table(K: QuadField, X: int) -> _PrimeTable:
         kind[np.flatnonzero(p[1:] == p[:-1]) + 1] = _SECOND  # the label-1 row of each split p
     norm = p  # p becomes the norm in place
     norm[kind == _INERT] **= 2
-    cols = (norm, kind, 2 * norm + (kind == _SECOND))
-    for c in cols:
-        c.flags.writeable = False
-    return _PrimeTable(*cols)
+    norm.flags.writeable = kind.flags.writeable = False
+    return _PrimeTable(norm, kind)
 
 
 @lru_cache(maxsize=1)
@@ -462,19 +460,18 @@ class IdealFactorization(NamedTuple):
 
 
 class _IdealTable(NamedTuple):
-    """The integral ideals of norm <= X, each by its id: the rank of its key.
+    """The integral ideals of norm <= X, each by its id: the rank of its key in _ideal_table.
 
-    norm and key are each ideal's norm and exact name (see _ideal_table);
-    id 0 is O_K.  fac_id, fac_row and fac_exp list each P^e exactly
-    dividing an ideal, P by its prime-table row, ascending in row within
-    each ideal, and prime_id is the id of each prime row.  The pairs (a, b)
-    with N(a) N(b) <= X are sorted by the id of ab: those of id m begin at
-    start[m], and no id has more than `divisors` of them.  The arrays are
-    read-only.
+    norm is each ideal's norm, which ascends with the id; id 0 is O_K.
+    The key names an ideal only while the table is built.  fac_id, fac_row
+    and fac_exp list each P^e exactly dividing an ideal, P by its
+    prime-table row, ascending in row within each ideal, and prime_id is
+    the id of each prime row.  The pairs (a, b) with N(a) N(b) <= X are
+    sorted by the id of ab: those of id m begin at start[m], and no id has
+    more than `divisors` of them.  The arrays are read-only.
     """
 
     norm: np.ndarray
-    key: np.ndarray
     fac_id: np.ndarray
     fac_row: np.ndarray
     fac_exp: np.ndarray
@@ -496,12 +493,13 @@ def _ideal_table(K: QuadField, X: int) -> _IdealTable:
     with root_label 1, names m: N(m) fixes every exponent but how e_0 + e_1
     is shared at a split p, and s(m) fixes e_1.  It is multiplicative,
     key(ab) = N(a) N(b) X + s(a) s(b), and as 1 <= s <= N <= X <=
-    TABLE_MAX_X, it is below 2^63 and ascends with the norm.
+    TABLE_MAX_X, it is below 2^63 and ascends with the norm.  The key
+    lives only in the build: the table keeps its ranks, the ids.
     """
     if X < 1:
         raise ValueError(f"the cutoff must be >= 1, got {X}")
     P = _prime_table(K, X)
-    s_of = np.where(P.key & 1 == 1, P.norm, 1)  # the s of each prime: N(P) at root_label 1
+    s_of = np.where(P.kind == _SECOND, P.norm, 1)  # the s of each prime: N(P) at root_label 1
     norm, s, last = np.ones(1, np.int64), np.ones(1, np.int64), np.zeros(1, np.int64)
     rows = np.empty((1, 0), np.int64)  # level 0: O_K, with no rows
     levels = []
@@ -533,7 +531,7 @@ def _ideal_table(K: QuadField, X: int) -> _IdealTable:
     order = np.argsort(ab, kind="stable")
     start = np.searchsorted(ab[order], np.arange(len(norm)))
     divisors = int(np.diff(start, append=len(ab)).max())
-    cols = (norm, key, fac_id, fac_row, fac_exp, prime_id, a[order], b[order], start)
+    cols = (norm, fac_id, fac_row, fac_exp, prime_id, a[order], b[order], start)
     for c in cols:
         c.flags.writeable = False
     return _IdealTable(*cols, divisors)

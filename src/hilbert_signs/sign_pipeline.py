@@ -13,8 +13,8 @@ distribution statistics, never in sign decisions.
 The pipeline runs a chunk of _LANES numpy lanes at a time.  The Hasse
 bound is checked once, as a series' integer columns are built, each chunk
 written into preallocated columns.  The survey slices those columns, the
-character and the norms per chunk of good primes, never copying one
-whole, and decides a lane by one expression:
+character and the norms per chunk of _LANES rows, never copying one
+whole, and decides each good lane by one expression:
 the sign of c_num N - chi c_den, and B(P) = (c_num N / c_den) / (2 sqrt(N)).
 A lane runs in int64 when its |c_num| N and c_den are at most 2^53, where
 the difference is exact in int64 and both terms are exact floats; any
@@ -179,24 +179,21 @@ class EigenvalueSeries:
 def _sign_lanes(num: np.ndarray, den: np.ndarray, chi: np.ndarray, norms: np.ndarray):
     """sign(c - chi/N) and B = c sqrt(N) / 2 at every good lane (chi != 0), as int8 and float64.
 
-    The good lanes are taken _LANES at a time, each chunk sliced from the
-    rows that hold it less their bad rows, so no column is copied whole.
-    With t = c_num N, a lane takes sign(t - chi c_den) and (t / c_den) /
-    (2 sqrt(N)) in int64 if |t| and c_den are at most 2^53, and in Python
-    ints otherwise, that lane alone.  Float division of exact floats and
-    Python int true division are both correctly rounded, so B is the same
-    bits on either route.
+    The rows are taken _LANES at a time, sliced so that no column is copied
+    whole, and each chunk's good lanes are written after the previous
+    chunk's.  With t = c_num N, a lane takes sign(t - chi c_den) and (t /
+    c_den) / (2 sqrt(N)) in int64 if |t| and c_den are at most 2^53, and
+    in Python ints otherwise, that lane alone.  Float division of exact
+    floats and Python int true division are both correctly rounded, so B
+    is the same bits on either route.
     """
-    bad = np.flatnonzero(chi == 0)
-    before = bad - np.arange(len(bad))  # the good lanes before each bad row
-    signs = np.empty(len(chi) - len(bad), dtype=np.int8)
+    signs = np.empty(np.count_nonzero(chi), dtype=np.int8)
     coords = np.empty(len(signs), dtype=np.float64)
-    for lo in range(0, len(signs), _LANES):
-        hi = min(lo + _LANES, len(signs))
-        # good lane g sits at row g plus the bad rows before it, so rows r0:r1 hold lanes lo:hi
-        r0, r1 = np.searchsorted(before, [lo, hi], side="right") + [lo, hi]
-        good = chi[r0:r1] != 0
-        N, d, c, x = (col[r0:r1][good] for col in (norms, den, num, chi))
+    lo = 0
+    for r in range(0, len(chi), _LANES):
+        good = chi[r : r + _LANES] != 0
+        N, d, c, x = (col[r : r + _LANES][good] for col in (norms, den, num, chi))
+        hi = lo + len(N)
         (a, fa), (b, fb) = _int64_rows(c), _int64_rows(d)
         top = 2**53 // N  # |c_num| N <= 2^53 iff |c_num| <= top
         exact = fa & fb & (-top <= a) & (a <= top) & (b <= 2**53)
@@ -208,6 +205,7 @@ def _sign_lanes(num: np.ndarray, den: np.ndarray, chi: np.ndarray, norms: np.nda
             t = a * M
             signs[lo + wide] = np.sign(t - x[wide] * b)
             coords[lo + wide] = t / b / (2.0 * np.sqrt(N[wide].astype(np.float64)))
+        lo = hi
     return signs, coords
 
 

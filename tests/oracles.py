@@ -353,7 +353,7 @@ def series_from_entries(K, weight, label, entries, x, level_support=()):
     T = _prime_table(K, x)
     rows = T.lookup(*([P[i] for P in entries] for i in range(3))).tolist()
     assert min(rows, default=0) >= 0, "a key is not a row of the table"
-    num, den = [0] * len(T.key), [0] * len(T.key)
+    num, den = [0] * len(T.norm), [0] * len(T.norm)
     for j, c in zip(rows, map(Fraction, entries.values())):
         num[j], den[j] = c.numerator, c.denominator
     return EigenvalueSeries(K, weight, label, x, num, den, level_support)
@@ -493,7 +493,7 @@ def series_from_obj_by_entry(obj, x):
             raise HilbertSignsError(f"entry {i}: zero denominator")
         cells.append((norm, p, label, num, den))
     row_of = {P: j for j, P in enumerate(zip(*T.names(slice(None))))}
-    nums, dens, seen = [0] * len(T.key), [0] * len(T.key), {}
+    nums, dens, seen = [0] * len(T.norm), [0] * len(T.norm), {}
     for i, (norm, p, label, num, den) in enumerate(cells):
         P = resolve_by_split(K, norm, p, label, f"entry {i}")
         first = seen.setdefault(P, (num, den))

@@ -68,6 +68,13 @@ def test_psi_flips_values(field5):
     assert value_at(flipped, P19a) == value_at(base, P19a)
 
 
+def test_psi_value_off_plus_minus_one_is_a_misuse(field5):
+    # load_psi_table refuses such a document first, so only a call from inside the package gets here
+    P3 = split_rational_prime(field5, 3)[0]
+    with pytest.raises(ValueError, match=r"psi value at P3i must be \+-1, got 2"):
+        IdealCharacter.from_tau(field5, (4, 1), psi_table={P3[:3]: 2})
+
+
 @given(st.integers(min_value=1, max_value=400))
 def test_values_always_in_range(tau):
     Q = make_field(1)

@@ -108,6 +108,25 @@ def test_signs_on_5077a_and_32a_to_1e5(tmp_path):
         assert _last_line(out) == want
 
 
+# series-check at 10^5 on four fields, at d = 17 seed 0, at its --x cap and over Q: (argv, timeout)
+_SERIES_CHECKS = {
+    "d5-1e5": (("--d", "5", "--x", "100000", "--count", "10"), 60),
+    "d17-1e5": (("--d", "17", "--x", "100000", "--count", "3"), 30),
+    "d2-1e5": (("--d", "2", "--x", "100000", "--count", "3"), 30),
+    "d97-1e5": (("--d", "97", "--x", "100000", "--count", "3"), 30),
+    "d17-seed-0": (("--d", "17", "--x", "1000", "--seed", "0"), None),
+    "d5-1e6": (("--d", "5", "--x", "1000000", "--count", "10"), 30),
+    "over-Q": (("--d", "1", "--x", "1000", "--count", "3"), None),
+}
+
+
+@pytest.mark.parametrize("case", list(_SERIES_CHECKS))
+def test_series_check_round_trips(case):
+    argv, timeout = _SERIES_CHECKS[case]
+    out, _ = _console("series-check", *argv, timeout=timeout)
+    assert json.loads(out)["ok"] is True
+
+
 def _with_entry(doc: Path, dest: Path, entry: dict) -> str:
     """dest, written as the eigen-series document doc with one more entry."""
     obj = json.loads(doc.read_text())

@@ -98,7 +98,7 @@ def test_serialize_series_matches_the_json_encoder(data):
 
 def test_serialize_series_with_no_coefficients():
     for d in (1, 5, 13):
-        zeros = [0] * len(_prime_table(make_field(d), 50).key)
+        zeros = [0] * len(_prime_table(make_field(d), 50).norm)
         for label in _LABELS:
             E = EigenvalueSeries(make_field(d), (2,), label, 50, zeros, zeros)
             assert "".join(serialize_series(E)) == encoder_text(E)

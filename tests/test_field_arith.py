@@ -33,6 +33,8 @@ from hilbert_signs.field_arith import (
     TABLE_MAX_X,
     _DEGREE_OF,
     _KINDS,
+    _SECOND,
+    _ideal_table,
     _is_prime,
     _prime_roots,
     _prime_table,
@@ -315,8 +317,18 @@ def test_prime_table_matches_split_rational_prime(d):
         assert [_DEGREE_OF[k] for k in T.kind.tolist()] == [P.residue_degree for P in ref]
         roots = _prime_roots(K, X)
         assert roots.tolist() == [P.root for P in ref]
-        assert T.key.tolist() == [2 * P.norm + P.root_label for P in ref]
+        assert (T.kind == _SECOND).astype(int).tolist() == [P.root_label for P in ref]
         assert all(c.dtype != object and not c.flags.writeable for c in (*T, roots))
+
+
+@pytest.mark.parametrize("d", NARROW_CLASS_NUMBER_ONE)
+def test_prime_table_is_its_norm_and_kind_columns(d):
+    # root_label is kind == _SECOND, so a prime costs 8 bytes of norm and 1 of kind, and no key
+    K, X = make_field(d), 2000
+    T = _prime_table(K, X)
+    assert T._fields == ("norm", "kind")
+    assert sum(c.nbytes for c in T) == 9 * len(T.norm)
+    assert "key" not in _ideal_table(K, X)._fields
 
 
 @pytest.mark.parametrize("d", NARROW_CLASS_NUMBER_ONE)
@@ -357,7 +369,7 @@ def test_prime_table_index_matches_split_rational_prime(d):
     rows = [i for i in rows if all(abs(v) < 2**63 for v in names[i])]
     columns = [np.array(c, dtype=np.int64) for c in zip(*(names[i] for i in rows))]
     assert T.lookup(*columns).tolist() == [want[i] for i in rows]
-    assert sorted(row_of.values()) == list(range(len(T.key)))
+    assert sorted(row_of.values()) == list(range(len(T.norm)))
     # each name past X is also -1 in the table of a smaller X, and an empty table has no rows
     assert (_prime_table(K, 1).lookup(*zip(*names)) == -1).all()
 
@@ -392,7 +404,7 @@ def test_prime_table_refuses_x_past_int64_before_allocating(field5, monkeypatch)
 @pytest.mark.parametrize("X", [10, 100, 4999, 5000])
 def test_count_agrees_with_enumeration(d, X):
     K = make_field(d)
-    assert len(brute_enumerate(K, X)) == len(_prime_table(K, X).key)
+    assert len(brute_enumerate(K, X)) == len(_prime_table(K, X).norm)
 
 
 def test_primes_upto_matches_naive():

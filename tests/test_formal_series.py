@@ -205,16 +205,16 @@ def test_ideal_table_pairs_are_the_truncated_products(d):
     ideals, index = _ideal_objects(K, X)
     ideals = [IdealFactorization(*m) for m in ideals]  # with the product of the oracle
     assert sorted(ideals) == sorted(all_ideals(K, X))  # the same ideals, in key order
-    # an id is the rank of its key, so a key is found by searchsorted with no permutation
-    assert (np.diff(T.key) > 0).all()
+    assert all(index[m] == i for i, m in enumerate(ideals))
+    # the key N(m) X + s(m), s(m) the product of N(P)^e over the P^e || m with root_label 1,
+    # names m; an id is the rank of its key, so a key is found by searchsorted with no permutation
+    s = [math.prod(norm**e for (norm, _, label), e in m.factors if label) for m in ideals]
+    key = np.array([m.norm * X + v for m, v in zip(ideals, s)])
+    assert (np.diff(key) > 0).all()
+    assert len(np.unique(key)) == len(ideals)
     primes = enumerate_prime_ideals(K, X)
     prime_key = [P.norm * X + (P.norm if P.root_label else 1) for P in primes]
-    assert T.prime_id.tolist() == np.searchsorted(T.key, prime_key).tolist()
-    assert all(index[m] == i for i, m in enumerate(ideals))
-    # the key is N(m) X + s(m), s(m) the product of N(P)^e over the P^e || m with root_label 1
-    s = [math.prod(norm**e for (norm, _, label), e in m.factors if label) for m in ideals]
-    assert T.key.tolist() == [m.norm * X + v for m, v in zip(ideals, s)]
-    assert len(np.unique(T.key)) == len(ideals)
+    assert T.prime_id.tolist() == np.searchsorted(key, prime_key).tolist()
     want = {(i, j) for i, m in enumerate(ideals) for j, n in enumerate(ideals)
             if m.norm * n.norm <= X}
     assert set(zip(T.a.tolist(), T.b.tolist())) == want and len(T.a) == len(want)
