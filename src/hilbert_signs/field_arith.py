@@ -260,7 +260,9 @@ class _PrimeTable(NamedTuple):
         The columns are sequences or arrays of any ints, each taken through
         np.asarray and range-checked whole (min and max) before its int64
         cast: in a column that leaves the table's range (0..last norm,
-        labels 0..1) the values outside it become -1, which names no row.
+        labels 0..1) the values outside it become one past the range (last
+        norm + 1, or label 2), which names no row and which every dtype
+        np.asarray picks (int64, uint64, float64 or object) holds exactly.
         The row of a name is the first row of its norm plus its label, and
         there the norm, the label (against kind == _SECOND) and p are
         checked.
@@ -270,12 +272,13 @@ class _PrimeTable(NamedTuple):
         for col, top in ((norm, last), (p, last), (label, 1)):
             col = np.asarray(col)
             if col.size and not (0 <= col.min() and col.max() <= top):
-                col = np.where((0 <= col) & (col <= top), col, -1)
+                col = np.where((0 <= col) & (col <= top), col, top + 1)
             cols.append(col.astype(np.int64))
         norm, p, label = cols
         if not len(self.norm):
             return np.full(len(norm), -1)
-        i = (np.searchsorted(self.norm, norm) + label) % len(self.norm)  # past the end: row 0
+        # a norm past the end, or a label past the rows, wraps to some row, whose checks reject it
+        i = (np.searchsorted(self.norm, norm) + label) % len(self.norm)
         kind = self.kind[i]
         norm_of_p = np.where(kind == _INERT, p * p, p)
         return np.where((self.norm[i] == norm) & (label == (kind == _SECOND)) & (norm_of_p == norm), i, -1)

@@ -588,6 +588,25 @@ def test_a_name_past_int64_is_refused_with_its_entry(capsys, tmp_path, field, va
     assert run(capsys, *argv) == (2, "", f"error: entry 1: {message}\n")
 
 
+# 2^64 - 95 is a prime that splits in Q(sqrt(5)): a name column that holds it and small
+# nonnegative values is one that np.asarray makes uint64
+_SPLIT_PRIME_PAST_INT64 = 2**64 - 95
+
+
+@pytest.mark.parametrize("command", ["signs", "stats"])
+def test_a_level_prime_past_int64_leaves_a_fixture_run_as_it_was(capsys, tmp_path, command):
+    # the bad set {(2), (q)} over Q, each of whose name columns holds q
+    argv = _fixture(tmp_path, level_support=[_SPLIT_PRIME_PAST_INT64])
+    got = run(capsys, command, *argv[1:])
+    assert got == run(capsys, command, *_fixture(tmp_path)[1:]) and got[2] == ""
+
+
+def test_a_psi_prime_past_int64_leaves_char_as_it_was(capsys, tmp_path):
+    argv = _psi(tmp_path, prime_norm=_SPLIT_PRIME_PAST_INT64, rational_prime=_SPLIT_PRIME_PAST_INT64)
+    got = run(capsys, *argv)
+    assert got == run(capsys, *argv[:-2]) and got[0] == 0 and got[2] == ""
+
+
 @pytest.mark.parametrize(
     "case,message",
     [

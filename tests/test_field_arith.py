@@ -374,6 +374,21 @@ def test_prime_table_index_matches_split_rational_prime(d):
     assert (_prime_table(K, 1).lookup(*zip(*names)) == -1).all()
 
 
+def test_prime_table_lookup_takes_every_dtype_np_asarray_picks():
+    # nonnegative ints with one in [2^63, 2^64) make a uint64 column, and with one past int64
+    # among int64 values a float64 one; each out-of-range name is -1 and the others keep their rows
+    T, q = _prime_table(make_field(5), 100), 2**64 - 95
+    five, eleven = T.lookup([5, 11], [5, 11], [0, 1]).tolist()
+    assert five >= 0 and eleven >= 0
+    assert np.asarray([q]).dtype == np.uint64 and np.asarray([5, q]).dtype == np.float64
+    assert T.lookup([2**63], [2**63], [0]).tolist() == [-1]
+    assert T.lookup([q], [q], [0]).tolist() == [-1]
+    assert T.lookup([5], [q], [0]).tolist() == [-1]
+    assert T.lookup([5, q, 11], [5, q, 11], [0, 0, 1]).tolist() == [five, -1, eleven]
+    assert T.lookup([5, 11], [5, 11], [q, 1]).tolist() == [-1, eleven]
+    assert T.lookup([5, 11], [5, 11], np.array([0, q], dtype=np.uint64)).tolist() == [five, -1]
+
+
 @pytest.mark.parametrize("p", [7340033, 23068673, 998244353, 2013265921, 3037000493])
 def test_sqrt_lanes_match_sqrt_mod(p):
     # 7*2^20+1, 11*2^21+1, 119*2^23+1 and 15*2^27+1: long Tonelli-Shanks
