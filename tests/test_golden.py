@@ -94,6 +94,20 @@ GOLDEN = [
         ["char", "--d", "13", "--x", "3000", "--tau", "4", "--tau-b", "1"],
         "b4d855b347e43e03a792d26f70b4809c13a4e9d9107071ae678d3acde7db9657",
     ),
+    # A tau that is not a square past one chunk of rows: 25,983 rows, and row
+    # 8192 is the second prime above its p
+    (
+        ["char", "--d", "5", "--x", "300000", "--tau", "4", "--tau-b", "1"],
+        "f5988cfbab4448c6c956beb9fd5829518081435d08c7731049f599a7dcfdaacd",
+    ),
+    (  # 2 splits
+        ["char", "--d", "17", "--x", "300000", "--tau", "5", "--tau-b", "1"],
+        "7feb439d7a72a123b4c0b93a767a2ebc488ede261a521491ca893c01b9675da5",
+    ),
+    (  # every row stands alone
+        ["char", "--d", "1", "--x", "300000", "--tau", "3"],
+        "f2a06dfed65f5809e76e1057440b78b712aa90b1ab0f56a5348e684e4a6dbe13",
+    ),
     (  # "tau": "3/2+1/2*sqrt(5)"
         ["simulate", "--d", "5", "--x", "2000", "--seed", "1", "--tau", "3/2", "--tau-b", "1/2", "--format", "json"],
         "ba3168ab35c5cb2cfcdeaa7714939f6e64ab17f38383075ce15f9edd3647bb34",
