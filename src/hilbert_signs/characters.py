@@ -25,7 +25,9 @@ of psi and the factors of tau*O_K are prime names (norm, p, root_label),
 so a prime past the prime table needs no root, and values_upto finds the
 rows of the bad set and of psi by one table lookup each.  A run reads the
 character only as those values: values_upto(X), int8 on the rows of the
-prime table of (K, X), is what the survey and the formal series take.
+prime table of (K, X), is what the survey and the formal series take.  At
+a tau that is not a square it makes them in one pass over chunks of rows,
+finding the roots of each chunk's split p as it goes, so no root is kept.
 """
 
 from __future__ import annotations
@@ -37,11 +39,14 @@ import numpy as np
 from .field_arith import (
     QuadField,
     _INERT,
-    _euler_symbol_lanes,
+    _LANES,
+    _SECOND,
     _factor_int,
+    _mod_lanes,
     _names_above,
     _norm,
-    _prime_roots,
+    _omega_roots_lanes,
+    _pow_lanes,
     _prime_table,
     factor_principal_ideal,
     factorable_tau,
@@ -95,23 +100,40 @@ class IdealCharacter:
         For a square tau every value starts at 1: by the square rule of the
         module docstring, which relies on tau being totally positive, tau =
         b^2, and b is a unit mod every odd P not dividing tau, so the
-        residue symbol is 1 at every row off the bad set.  Otherwise every
-        value is an Euler criterion in int64 lanes.  At an inert P = (p),
-        tau^((p^2-1)/2) = N(tau)^((p-1)/2) mod P, so there it is the
-        Legendre symbol of N(tau) mod p.  Either way psi and then the bad
-        set find their rows by one table lookup each.
+        residue symbol is 1 at every row off the bad set.  Otherwise the
+        rows are taken 2 _LANES at a time (about _LANES split p, so each
+        square-root pass is about _LANES wide), and each row takes one
+        Euler criterion in int64 lanes.  At a degree-one P of root r it is
+        the symbol of x + y r mod p, where tau = x + y w.  At an inert P =
+        (p), tau^((p^2-1)/2) = N(tau)^((p-1)/2) mod P, so there it is the
+        Legendre symbol of N(tau) mod p.  The roots of a chunk's odd split
+        p take one _omega_roots_lanes call, and a chunk ends after the
+        second prime above its last p, so both roots of each p fall in one
+        chunk.  Every other row takes root 0: inert rows read none, and p =
+        2 and the ramified p are in the bad set.  Either way psi and then
+        the bad set find their rows by one table lookup each.
         """
         T = _prime_table(self.field, X)
         if self.square:
             values = np.ones(len(T.norm), dtype=np.int8)
         else:
-            # every lane takes the degree-one criterion, where the norm is p;
-            # inert lanes are redone below
-            root = _prime_roots(self.field, X)
-            values = _euler_symbol_lanes(*self.tau_omega, T.norm, root)
-            inert = np.flatnonzero(T.kind == _INERT)
-            p = np.array(T.names(inert)[1], np.int64)
-            values[inert] = _euler_symbol_lanes(_norm(self.field, *self.tau_omega), 0, p, root[inert])
+            (x, y), n = self.tau_omega, _norm(self.field, *self.tau_omega)
+            values = np.empty(len(T.norm), dtype=np.int8)
+            lo = 0
+            while lo < len(T.norm):
+                hi = min(lo + 2 * _LANES, len(T.norm))
+                if hi < len(T.norm) and T.kind[hi] == _SECOND:
+                    hi += 1
+                norm, kind = T.norm[lo:hi], T.kind[lo:hi]
+                inert = kind == _INERT
+                p = np.where(inert, np.sqrt(norm).astype(np.int64), norm)  # exact: norm < 2^53
+                root = np.zeros_like(p)
+                second = np.flatnonzero((kind == _SECOND) & (p != 2))
+                root[second - 1], root[second] = _omega_roots_lanes(self.field, p[second])
+                a = np.where(inert, _mod_lanes(n, p), (_mod_lanes(x, p) + _mod_lanes(y, p) * root) % p)
+                t = _pow_lanes(a, p >> 1, p)
+                values[lo:hi] = np.where(t == p - 1, -1, t)
+                lo = hi
         if self.psi_table:
             psi, v = T.lookup(*zip(*self.psi_table)), np.array(list(self.psi_table.values()), np.int8)
             values[psi[psi >= 0]] *= v[psi >= 0]

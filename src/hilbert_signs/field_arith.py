@@ -1,20 +1,22 @@
 """Exact ideal arithmetic in Q and in real quadratic fields Q(sqrt(d)).
 
 Prime splitting, principal-ideal factorization, enumeration of prime
-ideals by norm, and quadratic residue symbols in the residue fields via
-the Euler criterion.  Everything is integer arithmetic; no floating point
-enters this module, so downstream sign decisions built on it stay exact.
+ideals by norm, and the int64 lane arithmetic mod p (powers, square roots
+and the roots of w) that the residue symbols of the characters take.
+Everything is integer arithmetic; no floating point enters this module,
+so downstream sign decisions built on it stay exact.
 
 A prime ideal is its name (norm, p, root_label) everywhere, and
 ideal_text renders a name or a product of names.  The prime ideals of
-norm <= X are the rows of one table per (K, X), built once with numpy;
-their roots (below) are built apart, only for the character of a tau that
-is not a square.  The int64 columns are exact because X <= TABLE_MAX_X
-keeps every product of two residues mod p below 2^63.  Python ints remain
-where a value is unbounded: tau's coordinates and norm, reduced limb by
-limb.  Likewise the integral ideals of norm <= X are the ids of one ideal
-table per (K, X).  IdealFactorization objects are made from ids only for
-the read-only view of a formal series.
+norm <= X are the rows of one table per (K, X), built once with numpy.
+Their roots (below) are not a column: the character of a tau that is not
+a square finds them chunk by chunk with _omega_roots_lanes.  The int64
+columns are exact because X <= TABLE_MAX_X keeps every product of two
+residues mod p below 2^63.  Python ints remain where a value is
+unbounded: tau's coordinates and norm, reduced limb by limb.  Likewise
+the integral ideals of norm <= X are the ids of one ideal table per
+(K, X).  IdealFactorization objects are made from ids only for the
+read-only view of a formal series.
 
 Conventions.  d = 1 encodes Q itself (degree 1).  For quadratic d the
 ring of integers is Z[w] with
@@ -242,7 +244,7 @@ class _PrimeTable(NamedTuple):
     which is never prime), so the rows of one norm are the primes above
     one p, and root_label is kind == _SECOND: the norm orders the rows, and
     the label orders the two of a split p.  The roots are not a column
-    here: _prime_roots builds them for the one reader that needs them.
+    here: the one reader that needs them finds them per chunk of rows.
     """
 
     norm: np.ndarray
@@ -392,54 +394,6 @@ def _prime_table(K: QuadField, X: int) -> _PrimeTable:
     norm[kind == _INERT] **= 2
     norm.flags.writeable = kind.flags.writeable = False
     return _PrimeTable(norm, kind)
-
-
-@lru_cache(maxsize=1)
-def _prime_roots(K: QuadField, X: int) -> np.ndarray:
-    """The root of each row of the prime table of (K, X), read-only int64; the last one is kept.
-
-    The root of a degree-one prime is the root in [0, p) of the minimal
-    polynomial of w mod p that reduction sends w to.  One vectorized square
-    root of d mod each odd split p gives both roots; p = 2 when it splits
-    and the ramified primes, at most three rows with p <= 97, are found by
-    trying every residue.  Inert rows, and every row over Q, hold 0.  Only
-    the character of a tau that is not a square reads the roots, so no
-    other run builds them.
-    """
-    T = _prime_table(K, X)
-    root = np.zeros(len(T.norm), dtype=np.int64)
-    if not K.is_rational:
-        second = np.flatnonzero((T.kind == _SECOND) & (T.norm != 2))
-        for lo in range(0, len(second), _LANES):
-            i = second[lo : lo + _LANES]
-            root[i - 1], root[i] = _omega_roots_lanes(K, T.norm[i])
-        s, c = K.omega_square()  # w^2 = s*w + c
-        for i in np.flatnonzero((T.kind == _SPLIT) & (T.norm == 2) | (T.kind == _RAMIFIED)).tolist():
-            p = int(T.norm[i])
-            roots = [r for r in range(p) if (r * r - s * r - c) % p == 0]
-            root[i : i + len(roots)] = roots
-    root.flags.writeable = False
-    return root
-
-
-# ======================================================================
-# quadratic residue symbols
-# ======================================================================
-
-
-def _euler_symbol_lanes(x: int, y: int, p: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """The Euler criterion of x + y*w at degree-one primes (p, root), as int8 lanes.
-
-    p may be any modulus up to TABLE_MAX_X, but only a lane with p an odd
-    prime reads a symbol; the others are the caller's to discard.
-    """
-    out = np.empty(len(p), dtype=np.int8)
-    for lo in range(0, len(p), _LANES):
-        pl = p[lo : lo + _LANES]
-        a = (_mod_lanes(x, pl) + _mod_lanes(y, pl) * root[lo : lo + _LANES]) % pl
-        t = _pow_lanes(a, pl >> 1, pl)
-        out[lo : lo + len(pl)] = np.where(t == pl - 1, -1, t)
-    return out
 
 
 # ======================================================================

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracles import enumerate_prime_ideals, factor_principal_ideal, split_rational_prime, value_at
 
+from hilbert_signs import characters
 from hilbert_signs.characters import IdealCharacter
 from hilbert_signs.eigen_io import load_psi_table
 from hilbert_signs.errors import HilbertSignsError
-from hilbert_signs.field_arith import NARROW_CLASS_NUMBER_ONE, make_field
+from hilbert_signs.field_arith import NARROW_CLASS_NUMBER_ONE, _prime_table, make_field
 
 
 @pytest.mark.parametrize("tau", [1, 4, 9])
@@ -187,10 +189,12 @@ def _times(d, u, v):
 
 
 @pytest.mark.parametrize("d", NARROW_CLASS_NUMBER_ONE)
-def test_values_upto_matches_the_euler_oracle_at_square_and_nonsquare_tau(d):
+def test_values_upto_matches_the_euler_oracle_at_square_and_nonsquare_tau(monkeypatch, d):
     # a square tau takes the trivial-character path and runs no residue symbol,
     # the rest take the Euler lanes; the scalar oracle runs the criterion at every
-    # prime either way.  Roots are built a + b sqrt(d), as Fractions.
+    # prime either way.  Roots are built a + b sqrt(d), as Fractions.  Chunks of
+    # 2, 4 and 14 rows, to norm 600, put chunk edges inside split pairs and next
+    # to inert rows and the rows above 2.
     K, X = make_field(d), 3000
     two, six = (Fraction(2), Fraction(0)), (Fraction(6), Fraction(0))
     roots = [(Fraction(1), Fraction(0)), two, six]
@@ -203,12 +207,33 @@ def test_values_upto_matches_the_euler_oracle_at_square_and_nonsquare_tau(d):
                   _times(d, eps, (Fraction(3), Fraction(1)))]
         nonsquares += [nonsquare, _times(d, _times(d, eps, eps), nonsquare), _times(d, six, nonsquare)]
     primes = enumerate_prime_ideals(K, X)
+    edged = enumerate_prime_ideals(K, 600)
     psi = {P[:3]: -1 for P in primes[1::7]}
     for tau, square in [*((_times(d, r, r), True) for r in roots), *((t, False) for t in nonsquares)]:
         for table in (None, psi):
             chi = IdealCharacter.from_tau(K, tau, psi_table=table)
             assert chi.square is square, tau
-            assert chi.values_upto(X).tolist() == [value_at(chi, P) for P in primes], tau
+            want = [value_at(chi, P) for P in primes]
+            assert chi.values_upto(X).tolist() == want, tau
+            for lanes in (1, 2, 7):
+                with monkeypatch.context() as mp:
+                    mp.setattr(characters, "_LANES", lanes)
+                    assert chi.values_upto(600).tolist() == want[: len(edged)], (tau, lanes)
+
+
+def test_values_upto_at_a_nonsquare_tau_keeps_only_its_values():
+    # the roots are found per chunk, so no root column is built or kept
+    K, X = make_field(5), 10**7
+    rows = len(_prime_table(K, X).norm)  # 664,500
+    chi = IdealCharacter.from_tau(K, (4, 1))
+    tracemalloc.start()
+    try:
+        values = chi.values_upto(X)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(values) == rows and not chi.square
+    assert peak < 4 * rows and retained < 1.5 * rows, (peak / rows, retained / rows)
 
 
 @pytest.mark.parametrize("d", NARROW_CLASS_NUMBER_ONE)

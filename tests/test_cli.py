@@ -400,9 +400,9 @@ def test_only_a_nonsquare_tau_builds_roots_or_runs_the_euler_lanes(capsys, monke
     save_fixture(synth_eigen_series(make_field(5), 1000, 2, 1), tmp_path / "fx.json")
     rows = [{**_PSI_ROW, "value": -1}, {**_PSI_ROW, "prime_norm": 1009, "rational_prime": 1009, "root_label": 1}]
     psi = _write_json(tmp_path / "psi.json", rows)
-    for module, name in ((field_arith, "_omega_roots_lanes"), (field_arith, "_prime_roots"),
-                         (characters, "_prime_roots"), (characters, "_euler_symbol_lanes")):
-        monkeypatch.setattr(module, name, refuse)
+    # the roots and the Euler lanes, where values_upto calls them
+    for name in ("_omega_roots_lanes", "_pow_lanes"):
+        monkeypatch.setattr(characters, name, refuse)
     argv = [a.format(cache=tmp_path, psi=psi, fixture=tmp_path / "fx.json") for a in argv]
     if square:
         code, out, err = run(capsys, *argv)

@@ -36,7 +36,7 @@ from hilbert_signs.field_arith import (
     _SECOND,
     _ideal_table,
     _is_prime,
-    _prime_roots,
+    _omega_roots_lanes,
     _prime_table,
     _sqrt_lanes,
     ideal_text,
@@ -315,10 +315,12 @@ def test_prime_table_matches_split_rational_prime(d):
         assert T.norm.tolist() == [P.norm for P in ref]
         assert [_KINDS[k] for k in T.kind.tolist()] == [P.splitting.value for P in ref]
         assert [_DEGREE_OF[k] for k in T.kind.tolist()] == [P.residue_degree for P in ref]
-        roots = _prime_roots(K, X)
-        assert roots.tolist() == [P.root for P in ref]
+        # the roots of each odd split p, the two rows above it in label order
+        second = np.flatnonzero((T.kind == _SECOND) & (T.norm != 2))
+        roots = _omega_roots_lanes(K, T.norm[second])
+        assert [r.tolist() for r in roots] == [[ref[i - 1].root for i in second], [ref[i].root for i in second]]
         assert (T.kind == _SECOND).astype(int).tolist() == [P.root_label for P in ref]
-        assert all(c.dtype != object and not c.flags.writeable for c in (*T, roots))
+        assert all(c.dtype != object and not c.flags.writeable for c in T)
 
 
 @pytest.mark.parametrize("d", NARROW_CLASS_NUMBER_ONE)

@@ -26,9 +26,10 @@ from oracles import (
     value_at,
 )
 
+from hilbert_signs import characters
 from hilbert_signs.characters import IdealCharacter
 from hilbert_signs.sato_tate import synth_eigen_series
-from hilbert_signs.field_arith import _ideal_objects, _ideal_table, _prime_roots, _prime_table, make_field
+from hilbert_signs.field_arith import _ideal_objects, _ideal_table, _prime_table, make_field
 from hilbert_signs.formal_series import (
     FormalSeries,
     c_series_from_lambda,
@@ -336,14 +337,15 @@ def test_coeffs_is_a_read_only_view(field5):
     assert A.coeffs.get(IdealFactorization(1, (), field5), 0) == 1
 
 
-def test_the_entries_and_coeffs_views_build_no_roots(field5):
+def test_the_entries_and_coeffs_views_build_no_roots(field5, monkeypatch):
     # both views name each prime by its row of the prime table, which needs no root
-    _prime_roots.cache_clear()
+    calls = []
+    monkeypatch.setattr(characters, "_omega_roots_lanes", lambda *args: calls.append(args))
     _ideal_objects.cache_clear()
     assert len(synth_eigen_series(field5, 10**6, 2, 3).entries) == 78_510
     n = len(_ideal_table(field5, 1000).norm)
     assert len(FormalSeries(field5, 1000, 1, np.ones(n, np.int64)).coeffs) == n
-    assert _prime_roots.cache_info().misses == 0
+    assert calls == []
 
 
 # ----------------------------------------------------------------------
