@@ -207,7 +207,7 @@ def test_values_upto_matches_the_euler_oracle_at_square_and_nonsquare_tau(monkey
                   _times(d, eps, (Fraction(3), Fraction(1)))]
         nonsquares += [nonsquare, _times(d, _times(d, eps, eps), nonsquare), _times(d, six, nonsquare)]
     primes = enumerate_prime_ideals(K, X)
-    edged = enumerate_prime_ideals(K, 600)
+    edged = sum(P[0] <= 600 for P in primes)  # the rows to norm 600
     psi = {P[:3]: -1 for P in primes[1::7]}
     for tau, square in [*((_times(d, r, r), True) for r in roots), *((t, False) for t in nonsquares)]:
         for table in (None, psi):
@@ -218,7 +218,7 @@ def test_values_upto_matches_the_euler_oracle_at_square_and_nonsquare_tau(monkey
             for lanes in (1, 2, 7):
                 with monkeypatch.context() as mp:
                     mp.setattr(characters, "_LANES", lanes)
-                    assert chi.values_upto(600).tolist() == want[: len(edged)], (tau, lanes)
+                    assert chi.values_upto(600).tolist() == want[:edged], (tau, lanes)
 
 
 def test_values_upto_at_a_nonsquare_tau_keeps_only_its_values():
