@@ -35,7 +35,7 @@ from .formal_series import (
     extract_prime_relation,
     series_mul,
 )
-from .sign_pipeline import SignSurvey, SignTally, _even_weights
+from .sign_pipeline import SignSurvey, _even_weights
 
 # ----------------------------------------------------------------------
 # output formats
@@ -89,7 +89,7 @@ def density_string(num: int, den: int) -> str:
     return f"{whole}.{frac:012d}"
 
 
-def _tally_obj(t: SignTally) -> dict:
+def _tally_obj(t: SignSurvey) -> dict:
     return {
         "x": t.x,
         "tau": t.tau,
@@ -179,7 +179,7 @@ def cmd_char(args) -> int:
 def cmd_signs(args) -> int:
     tau = _tau_element(args)
     series, psi = _load_series(args, tau)
-    t = SignSurvey(series, tau, psi=psi).tally()
+    t = SignSurvey(series, tau, psi=psi)
     row = (t.x, t.total, t.pos, t.neg, t.zero, density_string(t.pos, t.total))
     _emit_table(args, TALLY_CSV_HEADER, [row], _tally_obj(t))
     return 0
@@ -216,9 +216,8 @@ def cmd_simulate(args) -> int:
     tau = _tau_element(args)
     factorable_tau(K, tau)  # refused before the series is drawn
     series = sato_tate.synth_eigen_series(K, args.x, args.k0, args.seed)
-    survey = SignSurvey(series, tau)
-    t = survey.tally()
-    report = sato_tate.ks_statistic(survey.coords, coefficient=coefficient)
+    t = SignSurvey(series, tau)
+    report = sato_tate.ks_statistic(t.coords, coefficient=coefficient)
     ks = {
         "ks_n": report.n,
         "ks_statistic": f"{report.statistic:.12f}",

@@ -227,15 +227,6 @@ TABLE_MAX_X = math.isqrt(2**63 - 1)  # 3,037,000,499
 _LANES = 1 << 13
 
 
-def _absmax(values: np.ndarray) -> int:
-    return int(np.abs(values).max(initial=0))
-
-
-def _lanes(bound: int):
-    """The dtype for values of size <= bound: int64 if bound fits int64, else Python ints."""
-    return np.int64 if bound <= 2**63 - 1 else object
-
-
 class _PrimeTable(NamedTuple):
     """The prime ideals of norm <= X in canonical order, one row each, as read-only columns.
 

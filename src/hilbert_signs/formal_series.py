@@ -29,7 +29,18 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .field_arith import IdealFactorization, QuadField, _absmax, _ideal_objects, _ideal_table, _lanes
+from .field_arith import IdealFactorization, QuadField, _ideal_objects, _ideal_table
+
+
+def _absmax(values: np.ndarray) -> int:
+    return int(np.abs(values).max(initial=0))
+
+
+def _lanes(bound: int):
+    """The dtype for values of size <= bound: int64 if bound fits int64, else Python ints.
+
+    The one rule by which a series picks its lanes, for a whole column, from a bound."""
+    return np.int64 if bound <= 2**63 - 1 else object
 
 
 class FormalSeries:

@@ -16,19 +16,20 @@ written into preallocated columns.  The survey slices those columns, the
 character and the norms per chunk of _LANES rows, never copying one
 whole, and decides each good lane by one expression:
 the sign of c_num N - chi c_den, and B(P) = (c_num N / c_den) / (2 sqrt(N)).
-A lane runs in int64 when its |c_num| N and c_den are at most 2^53, where
-the difference is exact in int64 and both terms are exact floats; any
-other lane runs in Python ints, on its own, while the rest of its chunk
-stays in int64.  The gate likewise takes to Python ints only the rows
-past int64 and the few its float filter cannot decide.  Signs are exact
-either way, and each coordinate is correctly rounded, the same bits on
-both routes.
+One test, _int64_rows, keeps a row in int64 lanes: its values must be
+within +-(2^63 - 1), compared as integers.  Every other row runs in
+Python ints, on its own, while the rest of its chunk stays in int64.  The
+gate also takes to Python ints the few rows its float filter cannot
+decide, and the survey a lane whose |c_num| N or c_den passes 2^53, so
+that in int64 the difference is exact and both terms are exact floats.
+Signs are exact either way, and each coordinate is correctly rounded,
+the same bits on both routes.
 
 Counting conventions.  The denominator of every density cli reports is the
 number of ALL prime ideals of norm <= x; the numerator sets (positive,
 negative, zero) run over good primes only, i.e. primes off the
-character's bad set.  The tally therefore also reports the bad count, and
-pos + neg + zero + bad = total.
+character's bad set.  The survey therefore also counts the bad primes,
+and pos + neg + zero + bad = total.
 
 The tail inequality pi_{>0}(x) + pi(1/(4 eps^2)) >= #{good P : N(P) <= x,
 B(P) > eps} holds by construction: a good P with B(P) > eps either has
@@ -39,7 +40,6 @@ coefficients, and it lives with the tests (tests/oracles.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -47,36 +47,25 @@ import numpy as np
 
 from .characters import IdealCharacter
 from .errors import HilbertSignsError
-from .field_arith import QuadField, _LANES, _absmax, _lanes, _prime_table, _row_text, ideal_text
+from .field_arith import QuadField, _LANES, _prime_table, _row_text, ideal_text
 
 # ======================================================================
 # eigenvalue containers
 # ======================================================================
 
 
-def _floats(c: np.ndarray) -> np.ndarray:
-    try:
-        return c.astype(np.float64)
-    except OverflowError:  # an integer past the float range; only its size is read
-        return np.clip(c, -(2**64), 2**64).astype(np.float64)
-
-
 def _int64_rows(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """c in int64 lanes, 0 at the rows whose value is not within +-(2^63 - 1), and the mask of the other rows.
 
-    An int64 c is read as it is.  An object c is read through its floats:
-    a row fits when its float is below 2^63 in size (so a value within
-    2^10 of the limit is counted out), a float below 2^53 in size is its
-    value exactly, and only the rows between are cast from Python ints.
+    An int64 c is read as it is.  An object c is compared with +-2^63 as
+    Python ints, so the mask is exact, and the rows it holds are cast.
+    This is the one test by which the gate and the survey keep a row in
+    int64 lanes or send it to _python_ints.
     """
     if c.dtype == np.int64:
         return c, c != -(2**63)
-    f = _floats(c)
-    size = np.abs(f)
-    lanes = np.where(size < 2.0**53, f, 0).astype(np.int64)
-    mid = np.flatnonzero((size >= 2.0**53) & (size < 2.0**63))
-    lanes[mid] = c[mid]
-    return lanes, size < 2.0**63
+    fits = (c < 2**63) & (c > -(2**63))
+    return np.where(fits, c, 0).astype(np.int64), fits
 
 
 def _python_ints(*cols: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -85,19 +74,20 @@ def _python_ints(*cols: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _hasse_columns(label: str, name, norm, num, den) -> tuple[np.ndarray, np.ndarray]:
-    """num/den at each prime (of norm N), both negated where den < 0, or 0/0 where den is 0.
+    """num/den at each prime (of norm N), both negated where den < 0, or 0/0 where both are 0.
 
     The gate does not reduce: a row keeps its rational with den > 0.  A
     chunk of _LANES rows at a time, each row is checked against num^2 N <=
     4 den^2, so the first row over the bound is the one named, by the text
-    name(i).  A row whose num and den fit int64 is signed in int64 lanes
-    and checked in floats, whose num^2 N and 4 den^2 are within a factor
-    1 +- 2^-50 of the exact ones; Python ints decide the rows the floats
-    put within 2^-40 of the bound, and sign and check the rows past int64,
-    those rows alone.
+    name(i); a row num/0 with num != 0 is over every bound, and is refused
+    as a ValueError.  A row that _int64_rows keeps in int64 lanes is signed
+    there and checked in floats, whose num^2 N and 4 den^2 are within a
+    factor 1 +- 2^-50 of the exact ones; Python ints decide the rows the
+    floats put within 2^-40 of the bound, and sign and check the rows past
+    int64, those rows alone.
     Each chunk is written into its rows of two preallocated int64 columns,
     and the rows past int64 after the last chunk.  The columns come back
-    read-only: int64 where _lanes allows, else Python ints.
+    read-only: int64 where _int64_rows fits every value, else Python ints.
     """
     norm, num, den = (c if isinstance(c, np.ndarray) else np.array(c, dtype=object) for c in (norm, num, den))
     cols = [np.empty(len(norm), dtype=np.int64) for _ in range(2)]
@@ -105,17 +95,19 @@ def _hasse_columns(label: str, name, norm, num, den) -> tuple[np.ndarray, np.nda
     for lo in range(0, len(norm), _LANES):
         N, a, b = (c[lo : lo + _LANES] for c in (norm, num, den))
         (x, fa), (y, fb) = _int64_rows(a), _int64_rows(b)
-        s = np.sign(y)
+        s = np.where(y < 0, -1, 1)  # not sign(y): num/0 keeps its num, and fails the check
         x, y = x * s, y * s  # exact: |x| and |y| <= 2^63 - 1 where they fit
         past = ~(fa & fb)
         xf, yf = x.astype(np.float64), y.astype(np.float64)
-        check = np.flatnonzero(past | (xf * xf * _floats(N) > 4.0 * yf * yf * (1 - 2.0**-40)))
+        check = np.flatnonzero(past | (xf * xf * N.astype(np.float64) > 4.0 * yf * yf * (1 - 2.0**-40)))
         A, B, M = _python_ints(a[check], b[check], N[check])
-        s = np.sign(B)
+        s = np.where(B < 0, -1, 1)
         A, B = A * s, B * s
         if (over := check[A * A * M > 4 * B * B]).size:
             i = over.min()
             j = np.searchsorted(check, i)
+            if not B[j]:
+                raise ValueError(f"{label}: c({name(lo + i)}) = {A[j]}/0 has a zero denominator")
             c = Fraction(int(A[j]), int(B[j]))
             raise HilbertSignsError(f"{label}: |c({name(lo + i)})| = |{c}| exceeds 2/sqrt({N[i]})")
         cols[0][lo : lo + len(N)], cols[1][lo : lo + len(N)] = x, y
@@ -124,7 +116,8 @@ def _hasse_columns(label: str, name, norm, num, den) -> tuple[np.ndarray, np.nda
     if wide:
         rows, *values = (np.concatenate(c) for c in zip(*wide))
         for k, v in enumerate(values):
-            cols[k] = cols[k].astype(_lanes(_absmax(v)), copy=False)
+            if not _int64_rows(v)[1].all():
+                cols[k] = cols[k].astype(object)
             cols[k][rows] = v
     for c in cols:
         c.flags.writeable = False
@@ -144,11 +137,12 @@ class EigenvalueSeries:
 
     num and den are read-only integer columns aligned to the prime table of
     (field, x): c(P) = num / den at the row of P, with den > 0, and num ==
-    den == 0 where P has no coefficient.  A column is int64 if every value
-    in it fits, else Python ints.  The constructor, the one Hasse gate,
-    keeps each pair as given, not reduced, with both negated where den < 0;
-    it enforces |c(P)| <= 2 N(P)^{-1/2} (checked exactly as num^2 N <= 4
-    den^2) and even weights >= 2.
+    den == 0 where P has no coefficient.  A column is int64 if _int64_rows
+    fits every value in it, else Python ints.  The constructor, the one
+    Hasse gate, keeps each pair as given, not reduced, with both negated
+    where den < 0; it enforces |c(P)| <= 2 N(P)^{-1/2} (checked exactly as
+    num^2 N <= 4 den^2) and even weights >= 2, and refuses a num/0 with
+    num != 0 as a ValueError that names its row.
     """
 
     def __init__(self, field: QuadField, weight, label: str, x: int, num, den, level_support=()):
@@ -210,26 +204,8 @@ def _sign_lanes(num: np.ndarray, den: np.ndarray, chi: np.ndarray, norms: np.nda
 
 
 # ======================================================================
-# surveys and tallies
+# surveys
 # ======================================================================
-
-
-@dataclass(frozen=True)
-class SignTally:
-    """Sign counts at cutoff x over good primes; total counts all primes.
-
-    tau is tau's text, and a_ideal the text of the ideal a with tau*O_K =
-    a^2 r, r squarefree.
-    """
-
-    x: int
-    tau: str
-    a_ideal: str
-    pos: int
-    neg: int
-    zero: int
-    bad: int
-    total: int
 
 
 class SignSurvey:
@@ -237,12 +213,16 @@ class SignSurvey:
 
     Signs are decided exactly at construction time; the survey keeps the
     character, and the signs and coordinates of the good primes in row
-    order, not the coefficients.
+    order, not the coefficients.  It is also the tally: pos, neg and zero
+    count the good primes by sign, bad the primes of the character's bad
+    set, and total all primes of norm <= x.  tau is tau's text, and a_ideal
+    the text of the ideal a with tau*O_K = a^2 r, r squarefree.
     """
 
     def __init__(self, E: EigenvalueSeries, tau, psi=None):
         self.x = E.x
         self.chi = IdealCharacter.from_tau(E.field, tau, psi_table=psi, level_support=E.level_support)
+        self.tau = self.chi.tau
         self.a_ideal = ideal_text(E.field, [(P, e // 2) for P, e in self.chi.tau_ideal if e > 1])
         chi = self.chi.values_upto(self.x)
         empty = np.flatnonzero(E.den == 0)
@@ -250,19 +230,7 @@ class SignSurvey:
             raise HilbertSignsError(f"{E.label}: no coefficient at good prime {_row_text(E.field, self.x, gaps[0])}")
         self.total = len(chi)
         self.signs, self.coords = _sign_lanes(E.num, E.den, chi, _prime_table(E.field, self.x).norm)
-
-    def tally(self) -> SignTally:
-        s = self.signs
-        pos = int(np.count_nonzero(s > 0))
-        neg = int(np.count_nonzero(s < 0))
-        zero = len(s) - pos - neg
-        return SignTally(
-            x=self.x,
-            tau=self.chi.tau,
-            a_ideal=self.a_ideal,
-            pos=pos,
-            neg=neg,
-            zero=zero,
-            bad=self.total - len(s),
-            total=self.total,
-        )
+        self.pos = int(np.count_nonzero(self.signs > 0))
+        self.neg = int(np.count_nonzero(self.signs < 0))
+        self.zero = len(self.signs) - self.pos - self.neg
+        self.bad = self.total - len(self.signs)

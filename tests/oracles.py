@@ -363,12 +363,14 @@ def hasse_columns_by_row(label, name, norm, num, den):
     """The Hasse gate one row at a time in Fractions: the reference for _hasse_columns.
 
     Returns the rows as two lists, each row unreduced with num and den both
-    negated where den < 0, and 0/0 where den is 0, or raises the gate's
-    error at the first row over the bound.
+    negated where den < 0, and 0/0 where both are 0, or raises the gate's
+    error at the first row over the bound or with num/0, num != 0.
     """
     nums, dens = [], []
     for i, (N, a, b) in enumerate(zip(norm, num, den)):
         a, b = int(a), int(b)
+        if a and not b:
+            raise ValueError(f"{label}: c({name(i)}) = {a}/0 has a zero denominator")
         c = Fraction(a, b) if b else Fraction(0)
         if c * c * int(N) > 4:
             raise HilbertSignsError(f"{label}: |c({name(i)})| = |{c}| exceeds 2/sqrt({N})")

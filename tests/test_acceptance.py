@@ -127,7 +127,7 @@ def test_03_synthetic_equidistribution(capsys, tmp_path):
 def test_04_curve_37a_equidistribution(capsys, curve37_series_1e5):
     start = time.perf_counter()
     survey = SignSurvey(curve37_series_1e5, 1)
-    t = survey.tally()
+    t = survey
     report = ks_statistic(survey.coords)
     elapsed = time.perf_counter() - start
     density = t.pos / t.total
@@ -148,7 +148,7 @@ def test_05_twisted_signs(capsys, curve37_series_1e5):
     start = time.perf_counter()
     densities = {}
     for tau in (2, 5):
-        t = SignSurvey(curve37_series_1e5, tau).tally()
+        t = SignSurvey(curve37_series_1e5, tau)
         densities[tau] = t.pos / t.total
     elapsed = time.perf_counter() - start
     ok = all(0.45 <= d <= 0.55 for d in densities.values()) and elapsed < 30.0

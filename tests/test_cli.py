@@ -102,7 +102,7 @@ def test_signs_curve_csv(capsys):
     assert code == 0
     header, row = out.strip().split("\n")
     assert header == TALLY_CSV_HEADER
-    t = SignSurvey(series_from_curve(get_curve("37a"), 2000), 1).tally()
+    t = SignSurvey(series_from_curve(get_curve("37a"), 2000), 1)
     x, total, pos, neg, zero, dens = row.split(",")
     assert (int(x), int(total), int(pos), int(neg), int(zero)) == (
         2000,
@@ -120,7 +120,7 @@ def test_signs_json_counts(capsys):
     )
     assert code == 0
     obj = json.loads(out)
-    t = SignSurvey(series_from_curve(get_curve("37a"), 1000), 2).tally()
+    t = SignSurvey(series_from_curve(get_curve("37a"), 1000), 2)
     assert obj["counts"] == {
         "pos": t.pos, "neg": t.neg, "zero": t.zero, "bad": t.bad, "total": t.total,
     }

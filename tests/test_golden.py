@@ -7,9 +7,11 @@ updates the digest here and says why.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from oracles import save_fixture
 
+from hilbert_signs import formal_series, sign_pipeline
 from hilbert_signs.cli import main
 from hilbert_signs.curves import get_curve, series_from_curve
 from hilbert_signs.eigen_io import serialize_series
@@ -204,3 +206,31 @@ CURVE_SERIES_GOLDEN = {
 def test_curve_series_bytes_are_pinned(label):
     doc = "".join(serialize_series(series_from_curve(get_curve(label), 20000)))
     assert hashlib.sha256(doc.encode()).hexdigest() == CURVE_SERIES_GOLDEN[label]
+
+
+# ----------------------------------------------------------------------
+# the exact shadow: every row in Python ints, the same bytes
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def python_ints_only(monkeypatch):
+    """Make the package's two int64 decisions say no: _int64_rows fits no row, and _lanes gives object."""
+    monkeypatch.setattr(sign_pipeline, "_int64_rows", lambda c: (np.zeros(len(c), np.int64), np.zeros(len(c), bool)))
+    monkeypatch.setattr(formal_series, "_lanes", lambda bound: object)
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_stdout_is_the_same_in_python_ints(python_ints_only, capsys, argv, digest):
+    test_stdout_is_byte_identical(capsys, argv, digest)
+
+
+@pytest.mark.parametrize("argv,digest", TWISTED_GOLDEN, ids=[" ".join(a) for a, _ in TWISTED_GOLDEN])
+def test_psi_twisted_fixture_stdout_is_the_same_in_python_ints(python_ints_only, capsys, tmp_path, argv, digest):
+    test_psi_twisted_fixture_stdout_is_byte_identical(capsys, tmp_path, argv, digest)
+
+
+@pytest.mark.parametrize("label", sorted(CURVE_SERIES_GOLDEN))
+def test_curve_series_bytes_are_the_same_in_python_ints(python_ints_only, label):
+    assert series_from_curve(get_curve(label), 20000).num.dtype == object
+    test_curve_series_bytes_are_pinned(label)

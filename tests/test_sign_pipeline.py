@@ -177,14 +177,14 @@ def test_k0_is_max_component():
 def test_forced_positive_tally():
     # c = 2/N makes lambda = (2 - chi)/N > 0 at every good prime
     E = series_over_Q(300, lambda P: Fraction(2, P.norm))
-    t = SignSurvey(E, 1).tally()
+    t = SignSurvey(E, 1)
     assert t.pos == t.total - t.bad and t.neg == 0 and t.zero == 0
     assert t.bad == 1  # only the prime above 2
 
 
 def test_forced_zero_tally():
     E = series_over_Q(300, lambda P: Fraction(1, P.norm))
-    t = SignSurvey(E, 1).tally()  # chi = +1 off the bad set, so c = chi/N
+    t = SignSurvey(E, 1)  # chi = +1 off the bad set, so c = chi/N
     assert t.zero == t.total - t.bad and t.pos == 0 and t.neg == 0
 
 
@@ -192,7 +192,7 @@ def test_tally_partition_and_monotonicity():
     # the seeded series at x is the prefix of the one at 2000
     prev = None
     for x in (50, 100, 400, 900, 1600, 2000):
-        t = SignSurvey(seeded_series_over_Q(x, 7), 5).tally()
+        t = SignSurvey(seeded_series_over_Q(x, 7), 5)
         assert t.pos + t.neg + t.zero + t.bad == t.total
         if prev is not None:
             assert t.pos >= prev.pos and t.neg >= prev.neg
@@ -207,11 +207,11 @@ def test_survey_matches_fresh_tally():
     s = whole.signs[: len(part.signs)]
     assert np.array_equal(part.signs, s)
     assert part.coords.tobytes() == whole.coords[: len(part.coords)].tobytes()
-    t = part.tally()
+    t = part
     assert (t.pos, t.neg, t.zero, t.bad, t.total) == (sum(s > 0), sum(s < 0), sum(s == 0), 2, 78)  # (2), (5); pi(400)
     # a series whose primes are all bad needs no coefficient
     empty = EigenvalueSeries(Q, (2,), "empty", 2, [0], [0])
-    t = SignSurvey(empty, 1).tally()
+    t = SignSurvey(empty, 1)
     assert (t.total, t.bad, t.pos + t.neg + t.zero) == (1, 1, 0)
 
 
@@ -220,10 +220,10 @@ def test_missing_prime():
     del entries[split_rational_prime(Q, 97)[0]]
     E = series_from_entries(Q, (2,), "gappy", entries, 100)
     with pytest.raises(HilbertSignsError, match=r"gappy: no coefficient at good prime \(97\)$"):
-        SignSurvey(E, 1).tally()
+        SignSurvey(E, 1)
     # but a series to a tighter cutoff never touches the gap
     below = series_from_entries(Q, (2,), "gappy", {P: c for P, c in entries.items() if P.norm <= 90}, 90)
-    assert SignSurvey(below, 1).tally().total == 24
+    assert SignSurvey(below, 1).total == 24
 
 
 def test_first_fault_in_canonical_order_is_raised():
@@ -407,6 +407,49 @@ def test_gate_takes_integers_past_the_float_range():
         sign_pipeline._hasse_columns("g", lambda i: Row(i, norm[i]), norm, num, den)
 
 
+INT64_EDGES = (2**63 - 1, -(2**63 - 1), -(2**63), 2**63, 2**64 + 13, 10**400, -(10**400))
+
+
+@pytest.mark.parametrize("dtype", [object, np.int64])
+def test_int64_rows_fit_exactly_the_values_within_2_63(dtype):
+    values = [v for v in (0, -7, *INT64_EDGES) if dtype is object or -(2**63) <= v < 2**63]
+    lanes, fits = sign_pipeline._int64_rows(np.array(values, dtype=dtype))
+    assert fits.dtype == bool and fits.tolist() == [abs(v) < 2**63 for v in values]
+    assert lanes.dtype == np.int64 and lanes[fits].tolist() == [v for v in values if abs(v) < 2**63]
+
+
+def gate_refusal(gate, norm, num, den):
+    try:
+        gate("g", lambda i: Row(i, int(norm[i])), norm, num, den)
+    except (HilbertSignsError, ValueError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("top", [5, -5, 10**30])
+@pytest.mark.parametrize("over", [None, 1, 5])
+def test_a_coefficient_over_zero_is_refused_at_its_row(top, over):
+    # row 3 is top/0, and row `over` is 3/1, over the bound: before it in its
+    # chunk of 4 rows, or after it in the next chunk; the first is named
+    norm = [2, 3, 5, 7, 11, 13, 17, 19]
+    num, den = [0] * 8, [1] * 8
+    num[3], den[3] = top, 0
+    if over is not None:
+        num[over] = 3
+    if over == 1:
+        want = (HilbertSignsError, "g: |c(row 1)| = |3| exceeds 2/sqrt(3)")
+    else:
+        want = (ValueError, f"g: c(row 3) = {top}/0 has a zero denominator")
+    assert gate_refusal(hasse_columns_by_row, norm, num, den) == want
+    columns = [np.array(num, dtype=object)] + [np.array(num)] * (abs(top) < 2**63)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sign_pipeline, "_LANES", 4)
+        for column in columns:
+            assert gate_refusal(sign_pipeline._hasse_columns, np.array(norm), column, np.array(den)) == want
+    num[1] = 0  # row 1 within the bound: the constructor names row 3, the prime (7)
+    with pytest.raises(ValueError, match=rf"^x: c\(\(7\)\) = {top}/0 has a zero denominator$"):
+        EigenvalueSeries(Q, (2,), "x", 20, num, den)
+
+
 # |c_num| N at 2^53 - 1, 2^53, 2^53 + 1 and 2^63 - 1, 2^63, 2^63 + 1, as (c_num, N)
 SURVEY_EDGES = (
     ((2**53 - 1) // 6361, 6361), (2**51, 4), ((2**53 + 1) // 3, 3),
@@ -568,7 +611,7 @@ def test_sign_flip_witnesses():
 
 def test_tally_bad_set_excluded_from_numerators():
     E = seeded_series_over_Q(500, 3)
-    t = SignSurvey(E, 5).tally()
+    t = SignSurvey(E, 5)
     assert t.bad == 2  # (2) and (5)
     assert t.total == 95  # pi(500)
     assert t.pos + t.neg + t.zero == 93
