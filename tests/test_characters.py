@@ -206,6 +206,8 @@ def test_values_upto_matches_the_euler_oracle_at_square_and_nonsquare_tau(monkey
         roots += [eps, _times(d, two, eps), (Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)),
                   _times(d, eps, (Fraction(3), Fraction(1)))]
         nonsquares += [nonsquare, _times(d, _times(d, eps, eps), nonsquare), _times(d, six, nonsquare)]
+    if d == 5:  # N = 11 or 44: the split p = 11 divides N(tau), and one prime above it does not
+        nonsquares += [(Fraction(4), Fraction(-1)), (Fraction(7), Fraction(1)), (Fraction(7), Fraction(-1))]
     primes = enumerate_prime_ideals(K, X)
     edged = sum(P[0] <= 600 for P in primes)  # the rows to norm 600
     psi = {P[:3]: -1 for P in primes[1::7]}

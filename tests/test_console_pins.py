@@ -70,6 +70,13 @@ def test_simulate_at_1e7_inside_a_minute():
     assert _last_line(out) == want
 
 
+def test_simulate_at_1e7_at_a_nonsquare_tau_inside_a_minute():
+    # tau = 4 + sqrt(5): every row of the table takes a residue symbol
+    out, _ = _console("simulate", "--d", "5", "--x", "10000000", "--seed", "3", "--tau", "4", "--tau-b", "1", timeout=60)
+    want = "10000000,664500,332138,332359,0,3,0.499831452220,0.000000000000,664497,0.000647819122,0.001999590626,1"
+    assert _last_line(out) == want
+
+
 def test_simulate_at_1e8_inside_a_minute_under_480_mb():
     out, rss = _console("simulate", "--d", "5", "--x", "100000000", "--seed", "3", timeout=60)
     want = "100000000,5761588,2879059,2882527,0,2,0.499698867743,0.000000000000,5761586,0.000481222756,0.000679073183,1"
