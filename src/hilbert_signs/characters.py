@@ -27,7 +27,7 @@ rows of the bad set and of psi by one table lookup each.  A run reads the
 character only as those values: values_upto(X), int8 on the rows of the
 prime table of (K, X), is what the survey and the formal series take.  At
 a tau that is not a square it makes them in one pass over chunks of rows,
-finding the roots of each chunk's split p as it goes, so no root is kept.
+with one Euler criterion in O_K/pO_K per rational p and no square root.
 """
 
 from __future__ import annotations
@@ -44,9 +44,8 @@ from .field_arith import (
     _factor_int,
     _mod_lanes,
     _names_above,
-    _norm,
-    _omega_roots_lanes,
     _pow_lanes,
+    _pow_quad_lanes,
     _prime_table,
     factor_principal_ideal,
     factorable_tau,
@@ -101,38 +100,54 @@ class IdealCharacter:
         module docstring, which relies on tau being totally positive, tau =
         b^2, and b is a unit mod every odd P not dividing tau, so the
         residue symbol is 1 at every row off the bad set.  Otherwise the
-        rows are taken 2 _LANES at a time (about _LANES split p, so each
-        square-root pass is about _LANES wide), and each row takes one
-        Euler criterion in int64 lanes.  At a degree-one P of root r it is
-        the symbol of x + y r mod p, where tau = x + y w.  At an inert P =
-        (p), tau^((p^2-1)/2) = N(tau)^((p-1)/2) mod P, so there it is the
-        Legendre symbol of N(tau) mod p.  The roots of a chunk's odd split
-        p take one _omega_roots_lanes call, and a chunk ends after the
-        second prime above its last p, so both roots of each p fall in one
-        chunk.  Every other row takes root 0: inert rows read none, and p =
-        2 and the ramified p are in the bad set.  Either way psi and then
-        the bad set find their rows by one table lookup each.
+        rows are taken 2 _LANES at a time, and each rational p takes one
+        lane at its first row: with tau = x + y w and w^2 = s w + c,
+
+            u + v T = (x + y T)^((N-1)/2)  in  O_K/pO_K = F_p[T]/(T^2 - s T - c),
+
+        N the norm of that row.  Where v = 0, every prime above p takes u,
+        read as 1, -1 or 0.  That is every inert p, where the power is
+        N(tau)^((p-1)/2), and every p over Q.  Where v != 0 at a split p, T
+        goes to the root r1 or r2 at its two primes, and u + v ri is the
+        symbol at each, which differ as r1 != r2: their sum sigma = 2u + s v
+        is read in -1..1, and eps = +1 if sigma >= 0, else -1, is taken at
+        the root r = (eps - u)/v mod p.  The prime of that root, label 1
+        iff r > (s - r) mod p as in field_arith, takes eps and the other
+        sigma - eps; sigma = +-1 is a p dividing N(tau), one prime above
+        it in the bad set.  A chunk ends after the second prime above its
+        last p, so both rows of each p fall in one chunk.  p = 2 and the
+        ramified p, whose lanes decode to anything, are in the bad set.
+        Either way psi and then the bad set find their rows by one table
+        lookup each.
         """
         T = _prime_table(self.field, X)
         if self.square:
             values = np.ones(len(T.norm), dtype=np.int8)
         else:
-            (x, y), n = self.tau_omega, _norm(self.field, *self.tau_omega)
+            (x, y), (s, c) = self.tau_omega, self.field.omega_square()
             values = np.empty(len(T.norm), dtype=np.int8)
             lo = 0
             while lo < len(T.norm):
                 hi = min(lo + 2 * _LANES, len(T.norm))
                 if hi < len(T.norm) and T.kind[hi] == _SECOND:
                     hi += 1
-                norm, kind = T.norm[lo:hi], T.kind[lo:hi]
-                inert = kind == _INERT
-                p = np.where(inert, np.sqrt(norm).astype(np.int64), norm)  # exact: norm < 2^53
-                root = np.zeros_like(p)
-                second = np.flatnonzero((kind == _SECOND) & (p != 2))
-                root[second - 1], root[second] = _omega_roots_lanes(self.field, p[second])
-                a = np.where(inert, _mod_lanes(n, p), (_mod_lanes(x, p) + _mod_lanes(y, p) * root) % p)
-                t = _pow_lanes(a, p >> 1, p)
-                values[lo:hi] = np.where(t == p - 1, -1, t)
+                kind = T.kind[lo:hi]
+                first = kind != _SECOND  # one lane per p, at its first row
+                norm = T.norm[lo:hi][first]
+                p = np.where(kind[first] == _INERT, np.sqrt(norm).astype(np.int64), norm)  # exact: norm < 2^53
+                u, v = _pow_quad_lanes(_mod_lanes(x, p), _mod_lanes(y, p), (norm - 1) >> 1, p, s, c)
+                label0 = np.where(u == p - 1, -1, u)
+                label1 = label0.copy()
+                nz = np.flatnonzero(v)  # a split p whose two values differ, or a (bad) ramified p
+                p, u, v = p[nz], u[nz], v[nz]
+                sigma = (2 * u + s * v) % p
+                sigma = np.where(sigma == p - 1, -1, sigma)
+                eps = np.where(sigma < 0, -1, 1)
+                r = (eps - u) % p * _pow_lanes(v, p - 2, p) % p  # the root where chi = eps
+                label0[nz] = np.where(r > (s - r) % p, sigma - eps, eps)
+                label1[nz] = sigma - label0[nz]
+                lane = np.cumsum(first) - 1
+                values[lo:hi] = np.where(first, label0[lane], label1[lane])
                 lo = hi
         if self.psi_table:
             psi, v = T.lookup(*zip(*self.psi_table)), np.array(list(self.psi_table.values()), np.int8)

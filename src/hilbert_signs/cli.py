@@ -365,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Every command builds the prime table of norm <= --x once, at 9 bytes per
 # ideal retained and ~27 at the peak of the build, and the character adds 1
-# for its values, whose roots and Euler lanes at a tau that is not a square
-# are made a chunk of rows at a time.  All of `simulate`, which streams the
+# for its values, whose Euler powers at a tau that is not a square are
+# taken a chunk of rows at a time.  All of `simulate`, which streams the
 # rest in chunks, peaks at ~43 at any tau (tracemalloc, d = 5, X = 10^7:
 # 664,500 ideals, 6.0 MB and 28.5 MB, at the default tau and at tau = 4 +
 # sqrt(5)).  At 10^8 (5,761,588 ideals) it takes ~275 MB max RSS at either

@@ -1,18 +1,17 @@
 """Exact ideal arithmetic in Q and in real quadratic fields Q(sqrt(d)).
 
 Prime splitting, principal-ideal factorization, enumeration of prime
-ideals by norm, and the int64 lane arithmetic mod p (powers, square roots
-and the roots of w) that the residue symbols of the characters take.
-Everything is integer arithmetic; no floating point enters this module,
-so downstream sign decisions built on it stay exact.
+ideals by norm, and the lane powers in F_p and in O_K/pO_K that the
+residue symbols of the characters take.  Everything is integer
+arithmetic; no floating point enters this module, so downstream sign
+decisions built on it stay exact.
 
 A prime ideal is its name (norm, p, root_label) everywhere, and
 ideal_text renders a name or a product of names.  The prime ideals of
 norm <= X are the rows of one table per (K, X), built once with numpy.
-Their roots (below) are not a column: the character of a tau that is not
-a square finds them chunk by chunk with _omega_roots_lanes.  The int64
-columns are exact because X <= TABLE_MAX_X keeps every product of two
-residues mod p below 2^63.  Python ints remain where a value is
+Their roots (below) only name the two primes above a split p: they are
+no column, and no square root mod p is taken.  The lanes are exact for
+X <= TABLE_MAX_X (see there).  Python ints remain where a value is
 unbounded: tau's coordinates and norm, reduced limb by limb.  Likewise
 the integral ideals of norm <= X are the ids of one ideal table per
 (K, X).  IdealFactorization objects are made from ids only for the
@@ -27,13 +26,13 @@ ring of integers is Z[w] with
 How p decomposes is decided in one place, _class_of_residue, from the
 class of p mod the discriminant.  A degree-one prime above p is
 identified by the root of the minimal polynomial of w mod p that
-generates its reduction map; the two primes above a split p are ordered
-by that root as an integer in [0, p), the smaller root getting label 0.
-Inert primes carry root 0 (unused).  Over Q every prime is the unique
-degree-one prime above itself and is labeled as the first "split" prime.
+generates its reduction map; the two primes above a split p are named by
+that root as an integer in [0, p), the smaller root getting label 0.
+Over Q every prime is the unique degree-one prime above itself and is
+labeled as the first "split" prime.
 
-tau*O_K is factored with no root.  At a split p, let x1 + y1 w be tau
-divided by the largest power of p that divides it.  If p divides its
+tau*O_K is factored with no square root.  At a split p, let x1 + y1 w be
+tau divided by the largest power of p that divides it.  If p divides its
 norm, x1^2 + s x1 y1 - c y1^2, then p does not divide y1, or p would
 divide x1 too; so x1 + y1 w lies in the prime above p whose root is r =
 -x1/y1 mod p, as reduction sends it to x1 + y1 r = 0.  The other root is
@@ -124,16 +123,12 @@ _SPLIT, _SECOND, _INERT, _RAMIFIED = range(4)
 
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all 64-bit inputs."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    r, s = n - 1, 0
-    while r % 2 == 0:
-        r //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % p == 0 for p in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s r with r odd
+    r = (n - 1) >> s
+    for a in bases:
         x = pow(a, r, n)
         if x in (1, n - 1):
             continue
@@ -219,11 +214,11 @@ def primes_upto(n: int) -> np.ndarray:
 # the prime table: every prime ideal of norm <= X, in int64 lanes
 # ----------------------------------------------------------------------
 
-# Products of two residues mod p stay below p^2, which p <= X keeps < 2^63.
+# p <= X keeps each product of two residues mod p below p^2 < 2^63, and the largest
+# such prime, 3,037,000,493, the sums 2 (p-1)^2 + 24 p of _pow_quad_lanes below 2^64.
 TABLE_MAX_X = math.isqrt(2**63 - 1)  # 3,037,000,499
 
-# Lanes per numpy pass, so that each temporary array stays near 64 KiB
-# whatever X is.
+# Lanes per numpy pass, so that each temporary stays near 64 KiB whatever X is.
 _LANES = 1 << 13
 
 
@@ -234,8 +229,7 @@ class _PrimeTable(NamedTuple):
     its p splits, an index into _KINDS.  A norm names its p (p, or p^2,
     which is never prime), so the rows of one norm are the primes above
     one p, and root_label is kind == _SECOND: the norm orders the rows, and
-    the label orders the two of a split p.  The roots are not a column
-    here: the one reader that needs them finds them per chunk of rows.
+    the label orders the two of a split p.
     """
 
     norm: np.ndarray
@@ -298,62 +292,20 @@ def _pow_lanes(a: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
     return r
 
 
-def _sqrt_lanes(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """A square root of a mod p lane by lane; p an odd prime, a a nonzero square mod p.
+def _pow_quad_lanes(a, b, e, p, s: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) with u + v T = (a + b T)^e in F_p[T]/(T^2 - s T - c), as int64 lanes.
 
-    Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number
-    Theory, Alg. 1.5.1) over all lanes at once.  Lanes with p = 3 mod 4
-    are done before the loop, and every other lane leaves it as soon as
-    its root is found.
+    For 0 <= a, b < p, e >= 0, p prime <= TABLE_MAX_X, s <= 1 and c <= 24 (every
+    supported field): the uint64 sums stay below 2^64, six reductions a bit.
     """
-    q, s = p - 1, np.zeros_like(p)
-    while (even := q & 1 == 0).any():
-        q, s = np.where(even, q >> 1, q), s + even
-    x = _pow_lanes(a, q >> 1, p)
-    root = a * x % p  # a^((q+1)/2), whose square is a * t
-    t = root * x % p  # a^q
-    live = np.flatnonzero(t != 1)
-    pl, m, t, r = p[live], s[live], t[live], root[live]
-    # The least nonresidue z is a prime below 1 + sqrt(p).  Live lanes have
-    # p = 1 mod 4, so by reciprocity z = 2 is one iff p = 5 mod 8, and an odd
-    # prime z iff p mod z is a nonresidue mod z.
-    z, todo = np.full_like(pl, 2), np.flatnonzero(pl & 7 != 5)
-    for zc in primes_upto(math.isqrt(int(pl.max(initial=0))) + 1).tolist()[1:]:
-        if not todo.size:
-            break
-        square = np.zeros(zc, dtype=bool)
-        square[np.arange(zc) ** 2 % zc] = True
-        hit = ~square[pl[todo] % zc]
-        z[todo[hit]] = zc
-        todo = todo[~hit]
-    c = _pow_lanes(z, q[live], pl)
-    while live.size:
-        # the least i with t^(2^i) = 1, then b = c^(2^(m-i-1))
-        i, t2 = np.ones_like(m), t * t % pl
-        while (t2 != 1).any():
-            i, t2 = i + (t2 != 1), t2 * t2 % pl
-        if (i >= m).any():
-            raise ArithmeticError("Tonelli-Shanks lane given a nonresidue")
-        b, k = c, m - i - 1
-        for j in range(int(k.max())):
-            b = np.where(j < k, b * b % pl, b)
-        m, c = i, b * b % pl
-        t, r = t * c % pl, r * b % pl
-        done = t == 1
-        root[live[done]] = r[done]
-        live, pl, m, c, t, r = (v[~done] for v in (live, pl, m, c, t, r))
-    return root
-
-
-def _omega_roots_lanes(K: QuadField, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(r1, r2): the roots r1 < r2 of the minimal polynomial of w mod each odd split p."""
-    sq = _sqrt_lanes(K.d % p, p)
-    if K.omega_square()[0]:  # w^2 = w + (d-1)/4: roots (1 +- sq)/2 mod p
-        ra, rb = (1 + sq) % p, (1 - sq) % p
-        ra, rb = (ra + (ra & 1) * p) >> 1, (rb + (rb & 1) * p) >> 1
-    else:  # w^2 = d: roots +-sq
-        ra, rb = sq, p - sq
-    return np.minimum(ra, rb), np.maximum(ra, rb)
+    a, b, e, p, s, c = (np.asarray(t, dtype=np.uint64) for t in (a, b, e, p, s, c))
+    u, v = np.ones_like(p), np.zeros_like(p)
+    while e.any():
+        odd, bv = e & 1 == 1, b * v % p
+        u, v = np.where(odd, (a * u + c * bv) % p, u), np.where(odd, (a * v + b * u + s * bv) % p, v)
+        bb = b * b % p
+        a, b, e = (a * a + c * bb) % p, (2 * a * b + s * bb) % p, e >> 1
+    return u.astype(np.int64), v.astype(np.int64)
 
 
 @lru_cache(maxsize=1)

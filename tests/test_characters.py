@@ -224,7 +224,7 @@ def test_values_upto_matches_the_euler_oracle_at_square_and_nonsquare_tau(monkey
 
 
 def test_values_upto_at_a_nonsquare_tau_keeps_only_its_values():
-    # the roots are found per chunk, so no root column is built or kept
+    # the Euler powers are taken per chunk, so no column but the values is kept
     K, X = make_field(5), 10**7
     rows = len(_prime_table(K, X).norm)  # 664,500
     chi = IdealCharacter.from_tau(K, (4, 1))

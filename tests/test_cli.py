@@ -374,7 +374,7 @@ def test_each_command_builds_one_prime_table(capsys, tmp_path):
         assert _prime_table.cache_info().misses == 1, argv[0]
 
 
-class _RootsRead(Exception):
+class _EulerPowerRun(Exception):
     pass
 
 
@@ -387,28 +387,28 @@ class _RootsRead(Exception):
     (["signs", "--curve", "11a", "--x", "2000", "--cache-dir", "{cache}"], True),
     (["simulate", "--d", "5", "--x", "20000", "--seed", "1", "--tau", "4", "--tau-b", "1"], False),
     (["char", "--d", "29", "--x", "20000", "--tau", "7"], False),
-    # a psi table is read by its names, with no root
+    # a psi table is read by its names, with no residue symbol
     (["char", "--d", "5", "--x", "1000", "--psi-file", "{psi}"], True),
     (["signs", "--fixture", "{fixture}", "--x", "1000", "--psi-file", "{psi}"], True),
 ])
 def test_only_a_nonsquare_tau_builds_roots_or_runs_the_euler_lanes(capsys, monkeypatch, tmp_path, argv, square):
-    # a square tau is the trivial character, and no output reads a root
+    # a square tau is the trivial character, and no output takes a residue symbol
     def refuse(*args):
-        raise _RootsRead(args[:1])
+        raise _EulerPowerRun(args[:1])
 
     # a Q(sqrt5) series and a psi table naming a row and a prime past --x
     save_fixture(synth_eigen_series(make_field(5), 1000, 2, 1), tmp_path / "fx.json")
     rows = [{**_PSI_ROW, "value": -1}, {**_PSI_ROW, "prime_norm": 1009, "rational_prime": 1009, "root_label": 1}]
     psi = _write_json(tmp_path / "psi.json", rows)
-    # the roots and the Euler lanes, where values_upto calls them
-    for name in ("_omega_roots_lanes", "_pow_lanes"):
+    # the Euler power and the inverses, where values_upto calls them
+    for name in ("_pow_quad_lanes", "_pow_lanes"):
         monkeypatch.setattr(characters, name, refuse)
     argv = [a.format(cache=tmp_path, psi=psi, fixture=tmp_path / "fx.json") for a in argv]
     if square:
         code, out, err = run(capsys, *argv)
         assert code == 0 and out and err == ""
     else:
-        with pytest.raises(_RootsRead):
+        with pytest.raises(_EulerPowerRun):
             main(argv)
 
 

@@ -14,7 +14,6 @@ from oracles import (
     EvenCharacteristic,
     IdealFactorization,
     Splitting,
-    _sqrt_mod,
     as_element,
     element,
     enumerate_prime_ideals,
@@ -36,9 +35,8 @@ from hilbert_signs.field_arith import (
     _SECOND,
     _ideal_table,
     _is_prime,
-    _omega_roots_lanes,
+    _pow_quad_lanes,
     _prime_table,
-    _sqrt_lanes,
     ideal_text,
     make_field,
     primes_upto,
@@ -315,10 +313,6 @@ def test_prime_table_matches_split_rational_prime(d):
         assert T.norm.tolist() == [P.norm for P in ref]
         assert [_KINDS[k] for k in T.kind.tolist()] == [P.splitting.value for P in ref]
         assert [_DEGREE_OF[k] for k in T.kind.tolist()] == [P.residue_degree for P in ref]
-        # the roots of each odd split p, the two rows above it in label order
-        second = np.flatnonzero((T.kind == _SECOND) & (T.norm != 2))
-        roots = _omega_roots_lanes(K, T.norm[second])
-        assert [r.tolist() for r in roots] == [[ref[i - 1].root for i in second], [ref[i].root for i in second]]
         assert (T.kind == _SECOND).astype(int).tolist() == [P.root_label for P in ref]
         assert all(c.dtype != object and not c.flags.writeable for c in T)
 
@@ -391,15 +385,29 @@ def test_prime_table_lookup_takes_every_dtype_np_asarray_picks():
     assert T.lookup([5, 11], [5, 11], np.array([0, q], dtype=np.uint64)).tolist() == [five, -1]
 
 
-@pytest.mark.parametrize("p", [7340033, 23068673, 998244353, 2013265921, 3037000493])
-def test_sqrt_lanes_match_sqrt_mod(p):
-    # 7*2^20+1, 11*2^21+1, 119*2^23+1 and 15*2^27+1: long Tonelli-Shanks
-    # loops; 3037000493 is the largest prime below TABLE_MAX_X
+def _pow_quad(a, b, e, p, s, c):
+    """(a + b T)^e in F_p[T]/(T^2 - s T - c) in Python ints, left to right."""
+    u, v = 1, 0
+    for bit in bin(e)[2:]:
+        u, v = (u * u + c * v * v) % p, (2 * u * v + s * v * v) % p
+        if bit == "1":
+            u, v = (a * u + c * b * v) % p, (a * v + b * u + s * b * v) % p
+    return u, v
+
+
+@pytest.mark.parametrize("s, c", [(1, 24), (0, 2), (1, 0), (1, 1)])
+@pytest.mark.parametrize("p", [3037000493, 3037000453, 2**31 - 1, 998244353])
+def test_pow_quad_lanes_match_python_ints(p, s, c):
+    # 3037000493 is the largest prime below TABLE_MAX_X, where the uint64 sums come
+    # closest to 2^64; (1, 24) is d = 97, the largest c, and (1, 0) is Q
     assert _is_prime(p) and p <= TABLE_MAX_X
-    squares = [pow(k, 2, p) for k in range(1, 400)] + [pow(3, 2 * k + 1, p) ** 2 % p for k in range(200)]
-    roots = _sqrt_lanes(np.array(squares, dtype=np.int64), np.full(len(squares), p))
-    for a, r in zip(squares, roots.tolist()):
-        assert r * r % p == a and r in (_sqrt_mod(a, p), p - _sqrt_mod(a, p))
+    rng = random.Random(p + c)
+    big, lanes = p * p // 2, [(p - 1, p - 1, e) for e in (0, 1, (p - 1) // 2, (p * p - 1) // 2)]
+    lanes += [(p - 1, p - 1, (1 << k) - 1) for k in (31, 62) if 1 << k <= big]
+    lanes += [(rng.randrange(p), rng.randrange(p), rng.randrange(big)) for _ in range(200)]
+    a, b, e = (np.array(col, dtype=np.int64) for col in zip(*lanes))
+    u, v = _pow_quad_lanes(a, b, e, np.full(len(lanes), p), s, c)
+    assert list(zip(u.tolist(), v.tolist())) == [_pow_quad(*lane, p, s, c) for lane in lanes]
 
 
 def test_prime_table_refuses_x_past_int64_before_allocating(field5, monkeypatch):

@@ -337,10 +337,10 @@ def test_coeffs_is_a_read_only_view(field5):
     assert A.coeffs.get(IdealFactorization(1, (), field5), 0) == 1
 
 
-def test_the_entries_and_coeffs_views_build_no_roots(field5, monkeypatch):
-    # both views name each prime by its row of the prime table, which needs no root
+def test_the_entries_and_coeffs_views_take_no_residue_symbol(field5, monkeypatch):
+    # both views name each prime by its row of the prime table, which needs no character value
     calls = []
-    monkeypatch.setattr(characters, "_omega_roots_lanes", lambda *args: calls.append(args))
+    monkeypatch.setattr(characters, "_pow_quad_lanes", lambda *args: calls.append(args))
     _ideal_objects.cache_clear()
     assert len(synth_eigen_series(field5, 10**6, 2, 3).entries) == 78_510
     n = len(_ideal_table(field5, 1000).norm)
