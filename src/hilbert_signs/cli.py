@@ -20,12 +20,11 @@ import math
 import random
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import eigen_io, sato_tate
 from .characters import IdealCharacter
-from .curves import get_curve
 from .errors import HilbertSignsError
 from .field_arith import _DEGREE_OF, _KINDS, _ideal_table, _prime_table, factorable_tau, make_field
 from .formal_series import (
@@ -35,7 +34,11 @@ from .formal_series import (
     extract_prime_relation,
     series_mul,
 )
-from .sign_pipeline import SignSurvey, _even_weights
+
+# eigen_io, curves, sign_pipeline and sato_tate are imported by the commands
+# that run them, so series-check loads none of them.
+if TYPE_CHECKING:
+    from .sign_pipeline import SignSurvey
 
 # ----------------------------------------------------------------------
 # output formats
@@ -127,7 +130,9 @@ def _load_series(args, tau):
     field, so they are checked after the document is read, tau by the
     survey.
     """
+    from . import eigen_io
     if args.curve:
+        from .curves import get_curve
         curve = get_curve(args.curve)
         K = make_field(1)
         factorable_tau(K, tau)
@@ -166,6 +171,7 @@ def cmd_primes(args) -> int:
 
 
 def cmd_char(args) -> int:
+    from . import eigen_io
     tau = _tau_element(args)
     K = make_field(args.d)
     psi = eigen_io.load_psi_table(K, args.psi_file, args.x) if args.psi_file else None
@@ -177,6 +183,7 @@ def cmd_char(args) -> int:
 
 
 def cmd_signs(args) -> int:
+    from .sign_pipeline import SignSurvey
     tau = _tau_element(args)
     series, psi = _load_series(args, tau)
     t = SignSurvey(series, tau, psi=psi)
@@ -186,6 +193,8 @@ def cmd_signs(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from . import sato_tate
+    from .sign_pipeline import SignSurvey
     coefficient = _threshold_coefficient(args)
     tau = _tau_element(args)
     series, psi = _load_series(args, tau)
@@ -208,6 +217,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import sato_tate
+    from .sign_pipeline import SignSurvey, _even_weights
     if not 0 <= args.seed < 2**128:  # the key range of the Philox sampler
         raise HilbertSignsError(f"--seed must be in [0, 2^128), got {args.seed}")
     coefficient = _threshold_coefficient(args)
@@ -234,17 +245,16 @@ def cmd_simulate(args) -> int:
 
 
 # series-check holds every integral ideal of norm <= --x (about 0.43 x of
-# them) with its divisor pairs (about 2.9 x).  On a 2-vCPU VM, `--d 5
-# --count 10` took 0.35-0.43 s and 47 MB max RSS at 10^5, and 2.0-2.4 s
-# and 212 MB at 10^6 (430,407 ideals, 2,894,881 pairs, about 0.55 s of it
-# building that table).  Memory grows with x, so the cap keeps a run near
-# a quarter of a GB.
-SERIES_CHECK_MAX_X = 10**6
+# them) with each divisor pair once.  On a 2-vCPU VM, `--d 5 --count 10`
+# took 1.4-2.1 s and 127 MB max RSS at 10^6 (430,407 ideals, 1,447,225
+# pairs a < b and 431 (d, d), ~0.33 s to build), and 16.9 s and 983 MB at
+# 10^7 (4,304,070 ideals, 16,604,975 pairs), so the cap keeps it under a GB.
+SERIES_CHECK_MAX_X = 10**7
 
-# Each check costs ~0.16 s at the --x cap and keeps a ~0.8 KB record for
-# the output (10^5 checks at --x 10: 38 s and 122 MB max RSS, still growing
-# with the count).  On a 2-vCPU VM, 10^3 checks took 174 s and 240 MB at
-# --x 10^6, and 0.6 s and 36 MB at --x 10.
+# Each check costs ~1.25 s at the --x cap (~0.16 s at 10^6), so 10^3 of
+# them take ~20 minutes there, and keeps a ~0.8 KB record for the output
+# (10^5 checks at --x 10: 38 s and 122 MB max RSS, still growing with the
+# count).  On a 2-vCPU VM, 10^3 checks took 0.6 s and 36 MB at --x 10.
 SERIES_CHECK_MAX_COUNT = 10**3
 
 

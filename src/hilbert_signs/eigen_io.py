@@ -57,13 +57,16 @@ import re
 from collections.abc import Iterable, Iterator
 from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .curves import CurveSpec, series_from_curve
 from .errors import HilbertSignsError
 from .field_arith import QuadField, _is_prime, _names_above, _prime_table, _row_text, ideal_text, make_field
 from .sign_pipeline import EigenvalueSeries, _hasse_columns
+
+if TYPE_CHECKING:
+    from .curves import CurveSpec
 
 SCHEMA_TAG = "eigen-series/1"
 CACHE_ENV = "HILBERT_SIGNS_CACHE"
@@ -479,6 +482,7 @@ def cached_curve_series(E: CurveSpec, X: int, cache_dir=None) -> EigenvalueSerie
         raise HilbertSignsError(f"cannot read curve cache {path}: {e}") from e
     if cached:
         return load_fixture(path, X)
+    from .curves import series_from_curve  # only a cache miss loads the a_p lanes
     series = series_from_curve(E, X)
     _atomic_write(path, _Encoded(serialize_series(series)))
     return series

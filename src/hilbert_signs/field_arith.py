@@ -366,9 +366,12 @@ class _IdealTable(NamedTuple):
     The key names an ideal only while the table is built.  fac_id, fac_row
     and fac_exp list each P^e exactly dividing an ideal, P by its
     prime-table row, ascending in row within each ideal, and prime_id is
-    the id of each prime row.  The pairs (a, b) with N(a) N(b) <= X are
-    sorted by the id of ab: those of id m begin at start[m], and no id has
-    more than `divisors` of them.  The arrays are read-only.
+    the id of each prime row.  Each divisor pair {a, b}, N(a) N(b) <= X,
+    is kept once.  The pairs a < b are sorted by the id of ab, those of id
+    m at start[m]:start[m + 1], and every id but O_K has (O_K, m).  The
+    pairs (d, d) are those of the ids d < len(square), and square[d] is the
+    id of d^2.  No id has more than `divisors` ordered pairs (a, b).  a, b,
+    start and square are int32, and the arrays are read-only.
     """
 
     norm: np.ndarray
@@ -379,6 +382,7 @@ class _IdealTable(NamedTuple):
     a: np.ndarray
     b: np.ndarray
     start: np.ndarray
+    square: np.ndarray
     divisors: int
 
 
@@ -394,7 +398,9 @@ def _ideal_table(K: QuadField, X: int) -> _IdealTable:
     is shared at a split p, and s(m) fixes e_1.  It is multiplicative,
     key(ab) = N(a) N(b) X + s(a) s(b), and as 1 <= s <= N <= X <=
     TABLE_MAX_X, it is below 2^63 and ascends with the norm.  The key
-    lives only in the build: the table keeps its ranks, the ids.
+    lives only in the build: the table keeps its ranks, the ids.  The id of
+    ab is found from key(ab) a chunk of pairs a < b at a time, so no key
+    array spans the pairs.
     """
     if X < 1:
         raise ValueError(f"the cutoff must be >= 1, got {X}")
@@ -421,17 +427,25 @@ def _ideal_table(K: QuadField, X: int) -> _IdealTable:
     rank[canon] = np.arange(len(canon))
     fac_id, fac_row, fac_exp = rank[owner[head]], row[head], np.diff(head, append=len(row))
     key, norm, s = key[canon], norm[canon], s[canon]
-    # free the factor stage's temporaries before the pair stage, which peaks far higher
+    # free the factor stage's temporaries before the pair stage, which peaks nearly as high
     del owner, row, head, rank, canon, levels
-    per_a = np.searchsorted(norm, X // norm, side="right")  # the b are a prefix
-    a = np.repeat(np.arange(len(norm)), per_a)
-    b = np.arange(len(a)) - np.repeat(np.cumsum(per_a) - per_a, per_a)
-    ab = np.searchsorted(key, norm[a] * norm[b] * X + s[a] * s[b])
     prime_id = np.searchsorted(key, P.norm * X + s_of)
+    # a < b gives N(a)^2 <= N(a) N(b) <= X, so a is one of the k ids d of the pairs (d, d)
+    k = np.searchsorted(norm, math.isqrt(X), side="right")
+    square = np.searchsorted(key, norm[:k] ** 2 * X + s[:k] ** 2).astype(np.int32)
+    per_a = np.searchsorted(norm, X // norm[:k], side="right") - np.arange(1, k + 1)  # the b > a
+    a = np.repeat(np.arange(k, dtype=np.int32), per_a)
+    first = (np.cumsum(per_a) - per_a).astype(np.int32)  # the index of the first pair of each a
+    b = a + 1 + (np.arange(len(a), dtype=np.int32) - np.repeat(first, per_a))
+    ab = np.empty(len(a), np.int32)
+    for lo in range(0, len(a), _LANES):  # the keys of ab, a chunk at a time
+        i, j = a[lo : lo + _LANES], b[lo : lo + _LANES]
+        ab[lo : lo + _LANES] = np.searchsorted(key, norm[i] * norm[j] * X + s[i] * s[j])
     order = np.argsort(ab, kind="stable")
-    start = np.searchsorted(ab[order], np.arange(len(norm)))
-    divisors = int(np.diff(start, append=len(ab)).max())
-    cols = (norm, fac_id, fac_row, fac_exp, prime_id, a[order], b[order], start)
+    count = np.bincount(ab, minlength=len(norm))
+    start = np.concatenate(([0], np.cumsum(count))).astype(np.int32)
+    divisors = int(max(2 * count.max(), 2 * count[square].max() + 1))  # a square has one more
+    cols = (norm, fac_id, fac_row, fac_exp, prime_id, a[order], b[order], start, square)
     for c in cols:
         c.flags.writeable = False
     return _IdealTable(*cols, divisors)

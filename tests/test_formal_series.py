@@ -1,5 +1,6 @@
 """Ideal-indexed series: Cauchy products, Euler factors, prime extraction."""
 
+import collections
 import gc
 import math
 import random
@@ -198,10 +199,14 @@ def test_prime_index_has_two_term_support(field5):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("d", [1, 2, 5, 13, 17])
-def test_ideal_table_pairs_are_the_truncated_products(d):
+@pytest.mark.parametrize("d, X", [
+    *(pytest.param(d, 600, id=str(d)) for d in [1, 2, 5, 13, 17]),
+    # O_K alone; then in Q(sqrt 5) the first inert norm, the first split norm and a prime's square
+    *(pytest.param(5, X, id=f"5-X{X}") for X in [1, 4, 11, 121]),
+])
+def test_ideal_table_pairs_are_the_truncated_products(d, X):
     # d = 2 ramifies 2 and d = 17 splits it, so s(m) below meets both labels above 2
-    K, X = make_field(d), 600
+    K = make_field(d)
     T = _ideal_table(K, X)
     ideals, index = _ideal_objects(K, X)
     ideals = [IdealFactorization(*m) for m in ideals]  # with the product of the oracle
@@ -216,12 +221,17 @@ def test_ideal_table_pairs_are_the_truncated_products(d):
     primes = enumerate_prime_ideals(K, X)
     prime_key = [P.norm * X + (P.norm if P.root_label else 1) for P in primes]
     assert T.prime_id.tolist() == np.searchsorted(key, prime_key).tolist()
-    want = {(i, j) for i, m in enumerate(ideals) for j, n in enumerate(ideals)
-            if m.norm * n.norm <= X}
-    assert set(zip(T.a.tolist(), T.b.tolist())) == want and len(T.a) == len(want)
-    ab = np.repeat(np.arange(len(ideals)), np.diff(T.start, append=len(T.a)))
+    ordered = [(i, j) for i, m in enumerate(ideals) for j, n in enumerate(ideals) if m.norm * n.norm <= X]
+    # each pair a < b once, sorted by the id of ab, and every id but O_K has (O_K, m)
+    assert sorted(zip(T.a.tolist(), T.b.tolist())) == [(i, j) for i, j in ordered if i < j]
+    ab = np.repeat(np.arange(len(ideals)), np.diff(T.start))
     assert all(ideals[k] == ideals[i] * ideals[j] for i, j, k in zip(T.a, T.b, ab))
-    assert T.divisors == np.diff(T.start, append=len(T.a)).max()
+    assert T.start[0] == T.start[1] == 0 and T.start[-1] == len(T.a) and (np.diff(T.start)[1:] > 0).all()
+    # each d with N(d)^2 <= X once on the diagonal, at the id of d^2
+    assert T.square.tolist() == [index[m * m] for m in ideals if m.norm**2 <= X]
+    # divisors still counts the ordered pairs (a, b) of an id
+    assert T.divisors == max(collections.Counter(index[ideals[i] * ideals[j]] for i, j in ordered).values())
+    assert {c.dtype for c in (T.a, T.b, T.start, T.square)} == {np.dtype(np.int32)}
     assert [ideals[i] for i in T.prime_id] == [power(P) for P in primes]
     for i, m in enumerate(ideals):
         facs = [(primes[r][:3], e) for k, r, e in zip(T.fac_id, T.fac_row, T.fac_exp) if k == i]
@@ -230,7 +240,8 @@ def test_ideal_table_pairs_are_the_truncated_products(d):
 
 def test_ideal_table_size_at_10_4(field5):
     T = _ideal_table(field5, 10_000)
-    assert (len(T.norm), len(T.a)) == (4304, 20456)
+    # 20,456 ordered pairs: 10,206 pairs a < b, each twice, and 44 pairs (d, d)
+    assert (len(T.norm), len(T.a), len(T.square)) == (4304, 10206, 44)
 
 
 def test_ideal_table_leaves_no_garbage_cycle(field5):
@@ -248,7 +259,7 @@ def test_ideal_table_leaves_no_garbage_cycle(field5):
 
 def test_ideal_table_build_peaks_below_three_times_the_table(field5):
     # the factor stage's temporaries must be freed before the pair stage,
-    # whose keys, sort and lookups set the peak
+    # whose keys, sort and lookups would add to its peak
     X = 100_000
     _prime_table(field5, X)  # built and cached outside the measurement
     tracemalloc.start()
@@ -328,6 +339,26 @@ def test_python_int_lanes_match_the_oracle(field5):
     inv = series_from_dict(field5, X, {pool[0]: 1 / Fraction(2**62 + 1, 3)})
     back = series_from_dict(field5, X, {pool[0]: Fraction(2**62 + 1, 3)})
     assert series_mul(inv, back).num.dtype == np.int64
+
+
+@pytest.mark.parametrize("d, X, a, b, lanes", [
+    (5, 1, 2**63 - 1, 1, np.int64),  # O_K alone: divisors = 1
+    (5, 1, 2**62, 2, object),
+    (1, 24, 2**30, 2**30, object),  # divisors = 8, the eight ordered pairs of 24
+    (1, 24, 2**30, 2**30 - 1, np.int64),
+])
+def test_product_lanes_follow_the_bound_on_the_ordered_pairs(d, X, a, b, lanes):
+    # max|A| max|B| divisors is 2^63 - 1 or 2^63 at X = 1; at X = 24, a sum at 24 of
+    # 2^60 over each of its eight ordered pairs reaches 2^63
+    K = make_field(d)
+    n = len(_ideal_table(K, X).norm)
+    A, B = FormalSeries(K, X, 1, np.full(n, a, np.int64)), FormalSeries(K, X, 1, np.full(n, b, np.int64))
+    prod = series_mul(A, B)
+    assert prod.num.dtype == lanes
+    ideals, index = _ideal_objects(K, X)
+    ideals = [IdealFactorization(*m) for m in ideals]
+    pairs = collections.Counter(index[m * k] for m in ideals for k in ideals if m.norm * k.norm <= X)
+    assert prod.num.tolist() == [a * b * pairs[i] for i in range(n)]
 
 
 def test_coeffs_is_a_read_only_view(field5):
