@@ -245,10 +245,11 @@ def cmd_simulate(args) -> int:
 
 
 # series-check holds every integral ideal of norm <= --x (about 0.43 x of
-# them) with each divisor pair once.  On a 2-vCPU VM, `--d 5 --count 10`
-# took 1.4-2.1 s and 127 MB max RSS at 10^6 (430,407 ideals, 1,447,225
-# pairs a < b and 431 (d, d), ~0.33 s to build), and 16.9 s and 983 MB at
-# 10^7 (4,304,070 ideals, 16,604,975 pairs), so the cap keeps it under a GB.
+# them), with its parent and last prime, and each divisor pair once.  On a
+# 2-vCPU VM, `--d 5 --count 10` took 1.3-1.4 s and 86 MB max RSS at 10^6
+# (430,407 ideals, 1,447,225 pairs a < b and 431 (d, d), 0.2-0.3 s to build),
+# and 14.2-14.6 s and 540 MB at 10^7 (4,304,070 ideals, 16,604,975 pairs),
+# so the cap keeps it well under a GB.
 SERIES_CHECK_MAX_X = 10**7
 
 # Each check costs ~1.25 s at the --x cap (~0.16 s at 10^6), so 10^3 of

@@ -426,26 +426,6 @@ def cache_path(label: str, cache_dir=None) -> Path:
     return base / f"{safe}-{digest}.json"
 
 
-class _Encoded:
-    """str chunks as UTF-8 bytes, one chunk at a time; len() is the bytes given so far.
-
-    The len() lets a caller, or perfbench's eigen_io.bytes_written
-    counter, read what a write of these chunks wrote.
-    """
-
-    def __init__(self, chunks: Iterable[str]):
-        self.chunks, self.size = chunks, 0
-
-    def __iter__(self) -> Iterator[bytes]:
-        for chunk in self.chunks:
-            data = chunk.encode()
-            self.size += len(data)
-            yield data
-
-    def __len__(self) -> int:
-        return self.size
-
-
 def _atomic_write(path: Path, data: Iterable[bytes]) -> None:
     """Write the chunks of data through a temp file named for this call alone, then rename.
 
@@ -484,5 +464,5 @@ def cached_curve_series(E: CurveSpec, X: int, cache_dir=None) -> EigenvalueSerie
         return load_fixture(path, X)
     from .curves import series_from_curve  # only a cache miss loads the a_p lanes
     series = series_from_curve(E, X)
-    _atomic_write(path, _Encoded(serialize_series(series)))
+    _atomic_write(path, (chunk.encode() for chunk in serialize_series(series)))
     return series

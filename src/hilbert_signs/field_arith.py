@@ -14,8 +14,8 @@ no column, and no square root mod p is taken.  The lanes are exact for
 X <= TABLE_MAX_X (see there).  Python ints remain where a value is
 unbounded: tau's coordinates and norm, reduced limb by limb.  Likewise
 the integral ideals of norm <= X are the ids of one ideal table per
-(K, X).  IdealFactorization objects are made from ids only for the
-read-only view of a formal series.
+(K, X), a tree of parents and last primes.  IdealFactorization objects
+are made from ids only for the coeffs view of a formal series.
 
 Conventions.  d = 1 encodes Q itself (degree 1).  For quadratic d the
 ring of integers is Z[w] with
@@ -363,21 +363,20 @@ class _IdealTable(NamedTuple):
     """The integral ideals of norm <= X, each by its id: the rank of its key in _ideal_table.
 
     norm is each ideal's norm, which ascends with the id; id 0 is O_K.
-    The key names an ideal only while the table is built.  fac_id, fac_row
-    and fac_exp list each P^e exactly dividing an ideal, P by its
-    prime-table row, ascending in row within each ideal, and prime_id is
-    the id of each prime row.  Each divisor pair {a, b}, N(a) N(b) <= X,
-    is kept once.  The pairs a < b are sorted by the id of ab, those of id
-    m at start[m]:start[m + 1], and every id but O_K has (O_K, m).  The
-    pairs (d, d) are those of the ids d < len(square), and square[d] is the
-    id of d^2.  No id has more than `divisors` ordered pairs (a, b).  a, b,
-    start and square are int32, and the arrays are read-only.
+    The key names an ideal only while the table is built.  The ideals are a
+    tree: parent[m] is the id of m/P, of at most half m's norm, for P the
+    last prime of m, at prime-table row last[m]; O_K is its own parent, at
+    last -1.  prime_id is the id of each prime row.  Each divisor pair {a,
+    b}, N(a) N(b) <= X, is kept once.  The pairs a < b are sorted by the id
+    of ab, those of id m at start[m]:start[m + 1], and every id but O_K has
+    (O_K, m).  The pairs (d, d) are those of the ids d < len(square), and
+    square[d] is the id of d^2.  No id has more than `divisors` ordered
+    pairs (a, b).  All arrays but norm and prime_id are int32, all read-only.
     """
 
     norm: np.ndarray
-    fac_id: np.ndarray
-    fac_row: np.ndarray
-    fac_exp: np.ndarray
+    parent: np.ndarray
+    last: np.ndarray
     prime_id: np.ndarray
     a: np.ndarray
     b: np.ndarray
@@ -390,45 +389,40 @@ class _IdealTable(NamedTuple):
 def _ideal_table(K: QuadField, X: int) -> _IdealTable:
     """The ideal table of (K, X), built once in numpy; the last four are kept.
 
-    The ideals are found level by level, as ascending lists of prime rows:
-    an ideal m whose last row is r has the children m P_i for the rows
-    i >= r with N(m) N(P_i) <= X, so each ideal is found once.  The key
-    N(m) X + s(m), where s(m) is the product of N(P)^e over the P^e || m
-    with root_label 1, names m: N(m) fixes every exponent but how e_0 + e_1
-    is shared at a split p, and s(m) fixes e_1.  It is multiplicative,
-    key(ab) = N(a) N(b) X + s(a) s(b), and as 1 <= s <= N <= X <=
-    TABLE_MAX_X, it is below 2^63 and ascends with the norm.  The key
-    lives only in the build: the table keeps its ranks, the ids.  The id of
-    ab is found from key(ab) a chunk of pairs a < b at a time, so no key
-    array spans the pairs.
+    The ideals are found level by level, by their count of prime factors:
+    an ideal m whose last row is r is the parent of m P_i, of last row i,
+    for the rows i >= r with N(m) N(P_i) <= X, so each ideal is found once.
+    The key N(m) X + s(m), where s(m) is the product of N(P)^e over the
+    P^e || m with root_label 1, names m: N(m) fixes every exponent but how
+    e_0 + e_1 is shared at a split p, and s(m) fixes e_1.  It is
+    multiplicative, key(ab) = N(a) N(b) X + s(a) s(b), and as 1 <= s <= N
+    <= X <= TABLE_MAX_X, it is below 2^63 and ascends with the norm.  The
+    key lives only in the build: the table keeps its ranks, the ids.  The
+    id of ab is found from key(ab) a chunk of pairs a < b at a time, so no
+    key array spans the pairs.
     """
     if X < 1:
         raise ValueError(f"the cutoff must be >= 1, got {X}")
     P = _prime_table(K, X)
     s_of = np.where(P.kind == _SECOND, P.norm, 1)  # the s of each prime: N(P) at root_label 1
-    norm, s, last = np.ones(1, np.int64), np.ones(1, np.int64), np.zeros(1, np.int64)
-    rows = np.empty((1, 0), np.int64)  # level 0: O_K, with no rows
-    levels = []
+    norm, s, up, last = np.array([[1], [1], [0], [0]])  # level 0: O_K, its own parent, from row 0 on
+    levels, base = [], 0  # base: the index of the level's first ideal in all levels
     while len(norm):
-        levels.append((norm, s, rows))
+        levels.append((norm, s, up, last))
         fits = np.maximum(np.searchsorted(P.norm, X // norm, side="right") - last, 0)
         up = np.repeat(np.arange(len(norm)), fits)
         last = last[up] + np.arange(len(up)) - np.repeat(np.cumsum(fits) - fits, fits)
-        norm, s, rows = norm[up] * P.norm[last], s[up] * s_of[last], np.column_stack((rows[up], last))
-    sizes = [len(n) for n, _, _ in levels]
-    norm, s, row = (np.concatenate([c.ravel() for c in col]) for col in zip(*levels))
-    # an ideal of level e has e rows
-    owner = np.repeat(np.arange(len(norm)), np.repeat(np.arange(len(sizes)), sizes))
-    # a factor P^e of an ideal is a run of e equal rows in its list
-    head = np.flatnonzero(np.diff(owner, prepend=-1) | np.diff(row, prepend=-1))
+        norm, s, up, base = norm[up] * P.norm[last], s[up] * s_of[last], up + base, base + len(norm)
+    norm, s, up, last = map(np.concatenate, zip(*levels))
+    del levels  # freed before the sort by key
+    last[0] = -1  # O_K has no last row
     key = norm * X + s
     canon = np.argsort(key)  # an ideal's id is the rank of its key
     rank = np.empty_like(canon)
     rank[canon] = np.arange(len(canon))
-    fac_id, fac_row, fac_exp = rank[owner[head]], row[head], np.diff(head, append=len(row))
+    parent, last = rank[up[canon]].astype(np.int32), last[canon].astype(np.int32)
     key, norm, s = key[canon], norm[canon], s[canon]
-    # free the factor stage's temporaries before the pair stage, which peaks nearly as high
-    del owner, row, head, rank, canon, levels
+    del up, rank, canon  # freed before the pair stage
     prime_id = np.searchsorted(key, P.norm * X + s_of)
     # a < b gives N(a)^2 <= N(a) N(b) <= X, so a is one of the k ids d of the pairs (d, d)
     k = np.searchsorted(norm, math.isqrt(X), side="right")
@@ -441,11 +435,13 @@ def _ideal_table(K: QuadField, X: int) -> _IdealTable:
     for lo in range(0, len(a), _LANES):  # the keys of ab, a chunk at a time
         i, j = a[lo : lo + _LANES], b[lo : lo + _LANES]
         ab[lo : lo + _LANES] = np.searchsorted(key, norm[i] * norm[j] * X + s[i] * s[j])
-    order = np.argsort(ab, kind="stable")
-    count = np.bincount(ab, minlength=len(norm))
+    del key, s  # freed before the sort by the id of ab
+    count, order = np.bincount(ab, minlength=len(norm)), np.argsort(ab, kind="stable")
+    a[:] = a[order]  # in place, as the loop's last i and j still view a and b
+    b[:] = b[order]
     start = np.concatenate(([0], np.cumsum(count))).astype(np.int32)
     divisors = int(max(2 * count.max(), 2 * count[square].max() + 1))  # a square has one more
-    cols = (norm, fac_id, fac_row, fac_exp, prime_id, a[order], b[order], start, square)
+    cols = (norm, parent, last, prime_id, a, b, start, square)
     for c in cols:
         c.flags.writeable = False
     return _IdealTable(*cols, divisors)
@@ -459,10 +455,11 @@ def _ideal_objects(K: QuadField, X: int) -> tuple[tuple[IdealFactorization, ...]
     """
     T = _ideal_table(K, X)
     primes = list(zip(*_prime_table(K, X).names(slice(None))))
-    factors = [[] for _ in range(len(T.norm))]
-    for i, r, e in zip(T.fac_id.tolist(), T.fac_row.tolist(), T.fac_exp.tolist()):
-        factors[i].append((primes[r], e))
-    ideals = tuple(map(IdealFactorization, T.norm.tolist(), map(tuple, factors), repeat(K)))
+    factors, last = [()], T.last.tolist()
+    for up, r in zip(T.parent.tolist()[1:], last[1:]):  # a parent's factors, with one more P
+        f = factors[up]
+        factors.append(f[:-1] + ((primes[r], f[-1][1] + 1),) if last[up] == r else f + ((primes[r], 1),))
+    ideals = tuple(map(IdealFactorization, T.norm.tolist(), factors, repeat(K)))
     return ideals, {m: i for i, m in enumerate(ideals)}
 
 

@@ -13,14 +13,13 @@ becomes a gather of A[a]B[b] + A[b]B[a] over the pairs a < b, a segmented
 sum, and A[d]B[d] added at each square d^2: in int64 where a bound on the
 ordered pairs proves the sums fit, in Python ints otherwise, never in
 floats.  Twisted, the Euler products of a quadratic character chi are the
-integer series chi(n) and mu(n) chi(n).
+integer series chi(n) and mu(n) chi(n), each set from n's parent.
 
-A series is built from its columns, and products, Euler series and
-prime extraction run on ids alone.  A character enters as chi_P, its int8
+A series is built from its columns, and products, Euler series and prime
+extraction run on ids alone.  A character enters as chi_P, its int8
 values on the rows of the prime table of (K, X), which are the prime ids
-of the ideal table in row order.  The IdealFactorization of each id, its
-factors by prime name, is built once per (K, X), only for the read-only
-view coeffs and its sorted_items.
+of the ideal table in row order.  The IdealFactorization of each id is
+built once per (K, X), only for the read-only view coeffs.
 """
 
 from __future__ import annotations
@@ -104,24 +103,28 @@ def _on_rows(T, chi_P: np.ndarray) -> np.ndarray:
     return chi_P
 
 
-def _euler_series(K: QuadField, X: int, chi_P: np.ndarray, factor) -> FormalSeries:
-    """The twisted series whose coefficient at m is prod factor(chi(P), e) over P^e || m."""
+def _euler_series(K: QuadField, X: int, chi_P: np.ndarray, moebius: bool) -> FormalSeries:
+    """The twisted series chi(m), or mu(m) chi(m): 1 at O_K, else f(m) times its value at m's parent."""
     T = _ideal_table(K, X)
-    num = np.ones(len(T.norm), np.int64)
-    np.multiply.at(num, T.fac_id, factor(_on_rows(T, chi_P).astype(np.int64)[T.fac_row], T.fac_exp))
+    f = np.append(_on_rows(T, chi_P), 1)[T.last]  # chi(P) of m's last prime P; O_K's row -1 takes 1
+    f = np.where(T.last[T.parent] == T.last, 0, -f) if moebius else f  # mu: 0 where P ends the parent too
+    num = np.ones(len(T.norm), np.int8)
+    bands = np.searchsorted(T.norm, 2 ** np.arange(1, X.bit_length() + 1))  # the ids of norm [N, 2N)
+    for lo, hi in zip(bands[:-1], bands[1:]):  # a parent has at most half its child's norm
+        num[lo:hi] = f[lo:hi] * num[T.parent[lo:hi]]
     return FormalSeries(K, X, 1, num)
 
 
 def character_zeta_series(K: QuadField, X: int, chi_P: np.ndarray) -> FormalSeries:
     """Expanded product over good primes of (1 - chi(P)/N(P) M(P))^{-1}: chi*(n)/N(n) at n."""
-    return _euler_series(K, X, chi_P, lambda v, e: v**e)
+    return _euler_series(K, X, chi_P, moebius=False)
 
 
 def character_moebius_series(K: QuadField, X: int, chi_P: np.ndarray) -> FormalSeries:
     """Expanded product over good primes of (1 - chi(P)/N(P) M(P)).
 
     Supported on squarefree good ideals; the inverse of character_zeta_series."""
-    return _euler_series(K, X, chi_P, lambda v, e: np.where(e == 1, -v, 0))
+    return _euler_series(K, X, chi_P, moebius=True)
 
 
 def c_series_from_lambda(lam: FormalSeries, chi_P: np.ndarray) -> FormalSeries:

@@ -702,20 +702,6 @@ def test_cached_curve_series_hits_disk(tmp_path, monkeypatch):
     assert equal_series(first, again)
 
 
-def test_cache_write_reports_the_bytes_it_wrote(tmp_path, monkeypatch):
-    written = []
-    real_write = eigen_io._atomic_write
-
-    def write(path, data):
-        real_write(path, data)
-        written.append((path, len(data)))
-
-    monkeypatch.setattr(eigen_io, "_atomic_write", write)
-    cached_curve_series(get_curve("11a"), 300, cache_dir=tmp_path)
-    [(path, size)] = written
-    assert size == path.stat().st_size > 0
-
-
 @pytest.mark.parametrize("d", NARROW_CLASS_NUMBER_ONE)
 def test_resolve_names_and_errors_match_splitting_each_p(d):
     # every name around the integers below 200, and around primes and

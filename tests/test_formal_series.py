@@ -233,9 +233,13 @@ def test_ideal_table_pairs_are_the_truncated_products(d, X):
     assert T.divisors == max(collections.Counter(index[ideals[i] * ideals[j]] for i, j in ordered).values())
     assert {c.dtype for c in (T.a, T.b, T.start, T.square)} == {np.dtype(np.int32)}
     assert [ideals[i] for i in T.prime_id] == [power(P) for P in primes]
-    for i, m in enumerate(ideals):
-        facs = [(primes[r][:3], e) for k, r, e in zip(T.fac_id, T.fac_row, T.fac_exp) if k == i]
-        assert tuple(facs) == m.factors
+    # the tree: m is its parent times the prime of its last row, its last factor, and a
+    # parent has at most half its child's norm (at N(P) = 2, for d = 1, 2 and 17, exactly half)
+    assert (T.parent[0], T.last[0]) == (0, -1)
+    assert T.parent.dtype == T.last.dtype == np.dtype(np.int32)
+    for m, up, r in list(zip(ideals, T.parent.tolist(), T.last.tolist()))[1:]:
+        assert ideals[up] * power(primes[r]) == m and m.factors[-1][0] == primes[r][:3]
+        assert 2 * ideals[up].norm <= m.norm
 
 
 def test_ideal_table_size_at_10_4(field5):
@@ -258,8 +262,8 @@ def test_ideal_table_leaves_no_garbage_cycle(field5):
 
 
 def test_ideal_table_build_peaks_below_three_times_the_table(field5):
-    # the factor stage's temporaries must be freed before the pair stage,
-    # whose keys, sort and lookups would add to its peak
+    # each stage's temporaries must be freed before the next: the level lists
+    # before the sort by key, and the keys before the sort of the pairs
     X = 100_000
     _prime_table(field5, X)  # built and cached outside the measurement
     tracemalloc.start()
