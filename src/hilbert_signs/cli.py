@@ -2,9 +2,9 @@
 
 Subcommands: primes, char, signs, stats, simulate, series-check.  Every
 command writes CSV or JSON to stdout (or --out) and exits 0 only if its
-declared checks pass; input errors exit 2.  This is the one module that
-formats results: tables pass through _emit_table and JSON documents
-through _emit_json.
+declared checks pass; input errors and write errors exit 2.  This is the
+one module that formats results: tables pass through _emit_table, a block
+of rows at a time, and JSON documents through _emit_json.
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ import math
 import random
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .characters import IdealCharacter
 from .errors import HilbertSignsError
-from .field_arith import _DEGREE_OF, _KINDS, _ideal_table, _prime_table, factorable_tau, make_field
+from .field_arith import _DEGREE_OF, _KINDS, _LANES, _ideal_table, _prime_table, factorable_tau, make_field
 from .formal_series import (
     FormalSeries,
     c_series_from_lambda,
@@ -50,35 +51,46 @@ SIMULATE_CSV_HEADER = (
 )
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        try:
+def _emit(blocks, out: str | None) -> None:
+    """Write the blocks of text to the file out, or to stdout; a write error exits 2 with one line."""
+    try:
+        if out:
             with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise HilbertSignsError(f"cannot write {out}: {e}") from e
-    else:
-        sys.stdout.write(text)
+                fh.writelines(blocks)
+        else:
+            sys.stdout.writelines(blocks)
+            sys.stdout.flush()
+    except OSError as e:
+        if not out:  # nothing more reaches stdout, not even the flush at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if out or not isinstance(e, BrokenPipeError):  # a reader that closed early (`| head`) ends it quietly
+            raise HilbertSignsError(f"cannot write {out or 'stdout'}: {e}") from e
 
 
 def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=1) + "\n", out)
+    _emit([json.dumps(obj, indent=1) + "\n"], out)
 
 
-def _emit_table(args, header: str, rows: list[tuple], obj=None) -> None:
-    """Write rows as CSV under header or, with --format json, write obj.
+def _emit_table(args, header: str, n: int, columns, obj=None) -> None:
+    """Write n rows as CSV under header or, with --format json, as objects keyed by its columns (or write obj).
 
-    obj defaults to the rows themselves, each as an object keyed by the
-    header's columns.
+    columns(rows) gives a slice of rows as one sequence per column, a text
+    already quoted for JSON.  Each _LANES rows are one block: one row template,
+    in the layout of the CSV lines or of json.dumps(indent=1), over their values.
     """
+    if args.format == "json" and obj is not None:
+        return _emit_json(obj, args.out)
     if args.format == "json":
-        if obj is None:
-            columns = header.split(",")
-            obj = [dict(zip(columns, row)) for row in rows]
-        _emit_json(obj, args.out)
+        row = " {\n" + ",\n".join(f'  "{k}": %s' for k in header.split(",")) + "\n }"
+        head, sep, tail = "[", ",\n", "\n]\n" if n else "]\n"
     else:
-        lines = [header, *(",".join(map(str, row)) for row in rows)]
-        _emit("\n".join(lines) + "\n", args.out)
+        row, head, sep, tail = ",".join(["%s"] * (header.count(",") + 1)), header, "\n", "\n"
+
+    def block(lo: int) -> str:
+        values = tuple(chain.from_iterable(zip(*columns(slice(lo, lo + _LANES)))))
+        return (sep if lo else "\n") + sep.join([row] * min(_LANES, n - lo)) % values
+
+    _emit(chain([head], map(block, range(0, n, _LANES)), [tail]), args.out)
 
 
 def density_string(num: int, den: int) -> str:
@@ -162,11 +174,10 @@ def _add_tau_flags(sp):
 
 def cmd_primes(args) -> int:
     T = _prime_table(make_field(args.d), args.x)
-    rows = [
-        (norm, p, label, _DEGREE_OF[k], _KINDS[k])
-        for norm, p, label, k in zip(*T.names(slice(None)), T.kind.tolist())
-    ]
-    _emit_table(args, "norm,rational_prime,root_label,residue_degree,splitting", rows)
+    kind = np.array(_KINDS if args.format == "csv" else [json.dumps(k) for k in _KINDS], object)  # a text per kind
+    degree = np.array(_DEGREE_OF)
+    columns = lambda rows: (*T.names(rows), degree[T.kind[rows]].tolist(), kind[T.kind[rows]].tolist())
+    _emit_table(args, "norm,rational_prime,root_label,residue_degree,splitting", len(T.norm), columns)
     return 0
 
 
@@ -175,10 +186,9 @@ def cmd_char(args) -> int:
     tau = _tau_element(args)
     K = make_field(args.d)
     psi = eigen_io.load_psi_table(K, args.psi_file, args.x) if args.psi_file else None
-    chi = IdealCharacter.from_tau(K, tau, psi_table=psi)
-    names = _prime_table(K, args.x).names(slice(None))
-    rows = list(zip(*names, chi.values_upto(args.x).tolist()))
-    _emit_table(args, "norm,rational_prime,root_label,chi", rows)
+    chi = IdealCharacter.from_tau(K, tau, psi_table=psi).values_upto(args.x)
+    names = _prime_table(K, args.x).names
+    _emit_table(args, "norm,rational_prime,root_label,chi", len(chi), lambda rows: (*names(rows), chi[rows].tolist()))
     return 0
 
 
@@ -188,7 +198,7 @@ def cmd_signs(args) -> int:
     series, psi = _load_series(args, tau)
     t = SignSurvey(series, tau, psi=psi)
     row = (t.x, t.total, t.pos, t.neg, t.zero, density_string(t.pos, t.total))
-    _emit_table(args, TALLY_CSV_HEADER, [row], _tally_obj(t))
+    _emit_table(args, TALLY_CSV_HEADER, 1, lambda _: zip(row), _tally_obj(t))
     return 0
 
 
@@ -201,9 +211,9 @@ def cmd_stats(args) -> int:
     survey = SignSurvey(series, tau, psi=psi)
     report = sato_tate.ks_statistic(survey.coords, coefficient=coefficient)
     if args.hist_out:
-        _emit(sato_tate.histogram_csv(survey.coords), args.hist_out)
+        _emit([sato_tate.histogram_csv(survey.coords)], args.hist_out)
     if args.svg:
-        _emit(sato_tate.histogram_svg(survey.coords), args.svg)
+        _emit([sato_tate.histogram_svg(survey.coords)], args.svg)
     obj = {
         "label": series.label,
         "x": survey.x,
@@ -240,7 +250,7 @@ def cmd_simulate(args) -> int:
         *ks.values(), int(report.passed),
     )
     obj = {**_tally_obj(t), "seed": args.seed, "k0": args.k0, **ks, "ks_pass": report.passed}
-    _emit_table(args, SIMULATE_CSV_HEADER, [row], obj)
+    _emit_table(args, SIMULATE_CSV_HEADER, 1, lambda _: zip(row), obj)
     return 0 if report.passed else 1
 
 
@@ -375,13 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Every command builds the prime table of norm <= --x once, at 9 bytes per
-# ideal retained and ~27 at the peak of the build, and the character adds 1
-# for its values, whose Euler powers at a tau that is not a square are
-# taken a chunk of rows at a time.  All of `simulate`, which streams the
-# rest in chunks, peaks at ~43 at any tau (tracemalloc, d = 5, X = 10^7:
-# 664,500 ideals, 6.0 MB and 28.5 MB, at the default tau and at tau = 4 +
-# sqrt(5)).  At 10^8 (5,761,588 ideals) it takes ~275 MB max RSS at either
-# tau (2-vCPU VM).  A larger x would fail late, in an allocation.
+# ideal retained and ~27 at the peak of its build, and the character adds 1.
+# primes and char write the table _LANES rows at a time, and simulate streams
+# the rest in chunks.  At 10^8 (5,761,588 ideals at d = 5, 2-vCPU VM) primes
+# and char took 3.3-7.4 s and 179 MB max RSS in either format, and simulate
+# ~275 MB at either tau; signs and stats also hold the series they read, and
+# series-check has its own cap.  A larger x would fail late, in an allocation.
 MAX_X = 10**8
 
 

@@ -72,6 +72,33 @@ def test_primes_json_and_out_file(capsys, tmp_path):
     assert [it["norm"] for it in items] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+_TABLE_COMMANDS = {"primes": ("primes", "--d", "5"), "char": ("char", "--d", "5", "--tau", "4", "--tau-b", "1")}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(_TABLE_COMMANDS))
+def test_a_table_is_the_same_bytes_at_any_block_size(capsys, monkeypatch, tmp_path, command, fmt):
+    def outputs() -> list[str]:
+        """stdout and the --out file of the command at X = 1 (no rows), 300 and 3000."""
+        texts = []
+        for x in ("1", "300", "3000"):
+            argv, dest = (*_TABLE_COMMANDS[command], "--x", x, "--format", fmt), tmp_path / f"{x}.out"
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and run(capsys, *argv, "--out", str(dest)) == (0, "", "")
+            texts += [out, dest.read_text()]
+        return texts
+
+    want = outputs()
+    assert want[0::2] == want[1::2]
+    # X = 1 has no rows: JSON's [] and the CSV header alone
+    assert want[0] == ("[]\n" if fmt == "json" else want[2].split("\n", 1)[0] + "\n")
+    if fmt == "json":  # the layout of json.dumps(indent=1)
+        assert [json.dumps(json.loads(t), indent=1) + "\n" for t in want] == want
+    for lanes in (1, 2, 7):
+        monkeypatch.setattr(cli, "_LANES", lanes)
+        assert outputs() == want, f"block size {lanes}"
+
+
 def test_char_matches_library(capsys, field5):
     code, out, _ = run(capsys, "char", "--d", "5", "--x", "100", "--tau", "4", "--tau-b", "1")
     assert code == 0

@@ -1,16 +1,17 @@
 """The pinned console-script runs, each a fresh process through the console script.
 
 Each test keeps the argv, the expected output or exit code, the timeout
-and (at 10^8) the max-RSS bound of a pinned run.  The child is the
-installed `hilbert-signs` when it is on PATH, else `python -m
-hilbert_signs.cli` on this checkout's package, and its max RSS is read
-with os.wait4.
+and (at 10^7 and 10^8) the max-RSS bound of a pinned run.  The child is
+the installed `hilbert-signs` when it is on PATH, else `python -m
+hilbert_signs.cli` on this checkout's package.  It is started by a small
+launcher, which reads its exit code and max RSS with os.wait4.
 """
 
 import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -24,28 +25,57 @@ import hilbert_signs
 _SCRIPT = shutil.which("hilbert-signs")
 
 
-def _console(*argv, timeout: float | None = None, code: int = 0) -> tuple[str, float]:
-    """(stdout, max RSS in MB) of one run, which must exit with code, inside timeout seconds if given."""
+def _command(*argv) -> tuple[list[str], dict | None]:
+    """(command line, environment) of one run of the console script."""
     if _SCRIPT:
-        cmd, env = [_SCRIPT, *argv], None
-    else:
-        src = str(Path(hilbert_signs.__file__).parents[1])
-        cmd = [sys.executable, "-m", "hilbert_signs.cli", *argv]
-        env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, text=True)
-    timer = threading.Timer(timeout, proc.kill) if timeout else None
+        return [_SCRIPT, *argv], None
+    src = str(Path(hilbert_signs.__file__).parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return [sys.executable, "-m", "hilbert_signs.cli", *argv], env
+
+
+# Linux starts a child's max RSS at the RSS of the process that forked it, so
+# a command started by pytest would read at least pytest's own size.  The
+# launcher is a small process: it runs the command (its arguments past the
+# first) and writes "<exit code> <max RSS in KiB>" of it to the fd named by
+# its first argument.
+_LAUNCHER = """\
+import os, subprocess, sys
+_, status, usage = os.wait4(subprocess.Popen(sys.argv[2:]).pid, 0)
+os.write(int(sys.argv[1]), b"%d %d" % (os.waitstatus_to_exitcode(status), usage.ru_maxrss))
+"""
+
+
+def _console(*argv, timeout: float | None = None, code: int = 0, read=None) -> tuple:
+    """(stdout, max RSS in MB) of one run, which must exit with code, inside timeout seconds if given.
+
+    read(stdout), if given, takes the binary stdout in place of reading it
+    whole as text, and its result stands for the stdout.
+    """
+    cmd, env = _command(*argv)
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _LAUNCHER, str(write_end), *cmd],
+        env=env, stdout=subprocess.PIPE, pass_fds=(write_end,), start_new_session=True,
+    )
+    os.close(write_end)
+    report = os.fdopen(read_end, "rb")
+    # the launcher leads its own process group, so a kill takes the command too
+    timer = threading.Timer(timeout, os.killpg, (proc.pid, signal.SIGKILL)) if timeout else None
     if timer:
         timer.start()
     try:
-        out = proc.stdout.read()
-        _, status, usage = os.wait4(proc.pid, 0)
+        out = read(proc.stdout) if read else proc.stdout.read().decode()
+        usage = report.read().split()
+        proc.wait()
     finally:
         if timer:
             timer.cancel()
         proc.stdout.close()
-    proc.returncode = exit_code = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+        report.close()
+    exit_code, max_rss = map(int, usage) if usage else (proc.returncode, 0)
     assert exit_code == code, f"{argv} exited {exit_code}, not {code} (killed after {timeout} s if -9): {out!r}"
-    return out, usage.ru_maxrss / 1024  # KiB on Linux
+    return out, max_rss / 1024  # KiB on Linux
 
 
 def _last_line(out: str) -> str:
@@ -137,8 +167,8 @@ def test_series_check_round_trips(case):
 # the ideal table keeps each divisor pair once, and each ideal its parent and
 # last prime: 86 MB max RSS at 10^6 and 540 MB at 10^7, on a 2-vCPU VM (the
 # 140 and 1,100 MB rows are the bounds of the table that kept factor lists).
-# A child's max RSS starts at its parent's RSS, so late in a full pytest run
-# the 10^6 row reads ~98 MB, pytest's own size, and its bound is 106 MB.
+# The 106 MB bound of the 1e6-tree row was set when the reading started at
+# pytest's own size, ~98 MB late in a full run; the launcher reads ~86 MB.
 _MAX_RSS = [(10**6, 30, 140), (10**6, 30, 106), (10**7, 120, 1100)]
 
 
@@ -147,6 +177,79 @@ def test_series_check_under_its_max_rss(x, timeout, mb):
     out, rss = _console("series-check", "--d", "5", "--x", str(x), "--count", "10", timeout=timeout)
     assert json.loads(out)["ok"] is True
     assert rss < mb, f"series-check at {x} peaked at {rss:.1f} MB max RSS"
+
+
+# primes and char write the prime table _LANES rows at a time, so both peak
+# where the table is built: 47.7-48.1 MB max RSS at 10^7 and 179 MB at 10^8,
+# in 0.7-1.0 s and 5.6-7.4 s, on a 2-vCPU VM.  Formatting every row first took
+# 1,029 and 897 MB at 10^7, and at 10^8 `primes` was killed at 7.66 GB.
+# (argv, timeout, MB, sha256 and last row of the JSON table)
+_TABLES = {
+    "primes-1e7": (
+        ("primes", "--d", "5", "--x", "10000000"), 30, 53,
+        "fec7fd3f4597d850f72f47e9c00ea7d71c4d878ae8d90f7b7dd5b157e2cd727b",
+        {"norm": 9999991, "rational_prime": 9999991, "root_label": 1, "residue_degree": 1, "splitting": "split_second"},
+    ),
+    "char-1e7": (
+        ("char", "--d", "5", "--x", "10000000", "--tau", "4", "--tau-b", "1"), 30, 53,
+        "7a22e1689cd6c2dcad1c83650734812ce9bdfcc46ed860f11044d2b4099f9f9a",
+        {"norm": 9999991, "rational_prime": 9999991, "root_label": 1, "chi": 1},
+    ),
+    "primes-1e8": (
+        ("primes", "--d", "5", "--x", "100000000"), 60, 200,
+        "f53bd5e4db9de8302098ae41a5906e84971d5a7f2e6c687e11990111b51e243f",
+        {"norm": 99999989, "rational_prime": 99999989, "root_label": 1, "residue_degree": 1, "splitting": "split_second"},
+    ),
+    "char-1e8": (
+        ("char", "--d", "5", "--x", "100000000", "--tau", "4", "--tau-b", "1"), 60, 200,
+        "7588f21b38abb79dd2094c78ffb9f6931024c99c50e8b6c0644db56359090f7b",
+        {"norm": 99999989, "rational_prime": 99999989, "root_label": 1, "chi": -1},
+    ),
+}
+
+
+def _sha256_and_last_row(stdout) -> tuple[str, dict]:
+    """sha256 of a JSON table on the binary stdout, read a MB at a time, and its last row."""
+    digest, tail = hashlib.sha256(), b""
+    while chunk := stdout.read(1 << 20):
+        digest.update(chunk)
+        tail = (tail + chunk)[-1024:]
+    tail = tail.decode()
+    assert tail.endswith("\n }\n]\n")
+    return digest.hexdigest(), json.loads("{" + tail.rsplit("{", 1)[1].removesuffix("]\n"))
+
+
+@pytest.mark.parametrize("case", list(_TABLES))
+def test_a_json_table_under_its_max_rss(case):
+    argv, timeout, mb, sha256, last_row = _TABLES[case]
+    out, rss = _console(*argv, "--format", "json", timeout=timeout, read=_sha256_and_last_row)
+    assert out == (sha256, last_row)
+    assert rss < mb, f"{case} peaked at {rss:.1f} MB max RSS"
+
+
+_WRITERS = [
+    ("primes", "--d", "5", "--x", "1000"),
+    ("char", "--d", "5", "--x", "1000", "--tau", "4", "--tau-b", "1"),
+    ("simulate", "--d", "5", "--x", "1000", "--seed", "1"),
+    ("series-check", "--d", "5", "--x", "100", "--count", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", _WRITERS, ids=[argv[0] for argv in _WRITERS])
+def test_a_full_device_on_stdout_exits_2_with_one_line(argv):
+    cmd, env = _command(*argv)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(cmd, env=env, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot write stdout: [Errno 28] No space left on device\n")
+
+
+def test_a_reader_that_closes_stdout_early_ends_the_output_quietly():
+    cmd, env = _command("primes", "--d", "5", "--x", "1000000")
+    with subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(10) == b"norm,ratio"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (0, b"")
 
 
 def _with_entry(doc: Path, dest: Path, entry: dict) -> str:
